@@ -2,7 +2,7 @@
 //!
 //! The experiment harness of the VirtualFlow reproduction: one binary per
 //! table/figure of the paper's evaluation (see DESIGN.md §4 for the full
-//! index), plus Criterion micro/ablation benches under `benches/`.
+//! index). Host-time benchmarking lives in `perf_bench/` at the repo root.
 //!
 //! Run a single experiment:
 //!

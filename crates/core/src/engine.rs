@@ -7,8 +7,14 @@
 //!    logical VN order (never device order);
 //! 2. devices process their assigned virtual nodes **sequentially** (waves),
 //!    while different devices run **in parallel** (one thread per device);
-//! 3. per-VN gradients are accumulated and synchronized **once per step**,
-//!    then the optimizer applies exactly one update.
+//! 3. after the last wave, per-VN gradients are reduced in VN order through
+//!    the one tree of [`vf_tensor::reduce`] and synchronized **once per
+//!    step**, then the optimizer applies exactly one update.
+//!
+//! There is one executor for every reduction order and bucket plan
+//! (`Trainer::compute_and_reduce`); gradient bucketing
+//! ([`crate::overlap`]) shapes the simulated comm lane and the trace, not
+//! host execution.
 //!
 //! Because the shard decomposition, gradient reduction order, and optimizer
 //! state depend only on the virtual node count — not on the device mapping —
@@ -25,8 +31,7 @@ use crate::config::TrainerConfig;
 use crate::overlap::BucketPlan;
 use crate::vnode::{MigrationPlan, VirtualNodeId, VnMapping};
 use crate::CoreError;
-// vf-lint: allow(hash-iteration) — HashMap used only for keyed lookups (never iterated)
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vf_data::batching::{shard_indices, BatchPlan, VisitLedger};
 use vf_data::partitioned::PartitionedPlan;
@@ -38,7 +43,6 @@ use vf_obs::{Event, Monitor, Recorder};
 use vf_tensor::ops::clip_global_norm;
 use vf_tensor::optim::Optimizer;
 use vf_tensor::reduce;
-use vf_tensor::reduce::ReductionOrder;
 use vf_tensor::Tensor;
 
 /// The batch plan in use, depending on the dataset distribution mode.
@@ -82,49 +86,6 @@ impl DataPlan {
 /// The VN batches a prefetch worker stages for one step: one
 /// `(features, labels)` pair per virtual node, in VN order.
 type StagedBatches = Result<Vec<(Tensor, Vec<usize>)>, CoreError>;
-
-/// What one pool task of the wave-phased executor produced.
-enum TaskOut {
-    /// One virtual node's backward pass on one device.
-    Device {
-        device_idx: usize,
-        vn: usize,
-        grads: Vec<Tensor>,
-        loss: f32,
-        stateful: StatefulState,
-    },
-    /// Partial tree-combine values for one gradient bucket, keyed by
-    /// `(level, node, param)`.
-    Combine(Vec<((usize, usize, usize), Tensor)>),
-}
-
-/// Looks up a reduction-tree input: a leaf gradient (level 0), a node
-/// merged from an earlier phase, or a node this task computed moments ago
-/// (same-phase parent/child chains resolve through `local`).
-fn node_value<'a>(
-    level: usize,
-    node: usize,
-    param: usize,
-    vn_grads: &'a [Option<Vec<Tensor>>],
-    combined: &'a [Vec<Vec<Option<Tensor>>>],
-    out: &'a [((usize, usize, usize), Tensor)],
-    // vf-lint: allow(hash-iteration) — lookup-only index into `out`; never iterated
-    local: &HashMap<(usize, usize, usize), usize>,
-) -> Result<&'a Tensor, CoreError> {
-    if let Some(&idx) = local.get(&(level, node, param)) {
-        return Ok(&out[idx].1);
-    }
-    if level == 0 {
-        return vn_grads[node].as_ref().map(|g| &g[param]).ok_or(CoreError::Internal {
-            invariant: "combine nodes run only after their input wave",
-        });
-    }
-    combined[level - 1][node][param]
-        .as_ref()
-        .ok_or(CoreError::Internal {
-            invariant: "combine nodes run only after their input wave",
-        })
-}
 
 /// The outcome of one training step.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,8 +140,9 @@ pub struct Trainer {
     /// Monitoring hook: when attached, each step publishes its loss, lr,
     /// and step count into the monitor's registry.
     monitor: Option<Arc<Monitor>>,
-    /// Fixed gradient-bucket boundaries for pipelined reduction; a single
-    /// bucket (the default) reproduces the one-sync-per-step schedule.
+    /// Fixed gradient-bucket boundaries: one `bucket{k}/reduce` trace span
+    /// per bucket. A single bucket (the default) is the one-sync-per-step
+    /// schedule.
     bucket_plan: BucketPlan,
     /// Background input staging (double buffer), when enabled.
     prefetcher: Option<Prefetcher<StagedBatches>>,
@@ -254,16 +216,16 @@ impl Trainer {
         })
     }
 
-    /// Sets the gradient-bucket byte threshold for pipelined reduction;
-    /// `None` restores the single-bucket default (one sync per step).
+    /// Sets the gradient-bucket byte threshold; `None` restores the
+    /// single-bucket default (one sync per step).
     ///
     /// Boundaries are a pure function of the canonical parameter order and
-    /// this threshold — never of arrival time — and per-parameter reduction
-    /// is unchanged, so the parameter trajectory is bit-identical for every
-    /// setting. Bucketing only changes *when* partial reductions may start:
-    /// a bucket's combine work is scheduled as soon as its last
-    /// contributing backward wave completes, overlapping reduction with the
-    /// remaining waves on the shared worker pool.
+    /// this threshold — never of arrival time. The plan decides how many
+    /// `bucket{k}/reduce` spans a step's trace carries (and, through
+    /// `ChaosConfig::bucket_bytes` and [`crate::perf_model`], how the
+    /// simulated comm lane is scheduled); it is not an input to the
+    /// reduction, so the parameter trajectory is bit-identical for every
+    /// setting.
     pub fn set_bucket_bytes(&mut self, bucket_bytes: Option<u64>) {
         let sizes: Vec<u64> = self.params.iter().map(|p| p.size_bytes() as u64).collect();
         self.bucket_plan = match bucket_bytes {
@@ -272,7 +234,7 @@ impl Trainer {
         };
     }
 
-    /// The gradient-bucket plan the pipelined executor follows.
+    /// The gradient-bucket plan the step trace reports.
     pub fn bucket_plan(&self) -> &BucketPlan {
         &self.bucket_plan
     }
@@ -405,12 +367,7 @@ impl Trainer {
             p.schedule(self.step + 1);
         }
 
-        let pipelined = self.config.reduction == ReductionOrder::Tree && total_vns > 1;
-        let mut reduced = if pipelined {
-            self.pipelined_compute_and_reduce(&shards, staged.as_deref(), &mut vn_losses)?
-        } else {
-            self.phased_compute_and_reduce(&shards, staged.as_deref(), &mut vn_losses)?
-        };
+        let mut reduced = self.compute_and_reduce(&shards, staged.as_deref(), &mut vn_losses)?;
         if let Some(max_norm) = self.config.clip_norm {
             clip_global_norm(&mut reduced, max_norm);
         }
@@ -425,8 +382,7 @@ impl Trainer {
             lr,
             waves: self.mapping.waves(),
         };
-        let buckets = pipelined.then(|| self.bucket_plan.num_buckets());
-        self.trace_step(&report, &vn_losses, buckets);
+        self.trace_step(&report, &vn_losses);
         self.step += 1;
         if let Some(mon) = &self.monitor {
             let m = mon.metrics();
@@ -440,41 +396,36 @@ impl Trainer {
         Ok(report)
     }
 
-    /// The device work list: each mapped device, its VNs in wave order, and
-    /// a clone of its stateful kernels.
-    fn device_work(&self) -> Vec<(DeviceId, Vec<VirtualNodeId>, StatefulState)> {
-        self.replicas
-            .iter()
-            .map(|(&d, st)| (d, self.mapping.vns_on(d).to_vec(), st.clone()))
-            .collect()
-    }
-
-    /// The pre-bucketing executor, kept for non-tree reduction orders: one
-    /// pool task per device runs all its waves, then gradients are reduced
-    /// in one pass after every wave has joined. Sharing the process-wide
+    /// The one wave executor (paper §3.2, Fig. 5): one pool task per device
+    /// runs that device's virtual nodes wave by wave, then — after every
+    /// device has joined — each parameter's per-VN gradients are moved, in
+    /// VN order, into [`reduce::reduce_mean_owned`]. VN order is what makes
+    /// the result independent of the mapping. Sharing the process-wide
     /// vf-tensor pool (instead of spawning per-step threads) keeps device
     /// fan-out and kernel parallelism on one fixed set of workers; nested
     /// kernel submissions are deadlock-free because submitters help drain
     /// their own jobs.
-    fn phased_compute_and_reduce(
+    fn compute_and_reduce(
         &mut self,
         shards: &[Vec<usize>],
         staged: Option<&[(Tensor, Vec<usize>)]>,
         vn_losses: &mut [f32],
     ) -> Result<Vec<Tensor>, CoreError> {
-        let total_vns = shards.len();
-        let mut vn_grads: Vec<Option<Vec<Tensor>>> = vec![None; total_vns];
         let arch = &self.arch;
         let dataset = &self.dataset;
         let params = &self.params;
-        let work = self.device_work();
+        let work: Vec<(DeviceId, &[VirtualNodeId], &StatefulState)> = self
+            .replicas
+            .iter()
+            .map(|(&d, st)| (d, self.mapping.vns_on(d), st))
+            .collect();
 
         type DeviceResult = Result<
             (DeviceId, StatefulState, Vec<(usize, Vec<Tensor>, f32)>),
             CoreError,
         >;
         let results: Vec<DeviceResult> = vf_tensor::pool::parallel_tasks(work.len(), |i| {
-            let (device, vns, stateful) = &work[i];
+            let (device, vns, stateful) = work[i];
             let mut stateful = stateful.clone();
             let mut outputs = Vec::with_capacity(vns.len());
             for vn in vns {
@@ -491,230 +442,32 @@ impl Trainer {
                 };
                 outputs.push((vn, report.grads, report.loss));
             }
-            Ok((*device, stateful, outputs))
+            Ok((device, stateful, outputs))
         });
 
+        // One gradient column per VN, consumed parameter by parameter.
+        let mut vn_grads: Vec<std::vec::IntoIter<Tensor>> =
+            vec![Vec::new().into_iter(); shards.len()];
         for result in results {
             let (device, stateful, outputs) = result?;
             self.replicas.insert(device, stateful);
             for (vn, grads, loss) in outputs {
                 vn_losses[vn] = loss;
-                vn_grads[vn] = Some(grads);
+                vn_grads[vn] = grads.into_iter();
             }
         }
 
-        // Reduce per-parameter gradients over virtual nodes in VN order —
-        // the ordering that makes results independent of the mapping.
-        let vn_grads: Vec<Vec<Tensor>> = vn_grads
-            .into_iter()
-            .map(|g| {
-                g.ok_or(CoreError::Internal {
-                    invariant: "every VN is mapped to exactly one device",
+        let mut reduced = Vec::with_capacity(self.params.len());
+        for _ in 0..self.params.len() {
+            let parts: Vec<Tensor> = vn_grads
+                .iter_mut()
+                .map(|g| {
+                    g.next().ok_or(CoreError::Internal {
+                        invariant: "every VN ran on one device and yielded a gradient per parameter",
+                    })
                 })
-            })
-            .collect::<Result<_, _>>()?;
-        let num_params = self.params.len();
-        let mut reduced = Vec::with_capacity(num_params);
-        for p in 0..num_params {
-            let parts: Vec<Tensor> = vn_grads.iter().map(|g| g[p].clone()).collect();
-            reduced.push(reduce::reduce_mean(&parts, self.config.reduction, None)?);
-        }
-        Ok(reduced)
-    }
-
-    /// The overlapped executor for tree reduction: execution is phased by
-    /// *wave*, and each phase's pool job runs that wave's backward passes
-    /// **alongside** per-bucket combine tasks for every reduction-tree node
-    /// whose inputs completed in the previous wave. A bucket's partial
-    /// reduction therefore starts as soon as its last contributing backward
-    /// wave finishes, overlapping gradient aggregation with the remaining
-    /// compute instead of serializing after the final wave.
-    ///
-    /// The combine schedule evaluates exactly the pairwise tree of
-    /// [`reduce::reduce_sum`] — same pairing, same odd-element carry, same
-    /// final `1/N` scale — and every node's value is a pure function of the
-    /// VN-ordered inputs, so the result is bit-identical to the phased
-    /// executor for any bucket plan, thread count, or device mapping.
-    fn pipelined_compute_and_reduce(
-        &mut self,
-        shards: &[Vec<usize>],
-        staged: Option<&[(Tensor, Vec<usize>)]>,
-        vn_losses: &mut [f32],
-    ) -> Result<Vec<Tensor>, CoreError> {
-        let total_vns = shards.len();
-        let num_params = self.params.len();
-        let arch = &self.arch;
-        let dataset = &self.dataset;
-        let params = &self.params;
-        let work = self.device_work();
-        let waves = work.iter().map(|(_, vns, _)| vns.len()).max().unwrap_or(0);
-        let mut states: Vec<StatefulState> = work.iter().map(|(_, _, st)| st.clone()).collect();
-
-        // Tree geometry: level widths halve (odd nodes carry up unchanged),
-        // mirroring `reduce::reduce_sum`'s pairwise tree.
-        let mut widths = vec![total_vns];
-        let mut w = total_vns;
-        while w > 1 {
-            w = w.div_ceil(2);
-            widths.push(w);
-        }
-        let levels = widths.len();
-
-        // Ready waves: a leaf is ready after the wave that computes it; an
-        // inner node is ready when its later child is.
-        let mut leaf_ready = vec![0usize; total_vns];
-        for (_, vns, _) in &work {
-            for (wave, vn) in vns.iter().enumerate() {
-                leaf_ready[vn.0 as usize] = wave;
-            }
-        }
-        let mut ready: Vec<Vec<usize>> = vec![leaf_ready];
-        for l in 1..levels {
-            let prev = &ready[l - 1];
-            let cur: Vec<usize> = (0..widths[l])
-                .map(|j| {
-                    let left = prev[2 * j];
-                    prev.get(2 * j + 1).map_or(left, |&r| left.max(r))
-                })
-                .collect();
-            ready.push(cur);
-        }
-        // Combine schedule: nodes grouped by the wave their inputs complete
-        // after, level-ascending within a group so a task resolves
-        // same-group parent/child chains locally.
-        let mut nodes_by_wave: Vec<Vec<(usize, usize)>> = vec![Vec::new(); waves];
-        for l in 1..levels {
-            for j in 0..widths[l] {
-                nodes_by_wave[ready[l][j]].push((l, j));
-            }
-        }
-
-        let mut vn_grads: Vec<Option<Vec<Tensor>>> = vec![None; total_vns];
-        // Inner-node values, indexed [level - 1][node][param].
-        let mut combined: Vec<Vec<Vec<Option<Tensor>>>> = (1..levels)
-            .map(|l| vec![vec![None; num_params]; widths[l]])
-            .collect();
-        let buckets = self.bucket_plan.buckets();
-
-        /// One schedulable unit of a phase's pool job.
-        enum Task<'a> {
-            /// Backward pass of `vn` on device `device_idx` this wave.
-            Wave { device_idx: usize, vn: usize },
-            /// Combine the listed tree nodes for one bucket's parameters.
-            Combine { bucket: usize, nodes: &'a [(usize, usize)] },
-        }
-
-        // Phase p runs wave p's device tasks next to combine tasks for
-        // nodes readied by wave p-1; the trailing phase (p == waves) drains
-        // the nodes readied by the final wave.
-        for phase in 0..=waves {
-            let mut tasks: Vec<Task> = Vec::new();
-            if phase < waves {
-                for (di, (_, vns, _)) in work.iter().enumerate() {
-                    if let Some(vn) = vns.get(phase) {
-                        tasks.push(Task::Wave { device_idx: di, vn: vn.0 as usize });
-                    }
-                }
-            }
-            if phase > 0 && !nodes_by_wave[phase - 1].is_empty() {
-                for bucket in 0..buckets.len() {
-                    tasks.push(Task::Combine { bucket, nodes: &nodes_by_wave[phase - 1] });
-                }
-            }
-            if tasks.is_empty() {
-                continue;
-            }
-            let results: Vec<Result<TaskOut, CoreError>> =
-                vf_tensor::pool::parallel_tasks(tasks.len(), |i| match &tasks[i] {
-                    Task::Wave { device_idx, vn } => {
-                        let mut stateful = states[*device_idx].clone();
-                        let report = match staged {
-                            Some(batches) => {
-                                let (x, y) = &batches[*vn];
-                                arch.grad(params, &mut stateful, x, y)?
-                            }
-                            None => {
-                                let (x, y) = dataset.gather(&shards[*vn])?;
-                                arch.grad(params, &mut stateful, &x, &y)?
-                            }
-                        };
-                        Ok(TaskOut::Device {
-                            device_idx: *device_idx,
-                            vn: *vn,
-                            grads: report.grads,
-                            loss: report.loss,
-                            stateful,
-                        })
-                    }
-                    Task::Combine { bucket, nodes } => {
-                        let bucket_params = &buckets[*bucket].params;
-                        let mut out: Vec<((usize, usize, usize), Tensor)> =
-                            Vec::with_capacity(nodes.len() * bucket_params.len());
-                        // vf-lint: allow(hash-iteration) — lookup-only; outputs are merged in task order
-                        let mut local: HashMap<(usize, usize, usize), usize> = HashMap::new();
-                        for &(l, j) in *nodes {
-                            for &p in bucket_params {
-                                let left = node_value(
-                                    l - 1,
-                                    2 * j,
-                                    p,
-                                    &vn_grads,
-                                    &combined,
-                                    &out,
-                                    &local,
-                                )?;
-                                let mut acc = left.clone();
-                                if 2 * j + 1 < widths[l - 1] {
-                                    let right = node_value(
-                                        l - 1,
-                                        2 * j + 1,
-                                        p,
-                                        &vn_grads,
-                                        &combined,
-                                        &out,
-                                        &local,
-                                    )?;
-                                    acc.add_assign(right)?;
-                                }
-                                local.insert((l, j, p), out.len());
-                                out.push(((l, j, p), acc));
-                            }
-                        }
-                        Ok(TaskOut::Combine(out))
-                    }
-                });
-            // Merge on the coordinator, in task order: deterministic, and
-            // the next phase sees every value this one produced.
-            for result in results {
-                match result? {
-                    TaskOut::Device { device_idx, vn, grads, loss, stateful } => {
-                        states[device_idx] = stateful;
-                        vn_losses[vn] = loss;
-                        vn_grads[vn] = Some(grads);
-                    }
-                    TaskOut::Combine(values) => {
-                        for ((l, j, p), tensor) in values {
-                            combined[l - 1][j][p] = Some(tensor);
-                        }
-                    }
-                }
-            }
-        }
-
-        for ((device, _, _), stateful) in work.iter().zip(states) {
-            self.replicas.insert(*device, stateful);
-        }
-
-        // The root (single node of the top level) holds the tree sum;
-        // scale to the mean, in canonical parameter order.
-        let root = &mut combined[levels - 2][0];
-        let mut reduced = Vec::with_capacity(num_params);
-        for slot in root.iter_mut().take(num_params) {
-            let mut tensor = slot.take().ok_or(CoreError::Internal {
-                invariant: "the reduction tree root is complete after the final phase",
-            })?;
-            tensor.scale_assign(1.0 / total_vns as f32);
-            reduced.push(tensor);
+                .collect::<Result<_, _>>()?;
+            reduced.push(reduce::reduce_mean_owned(parts, self.config.reduction, None)?);
         }
         Ok(reduced)
     }
@@ -727,7 +480,7 @@ impl Trainer {
     /// recorder's simulated clock; each step advances it by a fixed logical
     /// width so a bare trainer (no outer SimClock driver) still produces a
     /// strictly ordered timeline.
-    fn trace_step(&self, report: &StepReport, vn_losses: &[f32], buckets: Option<usize>) {
+    fn trace_step(&self, report: &StepReport, vn_losses: &[f32]) {
         if !self.obs.is_enabled() {
             return;
         }
@@ -774,21 +527,20 @@ impl Trainer {
         // The aggregate span widens just enough to parent one unit-width
         // reduce span per gradient bucket; the single-bucket default keeps
         // the original width-4 span.
-        let agg_dur = buckets.map_or(4, |nb| 4u64.max(nb as u64 + 1));
+        let buckets = self.bucket_plan.num_buckets();
+        let agg_dur = 4u64.max(buckets as u64 + 1);
         self.obs.emit(
             Event::complete("aggregate", "train", agg_ts, agg_dur)
                 .with_arg("step", report.step)
                 .with_arg("waves", report.waves)
                 .with_arg("param_bytes", param_bytes)
-                .with_arg("buckets", buckets.unwrap_or(1)),
+                .with_arg("buckets", buckets),
         );
-        if let Some(nb) = buckets {
-            for k in 0..nb {
-                self.obs.emit(
-                    Event::complete(format!("bucket{k}/reduce"), "comm", agg_ts + k as u64, 1)
-                        .with_arg("step", report.step),
-                );
-            }
+        for k in 0..buckets {
+            self.obs.emit(
+                Event::complete(format!("bucket{k}/reduce"), "comm", agg_ts + k as u64, 1)
+                    .with_arg("step", report.step),
+            );
         }
         self.obs
             .emit(Event::counter("train/loss", "train", agg_ts, f64::from(report.loss)));
@@ -995,6 +747,7 @@ mod tests {
     use super::*;
     use vf_data::synthetic::ClusterTask;
     use vf_models::Mlp;
+    use vf_tensor::reduce::ReductionOrder;
 
     fn devices(n: u32) -> Vec<DeviceId> {
         (0..n).map(DeviceId).collect()
@@ -1033,19 +786,25 @@ mod tests {
     #[test]
     fn trajectories_identical_across_device_counts() {
         // The headline reproducibility property: same VN count, different
-        // device counts ⇒ bitwise-identical parameters.
-        let mut t1 = make_trainer(8, 1, 3);
-        let mut t2 = make_trainer(8, 2, 3);
-        let mut t8 = make_trainer(8, 8, 3);
-        for _ in 0..6 {
-            let r1 = t1.step().unwrap();
-            let r2 = t2.step().unwrap();
-            let r8 = t8.step().unwrap();
-            assert_eq!(r1.loss, r2.loss);
-            assert_eq!(r1.loss, r8.loss);
+        // device counts ⇒ bitwise-identical parameters, for every
+        // deterministic reduction order (8 waves, 4 waves, 1 wave).
+        for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
+            let mk = |num_devices| {
+                let mut t = make_trainer(8, num_devices, 3);
+                t.config.reduction = order;
+                t
+            };
+            let (mut t1, mut t2, mut t8) = (mk(1), mk(2), mk(8));
+            for _ in 0..6 {
+                let r1 = t1.step().unwrap();
+                let r2 = t2.step().unwrap();
+                let r8 = t8.step().unwrap();
+                assert_eq!(r1.loss, r2.loss, "{order:?}");
+                assert_eq!(r1.loss, r8.loss, "{order:?}");
+            }
+            assert_eq!(t1.params(), t2.params(), "{order:?}");
+            assert_eq!(t1.params(), t8.params(), "{order:?}");
         }
-        assert_eq!(t1.params(), t2.params());
-        assert_eq!(t1.params(), t8.params());
     }
 
     #[test]

@@ -1,26 +1,25 @@
-//! Bucketed comm/compute overlap: fixed gradient buckets and the schedule
-//! that pipelines their all-reduce under the backward tail.
+//! Bucketed comm/compute overlap: fixed gradient buckets and the times at
+//! which they become ready inside the backward tail.
 //!
 //! The classic data-parallel throughput lever (TensorFlow, Horovod, DDP):
 //! instead of synchronizing the whole gradient once the entire backward
 //! pass is done, gradients are partitioned into **buckets** and each
 //! bucket's all-reduce launches as soon as its gradients exist, overlapping
-//! the remaining backward computation. VirtualFlow's determinism guarantee
-//! survives because nothing about the partition or the reduction depends on
-//! runtime arrival order:
+//! the remaining backward computation. Here that overlap lives on the
+//! *simulated* clock and in the trace; the host executor reduces after the
+//! last wave whatever the plan (see [`crate::Trainer`]), so bucketing cannot
+//! touch a value. What keeps the simulated schedule itself deterministic:
 //!
 //! * **fixed boundaries** — [`BucketPlan`] cuts the canonical parameter
 //!   list (in *reverse* order, the order backward produces gradients) at a
 //!   byte threshold; the cut is a pure function of parameter shapes and the
 //!   threshold, never of timing;
-//! * **fixed reduction order** — each parameter is still reduced over
-//!   virtual nodes by the same pairwise tree in VN order; bucketing only
-//!   changes *when* a parameter's reduction runs, not what it computes.
+//! * **fixed ready times** — [`bucket_ready_times`] places the buckets at
+//!   deterministic points inside the overlappable backward window.
 //!
-//! [`schedule_comm`] is the timing half: buckets become ready at
-//! deterministic points inside the overlappable backward window and the
-//! comm lane serves them sequentially, so the exposed communication cost of
-//! a step is `max(0, comm_end − compute_end)` — the quantity
+//! The comm lane that serves the buckets sequentially is
+//! `vf_device::TwoLaneClock`: the exposed communication cost of a step is
+//! `max(0, comm_end − compute_end)` — the quantity
 //! [`crate::perf_model::step_time_overlapped`] reports and the chaos
 //! supervisor charges to its simulated clock.
 
@@ -119,48 +118,6 @@ impl BucketPlan {
     }
 }
 
-/// One bucket's slot on the comm lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CommSlot {
-    /// When the bucket's gradients exist (a point in the backward window).
-    pub ready_s: f64,
-    /// When its all-reduce actually starts: `max(ready, lane free)`.
-    pub start_s: f64,
-    /// When its all-reduce completes.
-    pub end_s: f64,
-}
-
-/// The two-lane schedule of one step's bucketed collectives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OverlapTimeline {
-    /// Per-bucket comm slots, in launch order.
-    pub slots: Vec<CommSlot>,
-    /// When the compute lane (forward+backward+accumulate) ends.
-    pub compute_end_s: f64,
-}
-
-impl OverlapTimeline {
-    /// When the comm lane ends (equals `compute_end_s` with no comm).
-    pub fn comm_end_s(&self) -> f64 {
-        self.slots.last().map_or(self.compute_end_s, |s| s.end_s)
-    }
-
-    /// When the step ends: the join of the lanes.
-    pub fn step_end_s(&self) -> f64 {
-        self.compute_end_s.max(self.comm_end_s())
-    }
-
-    /// Total communication time across buckets.
-    pub fn total_comm_s(&self) -> f64 {
-        self.slots.iter().map(|s| s.end_s - s.start_s).sum()
-    }
-
-    /// Communication sticking out past the end of compute.
-    pub fn exposed_comm_s(&self) -> f64 {
-        (self.comm_end_s() - self.compute_end_s).max(0.0)
-    }
-}
-
 /// Deterministic per-bucket gradient-ready times: bucket `b` of `n` becomes
 /// ready at `window_start + (b/n) · window` — the backward tail streams
 /// gradients out uniformly, and bucket 0 (the output-side gradients) is
@@ -173,30 +130,6 @@ pub fn bucket_ready_times(window_start_s: f64, window_s: f64, n: usize) -> Vec<f
     (0..n)
         .map(|b| window_start_s + window_s * (b as f64 / n as f64))
         .collect()
-}
-
-/// Schedules bucket collectives on a sequential comm lane: bucket `b`
-/// starts at `max(end of bucket b−1, ready_b)`.
-///
-/// # Panics
-///
-/// Panics if `ready_s` and `comm_s` disagree in length — a bucket plan
-/// always prices every bucket.
-pub fn schedule_comm(ready_s: &[f64], comm_s: &[f64], compute_end_s: f64) -> OverlapTimeline {
-    assert_eq!(
-        ready_s.len(),
-        comm_s.len(),
-        "every bucket needs a ready time and a comm cost"
-    );
-    let mut slots = Vec::with_capacity(ready_s.len());
-    let mut lane = f64::NEG_INFINITY;
-    for (&ready, &comm) in ready_s.iter().zip(comm_s) {
-        let start = lane.max(ready);
-        let end = start + comm;
-        slots.push(CommSlot { ready_s: ready, start_s: start, end_s: end });
-        lane = end;
-    }
-    OverlapTimeline { slots, compute_end_s }
 }
 
 #[cfg(test)]
@@ -245,54 +178,5 @@ mod tests {
         let r = bucket_ready_times(10.0, 2.0, 4);
         assert_eq!(r, vec![10.0, 10.5, 11.0, 11.5]);
         assert_eq!(bucket_ready_times(3.0, 1.0, 1), vec![3.0]);
-    }
-
-    #[test]
-    fn fully_hidden_comm_exposes_nothing() {
-        // 4 buckets, each 0.1s of comm, streaming through a 1s window that
-        // ends at compute_end = 11.0: everything fits under backward.
-        let ready = bucket_ready_times(10.0, 1.0, 4);
-        let tl = schedule_comm(&ready, &[0.1; 4], 11.0);
-        assert_eq!(tl.exposed_comm_s(), 0.0);
-        assert_eq!(tl.step_end_s(), 11.0);
-        assert!((tl.total_comm_s() - 0.4).abs() < 1e-12);
-        // Slots honor ready times (no queueing here: 0.1 < 0.25 spacing).
-        for (slot, r) in tl.slots.iter().zip(&ready) {
-            assert_eq!(slot.start_s, *r);
-        }
-    }
-
-    #[test]
-    fn comm_bound_steps_expose_comm_minus_window() {
-        // Per-bucket comm (1.0s) far exceeds the ready spacing (0.25s), so
-        // after bucket 0 the lane queues back-to-back: the exposed cost is
-        // exactly total_comm − window.
-        let window = 1.0;
-        let ready = bucket_ready_times(10.0, window, 4);
-        let tl = schedule_comm(&ready, &[1.0; 4], 11.0);
-        assert!((tl.total_comm_s() - 4.0).abs() < 1e-12);
-        assert!((tl.exposed_comm_s() - (4.0 - window)).abs() < 1e-12);
-        assert_eq!(tl.step_end_s(), tl.comm_end_s());
-        // The lane never idles after the first start.
-        for pair in tl.slots.windows(2) {
-            assert_eq!(pair[1].start_s, pair[0].end_s);
-        }
-    }
-
-    #[test]
-    fn single_bucket_serializes_after_its_ready_point() {
-        // One bucket ready when the window opens: even unbucketed gradients
-        // overlap the backward tail in the model.
-        let tl = schedule_comm(&[10.0], &[3.0], 11.0);
-        assert_eq!(tl.comm_end_s(), 13.0);
-        assert!((tl.exposed_comm_s() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_schedule_costs_nothing() {
-        let tl = schedule_comm(&[], &[], 5.0);
-        assert_eq!(tl.step_end_s(), 5.0);
-        assert_eq!(tl.exposed_comm_s(), 0.0);
-        assert_eq!(tl.total_comm_s(), 0.0);
     }
 }

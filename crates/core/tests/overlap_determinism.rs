@@ -5,7 +5,7 @@
 //! reduced over the same virtual-node tree with the same pairing whether it
 //! travels in one bucket or many, so the parameter trajectory must be
 //! byte-identical across every bucket size — and across kernel-pool thread
-//! counts, because the pipelined executor merges task outputs in canonical
+//! counts, because the executor merges task outputs in canonical
 //! task order, not completion order. Prefetch double-buffering likewise
 //! only *stages* batches (the producer is a pure function of the step
 //! index), so it must not move a single bit either.

@@ -201,6 +201,25 @@ mod tests {
     }
 
     #[test]
+    fn comm_bound_buckets_queue_back_to_back() {
+        // Four 1.0s collectives becoming ready 0.25s apart across a 1.0s
+        // window that closes when compute ends (t = 11): after the first,
+        // each starts the moment the previous ends, so the exposed cost is
+        // total comm minus the window.
+        let mut lanes = TwoLaneClock::new(0.0);
+        lanes.advance_compute(11.0);
+        assert_eq!(lanes.exposed_comm_s(), 0.0); // no comm yet: nothing exposed
+        let mut prev_end = 10.0;
+        for b in 0..4 {
+            assert_eq!(lanes.begin_comm(10.0 + 0.25 * f64::from(b)), prev_end);
+            lanes.advance_comm(1.0);
+            prev_end = lanes.comm_now();
+        }
+        assert_eq!(lanes.join(), 14.0);
+        assert!((lanes.exposed_comm_s() - (4.0 - 1.0)).abs() < 1e-12);
+    }
+
+    #[test]
     #[should_panic]
     fn negative_comm_advance_panics() {
         TwoLaneClock::new(0.0).advance_comm(-0.1);

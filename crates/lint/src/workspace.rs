@@ -4,8 +4,7 @@
 //! plus the root facade `src/` — and every workspace `Cargo.toml`
 //! (including the `shims/` manifests, which must themselves be path-only).
 //! Shim *sources* are exempt from the code rules: they are std-only
-//! stand-ins for external crates (the criterion shim measures real time
-//! because that is its job), and their API surface is what the lints
+//! stand-ins for external crates, and their API surface is what the lints
 //! police at the call sites in `crates/`.
 
 use std::collections::BTreeMap;

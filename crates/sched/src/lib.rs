@@ -48,6 +48,6 @@ pub use metrics::{AllocationSample, TraceMetrics};
 pub use pool::{DevicePool, DeviceState};
 pub use scheduler::{ElasticWfs, Scheduler, StaticPriority, ThroughputOptimizer, WeightPolicy};
 pub use sim::{
-    capacity_events_from_faults, run_trace, run_trace_monitored, run_trace_traced, CapacityEvent,
-    SimConfig, SimResult,
+    capacity_events_from_faults, run_trace, run_trace_monitored, CapacityEvent, SimConfig,
+    SimResult,
 };

@@ -140,7 +140,7 @@ pub fn run_trace(
     scheduler: &mut dyn Scheduler,
     config: &SimConfig,
 ) -> SimResult {
-    run_trace_traced(trace, scheduler, config, &Recorder::disabled())
+    run_trace_monitored(trace, scheduler, config, &Recorder::disabled(), None)
 }
 
 /// Logical `tid` block for per-job tracks (`job N` → `JOB_TID_BASE + N`),
@@ -148,7 +148,8 @@ pub fn run_trace(
 /// (`vf_device::obs::DEVICE_TID_BASE` block).
 const JOB_TID_BASE: u32 = 2000;
 
-/// [`run_trace`] with a trace recorder attached.
+/// [`run_trace`] with a trace recorder and, optionally, a live [`Monitor`]
+/// attached.
 ///
 /// Emits `sched` events on the simulator's own clock, offset by the
 /// recorder's clock at entry (so a simulation recorded after a training
@@ -157,36 +158,20 @@ const JOB_TID_BASE: u32 = 2000;
 /// `job{N}/run` complete span over each job's service interval (first
 /// allocation → completion, on its own track), and `queue_depth` /
 /// `running` / `capacity` / `gpus_busy` / `busy_gpu_s` counters after
-/// every scheduling event. The simulator is single-threaded and
-/// event-ordered, so the emitted stream is bit-identical across repeat
-/// runs and thread-count settings.
+/// every scheduling event.
 ///
-/// # Panics
-///
-/// Same conditions as [`run_trace`].
-pub fn run_trace_traced(
-    trace: &[JobSpec],
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    obs: &Recorder,
-) -> SimResult {
-    run_trace_monitored(trace, scheduler, config, obs, None)
-}
-
-/// [`run_trace_traced`] with a live [`Monitor`] attached.
-///
-/// After every scheduling event the simulator publishes its cluster-state
-/// gauges into the monitor's registry — `sched/queue_depth`,
-/// `sched/running`, `sched/capacity`, `sched/gpus_busy`, the cumulative
-/// `sched/busy_gpu_ms` counter, and `sched/starvation` (1 exactly when
+/// With a monitor, after every scheduling event the simulator publishes
+/// its cluster-state gauges into the monitor's registry —
+/// `sched/queue_depth`, `sched/running`, `sched/capacity`,
+/// `sched/gpus_busy`, the cumulative `sched/busy_gpu_ms` counter, and `sched/starvation` (1 exactly when
 /// jobs are queued and nothing runs, so an idle-but-empty cluster never
 /// reads as starved) — then ticks the monitor at the event's simulated
 /// time, driving the sampler and alert rules in event order. Completions
 /// additionally feed the bounded `sched/jct_s` / `sched/queue_delay_s`
 /// quantile sketches and the priority-labeled `sched/completions` counter
 /// family, so distribution telemetry stays O(1) however many jobs the
-/// trace carries. Single
-/// threaded and event-ordered, so the monitor's series and alert log are
+/// trace carries. The simulator is single-threaded and event-ordered, so
+/// the emitted stream, the monitor's series and its alert log are
 /// bit-identical across repeat runs and thread-count settings.
 ///
 /// # Panics
@@ -289,6 +274,11 @@ pub fn run_trace_monitored(
             if job.allocation > 0 {
                 let st = job.spec.step_time_on(job.allocation, device, &config.link);
                 job.remaining_steps = (job.remaining_steps - dt / st).max(0.0);
+                // A residual too small to move the f64 clock would be this
+                // job's "next completion" forever: it finishes now.
+                if event_time + job.remaining_steps * st <= event_time {
+                    job.remaining_steps = 0.0;
+                }
                 busy_integral += job.allocation as f64 * dt;
             }
         }
@@ -475,6 +465,18 @@ mod tests {
         assert_eq!(j.started_at_s, Some(0.0));
         let expected = j.spec.runtime_on(2, DeviceProfile::of(DeviceType::V100), &config().link);
         assert!((j.jct_s().unwrap() - expected).abs() / expected < 0.01);
+    }
+
+    #[test]
+    fn residual_below_clock_resolution_finishes_the_job() {
+        // Past 2^15 simulated seconds a residual of ~1e-9 steps no longer
+        // advances the f64 clock; the run used to spin on it forever.
+        let config = SimConfig::v100_cluster(128);
+        for max_demand in [4, 8] {
+            let trace = crate::trace::poisson_trace(450, 45.0, max_demand, 7, &config.link);
+            let r = run_trace(&trace, &mut ElasticWfs::new(), &config);
+            assert!(r.jobs.iter().all(|j| j.finished_at_s.is_some()));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
 use proptest::prelude::*;
-use vf_tensor::reduce::{reduce_mean, reduce_sum, ReductionOrder};
+use vf_tensor::reduce::{reduce_mean, reduce_mean_owned, reduce_sum, ReductionOrder};
 use vf_tensor::{init, ops, Shape, Tensor};
 
 fn small_tensor(max_len: usize) -> impl Strategy<Value = Tensor> {
@@ -110,7 +110,7 @@ proptest! {
     }
 
     #[test]
-    fn reduce_sum_exact_on_integers(parts_n in 1usize..17, len in 1usize..32) {
+    fn reduce_sum_exact_on_integers(parts_n in 1usize..=17, len in 1usize..32, seed in any::<u64>()) {
         // Integer-valued f32 sums are exact, so every order agrees exactly.
         let parts: Vec<Tensor> = (0..parts_n)
             .map(|i| Tensor::full([len], i as f32))
@@ -120,6 +120,23 @@ proptest! {
         prop_assert_eq!(&tree, &seq);
         let expected = (parts_n * (parts_n - 1) / 2) as f32;
         prop_assert!(tree.data().iter().all(|&v| v == expected));
+
+        // On parts where rounding matters, the consuming entry point is
+        // bit-equal to the borrowed one for every order (1..=17 parts puts
+        // odd carries at several tree levels).
+        let mut rng = init::rng(seed);
+        let parts: Vec<Tensor> =
+            (0..parts_n).map(|_| init::normal(&mut rng, [len], 0.0, 1.0)).collect();
+        let arrival: Vec<usize> = (0..parts_n).rev().map(|i| (i + 3) % parts_n).collect();
+        for (order, arr) in [
+            (ReductionOrder::Tree, None),
+            (ReductionOrder::Sequential, None),
+            (ReductionOrder::ArrivalOrder, Some(arrival.as_slice())),
+        ] {
+            let borrowed = reduce_mean(&parts, order, arr).unwrap();
+            let owned = reduce_mean_owned(parts.clone(), order, arr).unwrap();
+            prop_assert_eq!(borrowed.data(), owned.data(), "{:?}", order);
+        }
     }
 
     #[test]

@@ -22,10 +22,16 @@ cargo test -q -p vf-lint --test fixtures
 echo "== tier 1: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== tier 1: perf_bench unit tests (benchmark package builds against the library) =="
+cargo test --release -q --manifest-path perf_bench/Cargo.toml
+
+echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =="
+cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
+
 echo "== tier 1: chaos smoke (fixed seed, bit-exact under faults) =="
 cargo run --release -q -p vf-bench --bin chaos_bench -- --smoke
 
-echo "== tier 1: overlap smoke (bucketed pipelined sync strictly faster, bit-exact) =="
+echo "== tier 1: overlap smoke (bucketed sync strictly faster in simulated time, bit-exact) =="
 cargo run --release -q -p vf-bench --bin overlap_bench -- --smoke
 
 echo "== tier 1: trace smoke (export byte-identical across pool sizes) =="
