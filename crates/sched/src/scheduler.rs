@@ -11,6 +11,7 @@
 
 use crate::job::{JobId, JobState};
 use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeMap;
 
 /// A cluster scheduler: maps outstanding jobs to GPU allocations.
@@ -21,7 +22,22 @@ pub trait Scheduler: Send {
     /// Computes allocations for the `jobs` (all arrived and unfinished)
     /// given `capacity` identical GPUs. Jobs absent from the result hold
     /// zero GPUs.
+    ///
+    /// Under [`run_trace`](crate::sim::run_trace) the slice is the
+    /// simulator's live job table, not a snapshot: it happens to be sorted
+    /// by id, but implementations must not depend on its order.
     fn allocate(&mut self, now_s: f64, jobs: &[JobState], capacity: u32) -> BTreeMap<JobId, u32>;
+}
+
+/// Orders floats, treating incomparable (NaN) pairs as equal.
+fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
+/// The non-zero `grants` (indexed like `jobs`), keyed by job id.
+fn grants_by_id(jobs: &[JobState], grants: Vec<u32>) -> BTreeMap<JobId, u32> {
+    let held = jobs.iter().zip(grants).filter(|&(_, g)| g > 0);
+    held.map(|(j, g)| (j.spec.id, g)).collect()
 }
 
 /// How [`ElasticWfs`] weighs jobs.
@@ -85,63 +101,54 @@ impl Scheduler for ElasticWfs {
     }
 
     fn allocate(&mut self, _now_s: f64, jobs: &[JobState], capacity: u32) -> BTreeMap<JobId, u32> {
-        let mut alloc: BTreeMap<JobId, u32> = BTreeMap::new();
         if jobs.is_empty() || capacity == 0 {
-            return alloc;
+            return BTreeMap::new();
         }
+        // Weights, shares and grants live in vectors indexed by position in
+        // `jobs`; the passes below walk positions, not ids.
+        let weight: Vec<f64> = jobs.iter().map(|j| self.weight(j)).collect();
         // Everyone is considered, highest weight first (ties by arrival
         // then id for determinism).
-        let mut order: Vec<&JobState> = jobs.iter().collect();
-        order.sort_by(|a, b| {
-            self.weight(b)
-                .partial_cmp(&self.weight(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    a.spec
-                        .arrival_s
-                        .partial_cmp(&b.spec.arrival_s)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
-                .then(a.spec.id.cmp(&b.spec.id))
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (ja, jb) = (&jobs[a].spec, &jobs[b].spec);
+            cmp_f64(weight[b], weight[a])
+                .then(cmp_f64(ja.arrival_s, jb.arrival_s))
+                .then(ja.id.cmp(&jb.id))
         });
 
         // Pass 1: one GPU each while capacity lasts — elasticity means a
         // newly arrived job can immediately carve out a slice.
+        let mut grant = vec![0u32; jobs.len()];
         let mut free = capacity;
-        for job in &order {
+        for &i in &order {
             if free == 0 {
                 break;
             }
-            if job.spec.demand == 0 {
-                continue;
+            if jobs[i].spec.demand > 0 {
+                grant[i] = 1;
+                free -= 1;
             }
-            alloc.insert(job.spec.id, 1);
-            free -= 1;
         }
+        order.retain(|&i| grant[i] > 0);
 
         // Pass 2: water-fill the remainder proportionally to weights,
         // capping at each job's demand.
-        let mut shares: BTreeMap<JobId, f64> = alloc.keys().map(|&id| (id, 0.0)).collect();
-        let mut active: Vec<&JobState> = order
-            .iter()
-            .copied()
-            .filter(|j| alloc.contains_key(&j.spec.id) && j.spec.demand > 1)
-            .collect();
+        let mut share = vec![0.0f64; jobs.len()];
+        let mut active: Vec<usize> =
+            order.iter().copied().filter(|&i| jobs[i].spec.demand > 1).collect();
         let mut pool = free as f64;
         while pool > 1e-9 && !active.is_empty() {
-            let total_w: f64 = active.iter().map(|j| self.weight(j)).sum();
+            let total_w: f64 = active.iter().map(|&i| weight[i]).sum();
             let mut next_active = Vec::with_capacity(active.len());
             let mut distributed = 0.0;
-            for job in &active {
-                let id = job.spec.id;
-                let headroom = (job.spec.demand - 1) as f64 - shares[&id];
-                let grant = (pool * self.weight(job) / total_w).min(headroom);
-                if let Some(share) = shares.get_mut(&id) {
-                    *share += grant;
-                }
-                distributed += grant;
-                if grant < headroom - 1e-12 {
-                    next_active.push(*job);
+            for &i in &active {
+                let headroom = (jobs[i].spec.demand - 1) as f64 - share[i];
+                let extra = (pool * weight[i] / total_w).min(headroom);
+                share[i] += extra;
+                distributed += extra;
+                if extra < headroom - 1e-12 {
+                    next_active.push(i);
                 }
             }
             pool -= distributed;
@@ -153,39 +160,28 @@ impl Scheduler for ElasticWfs {
 
         // Integerize by largest remainder, respecting demand caps.
         let mut leftover = free;
-        let mut remainders: Vec<(JobId, f64, u32)> = Vec::new();
-        for job in &order {
-            let Some(share) = shares.get(&job.spec.id) else {
-                continue;
-            };
-            let extra = share.floor() as u32;
-            if let Some(base) = alloc.get_mut(&job.spec.id) {
-                *base += extra;
-            }
-            leftover -= extra;
-            remainders.push((job.spec.id, share - share.floor(), job.spec.priority));
+        for &i in &order {
+            let whole = share[i].floor();
+            grant[i] += whole as u32;
+            leftover -= whole as u32;
+            share[i] -= whole; // keep the remainder
         }
-        remainders.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.2.cmp(&a.2))
-                .then(a.0.cmp(&b.0))
+        order.sort_by(|&a, &b| {
+            let (ja, jb) = (&jobs[a].spec, &jobs[b].spec);
+            cmp_f64(share[b], share[a])
+                .then(jb.priority.cmp(&ja.priority))
+                .then(ja.id.cmp(&jb.id))
         });
-        for (id, _, _) in remainders {
+        for &i in &order {
             if leftover == 0 {
                 break;
             }
-            let Some(job) = jobs.iter().find(|j| j.spec.id == id) else {
-                continue;
-            };
-            let current = alloc[&id];
-            if current < job.spec.demand {
-                alloc.insert(id, current + 1);
+            if grant[i] < jobs[i].spec.demand {
+                grant[i] += 1;
                 leftover -= 1;
             }
         }
-        alloc.retain(|_, &mut g| g > 0);
-        alloc
+        grants_by_id(jobs, grant)
     }
 }
 
@@ -221,33 +217,32 @@ impl Scheduler for ThroughputOptimizer {
     }
 
     fn allocate(&mut self, _now_s: f64, jobs: &[JobState], capacity: u32) -> BTreeMap<JobId, u32> {
-        let mut alloc: BTreeMap<JobId, u32> = jobs.iter().map(|j| (j.spec.id, 0)).collect();
+        // Per-job grants and the marginal gain of one more GPU, indexed by
+        // position in `jobs`; a grant changes only the granted job's gain.
+        let gain_at = |j: &JobState, g: u32| {
+            if g < j.spec.demand {
+                self.rate(j, g + 1) - self.rate(j, g)
+            } else {
+                f64::NEG_INFINITY // at its demand: never the best
+            }
+        };
+        let mut grant = vec![0u32; jobs.len()];
+        let mut gain: Vec<f64> = jobs.iter().map(|j| gain_at(j, 0)).collect();
         for _ in 0..capacity {
-            // Give the next GPU to the job with the best marginal gain.
-            let best = jobs
-                .iter()
-                .filter(|j| alloc[&j.spec.id] < j.spec.demand)
-                .map(|j| {
-                    let g = alloc[&j.spec.id];
-                    let gain = self.rate(j, g + 1) - self.rate(j, g);
-                    (j.spec.id, gain)
-                })
-                .max_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.0.cmp(&a.0))
-                });
+            // Give the next GPU to the job with the best marginal gain
+            // (ties to the smaller id).
+            let best = (0..jobs.len()).max_by(|&a, &b| {
+                cmp_f64(gain[a], gain[b]).then(jobs[b].spec.id.cmp(&jobs[a].spec.id))
+            });
             match best {
-                Some((id, gain)) if gain > 0.0 => {
-                    if let Some(a) = alloc.get_mut(&id) {
-                        *a += 1;
-                    }
+                Some(i) if gain[i] > 0.0 => {
+                    grant[i] += 1;
+                    gain[i] = gain_at(&jobs[i], grant[i]);
                 }
                 _ => break, // no job benefits from another GPU
             }
         }
-        alloc.retain(|_, &mut g| g > 0);
-        alloc
+        grants_by_id(jobs, grant)
     }
 }
 
@@ -272,24 +267,21 @@ impl Scheduler for StaticPriority {
     }
 
     fn allocate(&mut self, _now_s: f64, jobs: &[JobState], capacity: u32) -> BTreeMap<JobId, u32> {
+        let by_id: BTreeMap<JobId, &JobState> = jobs.iter().map(|j| (j.spec.id, j)).collect();
         // Drop finished/absent jobs.
         self.running
-            .retain(|id, _| jobs.iter().any(|j| j.spec.id == *id && !j.is_finished()));
+            .retain(|id, _| by_id.get(id).is_some_and(|j| !j.is_finished()));
         // If the cluster shrank below what is running, this scheduler
         // cannot resize — it must evict whole jobs, lowest priority first
         // (they requeue and later restart at full demand).
         while self.running.values().sum::<u32>() > capacity {
+            // The retain above keeps only ids present in `jobs`, so the
+            // lookup can miss only if that invariant breaks; such ids sort
+            // first so they are evicted, not kept.
             let victim = self
                 .running
                 .keys()
-                .min_by_key(|id| {
-                    // The retain above keeps only ids present in `jobs`, so
-                    // the lookup can miss only if that invariant breaks;
-                    // sort such ids first so they are evicted, not kept.
-                    jobs.iter()
-                        .find(|j| j.spec.id == **id)
-                        .map(|j| (j.spec.priority, std::cmp::Reverse(j.spec.id)))
-                })
+                .min_by_key(|id| by_id.get(id).map(|j| (j.spec.priority, Reverse(j.spec.id))))
                 .copied();
             let Some(victim) = victim else {
                 break;
@@ -305,15 +297,8 @@ impl Scheduler for StaticPriority {
             .filter(|j| !j.is_finished() && !self.running.contains_key(&j.spec.id))
             .collect();
         queue.sort_by(|a, b| {
-            b.spec
-                .priority
-                .cmp(&a.spec.priority)
-                .then(
-                    a.spec
-                        .arrival_s
-                        .partial_cmp(&b.spec.arrival_s)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
+            (b.spec.priority.cmp(&a.spec.priority))
+                .then(cmp_f64(a.spec.arrival_s, b.spec.arrival_s))
                 .then(a.spec.id.cmp(&b.spec.id))
         });
         for job in queue {
@@ -333,6 +318,7 @@ impl Scheduler for StaticPriority {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use proptest::prelude::*;
     use vf_models::profile::resnet56;
 
     fn job(id: u32, priority: u32, demand: u32, arrival: f64) -> JobState {
@@ -508,6 +494,56 @@ mod tests {
         let alloc = sched.allocate(1.0, &jobs, 4);
         assert_eq!(alloc.get(&JobId(0)), None);
         assert_eq!(alloc.get(&JobId(1)), Some(&4));
+    }
+
+    proptest! {
+        /// The laws of Algorithm 1, for any job set, capacity and weight
+        /// policy — and for the job table in any order.
+        #[test]
+        fn prop_wfs_allocation_laws(
+            // (priority, demand, arrival, steps done of 1000, shuffle key);
+            // small integer ranges so that weights and arrivals tie often.
+            rows in proptest::collection::vec(
+                (1u32..=10, 0u32..=8, 0u32..4, 0u32..=1000, any::<u64>()),
+                0..24,
+            ),
+            capacity in 0u32..64,
+        ) {
+            let jobs: Vec<JobState> = rows
+                .iter()
+                .enumerate()
+                .map(|(id, &(priority, demand, arrival, done, _))| {
+                    let mut j = job(id as u32, priority, demand, f64::from(arrival));
+                    j.remaining_steps -= f64::from(done);
+                    j
+                })
+                .collect();
+            let mut shuffled: Vec<usize> = (0..jobs.len()).collect();
+            shuffled.sort_by_key(|&i| rows[i].4);
+            let shuffled: Vec<JobState> = shuffled.into_iter().map(|i| jobs[i].clone()).collect();
+            let total_demand: u32 = jobs.iter().map(|j| j.spec.demand).sum();
+            for policy in [WeightPolicy::Priority, WeightPolicy::Srtf, WeightPolicy::Las] {
+                let alloc = ElasticWfs::with_policy(policy).allocate(0.0, &jobs, capacity);
+                prop_assert_eq!(
+                    alloc.values().sum::<u32>(),
+                    capacity.min(total_demand),
+                    "{:?}: capacity respected and work conserved", policy
+                );
+                prop_assert!(alloc.values().all(|&g| g > 0), "{policy:?}: zero entry");
+                for j in &jobs {
+                    let g = alloc.get(&j.spec.id).copied().unwrap_or(0);
+                    prop_assert!(g <= j.spec.demand, "{policy:?}: {g} > demand of {}", j.spec.id);
+                    if capacity as usize >= jobs.len() && j.spec.demand > 0 {
+                        prop_assert!(g >= 1, "{policy:?}: {} starved", j.spec.id);
+                    }
+                }
+                prop_assert_eq!(
+                    ElasticWfs::with_policy(policy).allocate(0.0, &shuffled, capacity),
+                    alloc,
+                    "{:?}: result depends on the order of the job table", policy
+                );
+            }
+        }
     }
 
     #[test]

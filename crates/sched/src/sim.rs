@@ -4,6 +4,14 @@
 //! [`Scheduler`], advancing simulated time between scheduling events (job
 //! arrivals and completions) and accounting GPU usage continuously. This is
 //! the harness behind Figures 12–14.
+//!
+//! The event loop owns the one job table, a `Vec<JobState>` sorted by id,
+//! and lends it to [`Scheduler::allocate`] as it stands. Beside it sits each
+//! job's step time at its current allocation, recomputed only when the
+//! allocation changes to a non-zero value (it is a pure function of spec,
+//! allocation, device and link). There is no event heap: SRTF and LAS read
+//! every job's current `remaining_steps` at every event, so each event must
+//! advance every running job anyway, and that scan finds the next completion.
 
 use crate::job::{JobId, JobSpec, JobState};
 use crate::metrics::{AllocationSample, TraceMetrics};
@@ -134,7 +142,9 @@ pub struct SimResult {
 /// # Panics
 ///
 /// Panics if the trace contains a job whose demand exceeds the cluster, or
-/// duplicate job ids — malformed traces are a programming error.
+/// duplicate job ids — malformed traces are a programming error — or if
+/// `config.resched_interval_s` is not positive and finite (a zero interval
+/// would never advance the clock).
 pub fn run_trace(
     trace: &[JobSpec],
     scheduler: &mut dyn Scheduler,
@@ -198,6 +208,11 @@ pub fn run_trace_monitored(
             config.num_gpus
         );
     }
+    assert!(
+        config.resched_interval_s.is_none_or(|dt| dt.is_finite() && dt > 0.0),
+        "resched_interval_s must be positive and finite, got {:?}",
+        config.resched_interval_s
+    );
     {
         let mut ids: Vec<JobId> = arrivals.iter().map(|j| j.id).collect();
         ids.sort_unstable();
@@ -211,7 +226,10 @@ pub fn run_trace_monitored(
             .then(a.id.cmp(&b.id))
     });
     let mut pending = arrivals.into_iter().peekable();
-    let mut active: BTreeMap<JobId, JobState> = BTreeMap::new();
+    // The job table, sorted by id, and each job's step time at its current
+    // allocation (unused while that is 0).
+    let mut active: Vec<JobState> = Vec::new();
+    let mut step_s: Vec<f64> = Vec::new();
     let mut done: Vec<JobState> = Vec::new();
     let mut timeline: Vec<AllocationSample> = Vec::new();
     let mut now = 0.0f64;
@@ -226,28 +244,27 @@ pub fn run_trace_monitored(
 
     loop {
         // Next completion among running jobs.
-        let mut next_completion: Option<(JobId, f64)> = None;
-        for job in active.values() {
+        let mut next_completion: Option<f64> = None;
+        for (job, &st) in active.iter().zip(&step_s) {
             if job.allocation == 0 {
                 continue;
             }
-            let st = job.spec.step_time_on(job.allocation, device, &config.link);
             let t = now + job.remaining_steps * st;
-            if next_completion.is_none_or(|(_, best)| t < best) {
-                next_completion = Some((job.spec.id, t));
+            if next_completion.is_none_or(|best| t < best) {
+                next_completion = Some(t);
             }
         }
         let next_arrival = pending.peek().map(|j| j.arrival_s);
         let next_capacity = capacity_iter.peek().map(|e| e.at_s);
         let next_timer = match config.resched_interval_s {
             // Timers only matter while something is running.
-            Some(dt) if active.values().any(|j| j.allocation > 0) => Some(now + dt),
+            Some(dt) if next_completion.is_some() => Some(now + dt),
             _ => None,
         };
         let event_time = match (next_arrival, next_completion) {
-            (Some(a), Some((_, c))) => a.min(c),
+            (Some(a), Some(c)) => a.min(c),
             (Some(a), None) => a,
-            (None, Some((_, c))) => c,
+            (None, Some(c)) => c,
             // Nothing is running or arriving — but if jobs are queued and
             // capacity is scheduled to change, wait for it: a total outage
             // pauses the cluster, it does not kill the queued jobs.
@@ -270,9 +287,8 @@ pub fn run_trace_monitored(
 
         // Advance running jobs to the event time.
         let dt = (event_time - now).max(0.0);
-        for job in active.values_mut() {
+        for (job, &st) in active.iter_mut().zip(&step_s) {
             if job.allocation > 0 {
-                let st = job.spec.step_time_on(job.allocation, device, &config.link);
                 job.remaining_steps = (job.remaining_steps - dt / st).max(0.0);
                 // A residual too small to move the f64 clock would be this
                 // job's "next completion" forever: it finishes now.
@@ -302,17 +318,16 @@ pub fn run_trace_monitored(
                     .with_arg("demand", spec.demand)
                     .with_arg("priority", spec.priority)
             });
-            active.insert(spec.id, JobState::new(spec));
+            let at = active.partition_point(|j| j.spec.id < spec.id);
+            active.insert(at, JobState::new(spec));
+            step_s.insert(at, f64::NAN);
         }
-        let finished_ids: Vec<JobId> = active
-            .values()
-            .filter(|j| j.is_finished())
-            .map(|j| j.spec.id)
-            .collect();
-        for id in finished_ids {
-            let Some(mut job) = active.remove(&id) else {
-                continue;
-            };
+        // Lowest id first: the order of `done` is the summation order of
+        // the metrics.
+        while let Some(i) = active.iter().position(JobState::is_finished) {
+            let mut job = active.remove(i);
+            step_s.remove(i);
+            let id = job.spec.id;
             job.finished_at_s = Some(now);
             job.allocation = 0;
             obs.record_sampled(u64::from(id.0), || {
@@ -362,20 +377,21 @@ pub fn run_trace_monitored(
         }
 
         // Reschedule.
-        let snapshot: Vec<JobState> = active.values().cloned().collect();
-        let alloc = scheduler.allocate(now, &snapshot, capacity);
+        let alloc = scheduler.allocate(now, &active, capacity);
         let total: u32 = alloc.values().sum();
         assert!(
             total <= capacity,
             "{} over-allocated {total}/{capacity} GPUs",
             scheduler.name(),
         );
-        for job in active.values_mut() {
+        for (job, st) in active.iter_mut().zip(&mut step_s) {
             let new_alloc = alloc.get(&job.spec.id).copied().unwrap_or(0);
-            if new_alloc > 0 && job.started_at_s.is_none() {
-                job.started_at_s = Some(now);
+            if new_alloc != job.allocation && new_alloc > 0 {
+                // The one event that makes a cached step time stale.
+                *st = job.spec.step_time_on(new_alloc, device, &config.link);
+                job.started_at_s.get_or_insert(now);
             }
-            if job.started_at_s.is_some() && new_alloc != job.allocation && job.allocation > 0 {
+            if new_alloc != job.allocation && job.allocation > 0 {
                 job.resizes += 1;
                 obs.record_sampled(u64::from(job.spec.id.0), || {
                     Event::instant(format!("job{}/resize", job.spec.id.0), "sched", now_us)
@@ -384,13 +400,12 @@ pub fn run_trace_monitored(
                 });
                 // Charge the resize penalty as extra remaining work.
                 if new_alloc > 0 && config.resize_penalty_s > 0.0 {
-                    let st = job.spec.step_time_on(new_alloc, device, &config.link);
-                    job.remaining_steps += config.resize_penalty_s / st;
+                    job.remaining_steps += config.resize_penalty_s / *st;
                 }
             }
             job.allocation = new_alloc;
         }
-        let queued = active.values().filter(|j| j.allocation == 0).count();
+        let queued = active.iter().filter(|j| j.allocation == 0).count();
         let running = active.len() - queued;
         if obs.is_enabled() {
             obs.emit(Event::counter("sched/queue_depth", "sched", now_us, queued));
@@ -420,7 +435,7 @@ pub fn run_trace_monitored(
 
     // Jobs still queued when the simulation ends (e.g. capacity never
     // returned) are reported unfinished rather than silently dropped.
-    done.extend(active.into_values());
+    done.extend(active);
     let metrics = TraceMetrics::compute(&done, config.num_gpus, first_arrival, now, busy_integral);
     done.sort_by_key(|j| j.spec.id);
     SimResult {
@@ -662,6 +677,30 @@ mod tests {
     fn oversized_demand_is_rejected() {
         let trace = vec![spec(0, 5, 99, 10, 0.0)];
         run_trace(&trace, &mut ElasticWfs::new(), &config());
+    }
+
+    fn run_with_interval(interval_s: f64) {
+        let mut c = config();
+        c.resched_interval_s = Some(interval_s);
+        run_trace(&[spec(0, 5, 2, 100, 0.0)], &mut ElasticWfs::new(), &c);
+    }
+
+    #[test]
+    #[should_panic(expected = "resched_interval_s")]
+    fn zero_resched_interval_is_rejected() {
+        run_with_interval(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "resched_interval_s")]
+    fn negative_resched_interval_is_rejected() {
+        run_with_interval(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "resched_interval_s")]
+    fn nan_resched_interval_is_rejected() {
+        run_with_interval(f64::NAN);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use virtualflow::sched::trace::{make_job, paper_workload_mix, poisson_trace, three_job_trace};
-use virtualflow::sched::WeightPolicy;
+use virtualflow::sched::{CapacityEvent, SimResult, ThroughputOptimizer, WeightPolicy};
 use virtualflow::prelude::*;
 
 #[test]
@@ -195,4 +195,89 @@ proptest! {
             static_.metrics.makespan_s
         );
     }
+}
+
+/// FNV-1a over every job's `finished_at_s` bits, the makespan bits and the
+/// resize count: one reordered floating-point operation anywhere in the
+/// event loop or a scheduler moves it.
+fn sim_fingerprint(r: &SimResult) -> u64 {
+    let words = r
+        .jobs
+        .iter()
+        .map(|j| j.finished_at_s.map_or(u64::MAX, f64::to_bits))
+        .chain([r.metrics.makespan_s.to_bits(), u64::from(r.metrics.total_resizes)]);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Bit-stability tripwire: the simulator and the schedulers may be
+/// restructured freely, but the sequence of float operations each job sees
+/// must not change. The constants are those of PR 13's event loop (which
+/// re-evaluated the step-time model at every use and cloned the job table
+/// per event); only a deliberate change of model re-captures them — the
+/// failure message prints the new values.
+#[test]
+fn simulations_are_bit_stable() {
+    let v100 = DeviceProfile::of(DeviceType::V100);
+    let mut failures = Vec::new();
+    let mut check = |name: &str, r: SimResult, expected: u64| {
+        assert!(r.jobs.iter().all(|j| j.is_finished()), "{name}: unfinished jobs");
+        let got = sim_fingerprint(&r);
+        if got != expected {
+            failures.push(format!("{name}: {got:#018x}"));
+        }
+        r
+    };
+
+    let config = SimConfig::v100_cluster(128);
+    let trace = poisson_trace(240, 150.0, 8, 31, &config.link);
+    check(
+        "elastic-wfs",
+        run_trace(&trace, &mut ElasticWfs::new(), &config),
+        0x156d_bac4_5513_df2f,
+    );
+    check(
+        "elastic-srtf",
+        run_trace(&trace, &mut ElasticWfs::with_policy(WeightPolicy::Srtf), &config),
+        0xe299_164f_45f7_be40,
+    );
+
+    // Timer events: LAS reads every job's progress between arrivals.
+    let mut config = SimConfig::v100_cluster(64);
+    config.resched_interval_s = Some(45.0);
+    let trace = poisson_trace(120, 90.0, 8, 32, &config.link);
+    check(
+        "elastic-las+timer",
+        run_trace(&trace, &mut ElasticWfs::with_policy(WeightPolicy::Las), &config),
+        0xae06_73e2_3641_f5bf,
+    );
+
+    // Evict → requeue → restart: a job's allocation passes through zero and
+    // comes back, so whatever the loop remembers about its step time must
+    // survive (or be rebuilt across) the gap.
+    let mut config = SimConfig::v100_cluster(64);
+    config.capacity_events = vec![
+        CapacityEvent { at_s: 1500.0, num_gpus: 20 },
+        CapacityEvent { at_s: 4000.0, num_gpus: 64 },
+    ];
+    let trace = poisson_trace(120, 120.0, 8, 33, &config.link);
+    let r = check(
+        "static-priority+dip",
+        run_trace(&trace, &mut StaticPriority::new(), &config),
+        0x4862_08ec_49ca_e03c,
+    );
+    assert!(r.metrics.total_resizes > 0, "the dip must evict at least one running job");
+
+    let config = SimConfig::v100_cluster(64);
+    let trace = poisson_trace(100, 120.0, 8, 34, &config.link);
+    check(
+        "throughput-optimizer",
+        run_trace(&trace, &mut ThroughputOptimizer::new(v100, config.link), &config),
+        0x4e55_46cb_3ac7_2eb1,
+    );
+
+    assert!(failures.is_empty(), "fingerprints moved:\n{}", failures.join("\n"));
 }
