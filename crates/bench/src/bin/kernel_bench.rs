@@ -1,5 +1,6 @@
-//! Kernel microbenchmarks: blocked/SIMD GEMM and im2col convolution versus
-//! the seed's naive loops.
+//! Kernel microbenchmarks: blocked/SIMD GEMM and the packed convolution
+//! lowering (forward and both gradients) versus the seed's naive loops, and
+//! the convolutions as a share of the GEMM rate measured in the same process.
 //!
 //! Dependency-free on purpose (`std::time::Instant`, no criterion): this is
 //! the harness that substantiates the kernel layer's headline numbers, so it
@@ -96,7 +97,7 @@ fn time_secs(max_reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn main() {
+fn main() -> Result<(), vf_tensor::TensorError> {
     println!("== kernel microbenchmarks (f32, single process) ==\n");
     println!(
         "threads: {} (VF_NUM_THREADS to override)\n",
@@ -127,6 +128,7 @@ fn main() {
             format!("{gf_naive:.2}"),
             format!("{gf_fast:.2}"),
             format!("{:.2}x", gf_fast / gf_naive),
+            "-".into(),
         ]);
         metrics.set_gauge(&format!("gemm/{s}/fast_gflops"), gf_fast);
         metrics.set_gauge(&format!("gemm/{s}/speedup"), gf_fast / gf_naive);
@@ -143,36 +145,98 @@ fn main() {
         }));
     }
 
+    // Convolution rates are also reported as a share of the 256³ GEMM rate:
+    // the same microkernel on the same machine, so the ratio is what the
+    // lowering's packing and folding cost, whatever the host. A shared host
+    // changes speed from second to second, so the GEMM is timed again next
+    // to each convolution shape. The last shape is perf_bench's `train_conv`
+    // trunk layer.
+    let gemm_256_gflops = {
+        let mut rng = init::rng(256);
+        let a = init::normal(&mut rng, [256, 256], 0.0, 1.0);
+        let b = init::normal(&mut rng, [256, 256], 0.0, 1.0);
+        move || {
+            let t = time_secs(64, || {
+                std::hint::black_box(gemm::matmul(a.data(), b.data(), 256, 256, 256));
+            });
+            2.0 * 256f64.powi(3) / t / 1e9
+        }
+    };
     let mut conv_json = Vec::new();
-    for &(n, c, hw) in &[(4usize, 8usize, 32usize), (8, 16, 64)] {
+    for &(n, c, hw) in &[(4usize, 8usize, 32usize), (8, 16, 64), (16, 16, 16)] {
         let mut rng = init::rng((n * c * hw) as u64);
         let x = init::normal(&mut rng, [n, c, hw, hw], 0.0, 1.0);
         let k = init::normal(&mut rng, [c, c, 3, 3], 0.0, 0.5);
+        let g = init::normal(&mut rng, [n, c, hw, hw], 0.0, 1.0);
         let flops = 2.0 * (n * c * c * 9 * hw * hw) as f64;
+        let shape = format!("{n}x{c}x{hw}");
         let t_naive = time_secs(12, || {
             std::hint::black_box(naive_conv2d(&x, &k));
         });
-        let t_fast = time_secs(48, || {
+        let gf_naive = flops / t_naive / 1e9;
+        let t_fwd = time_secs(48, || {
             std::hint::black_box(conv::conv2d(&x, &k).expect("conv"));
         });
-        let (gf_naive, gf_fast) = (flops / t_naive / 1e9, flops / t_fast / 1e9);
-        rows.push(vec![
-            format!("conv {n}x{c}x{hw}x{hw} k3"),
-            format!("{gf_naive:.2}"),
-            format!("{gf_fast:.2}"),
-            format!("{:.2}x", gf_fast / gf_naive),
-        ]);
-        metrics.set_gauge(&format!("conv/{n}x{c}x{hw}/fast_gflops"), gf_fast);
-        metrics.set_gauge(&format!("conv/{n}x{c}x{hw}/speedup"), gf_fast / gf_naive);
-        conv_json.push(serde_json::json!({
-            "batch": n, "channels": c, "hw": hw,
-            "naive_gflops": gf_naive,
-            "fast_gflops": gf_fast,
-            "speedup": gf_fast / gf_naive,
-        }));
+        // Checked once: the operands are fixed, so the timed calls cannot
+        // fail where these did not.
+        conv::conv2d_grad_input(&g, &k)?;
+        conv::conv2d_grad_kernel(&x, &g, 3, 3)?;
+        let t_gi = time_secs(48, || {
+            std::hint::black_box(conv::conv2d_grad_input(&g, &k).ok());
+        });
+        let t_gk = time_secs(48, || {
+            std::hint::black_box(conv::conv2d_grad_kernel(&x, &g, 3, 3).ok());
+        });
+        let gemm_gflops = gemm_256_gflops();
+        // The seed shipped naive loops for the forward pass only.
+        for (op, t_fast, naive) in [
+            ("forward", t_fwd, Some(gf_naive)),
+            ("grad_input", t_gi, None),
+            ("grad_kernel", t_gk, None),
+        ] {
+            let gf_fast = flops / t_fast / 1e9;
+            let share = gf_fast / gemm_gflops;
+            rows.push(vec![
+                format!("conv {op} {shape}x{hw} k3"),
+                naive.map_or("-".into(), |g| format!("{g:.2}")),
+                format!("{gf_fast:.2}"),
+                naive.map_or("-".into(), |g| format!("{:.2}x", gf_fast / g)),
+                format!("{:.0}%", 100.0 * share),
+            ]);
+            // The forward gauges keep the names history already holds.
+            let stem = if op == "forward" { "fast" } else { op };
+            metrics.set_gauge(&format!("conv/{shape}/{stem}_gflops"), gf_fast);
+            metrics.set_gauge(&format!("conv/{shape}/{op}_vs_gemm256"), share);
+            conv_json.push(match naive {
+                Some(gf_naive) => {
+                    metrics.set_gauge(&format!("conv/{shape}/speedup"), gf_fast / gf_naive);
+                    serde_json::json!({
+                        "op": op, "batch": n, "channels": c, "hw": hw,
+                        "naive_gflops": gf_naive,
+                        "fast_gflops": gf_fast,
+                        "speedup": gf_fast / gf_naive,
+                        "vs_gemm256": share,
+                    })
+                }
+                None => serde_json::json!({
+                    "op": op, "batch": n, "channels": c, "hw": hw,
+                    "fast_gflops": gf_fast,
+                    "vs_gemm256": share,
+                }),
+            });
+        }
     }
 
-    print_table(&["kernel", "naive GF/s", "fast GF/s", "speedup"], &rows);
+    print_table(
+        &[
+            "kernel",
+            "naive GF/s",
+            "fast GF/s",
+            "speedup",
+            "of gemm 256³",
+        ],
+        &rows,
+    );
 
     let gemm_256 = &gemm_json[2];
     let speedup_256 = gemm_256["speedup"].as_f64().expect("speedup");
@@ -205,4 +269,5 @@ fn main() {
     // Wall-clock GFLOPS land in history for trend-watching; the committed
     // baseline only gates deterministic metrics, so this cannot flake CI.
     append_history(&HistoryRecord::from_metrics("kernel_bench", &metrics));
+    Ok(())
 }

@@ -427,7 +427,8 @@ impl Tape {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] unless the input is rank 4.
+    /// Returns [`TensorError::RankMismatch`] unless the input is rank 4, and
+    /// [`TensorError::Empty`] when `h·w == 0`.
     pub fn global_avg_pool(&mut self, input: Var) -> Result<Var, TensorError> {
         let v = crate::conv::global_avg_pool(self.value(input))?;
         Ok(self.push(v, Op::GlobalAvgPool { input }, false))
@@ -523,8 +524,12 @@ impl Tape {
                 }
                 Op::Relu(a) => {
                     if self.needs(*a) {
-                        let mask = ops::relu_grad_mask(self.value(*a));
-                        accumulate(&mut grads, *a, gout.mul(&mask)?)?;
+                        // The mask multiply of `ops::relu_grad_mask`, fused: the
+                        // same float product per element (so NaN, ±∞ and −0.0
+                        // gradients come out bit-identical), one pass.
+                        let g = gout
+                            .zip_map(self.value(*a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })?;
+                        accumulate(&mut grads, *a, g)?;
                     }
                 }
                 Op::Tanh(a) => {
@@ -1035,6 +1040,39 @@ mod tests {
         let g = grads.get(w).unwrap();
         assert_eq!(g.shape().dims(), &[2, 1, 2, 2]);
         assert!(g.data().iter().all(|&v| (v - 0.125).abs() < 1e-6));
+    }
+
+    #[test]
+    fn relu_backward_is_bitwise_the_mask_multiply() {
+        // Every upstream gradient (NaN, ±∞, ±0, ordinary) against every kind
+        // of input (positive, negative, ±0, NaN): the fused backward must
+        // equal `gout · relu_grad_mask(x)` bit for bit — 0 · NaN stays NaN,
+        // 0 · −2 stays −0.0.
+        let gs = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.5,
+            -2.0,
+        ];
+        let xs = [3.0, -3.0, 0.0, -0.0, f32::NAN];
+        let n = gs.len() * xs.len();
+        let gout = Tensor::from_vec((0..n).map(|i| gs[i / xs.len()]).collect(), [n]).unwrap();
+        let x = Tensor::from_vec((0..n).map(|i| xs[i % xs.len()]).collect(), [n]).unwrap();
+        let want = gout.mul(&ops::relu_grad_mask(&x)).unwrap();
+
+        // sum(relu(x) ⊙ gout) hands relu exactly `1.0 · gout` as its upstream.
+        let mut tape = Tape::new();
+        let xv = tape.leaf(x);
+        let r = tape.relu(xv);
+        let c = tape.constant(gout);
+        let m = tape.mul(r, c).unwrap();
+        let l = tape.sum_all(m);
+        let grads = tape.backward(l).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(grads.get(xv).unwrap()), bits(&want));
     }
 
     #[test]

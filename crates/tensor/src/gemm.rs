@@ -1,8 +1,7 @@
 //! High-performance, bit-deterministic matrix multiplication.
 //!
 //! The kernel layer that backs [`crate::ops::matmul`], the matmul-shaped
-//! autograd backward paths, and the im2col convolution lowering in
-//! [`crate::conv`].
+//! autograd backward paths, and the convolution lowering in [`crate::conv`].
 //!
 //! # Determinism contract
 //!
@@ -26,11 +25,24 @@
 //! # Speed
 //!
 //! Speed comes from the classic BLIS-style decomposition minus k-blocking:
-//! `B` is packed once into column micro-panels (`k × NR`, zero-padded tails),
-//! `A` is packed per row block (`k × MR`), and a register-tiled microkernel
-//! walks the full inner dimension. The `cargo run --release --bin
-//! kernel_bench` harness records the resulting throughput against the seed
-//! naive kernel in `results/BENCH_kernels.json`.
+//! `B` is packed once per call into column micro-panels (`k × NR`,
+//! zero-padded tails), `A` is packed per row block (`k × MR`) by the chunk
+//! that owns the block, and a register-tiled microkernel walks the full
+//! inner dimension. The `cargo run --release --bin kernel_bench` harness
+//! records the resulting throughput against the seed naive kernel in
+//! `results/BENCH_kernels.json`.
+//!
+//! # One panel walk
+//!
+//! Everything that reaches a microkernel goes through `walk_panels`: one
+//! packed `A` block against a run of consecutive packed `B` panels, and the
+//! only `match` on the detected instruction set. The dense driver here is
+//! "pack, then walk" per row block; [`crate::conv`] packs its operands
+//! itself — the kernel tensor once per call with `pack_a`, the unfolded
+//! image straight from NCHW into panel layout — and calls the same walk, so
+//! there is no second GEMM loop nest to keep in step. Scratch belongs to
+//! whoever packs: the driver's `B` pack lives for the call, its `A` block
+//! for the chunk.
 
 use crate::pool::{self, SendPtr};
 use std::ops::Range;
@@ -39,7 +51,7 @@ use std::sync::OnceLock;
 /// Operand layout of a GEMM call. The letters follow BLAS: `N` is row-major
 /// as stored, `T` means the operand is logically transposed.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Op {
+pub(crate) enum Op {
     /// `a (m×k) · b (k×n)`.
     Nn,
     /// `a (m×k) · bᵀ` with `b` stored `(n×k)`.
@@ -50,7 +62,7 @@ enum Op {
 
 /// Instruction set the microkernel dispatches to, detected once per process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Isa {
+pub(crate) enum Isa {
     #[cfg(target_arch = "x86_64")]
     Avx512,
     #[cfg(target_arch = "x86_64")]
@@ -59,7 +71,8 @@ enum Isa {
 }
 
 impl Isa {
-    fn mr(self) -> usize {
+    /// Rows of the register tile: the width of a packed `A` block.
+    pub(crate) fn mr(self) -> usize {
         match self {
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => 8,
@@ -69,7 +82,8 @@ impl Isa {
         }
     }
 
-    fn nr(self) -> usize {
+    /// Columns of the register tile: the width of a packed `B` panel.
+    pub(crate) fn nr(self) -> usize {
         match self {
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => 32,
@@ -80,7 +94,7 @@ impl Isa {
     }
 }
 
-fn isa() -> Isa {
+pub(crate) fn isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -107,10 +121,12 @@ const PARALLEL_MIN_FLOPS: usize = 64 * 64 * 64;
 // Microkernels: out[r][x] (+)= Σ_p apanel[p][r] · bpanel[p][x]
 //
 // `apanel` is `k × MR` (row-broadcast operand), `bpanel` is `k × NR`
-// (vector operand), both zero-padded to full tile width. `mr`/`nr` bound the
-// rows/columns actually stored to `out` (leading dimension `ldout`). When
-// `accumulate` is set the accumulators initialize from `out` instead of
-// zero — bitwise equal to continuing the FMA chain.
+// (vector operand), both readable at full tile width. `mr`/`nr` bound the
+// rows/columns actually stored to `out` (leading dimension `ldout`); lanes
+// past them are computed and discarded, so what the packers leave there
+// (zeros here, a previous panel's values in conv's reused scratch) never
+// reaches an output. When `accumulate` is set the accumulators initialize
+// from `out` instead of zero — bitwise equal to continuing the FMA chain.
 // ---------------------------------------------------------------------------
 
 // SAFETY: callers guarantee AVX-512F was detected at runtime, `apanel` and
@@ -288,11 +304,18 @@ unsafe fn micro_scalar(
 // Packing
 // ---------------------------------------------------------------------------
 
-/// Packs the vector operand into `npanels` micro-panels of layout `k × NR`,
-/// zero-padding the final partial panel.
+/// Packs the vector operand into `n.div_ceil(NR)` micro-panels of layout
+/// `k × NR`, zero-padding the final partial panel.
 fn pack_b(op: Op, b: &[f32], k: usize, n: usize, nr_max: usize) -> Vec<f32> {
-    let npanels = n.div_ceil(nr_max).max(1);
-    let mut bpack = vec![0.0f32; npanels * k * nr_max];
+    let mut bpack = vec![0.0f32; n.div_ceil(nr_max).max(1) * k * nr_max];
+    pack_b_into(op, b, k, n, nr_max, &mut bpack);
+    bpack
+}
+
+/// [`pack_b`] into caller-owned scratch of at least `n.div_ceil(NR) · k · NR`
+/// elements. Only the `n` live columns are written, so scratch that starts
+/// zeroed keeps its zero tail across calls of one shape.
+pub(crate) fn pack_b_into(op: Op, b: &[f32], k: usize, n: usize, nr_max: usize, bpack: &mut [f32]) {
     for jp in 0..n.div_ceil(nr_max) {
         let jc = jp * nr_max;
         let nr = nr_max.min(n - jc);
@@ -316,7 +339,6 @@ fn pack_b(op: Op, b: &[f32], k: usize, n: usize, nr_max: usize) -> Vec<f32> {
             }
         }
     }
-    bpack
 }
 
 /// Packs one `mr`-row block of the broadcast operand into `k × MR` layout,
@@ -349,22 +371,69 @@ fn pack_a_block(op: Op, a: &[f32], m: usize, k: usize, ir: usize, mr: usize, apa
     }
 }
 
+/// Packs every row block of the broadcast operand, block `i` at
+/// `apack[i · k · MR..]`: what a caller that reuses one operand across many
+/// walks (the convolution kernel tensor across a batch) does once up front.
+pub(crate) fn pack_a(op: Op, a: &[f32], m: usize, k: usize, mr_max: usize, apack: &mut [f32]) {
+    debug_assert_eq!(
+        apack.len(),
+        m.div_ceil(mr_max) * k * mr_max,
+        "pack_a: scratch"
+    );
+    for (blk, block) in apack.chunks_exact_mut(k * mr_max).enumerate() {
+        let ir = blk * mr_max;
+        pack_a_block(op, a, m, k, ir, mr_max.min(m - ir), block);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The panel walk: the one place a microkernel is chosen and called
+// ---------------------------------------------------------------------------
+
+/// Multiplies one packed `k × MR` block of the broadcast operand by the
+/// `n.div_ceil(NR)` consecutive `k × NR` panels at `bpack`, storing (or, with
+/// `accumulate`, continuing from) the `mr × n` output tile row at `out`.
+///
+/// # Safety
+///
+/// `isa` must be what [`isa`] detected. `apanel` must be readable for
+/// `k · MR` elements and `bpack` for `n.div_ceil(NR) · k · NR`. `out` must be
+/// valid for reads and writes of `mr` rows of `n` elements at leading
+/// dimension `ldout`, and nothing else may access that tile during the call
+/// (pool chunks claim disjoint output regions).
+#[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
+pub(crate) unsafe fn walk_panels(
+    isa: Isa,
+    apanel: *const f32,
+    bpack: *const f32,
+    k: usize,
+    n: usize,
+    out: *mut f32,
+    ldout: usize,
+    mr: usize,
+    accumulate: bool,
+) {
+    let nr_max = isa.nr();
+    for jp in 0..n.div_ceil(nr_max) {
+        let jc = jp * nr_max;
+        let nr = nr_max.min(n - jc);
+        let dst = out.add(jc);
+        let bp = bpack.add(jp * k * nr_max);
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => micro_avx512(apanel, bp, k, dst, ldout, mr, nr, accumulate),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => micro_avx2(apanel, bp, k, dst, ldout, mr, nr, accumulate),
+            Isa::Scalar => micro_scalar(apanel, bp, k, dst, ldout, mr, nr, accumulate),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn gemm(
-    op: Op,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-    parallel: bool,
-) {
+fn gemm(op: Op, a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "gemm: output length");
     // An empty output never reads the operands, so their lengths are
     // unconstrained (callers may legitimately pass empty slices).
@@ -376,7 +445,6 @@ fn gemm(
     let isa = isa();
     let (mr_max, nr_max) = (isa.mr(), isa.nr());
     let bpack = pack_b(op, b, k, n, nr_max);
-    let npanels = n.div_ceil(nr_max);
     let nblocks = m.div_ceil(mr_max);
     let out_ptr = SendPtr(out.as_mut_ptr());
     let work = |blocks: Range<usize>| {
@@ -391,34 +459,17 @@ fn gemm(
             let ir = blk * mr_max;
             let mr = mr_max.min(m - ir);
             pack_a_block(op, a, m, k, ir, mr, &mut apack);
-            for jp in 0..npanels {
-                let jc = jp * nr_max;
-                let nr = nr_max.min(n - jc);
-                // SAFETY: this block owns output rows [ir, ir + mr); packs
-                // are sized k × MR / k × NR; the microkernel writes only
-                // `mr × nr` elements at leading dimension `n`.
-                unsafe {
-                    let dst = out_ptr.get().add(ir * n + jc);
-                    let bp = bpack.as_ptr().add(jp * k * nr_max);
-                    match isa {
-                        #[cfg(target_arch = "x86_64")]
-                        Isa::Avx512 => {
-                            micro_avx512(apack.as_ptr(), bp, k, dst, n, mr, nr, accumulate)
-                        }
-                        #[cfg(target_arch = "x86_64")]
-                        Isa::Avx2 => {
-                            micro_avx2(apack.as_ptr(), bp, k, dst, n, mr, nr, accumulate)
-                        }
-                        Isa::Scalar => {
-                            micro_scalar(apack.as_ptr(), bp, k, dst, n, mr, nr, accumulate)
-                        }
-                    }
-                }
+            // SAFETY: this block owns output rows [ir, ir + mr); the packs
+            // are sized k × MR and npanels × k × NR; the walk writes only
+            // `mr × n` elements at leading dimension `n`.
+            unsafe {
+                let dst = out_ptr.get().add(ir * n);
+                walk_panels(isa, apack.as_ptr(), bpack.as_ptr(), k, n, dst, n, mr, false);
             }
         }
     };
     let flops = m.saturating_mul(k.max(1)).saturating_mul(n);
-    if parallel && flops >= PARALLEL_MIN_FLOPS {
+    if flops >= PARALLEL_MIN_FLOPS {
         pool::parallel_rows(nblocks, work);
     } else {
         pool::run_serial(nblocks, work);
@@ -432,7 +483,7 @@ fn gemm(
 /// `a (m×k) · b (k×n) → (m×n)`, parallel over output-row blocks.
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
-    gemm(Op::Nn, a, b, m, k, n, &mut out, false, true);
+    gemm(Op::Nn, a, b, m, k, n, &mut out);
     out
 }
 
@@ -440,7 +491,7 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
 /// backward shape, computed without materializing the transpose.
 pub fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
-    gemm(Op::Nt, a, b, m, k, n, &mut out, false, true);
+    gemm(Op::Nt, a, b, m, k, n, &mut out);
     out
 }
 
@@ -448,28 +499,8 @@ pub fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32>
 /// `dB = Aᵀ·dC` backward shape, computed without materializing the transpose.
 pub fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
-    gemm(Op::Tn, a, b, m, k, n, &mut out, false, true);
+    gemm(Op::Tn, a, b, m, k, n, &mut out);
     out
-}
-
-/// Serial `a · b` into a caller-provided buffer. For use inside regions the
-/// caller already parallelized (e.g. the per-image convolution loop).
-pub(crate) fn matmul_into_serial(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    gemm(Op::Nn, a, b, m, k, n, out, false, false);
-}
-
-/// Serial `aᵀ · b` into a caller-provided buffer (see
-/// [`matmul_into_serial`]).
-pub(crate) fn matmul_tn_into_serial(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    gemm(Op::Tn, a, b, m, k, n, out, false, false);
-}
-
-/// `out += a · bᵀ`, parallel over output-row blocks. Accumulation
-/// initializes the FMA chain from `out`, which is bitwise equal to one long
-/// chain over successive calls — how the convolution kernel gradient sums
-/// over images without reassociating.
-pub(crate) fn matmul_nt_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    gemm(Op::Nt, a, b, m, k, n, out, true, true);
 }
 
 /// Naive reference kernels: one `mul_add` chain per element, ascending inner
@@ -580,9 +611,27 @@ mod tests {
         }
     }
 
+    /// `out += a · bᵀ` by the driver's own pack-then-walk, accumulating.
+    fn nt_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+        let isa = isa();
+        let bpack = pack_b(Op::Nt, b, k, n, isa.nr());
+        let mut apack = vec![0.0f32; m.div_ceil(isa.mr()) * k * isa.mr()];
+        pack_a(Op::Nt, a, m, k, isa.mr(), &mut apack);
+        for (blk, block) in apack.chunks_exact(k * isa.mr()).enumerate() {
+            let ir = blk * isa.mr();
+            let mr = isa.mr().min(m - ir);
+            // SAFETY: `out` is m × n and exclusively borrowed; the packs are
+            // sized by the same tile geometry the walk reads them with.
+            unsafe {
+                let dst = out.as_mut_ptr().add(ir * n);
+                walk_panels(isa, block.as_ptr(), bpack.as_ptr(), k, n, dst, n, mr, true);
+            }
+        }
+    }
+
     #[test]
     fn accumulate_continues_the_chain_bitwise() {
-        // Two accumulating calls must equal one reference chain over the
+        // Two accumulating walks must equal one reference chain over the
         // concatenated inner dimension.
         let (m, k, n) = (9usize, 13usize, 21usize);
         let a1 = fill(7, m * k);
@@ -590,8 +639,8 @@ mod tests {
         let b1 = fill(9, n * k);
         let b2 = fill(10, n * k);
         let mut out = vec![0.0f32; m * n];
-        matmul_nt_acc(&a1, &b1, m, k, n, &mut out);
-        matmul_nt_acc(&a2, &b2, m, k, n, &mut out);
+        nt_acc(&a1, &b1, m, k, n, &mut out);
+        nt_acc(&a2, &b2, m, k, n, &mut out);
         // Reference: one chain over a1·b1ᵀ's k terms then a2·b2ᵀ's.
         let mut expect = vec![0.0f32; m * n];
         for i in 0..m {

@@ -73,7 +73,7 @@ static LOGICAL: AtomicUsize = AtomicUsize::new(0);
 static JOBS_SUBMITTED: AtomicUsize = AtomicUsize::new(0);
 /// Chunks executed across all jobs.
 static CHUNKS_EXECUTED: AtomicUsize = AtomicUsize::new(0);
-/// Times a kernel took the [`run_serial`] too-small-to-parallelize path.
+/// Kernel invocations that ran whole on the caller's thread ([`run_serial`]).
 static SERIAL_FALLBACKS: AtomicUsize = AtomicUsize::new(0);
 
 /// A point-in-time snapshot of the pool's activity counters.
@@ -87,7 +87,13 @@ pub struct PoolStats {
     pub jobs_submitted: usize,
     /// Total chunks executed across all jobs.
     pub chunks_executed: usize,
-    /// Serial-fallback kernel invocations ([`run_serial`]).
+    /// Kernel invocations that ran whole on the caller's thread instead of
+    /// becoming a pool job: every [`run_serial`] call, whoever the caller
+    /// is. A kernel below its parallel threshold counts here once per call —
+    /// also when the caller is itself a chunk of an enclosing job, which is
+    /// by design and not a missed opportunity — so the count can exceed
+    /// `jobs_submitted`. A kernel that loops over its own batch inside one
+    /// job or one fallback (the convolutions) counts once, not per image.
     pub serial_fallbacks: usize,
 }
 

@@ -28,8 +28,8 @@ cargo test --release -q --manifest-path perf_bench/Cargo.toml
 echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =="
 cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
 
-echo "== tier 1: sched byte-identity (scheduler figures regenerate to the committed bytes) =="
-for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip; do
+echo "== tier 1: figure byte-identity (scheduler + conv): figures regenerate to the committed bytes =="
+for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro; do
     cargo run --release -q -p vf-bench --bin "$bin" > /dev/null
     git diff --exit-code -- "results/$bin.json" "results/$bin.txt"
 done
