@@ -132,11 +132,7 @@ fn main() -> Result<(), vf_tensor::TensorError> {
         ]);
         metrics.set_gauge(&format!("gemm/{s}/fast_gflops"), gf_fast);
         metrics.set_gauge(&format!("gemm/{s}/speedup"), gf_fast / gf_naive);
-        metrics.observe(
-            "gemm/speedup_hist",
-            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-            gf_fast / gf_naive,
-        );
+        metrics.observe_sketch("gemm/speedup_hist", gf_fast / gf_naive);
         gemm_json.push(serde_json::json!({
             "size": s,
             "naive_gflops": gf_naive,

@@ -1,6 +1,7 @@
 //! Overlap bench: what bucketed comm/compute pipelining buys.
 //!
-//! Three measurements, coarse to fine:
+//! Two measurements, coarse to fine (both on the simulated clock — host
+//! time is `perf_bench`'s subject, and bucketing has no host effect):
 //!
 //! 1. **Perf model** — a Figure-6-class workload (ResNet-50 on four
 //!    2080 Tis, two virtual nodes each) through the analytical step-time
@@ -11,21 +12,17 @@
 //!    a real training run, overlapped versus legacy sync. Asserts strictly
 //!    less simulated time *and* bit-identical final parameters (schedule
 //!    change, never a value change).
-//! 3. **Wall clock** — the real kernel-pool trainer with buckets + input
-//!    prefetch against the plain path. Reported for context only, never
-//!    gated: host timing is not deterministic.
 //!
 //! Usage: `overlap_bench [--smoke]` — `--smoke` shrinks the runs for
 //! tier-1 and skips the history append.
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 use vf_bench::report::{append_history, emit, print_table};
 use vf_comm::LinkProfile;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::perf_model::{step_time, step_time_overlapped, ExecutionShape};
-use vf_core::{Trainer, TrainerConfig};
+use vf_core::TrainerConfig;
 use vf_data::synthetic::ClusterTask;
 use vf_data::Dataset;
 use vf_device::{DeviceId, DeviceProfile, DeviceType, FaultPlan};
@@ -85,29 +82,9 @@ fn sim_run(steps: u64, bucket_bytes: Option<u64>) -> (vf_core::chaos::ChaosRepor
     (out.report, params)
 }
 
-/// Wall-clock seconds per step of the real kernel-pool trainer.
-fn wall_run(steps: usize, overlapped: bool) -> f64 {
-    let (arch, dataset, config) = parts();
-    let mut trainer = Trainer::new(arch, dataset, config, &devices(0..4))
-        // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-        .expect("trainer construction");
-    if overlapped {
-        trainer.set_bucket_bytes(Some(TRAINER_BUCKET_BYTES));
-        trainer.enable_prefetch();
-    }
-    // Warm up the pool and the prefetcher outside the timed window.
-    // vf-lint: allow(panic-ratchet) — a failed warmup leaves nothing to time
-    trainer.run_steps(3).expect("warmup");
-    let t0 = Instant::now();
-    // vf-lint: allow(panic-ratchet) — a failed run leaves nothing to time
-    trainer.run_steps(steps).expect("timed steps");
-    t0.elapsed().as_secs_f64() / steps as f64
-}
-
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let sim_steps: u64 = if smoke { 80 } else { 300 };
-    let wall_steps: usize = if smoke { 30 } else { 200 };
     println!("== overlap bench: bucketed pipelined sync vs single-sync ==\n");
 
     let metrics = Metrics::new();
@@ -160,10 +137,6 @@ fn main() -> ExitCode {
     metrics.set_gauge("sim/speedup", legacy.sim_time_s / overlap.sim_time_s);
     metrics.set_gauge("sim/exposed_comm_frac", exposed_frac);
 
-    // -- Part 3: real-pool wall clock (context only, not gated) -----------
-    let wall_plain = wall_run(wall_steps, false);
-    let wall_overlap = wall_run(wall_steps, true);
-
     print_table(
         &["measurement", "baseline", "overlapped", "speedup", "exposed-frac"],
         &[
@@ -181,13 +154,6 @@ fn main() -> ExitCode {
                 format!("{:.3}x", legacy.sim_time_s / overlap.sim_time_s),
                 format!("{:.3}", exposed_frac),
             ],
-            vec![
-                "wall step (s)".into(),
-                format!("{wall_plain:.5}"),
-                format!("{wall_overlap:.5}"),
-                format!("{:.3}x", wall_plain / wall_overlap),
-                "-".into(),
-            ],
         ],
     );
 
@@ -199,12 +165,6 @@ fn main() -> ExitCode {
         &serde_json::json!({
             "model": { "additive": additive, "overlapped": overlapped },
             "sim": { "legacy": legacy, "overlapped": overlap, "steps": sim_steps },
-            "wall": {
-                "steps": wall_steps,
-                "plain_step_s": wall_plain,
-                "overlapped_step_s": wall_overlap,
-                "note": "host timing, informational only — never gated",
-            },
             "metrics": metrics_json,
         }),
     );

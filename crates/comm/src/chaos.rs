@@ -199,47 +199,24 @@ pub fn ring_reform_time_s(workers: usize, link: &LinkProfile) -> f64 {
 /// draws independent across steps. Aborts shrink the ring — the dead
 /// participant's share is reassigned — but never below one worker.
 ///
+/// With an enabled recorder it emits one `comm` event per failed attempt
+/// (timeout/abort, with the attempt index and ring size), an
+/// `allreduce/attempt` child span tiling each attempt's charged interval
+/// (so profilers attribute retry time to the attempt and its fault kind),
+/// and a final `allreduce` span covering the whole priced duration.
+/// Timestamps are offsets from the recorder's simulated clock plus the
+/// simulated time already charged to this collective — no wall clock is
+/// read, so the event stream is a pure function of
+/// `(model, stream, bytes, workers, link)`. The recorder's clock itself is
+/// *not* advanced; the caller owns clock progression.
+///
 /// # Errors
 ///
 /// Returns [`CollectiveExhausted`] if `max_attempts` attempts all fail,
 /// which callers should treat as a network partition (fall back to
 /// checkpoint recovery).
-pub fn allreduce_with_recovery(
-    model: &CommFaultModel,
-    stream: u64,
-    bytes: u64,
-    workers: usize,
-    link: &LinkProfile,
-    max_attempts: u32,
-) -> Result<CollectiveOutcome, CollectiveExhausted> {
-    allreduce_with_recovery_traced(
-        model,
-        stream,
-        bytes,
-        workers,
-        link,
-        max_attempts,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`allreduce_with_recovery`] with a trace recorder attached.
-///
-/// Emits one `comm` event per failed attempt (timeout/abort, with the
-/// attempt index and ring size), an `allreduce/attempt` child span tiling
-/// each attempt's charged interval (so profilers attribute retry time to
-/// the attempt and its fault kind), and a final `allreduce` span covering
-/// the whole priced duration. Timestamps are offsets from the recorder's
-/// simulated clock plus the simulated time already charged to this
-/// collective — no wall clock is read, so the event stream is a pure
-/// function of `(model, stream, bytes, workers, link)`. The recorder's
-/// clock itself is *not* advanced; the caller owns clock progression.
-///
-/// # Errors
-///
-/// Same as [`allreduce_with_recovery`].
 #[allow(clippy::too_many_arguments)]
-pub fn allreduce_with_recovery_traced(
+pub fn allreduce_with_recovery(
     model: &CommFaultModel,
     stream: u64,
     bytes: u64,
@@ -367,7 +344,7 @@ mod tests {
     #[test]
     fn quiet_model_succeeds_first_try_at_ring_cost() {
         let m = CommFaultModel::quiet(0);
-        let o = allreduce_with_recovery(&m, 0, 1 << 20, 8, &link(), 4).unwrap();
+        let o = allreduce_with_recovery(&m, 0, 1 << 20, 8, &link(), 4, &Recorder::disabled()).unwrap();
         assert_eq!(o.attempts, 1);
         assert_eq!(o.timeouts + o.aborts + o.stragglers, 0);
         assert_eq!(o.time_s, ring_allreduce_time_s(1 << 20, 8, &link()));
@@ -415,7 +392,7 @@ mod tests {
         let stream = (0..)
             .find(|&s| m.draw(s, 0) == AttemptFault::Timeout && m.draw(s, 1) != AttemptFault::Timeout)
             .unwrap();
-        let o = allreduce_with_recovery(&m, stream, 1 << 20, 4, &link(), 64).unwrap();
+        let o = allreduce_with_recovery(&m, stream, 1 << 20, 4, &link(), 64, &Recorder::disabled()).unwrap();
         assert!(o.timeouts >= 1);
         assert!(o.time_s > m.timeout_s * o.timeouts as f64);
         assert_eq!(o.final_workers, 4, "timeouts do not shrink the ring");
@@ -427,7 +404,7 @@ mod tests {
         let stream = (0..)
             .find(|&s| m.draw(s, 0) == AttemptFault::Abort && m.draw(s, 1) == AttemptFault::None)
             .unwrap();
-        let o = allreduce_with_recovery(&m, stream, 1 << 20, 4, &link(), 64).unwrap();
+        let o = allreduce_with_recovery(&m, stream, 1 << 20, 4, &link(), 64, &Recorder::disabled()).unwrap();
         assert_eq!(o.aborts, 1);
         assert_eq!(o.final_workers, 3, "the dead participant leaves the ring");
         let clean = ring_allreduce_time_s(1 << 20, 3, &link());
@@ -438,7 +415,7 @@ mod tests {
     fn stragglers_cost_more_than_clean_passes() {
         let m = CommFaultModel::new(3, 0.0, 0.0, 0.9);
         let stream = (0..).find(|&s| m.draw(s, 0) == AttemptFault::Straggler).unwrap();
-        let o = allreduce_with_recovery(&m, stream, 100 << 20, 8, &link(), 8).unwrap();
+        let o = allreduce_with_recovery(&m, stream, 100 << 20, 8, &link(), 8, &Recorder::disabled()).unwrap();
         assert_eq!(o.stragglers, 1);
         assert!(o.time_s > ring_allreduce_time_s(100 << 20, 8, &link()));
     }
@@ -452,7 +429,7 @@ mod tests {
         let stream = (0..)
             .find(|&s| m.draw(s, 0) == AttemptFault::Timeout && m.draw(s, 1) == AttemptFault::Timeout)
             .unwrap();
-        let err = allreduce_with_recovery(&m, stream, 1 << 20, 4, &link(), 2).unwrap_err();
+        let err = allreduce_with_recovery(&m, stream, 1 << 20, 4, &link(), 2, &Recorder::disabled()).unwrap_err();
         assert_eq!(err.attempts, 2);
         assert!(err.to_string().contains("partitioned"));
     }
@@ -460,7 +437,7 @@ mod tests {
     #[test]
     fn single_worker_never_fails() {
         let m = CommFaultModel::new(6, 0.9, 0.05, 0.04);
-        let o = allreduce_with_recovery(&m, 0, 1 << 30, 1, &link(), 1).unwrap();
+        let o = allreduce_with_recovery(&m, 0, 1 << 30, 1, &link(), 1, &Recorder::disabled()).unwrap();
         assert_eq!(o.time_s, 0.0);
         assert_eq!(o.attempts, 1);
     }
@@ -470,7 +447,7 @@ mod tests {
         let m = CommFaultModel::new(7, 0.0, 0.9, 0.0);
         // Enough attempts that aborts would drive a 3-ring to zero if
         // unclamped; success at ring=1 short-circuits instead.
-        let o = allreduce_with_recovery(&m, 0, 1 << 20, 3, &link(), 64).unwrap();
+        let o = allreduce_with_recovery(&m, 0, 1 << 20, 3, &link(), 64, &Recorder::disabled()).unwrap();
         assert!(o.final_workers >= 1);
     }
 
@@ -484,7 +461,7 @@ mod tests {
             let ring = Arc::new(RingSink::unbounded());
             let obs = Recorder::with_sink(ring.clone());
             for stream in 0..16 {
-                let _ = allreduce_with_recovery_traced(&m, stream, 1 << 20, 8, &link(), 16, &obs);
+                let _ = allreduce_with_recovery(&m, stream, 1 << 20, 8, &link(), 16, &obs);
             }
             vf_obs::chrome::render_jsonl(&ring.events())
         };
@@ -492,10 +469,11 @@ mod tests {
         assert!(t.contains("\"allreduce\""), "success spans are recorded");
         assert_eq!(t, trace_of(9), "the comm trace is a pure function of its inputs");
 
-        // The untraced wrapper and the traced path agree numerically.
+        // Recording never changes the priced outcome.
         let m = CommFaultModel::new(9, 0.3, 0.2, 0.1);
-        let a = allreduce_with_recovery(&m, 3, 1 << 20, 8, &link(), 16);
-        let b = allreduce_with_recovery_traced(&m, 3, 1 << 20, 8, &link(), 16, &Recorder::disabled());
+        let traced = Recorder::with_sink(Arc::new(RingSink::unbounded()));
+        let a = allreduce_with_recovery(&m, 3, 1 << 20, 8, &link(), 16, &traced);
+        let b = allreduce_with_recovery(&m, 3, 1 << 20, 8, &link(), 16, &Recorder::disabled());
         assert_eq!(a, b);
     }
 

@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use vf_comm::allreduce::split_bucket_bytes;
 use vf_comm::chaos::{
-    allreduce_with_recovery_traced, collective_stream, ring_reform_time_s, CommFaultModel,
+    allreduce_with_recovery, collective_stream, ring_reform_time_s, CommFaultModel,
 };
 use vf_comm::membership::{ElasticGroup, WorkerId};
 use vf_comm::LinkProfile;
@@ -904,7 +904,7 @@ impl ChaosSupervisor {
         let elapsed = if self.cfg.bucket_bytes.is_some() {
             self.overlapped_sync_time_s(compute_s, workers)?
         } else if let Some(comm) = &self.cfg.comm {
-            let outcome = allreduce_with_recovery_traced(
+            let outcome = allreduce_with_recovery(
                 comm,
                 self.trainer.steps_done(),
                 self.param_bytes,
@@ -978,7 +978,7 @@ impl ChaosSupervisor {
             // byte share: fault exposure tracks bytes on the wire, so a
             // step's expected fault count is invariant to bucketing.
             let bucket_model = model.scaled(*bytes as f64 / total_bytes.max(1) as f64);
-            let outcome = allreduce_with_recovery_traced(
+            let outcome = allreduce_with_recovery(
                 &bucket_model,
                 collective_stream(step, b as u32),
                 *bytes,

@@ -35,7 +35,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use vf_data::batching::{shard_indices, BatchPlan, VisitLedger};
 use vf_data::partitioned::PartitionedPlan;
-use vf_data::prefetch::Prefetcher;
 use vf_data::{Dataset, DistributionMode};
 use vf_device::DeviceId;
 use vf_models::trainable::{Architecture, EvalReport, StatefulState};
@@ -83,9 +82,15 @@ impl DataPlan {
     }
 }
 
-/// The VN batches a prefetch worker stages for one step: one
-/// `(features, labels)` pair per virtual node, in VN order.
-type StagedBatches = Result<Vec<(Tensor, Vec<usize>)>, CoreError>;
+/// What one step computed, before any of it is committed to the trainer.
+struct StepOutput {
+    /// The reduced gradient of every parameter, in parameter order.
+    reduced: Vec<Tensor>,
+    /// Every device's stateful kernels after its waves.
+    replicas: Vec<(DeviceId, StatefulState)>,
+    /// Per-VN mean losses, in VN order.
+    vn_losses: Vec<f32>,
+}
 
 /// The outcome of one training step.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,8 +149,6 @@ pub struct Trainer {
     /// per bucket. A single bucket (the default) is the one-sync-per-step
     /// schedule.
     bucket_plan: BucketPlan,
-    /// Background input staging (double buffer), when enabled.
-    prefetcher: Option<Prefetcher<StagedBatches>>,
 }
 
 impl Trainer {
@@ -212,7 +215,6 @@ impl Trainer {
             obs: Recorder::disabled(),
             monitor: None,
             bucket_plan: BucketPlan::single(&sizes),
-            prefetcher: None,
         })
     }
 
@@ -237,30 +239,6 @@ impl Trainer {
     /// The gradient-bucket plan the step trace reports.
     pub fn bucket_plan(&self) -> &BucketPlan {
         &self.bucket_plan
-    }
-
-    /// Enables input prefetch double-buffering: a background worker stages
-    /// the next step's VN batches while the current step computes.
-    /// Gathering is a pure function of the step index, so the trajectory
-    /// is bit-identical with prefetch on or off.
-    pub fn enable_prefetch(&mut self) {
-        let plan = self.plan.clone();
-        let dataset = Arc::clone(&self.dataset);
-        let total_vns = self.config.total_vns as usize;
-        let prefetcher = Prefetcher::new(move |step| {
-            let (_, _, shards) = plan.shards_at(step as usize, total_vns)?;
-            shards
-                .iter()
-                .map(|shard| dataset.gather(shard).map_err(CoreError::from))
-                .collect()
-        });
-        prefetcher.schedule(self.step);
-        self.prefetcher = Some(prefetcher);
-    }
-
-    /// Whether input prefetch is active.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetcher.is_some()
     }
 
     /// Attaches a trace recorder. Spans and counters are emitted only from
@@ -335,15 +313,31 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates shard, model, and reduction errors; the trainer state is
-    /// unspecified-but-consistent after an error (no partial optimizer
-    /// update is applied).
+    /// Propagates shard, model, and reduction errors. A step commits on
+    /// success only: after such an error the parameters, optimizer
+    /// moments, per-device stateful kernels, visit ledger and step counter
+    /// are what they were before the call, so the step can simply be
+    /// retried.
     pub fn step(&mut self) -> Result<StepReport, CoreError> {
         let lr = self.config.schedule.at(self.step);
         self.optimizer.set_learning_rate(lr);
         let (epoch, step_in_epoch, shards) = self
             .plan
             .shards_at(self.step as usize, self.config.total_vns as usize)?;
+
+        let StepOutput {
+            mut reduced,
+            replicas,
+            vn_losses,
+        } = self.compute_and_reduce(&shards)?;
+        if let Some(max_norm) = self.config.clip_norm {
+            clip_global_norm(&mut reduced, max_norm);
+        }
+        self.optimizer.step(&mut self.params, &reduced)?;
+
+        // Nothing below can fail: replicas, ledger and step counter commit
+        // together with the optimizer update.
+        self.replicas.extend(replicas);
         if let Some(ledger) = &mut self.ledger {
             if step_in_epoch == 0 {
                 ledger.reset();
@@ -353,27 +347,7 @@ impl Trainer {
             }
         }
 
-        let total_vns = self.config.total_vns as usize;
-        let mut vn_losses: Vec<f32> = vec![0.0; total_vns];
-
-        // Claim this step's staged batches (if prefetch is on) and
-        // immediately queue the next step's, so the background worker
-        // refills the freed buffer while this step computes.
-        let staged: Option<Vec<(Tensor, Vec<usize>)>> = match &self.prefetcher {
-            Some(p) => p.take(self.step).transpose()?,
-            None => None,
-        };
-        if let Some(p) = &self.prefetcher {
-            p.schedule(self.step + 1);
-        }
-
-        let mut reduced = self.compute_and_reduce(&shards, staged.as_deref(), &mut vn_losses)?;
-        if let Some(max_norm) = self.config.clip_norm {
-            clip_global_norm(&mut reduced, max_norm);
-        }
-        self.optimizer.step(&mut self.params, &reduced)?;
-
-        let loss = vn_losses.iter().sum::<f32>() / total_vns as f32;
+        let loss = vn_losses.iter().sum::<f32>() / vn_losses.len() as f32;
         let report = StepReport {
             step: self.step,
             epoch,
@@ -405,12 +379,10 @@ impl Trainer {
     /// fan-out and kernel parallelism on one fixed set of workers; nested
     /// kernel submissions are deadlock-free because submitters help drain
     /// their own jobs.
-    fn compute_and_reduce(
-        &mut self,
-        shards: &[Vec<usize>],
-        staged: Option<&[(Tensor, Vec<usize>)]>,
-        vn_losses: &mut [f32],
-    ) -> Result<Vec<Tensor>, CoreError> {
+    ///
+    /// Takes `&self`: a failing device or reduction leaves the trainer
+    /// untouched, and [`Trainer::step`] commits the output as a whole.
+    fn compute_and_reduce(&self, shards: &[Vec<usize>]) -> Result<StepOutput, CoreError> {
         let arch = &self.arch;
         let dataset = &self.dataset;
         let params = &self.params;
@@ -430,16 +402,8 @@ impl Trainer {
             let mut outputs = Vec::with_capacity(vns.len());
             for vn in vns {
                 let vn = vn.0 as usize;
-                let report = match staged {
-                    Some(batches) => {
-                        let (x, y) = &batches[vn];
-                        arch.grad(params, &mut stateful, x, y)?
-                    }
-                    None => {
-                        let (x, y) = dataset.gather(&shards[vn])?;
-                        arch.grad(params, &mut stateful, &x, &y)?
-                    }
-                };
+                let (x, y) = dataset.gather(&shards[vn])?;
+                let report = arch.grad(params, &mut stateful, &x, &y)?;
                 outputs.push((vn, report.grads, report.loss));
             }
             Ok((device, stateful, outputs))
@@ -448,9 +412,11 @@ impl Trainer {
         // One gradient column per VN, consumed parameter by parameter.
         let mut vn_grads: Vec<std::vec::IntoIter<Tensor>> =
             vec![Vec::new().into_iter(); shards.len()];
+        let mut vn_losses = vec![0.0; shards.len()];
+        let mut replicas = Vec::with_capacity(results.len());
         for result in results {
             let (device, stateful, outputs) = result?;
-            self.replicas.insert(device, stateful);
+            replicas.push((device, stateful));
             for (vn, grads, loss) in outputs {
                 vn_losses[vn] = loss;
                 vn_grads[vn] = grads.into_iter();
@@ -469,7 +435,11 @@ impl Trainer {
                 .collect::<Result<_, _>>()?;
             reduced.push(reduce::reduce_mean_owned(parts, self.config.reduction, None)?);
         }
-        Ok(reduced)
+        Ok(StepOutput {
+            reduced,
+            replicas,
+            vn_losses,
+        })
     }
 
     /// Emits the per-step trace: one span per virtual node (in VN order, on

@@ -43,36 +43,6 @@ pub fn check_fits(
     Ok(peak)
 }
 
-/// Like [`check_fits`], but with input prefetch double-buffering enabled:
-/// the next micro-batch is staged on-device while the current one is
-/// consumed, costing one extra input buffer at peak.
-///
-/// # Errors
-///
-/// Returns [`CoreError::MicroBatchTooLarge`] if the configuration (with
-/// the staging buffer) cannot fit.
-pub fn check_fits_with_prefetch(
-    model: &ModelProfile,
-    device: &DeviceProfile,
-    micro_batch: usize,
-    vn_per_device: usize,
-) -> Result<u64, CoreError> {
-    let staging = model.input_bytes_per_example * micro_batch as u64;
-    let peak = model.peak_bytes_virtual(micro_batch, vn_per_device) + staging;
-    if peak > device.memory_bytes {
-        return Err(CoreError::MicroBatchTooLarge {
-            micro_batch,
-            max_micro_batch: if vn_per_device > 1 {
-                model.max_micro_batch_virtual(device)
-            } else {
-                model.max_micro_batch(device)
-            },
-            device: device.device_type.to_string(),
-        });
-    }
-    Ok(peak)
-}
-
 /// Verifies every device of `shape` can run `model`, returning the maximum
 /// per-device peak.
 ///
@@ -182,22 +152,6 @@ mod tests {
     #[test]
     fn fitting_config_passes() {
         assert!(check_fits(&resnet50(), &v100(), 256, 4).is_ok());
-    }
-
-    #[test]
-    fn prefetch_costs_exactly_one_staging_buffer() {
-        let model = resnet50();
-        let plain = check_fits(&model, &v100(), 256, 4).unwrap();
-        let buffered = check_fits_with_prefetch(&model, &v100(), 256, 4).unwrap();
-        assert_eq!(buffered - plain, model.input_bytes_per_example * 256);
-        // A config that fits exactly without prefetch can fail with it:
-        // find the largest plain-fitting micro-batch and check the staged
-        // variant is never *more* permissive.
-        let max_plain = model.max_micro_batch_virtual(&ti());
-        assert!(check_fits(&model, &ti(), max_plain, 2).is_ok());
-        if let Err(e) = check_fits_with_prefetch(&model, &ti(), max_plain, 2) {
-            assert!(matches!(e, CoreError::MicroBatchTooLarge { .. }));
-        }
     }
 
     #[test]

@@ -258,27 +258,6 @@ pub fn step_time_overlapped(
     )
 }
 
-/// Overlap-aware variant of [`step_time_with_input`]: the host input
-/// pipeline gates per-wave compute first, then bucketed sync overlaps the
-/// (possibly input-stretched) backward tail.
-pub fn step_time_with_input_overlapped(
-    model: &ModelProfile,
-    shape: &ExecutionShape,
-    link: &LinkProfile,
-    input: &vf_data::pipeline::InputPipelineModel,
-    bucket_bytes: u64,
-) -> OverlapStepBreakdown {
-    let base = step_time_with_input(model, shape, link, input);
-    let sizes = split_bucket_bytes(model.gradient_bytes(), bucket_bytes);
-    overlap_breakdown(
-        base,
-        overlappable_window_s(model, shape),
-        &sizes,
-        shape.devices.len(),
-        link,
-    )
-}
-
 /// Like [`step_time`], but synchronizing over a two-level [`vf_comm::Topology`]
 /// (e.g. the paper's 2×8-GPU testbed), either with a flat ring spanning
 /// both servers or with the hierarchical schedule.
@@ -541,19 +520,6 @@ mod tests {
         );
         assert!(o.buckets > 1);
         assert!(o.hidden_comm_s() > 0.0);
-    }
-
-    #[test]
-    fn input_bound_overlap_keeps_the_gated_compute_phase() {
-        use vf_data::pipeline::InputPipelineModel;
-        let v100 = DeviceProfile::of(DeviceType::V100);
-        let shape = ExecutionShape::homogeneous(v100, 2, 2, 256);
-        let mut starved = InputPipelineModel::paper_imagenet();
-        starved.cpu_workers = 1;
-        let gated = step_time_with_input(&resnet50(), &shape, &link(), &starved);
-        let o = step_time_with_input_overlapped(&resnet50(), &shape, &link(), &starved, 4 << 20);
-        assert_eq!(o.compute_s, gated.compute_s, "input gating carries over");
-        assert!(o.total_s() <= gated.total_s() + 1e-12);
     }
 
     #[test]

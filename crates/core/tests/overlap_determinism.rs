@@ -6,9 +6,7 @@
 //! travels in one bucket or many, so the parameter trajectory must be
 //! byte-identical across every bucket size — and across kernel-pool thread
 //! counts, because the executor merges task outputs in canonical
-//! task order, not completion order. Prefetch double-buffering likewise
-//! only *stages* batches (the producer is a pure function of the step
-//! index), so it must not move a single bit either.
+//! task order, not completion order.
 //!
 //! Like `determinism_threads.rs`, this file is its own process: the first
 //! `set_num_threads(8)` call pins the physical worker set before any kernel
@@ -39,16 +37,13 @@ fn parts(seed: u64) -> (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig) {
     (arch, dataset, config)
 }
 
-/// Trains for [`STEPS`] steps with the given bucket threshold and prefetch
-/// setting, returning every parameter as raw bits plus per-step losses.
-fn train(bucket_bytes: Option<u64>, prefetch: bool) -> (Vec<Vec<u32>>, Vec<f32>) {
+/// Trains for [`STEPS`] steps with the given bucket threshold, returning
+/// every parameter as raw bits plus per-step losses.
+fn train(bucket_bytes: Option<u64>) -> (Vec<Vec<u32>>, Vec<f32>) {
     let (arch, dataset, config) = parts(31);
     let mut trainer =
         Trainer::new(arch, dataset, config, &devices(0..4)).expect("trainer construction");
     trainer.set_bucket_bytes(bucket_bytes);
-    if prefetch {
-        trainer.enable_prefetch();
-    }
     let mut losses = Vec::with_capacity(STEPS);
     for _ in 0..STEPS {
         losses.push(trainer.step().expect("training step").loss);
@@ -62,40 +57,27 @@ fn train(bucket_bytes: Option<u64>, prefetch: bool) -> (Vec<Vec<u32>>, Vec<f32>)
 }
 
 #[test]
-fn trajectory_is_bit_identical_across_bucket_sizes_threads_and_prefetch() {
+fn trajectory_is_bit_identical_across_bucket_sizes_and_threads() {
     pool::set_num_threads(8);
-    // Reference: the unbucketed path (single synchronization, no staging).
-    let (want_params, want_losses) = train(None, false);
+    // Reference: the unbucketed path (single synchronization).
+    let (want_params, want_losses) = train(None);
 
     // Every bucket size must reproduce it exactly: one param per bucket
     // (64 B threshold), a mid grouping, and one bucket for everything.
     for threads in [1usize, 4] {
         pool::set_num_threads(threads);
         for bucket_bytes in [Some(64), Some(256), Some(u64::MAX)] {
-            for prefetch in [false, true] {
-                let (params, losses) = train(bucket_bytes, prefetch);
-                assert_eq!(
-                    losses, want_losses,
-                    "losses diverged: bucket_bytes={bucket_bytes:?} \
-                     prefetch={prefetch} threads={threads}"
-                );
-                assert_eq!(
-                    params, want_params,
-                    "parameters diverged: bucket_bytes={bucket_bytes:?} \
-                     prefetch={prefetch} threads={threads}"
-                );
-            }
+            let (params, losses) = train(bucket_bytes);
+            assert_eq!(
+                losses, want_losses,
+                "losses diverged: bucket_bytes={bucket_bytes:?} threads={threads}"
+            );
+            assert_eq!(
+                params, want_params,
+                "parameters diverged: bucket_bytes={bucket_bytes:?} threads={threads}"
+            );
         }
     }
-}
-
-#[test]
-fn prefetch_alone_matches_synchronous_gather() {
-    pool::set_num_threads(4);
-    let (want_params, want_losses) = train(None, false);
-    let (params, losses) = train(None, true);
-    assert_eq!(losses, want_losses, "prefetch changed a loss");
-    assert_eq!(params, want_params, "prefetch moved the trajectory");
 }
 
 /// Fault-free chaos trajectory for the supervisor comparison below.

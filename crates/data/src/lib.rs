@@ -32,7 +32,6 @@ mod dataset;
 mod error;
 pub mod partitioned;
 pub mod pipeline;
-pub mod prefetch;
 pub mod synthetic;
 
 pub use batching::{DistributionMode, GlobalBatch};

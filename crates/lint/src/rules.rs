@@ -89,7 +89,6 @@ const METRIC_NAME_METHODS: &[&str] = &[
     "set_counter",
     "observe",
     "observe_sketch",
-    "declare_histogram",
     "counter_with",
     "set_counter_with",
     "set_gauge_with",

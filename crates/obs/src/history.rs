@@ -56,8 +56,7 @@ impl HistoryRecord {
     }
 
     /// Builds a record from a [`crate::Metrics`] snapshot: counters widen
-    /// to `f64`, finite gauges copy over, histograms contribute
-    /// `<name>/mean` and `<name>/count`, sketches contribute `<name>/p50`,
+    /// to `f64`, finite gauges copy over, sketches contribute `<name>/p50`,
     /// `<name>/p99`, and `<name>/count`, and labeled families contribute
     /// their bounded-registry accounting (`<name>/series_count`,
     /// `<name>/overflow_samples`, `<name>/counted_drops`,
@@ -68,10 +67,6 @@ impl HistoryRecord {
             match metric {
                 crate::Metric::Counter(c) => rec.set(&name, c as f64),
                 crate::Metric::Gauge(g) => rec.set(&name, g),
-                crate::Metric::Histogram(h) => {
-                    rec.set(&format!("{name}/mean"), h.mean());
-                    rec.set(&format!("{name}/count"), h.total as f64);
-                }
                 crate::Metric::Sketch(s) => {
                     if let Some(p50) = s.quantile(0.50) {
                         rec.set(&format!("{name}/p50"), p50);
@@ -531,12 +526,12 @@ mod tests {
         m.inc("events", 42);
         m.set_gauge("goodput", 0.9);
         m.set_gauge("bad", f64::NAN);
-        m.observe("lat", &[1.0, 2.0], 1.5);
+        m.observe_sketch("lat", 1.5);
         let r = HistoryRecord::from_metrics("b", &m);
         assert_eq!(r.metrics["events"], 42.0);
         assert_eq!(r.metrics["goodput"], 0.9);
-        assert_eq!(r.metrics["lat/mean"], 1.5);
         assert_eq!(r.metrics["lat/count"], 1.0);
+        assert!(r.metrics.contains_key("lat/p50") && r.metrics.contains_key("lat/p99"));
         assert!(!r.metrics.contains_key("bad"));
     }
 }

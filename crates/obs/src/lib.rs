@@ -26,9 +26,9 @@
 //!   hot path neither formats names nor allocates events when tracing is
 //!   off.
 //! * [`Metrics`] — a `BTreeMap`-backed registry of counters, gauges, and
-//!   fixed-bucket histograms whose JSON rendering is deterministic, shared
-//!   by the bench harnesses so `results/BENCH_*.json` and traces speak one
-//!   schema.
+//!   quantile sketches ([`Sketch`], the one distribution type) whose JSON
+//!   rendering is deterministic, shared by the bench harnesses so
+//!   `results/BENCH_*.json` and traces speak one schema.
 //! * [`chrome`] — renders events to Chrome `trace_event` JSONL / JSON.
 //! * [`monitor`] — the *active* layer over the registry: deterministic
 //!   time-series sampling, an alerting rules engine with debounce and
@@ -68,7 +68,7 @@ mod sink;
 
 pub use event::{ArgValue, Event, Phase};
 pub use history::{Baseline, BaselineMetric, Direction, GateOutcome, HistoryRecord};
-pub use metrics::{Histogram, Metric, Metrics, RegistryStats, BYTES_BOUNDS, LATENCY_BOUNDS_S};
+pub use metrics::{Metric, Metrics, RegistryStats};
 pub use scale::{FamilyKind, FamilySnapshot, FamilyValue, Sketch, DEFAULT_CARDINALITY_BUDGET};
 pub use monitor::{default_alert_pack, AlertRule, Monitor};
 pub use profile::Profile;

@@ -1,5 +1,5 @@
-//! A deterministic metrics registry: counters, gauges, and fixed-bucket
-//! histograms.
+//! A deterministic metrics registry: counters, gauges, and quantile
+//! sketches.
 //!
 //! Everything is `BTreeMap`-backed (the workspace's `hash-iteration` lint
 //! forbids hash-ordered collections in library code), so snapshots and the
@@ -12,124 +12,6 @@ use crate::scale::{FamilyKind, FamilySnapshot, FamilyValue, LabeledStore, Sketch
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
-/// Default histogram comb for latencies in seconds: sub-millisecond
-/// through multi-minute, the span of step times, JCTs, and recovery
-/// drills across the workspace.
-pub const LATENCY_BOUNDS_S: &[f64] = &[
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
-];
-
-/// Default histogram comb for byte sizes: 1 KiB through 1 GiB in roughly
-/// 16x steps, the span of gradient buckets and checkpoint shards.
-pub const BYTES_BOUNDS: &[f64] = &[
-    1024.0,
-    65_536.0,
-    1_048_576.0,
-    16_777_216.0,
-    268_435_456.0,
-    1_073_741_824.0,
-];
-
-/// A fixed-bucket histogram: `counts[i]` holds observations `<= bounds[i]`,
-/// with one overflow bucket at the end. Bucket edges are chosen per metric
-/// (latency and byte scales need different combs — see
-/// [`LATENCY_BOUNDS_S`] and [`BYTES_BOUNDS`]) and fixed at first touch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bucket bounds, strictly increasing.
-    pub bounds: Vec<f64>,
-    /// Per-bucket observation counts; `len() == bounds.len() + 1`.
-    pub counts: Vec<u64>,
-    /// Sum of all observed values (non-finite observations excluded).
-    pub sum: f64,
-    /// Total observations, including non-finite ones.
-    pub total: u64,
-}
-
-impl Histogram {
-    /// An empty histogram over the given bucket `bounds` (strictly
-    /// increasing upper edges; one overflow bucket is appended).
-    pub fn with_bounds(bounds: &[f64]) -> Self {
-        Histogram::new(bounds)
-    }
-
-    fn new(bounds: &[f64]) -> Self {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            total: 0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        self.total += 1;
-        if !v.is_finite() {
-            // Non-finite values count toward `total` but stay out of the
-            // buckets and the sum, keeping every exported number finite
-            // (so `total - counts.sum()` is the non-finite count).
-            return;
-        }
-        self.sum += v;
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-    }
-
-    /// Mean of the finite observations, or 0 when none were recorded.
-    pub fn mean(&self) -> f64 {
-        let finite: u64 = self.counts.iter().sum();
-        if finite == 0 {
-            0.0
-        } else {
-            self.sum / finite as f64
-        }
-    }
-
-    /// Number of finite observations (the ones that landed in buckets).
-    pub fn finite_count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Upper-bound quantile estimate from the fixed buckets: the smallest
-    /// bucket bound such that at least `ceil(q * finite_count)` finite
-    /// observations are at or below it. This is the standard conservative
-    /// fixed-bucket estimator — exact when observations sit on bucket
-    /// bounds, an upper bound otherwise.
-    ///
-    /// Returns `None` when no finite observation was recorded. Mass that
-    /// landed in the overflow bucket has no upper bound, so a quantile
-    /// falling there reports `f64::INFINITY` (callers exporting finite
-    /// schemas must handle it; the monitor's series store keeps it and the
-    /// dashboard skips it). `q` is clamped to `[0, 1]`; `q = 0` reports the
-    /// first non-empty bucket's bound.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let finite = self.finite_count();
-        if finite == 0 {
-            return None;
-        }
-        let q = if q.is_finite() { q.clamp(0.0, 1.0) } else { 1.0 };
-        // Rank of the target observation, 1-based; q = 0 still needs one
-        // observation, so the rank floor is 1.
-        let rank = ((q * finite as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return Some(match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => f64::INFINITY, // overflow bucket: unbounded
-                });
-            }
-        }
-        // Unreachable: cum == finite >= rank by construction.
-        None
-    }
-}
-
 /// One metric series.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
@@ -137,8 +19,6 @@ pub enum Metric {
     Counter(u64),
     /// A last-value-wins sample.
     Gauge(f64),
-    /// A fixed-bucket distribution.
-    Histogram(Histogram),
     /// A deterministic relative-error quantile sketch
     /// ([`crate::scale::Sketch`]): bounded state for unbounded streams.
     Sketch(Sketch),
@@ -150,7 +30,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
             Metric::Sketch(_) => "sketch",
         }
     }
@@ -166,7 +45,7 @@ impl Metric {
 /// let m = Metrics::new();
 /// m.inc("steps", 3);
 /// m.set_gauge("gemm.256.fast_gflops", 12.5);
-/// m.observe("speedup", &[1.0, 2.0, 4.0, 8.0], 5.3);
+/// m.observe_sketch("speedup", 5.3);
 /// assert!(m.to_json().contains("\"steps\""));
 /// ```
 #[derive(Debug, Default)]
@@ -249,41 +128,6 @@ impl Metrics {
     /// The current value of series `name`, if present.
     pub fn get(&self, name: &str) -> Option<Metric> {
         self.with(|map| map.get(name).cloned())
-    }
-
-    /// Declares histogram `name` with the given bucket `bounds` without
-    /// observing anything, so a series appears in every snapshot (all-zero
-    /// counts) even on runs where no sample arrives — keeping exported
-    /// schemas stable across quiet and busy runs. A no-op if `name` already
-    /// holds a histogram.
-    pub fn declare_histogram(&self, name: &str, bounds: &[f64]) {
-        self.with(|map| {
-            let metric = map
-                .entry(name.to_string())
-                .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)));
-            if !matches!(metric, Metric::Histogram(_)) {
-                *metric = Metric::Histogram(Histogram::new(bounds));
-            }
-        });
-    }
-
-    /// Observes `value` into histogram `name` with the given bucket
-    /// `bounds` (used on first touch; later calls reuse the existing
-    /// buckets).
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
-        self.with(|map| {
-            let metric = map
-                .entry(name.to_string())
-                .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)));
-            match metric {
-                Metric::Histogram(h) => h.observe(value),
-                other => {
-                    let mut h = Histogram::new(bounds);
-                    h.observe(value);
-                    *other = Metric::Histogram(h);
-                }
-            }
-        });
     }
 
     /// Observes `value` into the deterministic quantile sketch `name`
@@ -481,27 +325,6 @@ fn render_metric_json(metric: &Metric, out: &mut String) {
             push_f64(*g, out);
             out.push('}');
         }
-        Metric::Histogram(h) => {
-            out.push_str("{\"type\":\"histogram\",\"bounds\":[");
-            for (j, b) in h.bounds.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_f64(*b, out);
-            }
-            out.push_str("],\"counts\":[");
-            for (j, c) in h.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push_str("],\"sum\":");
-            push_f64(h.sum, out);
-            out.push_str(",\"total\":");
-            out.push_str(&h.total.to_string());
-            out.push('}');
-        }
         Metric::Sketch(s) => out.push_str(&s.render()),
     }
 }
@@ -534,22 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let m = Metrics::new();
-        let bounds = [1.0, 2.0, 4.0];
-        for v in [0.5, 1.5, 3.0, 100.0, f64::NAN] {
-            m.observe("h", &bounds, v);
-        }
-        let Metric::Histogram(h) = m.snapshot().remove("h").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.counts, vec![1, 1, 1, 1]); // NaN is counted only in total
-        assert_eq!(h.total, 5);
-        assert!(h.sum.is_finite());
-        assert!(h.mean().is_finite());
-    }
-
-    #[test]
     fn json_rendering_is_canonical_and_name_ordered() {
         let m = Metrics::new();
         m.set_gauge("b", 2.0);
@@ -574,55 +381,8 @@ mod tests {
         m.set_gauge("x", 1.0);
         m.inc("x", 2);
         assert_eq!(m.snapshot()["x"], Metric::Counter(2));
-        m.observe("x", &[1.0], 0.5);
-        assert!(matches!(m.snapshot()["x"], Metric::Histogram(_)));
-    }
-
-    #[test]
-    fn empty_histogram_mean_is_zero() {
-        let h = Histogram::new(&[1.0]);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn out_of_range_samples_land_in_edge_buckets() {
-        let m = Metrics::new();
-        let bounds = [0.0, 1.0];
-        // Far below the first bound: the `v <= bounds[0]` bucket.
-        m.observe("h", &bounds, -1e300);
-        // Far above the last bound: the overflow bucket.
-        m.observe("h", &bounds, 1e300);
-        // Exactly on a bound goes to that bound's bucket (<= semantics).
-        m.observe("h", &bounds, 1.0);
-        let Metric::Histogram(h) = m.snapshot().remove("h").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.counts, vec![1, 1, 1]);
-        assert_eq!(h.total, 3);
-        // Extreme-but-finite samples stay in the sum verbatim.
-        assert_eq!(h.sum, -1e300 + 1e300 + 1.0);
-    }
-
-    #[test]
-    fn declared_empty_histogram_renders_all_zero_counts() {
-        let m = Metrics::new();
-        m.declare_histogram("lat", &[1.0, 2.0]);
-        assert_eq!(
-            m.to_json(),
-            r#"{"lat":{"type":"histogram","bounds":[1,2],"counts":[0,0,0],"sum":0,"total":0}}"#
-        );
-        // Declaration is idempotent and never clears observations.
-        m.observe("lat", &[9.0], 1.5);
-        m.declare_histogram("lat", &[1.0, 2.0]);
-        let Metric::Histogram(h) = m.snapshot().remove("lat").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.total, 1);
-        assert_eq!(h.bounds, vec![1.0, 2.0], "original bounds are kept");
-        // But declaring over a non-histogram replaces it, last writer wins.
-        m.set_gauge("g", 1.0);
-        m.declare_histogram("g", &[1.0]);
-        assert!(matches!(m.snapshot()["g"], Metric::Histogram(_)));
+        m.observe_sketch("x", 0.5);
+        assert!(matches!(m.snapshot()["x"], Metric::Sketch(_)));
     }
 
     #[test]
@@ -643,95 +403,6 @@ mod tests {
         m.set_counter("g", 2);
         assert_eq!(m.get("g"), Some(Metric::Counter(2)));
         assert_eq!(m.get("missing"), None);
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantile() {
-        let h = Histogram::new(&[1.0, 2.0]);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.finite_count(), 0);
-        // Only non-finite observations recorded: still no finite mass.
-        let m = Metrics::new();
-        m.observe("h", &[1.0], f64::NAN);
-        let Metric::Histogram(h) = m.snapshot().remove("h").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.quantile(0.99), None);
-    }
-
-    #[test]
-    fn single_bucket_histogram_reports_its_bound_for_every_quantile() {
-        let m = Metrics::new();
-        m.observe("h", &[10.0], 3.0);
-        let Metric::Histogram(h) = m.snapshot().remove("h").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.quantile(0.0), Some(10.0));
-        assert_eq!(h.quantile(0.5), Some(10.0));
-        assert_eq!(h.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn all_mass_in_overflow_bucket_reports_infinity() {
-        let m = Metrics::new();
-        let bounds = [1.0, 2.0];
-        for _ in 0..5 {
-            m.observe("h", &bounds, 100.0);
-        }
-        let Metric::Histogram(h) = m.snapshot().remove("h").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.counts, vec![0, 0, 5]);
-        // The overflow bucket has no upper bound: every quantile is
-        // honestly unbounded rather than clamped to the last bound.
-        assert_eq!(h.quantile(0.5), Some(f64::INFINITY));
-        assert_eq!(h.quantile(0.99), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn quantiles_on_ties_pick_the_conservative_bucket_bound() {
-        let m = Metrics::new();
-        let bounds = [1.0, 2.0, 4.0];
-        // 99 observations in the first bucket, 1 in the second: p99 rank is
-        // ceil(0.99 * 100) = 99, still inside the first bucket; p100 must
-        // step to the second.
-        for _ in 0..99 {
-            m.observe("h", &bounds, 0.5);
-        }
-        m.observe("h", &bounds, 1.5);
-        let Metric::Histogram(h) = m.snapshot().remove("h").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(h.quantile(0.99), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(2.0));
-        // All observations tied on one value: every quantile agrees.
-        let m2 = Metrics::new();
-        for _ in 0..10 {
-            m2.observe("t", &bounds, 2.0);
-        }
-        let Metric::Histogram(t) = m2.snapshot().remove("t").unwrap() else {
-            panic!("histogram expected");
-        };
-        assert_eq!(t.quantile(0.5), Some(2.0));
-        assert_eq!(t.quantile(0.99), Some(2.0));
-        // Non-finite q degrades to the top quantile instead of panicking.
-        assert_eq!(t.quantile(f64::NAN), Some(2.0));
-    }
-
-    #[test]
-    fn with_bounds_supports_per_metric_combs() {
-        // Latency and bytes scales use different combs; both behave
-        // identically mechanically.
-        let mut lat = Histogram::with_bounds(crate::LATENCY_BOUNDS_S);
-        lat.observe(0.003);
-        assert_eq!(lat.quantile(0.5), Some(0.005));
-        let mut by = Histogram::with_bounds(crate::BYTES_BOUNDS);
-        by.observe(2048.0);
-        assert_eq!(by.quantile(0.5), Some(65_536.0));
-        // A custom single-edge comb still honors conservative semantics.
-        let mut h = Histogram::with_bounds(&[7.0]);
-        h.observe(7.0);
-        assert_eq!(h.quantile(1.0), Some(7.0));
     }
 
     #[test]

@@ -98,12 +98,10 @@ pub fn format_prom_value(v: f64) -> String {
 /// Renders the full registry in Prometheus text exposition format, in
 /// canonical name order.
 ///
-/// Histograms render cumulatively (`_bucket{le="..."}` lines, a `+Inf`
-/// bucket, `_sum`, `_count`); `_count` and the `+Inf` bucket both report
-/// the *finite* observation count, consistent with `_sum`, which excludes
-/// non-finite observations by construction. When two raw names sanitize
-/// to the same exposition name only the first emits a `# TYPE` header
-/// (duplicate headers are invalid); both still emit their samples.
+/// Sketches render as summaries (quantile-labeled samples). When two raw
+/// names sanitize to the same exposition name only the first emits a
+/// `# TYPE` header (duplicate headers are invalid); both still emit their
+/// samples.
 pub fn render_prometheus(metrics: &Metrics) -> String {
     let mut out = String::new();
     let mut typed: BTreeSet<String> = BTreeSet::new();
@@ -122,20 +120,6 @@ pub fn render_prometheus(metrics: &Metrics) -> String {
             Metric::Counter(c) => out.push_str(&format!("{name} {c}\n")),
             Metric::Gauge(g) => {
                 out.push_str(&format!("{name} {}\n", format_prom_value(g)));
-            }
-            Metric::Histogram(h) => {
-                let mut cum = 0u64;
-                for (i, &bound) in h.bounds.iter().enumerate() {
-                    cum += h.counts[i];
-                    out.push_str(&format!(
-                        "{name}_bucket{{le=\"{}\"}} {cum}\n",
-                        format_prom_value(bound)
-                    ));
-                }
-                let finite = h.finite_count();
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {finite}\n"));
-                out.push_str(&format!("{name}_sum {}\n", format_prom_value(h.sum)));
-                out.push_str(&format!("{name}_count {finite}\n"));
             }
             Metric::Sketch(s) => render_prom_sketch(&name, "", &s, &mut out),
         }
@@ -382,23 +366,6 @@ mod tests {
         assert!(text.contains("# TYPE train_loss gauge\ntrain_loss NaN\n"), "{text}");
         assert!(text.contains("# TYPE util gauge\nutil +Inf\n"), "{text}");
         assert!(!text.contains("null"), "JSON's null spelling must not leak: {text}");
-    }
-
-    #[test]
-    fn prometheus_histograms_render_cumulative_buckets() {
-        let m = Metrics::new();
-        let bounds = [1.0, 2.0];
-        for v in [0.5, 1.5, 9.0, f64::NAN] {
-            m.observe("lat.ms", &bounds, v);
-        }
-        let text = render_prometheus(&m);
-        let expected = "# TYPE lat_ms histogram\n\
-                        lat_ms_bucket{le=\"1\"} 1\n\
-                        lat_ms_bucket{le=\"2\"} 2\n\
-                        lat_ms_bucket{le=\"+Inf\"} 3\n\
-                        lat_ms_sum 11\n\
-                        lat_ms_count 3\n";
-        assert_eq!(text, expected);
     }
 
     #[test]

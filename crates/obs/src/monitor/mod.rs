@@ -8,7 +8,7 @@
 //! time ticks. Each tick:
 //!
 //! 1. the [`SeriesStore`] samples the registry (counter deltas → windowed
-//!    rates, gauges verbatim, histogram p50/p99),
+//!    rates, gauges verbatim, sketch p50/p99),
 //! 2. the [`AlertEngine`] advances every rule's pending→firing→resolved
 //!    state machine against the sampled series,
 //! 3. transitions are published back as `alerts/*` counters, emitted as
@@ -419,7 +419,7 @@ mod tests {
             for t in 0..50u64 {
                 mon.metrics().set_gauge("train/loss", 1.0 / (t + 1) as f64);
                 mon.metrics().set_counter("train/steps", t);
-                mon.metrics().observe("step_ms", &[1.0, 4.0, 16.0], (t % 5) as f64);
+                mon.metrics().observe_sketch("step_ms", (t % 5) as f64);
                 mon.tick(t as f64);
             }
             (
@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(p1, p2);
         assert_eq!(d1, d2);
         assert_eq!(s1, s2);
-        assert!(p1.contains("# TYPE step_ms histogram"));
+        assert!(p1.contains("# TYPE step_ms summary"));
         assert!(d1.contains("train/steps/rate"), "sampler derives rate series");
     }
 }

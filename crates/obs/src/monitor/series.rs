@@ -10,9 +10,6 @@
 //! * **gauges** — the raw value, *including* non-finite samples: a NaN
 //!   loss is exactly the signal the `train/nonfinite-loss` rule exists to
 //!   see, so the store keeps it and the exporters skip it instead;
-//! * **histograms** — `<name>/p50`, `<name>/p99`, and `<name>/count`
-//!   extracted with [`Histogram::quantile`](crate::Histogram::quantile)
-//!   (a quantile landing in the overflow bucket is honestly `+Inf`);
 //! * **sketches** — `<name>/p50`, `<name>/p99`, and `<name>/count` from
 //!   [`Sketch::quantile`](crate::scale::Sketch::quantile);
 //! * **labeled families** — fleet-level aggregates only (`<name>/sum`
@@ -124,15 +121,6 @@ impl SeriesStore {
                     self.prev_counters.insert(name, c);
                 }
                 Metric::Gauge(g) => self.push(&name, t_us, g, same_tick),
-                Metric::Histogram(h) => {
-                    if let Some(p50) = h.quantile(0.50) {
-                        self.push(&format!("{name}/p50"), t_us, p50, same_tick);
-                    }
-                    if let Some(p99) = h.quantile(0.99) {
-                        self.push(&format!("{name}/p99"), t_us, p99, same_tick);
-                    }
-                    self.push(&format!("{name}/count"), t_us, h.total as f64, same_tick);
-                }
                 Metric::Sketch(s) => {
                     if let Some(p50) = s.quantile(0.50) {
                         self.push(&format!("{name}/p50"), t_us, p50, same_tick);
@@ -313,21 +301,6 @@ mod tests {
         let points = &s.series()["loss"];
         assert_eq!(points[0], (0, 0.5));
         assert!(points[1].1.is_nan(), "the store must keep the NaN sample");
-    }
-
-    #[test]
-    fn histograms_extract_quantiles_and_counts() {
-        let m = Metrics::new();
-        let mut s = SeriesStore::new();
-        let bounds = [1.0, 2.0, 4.0];
-        for v in [0.5, 0.5, 1.5, 100.0] {
-            m.observe("lat", &bounds, v);
-        }
-        s.sample(2_000_000, &m);
-        assert_eq!(s.latest("lat/p50"), Some((2_000_000, 1.0)));
-        let (_, p99) = s.latest("lat/p99").unwrap();
-        assert!(p99.is_infinite(), "p99 sits in the overflow bucket");
-        assert_eq!(s.latest("lat/count"), Some((2_000_000, 4.0)));
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!   compares against;
 //! * [`sim`] — an event-driven cluster simulator replaying job traces,
 //!   with fault-plan-driven capacity timelines;
-//! * [`pool`] — a recycling device pool: failed devices cool down and
-//!   return instead of vanishing;
 //! * [`trace`] — Table 3's workload mix, Figure 12's 3-job trace, and the
 //!   Poisson trace of Figures 13–14;
 //! * [`metrics`] — makespan, JCT, queuing delay, and utilization.
@@ -38,14 +36,12 @@
 pub mod fairness;
 pub mod job;
 pub mod metrics;
-pub mod pool;
 pub mod scheduler;
 pub mod sim;
 pub mod trace;
 
 pub use job::{JobId, JobSpec, JobState};
 pub use metrics::{AllocationSample, TraceMetrics};
-pub use pool::{DevicePool, DeviceState};
 pub use scheduler::{ElasticWfs, Scheduler, StaticPriority, ThroughputOptimizer, WeightPolicy};
 pub use sim::{
     capacity_events_from_faults, run_trace, run_trace_monitored, CapacityEvent, SimConfig,

@@ -37,8 +37,9 @@ done
 echo "== tier 1: chaos smoke (fixed seed, bit-exact under faults) =="
 cargo run --release -q -p vf-bench --bin chaos_bench -- --smoke
 
-echo "== tier 1: overlap smoke (bucketed sync strictly faster in simulated time, bit-exact) =="
+echo "== tier 1: overlap smoke (bucketed sync strictly faster in simulated time, bit-exact, committed JSON regenerates) =="
 cargo run --release -q -p vf-bench --bin overlap_bench -- --smoke
+git diff --exit-code -- results/BENCH_overlap_smoke.json
 
 echo "== tier 1: trace smoke (export byte-identical across pool sizes) =="
 cargo run --release -q -p vf-bench --bin trace_report -- --smoke
