@@ -33,7 +33,7 @@ use crate::vnode::{MigrationPlan, VirtualNodeId, VnMapping};
 use crate::CoreError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vf_data::batching::{shard_indices, BatchPlan, VisitLedger};
+use vf_data::batching::{BatchPlan, VisitLedger};
 use vf_data::partitioned::PartitionedPlan;
 use vf_data::{Dataset, DistributionMode};
 use vf_device::DeviceId;
@@ -44,41 +44,95 @@ use vf_tensor::optim::Optimizer;
 use vf_tensor::reduce;
 use vf_tensor::Tensor;
 
-/// The batch plan in use, depending on the dataset distribution mode.
+/// Which index order an epoch uses, depending on the distribution mode.
 #[derive(Debug, Clone)]
-enum DataPlan {
+enum PlanKind {
     /// Replicated dataset: one global shuffle, sliced into VN shards.
     Replicated(BatchPlan),
     /// Partitioned dataset: per-virtual-node partitions and shuffles.
     Partitioned(PartitionedPlan),
 }
 
+/// The batch plan in use, plus the index order of the epoch being trained.
+///
+/// The order is a pure function of `(plan, epoch)`; it is kept so that a
+/// step looks its shards up in O(batch) instead of reshuffling the whole
+/// dataset. It is keyed by epoch alone — never by "the previous step plus
+/// one" — so a retried step, a restored checkpoint or a jump to any other
+/// step reads exactly what [`BatchPlan::batch_at`] +
+/// [`shard_indices`](vf_data::batching::shard_indices) (or
+/// [`PartitionedPlan::shards_at`]) would return.
+#[derive(Debug, Clone)]
+struct DataPlan {
+    kind: PlanKind,
+    /// Examples per virtual node per step.
+    micro_batch: usize,
+    /// `(epoch, order)`: the epoch permutation (replicated), or every
+    /// partition's permutation back to back in VN order (partitioned).
+    order: Option<(usize, Vec<usize>)>,
+}
+
 impl DataPlan {
+    fn new(config: &TrainerConfig, dataset_len: usize) -> Result<Self, CoreError> {
+        let kind = match config.distribution {
+            DistributionMode::Replicated => PlanKind::Replicated(BatchPlan::new(
+                dataset_len,
+                config.batch_size,
+                config.seed,
+            )?),
+            DistributionMode::Partitioned => PlanKind::Partitioned(PartitionedPlan::new(
+                dataset_len,
+                config.total_vns,
+                config.batch_size,
+                config.seed,
+            )?),
+        };
+        Ok(DataPlan {
+            kind,
+            micro_batch: config.micro_batch(),
+            order: None,
+        })
+    }
+
     fn steps_per_epoch(&self) -> usize {
-        match self {
-            DataPlan::Replicated(p) => p.steps_per_epoch(),
-            DataPlan::Partitioned(p) => p.steps_per_epoch(),
+        match &self.kind {
+            PlanKind::Replicated(p) => p.steps_per_epoch(),
+            PlanKind::Partitioned(p) => p.steps_per_epoch(),
         }
     }
 
-    /// The VN shards at absolute `step`, plus `(epoch, step_in_epoch)`.
-    fn shards_at(
-        &self,
-        step: usize,
-        total_vns: usize,
-    ) -> Result<(usize, usize, Vec<Vec<usize>>), CoreError> {
-        match self {
-            DataPlan::Replicated(p) => {
-                let batch = p.batch_at(step);
-                let shards = shard_indices(&batch.indices, total_vns)?;
-                Ok((batch.epoch, batch.step_in_epoch, shards))
-            }
-            DataPlan::Partitioned(p) => {
-                let spe = p.steps_per_epoch();
-                let (epoch, sie) = (step / spe, step % spe);
-                Ok((epoch, sie, p.shards_at(epoch, sie)))
-            }
+    /// Makes the order of the epoch containing absolute `step` current and
+    /// returns `(epoch, step_in_epoch)`.
+    fn seek(&mut self, step: usize) -> (usize, usize) {
+        let spe = self.steps_per_epoch();
+        let epoch = step / spe;
+        if self.order.as_ref().map(|(e, _)| *e) != Some(epoch) {
+            let order = match &self.kind {
+                PlanKind::Replicated(p) => p.epoch_permutation(epoch),
+                PlanKind::Partitioned(p) => (0..p.num_partitions())
+                    .flat_map(|vn| p.partition_permutation(vn, epoch))
+                    .collect(),
+            };
+            self.order = Some((epoch, order));
         }
+        (epoch, step % spe)
+    }
+
+    /// Virtual node `vn`'s shard at `step_in_epoch` of the epoch last
+    /// [sought](DataPlan::seek).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no epoch was sought yet, or `(step_in_epoch, vn)` lies
+    /// outside it.
+    fn shard(&self, step_in_epoch: usize, vn: usize) -> &[usize] {
+        let order = self.order.as_ref().map_or(&[][..], |(_, o)| o);
+        let m = self.micro_batch;
+        let start = match &self.kind {
+            PlanKind::Replicated(p) => step_in_epoch * p.batch_size() + vn * m,
+            PlanKind::Partitioned(p) => vn * p.partition_len() + step_in_epoch * m,
+        };
+        &order[start..start + m]
     }
 }
 
@@ -175,19 +229,7 @@ impl Trainer {
                 virtual_nodes: config.total_vns,
             });
         }
-        let plan = match config.distribution {
-            DistributionMode::Replicated => DataPlan::Replicated(BatchPlan::new(
-                dataset.len(),
-                config.batch_size,
-                config.seed,
-            )?),
-            DistributionMode::Partitioned => DataPlan::Partitioned(PartitionedPlan::new(
-                dataset.len(),
-                config.total_vns,
-                config.batch_size,
-                config.seed,
-            )?),
-        };
+        let plan = DataPlan::new(&config, dataset.len())?;
         let mapping = VnMapping::balanced(config.total_vns, devices)?;
         let params = arch.init_params(config.seed);
         let optimizer = config.optimizer.build(config.schedule.at(0));
@@ -321,15 +363,13 @@ impl Trainer {
     pub fn step(&mut self) -> Result<StepReport, CoreError> {
         let lr = self.config.schedule.at(self.step);
         self.optimizer.set_learning_rate(lr);
-        let (epoch, step_in_epoch, shards) = self
-            .plan
-            .shards_at(self.step as usize, self.config.total_vns as usize)?;
+        let (epoch, step_in_epoch) = self.plan.seek(self.step as usize);
 
         let StepOutput {
             mut reduced,
             replicas,
             vn_losses,
-        } = self.compute_and_reduce(&shards)?;
+        } = self.compute_and_reduce(step_in_epoch)?;
         if let Some(max_norm) = self.config.clip_norm {
             clip_global_norm(&mut reduced, max_norm);
         }
@@ -342,8 +382,8 @@ impl Trainer {
             if step_in_epoch == 0 {
                 ledger.reset();
             }
-            for shard in &shards {
-                ledger.record(shard);
+            for vn in 0..self.config.total_vns as usize {
+                ledger.record(self.plan.shard(step_in_epoch, vn));
             }
         }
 
@@ -382,10 +422,12 @@ impl Trainer {
     ///
     /// Takes `&self`: a failing device or reduction leaves the trainer
     /// untouched, and [`Trainer::step`] commits the output as a whole.
-    fn compute_and_reduce(&self, shards: &[Vec<usize>]) -> Result<StepOutput, CoreError> {
+    fn compute_and_reduce(&self, step_in_epoch: usize) -> Result<StepOutput, CoreError> {
         let arch = &self.arch;
         let dataset = &self.dataset;
         let params = &self.params;
+        let plan = &self.plan;
+        let total_vns = self.config.total_vns as usize;
         let work: Vec<(DeviceId, &[VirtualNodeId], &StatefulState)> = self
             .replicas
             .iter()
@@ -402,7 +444,7 @@ impl Trainer {
             let mut outputs = Vec::with_capacity(vns.len());
             for vn in vns {
                 let vn = vn.0 as usize;
-                let (x, y) = dataset.gather(&shards[vn])?;
+                let (x, y) = dataset.gather(plan.shard(step_in_epoch, vn))?;
                 let report = arch.grad(params, &mut stateful, &x, &y)?;
                 outputs.push((vn, report.grads, report.loss));
             }
@@ -411,8 +453,8 @@ impl Trainer {
 
         // One gradient column per VN, consumed parameter by parameter.
         let mut vn_grads: Vec<std::vec::IntoIter<Tensor>> =
-            vec![Vec::new().into_iter(); shards.len()];
-        let mut vn_losses = vec![0.0; shards.len()];
+            vec![Vec::new().into_iter(); total_vns];
+        let mut vn_losses = vec![0.0; total_vns];
         let mut replicas = Vec::with_capacity(results.len());
         for result in results {
             let (device, stateful, outputs) = result?;
@@ -715,8 +757,12 @@ impl std::fmt::Debug for Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Mutex;
+    use vf_data::batching::shard_indices;
     use vf_data::synthetic::ClusterTask;
-    use vf_models::Mlp;
+    use vf_models::trainable::GradReport;
+    use vf_models::{Mlp, ModelError};
     use vf_tensor::reduce::ReductionOrder;
 
     fn devices(n: u32) -> Vec<DeviceId> {
@@ -876,20 +922,122 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_continues_identically() {
-        let mut original = make_trainer(8, 2, 21);
-        original.run_steps(5).unwrap();
-        let snapshot = original.to_checkpoint();
-        assert_eq!(snapshot.step, 5);
+        for distribution in [DistributionMode::Replicated, DistributionMode::Partitioned] {
+            let dataset = Arc::new(ClusterTask::easy(21).generate().unwrap());
+            let arch: Arc<dyn Architecture> = Arc::new(Mlp::linear(16, 4));
+            let mut config = TrainerConfig::simple(8, 64, 0.2, 21);
+            config.distribution = distribution;
+            let mut original =
+                Trainer::new(arch.clone(), dataset.clone(), config, &devices(2)).unwrap();
+            original.run_steps(5).unwrap();
+            let snapshot = original.to_checkpoint();
+            assert_eq!(snapshot.step, 5);
+            assert!(!original.at_epoch_boundary(), "the restore lands mid-epoch");
 
-        // Restore onto a different device count and keep training both.
-        let dataset = Arc::new(ClusterTask::easy(21).generate().unwrap());
-        let arch: Arc<dyn Architecture> = Arc::new(Mlp::linear(16, 4));
-        let mut restored =
-            Trainer::from_checkpoint(arch, dataset, snapshot, &devices(8)).unwrap();
-        original.run_steps(4).unwrap();
-        restored.run_steps(4).unwrap();
-        assert_eq!(original.params(), restored.params());
-        assert_eq!(original.steps_done(), restored.steps_done());
+            // Restore onto a different device count and keep training both,
+            // through the rest of the epoch and into the next.
+            let mut restored =
+                Trainer::from_checkpoint(arch, dataset, snapshot, &devices(8)).unwrap();
+            original.run_steps(4).unwrap();
+            restored.run_steps(4).unwrap();
+            assert_eq!(original.params(), restored.params(), "{distribution:?}");
+            assert_eq!(original.steps_done(), restored.steps_done());
+        }
+    }
+
+    /// Records the labels of every micro-batch it is handed. The dataset
+    /// below labels example `i` as `i`, so these are the gathered indices.
+    #[derive(Default)]
+    struct RecordingArch {
+        seen: Mutex<Vec<Vec<usize>>>,
+    }
+
+    impl Architecture for RecordingArch {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn init_params(&self, _seed: u64) -> Vec<Tensor> {
+            vec![Tensor::zeros([1])]
+        }
+
+        fn init_stateful(&self) -> StatefulState {
+            StatefulState::default()
+        }
+
+        fn grad(
+            &self,
+            _params: &[Tensor],
+            _stateful: &mut StatefulState,
+            _features: &Tensor,
+            labels: &[usize],
+        ) -> Result<GradReport, ModelError> {
+            self.seen.lock().unwrap().push(labels.to_vec());
+            Ok(GradReport {
+                grads: vec![Tensor::zeros([1])],
+                loss: 0.0,
+                examples: labels.len(),
+            })
+        }
+
+        fn eval(
+            &self,
+            _params: &[Tensor],
+            _stateful: &StatefulState,
+            _features: &Tensor,
+            _labels: &[usize],
+        ) -> Result<EvalReport, ModelError> {
+            Ok(EvalReport {
+                loss: 0.0,
+                accuracy: 0.0,
+            })
+        }
+    }
+
+    proptest! {
+        /// What a step gathers is the plan, wherever the step counter goes:
+        /// across an epoch wrap, to the same step again (a failed step
+        /// retried), backwards (a restored checkpoint), or anywhere else.
+        /// One device runs its virtual nodes in VN order, so the recorded
+        /// micro-batches line up with the reference shards.
+        #[test]
+        fn prop_a_step_gathers_exactly_the_planned_shards(
+            micro in 1usize..5,
+            vns in 1u32..9,
+            batches in 1usize..5,
+            tail in 0usize..9,
+            seed in any::<u64>(),
+            partitioned in any::<bool>(),
+            jumps in proptest::collection::vec(0usize..40, 1..8),
+        ) {
+            let batch_size = micro * vns as usize;
+            let len = batch_size * batches + tail;
+            let dataset = Dataset::new(Tensor::zeros([len, 1]), (0..len).collect()).unwrap();
+            let mut config = TrainerConfig::simple(vns, batch_size, 0.1, seed);
+            if partitioned {
+                config.distribution = DistributionMode::Partitioned;
+            }
+            let arch = Arc::new(RecordingArch::default());
+            let mut t = Trainer::new(arch.clone(), Arc::new(dataset), config, &devices(1)).unwrap();
+            let spe = t.steps_per_epoch();
+            let mut walk = vec![spe - 1, spe, spe, 0];
+            walk.extend(jumps);
+            for step in walk {
+                t.step = step as u64;
+                arch.seen.lock().unwrap().clear();
+                let report = t.step().unwrap();
+                prop_assert_eq!((report.epoch, report.step_in_epoch), (step / spe, step % spe));
+                let want = if partitioned {
+                    PartitionedPlan::new(len, vns, batch_size, seed)
+                        .unwrap()
+                        .shards_at(step / spe, step % spe)
+                } else {
+                    let batch = BatchPlan::new(len, batch_size, seed).unwrap().batch_at(step);
+                    shard_indices(&batch.indices, vns as usize).unwrap()
+                };
+                prop_assert_eq!(&*arch.seen.lock().unwrap(), &want, "step {}", step);
+            }
+        }
     }
 
     #[test]

@@ -145,10 +145,10 @@ impl BatchPlan {
 ///
 /// # Errors
 ///
-/// Returns [`DataError::IndivisibleBatch`] if the batch does not divide
-/// evenly (the paper uses equally sized virtual nodes throughout).
+/// Returns [`DataError::IndivisibleBatch`] if the batch is empty or does not
+/// divide evenly (the paper uses equally sized virtual nodes throughout).
 pub fn shard_indices(indices: &[usize], shards: usize) -> Result<Vec<Vec<usize>>, DataError> {
-    if shards == 0 || !indices.len().is_multiple_of(shards) {
+    if shards == 0 || indices.is_empty() || !indices.len().is_multiple_of(shards) {
         return Err(DataError::IndivisibleBatch {
             batch_size: indices.len(),
             shards,
@@ -290,6 +290,11 @@ mod tests {
         let idx: Vec<usize> = (0..10).collect();
         assert!(shard_indices(&idx, 3).is_err());
         assert!(shard_indices(&idx, 0).is_err());
+        // An empty batch divides "evenly" into shards of zero examples.
+        assert!(matches!(
+            shard_indices(&[], 4),
+            Err(DataError::IndivisibleBatch { batch_size: 0, shards: 4 })
+        ));
     }
 
     #[test]

@@ -121,9 +121,10 @@ impl Architecture for ConvNet {
         self.check_params(params)?;
         let n = labels.len();
         let mut tape = Tape::new();
-        let vars: Vec<_> = params.iter().map(|p| tape.leaf(p.clone())).collect();
-        let x = tape.constant(features.clone());
-        let x = tape.reshape(x, [n, self.channels, self.height, self.width])?;
+        let vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
+        // The one copy of the micro-batch: a constant needs no reshape node
+        // to route a gradient back through.
+        let x = tape.constant(features.reshape([n, self.channels, self.height, self.width])?);
         let mut h = tape.conv2d(x, vars[0])?;
         h = tape.relu(h);
         for block in 0..self.blocks {

@@ -131,8 +131,8 @@ impl Architecture for ResidualMlp {
     ) -> Result<GradReport, ModelError> {
         self.check_params(params)?;
         let mut tape = Tape::new();
-        let vars: Vec<_> = params.iter().map(|p| tape.leaf(p.clone())).collect();
-        let x = tape.constant(features.clone());
+        let vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
+        let x = tape.constant(features);
         let mut h = tape.matmul(x, vars[0])?;
         h = tape.add_bias(h, vars[1])?;
         let seed = Self::data_seed(labels);

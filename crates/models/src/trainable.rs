@@ -295,11 +295,8 @@ impl Architecture for Mlp {
         self.check_params(params)?;
         self.check_stateful(stateful)?;
         let mut tape = Tape::new();
-        let mut param_vars = Vec::with_capacity(params.len());
-        for p in params {
-            param_vars.push(tape.leaf(p.clone()));
-        }
-        let mut h = tape.constant(features.clone());
+        let param_vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
+        let mut h = tape.constant(features);
         let mut pi = 0;
         for layer in 0..self.hidden.len() {
             let w = param_vars[pi];
@@ -314,13 +311,9 @@ impl Architecture for Mlp {
                 let (out, mean, var) = tape.batch_norm(h, gamma, beta, self.bn_eps)?;
                 h = out;
                 // Update the moving statistics (the "stateful kernel").
-                let m = self.bn_momentum;
-                let mov_mean = &mut stateful.tensors_mut()[2 * layer];
-                mov_mean.scale_assign(m);
-                mov_mean.add_assign(&mean.scale(1.0 - m))?;
-                let mov_var = &mut stateful.tensors_mut()[2 * layer + 1];
-                mov_var.scale_assign(m);
-                mov_var.add_assign(&var.scale(1.0 - m))?;
+                let moving = stateful.tensors_mut();
+                update_moving(&mut moving[2 * layer], tape.value(mean), self.bn_momentum)?;
+                update_moving(&mut moving[2 * layer + 1], tape.value(var), self.bn_momentum)?;
             }
             h = match self.activation {
                 Activation::Relu => tape.relu(h),
@@ -387,6 +380,23 @@ impl Architecture for Mlp {
         let accuracy = ops::accuracy(&logits, labels)?;
         Ok(EvalReport { loss, accuracy })
     }
+}
+
+/// `moving ← m·moving + (1 − m)·batch` in place: the two products and the
+/// sum are rounded separately, exactly as `scale_assign(m)` followed by
+/// `add_assign(&batch.scale(1 − m))` rounds them.
+fn update_moving(moving: &mut Tensor, batch: &Tensor, m: f32) -> Result<(), ModelError> {
+    if moving.shape() != batch.shape() {
+        return Err(ModelError::Tensor(vf_tensor::TensorError::ShapeMismatch {
+            expected: batch.len(),
+            actual: moving.len(),
+            context: "Mlp::grad moving statistics",
+        }));
+    }
+    for (mov, &stat) in moving.data_mut().iter_mut().zip(batch.data()) {
+        *mov = *mov * m + stat * (1.0 - m);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,6 +7,18 @@
 //! each device thread builds a fresh tape per virtual node, while long-lived
 //! parameters live outside the tape as plain [`Tensor`]s.
 //!
+//! A fresh tape per virtual node is affordable because the tape copies
+//! nothing it only reads. [`Tape::leaf`] and [`Tape::constant`] take either a
+//! `&Tensor` — the parameters and the gathered micro-batch, which outlive
+//! the tape (that is its lifetime parameter) — or an owned `Tensor`; labels
+//! are borrowed the same way. What a tape owns is what it computed: the
+//! forward value of every interior node, and during [`Tape::backward`] the
+//! gradient of an interior node from the moment its last consumer wrote it
+//! until the node itself has been differentiated. That gradient is then
+//! handed on by move where it passes through unchanged (`add_bias`, `add`,
+//! `reshape`) and dropped otherwise, so [`Gradients`] holds leaf gradients
+//! only and at most the live frontier of the graph is in memory at once.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,12 +31,14 @@
 //! let loss = tape.softmax_cross_entropy(h, &[0])?;
 //! let grads = tape.backward(loss)?;
 //! assert!(grads.get(w).is_some());
+//! assert!(grads.get(h).is_none()); // interior gradients are not kept
 //! # Ok::<(), vf_tensor::TensorError>(())
 //! ```
 
 use crate::ops;
 use crate::tensor::Tensor;
 use crate::TensorError;
+use std::borrow::Cow;
 
 /// A handle to a node on a [`Tape`].
 ///
@@ -33,14 +47,17 @@ use crate::TensorError;
 pub struct Var(usize);
 
 /// Gradients produced by [`Tape::backward`], indexed by [`Var`].
+///
+/// Only [leaves](Tape::leaf) have one: the backward pass consumes the
+/// gradient of every interior node as it differentiates it.
 #[derive(Debug)]
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// The gradient of the loss with respect to `var`, if `var` influenced
-    /// the loss and requires gradients.
+    /// The gradient of the loss with respect to `var`, if `var` is a leaf
+    /// that influenced the loss.
     pub fn get(&self, var: Var) -> Option<&Tensor> {
         self.grads.get(var.0).and_then(|g| g.as_ref())
     }
@@ -51,7 +68,7 @@ impl Gradients {
     }
 }
 
-enum Op {
+enum Op<'a> {
     Leaf,
     Constant,
     Matmul(Var, Var),
@@ -68,7 +85,7 @@ enum Op {
     SumAll(Var),
     SoftmaxCrossEntropy {
         logits: Var,
-        labels: Vec<usize>,
+        labels: &'a [usize],
         probs: Tensor,
     },
     Mse {
@@ -79,8 +96,8 @@ enum Op {
         input: Var,
         gamma: Var,
         beta: Var,
-        mean: Tensor,
-        var_: Tensor,
+        mean: Var,
+        var_: Var,
         eps: f32,
     },
     LayerNorm {
@@ -103,24 +120,35 @@ enum Op {
     },
 }
 
-struct Node {
-    value: Tensor,
-    op: Op,
+struct Node<'a> {
+    value: Cow<'a, Tensor>,
+    op: Op<'a>,
     needs_grad: bool,
 }
 
-/// A reverse-mode autodiff tape.
+/// Room for the stand-in models' graphs (16–24 nodes), so the node vector is
+/// allocated once per tape instead of grown through 4, 8, 16 and 32.
+const NODE_CAPACITY: usize = 32;
+
+/// A reverse-mode autodiff tape over tensors and labels borrowed for `'a`.
 ///
 /// See the [module documentation](self) for usage.
-#[derive(Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'a> {
+    nodes: Vec<Node<'a>>,
 }
 
-impl Tape {
+impl Default for Tape<'_> {
+    fn default() -> Self {
+        Tape::new()
+    }
+}
+
+impl<'a> Tape<'a> {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Tape { nodes: Vec::new() }
+        Tape {
+            nodes: Vec::with_capacity(NODE_CAPACITY),
+        }
     }
 
     /// Number of nodes recorded so far.
@@ -133,13 +161,15 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Records a differentiable leaf (a parameter).
-    pub fn leaf(&mut self, value: Tensor) -> Var {
+    /// Records a differentiable leaf (a parameter), borrowed (`&Tensor`) or
+    /// owned (`Tensor`).
+    pub fn leaf(&mut self, value: impl Into<Cow<'a, Tensor>>) -> Var {
         self.push(value, Op::Leaf, true)
     }
 
-    /// Records a non-differentiable input (data, labels-as-tensors, …).
-    pub fn constant(&mut self, value: Tensor) -> Var {
+    /// Records a non-differentiable input (data, labels-as-tensors, …),
+    /// borrowed (`&Tensor`) or owned (`Tensor`).
+    pub fn constant(&mut self, value: impl Into<Cow<'a, Tensor>>) -> Var {
         self.push(value, Op::Constant, false)
     }
 
@@ -152,7 +182,7 @@ impl Tape {
         &self.nodes[var.0].value
     }
 
-    fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
+    fn push(&mut self, value: impl Into<Cow<'a, Tensor>>, op: Op<'a>, needs_grad: bool) -> Var {
         let needs_grad = needs_grad
             || match &op {
                 Op::Leaf => true,
@@ -181,7 +211,7 @@ impl Tape {
                 Op::GlobalAvgPool { input } | Op::Reshape { input } => self.needs(*input),
             };
         self.nodes.push(Node {
-            value,
+            value: value.into(),
             op,
             needs_grad,
         });
@@ -294,14 +324,14 @@ impl Tape {
     pub fn softmax_cross_entropy(
         &mut self,
         logits: Var,
-        labels: &[usize],
+        labels: &'a [usize],
     ) -> Result<Var, TensorError> {
         let (loss, probs) = ops::softmax_cross_entropy(self.value(logits), labels)?;
         Ok(self.push(
             Tensor::scalar(loss),
             Op::SoftmaxCrossEntropy {
                 logits,
-                labels: labels.to_vec(),
+                labels,
                 probs,
             },
             false,
@@ -321,9 +351,10 @@ impl Tape {
     /// Batch normalization over rows using the *batch* statistics of `input`
     /// (training mode), with learnable `gamma`/`beta`.
     ///
-    /// Returns the output var and the `(mean, var)` batch statistics so the
-    /// caller can update its moving averages — the "stateful kernel" whose
-    /// migration semantics §5.1 of the paper discusses.
+    /// Returns the output var and the `(mean, var)` batch statistics as two
+    /// constant nodes (read them with [`Tape::value`]), so the caller can
+    /// update its moving averages — the "stateful kernel" whose migration
+    /// semantics §5.1 of the paper discusses.
     ///
     /// # Errors
     ///
@@ -335,7 +366,7 @@ impl Tape {
         gamma: Var,
         beta: Var,
         eps: f32,
-    ) -> Result<(Var, Tensor, Tensor), TensorError> {
+    ) -> Result<(Var, Var, Var), TensorError> {
         let (mean, var_) = ops::batch_stats(self.value(input));
         let out = ops::batch_norm_apply(
             self.value(input),
@@ -345,14 +376,15 @@ impl Tape {
             self.value(beta),
             eps,
         )?;
+        let (mean, var_) = (self.constant(mean), self.constant(var_));
         let v = self.push(
             out,
             Op::BatchNorm {
                 input,
                 gamma,
                 beta,
-                mean: mean.clone(),
-                var_: var_.clone(),
+                mean,
+                var_,
                 eps,
             },
             false,
@@ -460,14 +492,19 @@ impl Tape {
         grads[loss.0] = Some(Tensor::scalar(1.0));
 
         for id in (0..=loss.0).rev() {
-            let Some(gout) = grads[id].clone() else {
-                continue;
-            };
-            if !self.nodes[id].needs_grad {
+            let node = &self.nodes[id];
+            // A leaf's slot is the result; a constant's is never written.
+            if !node.needs_grad || matches!(node.op, Op::Leaf | Op::Constant) {
                 continue;
             }
-            match &self.nodes[id].op {
-                Op::Leaf | Op::Constant => {}
+            // Every consumer of `id` has a higher index and has already run,
+            // so the slot is final: take it, and let it drop (or move on)
+            // once this node is differentiated.
+            let Some(gout) = grads[id].take() else {
+                continue;
+            };
+            match &node.op {
+                Op::Leaf | Op::Constant => {} // skipped above
                 Op::Matmul(a, b) => {
                     // y = a·b  →  da = g·bᵀ, db = aᵀ·g. The NT/TN GEMM
                     // variants consume the operands in their stored layout,
@@ -484,29 +521,36 @@ impl Tape {
                     }
                 }
                 Op::AddBias(a, bias) => {
+                    // `db` is read off `gout` before `gout` moves on to `a`;
+                    // the slots are still written `a` first, then `bias`.
+                    let db = if self.needs(*bias) {
+                        Some(reshape_like(ops::sum_rows(&gout), self.value(*bias))?)
+                    } else {
+                        None
+                    };
                     if self.needs(*a) {
-                        accumulate(&mut grads, *a, gout.clone())?;
+                        accumulate(&mut grads, *a, gout)?;
                     }
-                    if self.needs(*bias) {
-                        let db = ops::sum_rows(&gout);
-                        let db = reshape_like(db, self.value(*bias))?;
+                    if let Some(db) = db {
                         accumulate(&mut grads, *bias, db)?;
                     }
                 }
-                Op::Add(a, b) => {
-                    if self.needs(*a) {
+                Op::Add(a, b) => match (self.needs(*a), self.needs(*b)) {
+                    (true, true) => {
                         accumulate(&mut grads, *a, gout.clone())?;
+                        accumulate(&mut grads, *b, gout)?;
                     }
-                    if self.needs(*b) {
-                        accumulate(&mut grads, *b, gout.clone())?;
-                    }
-                }
+                    (true, false) => accumulate(&mut grads, *a, gout)?,
+                    (false, true) => accumulate(&mut grads, *b, gout)?,
+                    (false, false) => {}
+                },
                 Op::Sub(a, b) => {
+                    let db = self.needs(*b).then(|| gout.scale(-1.0));
                     if self.needs(*a) {
-                        accumulate(&mut grads, *a, gout.clone())?;
+                        accumulate(&mut grads, *a, gout)?;
                     }
-                    if self.needs(*b) {
-                        accumulate(&mut grads, *b, gout.scale(-1.0))?;
+                    if let Some(db) = db {
+                        accumulate(&mut grads, *b, db)?;
                     }
                 }
                 Op::Mul(a, b) => {
@@ -594,7 +638,7 @@ impl Tape {
                     let x = self.value(*input);
                     let (m, n) = x.shape().as_rows_cols();
                     let gd = gout.data();
-                    let (md, vd) = (mean.data(), var_.data());
+                    let (md, vd) = (self.value(*mean).data(), self.value(*var_).data());
                     let gamma_d = self.value(*gamma).data();
                     // Recompute x̂ from saved batch stats.
                     let mut xhat = vec![0.0f32; m * n];
@@ -733,7 +777,7 @@ impl Tape {
                 }
                 Op::Reshape { input } => {
                     if self.needs(*input) {
-                        let gi = gout.reshape(self.value(*input).shape().clone())?;
+                        let gi = reshape_like(gout, self.value(*input))?;
                         accumulate(&mut grads, *input, gi)?;
                     }
                 }
@@ -753,13 +797,14 @@ fn accumulate(grads: &mut [Option<Tensor>], var: Var, g: Tensor) -> Result<(), T
     }
 }
 
-/// Matmul promotes rank-1 operands to rank-2; restore the original shape of
-/// the operand when accumulating its gradient.
+/// Gives `g` the shape of `like`, keeping its buffer: matmul promotes rank-1
+/// operands to rank-2 (restore the operand's shape when accumulating its
+/// gradient), and a reshape node's gradient is reshaped back.
 fn reshape_like(g: Tensor, like: &Tensor) -> Result<Tensor, TensorError> {
     if g.shape() == like.shape() {
         Ok(g)
     } else {
-        g.reshape(like.shape().clone())
+        Tensor::from_vec(g.into_vec(), like.shape().clone())
     }
 }
 
@@ -834,13 +879,13 @@ mod tests {
     fn cross_entropy_gradients_pass_finite_difference() {
         let w = init::normal(&mut init::rng(4), [3, 4], 0.0, 0.5);
         let x = init::normal(&mut init::rng(5), [6, 3], 0.0, 1.0);
-        let labels = vec![0usize, 1, 2, 3, 0, 1];
+        let labels: &[usize] = &[0, 1, 2, 3, 0, 1];
         grad_check(
             &w,
             &move |tape, wv| {
                 let xv = tape.constant(x.clone());
                 let h = tape.matmul(xv, wv).unwrap();
-                tape.softmax_cross_entropy(h, &labels).unwrap()
+                tape.softmax_cross_entropy(h, labels).unwrap()
             },
             1e-2,
         );
@@ -850,13 +895,13 @@ mod tests {
     fn bias_gradients_pass_finite_difference() {
         let b = init::normal(&mut init::rng(6), [4], 0.0, 0.5);
         let x = init::normal(&mut init::rng(7), [5, 4], 0.0, 1.0);
-        let labels = vec![0usize, 1, 2, 3, 0];
+        let labels: &[usize] = &[0, 1, 2, 3, 0];
         grad_check(
             &b,
             &move |tape, bv| {
                 let xv = tape.constant(x.clone());
                 let h = tape.add_bias(xv, bv).unwrap();
-                tape.softmax_cross_entropy(h, &labels).unwrap()
+                tape.softmax_cross_entropy(h, labels).unwrap()
             },
             1e-2,
         );
@@ -1014,7 +1059,7 @@ mod tests {
         let w = init::normal(&mut init::rng(42), [2, 3], 0.0, 0.5);
         let x = init::normal(&mut init::rng(43), [3, 1, 4, 4], 0.0, 1.0);
         let k = init::normal(&mut init::rng(44), [2, 1, 3, 3], 0.0, 0.5);
-        let labels = vec![0usize, 1, 2];
+        let labels: &[usize] = &[0, 1, 2];
         grad_check(
             &w,
             &move |tape, wv| {
@@ -1024,7 +1069,7 @@ mod tests {
                 let h = tape.relu(h);
                 let pooled = tape.global_avg_pool(h).unwrap();
                 let logits = tape.matmul(pooled, wv).unwrap();
-                tape.softmax_cross_entropy(logits, &labels).unwrap()
+                tape.softmax_cross_entropy(logits, labels).unwrap()
             },
             1e-2,
         );
@@ -1106,6 +1151,107 @@ mod tests {
         let l = tape.mean_all(y);
         let grads = tape.backward(l).unwrap();
         assert_eq!(grads.get(w).unwrap().data(), &[1.0, 1.0]);
+    }
+
+    /// The bit patterns of the gradients of `leaves`, concatenated.
+    fn grad_bits(grads: &Gradients, leaves: &[Var]) -> Vec<u32> {
+        leaves
+            .iter()
+            .flat_map(|&v| grads.get(v).unwrap().data())
+            .map(|g| g.to_bits())
+            .collect()
+    }
+
+    // The three graphs below are where the backward pass hands a gradient on
+    // by move instead of copying it. Each slot under test receives three
+    // contributions — float addition commutes but does not associate, so
+    // only three or more pin the order — and the expected bits are what the
+    // clone-every-node backward pass of PR 16 produced.
+
+    const DIAMOND: [u32; 12] = [
+        0xbf22401a, 0x400eb644, 0x3ea77b25, 0xbff6ce9f,
+        0x3eeb7562, 0xbd1d8a55, 0xbf2e8bbd, 0xbf91c229,
+        0x3ecb0def, 0xbe889126, 0xbf1f3535, 0xbea544ae,
+    ];
+    const SHARED: [u32; 4] = [
+        0xbee51048, 0x41033372, 0x40544841, 0xc01c3019,
+    ];
+    const FILLED: [u32; 8] = [
+        0xbeb90fe4, 0x40b6edbd, 0xbd29fc45, 0x40a4b111,
+        0xc085400c, 0xc107ab7a, 0xbf01c7d7, 0x3fa23758,
+    ];
+
+    #[test]
+    fn diamond_accumulates_in_consumer_order() {
+        // h feeds two matmuls and the residual add; its slot is written by
+        // the add (a moved-or-cloned pass-through), then by each matmul.
+        let x = init::normal(&mut init::rng(50), [3, 2], 0.0, 1.0);
+        let w1 = init::normal(&mut init::rng(51), [2, 2], 0.5, 1.0);
+        let w2 = init::normal(&mut init::rng(52), [2, 2], 0.0, 1.0);
+        let w3 = init::normal(&mut init::rng(53), [2, 2], 0.0, 1.0);
+        let k = init::normal(&mut init::rng(54), [3, 2], 0.0, 1.0);
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let (w1v, w2v, w3v) = (tape.leaf(w1.clone()), tape.leaf(w2.clone()), tape.leaf(w3.clone()));
+        let kv = tape.constant(k.clone());
+        let h = tape.matmul(xv, w1v).unwrap();
+        let h = tape.tanh(h);
+        let o2 = tape.matmul(h, w2v).unwrap();
+        let o3 = tape.matmul(h, w3v).unwrap();
+        let o3 = tape.tanh(o3);
+        let s = tape.add(o2, o3).unwrap();
+        let y = tape.add(h, s).unwrap();
+        let weighted = tape.mul(y, kv).unwrap();
+        let loss = tape.sum_all(weighted);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grad_bits(&grads, &[w1v, w2v, w3v]), DIAMOND);
+    }
+
+    #[test]
+    fn leaf_shared_by_three_ops_accumulates_in_reverse_tape_order() {
+        let w = init::normal(&mut init::rng(60), [2, 2], 0.0, 1.0);
+        let k = init::normal(&mut init::rng(64), [3, 2], 0.0, 1.0);
+        let mut tape = Tape::new();
+        let wv = tape.leaf(w.clone());
+        let kv = tape.constant(k.clone());
+        let mut sum = None;
+        for seed in 61..64 {
+            let xv = tape.constant(init::normal(&mut init::rng(seed), [3, 2], 0.0, 1.0));
+            let y = tape.matmul(xv, wv).unwrap();
+            sum = Some(match sum {
+                None => y,
+                Some(s) => tape.add(s, y).unwrap(),
+            });
+        }
+        let weighted = tape.mul(sum.unwrap(), kv).unwrap();
+        let loss = tape.sum_all(weighted);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grad_bits(&grads, &[wv]), SHARED);
+    }
+
+    #[test]
+    fn add_bias_accumulates_into_an_already_filled_input_slot() {
+        // `a` is read by add_bias and then by tanh and gelu, which sit later
+        // on the tape and so fill a's slot before add_bias's gradient — a
+        // pass-through that must be added, not moved — arrives.
+        let x = init::normal(&mut init::rng(70), [4, 3], 0.0, 1.0);
+        let w = init::normal(&mut init::rng(71), [3, 2], 0.0, 1.0);
+        let b = init::normal(&mut init::rng(72), [2], 0.0, 1.0);
+        let k = init::normal(&mut init::rng(73), [4, 2], 0.0, 1.0);
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let (wv, bv) = (tape.leaf(w.clone()), tape.leaf(b.clone()));
+        let kv = tape.constant(k.clone());
+        let a = tape.matmul(xv, wv).unwrap();
+        let ab = tape.add_bias(a, bv).unwrap();
+        let t = tape.tanh(a);
+        let u = tape.gelu(a);
+        let s = tape.add(ab, t).unwrap();
+        let y = tape.add(s, u).unwrap();
+        let weighted = tape.mul(y, kv).unwrap();
+        let loss = tape.sum_all(weighted);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grad_bits(&grads, &[wv, bv]), FILLED);
     }
 
     #[test]

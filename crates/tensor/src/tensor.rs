@@ -10,6 +10,7 @@
 use crate::shape::Shape;
 use crate::TensorError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
@@ -395,6 +396,20 @@ impl Tensor {
         let mut dims = vec![rows];
         dims.extend_from_slice(trailing);
         Tensor::from_vec(data, dims)
+    }
+}
+
+// Borrowed-or-owned tensors, as `autograd::Tape::leaf`/`constant` accept them
+// (std has no blanket `From<&T> for Cow<T>`).
+impl From<Tensor> for Cow<'_, Tensor> {
+    fn from(t: Tensor) -> Self {
+        Cow::Owned(t)
+    }
+}
+
+impl<'a> From<&'a Tensor> for Cow<'a, Tensor> {
+    fn from(t: &'a Tensor) -> Self {
+        Cow::Borrowed(t)
     }
 }
 

@@ -13,6 +13,9 @@ cargo test -q
 echo "== tier 1: tensor tests (debug profile, pool-race sanitizer armed) =="
 cargo test -q -p vf-tensor
 
+echo "== tier 1: data + trainer tests (planned shards, step allocations, step atomicity, thread/bucket determinism) =="
+cargo test -q -p vf-data -p vf-core
+
 echo "== tier 1: workspace invariants (vf-lint, semantic passes + JSON report) =="
 cargo run -q -p vf-lint -- --deny --json
 
@@ -28,8 +31,9 @@ cargo test --release -q --manifest-path perf_bench/Cargo.toml
 echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =="
 cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
 
-echo "== tier 1: figure byte-identity (scheduler + conv): figures regenerate to the committed bytes =="
-for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro; do
+echo "== tier 1: figure byte-identity (scheduler + conv + trainer-driven MLP/BN): figures regenerate to the committed bytes =="
+for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro \
+    tab01_resnet_repro tab02_bert_repro fig02_rte_finetune fig07_bert_curves fig08_resnet_curves ablate_noise_scale; do
     cargo run --release -q -p vf-bench --bin "$bin" > /dev/null
     git diff --exit-code -- "results/$bin.json" "results/$bin.txt"
 done
