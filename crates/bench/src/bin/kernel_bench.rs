@@ -1,6 +1,8 @@
 //! Kernel microbenchmarks: blocked/SIMD GEMM and the packed convolution
 //! lowering (forward and both gradients) versus the seed's naive loops, and
-//! the convolutions as a share of the GEMM rate measured in the same process.
+//! the convolutions and the virtual-node GEMM shapes (transposed layouts,
+//! micro-batch-8 calls) as a share of the GEMM rate measured in the same
+//! process.
 //!
 //! Dependency-free on purpose (`std::time::Instant`, no criterion): this is
 //! the harness that substantiates the kernel layer's headline numbers, so it
@@ -141,12 +143,11 @@ fn main() -> Result<(), vf_tensor::TensorError> {
         }));
     }
 
-    // Convolution rates are also reported as a share of the 256³ GEMM rate:
-    // the same microkernel on the same machine, so the ratio is what the
-    // lowering's packing and folding cost, whatever the host. A shared host
+    // Everything below is also reported as a share of the 256³ GEMM rate:
+    // the same microkernel on the same machine, so the ratio is what packing,
+    // folding and per-call set-up cost, whatever the host. A shared host
     // changes speed from second to second, so the GEMM is timed again next
-    // to each convolution shape. The last shape is perf_bench's `train_conv`
-    // trunk layer.
+    // to each shape.
     let gemm_256_gflops = {
         let mut rng = init::rng(256);
         let a = init::normal(&mut rng, [256, 256], 0.0, 1.0);
@@ -158,6 +159,49 @@ fn main() -> Result<(), vf_tensor::TensorError> {
             2.0 * 256f64.powi(3) / t / 1e9
         }
     };
+
+    // The virtual-node shapes, `m×k×n`: one `train_dense` layer at
+    // micro-batch 128 in the three layouts a step runs it in (forward,
+    // `dH = dY·Wᵀ`, `dW = Xᵀ·dY`) and `train_many_vn`'s micro-batch-8 call,
+    // where set-up outweighs the FMAs. Tiny calls are timed in runs long
+    // enough for the clock to resolve.
+    type Gemm = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+    let vn_shapes: [(&str, Gemm, [usize; 3]); 4] = [
+        ("nn_128x512x512", gemm::matmul, [128, 512, 512]),
+        ("nt_128x512x512", gemm::matmul_nt, [128, 512, 512]),
+        ("tn_512x128x512", gemm::matmul_tn, [512, 128, 512]),
+        ("nn_8x32x32", gemm::matmul, [8, 32, 32]),
+    ];
+    let mut shape_json = Vec::new();
+    for (name, kernel, [m, k, n]) in vn_shapes {
+        let mut rng = init::rng((m * k * n) as u64);
+        let a = init::normal(&mut rng, [m * k], 0.0, 1.0);
+        let b = init::normal(&mut rng, [k * n], 0.0, 1.0);
+        let calls = ((1usize << 22) / (m * k * n)).max(1);
+        let t = time_secs(64, || {
+            for _ in 0..calls {
+                std::hint::black_box(kernel(a.data(), b.data(), m, k, n));
+            }
+        });
+        let gf_fast = 2.0 * (calls * m * k * n) as f64 / t / 1e9;
+        let share = gf_fast / gemm_256_gflops();
+        rows.push(vec![
+            format!("gemm {name}"),
+            "-".into(),
+            format!("{gf_fast:.2}"),
+            "-".into(),
+            format!("{:.0}%", 100.0 * share),
+        ]);
+        metrics.set_gauge(&format!("gemm/{name}/fast_gflops"), gf_fast);
+        metrics.set_gauge(&format!("gemm/{name}/vs_gemm256"), share);
+        shape_json.push(serde_json::json!({
+            "shape": name,
+            "fast_gflops": gf_fast,
+            "vs_gemm256": share,
+        }));
+    }
+
+    // The last convolution shape is perf_bench's `train_conv` trunk layer.
     let mut conv_json = Vec::new();
     for &(n, c, hw) in &[(4usize, 8usize, 32usize), (8, 16, 64), (16, 16, 16)] {
         let mut rng = init::rng((n * c * hw) as u64);
@@ -257,6 +301,7 @@ fn main() -> Result<(), vf_tensor::TensorError> {
         &serde_json::json!({
             "threads": pool::num_threads(),
             "gemm": gemm_json,
+            "gemm_shapes": shape_json,
             "conv": conv_json,
             "metrics": metrics_json,
         }),

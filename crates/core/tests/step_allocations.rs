@@ -66,26 +66,67 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-const VNS: u32 = 64;
-const MICRO_BATCH: usize = 8;
+/// One trainer shape: `Mlp input-hidden-classes` stepped as `vns` virtual
+/// nodes of `micro_batch` examples on 4 devices.
+struct Workload {
+    input: usize,
+    hidden: &'static [usize],
+    classes: usize,
+    batch_norm: bool,
+    vns: u32,
+    micro_batch: usize,
+}
 
-/// Allocator calls one step of this shape may make per virtual node (gather,
+/// perf_bench's `train_many_vn`: kernels are tiny, so the per-VN overhead —
+/// gather, tape, backward, bookkeeping — is the step.
+const MANY_VN: Workload = Workload {
+    input: 32,
+    hidden: &[32],
+    classes: 8,
+    batch_norm: true,
+    vns: 64,
+    micro_batch: 8,
+};
+
+/// perf_bench's `train_dense`: eight GEMMs a VN over 512-wide layers, so a
+/// pack buffer or a zero-filled output per call shows up in the bytes.
+const DENSE: Workload = Workload {
+    input: 256,
+    hidden: &[512, 512],
+    classes: 32,
+    batch_norm: false,
+    vns: 8,
+    micro_batch: 128,
+};
+
+/// Allocator calls one step of [`MANY_VN`] may make per virtual node (gather,
 /// tape, backward, and the step's own bookkeeping spread over the 64 VNs).
-/// Measured: 3 938 a step (3 936 in release builds) = 61.5 per VN, so the
-/// budget has 7 % slack. (When every VN still copied the parameters, its
-/// micro-batch and each node's gradient: 7 461 a step, 116.6 per VN.)
-const CALLS_PER_VN_BUDGET: u64 = 66;
+/// Measured: 2 010 a step (2 008 in release builds) = 31.4 per VN, so the
+/// budget has 8 % slack. What is left is one allocation per tensor an op
+/// produces — its data. (When every GEMM call still allocated two pack
+/// buffers and every `Shape` a heap word: 3 938 a step, 61.5 per VN; when
+/// every VN also copied the parameters, its micro-batch and each node's
+/// gradient: 7 461 a step, 116.6 per VN.)
+const CALLS_PER_VN_BUDGET: u64 = 34;
 
-/// `(calls, bytes)` of the third step of the `train_many_vn` shape — `Mlp
-/// 32-[32]-8` with batch norm, 64 VNs of micro-batch 8 on 4 devices — over a
-/// dataset of `dataset_len` examples. Step 0 builds the epoch's order and
-/// the optimizer's state; by step 2 the trainer is in steady state, and
-/// 4 096 / 512 = 8 steps an epoch keeps it clear of an epoch change.
-fn third_step_allocations(dataset_len: usize) -> (u64, u64) {
+/// What one step of [`DENSE`] may ask of the allocator. Measured: 264 calls
+/// and 35.8 MB in release builds; debug builds add the pool-race
+/// sanitizer's claim set, two calls per pool job, for 400. With a packed
+/// copy of `B`, a packed `A` block and a zero-filled output per GEMM call it
+/// was 560 calls (release) and 62.7 MB.
+const DENSE_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 440 } else { 300 };
+const DENSE_BYTES_BUDGET: u64 = 40_000_000;
+
+/// `(calls, bytes)` of the third step of `shape` over a dataset of
+/// `dataset_len` examples. Step 0 builds the epoch's order and the
+/// optimizer's state and grows each thread's pack scratch to its working
+/// size; by step 2 the trainer is in steady state, and at least 8 steps an
+/// epoch keep it clear of an epoch change.
+fn third_step_allocations(shape: &Workload, dataset_len: usize) -> (u64, u64) {
     let dataset = ClusterTask {
         num_examples: dataset_len,
-        dim: 32,
-        num_classes: 8,
+        dim: shape.input,
+        num_classes: shape.classes,
         separation: 1.0,
         spread: 1.0,
         label_noise: 0.1,
@@ -93,8 +134,14 @@ fn third_step_allocations(dataset_len: usize) -> (u64, u64) {
     }
     .generate()
     .expect("generates");
-    let arch = Arc::new(Mlp::new(32, vec![32], 8).with_batch_norm());
-    let config = TrainerConfig::simple(VNS, VNS as usize * MICRO_BATCH, 0.05, 5);
+    let mlp = Mlp::new(shape.input, shape.hidden.to_vec(), shape.classes);
+    let arch = Arc::new(if shape.batch_norm {
+        mlp.with_batch_norm()
+    } else {
+        mlp
+    });
+    let batch = shape.vns as usize * shape.micro_batch;
+    let config = TrainerConfig::simple(shape.vns, batch, 0.05, 5);
     let devices: Vec<DeviceId> = (0..4).map(DeviceId).collect();
     let mut trainer = Trainer::new(arch, Arc::new(dataset), config, &devices).expect("trainer");
     trainer.run_steps(2).expect("warm-up");
@@ -113,16 +160,23 @@ fn third_step_allocations(dataset_len: usize) -> (u64, u64) {
 #[test]
 fn a_step_allocates_by_the_batch_not_by_the_dataset() {
     pool::set_num_threads(1);
-    let small = third_step_allocations(4_096);
-    let large = third_step_allocations(65_536);
+    let small = third_step_allocations(&MANY_VN, 4_096);
+    let large = third_step_allocations(&MANY_VN, 65_536);
     assert_eq!(
         small, large,
         "(calls, bytes) of one step over 4 096 vs 65 536 examples"
     );
     assert!(
-        small.0 <= CALLS_PER_VN_BUDGET * u64::from(VNS),
+        small.0 <= CALLS_PER_VN_BUDGET * u64::from(MANY_VN.vns),
         "{} allocator calls a step = {:.1} per VN, budget {CALLS_PER_VN_BUDGET} per VN",
         small.0,
-        small.0 as f64 / f64::from(VNS)
+        small.0 as f64 / f64::from(MANY_VN.vns)
+    );
+
+    let (calls, bytes) = third_step_allocations(&DENSE, 8_192);
+    assert!(
+        calls <= DENSE_CALLS_BUDGET && bytes <= DENSE_BYTES_BUDGET,
+        "a dense step made {calls} allocator calls for {bytes} bytes, \
+         budget {DENSE_CALLS_BUDGET} calls and {DENSE_BYTES_BUDGET} bytes"
     );
 }

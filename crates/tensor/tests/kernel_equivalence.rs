@@ -6,10 +6,20 @@
 //! naive reference kernels retained in `gemm::reference` and
 //! `conv::reference`. These properties drive random shapes through both
 //! paths under thread counts 1, 2, and 8 and compare with `==` (no
-//! tolerance) — the convolutions by bit pattern, so NaN payloads and the
-//! sign of zero count too. Chunking is varied inside one process via
+//! tolerance). Chunking is varied inside one process via
 //! `pool::set_num_threads`, which only changes how work is partitioned —
 //! never per-element FLOP order.
+//!
+//! Where operands carry special values the comparison is by bit pattern, so
+//! ±0, ±∞ and subnormals count — with one exception. Against a *reference*
+//! every NaN compares as one canonical NaN ([`value_bits`]): Rust leaves the
+//! sign and payload of a NaN produced by arithmetic unspecified, and the
+//! optimizer may commute the operands of the reference's `+`/`mul_add`, so
+//! under `--release` the reference and the microkernel legitimately disagree
+//! on a NaN's sign bit (x86 propagates the first NaN operand's). *That* an
+//! element is NaN is the contract; which NaN is not. Where one code path is
+//! compared with itself — thread counts here, device counts in the trainer's
+//! determinism tests — the comparison stays exact, NaN bits included.
 
 use proptest::prelude::*;
 use vf_tensor::{conv, gemm, init, pool, Tensor};
@@ -23,8 +33,21 @@ fn tensor(dims: [usize; 2], seed: u64) -> Tensor {
     init::normal(&mut init::rng(seed), dims, 0.0, 1.0)
 }
 
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|v| v.to_bits()).collect()
+/// Bit patterns for comparing a fast kernel against a reference: every NaN
+/// maps to the one canonical pattern, everything else — ±0, ±∞, subnormals
+/// — to its own bits. See the module doc for why NaNs are not compared
+/// bit for bit across two code paths.
+fn value_bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+        .collect()
+}
+
+/// Exact bit patterns, NaNs included: for comparing one code path with
+/// itself.
+fn exact_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Overwrites every `every`-th element with NaN, ±∞, ±0 in rotation.
@@ -62,21 +85,39 @@ fn check_conv(
         sprinkle_specials(&mut kern, 5);
         sprinkle_specials(&mut g, 11);
     }
-    let want_fwd = bits(&conv::reference::conv2d(&x, &kern).unwrap());
-    let want_gi = bits(&conv::reference::conv2d_grad_input(&g, &kern).unwrap());
-    let want_gk = bits(&conv::reference::conv2d_grad_kernel(&x, &g, kh, kw).unwrap());
+    let want_fwd = value_bits(conv::reference::conv2d(&x, &kern).unwrap().data());
+    let want_gi = value_bits(
+        conv::reference::conv2d_grad_input(&g, &kern)
+            .unwrap()
+            .data(),
+    );
+    let want_gk = value_bits(
+        conv::reference::conv2d_grad_kernel(&x, &g, kh, kw)
+            .unwrap()
+            .data(),
+    );
+    // The same lowering under another chunking must agree with itself to
+    // the bit, NaN signs and payloads included.
+    let mut first: Option<[Vec<u32>; 3]> = None;
     for t in THREADS {
         pool::set_num_threads(t);
         let what =
             format!("n={n} ic={ic} oc={oc} {h}x{w} k{kh}x{kw} special={special} threads={t}");
-        if bits(&conv::conv2d(&x, &kern).unwrap()) != want_fwd {
+        let fwd = conv::conv2d(&x, &kern).unwrap();
+        let gi = conv::conv2d_grad_input(&g, &kern).unwrap();
+        let gk = conv::conv2d_grad_kernel(&x, &g, kh, kw).unwrap();
+        if value_bits(fwd.data()) != want_fwd {
             return Err(format!("conv2d {what}"));
         }
-        if bits(&conv::conv2d_grad_input(&g, &kern).unwrap()) != want_gi {
+        if value_bits(gi.data()) != want_gi {
             return Err(format!("grad_input {what}"));
         }
-        if bits(&conv::conv2d_grad_kernel(&x, &g, kh, kw).unwrap()) != want_gk {
+        if value_bits(gk.data()) != want_gk {
             return Err(format!("grad_kernel {what}"));
+        }
+        let exact = [fwd, gi, gk].map(|t| exact_bits(t.data()));
+        if *first.get_or_insert_with(|| exact.clone()) != exact {
+            return Err(format!("thread counts disagree: {what}"));
         }
     }
     Ok(())
@@ -89,6 +130,78 @@ fn check_conv(
 #[test]
 fn conv2d_at_the_benchmark_shape_is_bitwise_equal_to_reference() {
     check_conv([16, 16, 16, 16, 16], (3, 3), 2022, false).unwrap();
+}
+
+/// The layouts — of `nn`, `nt`, `tn` — in which the fast kernel and its
+/// reference differ on one seeded `m×k×n` problem. Empty is the contract.
+fn gemm_mismatches(m: usize, k: usize, n: usize, seed: u64) -> Vec<String> {
+    type Gemm = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+    let layouts: [(&str, Gemm, Gemm); 3] = [
+        ("nn", gemm::matmul, gemm::reference::matmul),
+        ("nt", gemm::matmul_nt, gemm::reference::matmul_nt),
+        ("tn", gemm::matmul_tn, gemm::reference::matmul_tn),
+    ];
+    // `m·k` and `k·n` values: each layout reads them in its own order.
+    let a = tensor([m, k], seed);
+    let b = tensor([k, n], seed.wrapping_add(1));
+    layouts
+        .iter()
+        .filter(|(_, fast, reference)| {
+            fast(a.data(), b.data(), m, k, n) != reference(a.data(), b.data(), m, k, n)
+        })
+        .map(|(name, ..)| format!("{name} {m}x{k}x{n}"))
+        .collect()
+}
+
+/// Shapes the random properties below are too small to reach: panel
+/// boundaries that fall mid-row-block on every tile geometry, chunks of
+/// several row blocks walking several panels, and packs larger than the
+/// scratch a thread retains between calls (264·520 + 520·32 elements is
+/// 600 KiB at one chunk), which are allocated for the call and given back.
+#[test]
+fn gemm_across_panel_boundaries_and_past_the_retained_scratch() {
+    for t in THREADS {
+        pool::set_num_threads(t);
+        // The last call finds the scratch cut back after the oversized one.
+        for (m, k, n) in [(19, 70, 45), (67, 33, 97), (264, 520, 40), (13, 9, 35)] {
+            assert_eq!(gemm_mismatches(m, k, n, 1), [""; 0], "threads={t}");
+        }
+    }
+}
+
+/// Pack scratch is reused, never cleared: a GEMM over NaN operands leaves
+/// its thread's scratch full of NaN, and the small ragged ones that follow
+/// on the same thread — every tile partial, so most of what the microkernel
+/// reads is padding — must not see any of it. All are below the parallel
+/// threshold, so all run on this thread.
+#[test]
+fn a_gemm_inherits_nothing_from_the_previous_call_on_its_thread() {
+    let (m, k, n) = (40, 40, 40);
+    let poison = vec![f32::NAN; m * k];
+    for op in [gemm::matmul, gemm::matmul_nt, gemm::matmul_tn] {
+        assert!(op(&poison, &poison, m, k, n).iter().all(|v| v.is_nan()));
+        for (m, k, n) in [(3, 5, 7), (9, 1, 33), (1, 13, 2)] {
+            assert_eq!(gemm_mismatches(m, k, n, 11), [""; 0]);
+        }
+    }
+}
+
+/// A GEMM issued from inside a pool task — the trainer's shape: device
+/// tasks fan out, each runs its virtual nodes' kernels. Small ones run
+/// whole on the task's thread, large ones submit a nested job that the
+/// task's thread helps drain; either way each chunk packs into the scratch
+/// of whichever thread runs it.
+#[test]
+fn gemm_nested_in_a_pool_task_is_bitwise_equal_to_reference() {
+    let shapes = [(8, 32, 32), (5, 9, 40), (72, 64, 96)];
+    for t in THREADS {
+        pool::set_num_threads(t);
+        let mismatches = pool::parallel_tasks(6, |task| {
+            let (m, k, n) = shapes[task % shapes.len()];
+            gemm_mismatches(m, k, n, task as u64)
+        });
+        assert_eq!(mismatches.concat(), [""; 0], "threads={t}");
+    }
 }
 
 proptest! {
@@ -191,14 +304,15 @@ proptest! {
                 *v = specials[(i / 4) % specials.len()];
             }
         }
-        let want = gemm::reference::matmul(a.data(), b.data(), m, k, n);
+        let want = value_bits(&gemm::reference::matmul(a.data(), b.data(), m, k, n));
+        let single = exact_bits(&gemm::matmul(a.data(), b.data(), m, k, n));
         for t in THREADS {
             pool::set_num_threads(t);
             let got = gemm::matmul(a.data(), b.data(), m, k, n);
-            // NaN != NaN, so compare bit patterns.
-            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&got_bits, &want_bits, "special {}x{}x{} threads={}", m, k, n, t);
+            // NaN != NaN, so compare bit patterns: canonical NaN against
+            // the reference, exact against the fast path itself.
+            prop_assert_eq!(&value_bits(&got), &want, "special {}x{}x{} threads={}", m, k, n, t);
+            prop_assert_eq!(&exact_bits(&got), &single, "special {}x{}x{} threads={}", m, k, n, t);
         }
     }
 }

@@ -13,6 +13,9 @@ cargo test -q
 echo "== tier 1: tensor tests (debug profile, pool-race sanitizer armed) =="
 cargo test -q -p vf-tensor
 
+echo "== tier 1: tensor tests (release profile: the codegen the benchmarks run) =="
+cargo test --release -q -p vf-tensor
+
 echo "== tier 1: data + trainer tests (planned shards, step allocations, step atomicity, thread/bucket determinism) =="
 cargo test -q -p vf-data -p vf-core
 
