@@ -2,11 +2,13 @@
 //!
 //! Runs the full `vf-lint` audit (per-file rules plus the semantic passes
 //! of DESIGN.md §16), appends a `lint_gate` record — error and
-//! semantic-finding counts, waivers, files scanned, analysis wall time —
+//! semantic-finding counts, waivers, files scanned, the public-surface
+//! counts (`pub_items`, `uncalled_pub`), analysis wall time —
 //! to `results/BENCH_history.jsonl`, and exits nonzero on any error. The
 //! committed `results/BENCH_baseline.json` pins `lint_gate/errors` and
 //! `lint_gate/semantic_findings` at zero with zero tolerance, so
-//! `bench_gate` fails the build if a finding ever lands, while `wall_ms`
+//! `bench_gate` fails the build if a finding ever lands, and pins `waived`,
+//! `pub_items` and `uncalled_pub` so they may only fall, while `wall_ms`
 //! stays ungated (wall clock must never flake tier-1) but is recorded for
 //! trend-watching as the analyzed workspace grows.
 //!
@@ -55,13 +57,18 @@ fn main() -> ExitCode {
     rec.set("semantic_findings", semantic_findings as f64);
     rec.set("waived", outcome.waived as f64);
     rec.set("files_scanned", outcome.files_scanned as f64);
+    rec.set("pub_items", outcome.pub_items as f64);
+    rec.set("uncalled_pub", outcome.uncalled_pub.len() as f64);
     rec.set("wall_ms", wall_ms);
     append_history(&rec);
 
     println!(
         "{} file(s) analyzed in {wall_ms:.0} ms: {errors} error(s) \
-         ({semantic_findings} semantic), {} waived",
-        outcome.files_scanned, outcome.waived
+         ({semantic_findings} semantic), {} waived; {} public item(s), {} uncalled",
+        outcome.files_scanned,
+        outcome.waived,
+        outcome.pub_items,
+        outcome.uncalled_pub.len()
     );
     if errors > 0 {
         for d in &outcome.diagnostics {

@@ -1,16 +1,16 @@
-//! All-reduce: numeric reduction and communication cost model.
+//! All-reduce: the communication cost model.
 //!
 //! VirtualFlow synchronizes gradients once per step via a Horovod-style ring
-//! all-reduce (paper §2.3, §5). This module provides:
+//! all-reduce (paper §2.3, §5). The numeric reduction lives in
+//! `vf_tensor::reduce`, which the trainer calls directly; this module prices
+//! it:
 //!
-//! * [`allreduce`] — the numeric operation over simulated workers' tensors,
-//!   reduced in a fixed worker-rank order so results are deterministic;
 //! * [`ring_allreduce_time_s`] — the standard α–β cost model for a ring
-//!   all-reduce, used by the step-time simulator.
+//!   all-reduce, used by the step-time simulator;
+//! * [`split_bucket_bytes`] — the fixed gradient-bucket split behind the
+//!   overlapped schedule.
 
 use serde::{Deserialize, Serialize};
-use vf_tensor::reduce::{self, ReductionOrder};
-use vf_tensor::{Tensor, TensorError};
 
 /// Network link characteristics between workers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,28 +79,6 @@ pub fn split_bucket_bytes(total: u64, bucket: u64) -> Vec<u64> {
     out
 }
 
-/// Numerically reduces each worker's tensor to their mean, in worker-rank
-/// order.
-///
-/// Every worker receives the same result, mirroring all-reduce semantics.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] when `parts` is empty or
-/// [`TensorError::ShapeMismatch`] if workers disagree on shape.
-pub fn allreduce(parts: &[Tensor], order: ReductionOrder) -> Result<Tensor, TensorError> {
-    reduce::reduce_mean(parts, order, None)
-}
-
-/// Numerically sums each worker's tensor, in worker-rank order.
-///
-/// # Errors
-///
-/// Same as [`allreduce`].
-pub fn allreduce_sum(parts: &[Tensor], order: ReductionOrder) -> Result<Tensor, TensorError> {
-    reduce::reduce_sum(parts, order, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,23 +121,6 @@ mod tests {
         let t8 = ring_allreduce_time_s(1, 8, &l);
         assert!((t4 - 6.0e-3).abs() < 1e-9);
         assert!((t8 - 14.0e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn allreduce_returns_the_mean() {
-        let parts = vec![
-            Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap(),
-            Tensor::from_vec(vec![3.0, 6.0], [2]).unwrap(),
-        ];
-        let r = allreduce(&parts, ReductionOrder::Tree).unwrap();
-        assert_eq!(r.data(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn allreduce_sum_matches_manual_sum() {
-        let parts: Vec<Tensor> = (0..5).map(|i| Tensor::full([3], i as f32)).collect();
-        let r = allreduce_sum(&parts, ReductionOrder::Sequential).unwrap();
-        assert_eq!(r.data(), &[10.0, 10.0, 10.0]);
     }
 
     #[test]

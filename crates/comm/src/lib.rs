@@ -5,10 +5,18 @@
 //! VirtualFlow (MLSys 2022) uses Horovod as the "narrow waist" that connects
 //! a *changing* set of worker processes. This crate stands in for it with:
 //!
-//! * [`allreduce`] — deterministic numeric all-reduce plus the standard α–β
-//!   ring cost model used by the step-time simulator;
+//! * [`allreduce`] — the standard α–β ring cost model used by the step-time
+//!   simulator, and the fixed gradient-bucket split;
+//! * [`topology`] — two-level (intra-/inter-node) topologies and the
+//!   hierarchical all-reduce cost;
 //! * [`membership`] — an elastic worker group with generations and the
-//!   asynchronous-bootstrap join protocol of paper §5.
+//!   asynchronous-bootstrap join protocol of paper §5;
+//! * [`chaos`] — seeded per-collective fault draws (timeout, abort,
+//!   straggler) and the retry loop that prices them.
+//!
+//! No tensor passes through here: the numeric reduction is
+//! `vf_tensor::reduce`, called by the trainer, and this crate models what
+//! moving those bytes costs and who is in the ring.
 //!
 //! ## Example
 //!

@@ -173,13 +173,6 @@ impl ElasticGroup {
         }
     }
 
-    /// The earliest pending bootstrap completion, if any.
-    pub fn next_ready_time(&self) -> Option<f64> {
-        self.bootstrapping.values().copied().fold(None, |acc, t| {
-            Some(acc.map_or(t, |a: f64| a.min(t)))
-        })
-    }
-
     /// Seconds of whole-group idleness a resize at `now_s` costs under the
     /// given policy: blocking joins stall everyone for the longest pending
     /// bootstrap; async joins cost nothing.
@@ -270,15 +263,6 @@ mod tests {
         g.request_join(w(1), 0.0, 7.0);
         assert_eq!(g.stall_time_s(BootstrapPolicy::Async, 2.0), 0.0);
         assert!((g.stall_time_s(BootstrapPolicy::Blocking, 2.0) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn next_ready_time_is_minimum() {
-        let mut g = ElasticGroup::new([w(0)]);
-        assert!(g.next_ready_time().is_none());
-        g.request_join(w(1), 0.0, 9.0);
-        g.request_join(w(2), 0.0, 4.0);
-        assert_eq!(g.next_ready_time(), Some(4.0));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! intra-server interconnect. [`Topology`] models a two-level cluster and
 //! prices the standard hierarchical schedule: reduce within each node,
 //! ring-all-reduce one shard per node across nodes, then broadcast within
-//! nodes. Additional collectives (broadcast, all-gather) price the
-//! parameter transfer that elastic joins perform.
+//! nodes.
 
 use crate::allreduce::{ring_allreduce_time_s, LinkProfile};
 use serde::{Deserialize, Serialize};
@@ -75,32 +74,6 @@ impl Topology {
         let inter = ring_allreduce_time_s(bytes, nodes_used, &self.inter);
         intra + inter
     }
-
-    /// Time to broadcast `bytes` from one GPU to `receivers` others over
-    /// the given link (pipelined chain).
-    pub fn broadcast_time_s(bytes: u64, receivers: usize, link: &LinkProfile) -> f64 {
-        if receivers == 0 {
-            return 0.0;
-        }
-        // Pipelined chain: latency per hop, bandwidth paid once.
-        receivers as f64 * link.latency_s + bytes as f64 / link.bandwidth
-    }
-
-    /// Time for an all-gather of `bytes` per worker across `workers`.
-    pub fn allgather_time_s(bytes: u64, workers: usize, link: &LinkProfile) -> f64 {
-        if workers <= 1 {
-            return 0.0;
-        }
-        let n = workers as f64;
-        (n - 1.0) * (link.latency_s + bytes as f64 / link.bandwidth)
-    }
-
-    /// Time for a joining worker to fetch a model of `bytes` from a peer on
-    /// this topology's inter-server link (the §7 fault-tolerance path:
-    /// parameters come from a healthy worker, not a checkpoint store).
-    pub fn model_fetch_time_s(&self, bytes: u64) -> f64 {
-        Self::broadcast_time_s(bytes, 1, &self.inter)
-    }
 }
 
 #[cfg(test)]
@@ -152,24 +125,5 @@ mod tests {
             t.hierarchical_allreduce_time_s(1 << 20, 64),
             t.hierarchical_allreduce_time_s(1 << 20, 16)
         );
-    }
-
-    #[test]
-    fn broadcast_is_cheaper_than_allgather_at_scale() {
-        let link = LinkProfile::paper_testbed();
-        let bytes = 10 << 20;
-        let b = Topology::broadcast_time_s(bytes, 8, &link);
-        let g = Topology::allgather_time_s(bytes, 8, &link);
-        assert!(b < g);
-        assert_eq!(Topology::broadcast_time_s(bytes, 0, &link), 0.0);
-        assert_eq!(Topology::allgather_time_s(bytes, 1, &link), 0.0);
-    }
-
-    #[test]
-    fn model_fetch_prices_one_transfer() {
-        let t = testbed();
-        // 440 MB of BERT-BASE parameters over 2 GB/s ≈ 0.22 s.
-        let s = t.model_fetch_time_s(440 << 20);
-        assert!((0.2..0.3).contains(&s), "{s}");
     }
 }

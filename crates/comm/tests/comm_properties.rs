@@ -1,10 +1,8 @@
 //! Property-based tests for the communication substrate.
 
 use proptest::prelude::*;
-use vf_comm::allreduce::{allreduce, ring_allreduce_time_s, LinkProfile};
+use vf_comm::allreduce::{ring_allreduce_time_s, LinkProfile};
 use vf_comm::{BootstrapPolicy, ElasticGroup, Topology, WorkerId};
-use vf_tensor::reduce::ReductionOrder;
-use vf_tensor::{init, Tensor};
 
 proptest! {
     /// Ring all-reduce cost is monotone in bytes and nonnegative; a single
@@ -32,31 +30,6 @@ proptest! {
         if gpus > topo.gpus_per_node {
             prop_assert!(hier < flat, "crossing nodes must strictly win");
         }
-    }
-
-    /// The numeric all-reduce returns the exact mean for integer-valued
-    /// tensors, in every reduction order.
-    #[test]
-    fn numeric_allreduce_means_integers(n in 1usize..9, len in 1usize..17) {
-        let parts: Vec<Tensor> = (0..n)
-            .map(|i| Tensor::full([len], (i * 2) as f32))
-            .collect();
-        let expected = (0..n).map(|i| (i * 2) as f32).sum::<f32>() / n as f32;
-        for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
-            let r = allreduce(&parts, order).unwrap();
-            // n*(n-1) is even, so the mean is exactly representable here
-            // only when it is an integer or half-integer; compare to f32 sum.
-            prop_assert!(r.data().iter().all(|&v| (v - expected).abs() < 1e-4));
-        }
-    }
-
-    /// Numeric all-reduce of identical tensors is the identity.
-    #[test]
-    fn allreduce_of_identical_parts_is_identity(n in 1usize..9, seed in any::<u64>()) {
-        let t = init::normal(&mut init::rng(seed), [8], 0.0, 1.0);
-        let parts = vec![t.clone(); n];
-        let r = allreduce(&parts, ReductionOrder::Tree).unwrap();
-        prop_assert!(r.approx_eq(&t, 1e-5));
     }
 
     /// Membership: any interleaving of joins/leaves/admissions keeps the

@@ -140,13 +140,6 @@ impl ChaosConfig {
             store: None,
         }
     }
-
-    /// Routes checkpoints through a durable store (see
-    /// [`ChaosConfig::store`]).
-    pub fn with_store(mut self, store: StoreConfig) -> Self {
-        self.store = Some(store);
-        self
-    }
 }
 
 /// Everything a chaos run observed, for reports and assertions.

@@ -17,7 +17,6 @@
 //! * [`hetero`] — proportional VN packing over mixed device types (§7).
 //! * [`fault`] — failure recovery by VN reassignment (§7).
 //! * [`chaos`] — a supervisor that survives continuous fault injection.
-//! * [`modelpar`] — model-parallel partitioning by virtual node (§7).
 //!
 //! ## Example
 //!
@@ -44,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autoscale;
 pub mod chaos;
 pub mod checkpoint;
 pub mod diagnostics;
@@ -54,7 +52,6 @@ mod error;
 pub mod fault;
 pub mod hetero;
 pub mod memory_model;
-pub mod modelpar;
 pub mod overlap;
 pub mod perf_model;
 pub mod vnode;

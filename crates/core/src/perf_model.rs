@@ -161,30 +161,6 @@ pub fn throughput(model: &ModelProfile, shape: &ExecutionShape, link: &LinkProfi
     shape.global_batch() as f64 / t
 }
 
-/// Like [`step_time`], but with the host input pipeline modeled: each
-/// virtual node's compute overlaps the production of the *next* virtual
-/// node's micro-batch (double-buffered prefetch, Figure 3/5), so per wave
-/// the slower of GPU compute and input production governs.
-pub fn step_time_with_input(
-    model: &ModelProfile,
-    shape: &ExecutionShape,
-    link: &LinkProfile,
-    input: &vf_data::pipeline::InputPipelineModel,
-) -> StepTimeBreakdown {
-    let flops_per_vn = model.flops_forward_per_example * shape.micro_batch as f64;
-    let mut t = step_time(model, shape, link);
-    let mut compute_s: f64 = 0.0;
-    for &(profile, vns) in &shape.devices {
-        let pass = cost::forward_time_s(&profile, flops_per_vn)
-            + cost::backward_time_s(&profile, flops_per_vn);
-        // Each device has its own share of the host pipeline.
-        let gated = input.overlapped_phase_s(pass, shape.micro_batch);
-        compute_s = compute_s.max(gated * vns as f64);
-    }
-    t.compute_s = compute_s;
-    t
-}
-
 /// The backward time of the device that gates the compute phase (the
 /// slowest device) — the overlappable tail of the last wave.
 fn overlappable_window_s(model: &ModelProfile, shape: &ExecutionShape) -> f64 {
@@ -381,26 +357,6 @@ mod tests {
             &link(),
         );
         assert!(t.sync_s > 0.5 * t.compute_s);
-    }
-
-    #[test]
-    fn input_pipeline_is_hidden_for_heavy_models_and_binds_light_ones() {
-        use vf_data::pipeline::InputPipelineModel;
-        let v100 = DeviceProfile::of(DeviceType::V100);
-        let imagenet = InputPipelineModel::paper_imagenet();
-        // ResNet-50 at micro-batch 256: GPU pass ≈ 63 ms vs input ≈ 80 ms
-        // with 8 workers — tight; with 32 workers the pipeline hides.
-        let shape = ExecutionShape::homogeneous(v100, 1, 2, 256);
-        let plain = step_time(&resnet50(), &shape, &link());
-        let mut fat_host = imagenet;
-        fat_host.cpu_workers = 32;
-        let hidden = step_time_with_input(&resnet50(), &shape, &link(), &fat_host);
-        assert!((hidden.compute_s - plain.compute_s).abs() / plain.compute_s < 1e-9);
-        // With a single worker, training is input-bound and slower.
-        let mut starved = imagenet;
-        starved.cpu_workers = 1;
-        let bound = step_time_with_input(&resnet50(), &shape, &link(), &starved);
-        assert!(bound.compute_s > 2.0 * plain.compute_s);
     }
 
     #[test]

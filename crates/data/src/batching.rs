@@ -132,11 +132,6 @@ impl BatchPlan {
         let spe = self.steps_per_epoch();
         self.batch(step / spe, step % spe)
     }
-
-    /// Iterates over the batches of one epoch.
-    pub fn epoch_batches(&self, epoch: usize) -> impl Iterator<Item = GlobalBatch> + '_ {
-        (0..self.steps_per_epoch()).map(move |s| self.batch(epoch, s))
-    }
 }
 
 /// Splits a global batch's indices into `shards` equally sized virtual node
@@ -249,8 +244,8 @@ mod tests {
     fn one_epoch_covers_each_example_once_when_divisible() {
         let plan = BatchPlan::new(60, 12, 1).unwrap();
         let mut ledger = VisitLedger::new(60);
-        for b in plan.epoch_batches(0) {
-            ledger.record(&b.indices);
+        for s in 0..plan.steps_per_epoch() {
+            ledger.record(&plan.batch(0, s).indices);
         }
         assert!(ledger.exactly_once());
     }
@@ -260,8 +255,8 @@ mod tests {
         let plan = BatchPlan::new(65, 12, 1).unwrap();
         assert_eq!(plan.steps_per_epoch(), 5);
         let mut ledger = VisitLedger::new(65);
-        for b in plan.epoch_batches(0) {
-            ledger.record(&b.indices);
+        for s in 0..plan.steps_per_epoch() {
+            ledger.record(&plan.batch(0, s).indices);
         }
         // 60 visited once, 5 dropped.
         assert_eq!(ledger.violations(1).len(), 5);

@@ -1,6 +1,7 @@
 //! # vf-data
 //!
-//! Datasets and input pipelines for the VirtualFlow reproduction.
+//! Datasets, batch plans and virtual-node sharding for the VirtualFlow
+//! reproduction.
 //!
 //! The paper trains on ImageNet, GLUE, CIFAR-10 and WMT; this crate replaces
 //! them with seeded synthetic tasks ([`synthetic`]) whose convergence-relevant
@@ -31,7 +32,6 @@ pub mod batching;
 mod dataset;
 mod error;
 pub mod partitioned;
-pub mod pipeline;
 pub mod synthetic;
 
 pub use batching::{DistributionMode, GlobalBatch};

@@ -87,11 +87,6 @@ impl TwoLaneClock {
         TwoLaneClock { compute_s: start_s, comm_s: start_s }
     }
 
-    /// Current front of the compute lane.
-    pub fn compute_now(&self) -> f64 {
-        self.compute_s
-    }
-
     /// Current front of the comm lane.
     pub fn comm_now(&self) -> f64 {
         self.comm_s

@@ -51,14 +51,6 @@ pub struct PlannedFault {
     pub kind: FaultKind,
 }
 
-impl PlannedFault {
-    /// Seconds between notice and the device dying (0 for unannounced
-    /// faults).
-    pub fn notice_window_s(&self) -> f64 {
-        self.at_s - self.notice_at_s
-    }
-}
-
 /// A recurring spot-preemption process with advance notice.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpotModel {
@@ -184,11 +176,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_fault_free(&self) -> bool {
-        self.crashes.is_none() && self.preemptions.is_none() && self.racks.is_none()
-    }
-
     /// Every fault the plan schedules against `devices` strictly before
     /// `horizon_s`, sorted by `notice_at_s` (the order a supervisor
     /// observes them), ties broken by death time then lowest device.
@@ -284,7 +271,6 @@ mod tests {
     #[test]
     fn empty_plan_schedules_nothing() {
         let plan = FaultPlan::new(0);
-        assert!(plan.is_fault_free());
         assert!(plan.events(&fleet(8), 1e6).is_empty());
     }
 
@@ -309,9 +295,10 @@ mod tests {
             assert_eq!(e.kind, FaultKind::Preemption);
             assert!(e.notice_at_s <= e.at_s);
             // Full window unless the draw landed within the first 120 s.
-            assert!(e.notice_window_s() <= 120.0 + 1e-9);
+            let window_s = e.at_s - e.notice_at_s;
+            assert!(window_s <= 120.0 + 1e-9);
             if e.at_s > 120.0 {
-                assert!((e.notice_window_s() - 120.0).abs() < 1e-9);
+                assert!((window_s - 120.0).abs() < 1e-9);
             }
         }
     }

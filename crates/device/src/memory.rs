@@ -223,12 +223,6 @@ impl MemoryTracker {
         self.snapshot(time_s);
     }
 
-    /// Frees all usage in `cat`.
-    pub fn free_all(&mut self, cat: MemoryCategory, time_s: f64) {
-        self.by_category[cat.index()] = 0;
-        self.snapshot(time_s);
-    }
-
     fn snapshot(&mut self, time_s: f64) {
         if self.record_timeline {
             self.timeline.push(MemorySnapshot {
@@ -276,7 +270,7 @@ mod tests {
     fn per_category_peaks_are_independent() {
         let mut m = MemoryTracker::new(100);
         m.alloc(MemoryCategory::Activations, 60, 0.0).unwrap();
-        m.free_all(MemoryCategory::Activations, 0.1);
+        m.free(MemoryCategory::Activations, 60, 0.1);
         m.alloc(MemoryCategory::Gradients, 20, 0.2).unwrap();
         assert_eq!(m.peak_for(MemoryCategory::Activations), 60);
         assert_eq!(m.peak_for(MemoryCategory::Gradients), 20);

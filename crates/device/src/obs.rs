@@ -1,5 +1,5 @@
-//! Observability wiring for simulated devices: per-device trace tracks,
-//! memory-timeline counters, and busy-time accounting.
+//! Observability wiring for simulated devices: per-device trace tracks and
+//! memory-timeline counters.
 //!
 //! The trainer puts each *virtual node* on trace `tid` VN-index + 1 and
 //! control flow on `tid` 0; per-*device* series live on their own track
@@ -109,83 +109,6 @@ impl MemoryTracker {
     }
 }
 
-/// Accumulates busy intervals of one device in simulated time and emits
-/// them as complete spans on the device's track.
-///
-/// # Examples
-///
-/// ```
-/// use vf_device::obs::BusyTracker;
-///
-/// let mut busy = BusyTracker::new(0);
-/// busy.record(0.0, 0.25, "step");
-/// busy.record(0.5, 0.25, "step");
-/// assert_eq!(busy.busy_us(), 500_000);
-/// assert!((busy.utilization(1.0) - 0.5).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BusyTracker {
-    index: usize,
-    intervals: Vec<(u64, u64, &'static str)>,
-}
-
-impl BusyTracker {
-    /// A tracker for device `index` with no recorded intervals.
-    pub fn new(index: usize) -> Self {
-        BusyTracker { index, intervals: Vec::new() }
-    }
-
-    /// Records a busy interval starting at `start_s` lasting `dur_s`
-    /// (label names the work, e.g. `"step"` or `"allreduce"`). Zero-length
-    /// intervals are dropped.
-    pub fn record(&mut self, start_s: f64, dur_s: f64, label: &'static str) {
-        let start = sim_us(start_s);
-        let end = sim_us(start_s + dur_s);
-        if end > start {
-            self.intervals.push((start, end - start, label));
-        }
-    }
-
-    /// Total busy microseconds recorded.
-    pub fn busy_us(&self) -> u64 {
-        self.intervals.iter().map(|(_, d, _)| d).sum()
-    }
-
-    /// Busy fraction of a `window_s`-second window (0 when the window is
-    /// empty; intervals are assumed non-overlapping, as produced by a
-    /// device that does one thing at a time).
-    pub fn utilization(&self, window_s: f64) -> f64 {
-        let window_us = sim_us(window_s);
-        if window_us == 0 {
-            0.0
-        } else {
-            self.busy_us() as f64 / window_us as f64
-        }
-    }
-
-    /// Emits every interval as a `dev{d}/<label>` complete span on the
-    /// device track, then a final `dev{d}/busy_us` counter with the total,
-    /// all in recorded order.
-    pub fn emit(&self, obs: &Recorder) {
-        if !obs.is_enabled() {
-            return;
-        }
-        let tid = device_tid(self.index);
-        let mut last_end = 0;
-        for &(start, dur, label) in &self.intervals {
-            obs.emit(
-                Event::complete(format!("dev{}/{label}", self.index), "device", start, dur)
-                    .with_tid(tid),
-            );
-            last_end = last_end.max(start + dur);
-        }
-        obs.emit(
-            Event::counter(format!("dev{}/busy_us", self.index), "device", last_end, self.busy_us())
-                .with_tid(tid),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,7 +155,7 @@ mod tests {
     fn peaks_emit_every_category_plus_totals() {
         let mut mem = MemoryTracker::new(1000);
         mem.alloc(MemoryCategory::Gradients, 70, 0.0).unwrap();
-        mem.free_all(MemoryCategory::Gradients, 0.5);
+        mem.free(MemoryCategory::Gradients, 70, 0.5);
         let ring = Arc::new(RingSink::unbounded());
         let obs = Recorder::with_sink(ring.clone());
         mem.emit_peaks(&obs, 0, 2.0);
@@ -245,31 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn busy_tracker_emits_spans_and_total() {
-        let mut busy = BusyTracker::new(1);
-        busy.record(0.0, 0.5, "step");
-        busy.record(1.0, 0.25, "allreduce");
-        busy.record(2.0, 0.0, "noop"); // dropped: zero length
-        let ring = Arc::new(RingSink::unbounded());
-        let obs = Recorder::with_sink(ring.clone());
-        busy.emit(&obs);
-        let events = ring.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].name, "dev1/step");
-        assert_eq!((events[0].ts_us, events[0].dur_us), (0, 500_000));
-        assert_eq!(events[1].name, "dev1/allreduce");
-        assert_eq!(events[2].name, "dev1/busy_us");
-        assert_eq!(busy.busy_us(), 750_000);
-        assert!((busy.utilization(2.0) - 0.375).abs() < 1e-12);
-        assert_eq!(busy.utilization(0.0), 0.0);
-    }
-
-    #[test]
     fn disabled_recorder_swallows_everything() {
         let obs = Recorder::disabled();
         emit_memory_timeline(&obs, 0, &[]);
         MemoryTracker::new(10).emit_peaks(&obs, 0, 0.0);
-        BusyTracker::new(0).emit(&obs);
         emit_backward_window(&obs, 0, 1.0, 0.5);
         assert_eq!(obs.events_recorded(), 0);
     }

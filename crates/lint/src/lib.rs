@@ -32,6 +32,9 @@
 //!   `claim-coverage`, `safety-comment`, `discarded-result`.
 //! * [`report`] — the canonical-JSON audit report
 //!   (`results/LINT_report.json`), byte-stable across runs.
+//! * `surface` — the public-surface count: `pub` items declared by the
+//!   library crates and the ones no non-test code names (a count
+//!   published with the report, not a rule).
 //!
 //! Run it with `cargo run -p vf-lint -- --deny --json`; see DESIGN.md §11
 //! for the rule catalog and policy. The dynamic complement to these static
@@ -49,6 +52,7 @@ pub mod report;
 pub mod rules;
 pub mod semantic;
 pub mod suppress;
+mod surface;
 pub mod symbols;
 pub mod workspace;
 

@@ -125,8 +125,14 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "vf-lint: {} source file(s), {} manifest(s) audited; {} violation(s), {} waived by suppression",
-        outcome.files_scanned, outcome.manifests_scanned, errors, outcome.waived
+        "vf-lint: {} source file(s), {} manifest(s) audited; {} violation(s), {} waived by suppression; \
+         {} public item(s), {} uncalled",
+        outcome.files_scanned,
+        outcome.manifests_scanned,
+        errors,
+        outcome.waived,
+        outcome.pub_items,
+        outcome.uncalled_pub.len()
     );
 
     if errors > 0 && deny {

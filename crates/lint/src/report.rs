@@ -17,13 +17,16 @@ use crate::workspace::Outcome;
 
 /// Builds the metrics registry summarizing an audit outcome: scan
 /// counters, error/note/waiver totals, the semantic-findings headline,
-/// and one `lint/rule/<id>` counter per catalog rule (declared at zero so
+/// the public-surface counts (`lint/pub_items`, `lint/uncalled_pub`), and
+/// one `lint/rule/<id>` counter per catalog rule (declared at zero so
 /// the schema is identical on clean and dirty trees).
 pub fn metrics(outcome: &Outcome) -> Metrics {
     let m = Metrics::new();
     m.inc("lint/files_scanned", outcome.files_scanned as u64);
     m.inc("lint/manifests_scanned", outcome.manifests_scanned as u64);
     m.inc("lint/waived", outcome.waived as u64);
+    m.inc("lint/pub_items", outcome.pub_items as u64);
+    m.inc("lint/uncalled_pub", outcome.uncalled_pub.len() as u64);
     m.inc("lint/errors", 0);
     m.inc("lint/notes", 0);
     m.inc("lint/semantic_findings", 0);
@@ -68,6 +71,15 @@ pub fn render(outcome: &Outcome) -> String {
         out.push_str("\",\"message\":\"");
         escape_into(&d.message, &mut out);
         out.push_str("\"}");
+    }
+    out.push_str("],\"uncalled_pub\":[");
+    for (i, name) in outcome.uncalled_pub.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        escape_into(name, &mut out);
+        out.push('"');
     }
     out.push_str("]}");
     out
@@ -115,6 +127,6 @@ mod tests {
         for rule in crate::rules::RULE_IDS {
             assert!(json.contains(&format!("\"lint/rule/{rule}\"")), "{rule}");
         }
-        assert!(json.ends_with("\"diagnostics\":[]}"));
+        assert!(json.ends_with("\"diagnostics\":[],\"uncalled_pub\":[]}"));
     }
 }

@@ -62,13 +62,13 @@ const STRAY_PRINT_ALLOWED: &[&str] = &["crates/bench/", "crates/lint/"];
 /// Macros the `stray-print` rule forbids in library code.
 const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 
-/// Paths allowed to touch the real filesystem. Durable state must flow
-/// through `vf_store` (whose `disk` module is the audited bridge and whose
-/// simulator keeps fault injection deterministic); the bench binaries write
-/// reports, and the lint binary reads the sources it audits. Everywhere
-/// else, a bare `std::fs` call is un-simulated I/O that dodges the storage
-/// fault plan and the integrity checks.
-const RAW_FS_ALLOWED: &[&str] = &["crates/store/", "crates/bench/", "crates/lint/"];
+/// Paths allowed to touch the real filesystem: the bench binaries write
+/// reports, and the lint binary reads the sources it audits. No library
+/// crate does — durable state flows through `vf_store`, whose medium is
+/// simulated so fault injection stays deterministic, and a bare `std::fs`
+/// call anywhere else is un-simulated I/O that dodges the storage fault
+/// plan and the integrity checks.
+const RAW_FS_ALLOWED: &[&str] = &["crates/bench/", "crates/lint/"];
 
 /// Paths where dynamically built metric names are tolerated: the bench
 /// binaries label ad-hoc experiment outputs, and the lint crate's own
@@ -160,8 +160,9 @@ pub fn check_source_lexed(path: &str, lexed: &LexedFile) -> FileReport {
         "raw-fs",
         &["fs"],
         RAW_FS_ALLOWED,
-        "touches the real filesystem; durable I/O must go through vf-store \
-         (only crates/store, crates/bench, and the lint binary may use std::fs)",
+        "touches the real filesystem; no library crate does — durable I/O goes \
+         through vf-store's simulated medium (only crates/bench and the lint \
+         binary may use std::fs)",
     );
     check_thread_spawn(path, lexed, &sups, &mut report);
     check_stray_print(path, lexed, &sups, &mut report);
@@ -578,9 +579,11 @@ mod tests {
     }
 
     #[test]
-    fn raw_fs_is_allowed_in_store_bench_and_lint() {
+    fn raw_fs_is_allowed_in_bench_and_lint_only() {
         let src = "use std::fs;\n";
-        assert!(check_source("crates/store/src/disk.rs", src).diagnostics.is_empty());
+        let store = check_source("crates/store/src/sim.rs", src);
+        assert_eq!(store.diagnostics.len(), 1, "{:?}", store.diagnostics);
+        assert_eq!(store.diagnostics[0].rule, "raw-fs");
         assert!(check_source("crates/bench/src/bin/b.rs", src).diagnostics.is_empty());
         assert!(check_source("crates/lint/src/workspace.rs", src).diagnostics.is_empty());
         // Test code may use the filesystem for scratch space.

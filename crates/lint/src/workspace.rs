@@ -14,8 +14,9 @@ use std::path::{Path, PathBuf};
 
 use crate::baseline::{Baseline, BASELINE_FILE};
 use crate::callgraph::CallGraph;
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::parse::{self, ParsedFile};
+use crate::surface::Surface;
 use crate::symbols::SymbolIndex;
 use crate::{lexer, rules, semantic};
 
@@ -34,16 +35,10 @@ pub struct Outcome {
     pub counts: BTreeMap<String, usize>,
     /// Per-file panic-site locations, for messages.
     pub sites: BTreeMap<String, Vec<(u32, String)>>,
-}
-
-impl Outcome {
-    /// True when no finding is an error.
-    pub fn is_clean(&self) -> bool {
-        !self
-            .diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
+    /// Non-test `pub` items declared in `crates/*/src` outside `src/bin/`.
+    pub pub_items: usize,
+    /// Those of them that no non-test code names, as sorted `path::name`.
+    pub uncalled_pub: Vec<String>,
 }
 
 /// Locates the workspace root: the nearest ancestor of `start` whose
@@ -125,6 +120,15 @@ pub fn source_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
+/// Sources that are read for the references they make to library items
+/// and never audited: the examples and the host-time benchmark.
+fn reference_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    rust_files_under(&root.join("examples"), &mut files)?;
+    rust_files_under(&root.join("perf_bench").join("src"), &mut files)?;
+    Ok(files)
+}
+
 /// Every workspace manifest the `registry-dep` rule covers.
 pub fn manifest_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = vec![root.join("Cargo.toml")];
@@ -149,6 +153,7 @@ pub fn audit(root: &Path) -> io::Result<Outcome> {
     // Each file is lexed once; the token stream feeds both the per-file
     // rules and the semantic parser.
     let mut parsed: Vec<ParsedFile> = Vec::new();
+    let mut surface = Surface::default();
     for path in source_files(root)? {
         let rel_path = rel(root, &path);
         let src = fs::read_to_string(&path)?;
@@ -159,8 +164,16 @@ pub fn audit(root: &Path) -> io::Result<Outcome> {
         out.counts.insert(rel_path.clone(), report.panic_sites.len());
         out.sites.insert(rel_path.clone(), report.panic_sites);
         out.diagnostics.extend(report.diagnostics);
+        let library = rel_path.starts_with("crates/") && !rel_path.contains("/src/bin/");
+        surface.add(&rel_path, &lexed, library);
         parsed.push(parse::parse_file(&rel_path, &lexed));
     }
+    for path in reference_files(root)? {
+        let lexed = lexer::lex(&fs::read_to_string(&path)?);
+        surface.add(&rel(root, &path), &lexed, false);
+    }
+    out.pub_items = surface.pub_items();
+    out.uncalled_pub = surface.uncalled();
 
     // Semantic passes run over the whole parsed workspace at once: call
     // resolution and lock propagation need every file's symbols.

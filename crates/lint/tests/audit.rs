@@ -208,7 +208,7 @@ fn raw_fs_fires_outside_the_storage_layer() {
 }
 
 #[test]
-fn raw_fs_allows_the_store_and_bench_crates() {
+fn raw_fs_allows_the_bench_crate_and_flags_the_store() {
     let fx = Fixture::new("pub fn f() {}\n");
     for krate in ["store", "bench"] {
         fx.write(
@@ -220,7 +220,7 @@ fn raw_fs_allows_the_store_and_bench_crates() {
             "pub fn dump(bytes: &[u8]) { std::fs::write(\"out\", bytes).unwrap(); }\n",
         );
     }
-    assert!(fx.errors("raw-fs").is_empty());
+    assert_eq!(fx.errors("raw-fs"), [("crates/store/src/lib.rs".to_string(), 1)]);
 }
 
 #[test]
@@ -378,6 +378,30 @@ fn shim_sources_are_exempt_but_shim_manifests_are_not() {
     // registry dependency.
     assert!(fx.errors("ambient-time").is_empty());
     assert_eq!(fx.errors("registry-dep").len(), 1);
+}
+
+#[test]
+fn public_surface_count_reads_examples_and_ignores_tests() {
+    let fx = Fixture::new(
+        "pub fn only_tested() {}\n\
+         pub fn used_by_example() {}\n\
+         pub fn used_by_bench() {}\n\
+         pub(crate) fn internal() {}\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+             #[test]\n\
+             fn t() { super::only_tested(); super::internal(); }\n\
+         }\n",
+    );
+    fx.write("examples/demo.rs", "fn main() { foo::used_by_example(); }\n");
+    fx.write("perf_bench/src/main.rs", "fn main() { foo::used_by_bench(); }\n");
+    // Integration tests are tests: a call from there is not a caller.
+    fx.write("crates/foo/tests/it.rs", "#[test]\nfn t() { foo::only_tested(); }\n");
+    let outcome = audit(fx.root()).unwrap();
+    assert_eq!(outcome.pub_items, 3, "pub(crate) is not public surface");
+    assert_eq!(outcome.uncalled_pub, ["crates/foo/src/lib.rs::only_tested"]);
+    // Reference-only sources are read, never audited.
+    assert_eq!(outcome.files_scanned, 1);
 }
 
 /// The acceptance check: the real workspace this crate ships in must audit

@@ -187,11 +187,6 @@ pub fn transformer_wmt() -> ModelProfile {
     }
 }
 
-/// All paper model profiles, in the order of Figure 15/16.
-pub fn paper_models() -> Vec<ModelProfile> {
-    vec![resnet50(), bert_base(), bert_large()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +252,7 @@ mod tests {
         // Fig 15: normalized peak memory ≤ 1.2 for all three workloads at
         // their maximum vanilla micro-batch.
         let ti = DeviceProfile::of(DeviceType::Rtx2080Ti);
-        for p in paper_models() {
+        for p in [resnet50(), bert_base(), bert_large()] {
             let mb = p.max_micro_batch_virtual(&ti).max(1);
             let ratio = p.peak_bytes_virtual(mb, 4) as f64 / p.peak_bytes_vanilla(mb) as f64;
             assert!(

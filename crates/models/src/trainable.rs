@@ -186,12 +186,6 @@ impl Mlp {
         self
     }
 
-    /// Sets the hidden activation.
-    pub fn with_activation(mut self, activation: Activation) -> Self {
-        self.activation = activation;
-        self
-    }
-
     /// Multinomial logistic regression (no hidden layers).
     pub fn linear(input_dim: usize, num_classes: usize) -> Self {
         Mlp::new(input_dim, Vec::new(), num_classes)
@@ -522,7 +516,8 @@ mod tests {
         let data = ClusterTask::easy(10).generate().unwrap();
         let (x, y) = data.gather(&(0..128).collect::<Vec<_>>()).unwrap();
         for act in [Activation::Gelu, Activation::Tanh] {
-            let m = Mlp::new(16, vec![16], 4).with_activation(act);
+            let mut m = Mlp::new(16, vec![16], 4);
+            m.activation = act;
             let mut params = m.init_params(0);
             let mut st = m.init_stateful();
             let mut opt = Sgd::new(0.3);

@@ -18,8 +18,8 @@
 //!
 //! * [`Event`] — one trace event in Chrome `trace_event` shape (complete
 //!   span, instant, or counter sample) with typed args.
-//! * [`Sink`] — where events go: [`NullSink`] (drop), [`RingSink`]
-//!   (bounded in-memory buffer), [`JsonlSink`] (streaming JSONL writer).
+//! * [`Sink`] — where events go: [`RingSink`] (an in-memory buffer,
+//!   bounded or not) is the one the workspace uses.
 //! * [`Recorder`] — the cheap cloneable handle instrumented code holds. A
 //!   disabled recorder is a `None`: emission sites gate on
 //!   [`Recorder::is_enabled`] (or use [`Recorder::record_with`]) so the
@@ -73,4 +73,4 @@ pub use scale::{FamilyKind, FamilySnapshot, FamilyValue, Sketch, DEFAULT_CARDINA
 pub use monitor::{default_alert_pack, AlertRule, Monitor};
 pub use profile::Profile;
 pub use recorder::Recorder;
-pub use sink::{JsonlSink, NullSink, RingSink, Sink};
+pub use sink::{RingSink, Sink};

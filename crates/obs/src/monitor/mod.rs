@@ -176,17 +176,6 @@ impl Monitor {
         names
     }
 
-    /// Total number of firing transitions so far.
-    pub fn fired_total(&self) -> usize {
-        self.with_inner(|inner| {
-            inner
-                .transitions
-                .iter()
-                .filter(|t| t.phase == AlertPhase::Firing)
-                .count()
-        })
-    }
-
     /// Current per-component health rollup, in canonical component order.
     pub fn health(&self) -> Vec<ComponentHealth> {
         self.with_inner(|inner| rollup(&inner.engine))
@@ -362,7 +351,6 @@ mod tests {
         for t in 0..200 {
             assert!(mon.tick(t as f64 * 2.0).is_empty(), "tick {t} fired");
         }
-        assert_eq!(mon.fired_total(), 0);
         assert!(mon.fired_rules().is_empty());
         for row in mon.health() {
             assert_eq!(row.level, HealthLevel::Healthy);

@@ -1,24 +1,18 @@
 //! Event sinks: where a [`Recorder`](crate::Recorder) delivers events.
 //!
-//! Three implementations cover the workspace's needs:
-//!
-//! * [`NullSink`] — drops everything. Combined with the disabled-recorder
-//!   fast path this makes tracing zero-cost when off.
-//! * [`RingSink`] — an in-memory ring buffer holding the most recent `cap`
-//!   events; unbounded mode keeps them all. The determinism tests and the
-//!   `trace_report` harness collect from here.
-//! * [`JsonlSink`] — streams each event as one Chrome `trace_event` JSON
-//!   line into any `Write` (a file, a `Vec<u8>`, …).
+//! One implementation covers the workspace's needs: [`RingSink`], an
+//! in-memory ring buffer holding the most recent `cap` events (unbounded
+//! mode keeps them all). The determinism tests and the `trace_report`
+//! harness collect from here and render with [`crate::chrome`]; tracing
+//! that is off costs nothing because a disabled recorder has no sink.
 //!
 //! Sinks are `Send + Sync` so one recorder can be cloned across the
 //! supervisor and its trainer; interior mutability is a plain `Mutex`
 //! (poisoning is absorbed — a sink holds no invariants a panicked writer
 //! could break).
 
-use crate::chrome;
 use crate::event::Event;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::{Mutex, PoisonError};
 
 /// A destination for trace events.
@@ -27,14 +21,6 @@ pub trait Sink: Send + Sync {
     fn record(&self, event: &Event);
     /// Flushes buffered output, if any.
     fn flush(&self) {}
-}
-
-/// Drops every event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &Event) {}
 }
 
 /// An in-memory ring buffer of the most recent events.
@@ -86,46 +72,9 @@ impl Sink for RingSink {
     }
 }
 
-/// Streams events as Chrome `trace_event` JSON lines into a writer.
-pub struct JsonlSink {
-    w: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonlSink {
-    /// Wraps `w`; each recorded event becomes one JSON line.
-    pub fn new(w: impl Write + Send + 'static) -> Self {
-        JsonlSink {
-            w: Mutex::new(Box::new(w)),
-        }
-    }
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").finish_non_exhaustive()
-    }
-}
-
-impl Sink for JsonlSink {
-    fn record(&self, event: &Event) {
-        let mut line = chrome::render_event(event);
-        line.push('\n');
-        let mut w = self.w.lock().unwrap_or_else(PoisonError::into_inner);
-        // Sink writes are best-effort: a full disk must not abort a
-        // simulated run whose numeric outputs are the real product.
-        let _ = w.write_all(line.as_bytes());
-    }
-
-    fn flush(&self) {
-        let mut w = self.w.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn ring_keeps_most_recent() {
@@ -146,27 +95,5 @@ mod tests {
             s.record(&Event::instant("e", "train", i));
         }
         assert_eq!(s.len(), 100);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let s = JsonlSink::new(Shared(buf.clone()));
-        s.record(&Event::instant("a", "chaos", 1));
-        s.record(&Event::counter("c", "chaos", 2, 3u64));
-        s.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

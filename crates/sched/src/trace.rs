@@ -162,39 +162,12 @@ pub fn poisson_trace(
     jobs
 }
 
-/// Serializes a trace to pretty JSON (for archiving and replaying runs).
-///
-/// # Errors
-///
-/// Returns [`serde_json::Error`] if serialization fails.
-pub fn trace_to_json(trace: &[JobSpec]) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(trace)
-}
-
-/// Loads a trace previously produced by [`trace_to_json`].
-///
-/// # Errors
-///
-/// Returns [`serde_json::Error`] on malformed input.
-pub fn trace_from_json(json: &str) -> Result<Vec<JobSpec>, serde_json::Error> {
-    serde_json::from_str(json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn link() -> LinkProfile {
         LinkProfile::nvlink()
-    }
-
-    #[test]
-    fn trace_json_round_trips() {
-        let t = poisson_trace(5, 12.0, 8, 1, &link());
-        let json = trace_to_json(&t).unwrap();
-        let back = trace_from_json(&json).unwrap();
-        assert_eq!(t, back);
-        assert!(trace_from_json("[{bad").is_err());
     }
 
     #[test]

@@ -62,11 +62,6 @@ pub enum StoreError {
         /// How many checkpoints were scanned (all invalid or quarantined).
         scanned: usize,
     },
-    /// A real-filesystem import/export failed (the `disk` bridge only).
-    Io {
-        /// The underlying error, stringified (keeps `StoreError: Clone`).
-        message: String,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -107,7 +102,6 @@ impl fmt::Display for StoreError {
                 f,
                 "no fully-valid checkpoint in the store ({scanned} scanned, all corrupt or torn)"
             ),
-            StoreError::Io { message } => write!(f, "filesystem bridge failed: {message}"),
         }
     }
 }

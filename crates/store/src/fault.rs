@@ -135,24 +135,6 @@ impl StorageFaultPlan {
         self
     }
 
-    /// Overrides the performance model.
-    #[must_use]
-    pub fn with_bandwidth(mut self, write_mbps: f64, read_mbps: f64, op_latency_s: f64) -> Self {
-        self.write_mbps = write_mbps;
-        self.read_mbps = read_mbps;
-        self.op_latency_s = op_latency_s;
-        self
-    }
-
-    /// Whether the plan injects any fault at all (stalls included: they
-    /// perturb timing, not data).
-    pub fn is_fault_free(&self) -> bool {
-        self.torn_write_prob == 0.0
-            && self.bit_flip_prob == 0.0
-            && self.crash_write_prob == 0.0
-            && self.stall_prob == 0.0
-    }
-
     /// Validates the plan. Probabilities must lie in `[0, 1]`, bandwidths
     /// must be positive and finite, latencies non-negative and finite.
     ///
@@ -208,10 +190,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quiet_plan_is_fault_free_and_valid() {
-        let plan = StorageFaultPlan::quiet(3);
-        assert!(plan.is_fault_free());
-        plan.validate().unwrap();
+    fn quiet_plan_is_valid() {
+        StorageFaultPlan::quiet(3).validate().unwrap();
     }
 
     #[test]
@@ -221,7 +201,6 @@ mod tests {
             .with_bit_flips(0.2)
             .with_crash_writes(0.3)
             .with_stalls(0.4, 5.0);
-        assert!(!plan.is_fault_free());
         assert_eq!(plan.torn_write_prob, 0.1);
         assert_eq!(plan.stall_s, 5.0);
         plan.validate().unwrap();
@@ -233,8 +212,7 @@ mod tests {
         assert!(StorageFaultPlan::quiet(0).with_bit_flips(-0.1).validate().is_err());
         assert!(StorageFaultPlan::quiet(0).with_stalls(0.5, -1.0).validate().is_err());
         assert!(StorageFaultPlan::quiet(0).with_stalls(f64::NAN, 1.0).validate().is_err());
-        assert!(StorageFaultPlan::quiet(0)
-            .with_bandwidth(0.0, 100.0, 0.001)
+        assert!(StorageFaultPlan { write_mbps: 0.0, ..StorageFaultPlan::quiet(0) }
             .validate()
             .is_err());
     }

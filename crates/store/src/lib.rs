@@ -12,9 +12,10 @@
 //!   checkpoints committed by a manifest rename, with a versioned schema;
 //! * [`CheckpointStore`] — save/scan/restore/GC over the above: scans
 //!   quarantine corrupt or torn checkpoints, restores walk back to the
-//!   newest fully-valid one, and every phase is traced through `vf_obs`;
-//! * a real-filesystem bridge ([`disk`]) — the single audited place the
-//!   workspace touches `std::fs`.
+//!   newest fully-valid one, and every phase is traced through `vf_obs`.
+//!
+//! Nothing here touches `std::fs`: the medium is simulated, so every fault
+//! is a draw the plan can replay.
 //!
 //! Layering: vf-store sits *below* vf-core (it stores opaque byte
 //! payloads and knows nothing about trainers); vf-core serializes its
@@ -44,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod disk;
 mod error;
 mod fault;
 pub mod record;

@@ -303,13 +303,6 @@ impl SimStore {
         Ok(())
     }
 
-    /// Borrows an object's bytes without charging simulated time — the
-    /// export bridge's accessor (a physical copy off the medium is outside
-    /// the simulated job's clock).
-    pub fn peek(&self, path: &str) -> Option<&[u8]> {
-        self.objects.get(path).map(|o| o.data.as_slice())
-    }
-
     /// True when `path` exists.
     pub fn exists(&self, path: &str) -> bool {
         self.objects.contains_key(path)
@@ -358,14 +351,6 @@ impl SimStore {
             }
             o.synced = true; // whatever survived the outage is now on the medium
         }
-    }
-
-    /// Inserts an object directly as durable (synced), bypassing the fault
-    /// plan — the import path of the real-filesystem bridge, which models
-    /// bytes that already survived on a physical medium.
-    pub fn import_object(&mut self, path: &str, bytes: Vec<u8>) {
-        self.objects.insert(path.to_string(), Object { data: bytes, synced: true });
-        self.corrupted.remove(path);
     }
 
     /// Deterministically flips one bit of `path` in place and marks it

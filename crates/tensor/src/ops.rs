@@ -473,23 +473,6 @@ pub fn clip_global_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
     norm
 }
 
-/// Reshapes a tensor into a matrix whose leading dimension is the batch.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the element count is not
-/// divisible by `batch`.
-pub fn flatten_to_batch(a: &Tensor, batch: usize) -> Result<Tensor, TensorError> {
-    if batch == 0 || !a.len().is_multiple_of(batch) {
-        return Err(TensorError::ShapeMismatch {
-            expected: batch,
-            actual: a.len(),
-            context: "ops::flatten_to_batch",
-        });
-    }
-    a.reshape(Shape::new(vec![batch, a.len() / batch]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,14 +725,5 @@ mod tests {
             let fd = (gelu_scalar(v + eps) - gelu_scalar(v - eps)) / (2.0 * eps);
             assert!((fd - g.data()[i]).abs() < 1e-3, "at x={v}");
         }
-    }
-
-    #[test]
-    fn flatten_to_batch_checks_divisibility() {
-        let a = Tensor::zeros([2, 3]);
-        assert_eq!(flatten_to_batch(&a, 2).unwrap().shape().dims(), &[2, 3]);
-        assert_eq!(flatten_to_batch(&a, 3).unwrap().shape().dims(), &[3, 2]);
-        assert!(flatten_to_batch(&a, 4).is_err());
-        assert!(flatten_to_batch(&a, 0).is_err());
     }
 }

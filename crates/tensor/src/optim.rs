@@ -248,13 +248,6 @@ impl Adam {
         }
     }
 
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Adds decoupled weight decay (AdamW).
     pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;
@@ -390,12 +383,6 @@ impl Lars {
     /// Sets the L2 weight decay folded into the trust ratio.
     pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Overrides the trust coefficient.
-    pub fn with_trust_coefficient(mut self, c: f32) -> Self {
-        self.trust_coefficient = c;
         self
     }
 }

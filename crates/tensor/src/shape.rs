@@ -130,11 +130,6 @@ impl Shape {
         strides
     }
 
-    /// Whether this shape describes a matrix (rank 2).
-    pub fn is_matrix(&self) -> bool {
-        self.rank() == 2
-    }
-
     /// Interprets the shape as `(rows, cols)`.
     ///
     /// Rank-1 shapes are treated as a single row; scalars as `(1, 1)`.

@@ -173,16 +173,6 @@ impl Tensor {
         self.data[index]
     }
 
-    /// Element of a rank-2 tensor at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank ≤ 2 or the index is out of bounds.
-    pub fn at2(&self, row: usize, col: usize) -> f32 {
-        let (_r, c) = self.shape.as_rows_cols();
-        self.data[row * c + col]
-    }
-
     /// Returns `rows` consecutive rows starting at `row_start` as a new
     /// tensor (rank-2 view of the leading axis).
     ///
@@ -311,11 +301,6 @@ impl Tensor {
         }
     }
 
-    /// Resets all elements to zero, preserving the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|a| *a = 0.0);
-    }
-
     /// Sum of all elements (sequential left-to-right, deterministic).
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -360,42 +345,6 @@ impl Tensor {
     /// Size of the tensor payload in bytes (excluding metadata).
     pub fn size_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Concatenates tensors along axis 0 (rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] if `parts` is empty, or
-    /// [`TensorError::ShapeMismatch`] if trailing dimensions differ.
-    pub fn concat_rows(parts: &[Tensor]) -> Result<Tensor, TensorError> {
-        let first = parts.first().ok_or(TensorError::Empty {
-            context: "Tensor::concat_rows",
-        })?;
-        if first.shape.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: 0,
-                context: "Tensor::concat_rows",
-            });
-        }
-        let trailing: &[usize] = &first.shape.dims()[1..];
-        let mut rows = 0;
-        let mut data = Vec::new();
-        for p in parts {
-            if p.shape.rank() == 0 || &p.shape.dims()[1..] != trailing {
-                return Err(TensorError::ShapeMismatch {
-                    expected: first.shape.num_elements(),
-                    actual: p.shape.num_elements(),
-                    context: "Tensor::concat_rows",
-                });
-            }
-            rows += p.shape.dim(0);
-            data.extend_from_slice(&p.data);
-        }
-        let mut dims = vec![rows];
-        dims.extend_from_slice(trailing);
-        Tensor::from_vec(data, dims)
     }
 }
 
@@ -464,17 +413,6 @@ mod tests {
     fn slice_rows_out_of_bounds_errors() {
         let t = Tensor::zeros([4, 3]);
         assert!(t.slice_rows(3, 2).is_err());
-    }
-
-    #[test]
-    fn concat_rows_round_trips_slices() {
-        let t = Tensor::from_vec((0..12).map(|i| i as f32).collect(), [4, 3]).unwrap();
-        let parts = vec![
-            t.slice_rows(0, 1).unwrap(),
-            t.slice_rows(1, 2).unwrap(),
-            t.slice_rows(3, 1).unwrap(),
-        ];
-        assert_eq!(Tensor::concat_rows(&parts).unwrap(), t);
     }
 
     #[test]

@@ -40,10 +40,15 @@ proptest! {
     }
 
     #[test]
-    fn slice_concat_round_trip(m in matrix(1..=12, 1..=6)) {
-        let rows = m.shape().dim(0);
-        let parts: Vec<Tensor> = (0..rows).map(|r| m.slice_rows(r, 1).unwrap()).collect();
-        prop_assert_eq!(Tensor::concat_rows(&parts).unwrap(), m);
+    fn row_slices_tile_the_matrix(m in matrix(1..=12, 1..=6)) {
+        let (rows, cols) = m.shape().as_rows_cols();
+        let mut tiled = Vec::new();
+        for r in 0..rows {
+            let row = m.slice_rows(r, 1).unwrap();
+            prop_assert_eq!(row.shape().dims(), &[1, cols]);
+            tiled.extend_from_slice(row.data());
+        }
+        prop_assert_eq!(tiled.as_slice(), m.data());
     }
 
     #[test]
@@ -120,6 +125,11 @@ proptest! {
         prop_assert_eq!(&tree, &seq);
         let expected = (parts_n * (parts_n - 1) / 2) as f32;
         prop_assert!(tree.data().iter().all(|&v| v == expected));
+        // …and so does the mean: both orders scale the same exact sum.
+        for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
+            let mean = reduce_mean(&parts, order, None).unwrap();
+            prop_assert!(mean.data().iter().all(|&v| v == expected * (1.0 / parts_n as f32)));
+        }
 
         // On parts where rounding matters, the consuming entry point is
         // bit-equal to the borrowed one for every order (1..=17 parts puts

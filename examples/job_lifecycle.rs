@@ -1,39 +1,21 @@
 //! A full job lifecycle on the VirtualFlow stack:
 //!
-//! 1. ask the autoscaler how many GPUs the job is worth,
-//! 2. train, checkpoint, and restart on a *different* cluster,
+//! 1. train on four GPUs next to an undisturbed single-GPU reference,
+//! 2. checkpoint, and restart on a *different* cluster,
 //! 3. inject failures from a seeded MTBF model and keep training,
-//! 4. verify the final model is identical to an undisturbed run.
+//! 4. verify the final model is identical to the reference's.
 //!
 //! ```sh
 //! cargo run --release --example job_lifecycle
 //! ```
 
 use std::sync::Arc;
-use virtualflow::core::autoscale::{recommend, AutoscalePolicy};
 use virtualflow::core::fault::fail_device;
 use virtualflow::device::FailureModel;
 use virtualflow::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Autoscaling: what allocation is ResNet-50-class work worth on this
-    //    interconnect?
-    let rec = recommend(
-        &resnet50(),
-        DeviceProfile::of(DeviceType::V100),
-        &LinkProfile::paper_testbed(),
-        16, // virtual nodes
-        64, // examples per VN
-        AutoscalePolicy::default(),
-    );
-    println!(
-        "autoscaler: {} GPUs ({} VN/GPU) at {:.0}% scaling efficiency",
-        rec.devices,
-        rec.vn_per_device,
-        rec.efficiency * 100.0
-    );
-
-    // 2. Train with that allocation (numeric stand-in task).
+    // 1. Train on four GPUs (numeric stand-in task).
     let dataset = Arc::new(
         ClusterTask {
             num_examples: 2048,
@@ -49,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Arc::new(Mlp::new(16, vec![16], 4).with_batch_norm());
     let mut config = TrainerConfig::simple(16, 128, 0.2, 33);
     config.clip_norm = Some(5.0);
-    let devices: Vec<DeviceId> = (0..rec.devices).map(DeviceId).collect();
+    let devices: Vec<DeviceId> = (0..4).map(DeviceId).collect();
 
     let mut job = Trainer::new(arch.clone(), dataset.clone(), config.clone(), &devices)?;
     let mut reference = Trainer::new(arch.clone(), dataset.clone(), config, &[DeviceId(0)])?;
@@ -57,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     job.run_steps(6)?;
     reference.run_steps(6)?;
 
-    // 3. Checkpoint, "lose the cluster", restart elsewhere.
+    // 2. Checkpoint, "lose the cluster", restart elsewhere.
     let ckpt = job.to_checkpoint();
     println!(
         "checkpoint at step {}: {:.1} KiB of state",
@@ -70,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut job = Trainer::from_checkpoint(arch, dataset.clone(), restored, &new_cluster)?;
     println!("restarted on a fresh 4-GPU cluster (ids 100..104)");
 
-    // 4. Failure injection: an aggressive MTBF so something actually dies.
+    // 3. Failure injection: an aggressive MTBF so something actually dies.
     let failures = FailureModel::new(400.0, 9)?
         .failures_before(&new_cluster, 1_000.0);
     println!("failure model schedules {} failure(s) in the window", failures.len());
@@ -97,11 +79,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         job.run_steps(1)?;
     }
 
-    // 5. The punchline: none of it changed the model.
+    // 4. The punchline: none of it changed the model.
     assert_eq!(job.params(), reference.params());
     let eval = job.evaluate(&dataset)?;
     println!(
-        "\nafter autoscale + checkpoint/restart + {} failure(s): parameters identical\n\
+        "\nafter checkpoint/restart + {} failure(s): parameters identical\n\
          to the undisturbed single-device run; accuracy {:.2}% ✓",
         failures.len().min(2),
         eval.accuracy * 100.0

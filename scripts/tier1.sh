@@ -7,23 +7,14 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: build (release) =="
 cargo build --release
 
-echo "== tier 1: tests =="
-cargo test -q
-
-echo "== tier 1: tensor tests (debug profile, pool-race sanitizer armed) =="
-cargo test -q -p vf-tensor
+echo "== tier 1: tests (every crate and shim; debug profile, so the pool-race sanitizer is armed) =="
+cargo test --workspace -q
 
 echo "== tier 1: tensor tests (release profile: the codegen the benchmarks run) =="
 cargo test --release -q -p vf-tensor
 
-echo "== tier 1: data + trainer tests (planned shards, step allocations, step atomicity, thread/bucket determinism) =="
-cargo test -q -p vf-data -p vf-core
-
 echo "== tier 1: workspace invariants (vf-lint, semantic passes + JSON report) =="
 cargo run -q -p vf-lint -- --deny --json
-
-echo "== tier 1: lint fixtures (per-rule positive/negative conformance) =="
-cargo test -q -p vf-lint --test fixtures
 
 echo "== tier 1: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -19,7 +19,7 @@
 //! | [`tensor`] | `vf-tensor` | tensors, autograd, optimizers, reductions |
 //! | [`data`] | `vf-data` | synthetic datasets, batch plans, sharding |
 //! | [`device`] | `vf-device` | simulated GPUs, memory tracking, cost model |
-//! | [`comm`] | `vf-comm` | ring all-reduce, elastic membership |
+//! | [`comm`] | `vf-comm` | all-reduce cost model, topologies, elastic membership, fault draws |
 //! | [`models`] | `vf-models` | model profiles + trainable stand-ins |
 //! | [`core`] | `vf-core` | virtual nodes, the trainer, elasticity, §7 extensions |
 //! | [`sched`] | `vf-sched` | elastic WFS scheduler, cluster simulator, traces |
