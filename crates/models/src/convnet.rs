@@ -139,8 +139,7 @@ impl Architecture for ConvNet {
         let pooled = tape.global_avg_pool(h)?;
         let head_w = vars[vars.len() - 2];
         let head_b = vars[vars.len() - 1];
-        let logits = tape.matmul(pooled, head_w)?;
-        let logits = tape.add_bias(logits, head_b)?;
+        let logits = tape.linear(pooled, head_w, head_b)?;
         let loss = tape.softmax_cross_entropy(logits, labels)?;
         let loss_value = tape.value(loss).item()?;
         let mut grads_out = tape.backward(loss)?;
@@ -184,8 +183,9 @@ impl Architecture for ConvNet {
             h = ops::relu(&h.add(&inner)?);
         }
         let pooled = conv::global_avg_pool(&h)?;
-        let logits = ops::add_bias(
-            &ops::matmul(&pooled, &params[params.len() - 2])?,
+        let logits = ops::linear(
+            &pooled,
+            &params[params.len() - 2],
             &params[params.len() - 1],
         )?;
         let (loss, _) = ops::softmax_cross_entropy(&logits, labels)?;

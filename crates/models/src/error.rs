@@ -21,6 +21,12 @@ pub enum ModelError {
         /// Actual tensor count.
         actual: usize,
     },
+    /// A batch-norm momentum outside `[0, 1]` (or NaN).
+    BnMomentum {
+        /// The rejected momentum as `f32::to_bits` (bits keep the error
+        /// `Eq`).
+        bits: u32,
+    },
     /// A tensor operation failed (shape mismatch, bad labels, …).
     Tensor(TensorError),
 }
@@ -35,6 +41,11 @@ impl fmt::Display for ModelError {
             ModelError::StatefulCount { expected, actual } => write!(
                 f,
                 "architecture expects {expected} stateful tensors, got {actual}"
+            ),
+            ModelError::BnMomentum { bits } => write!(
+                f,
+                "batch-norm momentum {} is outside [0, 1]",
+                f32::from_bits(*bits)
             ),
             ModelError::Tensor(e) => write!(f, "tensor operation failed: {e}"),
         }

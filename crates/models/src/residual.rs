@@ -133,8 +133,7 @@ impl Architecture for ResidualMlp {
         let mut tape = Tape::new();
         let vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
         let x = tape.constant(features);
-        let mut h = tape.matmul(x, vars[0])?;
-        h = tape.add_bias(h, vars[1])?;
+        let mut h = tape.linear(x, vars[0], vars[1])?;
         let seed = Self::data_seed(labels);
         let mut pi = 2;
         for block in 0..self.blocks {
@@ -143,18 +142,15 @@ impl Architecture for ResidualMlp {
             let (w2, b2) = (vars[pi + 4], vars[pi + 5]);
             pi += 6;
             let normed = tape.layer_norm(h, gamma, beta, self.ln_eps)?;
-            let mut inner = tape.matmul(normed, w1)?;
-            inner = tape.add_bias(inner, b1)?;
+            let mut inner = tape.linear(normed, w1, b1)?;
             inner = tape.gelu(inner);
             if self.dropout > 0.0 {
                 inner = tape.dropout(inner, self.dropout, seed ^ (block as u64) << 8)?;
             }
-            let mut out = tape.matmul(inner, w2)?;
-            out = tape.add_bias(out, b2)?;
+            let out = tape.linear(inner, w2, b2)?;
             h = tape.add(h, out)?;
         }
-        let logits = tape.matmul(h, vars[pi])?;
-        let logits = tape.add_bias(logits, vars[pi + 1])?;
+        let logits = tape.linear(h, vars[pi], vars[pi + 1])?;
         let loss = tape.softmax_cross_entropy(logits, labels)?;
         let loss_value = tape.value(loss).item()?;
         let mut grads_out = tape.backward(loss)?;
@@ -182,21 +178,18 @@ impl Architecture for ResidualMlp {
         labels: &[usize],
     ) -> Result<EvalReport, ModelError> {
         self.check_params(params)?;
-        let mut h = ops::add_bias(&ops::matmul(features, &params[0])?, &params[1])?;
+        let mut h = ops::linear(features, &params[0], &params[1])?;
         let mut pi = 2;
         for _ in 0..self.blocks {
             let normed =
                 ops::layer_norm_rows(&h, &params[pi], &params[pi + 1], self.ln_eps)?;
-            let inner = ops::gelu(&ops::add_bias(
-                &ops::matmul(&normed, &params[pi + 2])?,
-                &params[pi + 3],
-            )?);
+            let inner = ops::gelu(&ops::linear(&normed, &params[pi + 2], &params[pi + 3])?);
             // Dropout is identity at evaluation time.
-            let out = ops::add_bias(&ops::matmul(&inner, &params[pi + 4])?, &params[pi + 5])?;
+            let out = ops::linear(&inner, &params[pi + 4], &params[pi + 5])?;
             h = h.add(&out)?;
             pi += 6;
         }
-        let logits = ops::add_bias(&ops::matmul(&h, &params[pi])?, &params[pi + 1])?;
+        let logits = ops::linear(&h, &params[pi], &params[pi + 1])?;
         let (loss, _) = ops::softmax_cross_entropy(&logits, labels)?;
         let accuracy = ops::accuracy(&logits, labels)?;
         Ok(EvalReport { loss, accuracy })

@@ -153,9 +153,11 @@ pub struct Mlp {
     pub activation: Activation,
     /// Whether hidden layers use batch normalization.
     pub batch_norm: bool,
-    /// Momentum of the batch-norm moving statistics.
+    /// Momentum of the batch-norm moving statistics, in `[0, 1]` (`grad`
+    /// rejects anything else).
     pub bn_momentum: f32,
-    /// Batch-norm variance epsilon.
+    /// Batch-norm variance epsilon, finite and positive (`grad` and `eval`
+    /// reject anything else: at micro-batch 1 every batch variance is 0).
     pub bn_eps: f32,
     name: String,
 }
@@ -288,6 +290,11 @@ impl Architecture for Mlp {
     ) -> Result<GradReport, ModelError> {
         self.check_params(params)?;
         self.check_stateful(stateful)?;
+        if self.batch_norm && !(0.0..=1.0).contains(&self.bn_momentum) {
+            return Err(ModelError::BnMomentum {
+                bits: self.bn_momentum.to_bits(),
+            });
+        }
         let mut tape = Tape::new();
         let param_vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
         let mut h = tape.constant(features);
@@ -296,8 +303,7 @@ impl Architecture for Mlp {
             let w = param_vars[pi];
             let b = param_vars[pi + 1];
             pi += 2;
-            h = tape.matmul(h, w)?;
-            h = tape.add_bias(h, b)?;
+            h = tape.linear(h, w, b)?;
             if self.batch_norm {
                 let gamma = param_vars[pi];
                 let beta = param_vars[pi + 1];
@@ -317,8 +323,7 @@ impl Architecture for Mlp {
         }
         let w = param_vars[pi];
         let b = param_vars[pi + 1];
-        let logits = tape.matmul(h, w)?;
-        let logits = tape.add_bias(logits, b)?;
+        let logits = tape.linear(h, w, b)?;
         let loss = tape.softmax_cross_entropy(logits, labels)?;
         let loss_value = tape.value(loss).item()?;
         let mut grads_out = tape.backward(loss)?;
@@ -353,8 +358,7 @@ impl Architecture for Mlp {
             let w = &params[pi];
             let b = &params[pi + 1];
             pi += 2;
-            h = ops::matmul(&h, w)?;
-            h = ops::add_bias(&h, b)?;
+            h = ops::linear(&h, w, b)?;
             if self.batch_norm {
                 let gamma = &params[pi];
                 let beta = &params[pi + 1];
@@ -369,7 +373,7 @@ impl Architecture for Mlp {
                 Activation::Gelu => ops::gelu(&h),
             };
         }
-        let logits = ops::add_bias(&ops::matmul(&h, &params[pi])?, &params[pi + 1])?;
+        let logits = ops::linear(&h, &params[pi], &params[pi + 1])?;
         let (loss, _) = ops::softmax_cross_entropy(&logits, labels)?;
         let accuracy = ops::accuracy(&logits, labels)?;
         Ok(EvalReport { loss, accuracy })
@@ -443,6 +447,57 @@ mod tests {
         let x = Tensor::zeros([2, 4]);
         let err = m.grad(&params, &mut st, &x, &[0, 1]).unwrap_err();
         assert!(matches!(err, ModelError::StatefulCount { .. }));
+    }
+
+    #[test]
+    fn bn_rejects_an_epsilon_that_would_make_nans() {
+        // Micro-batch 1: every column's batch variance is exactly 0, so
+        // ε = 0 would normalize every activation to 0/0.
+        let m = Mlp {
+            bn_eps: 0.0,
+            ..Mlp::new(4, vec![8], 2).with_batch_norm()
+        };
+        let params = m.init_params(0);
+        let mut st = m.init_stateful();
+        let x = Tensor::ones([1, 4]);
+        for err in [
+            m.grad(&params, &mut st, &x, &[1]).unwrap_err(),
+            m.eval(&params, &st, &x, &[1]).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    ModelError::Tensor(vf_tensor::TensorError::InvalidEpsilon { bits: 0, .. })
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn bn_rejects_a_momentum_outside_the_unit_interval() {
+        let x = Tensor::ones([2, 4]);
+        for momentum in [-0.1, 1.5, f32::NAN] {
+            let m = Mlp {
+                bn_momentum: momentum,
+                ..Mlp::new(4, vec![8], 2).with_batch_norm()
+            };
+            let mut st = m.init_stateful();
+            let err = m.grad(&m.init_params(0), &mut st, &x, &[0, 1]).unwrap_err();
+            let bits = momentum.to_bits();
+            assert_eq!(err, ModelError::BnMomentum { bits });
+            assert_eq!(st, m.init_stateful(), "nothing is updated");
+        }
+        // Without batch norm the momentum is unused, and 0 and 1 are valid.
+        for (momentum, bn) in [(1.5, false), (0.0, true), (1.0, true)] {
+            let mut m = Mlp::new(4, vec![8], 2);
+            if bn {
+                m = m.with_batch_norm();
+            }
+            m.bn_momentum = momentum;
+            let mut st = m.init_stateful();
+            assert!(m.grad(&m.init_params(0), &mut st, &x, &[0, 1]).is_ok());
+        }
     }
 
     #[test]

@@ -12,12 +12,21 @@
 //! `&Tensor` — the parameters and the gathered micro-batch, which outlive
 //! the tape (that is its lifetime parameter) — or an owned `Tensor`; labels
 //! are borrowed the same way. What a tape owns is what it computed: the
-//! forward value of every interior node, and during [`Tape::backward`] the
-//! gradient of an interior node from the moment its last consumer wrote it
-//! until the node itself has been differentiated. That gradient is then
-//! handed on by move where it passes through unchanged (`add_bias`, `add`,
-//! `reshape`) and dropped otherwise, so [`Gradients`] holds leaf gradients
-//! only and at most the live frontier of the graph is in memory at once.
+//! forward value of every interior node, what an op keeps for its backward
+//! pass (softmax probabilities, batch norm's x̂ and σ), and during
+//! [`Tape::backward`] the gradient of an interior node from the moment its
+//! last consumer wrote it until the node itself has been differentiated.
+//!
+//! [`Tape::backward`] consumes the tape and takes its nodes back last to
+//! first, so the backward pass writes into buffers it owns instead of
+//! allocating: the softmax probabilities become the logits' gradient,
+//! batch norm's x̂ becomes its input's, and ReLU, tanh, sigmoid, GELU,
+//! `scale` and `mul` multiply into the upstream gradient in place. A
+//! gradient that passes through unchanged (`add`, `sub`'s left operand,
+//! `reshape`) is handed on by move, and one nothing else needs is dropped,
+//! so [`Gradients`] holds leaf gradients only and at most the live frontier
+//! of the graph is in memory at once. Every element still goes through the
+//! same float operations in the same order as with a copy per op.
 //!
 //! # Examples
 //!
@@ -72,7 +81,8 @@ enum Op<'a> {
     Leaf,
     Constant,
     Matmul(Var, Var),
-    AddBias(Var, Var),
+    /// `input · weight + bias`.
+    Linear(Var, Var, Var),
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -96,9 +106,10 @@ enum Op<'a> {
         input: Var,
         gamma: Var,
         beta: Var,
-        mean: Var,
-        var_: Var,
-        eps: f32,
+        /// The normalized input, written over by its gradient.
+        xhat: Tensor,
+        /// σⱼ = √(varⱼ + ε), written over by γⱼ/σⱼ.
+        sigma: Vec<f32>,
     },
     LayerNorm {
         input: Var,
@@ -187,11 +198,10 @@ impl<'a> Tape<'a> {
             || match &op {
                 Op::Leaf => true,
                 Op::Constant => false,
-                Op::Matmul(a, b)
-                | Op::AddBias(a, b)
-                | Op::Add(a, b)
-                | Op::Sub(a, b)
-                | Op::Mul(a, b) => self.needs(*a) || self.needs(*b),
+                Op::Linear(a, b, c) => self.needs(*a) || self.needs(*b) || self.needs(*c),
+                Op::Matmul(a, b) | Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
+                    self.needs(*a) || self.needs(*b)
+                }
                 Op::Scale(a, _)
                 | Op::Relu(a)
                 | Op::Tanh(a)
@@ -232,15 +242,17 @@ impl<'a> Tape<'a> {
         Ok(self.push(v, Op::Matmul(a, b), false))
     }
 
-    /// Adds a bias row-vector to every row.
+    /// A dense layer `x · w + b`, the bias row-vector added to every row
+    /// inside the GEMM — see [`ops::linear`].
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if the bias width differs from
-    /// the column count.
-    pub fn add_bias(&mut self, a: Var, bias: Var) -> Result<Var, TensorError> {
-        let v = ops::add_bias(self.value(a), self.value(bias))?;
-        Ok(self.push(v, Op::AddBias(a, bias), false))
+    /// Returns [`TensorError::MatmulDims`] on incompatible shapes and
+    /// [`TensorError::ShapeMismatch`] if the bias width differs from the
+    /// column count.
+    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Result<Var, TensorError> {
+        let v = ops::linear(self.value(x), self.value(w), self.value(b))?;
+        Ok(self.push(v, Op::Linear(x, w, b), false))
     }
 
     /// Elementwise addition of same-shaped tensors.
@@ -356,10 +368,14 @@ impl<'a> Tape<'a> {
     /// update its moving averages — the "stateful kernel" whose migration
     /// semantics §5.1 of the paper discusses.
     ///
+    /// The node keeps x̂ and σ = √(var + ε) for the backward pass, which
+    /// therefore recomputes neither.
+    ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `gamma`/`beta` do not match
-    /// the column count.
+    /// Returns [`TensorError::ShapeMismatch`] naming `gamma` or `beta` if it
+    /// does not match the column count, and [`TensorError::InvalidEpsilon`]
+    /// unless `eps` is finite and positive.
     pub fn batch_norm(
         &mut self,
         input: Var,
@@ -367,29 +383,22 @@ impl<'a> Tape<'a> {
         beta: Var,
         eps: f32,
     ) -> Result<(Var, Var, Var), TensorError> {
-        let (mean, var_) = ops::batch_stats(self.value(input));
-        let out = ops::batch_norm_apply(
-            self.value(input),
-            &mean,
-            &var_,
-            self.value(gamma),
-            self.value(beta),
-            eps,
-        )?;
-        let (mean, var_) = (self.constant(mean), self.constant(var_));
-        let v = self.push(
+        let ops::BatchNormed {
             out,
-            Op::BatchNorm {
-                input,
-                gamma,
-                beta,
-                mean,
-                var_,
-                eps,
-            },
-            false,
-        );
-        Ok((v, mean, var_))
+            mean,
+            var,
+            xhat,
+            sigma,
+        } = ops::batch_norm_train(self.value(input), self.value(gamma), self.value(beta), eps)?;
+        let (mean, var) = (self.constant(mean), self.constant(var));
+        let op = Op::BatchNorm {
+            input,
+            gamma,
+            beta,
+            xhat,
+            sigma,
+        };
+        Ok((self.push(out, op, false), mean, var))
     }
 
     /// Layer normalization over rows with learnable per-column
@@ -477,217 +486,182 @@ impl<'a> Tape<'a> {
         Ok(self.push(v, Op::Reshape { input }, false))
     }
 
-    /// Runs reverse-mode differentiation from the scalar node `loss`.
+    /// Runs reverse-mode differentiation from the scalar node `loss`,
+    /// consuming the tape: what the forward pass kept becomes gradient
+    /// storage (see the [module documentation](self)).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::NotScalar`] if `loss` is not a scalar node.
-    pub fn backward(&self, loss: Var) -> Result<Gradients, TensorError> {
-        if self.nodes[loss.0].value.len() != 1 {
-            return Err(TensorError::NotScalar {
-                len: self.nodes[loss.0].value.len(),
-            });
+    pub fn backward(self, loss: Var) -> Result<Gradients, TensorError> {
+        let mut nodes = self.nodes;
+        let len = nodes[loss.0].value.len();
+        if len != 1 {
+            return Err(TensorError::NotScalar { len });
         }
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        nodes.truncate(loss.0 + 1);
+        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[loss.0] = Some(Tensor::scalar(1.0));
 
-        for id in (0..=loss.0).rev() {
-            let node = &self.nodes[id];
+        // Popping hands each node over by value; its operands all have
+        // lower indices and are still on `nodes`.
+        while let Some(Node {
+            value,
+            op,
+            needs_grad,
+        }) = nodes.pop()
+        {
+            let id = nodes.len();
             // A leaf's slot is the result; a constant's is never written.
-            if !node.needs_grad || matches!(node.op, Op::Leaf | Op::Constant) {
+            if !needs_grad || matches!(op, Op::Leaf | Op::Constant) {
                 continue;
             }
             // Every consumer of `id` has a higher index and has already run,
             // so the slot is final: take it, and let it drop (or move on)
             // once this node is differentiated.
-            let Some(gout) = grads[id].take() else {
+            let Some(mut gout) = grads[id].take() else {
                 continue;
             };
-            match &node.op {
+            let needs = |v: Var| nodes[v.0].needs_grad;
+            let val = |v: Var| -> &Tensor { &nodes[v.0].value };
+            match op {
                 Op::Leaf | Op::Constant => {} // skipped above
-                Op::Matmul(a, b) => {
-                    // y = a·b  →  da = g·bᵀ, db = aᵀ·g. The NT/TN GEMM
-                    // variants consume the operands in their stored layout,
-                    // skipping the explicit transpose materialization.
-                    if self.needs(*a) {
-                        let da = ops::matmul_nt(&gout, self.value(*b))?;
-                        let da = reshape_like(da, self.value(*a))?;
-                        accumulate(&mut grads, *a, da)?;
+                Op::Matmul(a, b) => matmul_grads(&mut grads, &nodes, &gout, a, b)?,
+                Op::Linear(x, w, b) => {
+                    // The bias's slot first, then x's and w's: the order the
+                    // matmul + bias-add node pair this op replaces wrote
+                    // them in.
+                    if needs(b) {
+                        accumulate(&mut grads, b, reshape_like(ops::sum_rows(&gout), val(b))?)?;
                     }
-                    if self.needs(*b) {
-                        let db = ops::matmul_tn(self.value(*a), &gout)?;
-                        let db = reshape_like(db, self.value(*b))?;
-                        accumulate(&mut grads, *b, db)?;
-                    }
+                    matmul_grads(&mut grads, &nodes, &gout, x, w)?;
                 }
-                Op::AddBias(a, bias) => {
-                    // `db` is read off `gout` before `gout` moves on to `a`;
-                    // the slots are still written `a` first, then `bias`.
-                    let db = if self.needs(*bias) {
-                        Some(reshape_like(ops::sum_rows(&gout), self.value(*bias))?)
-                    } else {
-                        None
-                    };
-                    if self.needs(*a) {
-                        accumulate(&mut grads, *a, gout)?;
-                    }
-                    if let Some(db) = db {
-                        accumulate(&mut grads, *bias, db)?;
-                    }
-                }
-                Op::Add(a, b) => match (self.needs(*a), self.needs(*b)) {
+                Op::Add(a, b) => match (needs(a), needs(b)) {
                     (true, true) => {
-                        accumulate(&mut grads, *a, gout.clone())?;
-                        accumulate(&mut grads, *b, gout)?;
+                        accumulate(&mut grads, a, gout.clone())?;
+                        accumulate(&mut grads, b, gout)?;
                     }
-                    (true, false) => accumulate(&mut grads, *a, gout)?,
-                    (false, true) => accumulate(&mut grads, *b, gout)?,
+                    (true, false) => accumulate(&mut grads, a, gout)?,
+                    (false, true) => accumulate(&mut grads, b, gout)?,
                     (false, false) => {}
                 },
                 Op::Sub(a, b) => {
-                    let db = self.needs(*b).then(|| gout.scale(-1.0));
-                    if self.needs(*a) {
-                        accumulate(&mut grads, *a, gout)?;
+                    let db = needs(b).then(|| gout.scale(-1.0));
+                    if needs(a) {
+                        accumulate(&mut grads, a, gout)?;
                     }
                     if let Some(db) = db {
-                        accumulate(&mut grads, *b, db)?;
+                        accumulate(&mut grads, b, db)?;
                     }
                 }
                 Op::Mul(a, b) => {
-                    if self.needs(*a) {
-                        accumulate(&mut grads, *a, gout.mul(self.value(*b))?)?;
-                    }
-                    if self.needs(*b) {
-                        accumulate(&mut grads, *b, gout.mul(self.value(*a))?)?;
+                    let mul = |g: f32, y: f32| g * y;
+                    match (needs(a), needs(b)) {
+                        (true, true) => {
+                            accumulate(&mut grads, a, gout.mul(val(b))?)?;
+                            accumulate(&mut grads, b, mul_into(gout, val(a), mul)?)?;
+                        }
+                        (true, false) => accumulate(&mut grads, a, mul_into(gout, val(b), mul)?)?,
+                        (false, true) => accumulate(&mut grads, b, mul_into(gout, val(a), mul)?)?,
+                        (false, false) => {}
                     }
                 }
                 Op::Scale(a, s) => {
-                    if self.needs(*a) {
-                        accumulate(&mut grads, *a, gout.scale(*s))?;
+                    if needs(a) {
+                        gout.scale_assign(s);
+                        accumulate(&mut grads, a, gout)?;
                     }
                 }
                 Op::Relu(a) => {
-                    if self.needs(*a) {
+                    if needs(a) {
                         // The mask multiply of `ops::relu_grad_mask`, fused: the
                         // same float product per element (so NaN, ±∞ and −0.0
                         // gradients come out bit-identical), one pass.
-                        let g = gout
-                            .zip_map(self.value(*a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })?;
-                        accumulate(&mut grads, *a, g)?;
+                        let g = mul_into(gout, val(a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })?;
+                        accumulate(&mut grads, a, g)?;
                     }
                 }
                 Op::Tanh(a) => {
-                    if self.needs(*a) {
-                        let y = &self.nodes[id].value;
-                        let dy = y.map(|t| 1.0 - t * t);
-                        accumulate(&mut grads, *a, gout.mul(&dy)?)?;
+                    if needs(a) {
+                        let g = mul_into(gout, &value, |g, t| g * (1.0 - t * t))?;
+                        accumulate(&mut grads, a, g)?;
                     }
                 }
                 Op::Gelu(a) => {
-                    if self.needs(*a) {
-                        let dy = ops::gelu_grad(self.value(*a));
-                        accumulate(&mut grads, *a, gout.mul(&dy)?)?;
+                    if needs(a) {
+                        let dy = ops::gelu_grad(val(a));
+                        accumulate(&mut grads, a, mul_into(gout, &dy, |g, d| g * d)?)?;
                     }
                 }
                 Op::Sigmoid(a) => {
-                    if self.needs(*a) {
-                        let y = &self.nodes[id].value;
-                        let dy = y.map(|s| s * (1.0 - s));
-                        accumulate(&mut grads, *a, gout.mul(&dy)?)?;
+                    if needs(a) {
+                        let g = mul_into(gout, &value, |g, s| g * (s * (1.0 - s)))?;
+                        accumulate(&mut grads, a, g)?;
                     }
                 }
                 Op::MeanAll(a) => {
-                    if self.needs(*a) {
-                        let n = self.value(*a).len() as f32;
+                    if needs(a) {
+                        let n = val(a).len() as f32;
                         let g = gout.item()?;
-                        let da = Tensor::full(self.value(*a).shape().clone(), g / n);
-                        accumulate(&mut grads, *a, da)?;
+                        let da = Tensor::full(val(a).shape().clone(), g / n);
+                        accumulate(&mut grads, a, da)?;
                     }
                 }
                 Op::SumAll(a) => {
-                    if self.needs(*a) {
+                    if needs(a) {
                         let g = gout.item()?;
-                        let da = Tensor::full(self.value(*a).shape().clone(), g);
-                        accumulate(&mut grads, *a, da)?;
+                        let da = Tensor::full(val(a).shape().clone(), g);
+                        accumulate(&mut grads, a, da)?;
                     }
                 }
                 Op::SoftmaxCrossEntropy { logits, labels, probs } => {
-                    if self.needs(*logits) {
+                    if needs(logits) {
                         let g = gout.item()?;
                         let mut dl = ops::softmax_cross_entropy_grad(probs, labels)?;
                         dl.scale_assign(g);
-                        accumulate(&mut grads, *logits, dl)?;
+                        accumulate(&mut grads, logits, dl)?;
                     }
                 }
                 Op::Mse { pred, target } => {
-                    if self.needs(*pred) {
+                    if needs(pred) {
                         let g = gout.item()?;
-                        let (_, mut dp) = ops::mse(self.value(*pred), target)?;
+                        let (_, mut dp) = ops::mse(val(pred), &target)?;
                         dp.scale_assign(g);
-                        accumulate(&mut grads, *pred, dp)?;
+                        accumulate(&mut grads, pred, dp)?;
                     }
                 }
                 Op::BatchNorm {
                     input,
                     gamma,
                     beta,
-                    mean,
-                    var_,
-                    eps,
+                    mut xhat,
+                    mut sigma,
                 } => {
-                    let x = self.value(*input);
-                    let (m, n) = x.shape().as_rows_cols();
-                    let gd = gout.data();
-                    let (md, vd) = (self.value(*mean).data(), self.value(*var_).data());
-                    let gamma_d = self.value(*gamma).data();
-                    // Recompute x̂ from saved batch stats.
-                    let mut xhat = vec![0.0f32; m * n];
-                    for i in 0..m {
-                        for j in 0..n {
-                            xhat[i * n + j] = (x.data()[i * n + j] - md[j]) / (vd[j] + eps).sqrt();
-                        }
+                    // Σdy and Σdy·x̂ once each: they are dβ and dγ, and ×1/m
+                    // the two means in dx = (γ/σ)(dy − mean(dy) − x̂·mean(dy·x̂)).
+                    same_shape(&gout, &xhat)?;
+                    let n = sigma.len();
+                    let (sum_dy, sum_dy_xhat) = ops::bn_column_sums(gout.data(), xhat.data(), n);
+                    if needs(input) {
+                        let sums = (&sum_dy[..], &sum_dy_xhat[..]);
+                        ops::bn_input_grad(
+                            gout.data(),
+                            xhat.data_mut(),
+                            &mut sigma,
+                            val(gamma).data(),
+                            sums,
+                        );
                     }
-                    if self.needs(*beta) {
-                        let db = ops::sum_rows(&gout);
-                        let db = reshape_like(db, self.value(*beta))?;
-                        accumulate(&mut grads, *beta, db)?;
+                    if needs(beta) {
+                        let db = reshape_like(Tensor::from_parts(sum_dy, [n]), val(beta))?;
+                        accumulate(&mut grads, beta, db)?;
                     }
-                    if self.needs(*gamma) {
-                        let mut dg = vec![0.0f32; n];
-                        for i in 0..m {
-                            for j in 0..n {
-                                dg[j] += gd[i * n + j] * xhat[i * n + j];
-                            }
-                        }
-                        let dg = reshape_like(Tensor::from_vec(dg, [n])?, self.value(*gamma))?;
-                        accumulate(&mut grads, *gamma, dg)?;
+                    if needs(gamma) {
+                        let dg = reshape_like(Tensor::from_parts(sum_dy_xhat, [n]), val(gamma))?;
+                        accumulate(&mut grads, gamma, dg)?;
                     }
-                    if self.needs(*input) {
-                        // dL/dx = (γ/σ) (dy − mean(dy) − x̂·mean(dy·x̂)) per column
-                        let mut mean_dy = vec![0.0f32; n];
-                        let mut mean_dyxhat = vec![0.0f32; n];
-                        for i in 0..m {
-                            for j in 0..n {
-                                mean_dy[j] += gd[i * n + j];
-                                mean_dyxhat[j] += gd[i * n + j] * xhat[i * n + j];
-                            }
-                        }
-                        let inv_m = 1.0 / m as f32;
-                        for j in 0..n {
-                            mean_dy[j] *= inv_m;
-                            mean_dyxhat[j] *= inv_m;
-                        }
-                        let mut dx = vec![0.0f32; m * n];
-                        for i in 0..m {
-                            for j in 0..n {
-                                let s = gamma_d[j] / (vd[j] + eps).sqrt();
-                                dx[i * n + j] = s
-                                    * (gd[i * n + j]
-                                        - mean_dy[j]
-                                        - xhat[i * n + j] * mean_dyxhat[j]);
-                            }
-                        }
-                        accumulate(&mut grads, *input, Tensor::from_vec(dx, x.shape().clone())?)?;
+                    if needs(input) {
+                        accumulate(&mut grads, input, xhat)?;
                     }
                 }
                 Op::LayerNorm {
@@ -698,11 +672,11 @@ impl<'a> Tape<'a> {
                     var_,
                     eps,
                 } => {
-                    let x = self.value(*input);
+                    let x = val(input);
                     let (m, n) = x.shape().as_rows_cols();
                     let gd = gout.data();
                     let (md, vd) = (mean.data(), var_.data());
-                    let gamma_d = self.value(*gamma).data();
+                    let gamma_d = val(gamma).data();
                     // Recompute x̂ from saved per-row stats.
                     let mut xhat = vec![0.0f32; m * n];
                     for i in 0..m {
@@ -711,22 +685,22 @@ impl<'a> Tape<'a> {
                             xhat[i * n + j] = (x.data()[i * n + j] - md[i]) * inv_sigma;
                         }
                     }
-                    if self.needs(*beta) {
+                    if needs(beta) {
                         let db = ops::sum_rows(&gout);
-                        let db = reshape_like(db, self.value(*beta))?;
-                        accumulate(&mut grads, *beta, db)?;
+                        let db = reshape_like(db, val(beta))?;
+                        accumulate(&mut grads, beta, db)?;
                     }
-                    if self.needs(*gamma) {
+                    if needs(gamma) {
                         let mut dg = vec![0.0f32; n];
                         for i in 0..m {
                             for j in 0..n {
                                 dg[j] += gd[i * n + j] * xhat[i * n + j];
                             }
                         }
-                        let dg = reshape_like(Tensor::from_vec(dg, [n])?, self.value(*gamma))?;
-                        accumulate(&mut grads, *gamma, dg)?;
+                        let dg = reshape_like(Tensor::from_vec(dg, [n])?, val(gamma))?;
+                        accumulate(&mut grads, gamma, dg)?;
                     }
-                    if self.needs(*input) {
+                    if needs(input) {
                         // dx̂ = dy ⊙ γ; dx = (dx̂ − mean(dx̂) − x̂·mean(dx̂⊙x̂)) / σ
                         // with means taken along each row.
                         let inv_n = 1.0 / n as f32;
@@ -748,43 +722,83 @@ impl<'a> Tape<'a> {
                                     * (dxh - mean_dxhat - xhat[i * n + j] * mean_dxhat_xhat);
                             }
                         }
-                        accumulate(&mut grads, *input, Tensor::from_vec(dx, x.shape().clone())?)?;
+                        accumulate(&mut grads, input, Tensor::from_vec(dx, x.shape().clone())?)?;
                     }
                 }
                 Op::Conv2d { input, kernel } => {
-                    if self.needs(*input) {
-                        let gi = crate::conv::conv2d_grad_input(&gout, self.value(*kernel))?;
-                        accumulate(&mut grads, *input, gi)?;
+                    if needs(input) {
+                        let gi = crate::conv::conv2d_grad_input(&gout, val(kernel))?;
+                        accumulate(&mut grads, input, gi)?;
                     }
-                    if self.needs(*kernel) {
-                        let kd = self.value(*kernel).shape().dims();
+                    if needs(kernel) {
+                        let kd = val(kernel).shape().dims();
                         let (kh, kw) = (kd[2], kd[3]);
-                        let gk = crate::conv::conv2d_grad_kernel(
-                            self.value(*input),
-                            &gout,
-                            kh,
-                            kw,
-                        )?;
-                        accumulate(&mut grads, *kernel, gk)?;
+                        let gk = crate::conv::conv2d_grad_kernel(val(input), &gout, kh, kw)?;
+                        accumulate(&mut grads, kernel, gk)?;
                     }
                 }
                 Op::GlobalAvgPool { input } => {
-                    if self.needs(*input) {
-                        let (n, c, h, w) = crate::conv::as_nchw(self.value(*input))?;
+                    if needs(input) {
+                        let (n, c, h, w) = crate::conv::as_nchw(val(input))?;
                         let gi = crate::conv::global_avg_pool_grad(&gout, n, c, h, w)?;
-                        accumulate(&mut grads, *input, gi)?;
+                        accumulate(&mut grads, input, gi)?;
                     }
                 }
                 Op::Reshape { input } => {
-                    if self.needs(*input) {
-                        let gi = reshape_like(gout, self.value(*input))?;
-                        accumulate(&mut grads, *input, gi)?;
+                    if needs(input) {
+                        let gi = reshape_like(gout, val(input))?;
+                        accumulate(&mut grads, input, gi)?;
                     }
                 }
             }
         }
         Ok(Gradients { grads })
     }
+}
+
+/// `y = a·b` → `da = g·bᵀ`, then `db = aᵀ·g`. The NT/TN GEMM variants
+/// consume the operands in their stored layout, skipping the explicit
+/// transpose materialization.
+fn matmul_grads(
+    grads: &mut [Option<Tensor>],
+    nodes: &[Node],
+    g: &Tensor,
+    a: Var,
+    b: Var,
+) -> Result<(), TensorError> {
+    let (av, bv) = (&*nodes[a.0].value, &*nodes[b.0].value);
+    if nodes[a.0].needs_grad {
+        let da = ops::matmul_nt(g, bv)?;
+        accumulate(grads, a, reshape_like(da, av)?)?;
+    }
+    if nodes[b.0].needs_grad {
+        let db = ops::matmul_tn(av, g)?;
+        accumulate(grads, b, reshape_like(db, bv)?)?;
+    }
+    Ok(())
+}
+
+/// Fails unless `g` has the shape of `like`, as `Tensor::zip_map` would.
+fn same_shape(g: &Tensor, like: &Tensor) -> Result<(), TensorError> {
+    if g.shape() == like.shape() {
+        Ok(())
+    } else {
+        Err(TensorError::ShapeMismatch {
+            expected: like.len(),
+            actual: g.len(),
+            context: "Tape::backward",
+        })
+    }
+}
+
+/// `g ← f(g, y)` elementwise, over a gradient the backward pass owns: the
+/// product `g.zip_map(y, f)` would compute, without its buffer.
+fn mul_into(mut g: Tensor, y: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor, TensorError> {
+    same_shape(&g, y)?;
+    for (g, &y) in g.data_mut().iter_mut().zip(y.data()) {
+        *g = f(*g, y);
+    }
+    Ok(g)
 }
 
 fn accumulate(grads: &mut [Option<Tensor>], var: Var, g: Tensor) -> Result<(), TensorError> {
@@ -892,15 +906,28 @@ mod tests {
     }
 
     #[test]
-    fn bias_gradients_pass_finite_difference() {
+    fn linear_gradients_pass_finite_difference() {
         let b = init::normal(&mut init::rng(6), [4], 0.0, 0.5);
-        let x = init::normal(&mut init::rng(7), [5, 4], 0.0, 1.0);
+        let w = init::normal(&mut init::rng(5), [3, 4], 0.0, 0.5);
+        let x = init::normal(&mut init::rng(7), [5, 3], 0.0, 1.0);
         let labels: &[usize] = &[0, 1, 2, 3, 0];
+        let (xc, bc) = (x.clone(), b.clone());
+        grad_check(
+            &w,
+            &move |tape, wv| {
+                let xv = tape.leaf(xc.clone());
+                let bv = tape.constant(bc.clone());
+                let h = tape.linear(xv, wv, bv).unwrap();
+                tape.softmax_cross_entropy(h, labels).unwrap()
+            },
+            1e-2,
+        );
         grad_check(
             &b,
             &move |tape, bv| {
                 let xv = tape.constant(x.clone());
-                let h = tape.add_bias(xv, bv).unwrap();
+                let wv = tape.constant(w.clone());
+                let h = tape.linear(xv, wv, bv).unwrap();
                 tape.softmax_cross_entropy(h, labels).unwrap()
             },
             1e-2,
@@ -965,6 +992,32 @@ mod tests {
     }
 
     #[test]
+    fn batch_norm_rejects_bad_epsilon_and_names_a_mismatched_affine() {
+        // Micro-batch 1: every variance is 0, and ε = 0 would give 0/0.
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::ones([1, 2]));
+        let (g, b) = (tape.leaf(Tensor::ones([2])), tape.leaf(Tensor::zeros([2])));
+        for eps in [0.0, -1.0, f32::NAN, f32::NEG_INFINITY] {
+            assert!(matches!(
+                tape.batch_norm(x, g, b, eps).unwrap_err(),
+                TensorError::InvalidEpsilon { bits, context: "Tape::batch_norm" } if bits == eps.to_bits()
+            ));
+        }
+        let (out, _, _) = tape.batch_norm(x, g, b, 1e-5).unwrap();
+        assert_eq!(tape.value(out).data(), &[0.0, 0.0]);
+        let wide = tape.leaf(Tensor::ones([3]));
+        for (g, b, context) in [
+            (wide, b, "Tape::batch_norm: gamma"),
+            (g, wide, "Tape::batch_norm: beta"),
+        ] {
+            assert!(matches!(
+                tape.batch_norm(x, g, b, 1e-5).unwrap_err(),
+                TensorError::ShapeMismatch { expected: 2, actual: 3, context: c } if c == context
+            ));
+        }
+    }
+
+    #[test]
     fn layer_norm_gamma_gradient_passes_finite_difference() {
         let g = init::normal(&mut init::rng(30), [3], 1.0, 0.1);
         let x = init::normal(&mut init::rng(31), [5, 3], 1.0, 2.0);
@@ -1003,9 +1056,9 @@ mod tests {
         let w = tape.leaf(Tensor::ones([1, 8]));
         let d = tape.dropout(w, 0.5, 3).unwrap();
         let loss = tape.mean_all(d);
+        let mask = tape.value(d).clone();
         let grads = tape.backward(loss).unwrap();
         let g = grads.get(w).unwrap();
-        let mask = tape.value(d);
         for (gv, mv) in g.data().iter().zip(mask.data().iter()) {
             assert_eq!(*gv == 0.0, *mv == 0.0, "gradient must follow the mask");
         }
@@ -1163,10 +1216,12 @@ mod tests {
     }
 
     // The three graphs below are where the backward pass hands a gradient on
-    // by move instead of copying it. Each slot under test receives three
-    // contributions — float addition commutes but does not associate, so
-    // only three or more pin the order — and the expected bits are what the
-    // clone-every-node backward pass of PR 16 produced.
+    // by move instead of copying it, or fuses two nodes into one. Each slot
+    // under test receives three contributions — float addition commutes but
+    // does not associate, so only three or more pin the order — and the
+    // expected bits are what the clone-every-node backward pass of PR 16
+    // produced (for `FILLED`: what `matmul` followed by the since-deleted
+    // `add_bias` node produced in the graph `linear` replaces).
 
     const DIAMOND: [u32; 12] = [
         0xbf22401a, 0x400eb644, 0x3ea77b25, 0xbff6ce9f,
@@ -1176,9 +1231,11 @@ mod tests {
     const SHARED: [u32; 4] = [
         0xbee51048, 0x41033372, 0x40544841, 0xc01c3019,
     ];
-    const FILLED: [u32; 8] = [
-        0xbeb90fe4, 0x40b6edbd, 0xbd29fc45, 0x40a4b111,
-        0xc085400c, 0xc107ab7a, 0xbf01c7d7, 0x3fa23758,
+    const FILLED: [u32; 21] = [
+        0x3f03caf3, 0x3fc652af, 0x40264594, 0x3eadf9f8, 0x3f9a22c0, 0x40261441,
+        0x3fb16d1b, 0x403c43b9, 0x3e55156c, 0xc003e779, 0x3f13ed06, 0x40830e5a,
+        0xc040c684, 0x407f4d04, 0x405399c4, 0xbf8b3534, 0xbe40e46e, 0x40200076,
+        0xbea3229c, 0x3f1b98e8, 0xbc900e7c,
     ];
 
     #[test]
@@ -1230,20 +1287,25 @@ mod tests {
     }
 
     #[test]
-    fn add_bias_accumulates_into_an_already_filled_input_slot() {
-        // `a` is read by add_bias and then by tanh and gelu, which sit later
-        // on the tape and so fill a's slot before add_bias's gradient — a
-        // pass-through that must be added, not moved — arrives.
+    fn linear_accumulates_into_an_already_filled_input_slot() {
+        // `a` is read by linear and then by tanh and gelu, which sit later
+        // on the tape and so fill a's slot before linear's input gradient
+        // arrives — which must then be added, not moved.
         let x = init::normal(&mut init::rng(70), [4, 3], 0.0, 1.0);
-        let w = init::normal(&mut init::rng(71), [3, 2], 0.0, 1.0);
-        let b = init::normal(&mut init::rng(72), [2], 0.0, 1.0);
-        let k = init::normal(&mut init::rng(73), [4, 2], 0.0, 1.0);
+        let w0 = init::normal(&mut init::rng(71), [3, 3], 0.0, 1.0);
+        let w = init::normal(&mut init::rng(74), [3, 3], 0.0, 1.0);
+        let b = init::normal(&mut init::rng(72), [3], 0.0, 1.0);
+        let k = init::normal(&mut init::rng(73), [4, 3], 0.0, 1.0);
         let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
-        let (wv, bv) = (tape.leaf(w.clone()), tape.leaf(b.clone()));
+        let (w0v, wv, bv) = (
+            tape.leaf(w0.clone()),
+            tape.leaf(w.clone()),
+            tape.leaf(b.clone()),
+        );
         let kv = tape.constant(k.clone());
-        let a = tape.matmul(xv, wv).unwrap();
-        let ab = tape.add_bias(a, bv).unwrap();
+        let a = tape.matmul(xv, w0v).unwrap();
+        let ab = tape.linear(a, wv, bv).unwrap();
         let t = tape.tanh(a);
         let u = tape.gelu(a);
         let s = tape.add(ab, t).unwrap();
@@ -1251,7 +1313,7 @@ mod tests {
         let weighted = tape.mul(y, kv).unwrap();
         let loss = tape.sum_all(weighted);
         let grads = tape.backward(loss).unwrap();
-        assert_eq!(grad_bits(&grads, &[wv, bv]), FILLED);
+        assert_eq!(grad_bits(&grads, &[w0v, wv, bv]), FILLED);
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! thread count (asserted by `tests/kernel_equivalence.rs`), so virtual-node
 //! execution stays reproducible across hardware configurations.
 
-use crate::gemm::{self, Op};
+use crate::gemm::{self, Op, Tile};
 use crate::pool::{self, SendPtr};
 use crate::tensor::Tensor;
 use crate::TensorError;
@@ -304,7 +304,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
                             dst,
                             hw,
                             rows,
-                            false,
+                            Tile::Store,
                         );
                     }
                 }
@@ -380,7 +380,7 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
                         strip.as_mut_ptr(),
                         hw,
                         block_taps.len(),
-                        false,
+                        Tile::Store,
                     );
                 }
                 for (tap, row) in block_taps.iter().zip(strip.chunks_exact(hw)) {
@@ -475,7 +475,7 @@ pub fn conv2d_grad_kernel(
                             dst,
                             taps,
                             rows,
-                            true,
+                            Tile::Accumulate,
                         );
                     }
                 }

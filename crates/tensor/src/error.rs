@@ -50,6 +50,14 @@ pub enum TensorError {
         /// Right operand `(rows, cols)`.
         right: (usize, usize),
     },
+    /// A batch-norm ε that is not finite and positive: a zero-variance
+    /// column (every column, at micro-batch 1) would normalize to 0/0 = NaN.
+    InvalidEpsilon {
+        /// The rejected ε as `f32::to_bits` (bits keep the error `Eq`).
+        bits: u32,
+        /// The operation that failed.
+        context: &'static str,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -82,6 +90,11 @@ impl fmt::Display for TensorError {
                 f,
                 "cannot multiply {}x{} matrix by {}x{} matrix",
                 left.0, left.1, right.0, right.1
+            ),
+            TensorError::InvalidEpsilon { bits, context } => write!(
+                f,
+                "batch-norm epsilon {} in {context} must be finite and positive",
+                f32::from_bits(*bits)
             ),
         }
     }

@@ -33,7 +33,11 @@
 //! operand: the two packs whose source already has the tile's lanes side by
 //! side are run copies, the two that transpose go through one routine
 //! (`transpose_strip`: 8×8 tiles in registers where AVX is detected), and
-//! the output is allocated uninitialised and written exactly once. The
+//! the output is allocated uninitialised and written exactly once — a
+//! ragged tile (`n` not a multiple of `NR`, as in a layer 8 wide) with
+//! masked vector stores. A dense layer's bias rides on that store
+//! (`Tile::Bias`): each element is its chain plus one rounded add, so
+//! [`crate::ops::linear`] needs no second pass over its output. The
 //! `cargo run --release --bin kernel_bench` harness records the resulting
 //! throughput against the seed naive kernel in `results/BENCH_kernels.json`.
 //!
@@ -144,16 +148,43 @@ const PARALLEL_MIN_FLOPS: usize = 64 * 64 * 64;
 // `apanel` is `k × MR` (row-broadcast operand), `bpanel` is `k × NR`
 // (vector operand), both readable at full tile width. `mr`/`nr` bound the
 // rows/columns actually stored to `out` (leading dimension `ldout`); lanes
-// past them are computed and discarded, so what the packers leave there
+// past them are computed and discarded — a ragged tile's loads and stores
+// are masked to its `nr` live lanes — so what the packers leave there
 // (zeros here, a previous panel's values in conv's reused scratch) never
-// reaches an output. When `accumulate` is set the accumulators initialize
-// from `out` instead of zero — bitwise equal to continuing the FMA chain.
+// reaches an output. `Tile` says how the accumulators start and what is
+// added once the chain is complete.
 // ---------------------------------------------------------------------------
 
+/// How a microkernel starts its accumulators and what it adds to them once
+/// the FMA chain over `k` is complete.
+#[derive(Clone, Copy)]
+pub(crate) enum Tile {
+    /// Start from zero and store the chain.
+    Store,
+    /// Start from the stored output: bitwise equal to continuing its chain.
+    Accumulate,
+    /// Start from zero and store `chain + bias[x]` — one rounded add per
+    /// element, exactly the add a separate bias pass makes. Points at the
+    /// bias of the tile's (or walk's) first column.
+    Bias(*const f32),
+}
+
+impl Tile {
+    /// The same tile `cols` columns further right.
+    fn shifted(self, cols: usize) -> Tile {
+        match self {
+            Tile::Bias(bias) => Tile::Bias(bias.wrapping_add(cols)),
+            other => other,
+        }
+    }
+}
+
 // SAFETY: callers guarantee AVX-512F was detected at runtime, `apanel` and
-// `bpanel` are valid for `k` full tiles (zero-padded by the packers), and
-// `out` is valid for `mr × nr` writes at leading dimension `ldout` with
-// exclusive access to that tile (pool claims are per output region).
+// `bpanel` are valid for `k` full tiles (zero-padded by the packers), `out`
+// is valid for `mr × nr` writes at leading dimension `ldout` with exclusive
+// access to that tile (pool claims are per output region), and a
+// `Tile::Bias` pointer is readable for `nr` elements. Masked lanes are
+// never accessed, so the pointers past `nr` are formed with `wrapping_add`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
@@ -165,27 +196,28 @@ unsafe fn micro_avx512(
     ldout: usize,
     mr: usize,
     nr: usize,
-    accumulate: bool,
+    tile: Tile,
 ) {
     use std::arch::x86_64::*;
     const MR: usize = 8;
     const NR: usize = 32;
+    // Live lanes `[0, nr)` of the tile's two 16-lane halves.
+    let live = if nr >= NR { u32::MAX } else { (1u32 << nr) - 1 };
+    let (m0, m1) = (live as __mmask16, (live >> 16) as __mmask16);
+    let full = mr == MR && nr == NR;
     let mut acc0 = [_mm512_setzero_ps(); MR];
     let mut acc1 = [_mm512_setzero_ps(); MR];
-    if accumulate {
-        if mr == MR && nr == NR {
+    if let Tile::Accumulate = tile {
+        if full {
             for r in 0..MR {
                 acc0[r] = _mm512_loadu_ps(out.add(r * ldout));
                 acc1[r] = _mm512_loadu_ps(out.add(r * ldout + 16));
             }
         } else {
             for r in 0..mr {
-                let mut tmp = [0.0f32; NR];
-                for (x, t) in tmp.iter_mut().enumerate().take(nr) {
-                    *t = *out.add(r * ldout + x);
-                }
-                acc0[r] = _mm512_loadu_ps(tmp.as_ptr());
-                acc1[r] = _mm512_loadu_ps(tmp.as_ptr().add(16));
+                let row = out.add(r * ldout);
+                acc0[r] = _mm512_maskz_loadu_ps(m0, row);
+                acc1[r] = _mm512_maskz_loadu_ps(m1, row.wrapping_add(16));
             }
         }
     }
@@ -199,26 +231,32 @@ unsafe fn micro_avx512(
             acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
         }
     }
-    if mr == MR && nr == NR {
+    if let Tile::Bias(bias) = tile {
+        let b0 = _mm512_maskz_loadu_ps(m0, bias);
+        let b1 = _mm512_maskz_loadu_ps(m1, bias.wrapping_add(16));
+        for r in 0..MR {
+            acc0[r] = _mm512_add_ps(acc0[r], b0);
+            acc1[r] = _mm512_add_ps(acc1[r], b1);
+        }
+    }
+    if full {
         for r in 0..MR {
             _mm512_storeu_ps(out.add(r * ldout), acc0[r]);
             _mm512_storeu_ps(out.add(r * ldout + 16), acc1[r]);
         }
     } else {
         for r in 0..mr {
-            let mut tmp = [0.0f32; NR];
-            _mm512_storeu_ps(tmp.as_mut_ptr(), acc0[r]);
-            _mm512_storeu_ps(tmp.as_mut_ptr().add(16), acc1[r]);
-            for (x, t) in tmp.iter().enumerate().take(nr) {
-                *out.add(r * ldout + x) = *t;
-            }
+            let row = out.add(r * ldout);
+            _mm512_mask_storeu_ps(row, m0, acc0[r]);
+            _mm512_mask_storeu_ps(row.wrapping_add(16), m1, acc1[r]);
         }
     }
 }
 
 // SAFETY: callers guarantee AVX2+FMA were detected at runtime, the panels
-// are valid for `k` full zero-padded tiles, and `out` is valid for
-// `mr × nr` exclusive writes at leading dimension `ldout`.
+// are valid for `k` full zero-padded tiles, `out` is valid for `mr × nr`
+// exclusive writes at leading dimension `ldout`, and a `Tile::Bias` pointer
+// is readable for `nr` elements; masked lanes are never accessed.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
@@ -230,27 +268,29 @@ unsafe fn micro_avx2(
     ldout: usize,
     mr: usize,
     nr: usize,
-    accumulate: bool,
+    tile: Tile,
 ) {
     use std::arch::x86_64::*;
     const MR: usize = 4;
     const NR: usize = 16;
+    // Live lanes `[0, nr)` of the tile's two 8-lane halves, as sign masks.
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let m0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(nr as i32), lane);
+    let m1 = _mm256_cmpgt_epi32(_mm256_set1_epi32(nr as i32 - 8), lane);
+    let full = mr == MR && nr == NR;
     let mut acc0 = [_mm256_setzero_ps(); MR];
     let mut acc1 = [_mm256_setzero_ps(); MR];
-    if accumulate {
-        if mr == MR && nr == NR {
+    if let Tile::Accumulate = tile {
+        if full {
             for r in 0..MR {
                 acc0[r] = _mm256_loadu_ps(out.add(r * ldout));
                 acc1[r] = _mm256_loadu_ps(out.add(r * ldout + 8));
             }
         } else {
             for r in 0..mr {
-                let mut tmp = [0.0f32; NR];
-                for (x, t) in tmp.iter_mut().enumerate().take(nr) {
-                    *t = *out.add(r * ldout + x);
-                }
-                acc0[r] = _mm256_loadu_ps(tmp.as_ptr());
-                acc1[r] = _mm256_loadu_ps(tmp.as_ptr().add(8));
+                let row = out.add(r * ldout);
+                acc0[r] = _mm256_maskload_ps(row, m0);
+                acc1[r] = _mm256_maskload_ps(row.wrapping_add(8), m1);
             }
         }
     }
@@ -264,27 +304,33 @@ unsafe fn micro_avx2(
             acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
         }
     }
-    if mr == MR && nr == NR {
+    if let Tile::Bias(bias) = tile {
+        let b0 = _mm256_maskload_ps(bias, m0);
+        let b1 = _mm256_maskload_ps(bias.wrapping_add(8), m1);
+        for r in 0..MR {
+            acc0[r] = _mm256_add_ps(acc0[r], b0);
+            acc1[r] = _mm256_add_ps(acc1[r], b1);
+        }
+    }
+    if full {
         for r in 0..MR {
             _mm256_storeu_ps(out.add(r * ldout), acc0[r]);
             _mm256_storeu_ps(out.add(r * ldout + 8), acc1[r]);
         }
     } else {
         for r in 0..mr {
-            let mut tmp = [0.0f32; NR];
-            _mm256_storeu_ps(tmp.as_mut_ptr(), acc0[r]);
-            _mm256_storeu_ps(tmp.as_mut_ptr().add(8), acc1[r]);
-            for (x, t) in tmp.iter().enumerate().take(nr) {
-                *out.add(r * ldout + x) = *t;
-            }
+            let row = out.add(r * ldout);
+            _mm256_maskstore_ps(row, m0, acc0[r]);
+            _mm256_maskstore_ps(row.wrapping_add(8), m1, acc1[r]);
         }
     }
 }
 
 /// Portable fallback: the same packed walk with scalar [`f32::mul_add`].
 // SAFETY: `unsafe` only to share the microkernel ABI — callers uphold the
-// same panel-validity and exclusive `mr × nr` output-tile contract as the
-// SIMD variants; no target features are required here.
+// same panel-validity, bias-readability and exclusive `mr × nr`
+// output-tile contract as the SIMD variants; no target features are
+// required here.
 #[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
 unsafe fn micro_scalar(
     apanel: *const f32,
@@ -294,12 +340,12 @@ unsafe fn micro_scalar(
     ldout: usize,
     mr: usize,
     nr: usize,
-    accumulate: bool,
+    tile: Tile,
 ) {
     const MR: usize = 8;
     const NR: usize = 8;
     let mut acc = [[0.0f32; NR]; MR];
-    if accumulate {
+    if let Tile::Accumulate = tile {
         for (r, row) in acc.iter_mut().enumerate().take(mr) {
             for (x, a) in row.iter_mut().enumerate().take(nr) {
                 *a = *out.add(r * ldout + x);
@@ -316,7 +362,10 @@ unsafe fn micro_scalar(
     }
     for (r, row) in acc.iter().enumerate().take(mr) {
         for (x, a) in row.iter().enumerate().take(nr) {
-            *out.add(r * ldout + x) = *a;
+            *out.add(r * ldout + x) = match tile {
+                Tile::Bias(bias) => *a + *bias.add(x),
+                _ => *a,
+            };
         }
     }
 }
@@ -556,8 +605,9 @@ pub(crate) fn pack_a(op: Op, a: &[f32], m: usize, k: usize, mr_max: usize, apack
 // ---------------------------------------------------------------------------
 
 /// Multiplies one packed `k × MR` block of the broadcast operand by the
-/// `n.div_ceil(NR)` consecutive `k × NR` panels at `bpack`, storing (or, with
-/// `accumulate`, continuing from) the `mr × n` output tile row at `out`.
+/// `n.div_ceil(NR)` consecutive `k × NR` panels at `bpack`, storing (or
+/// continuing from, or adding a bias to — see [`Tile`]) the `mr × n` output
+/// tile row at `out`.
 ///
 /// # Safety
 ///
@@ -565,7 +615,8 @@ pub(crate) fn pack_a(op: Op, a: &[f32], m: usize, k: usize, mr_max: usize, apack
 /// `k · MR` elements and `bpack` for `n.div_ceil(NR) · k · NR`. `out` must be
 /// valid for reads and writes of `mr` rows of `n` elements at leading
 /// dimension `ldout`, and nothing else may access that tile during the call
-/// (pool chunks claim disjoint output regions).
+/// (pool chunks claim disjoint output regions). A `Tile::Bias` pointer must
+/// be readable for `n` elements.
 #[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
 pub(crate) unsafe fn walk_panels(
     isa: Isa,
@@ -576,7 +627,7 @@ pub(crate) unsafe fn walk_panels(
     out: *mut f32,
     ldout: usize,
     mr: usize,
-    accumulate: bool,
+    tile: Tile,
 ) {
     let nr_max = isa.nr();
     for jp in 0..n.div_ceil(nr_max) {
@@ -584,12 +635,13 @@ pub(crate) unsafe fn walk_panels(
         let nr = nr_max.min(n - jc);
         let dst = out.add(jc);
         let bp = bpack.add(jp * k * nr_max);
+        let tile = tile.shifted(jc);
         match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => micro_avx512(apanel, bp, k, dst, ldout, mr, nr, accumulate),
+            Isa::Avx512 => micro_avx512(apanel, bp, k, dst, ldout, mr, nr, tile),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => micro_avx2(apanel, bp, k, dst, ldout, mr, nr, accumulate),
-            Isa::Scalar => micro_scalar(apanel, bp, k, dst, ldout, mr, nr, accumulate),
+            Isa::Avx2 => micro_avx2(apanel, bp, k, dst, ldout, mr, nr, tile),
+            Isa::Scalar => micro_scalar(apanel, bp, k, dst, ldout, mr, nr, tile),
         }
     }
 }
@@ -628,7 +680,17 @@ fn with_scratch(len: usize, body: impl FnOnce(&mut Scratch)) {
     SCRATCH.set(buf);
 }
 
-fn gemm(op: Op, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+/// `op(a) · op(b)`, plus `bias` on every row when given (length `n`), added
+/// to each tile as its chains complete.
+fn gemm(
+    op: Op,
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
     let mut out: Vec<f32> = Vec::with_capacity(m * n);
     // An empty output never reads the operands, so their lengths are
     // unconstrained (callers may legitimately pass empty slices).
@@ -637,6 +699,7 @@ fn gemm(op: Op, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
     }
     debug_assert_eq!(a.len(), m * k, "gemm: a operand length");
     debug_assert_eq!(b.len(), k * n, "gemm: b operand length");
+    assert!(bias.is_none_or(|bias| bias.len() == n), "gemm: bias length");
     let isa = isa();
     let (mr_max, nr_max) = (isa.mr(), isa.nr());
     let nblocks = m.div_ceil(mr_max);
@@ -658,13 +721,16 @@ fn gemm(op: Op, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
             pack_a_blocks(op, a, m, k, blocks.clone(), mr_max, apack);
             for jc in (0..n).step_by(nr_max) {
                 pack_b_panel(op, b, k, n, jc, nr_max, panel);
+                let tile = bias.map_or(Tile::Store, |bias| Tile::Bias(bias[jc..].as_ptr()));
                 for (i, blk) in blocks.clone().enumerate() {
                     let ir = blk * mr_max;
                     // SAFETY: this chunk owns output rows [ir, ir + mr) and
                     // `out` has capacity m · n; the packers initialised the
                     // k × MR block at `i · ablock` and the k × NR panel; the
                     // walk stores exactly the mr × min(NR, n − jc) tile at
-                    // row `ir`, column `jc`, leading dimension `n`.
+                    // row `ir`, column `jc`, leading dimension `n`, reading
+                    // as many bias values from column `jc` on (asserted
+                    // length `n`).
                     unsafe {
                         walk_panels(
                             isa,
@@ -675,7 +741,7 @@ fn gemm(op: Op, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
                             out_ptr.get().add(ir * n + jc),
                             n,
                             mr_max.min(m - ir),
-                            false,
+                            tile,
                         );
                     }
                 }
@@ -702,19 +768,30 @@ fn gemm(op: Op, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
 
 /// `a (m×k) · b (k×n) → (m×n)`, parallel over output-row blocks.
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    gemm(Op::Nn, a, b, m, k, n)
+    gemm(Op::Nn, a, b, None, m, k, n)
+}
+
+/// `a (m×k) · b (k×n) + bias (n)` on every row: each element is its FMA
+/// chain plus one rounded add of its column's bias, made in the tile's
+/// store instead of in a second pass over the output.
+///
+/// # Panics
+///
+/// Panics if `bias.len() != n` and the output is not empty.
+pub(crate) fn linear(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    gemm(Op::Nn, a, b, Some(bias), m, k, n)
 }
 
 /// `a (m×k) · bᵀ → (m×n)` with `b` stored `(n×k)` — the `dA = dC·Bᵀ`
 /// backward shape, computed without materializing the transpose.
 pub fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    gemm(Op::Nt, a, b, m, k, n)
+    gemm(Op::Nt, a, b, None, m, k, n)
 }
 
 /// `aᵀ · b → (m×n)` with `a` stored `(k×m)`, `b` stored `(k×n)` — the
 /// `dB = Aᵀ·dC` backward shape, computed without materializing the transpose.
 pub fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    gemm(Op::Tn, a, b, m, k, n)
+    gemm(Op::Tn, a, b, None, m, k, n)
 }
 
 /// Naive reference kernels: one `mul_add` chain per element, ascending inner
@@ -839,7 +916,17 @@ mod tests {
             // sized by the same tile geometry the walk reads them with.
             unsafe {
                 let dst = out.as_mut_ptr().add(ir * n);
-                walk_panels(isa, block.as_ptr(), bpack.as_ptr(), k, n, dst, n, mr, true);
+                walk_panels(
+                    isa,
+                    block.as_ptr(),
+                    bpack.as_ptr(),
+                    k,
+                    n,
+                    dst,
+                    n,
+                    mr,
+                    Tile::Accumulate,
+                );
             }
         }
     }

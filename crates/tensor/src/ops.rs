@@ -1,9 +1,10 @@
 //! Numerical kernels on [`Tensor`]s.
 //!
-//! These are the forward kernels used by the autograd tape in
-//! [`crate::autograd`]. Everything here is deterministic: loops iterate in a
-//! fixed order, and reductions are sequential or use the explicitly
-//! deterministic tree reduction from [`crate::reduce`].
+//! These are the kernels behind the autograd tape in [`crate::autograd`]:
+//! forward passes and, for batch norm, the backward one too. Everything here
+//! is deterministic: loops iterate in a fixed order, and reductions are
+//! sequential or use the explicitly deterministic tree reduction from
+//! [`crate::reduce`].
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -91,39 +92,64 @@ pub fn transpose(a: &Tensor) -> Tensor {
     Tensor::from_parts(out, [n, m])
 }
 
-/// Adds a bias row-vector to every row of a matrix.
+/// A dense layer: `a (m×k) · w (k×n)` plus the bias row-vector `bias (n)`
+/// on every row.
+///
+/// The bias is added inside the GEMM, to each output tile just after its
+/// FMA chains complete: every element is its chain plus one rounded add of
+/// its column's bias — bitwise what `matmul` followed by a separate bias
+/// pass computes, without the pass or a second buffer. Rank-1 `a` is
+/// promoted to a single row, as in [`matmul`].
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `bias` length differs from the
-/// number of columns of `a`.
-pub fn add_bias(a: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, n) = a.shape().as_rows_cols();
+/// Returns [`TensorError::MatmulDims`] if the inner dimensions disagree and
+/// [`TensorError::ShapeMismatch`] if `bias` length differs from `n`.
+///
+/// # Examples
+///
+/// ```
+/// use vf_tensor::{ops, Tensor};
+///
+/// let x = Tensor::from_vec(vec![1.0, 2.0], [1, 2])?;
+/// let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2])?;
+/// let b = Tensor::from_vec(vec![0.5, -0.5], [2])?;
+/// assert_eq!(ops::linear(&x, &w, &b)?.data(), &[1.5, 1.5]);
+/// # Ok::<(), vf_tensor::TensorError>(())
+/// ```
+pub fn linear(a: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
+    let (m, k1) = a.shape().as_rows_cols();
+    let (k2, n) = w.shape().as_rows_cols();
+    if k1 != k2 {
+        return Err(TensorError::MatmulDims {
+            left: (m, k1),
+            right: (k2, n),
+        });
+    }
     if bias.len() != n {
         return Err(TensorError::ShapeMismatch {
             expected: n,
             actual: bias.len(),
-            context: "ops::add_bias",
+            context: "ops::linear",
         });
     }
-    let mut out = a.data().to_vec();
-    let bd = bias.data();
-    for i in 0..m {
-        for j in 0..n {
-            out[i * n + j] += bd[j];
-        }
-    }
-    Ok(Tensor::from_parts(out, a.shape().clone()))
+    let out = crate::gemm::linear(a.data(), w.data(), bias.data(), m, k1, n);
+    Ok(Tensor::from_parts(out, [m, n]))
 }
 
-/// Sums a matrix over rows, producing a row-vector of column sums.
+/// The rows of a row-major buffer `n` wide (none when `n == 0`).
+fn rows(data: &[f32], n: usize) -> std::slice::ChunksExact<'_, f32> {
+    data.chunks_exact(n.max(1))
+}
+
+/// Sums a matrix over rows, producing a row-vector of column sums (each
+/// column summed in row order from `0.0`).
 pub fn sum_rows(a: &Tensor) -> Tensor {
-    let (m, n) = a.shape().as_rows_cols();
-    let ad = a.data();
+    let (_, n) = a.shape().as_rows_cols();
     let mut out = vec![0.0f32; n];
-    for i in 0..m {
-        for j in 0..n {
-            out[j] += ad[i * n + j];
+    for row in rows(a.data(), n) {
+        for (s, &v) in out.iter_mut().zip(row) {
+            *s += v;
         }
     }
     Tensor::from_parts(out, [n])
@@ -230,14 +256,15 @@ pub fn softmax_cross_entropy(
 }
 
 /// Gradient of the mean softmax cross-entropy with respect to the logits:
-/// `(probs - onehot(labels)) / m`.
+/// `(probs - onehot(labels)) / m`, written over the probabilities.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `labels.len()` differs from the
-/// number of probability rows.
+/// number of probability rows, and [`TensorError::OutOfBounds`] if a label
+/// is not a column.
 pub fn softmax_cross_entropy_grad(
-    probs: &Tensor,
+    mut probs: Tensor,
     labels: &[usize],
 ) -> Result<Tensor, TensorError> {
     let (m, n) = probs.shape().as_rows_cols();
@@ -248,15 +275,17 @@ pub fn softmax_cross_entropy_grad(
             context: "ops::softmax_cross_entropy_grad",
         });
     }
-    let mut g = probs.data().to_vec();
     let inv_m = 1.0 / m as f32;
-    for (i, &y) in labels.iter().enumerate() {
-        g[i * n + y] -= 1.0;
+    for (row, &y) in probs.data_mut().chunks_exact_mut(n.max(1)).zip(labels) {
+        let p = row.get_mut(y).ok_or(TensorError::OutOfBounds {
+            index: y,
+            len: n,
+            context: "ops::softmax_cross_entropy_grad",
+        })?;
+        *p -= 1.0;
     }
-    for v in &mut g {
-        *v *= inv_m;
-    }
-    Tensor::from_vec(g, probs.shape().clone())
+    probs.scale_assign(inv_m);
+    Ok(probs)
 }
 
 /// Mean squared error `mean((a - b)^2)` and its gradient wrt `a`.
@@ -313,11 +342,10 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32, TensorError> {
 /// normalization semantics.
 pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
     let (m, n) = a.shape().as_rows_cols();
-    let ad = a.data();
     let mut mean = vec![0.0f32; n];
-    for i in 0..m {
-        for j in 0..n {
-            mean[j] += ad[i * n + j];
+    for row in rows(a.data(), n) {
+        for (s, &x) in mean.iter_mut().zip(row) {
+            *s += x;
         }
     }
     let inv_m = if m == 0 { 0.0 } else { 1.0 / m as f32 };
@@ -325,10 +353,10 @@ pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
         *v *= inv_m;
     }
     let mut var = vec![0.0f32; n];
-    for i in 0..m {
-        for j in 0..n {
-            let d = ad[i * n + j] - mean[j];
-            var[j] += d * d;
+    for row in rows(a.data(), n) {
+        for ((s, &x), &mu) in var.iter_mut().zip(row).zip(&mean) {
+            let d = x - mu;
+            *s += d * d;
         }
     }
     for v in &mut var {
@@ -340,13 +368,78 @@ pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
     )
 }
 
+// Batch normalization, training and inference alike, is three row-slice
+// passes: σⱼ = √(varⱼ + ε) once per column, x̂ = (x − μ)/σ, y = γ·x̂ + β.
+// Computing σ once per column instead of once per element performs the same
+// two operations on the same operands, so every element rounds exactly as
+// the per-element form did; what is saved is `m − 1` square roots per
+// column, and the loops — slices zipped, no `[i * n + j]` — vectorize.
+
+/// Rejects an ε that is not finite and positive: at micro-batch 1 every
+/// column's batch variance is exactly 0, and ε = 0 makes x̂ = 0/0 = NaN.
+fn check_eps(eps: f32, context: &'static str) -> Result<(), TensorError> {
+    if eps.is_finite() && eps > 0.0 {
+        Ok(())
+    } else {
+        Err(TensorError::InvalidEpsilon {
+            bits: eps.to_bits(),
+            context,
+        })
+    }
+}
+
+/// Checks that each per-column operand is `n` long.
+fn check_columns<const N: usize>(
+    n: usize,
+    operands: [(&Tensor, &'static str); N],
+) -> Result<(), TensorError> {
+    match operands.into_iter().find(|(t, _)| t.len() != n) {
+        Some((t, context)) => Err(TensorError::ShapeMismatch {
+            expected: n,
+            actual: t.len(),
+            context,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// σⱼ = √(varⱼ + ε).
+fn bn_sigma(var: &[f32], eps: f32) -> Vec<f32> {
+    var.iter().map(|&v| (v + eps).sqrt()).collect()
+}
+
+/// x̂ = (x − μ)/σ, row by row.
+fn bn_normalize(a: &[f32], mean: &[f32], sigma: &[f32]) -> Vec<f32> {
+    let mut xhat = Vec::with_capacity(a.len());
+    for row in rows(a, mean.len()) {
+        xhat.extend(
+            row.iter()
+                .zip(mean)
+                .zip(sigma)
+                .map(|((&x, &mu), &s)| (x - mu) / s),
+        );
+    }
+    xhat
+}
+
+/// y ← γ·y + β, row by row.
+fn bn_scale_shift(y: &mut [f32], gamma: &[f32], beta: &[f32]) {
+    for row in y.chunks_exact_mut(gamma.len().max(1)) {
+        for ((v, &g), &b) in row.iter_mut().zip(gamma).zip(beta) {
+            *v = g * *v + b;
+        }
+    }
+}
+
 /// Normalizes each column of `a` by the given per-column `mean`/`var`, then
-/// applies the affine transform `gamma * x̂ + beta`.
+/// applies the affine transform `gamma * x̂ + beta` — batch normalization in
+/// inference mode, on the kernel the training-mode tape op uses.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if the per-column vectors do not
-/// match the column count.
+/// Returns [`TensorError::ShapeMismatch`] naming the operand (`mean`,
+/// `var`, `gamma` or `beta`) whose length is not the column count, and
+/// [`TensorError::InvalidEpsilon`] unless `eps` is finite and positive.
 pub fn batch_norm_apply(
     a: &Tensor,
     mean: &Tensor,
@@ -355,27 +448,121 @@ pub fn batch_norm_apply(
     beta: &Tensor,
     eps: f32,
 ) -> Result<Tensor, TensorError> {
-    let (m, n) = a.shape().as_rows_cols();
-    for (t, name) in [(mean, "mean"), (var, "var"), (gamma, "gamma"), (beta, "beta")] {
-        if t.len() != n {
-            let _ = name;
-            return Err(TensorError::ShapeMismatch {
-                expected: n,
-                actual: t.len(),
-                context: "ops::batch_norm_apply",
-            });
+    let (_, n) = a.shape().as_rows_cols();
+    check_columns(
+        n,
+        [
+            (mean, "ops::batch_norm_apply: mean"),
+            (var, "ops::batch_norm_apply: var"),
+            (gamma, "ops::batch_norm_apply: gamma"),
+            (beta, "ops::batch_norm_apply: beta"),
+        ],
+    )?;
+    check_eps(eps, "ops::batch_norm_apply")?;
+    let sigma = bn_sigma(var.data(), eps);
+    let mut y = bn_normalize(a.data(), mean.data(), &sigma);
+    bn_scale_shift(&mut y, gamma.data(), beta.data());
+    Ok(Tensor::from_parts(y, a.shape().clone()))
+}
+
+/// What a training-mode batch norm computes, and keeps for its backward
+/// pass so that nothing is recomputed there.
+pub(crate) struct BatchNormed {
+    /// γ·x̂ + β.
+    pub(crate) out: Tensor,
+    /// Per-column batch mean.
+    pub(crate) mean: Tensor,
+    /// Per-column biased batch variance.
+    pub(crate) var: Tensor,
+    /// The normalized input, shaped like it.
+    pub(crate) xhat: Tensor,
+    /// σⱼ = √(varⱼ + ε).
+    pub(crate) sigma: Vec<f32>,
+}
+
+/// Batch normalization over rows with the batch's own statistics.
+///
+/// # Errors
+///
+/// As [`batch_norm_apply`], for `gamma` and `beta`.
+pub(crate) fn batch_norm_train(
+    a: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+) -> Result<BatchNormed, TensorError> {
+    let (_, n) = a.shape().as_rows_cols();
+    check_columns(
+        n,
+        [
+            (gamma, "Tape::batch_norm: gamma"),
+            (beta, "Tape::batch_norm: beta"),
+        ],
+    )?;
+    check_eps(eps, "Tape::batch_norm")?;
+    let (mean, var) = batch_stats(a);
+    let sigma = bn_sigma(var.data(), eps);
+    let xhat = Tensor::from_parts(
+        bn_normalize(a.data(), mean.data(), &sigma),
+        a.shape().clone(),
+    );
+    let mut out = xhat.clone();
+    bn_scale_shift(out.data_mut(), gamma.data(), beta.data());
+    Ok(BatchNormed {
+        out,
+        mean,
+        var,
+        xhat,
+        sigma,
+    })
+}
+
+/// Σdy and Σdy·x̂ per column, each summed in row order from `0.0`: they are
+/// `dβ` and `dγ` of a batch norm, and ×1/m the two means its input gradient
+/// subtracts.
+pub(crate) fn bn_column_sums(dy: &[f32], xhat: &[f32], n: usize) -> (Vec<f32>, Vec<f32>) {
+    let mut sum_dy = vec![0.0f32; n];
+    let mut sum_dy_xhat = vec![0.0f32; n];
+    for (g_row, x_row) in rows(dy, n).zip(rows(xhat, n)) {
+        for (((s, sx), &g), &x) in sum_dy
+            .iter_mut()
+            .zip(&mut sum_dy_xhat)
+            .zip(g_row)
+            .zip(x_row)
+        {
+            *s += g;
+            *sx += g * x;
         }
     }
-    let ad = a.data();
-    let (md, vd, gd, bd) = (mean.data(), var.data(), gamma.data(), beta.data());
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let xhat = (ad[i * n + j] - md[j]) / (vd[j] + eps).sqrt();
-            out[i * n + j] = gd[j] * xhat + bd[j];
+    (sum_dy, sum_dy_xhat)
+}
+
+/// The input gradient of a batch norm over `m` rows,
+/// `dx = (γ/σ)·(dy − Σdy/m − x̂·Σdy·x̂/m)`, written over `xhat`; `sigma`
+/// becomes `γ/σ` on the way (once per column).
+pub(crate) fn bn_input_grad(
+    dy: &[f32],
+    xhat: &mut [f32],
+    sigma: &mut [f32],
+    gamma: &[f32],
+    (sum_dy, sum_dy_xhat): (&[f32], &[f32]),
+) {
+    let n = sigma.len();
+    let inv_m = 1.0 / (xhat.len() / n.max(1)) as f32;
+    for (s, &g) in sigma.iter_mut().zip(gamma) {
+        *s = g / *s;
+    }
+    for (x_row, g_row) in xhat.chunks_exact_mut(n.max(1)).zip(rows(dy, n)) {
+        for ((((x, &g), &s), &sdy), &sdyx) in x_row
+            .iter_mut()
+            .zip(g_row)
+            .zip(&*sigma)
+            .zip(sum_dy)
+            .zip(sum_dy_xhat)
+        {
+            *x = s * (g - sdy * inv_m - *x * (sdyx * inv_m));
         }
     }
-    Ok(Tensor::from_parts(out, a.shape().clone()))
 }
 
 /// Per-row statistics of a matrix: `(mean, variance)` per row (biased
@@ -543,10 +730,31 @@ mod tests {
     }
 
     #[test]
-    fn add_bias_broadcasts_over_rows() {
-        let a = t(vec![0.0; 4], [2, 2]);
-        let b = Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap();
-        assert_eq!(add_bias(&a, &b).unwrap().data(), &[1.0, 2.0, 1.0, 2.0]);
+    fn linear_broadcasts_the_bias_over_rows() {
+        let a = t(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
+        let w = t(vec![0.0; 6], [2, 3]);
+        let b = Tensor::from_vec(vec![1.0, 2.0, -0.0], [3]).unwrap();
+        let y = linear(&a, &w, &b).unwrap();
+        assert_eq!(y.shape().dims(), &[2, 3]);
+        // 0.0 + −0.0 = +0.0: the bias is added to the chain, not stored.
+        let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [1.0f32, 2.0, 0.0, 1.0, 2.0, 0.0].map(f32::to_bits));
+    }
+
+    #[test]
+    fn linear_rejects_bad_shapes() {
+        let a = Tensor::zeros([2, 3]);
+        assert!(matches!(
+            linear(&a, &Tensor::zeros([2, 2]), &Tensor::zeros([2])).unwrap_err(),
+            TensorError::MatmulDims { .. }
+        ));
+        assert!(matches!(
+            linear(&a, &Tensor::zeros([3, 2]), &Tensor::zeros([3])).unwrap_err(),
+            TensorError::ShapeMismatch {
+                context: "ops::linear",
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -583,7 +791,8 @@ mod tests {
     fn cross_entropy_grad_rows_sum_to_zero() {
         let logits = t(vec![0.3, -0.7, 1.5, 0.1, 0.2, -0.4], [2, 3]);
         let (_, probs) = softmax_cross_entropy(&logits, &[1, 2]).unwrap();
-        let g = softmax_cross_entropy_grad(&probs, &[1, 2]).unwrap();
+        assert!(softmax_cross_entropy_grad(probs.clone(), &[1, 3]).is_err());
+        let g = softmax_cross_entropy_grad(probs, &[1, 2]).unwrap();
         for i in 0..2 {
             let s: f32 = g.data()[i * 3..(i + 1) * 3].iter().sum();
             assert!(s.abs() < 1e-6);
@@ -641,6 +850,47 @@ mod tests {
         let (ym, yv) = batch_stats(&y);
         assert!(ym.data().iter().all(|v| v.abs() < 1e-5));
         assert!(yv.data().iter().all(|v| (v - 1.0).abs() < 1e-3));
+    }
+
+    #[test]
+    fn batch_norm_apply_names_the_operand_that_mismatched() {
+        let a = Tensor::zeros([3, 2]);
+        let (ok, bad) = (Tensor::ones([2]), Tensor::ones([3]));
+        let cases = [
+            ([&bad, &ok, &ok, &ok], "ops::batch_norm_apply: mean"),
+            ([&ok, &bad, &ok, &ok], "ops::batch_norm_apply: var"),
+            ([&ok, &ok, &bad, &ok], "ops::batch_norm_apply: gamma"),
+            ([&ok, &ok, &ok, &bad], "ops::batch_norm_apply: beta"),
+        ];
+        for ([mean, var, gamma, beta], want) in cases {
+            let err = batch_norm_apply(&a, mean, var, gamma, beta, 1e-5).unwrap_err();
+            assert_eq!(
+                err,
+                TensorError::ShapeMismatch {
+                    expected: 2,
+                    actual: 3,
+                    context: want
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn batch_norm_apply_rejects_an_epsilon_that_is_not_finite_and_positive() {
+        // A zero-variance column: with ε = 0 every x̂ would be 0/0 = NaN.
+        let a = t(vec![2.0, 2.0, 2.0, 2.0], [2, 2]);
+        let (mean, var) = batch_stats(&a);
+        let (g, b) = (Tensor::ones([2]), Tensor::zeros([2]));
+        for eps in [0.0, -0.0, -1e-5, f32::NAN, f32::INFINITY] {
+            let err = batch_norm_apply(&a, &mean, &var, &g, &b, eps).unwrap_err();
+            assert!(
+                matches!(err, TensorError::InvalidEpsilon { bits, context: "ops::batch_norm_apply" }
+                    if bits == eps.to_bits()),
+                "eps {eps}: {err}"
+            );
+        }
+        let y = batch_norm_apply(&a, &mean, &var, &g, &b, f32::MIN_POSITIVE).unwrap();
+        assert_eq!(y.data(), &[0.0; 4]);
     }
 
     #[test]

@@ -401,22 +401,37 @@ impl Optimizer for Lars {
                     context: "Lars::step",
                 });
             }
-            let mut eff = g.clone();
-            if self.weight_decay != 0.0 {
-                eff.add_assign(&p.scale(self.weight_decay))?;
-            }
+            // eff = g (+ wd·p), recomputed per element rather than stored;
+            // v = mom·v + s·eff; p += −1·v — the per-element arithmetic of
+            // the unfused tensor ops, in place.
+            let wd = self.weight_decay;
+            let eff = |p: f32, g: f32| if wd != 0.0 { g + p * wd } else { g };
             let w_norm = p.l2_norm();
-            let g_norm = eff.l2_norm();
+            let g_norm = p
+                .data()
+                .iter()
+                .zip(g.data())
+                .map(|(&p, &g)| eff(p, g) * eff(p, g))
+                .sum::<f32>()
+                .sqrt();
             let trust = if w_norm > 0.0 && g_norm > 0.0 {
                 self.trust_coefficient * w_norm / (g_norm + self.eps)
             } else {
                 1.0
             };
+            let (mom, s) = (self.momentum, trust * self.lr);
             let v = &mut self.velocity[i];
-            v.scale_assign(self.momentum);
-            v.add_assign(&eff.scale(trust * self.lr))?;
-            let update = v.clone();
-            p.add_assign(&update.scale(-1.0))?;
+            if v.shape() != p.shape() {
+                return Err(TensorError::ShapeMismatch {
+                    expected: p.len(),
+                    actual: v.len(),
+                    context: "Lars::step velocity",
+                });
+            }
+            for ((v, p), &g) in v.data_mut().iter_mut().zip(p.data_mut()).zip(g.data()) {
+                *v = *v * mom + eff(*p, g) * s;
+                *p += *v * -1.0;
+            }
         }
         self.steps += 1;
         Ok(())
@@ -488,10 +503,15 @@ impl Optimizer for Lamb {
         // then rescale each tensor's update by the trust ratio.
         let mut scratch = params.to_vec();
         self.inner.step(&mut scratch, grads)?;
-        for (p, s) in params.iter_mut().zip(scratch.iter()) {
-            let mut update = p.sub(s)?; // lr-scaled Adam step direction
-            if self.weight_decay != 0.0 {
-                update.add_assign(&p.scale(self.weight_decay * self.inner.learning_rate()))?;
+        let decay = self.weight_decay * self.inner.learning_rate();
+        for (p, mut update) in params.iter_mut().zip(scratch) {
+            // The lr-scaled Adam step direction p − s (+ decay·p), written
+            // over the stepped copy s.
+            for (u, &p) in update.data_mut().iter_mut().zip(p.data()) {
+                *u = p - *u;
+                if self.weight_decay != 0.0 {
+                    *u += p * decay;
+                }
             }
             let w_norm = p.l2_norm();
             let u_norm = update.l2_norm();
@@ -500,8 +520,10 @@ impl Optimizer for Lamb {
             } else {
                 1.0
             };
-
-            p.add_assign(&update.scale(-(trust.min(1.0))))?;
+            let c = -(trust.min(1.0));
+            for (p, &u) in p.data_mut().iter_mut().zip(update.data()) {
+                *p += u * c;
+            }
         }
         Ok(())
     }

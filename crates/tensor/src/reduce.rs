@@ -130,17 +130,20 @@ fn sequential_sum_indices(
 fn tree_sum_owned(mut level: Vec<Tensor>) -> Result<Tensor, TensorError> {
     // Pairwise reduction: combine adjacent pairs until one tensor remains.
     // The combination tree depends only on the number of parts, so the
-    // result is a pure function of the ordered part list.
+    // result is a pure function of the ordered part list. Each pass works in
+    // place: slot `i` takes part `2i` and adds part `2i + 1` to it. Slots
+    // `[i, 2i)` hold spent parts by then and `2i`, `2i + 1` are untouched,
+    // so one vector serves every level.
     while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                a.add_assign(&b)?;
+        let half = level.len().div_ceil(2);
+        for i in 0..half {
+            level.swap(i, 2 * i);
+            let (sums, rest) = level.split_at_mut(2 * i + 1);
+            if let Some(b) = rest.first() {
+                sums[i].add_assign(b)?;
             }
-            next.push(a);
         }
-        level = next;
+        level.truncate(half);
     }
     // Halving never empties a non-empty list, so `None` means no parts.
     level.pop().ok_or(TensorError::Empty {

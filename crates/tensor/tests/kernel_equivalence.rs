@@ -22,7 +22,8 @@
 //! determinism tests — the comparison stays exact, NaN bits included.
 
 use proptest::prelude::*;
-use vf_tensor::{conv, gemm, init, pool, Tensor};
+use vf_tensor::autograd::Tape;
+use vf_tensor::{conv, gemm, init, ops, pool, Tensor};
 
 /// Thread counts each property is exercised under. 1 is the sequential
 /// baseline, 2 splits work, 8 exceeds this machine's core count (chunks
@@ -201,6 +202,234 @@ fn gemm_nested_in_a_pool_task_is_bitwise_equal_to_reference() {
             gemm_mismatches(m, k, n, task as u64)
         });
         assert_eq!(mismatches.concat(), [""; 0], "threads={t}");
+    }
+}
+
+/// `ops::linear` adds the bias in the GEMM's tile store; the reference is a
+/// matmul followed by a separate `+=` pass, as `add_bias` did. Ragged widths
+/// (`n` against every tile geometry's `NR`), a NaN and a −0.0 in the bias,
+/// and one shape above the parallel threshold.
+#[test]
+fn linear_is_bitwise_a_matmul_then_a_bias_add() {
+    for t in THREADS {
+        pool::set_num_threads(t);
+        for n in [1usize, 8, 31, 33] {
+            for (m, k) in [(8usize, 32usize), (13, 5), (130, 64)] {
+                let seed = (m * 1000 + k * 10 + n) as u64;
+                let mut x = tensor([m, k], seed);
+                // A zero row: its chains are ±0.0, so a −0.0 bias shows.
+                x.data_mut()[..k].fill(-0.0);
+                let w = tensor([k, n], seed + 1);
+                let mut b = init::normal(&mut init::rng(seed + 2), [n], 0.0, 1.0);
+                b.data_mut()[0] = -0.0;
+                if n > 2 {
+                    b.data_mut()[n / 2] = f32::NAN;
+                }
+                let mut want = ops::matmul(&x, &w).unwrap();
+                for row in want.data_mut().chunks_exact_mut(n) {
+                    for (o, &bias) in row.iter_mut().zip(b.data()) {
+                        *o += bias;
+                    }
+                }
+                let got = ops::linear(&x, &w, &b).unwrap();
+                assert_eq!(got.shape(), want.shape());
+                assert_eq!(
+                    value_bits(got.data()),
+                    value_bits(want.data()),
+                    "linear {m}x{k}x{n} threads={t}"
+                );
+            }
+        }
+    }
+}
+
+/// Batch norm as it was before the row-slice rewrite, kept as the reference
+/// the tape op is held to bit for bit: `[i * n + j]` loops, `√(var + ε)` and
+/// a divide per element, x̂ recomputed in backward, and the column sums of
+/// `dβ`/`dγ` computed again for the input gradient's means.
+mod bn_reference {
+    /// `(out, mean, var)` of training-mode batch norm over `m × n`.
+    pub fn forward(
+        x: &[f32],
+        (m, n): (usize, usize),
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let mut mean = vec![0.0f32; n];
+        for i in 0..m {
+            for j in 0..n {
+                mean[j] += x[i * n + j];
+            }
+        }
+        let inv_m = 1.0 / m as f32;
+        for v in &mut mean {
+            *v *= inv_m;
+        }
+        let mut var = vec![0.0f32; n];
+        for i in 0..m {
+            for j in 0..n {
+                let d = x[i * n + j] - mean[j];
+                var[j] += d * d;
+            }
+        }
+        for v in &mut var {
+            *v *= inv_m;
+        }
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let xhat = (x[i * n + j] - mean[j]) / (var[j] + eps).sqrt();
+                out[i * n + j] = gamma[j] * xhat + beta[j];
+            }
+        }
+        (out, mean, var)
+    }
+
+    /// `(dx, dγ, dβ)` for the upstream gradient `gd`.
+    pub fn backward(
+        x: &[f32],
+        (m, n): (usize, usize),
+        (mean, var): (&[f32], &[f32]),
+        gamma: &[f32],
+        gd: &[f32],
+        eps: f32,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let mut xhat = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                xhat[i * n + j] = (x[i * n + j] - mean[j]) / (var[j] + eps).sqrt();
+            }
+        }
+        let mut db = vec![0.0f32; n];
+        for i in 0..m {
+            for j in 0..n {
+                db[j] += gd[i * n + j];
+            }
+        }
+        let mut dg = vec![0.0f32; n];
+        for i in 0..m {
+            for j in 0..n {
+                dg[j] += gd[i * n + j] * xhat[i * n + j];
+            }
+        }
+        let mut mean_dy = vec![0.0f32; n];
+        let mut mean_dyxhat = vec![0.0f32; n];
+        for i in 0..m {
+            for j in 0..n {
+                mean_dy[j] += gd[i * n + j];
+                mean_dyxhat[j] += gd[i * n + j] * xhat[i * n + j];
+            }
+        }
+        let inv_m = 1.0 / m as f32;
+        for j in 0..n {
+            mean_dy[j] *= inv_m;
+            mean_dyxhat[j] *= inv_m;
+        }
+        let mut dx = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let s = gamma[j] / (var[j] + eps).sqrt();
+                dx[i * n + j] = s * (gd[i * n + j] - mean_dy[j] - xhat[i * n + j] * mean_dyxhat[j]);
+            }
+        }
+        (dx, dg, db)
+    }
+}
+
+/// One batch norm through the tape — forward output, the mean and variance
+/// nodes, `dx`, `dγ`, `dβ` under the upstream gradient `gout` — against
+/// [`bn_reference`]. With `special`, the input and `gout` carry NaN, ±∞ and
+/// −0.0, one γ is 0 and one column is constant (zero variance).
+fn check_batch_norm(m: usize, n: usize, seed: u64, special: bool) -> Result<(), String> {
+    let eps = 1e-5;
+    let mut rng = init::rng(seed);
+    let mut x = init::normal(&mut rng, [m, n], 0.5, 2.0);
+    let mut gamma = init::normal(&mut rng, [n], 1.0, 0.5);
+    let beta = init::normal(&mut rng, [n], 0.0, 0.5);
+    let mut gout = init::normal(&mut rng, [m, n], 0.0, 1.0);
+    if special {
+        sprinkle_specials(&mut x, 7);
+        sprinkle_specials(&mut gout, 5);
+        for row in x.data_mut().chunks_exact_mut(n) {
+            row[n - 1] = 3.25;
+        }
+        gamma.data_mut()[n / 2] = 0.0;
+    }
+
+    let mut tape = Tape::new();
+    let (xv, gv, bv) = (tape.leaf(&x), tape.leaf(&gamma), tape.leaf(&beta));
+    let (y, mean, var) = tape
+        .batch_norm(xv, gv, bv, eps)
+        .map_err(|e| e.to_string())?;
+    // sum(y ⊙ gout) hands the batch norm exactly `1.0 · gout` as upstream.
+    let c = tape.constant(&gout);
+    let weighted = tape.mul(y, c).map_err(|e| e.to_string())?;
+    let loss = tape.sum_all(weighted);
+    let [out, mean, var] = [y, mean, var].map(|v| value_bits(tape.value(v).data()));
+    let grads = tape.backward(loss).map_err(|e| e.to_string())?;
+    let grad = |v| value_bits(grads.get(v).expect("leaf gradient").data());
+
+    let (want_out, want_mean, want_var) =
+        bn_reference::forward(x.data(), (m, n), gamma.data(), beta.data(), eps);
+    let (want_dx, want_dg, want_db) = bn_reference::backward(
+        x.data(),
+        (m, n),
+        (&want_mean, &want_var),
+        gamma.data(),
+        gout.data(),
+        eps,
+    );
+    let what = format!("m={m} n={n} special={special}");
+    for (name, got, want) in [
+        ("out", out, value_bits(&want_out)),
+        ("mean", mean, value_bits(&want_mean)),
+        ("var", var, value_bits(&want_var)),
+        ("dx", grad(xv), value_bits(&want_dx)),
+        ("dgamma", grad(gv), value_bits(&want_dg)),
+        ("dbeta", grad(bv), value_bits(&want_db)),
+    ] {
+        if got != want {
+            return Err(format!("batch norm {name} differs: {what}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn batch_norm_forward_and_backward_are_bitwise_the_reference_loops() {
+    for m in [1usize, 2, 8, 33] {
+        for n in [1usize, 7, 32, 33, 513] {
+            for special in [false, true] {
+                check_batch_norm(m, n, (m * 1000 + n) as u64, special).unwrap();
+            }
+        }
+    }
+}
+
+/// Eval-mode batch norm shares the training kernel; against the reference
+/// forward with the same statistics, including special values and a
+/// zero-variance column.
+#[test]
+fn batch_norm_apply_is_bitwise_the_reference_loop() {
+    for (m, n) in [(1usize, 7usize), (8, 32), (33, 513)] {
+        let mut rng = init::rng((m + n) as u64);
+        let mut x = init::normal(&mut rng, [m, n], 0.0, 3.0);
+        sprinkle_specials(&mut x, 3);
+        let (mean, mut var) = ops::batch_stats(&init::normal(&mut rng, [4, n], 0.0, 1.0));
+        var.data_mut()[0] = 0.0;
+        let gamma = init::normal(&mut rng, [n], 1.0, 0.5);
+        let beta = init::normal(&mut rng, [n], 0.0, 0.5);
+        let got = ops::batch_norm_apply(&x, &mean, &var, &gamma, &beta, 1e-3).unwrap();
+        let mut want = vec![0.0f32; m * n];
+        let (xd, md, vd, gd, bd) = (x.data(), mean.data(), var.data(), gamma.data(), beta.data());
+        for i in 0..m {
+            for j in 0..n {
+                let xhat = (xd[i * n + j] - md[j]) / (vd[j] + 1e-3).sqrt();
+                want[i * n + j] = gd[j] * xhat + bd[j];
+            }
+        }
+        assert_eq!(value_bits(got.data()), value_bits(&want), "m={m} n={n}");
     }
 }
 

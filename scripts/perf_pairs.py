@@ -29,12 +29,21 @@ For train_conv it also prints the step each run ended on and flags the steps
 at which the benchmark's output check ("last loss below the first") fails on
 the bit-identical trajectory whatever the code does (ROADMAP item 1(a)).
 
+`--layers` locates a saving: after each seed's pairs it runs one `--trace 1`
+child per side for each workload and prints every per-layer metric of
+BENCHMARK.json that either side reports as `parent -> change` with the ratio,
+marking `exact` the counters that repeat to the digit on every run
+(`bench.alloc.*`, the `tensor.pool.*` counts, `core.engine.waves_per_step`
+and the scheduler's event, allocate-call and resize counts) — one run per
+side is their value; the timed ones are one sample each, to be read against
+the pairs.
+
 Build each commit once, in its own checkout, then from the repository root:
 
   cargo build --release --manifest-path perf_bench/Cargo.toml
   python3 scripts/perf_pairs.py PARENT/perf_bench/target/release/perf_bench \\
       perf_bench/target/release/perf_bench --workload train_many_vn \\
-      [--seeds 2022,7] [--pairs 10] [--seconds 20]
+      [--seeds 2022,7] [--pairs 10] [--seconds 20] [--layers]
 """
 import argparse
 import json
@@ -55,6 +64,12 @@ NAMES = [w["name"] for w in bench["workloads"]]
 CONV_WARM_UP = 16
 CONV_HAZARD = {2022: {282, 283, 332, 763, 834, 835, 836, 1476, 1477, 1478, 1479, 1480},
                7: {783}}
+# Per-layer counters that repeat to the digit on every run of one build
+# (ROADMAP item 1(b)); `tensor.pool.dispatch_us` is a time, not one of them.
+EXACT = {"bench.alloc.count_per_op", "bench.alloc.bytes_per_op", "tensor.pool.jobs_per_step",
+         "tensor.pool.chunks_per_step", "tensor.pool.serial_fallbacks_per_step",
+         "core.engine.waves_per_step", "sched.sim.events_per_run",
+         "sched.scheduler.allocate_calls_per_run", "sched.sim.resizes_per_run"}
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("parent_bin")
@@ -63,13 +78,15 @@ parser.add_argument("--workload", required=True, choices=NAMES + ["all"])
 parser.add_argument("--seeds", default="2022,7")
 parser.add_argument("--pairs", type=int, default=10)
 parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+parser.add_argument("--layers", action="store_true",
+                    help="after the pairs, one traced run per side: per-layer metrics, parent -> change")
 args = parser.parse_args()
 workloads = NAMES if args.workload == "all" else [args.workload]
 
 
-def run(binary, workload, seed):
+def run(binary, workload, seed, trace=0):
     cmd = [binary, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(args.seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                          timeout=60 + 10 * args.seconds, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -141,6 +158,24 @@ def report(workload, seed, runs):
     return ok, rows
 
 
+def layers(workload, seed):
+    """Prints each per-layer metric of one traced run per side, parent -> change."""
+    runs = {side: run(binary, workload, seed, trace=1)
+            for side, binary in (("parent", args.parent_bin), ("change", args.change_bin))}
+    print(f"\n== layers | {workload} | seed {seed} | one --trace 1 run of {args.seconds:g} s per side ==")
+    print(f"  digests: parent {runs['parent']['digest']}, change {runs['change']['digest']}")
+    for metric in bench["per_layer"]:
+        name = metric["name"]
+        p, c = runs["parent"].get(name, 0.0), runs["change"].get(name, 0.0)
+        if p == 0 and c == 0:
+            continue
+        ratio = f"x{c / p:.3f}" if p else "new"
+        exact = "exact" if name in EXACT else ""
+        print(f"  {name:42} {p:14.6g} -> {c:<14.6g} {ratio:>8} "
+              f"({metric['better']} is better) {exact}")
+    print(flush=True)
+
+
 ok = True
 summary = []
 for seed in [int(s) for s in args.seeds.split(",")]:
@@ -158,6 +193,9 @@ for seed in [int(s) for s in args.seeds.split(",")]:
         w_ok, rows = report(w, seed, runs[w])
         ok = ok and w_ok
         summary += rows
+    if args.layers:
+        for w in workloads:
+            layers(w, seed)
 if len(workloads) > 1:
     print("\n".join(summary), flush=True)
 sys.exit(0 if ok else 1)
