@@ -10,9 +10,14 @@
 
 use vf_bench::report::{emit, print_table};
 use vf_comm::Topology;
-use vf_core::perf_model::{step_time_on_topology, ExecutionShape};
+use vf_core::perf_model::{step_time, ExecutionShape, StepOptions, SyncSchedule};
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::{bert_base, resnet50};
+
+/// An unbucketed step synchronized by `sync`.
+fn on(sync: SyncSchedule) -> StepOptions {
+    StepOptions { sync, bucket_bytes: None }
+}
 
 fn main() {
     println!("== ablation: flat vs hierarchical all-reduce (2 servers x 8 V100) ==\n");
@@ -24,8 +29,8 @@ fn main() {
         let mut rows = Vec::new();
         for gpus in [2usize, 4, 8, 12, 16] {
             let shape = ExecutionShape::homogeneous(v100, gpus, 1, micro);
-            let flat = step_time_on_topology(&model, &shape, &topo, false);
-            let hier = step_time_on_topology(&model, &shape, &topo, true);
+            let flat = step_time(&model, &shape, on(SyncSchedule::Flat(topo)));
+            let hier = step_time(&model, &shape, on(SyncSchedule::Hierarchical(topo)));
             let speedup = flat.total_s() / hier.total_s();
             rows.push(vec![
                 gpus.to_string(),

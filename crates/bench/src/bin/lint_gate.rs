@@ -3,14 +3,17 @@
 //! Runs the full `vf-lint` audit (per-file rules plus the semantic passes
 //! of DESIGN.md §16), appends a `lint_gate` record — error and
 //! semantic-finding counts, waivers, files scanned, the public-surface
-//! counts (`pub_items`, `uncalled_pub`), analysis wall time —
+//! counts (`pub_items`, `uncalled_pub`), each library crate's non-test
+//! line count (`lines/<crate>`), analysis wall time —
 //! to `results/BENCH_history.jsonl`, and exits nonzero on any error. The
 //! committed `results/BENCH_baseline.json` pins `lint_gate/errors` and
 //! `lint_gate/semantic_findings` at zero with zero tolerance, so
 //! `bench_gate` fails the build if a finding ever lands, and pins `waived`,
 //! `pub_items` and `uncalled_pub` so they may only fall, while `wall_ms`
 //! stays ungated (wall clock must never flake tier-1) but is recorded for
-//! trend-watching as the analyzed workspace grows.
+//! trend-watching as the analyzed workspace grows. The line counts are
+//! recorded and never pinned: a line ratchet would make every feature
+//! change loosen a gate.
 //!
 //! Usage: `lint_gate` (workspace root discovered from the cwd).
 
@@ -59,6 +62,9 @@ fn main() -> ExitCode {
     rec.set("files_scanned", outcome.files_scanned as f64);
     rec.set("pub_items", outcome.pub_items as f64);
     rec.set("uncalled_pub", outcome.uncalled_pub.len() as f64);
+    for (krate, lines) in &outcome.lines {
+        rec.set(&format!("lines/{krate}"), *lines as f64);
+    }
     rec.set("wall_ms", wall_ms);
     append_history(&rec);
 

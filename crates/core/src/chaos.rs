@@ -39,7 +39,7 @@ use crate::{CoreError, TrainerConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vf_comm::allreduce::split_bucket_bytes;
+use vf_comm::allreduce::{ring_allreduce_time_s, split_bucket_bytes};
 use vf_comm::chaos::{
     allreduce_with_recovery, collective_stream, ring_reform_time_s, CommFaultModel,
 };
@@ -47,9 +47,7 @@ use vf_comm::membership::{ElasticGroup, WorkerId};
 use vf_comm::LinkProfile;
 use vf_data::Dataset;
 use vf_device::obs::emit_backward_window;
-use vf_device::{
-    Backoff, BackoffPolicy, DeviceId, FaultKind, FaultPlan, PlannedFault, SimClock, TwoLaneClock,
-};
+use vf_device::{Backoff, BackoffPolicy, DeviceId, FaultKind, FaultPlan, PlannedFault, SimClock};
 use vf_models::trainable::Architecture;
 use vf_obs::{Event, Metrics, Monitor, Recorder};
 use vf_store::{CheckpointStore, StoreConfig};
@@ -139,6 +137,40 @@ impl ChaosConfig {
             backward_fraction: 0.5,
             store: None,
         }
+    }
+
+    /// Checks every `f64` value before it reaches a clock: all must be
+    /// finite, durations non-negative and the link's bandwidth positive.
+    /// Finite probabilities and fractions keep their documented clamps.
+    fn validate(&self) -> Result<(), CoreError> {
+        const NON_NEGATIVE: &str = "finite and non-negative";
+        const POSITIVE: &str = "finite and positive";
+        const FINITE: &str = "finite";
+        let fields = [
+            ("compute_s_per_wave", self.compute_s_per_wave, NON_NEGATIVE),
+            ("link.latency_s", self.link.latency_s, NON_NEGATIVE),
+            ("link.bandwidth", self.link.bandwidth, POSITIVE),
+            ("bootstrap_s", self.bootstrap_s, NON_NEGATIVE),
+            ("backoff.base_s", self.backoff.base_s, NON_NEGATIVE),
+            ("backoff.factor", self.backoff.factor, NON_NEGATIVE),
+            ("backoff.max_s", self.backoff.max_s, NON_NEGATIVE),
+            ("recovery_failure_prob", self.recovery_failure_prob, FINITE),
+            ("restore_s", self.restore_s, NON_NEGATIVE),
+            ("cooldown_s", self.cooldown_s, NON_NEGATIVE),
+            ("events_horizon_s", self.events_horizon_s, NON_NEGATIVE),
+            ("backward_fraction", self.backward_fraction, FINITE),
+        ];
+        for (field, value, requirement) in fields {
+            let in_range = match requirement {
+                NON_NEGATIVE => value >= 0.0,
+                POSITIVE => value > 0.0,
+                _ => true,
+            };
+            if !(value.is_finite() && in_range) {
+                return Err(CoreError::InvalidChaosConfig { field, value, requirement });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -379,7 +411,9 @@ impl ChaosSupervisor {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Trainer::new`].
+    /// [`CoreError::InvalidChaosConfig`] for a non-finite value, a negative
+    /// duration or a link without bandwidth in `cfg`; otherwise the same
+    /// conditions as [`Trainer::new`].
     pub fn new(
         arch: Arc<dyn Architecture>,
         dataset: Arc<Dataset>,
@@ -388,6 +422,7 @@ impl ChaosSupervisor {
         spares: &[DeviceId],
         cfg: ChaosConfig,
     ) -> Result<Self, CoreError> {
+        cfg.validate()?;
         let mut trainer = Trainer::new(arch.clone(), dataset.clone(), config, devices)?;
         // The real executor mirrors the simulated bucket plan, so the
         // pipelined reduction runs (and its trajectory equality is
@@ -878,28 +913,21 @@ impl ChaosSupervisor {
         self.obs
             .record_with(|| Event::counter("chaos/fleet", "chaos", self.obs.now_us(), workers));
         let compute_s = self.cfg.compute_s_per_wave * waves as f64;
-        // The backward tail exists whether or not sync is bucketed; the
-        // overlapped path records it inside `overlapped_sync_time_s`, and
-        // recording it on the legacy paths too keeps traces comparable —
-        // the critical-path delta between the two schedules is then
-        // exactly the communication hidden under the window.
-        if self.cfg.bucket_bytes.is_none() {
-            let window = (self.cfg.backward_fraction.clamp(0.0, 1.0)
-                * self.cfg.compute_s_per_wave)
-                .min(compute_s);
-            emit_backward_window(
-                &self.obs,
-                self.trainer.steps_done(),
-                self.clock.now() + compute_s - window,
-                window,
-            );
-        }
-        let elapsed = if self.cfg.bucket_bytes.is_some() {
-            self.overlapped_sync_time_s(compute_s, workers)?
+        // The overlappable window is the backward tail of the final wave. It
+        // exists whether or not sync is bucketed, and recording it on the
+        // legacy paths too keeps traces comparable: the critical-path delta
+        // between the two schedules is then exactly the communication
+        // hidden under the window.
+        let window =
+            (self.cfg.backward_fraction.clamp(0.0, 1.0) * self.cfg.compute_s_per_wave).min(compute_s);
+        let step = self.trainer.steps_done();
+        emit_backward_window(&self.obs, step, self.clock.now() + compute_s - window, window);
+        let elapsed = if let Some(bucket_bytes) = self.cfg.bucket_bytes {
+            self.overlapped_sync_time_s(compute_s, window, workers, bucket_bytes)?
         } else if let Some(comm) = &self.cfg.comm {
             let outcome = allreduce_with_recovery(
                 comm,
-                self.trainer.steps_done(),
+                step,
                 self.param_bytes,
                 workers,
                 &self.cfg.link,
@@ -914,11 +942,7 @@ impl ChaosSupervisor {
             self.report.comm_exposed_s += outcome.time_s;
             compute_s + outcome.time_s
         } else {
-            let comm_s = vf_comm::allreduce::ring_allreduce_time_s(
-                self.param_bytes,
-                workers,
-                &self.cfg.link,
-            );
+            let comm_s = ring_allreduce_time_s(self.param_bytes, workers, &self.cfg.link);
             self.report.comm_total_s += comm_s;
             self.report.comm_exposed_s += comm_s;
             compute_s + comm_s
@@ -935,58 +959,47 @@ impl ChaosSupervisor {
     /// free. Fault draws use per-bucket streams (with probabilities scaled
     /// by byte share, so fault exposure is invariant to bucketing) and
     /// retries recover per-bucket; trajectories stay bit-exact throughout.
-    fn overlapped_sync_time_s(&mut self, compute_s: f64, workers: usize) -> Result<f64, CoreError> {
+    fn overlapped_sync_time_s(
+        &mut self,
+        compute_s: f64,
+        window: f64,
+        workers: usize,
+        bucket_bytes: u64,
+    ) -> Result<f64, CoreError> {
         let step = self.trainer.steps_done();
         let t0 = self.clock.now();
-        // The overlappable window is the backward tail of the final wave.
-        let window =
-            (self.cfg.backward_fraction.clamp(0.0, 1.0) * self.cfg.compute_s_per_wave).min(compute_s);
-        let window_start = t0 + compute_s - window;
-        emit_backward_window(&self.obs, step, window_start, window);
-
-        // vf-lint: allow(panic-ratchet) — execute_step only calls this when bucket_bytes is set
-        let bucket_bytes = self.cfg.bucket_bytes.expect("overlapped path requires bucket_bytes");
         let sizes = split_bucket_bytes(self.param_bytes, bucket_bytes);
-        let ready = crate::overlap::bucket_ready_times(window_start, window, sizes.len());
-        let quiet;
-        let model = match &self.cfg.comm {
-            Some(m) => m,
-            None => {
-                quiet = CommFaultModel::quiet(0);
-                &quiet
-            }
-        };
-        let mut lanes = TwoLaneClock::new(t0);
-        lanes.advance_compute(compute_s);
-        let mut comm_total = 0.0;
-        let total_bytes: u64 = sizes.iter().sum();
-        for (b, bytes) in sizes.iter().enumerate() {
-            let start = lanes.begin_comm(ready[b]);
+        let model = self.cfg.comm.unwrap_or(CommFaultModel::quiet(0));
+        let (obs, report) = (&self.obs, &mut self.report);
+        let (link, max_attempts) = (&self.cfg.link, self.cfg.max_collective_attempts);
+        let (mut comm_total, total_bytes) = (0.0, self.param_bytes);
+        let pipeline = crate::overlap::pipeline_buckets::<CoreError>;
+        let lanes = pipeline(t0, compute_s, window, &sizes, |b, bytes, start| {
             // Bucket starts are nondecreasing, so this never rewinds the
             // recorder; comm spans land inside (or after) the backward
             // window, which is exactly what the trace-structure checks
             // assert.
-            self.obs.set_time_s(start);
+            obs.set_time_s(start);
             // Per-attempt fault probabilities are scaled by the bucket's
             // byte share: fault exposure tracks bytes on the wire, so a
             // step's expected fault count is invariant to bucketing.
-            let bucket_model = model.scaled(*bytes as f64 / total_bytes.max(1) as f64);
+            let bucket_model = model.scaled(bytes as f64 / total_bytes.max(1) as f64);
             let outcome = allreduce_with_recovery(
                 &bucket_model,
                 collective_stream(step, b as u32),
-                *bytes,
+                bytes,
                 workers,
-                &self.cfg.link,
-                self.cfg.max_collective_attempts,
-                &self.obs,
+                link,
+                max_attempts,
+                obs,
             )
             .map_err(|e| CoreError::CommPartitioned { attempts: e.attempts })?;
-            lanes.advance_comm(outcome.time_s);
             comm_total += outcome.time_s;
-            self.report.comm_timeouts += outcome.timeouts as usize;
-            self.report.comm_aborts += outcome.aborts as usize;
-            self.report.comm_stragglers += outcome.stragglers as usize;
-        }
+            report.comm_timeouts += outcome.timeouts as usize;
+            report.comm_aborts += outcome.aborts as usize;
+            report.comm_stragglers += outcome.stragglers as usize;
+            Ok(outcome.time_s)
+        })?;
         self.report.comm_total_s += comm_total;
         self.report.comm_exposed_s += lanes.exposed_comm_s();
         Ok(lanes.join() - t0)
@@ -1329,6 +1342,100 @@ mod tests {
             }
         };
         assert!(matches!(err, CoreError::FleetExhausted { .. }), "{err}");
+    }
+
+    /// Builds a supervisor over a config with `value` written by `set`.
+    fn supervisor_with(
+        set: &dyn Fn(&mut ChaosConfig, f64),
+        value: f64,
+    ) -> Result<ChaosSupervisor, CoreError> {
+        let (arch, dataset, config) = parts(1);
+        let mut cfg = ChaosConfig::new(FaultPlan::new(1), 10);
+        cfg.bucket_bytes = Some(64);
+        set(&mut cfg, value);
+        ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..12), cfg)
+    }
+
+    /// Every value in `bad` is rejected as `field`; every value in `good`
+    /// is accepted.
+    fn check_field(field: &str, set: impl Fn(&mut ChaosConfig, f64), bad: &[f64], good: &[f64]) {
+        for &v in bad {
+            match supervisor_with(&set, v) {
+                Err(CoreError::InvalidChaosConfig { field: f, .. }) => assert_eq!(f, field, "{v}"),
+                Err(e) => panic!("{field} = {v}: wrong error {e}"),
+                Ok(_) => panic!("{field} = {v} was accepted"),
+            }
+        }
+        for &v in good {
+            assert!(supervisor_with(&set, v).is_ok(), "{field} = {v} was rejected");
+        }
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    const BAD_DURATION: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+
+    #[test]
+    fn compute_s_per_wave_must_be_a_duration() {
+        check_field("compute_s_per_wave", |c, v| c.compute_s_per_wave = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn link_latency_must_be_a_duration() {
+        check_field("link.latency_s", |c, v| c.link.latency_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn link_bandwidth_must_be_positive() {
+        let bad = [f64::NAN, f64::INFINITY, 0.0, -1.0];
+        check_field("link.bandwidth", |c, v| c.link.bandwidth = v, &bad, &[200.0]);
+    }
+
+    #[test]
+    fn bootstrap_s_must_be_a_duration() {
+        check_field("bootstrap_s", |c, v| c.bootstrap_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn backoff_base_must_be_a_duration() {
+        check_field("backoff.base_s", |c, v| c.backoff.base_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn backoff_factor_must_be_finite_and_non_negative() {
+        check_field("backoff.factor", |c, v| c.backoff.factor = v, &BAD_DURATION, &[1.0]);
+    }
+
+    #[test]
+    fn backoff_cap_must_be_a_duration() {
+        check_field("backoff.max_s", |c, v| c.backoff.max_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn recovery_failure_prob_must_be_finite_and_keeps_its_clamp() {
+        let set = |c: &mut ChaosConfig, v| c.recovery_failure_prob = v;
+        check_field("recovery_failure_prob", set, &NON_FINITE, &[-1.0, 2.0]);
+    }
+
+    #[test]
+    fn restore_s_must_be_a_duration() {
+        check_field("restore_s", |c, v| c.restore_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn cooldown_s_must_be_a_duration() {
+        check_field("cooldown_s", |c, v| c.cooldown_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn events_horizon_s_must_be_a_duration() {
+        check_field("events_horizon_s", |c, v| c.events_horizon_s = v, &BAD_DURATION, &[0.0]);
+    }
+
+    #[test]
+    fn backward_fraction_must_be_finite_and_keeps_its_clamp() {
+        // NaN used to survive `clamp` and turn every wave into backward.
+        let set = |c: &mut ChaosConfig, v| c.backward_fraction = v;
+        check_field("backward_fraction", set, &NON_FINITE, &[-1.0, 2.0]);
     }
 
     #[test]

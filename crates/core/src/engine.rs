@@ -264,12 +264,12 @@ impl Trainer {
     /// single-bucket default (one sync per step).
     ///
     /// Boundaries are a pure function of the canonical parameter order and
-    /// this threshold — never of arrival time. The plan decides how many
-    /// `bucket{k}/reduce` spans a step's trace carries (and, through
-    /// `ChaosConfig::bucket_bytes` and [`crate::perf_model`], how the
-    /// simulated comm lane is scheduled); it is not an input to the
-    /// reduction, so the parameter trajectory is bit-identical for every
-    /// setting.
+    /// this threshold — never of arrival time. The plan decides only how
+    /// many `bucket{k}/reduce` spans a step's trace carries. It is not an
+    /// input to the reduction, so the parameter trajectory is bit-identical
+    /// for every setting. The simulated comm lanes (`ChaosConfig::bucket_bytes`,
+    /// [`crate::perf_model::StepOptions`]) read the same threshold but cut
+    /// the gradient into fixed `split_bucket_bytes` chunks instead.
     pub fn set_bucket_bytes(&mut self, bucket_bytes: Option<u64>) {
         let sizes: Vec<u64> = self.params.iter().map(|p| p.size_bytes() as u64).collect();
         self.bucket_plan = match bucket_bytes {

@@ -66,6 +66,16 @@ pub enum CoreError {
         /// Consecutive failed attempts.
         attempts: u32,
     },
+    /// A chaos configuration value is out of range: non-finite, a negative
+    /// duration, or a link without bandwidth.
+    InvalidChaosConfig {
+        /// The offending field, e.g. `"restore_s"` or `"link.bandwidth"`.
+        field: &'static str,
+        /// The value found.
+        value: f64,
+        /// What the field must be.
+        requirement: &'static str,
+    },
     /// An internal invariant was violated — a bug in the engine itself,
     /// not in the caller's configuration.
     Internal {
@@ -152,6 +162,9 @@ impl fmt::Display for CoreError {
                 f,
                 "all-reduce failed {attempts} consecutive attempts; worker group is partitioned"
             ),
+            CoreError::InvalidChaosConfig { field, value, requirement } => {
+                write!(f, "invalid chaos config: `{field}` = {value}, must be {requirement}")
+            }
             CoreError::Internal { invariant } => {
                 write!(f, "internal invariant violated: {invariant}")
             }

@@ -7,7 +7,7 @@
 //! at. This module computes such assignments and quantifies the wave-time
 //! balance they achieve.
 
-use crate::perf_model::ExecutionShape;
+use crate::perf_model::{pass_time_s, ExecutionShape};
 use crate::vnode::{VirtualNodeId, VnMapping};
 use crate::CoreError;
 use std::collections::BTreeMap;
@@ -120,15 +120,13 @@ pub fn proportional_shape(
 }
 
 /// The wave-time imbalance of a shape for `model`: the ratio of the slowest
-/// device's compute time to the fastest's. 1.0 is perfectly balanced.
+/// device's compute time to the fastest's, each priced as
+/// [`crate::perf_model::step_time`] prices it. 1.0 is perfectly balanced.
 pub fn imbalance(model: &ModelProfile, shape: &ExecutionShape) -> f64 {
     let times: Vec<f64> = shape
         .devices
         .iter()
-        .map(|(p, vns)| {
-            let flops = model.flops_forward_per_example * shape.micro_batch as f64 * 3.0;
-            (*vns as f64) * (flops / p.flops_per_sec + 2.0 * p.pass_overhead_s)
-        })
+        .map(|(p, vns)| pass_time_s(model, p, shape.micro_batch).0 * *vns as f64)
         .collect();
     let max = times.iter().copied().fold(f64::MIN, f64::max);
     let min = times.iter().copied().fold(f64::MAX, f64::min);

@@ -1,29 +1,22 @@
-//! Bucketed comm/compute overlap: fixed gradient buckets and the times at
-//! which they become ready inside the backward tail.
+//! Bucketed comm/compute overlap on the simulated clock.
 //!
 //! The classic data-parallel throughput lever (TensorFlow, Horovod, DDP):
-//! instead of synchronizing the whole gradient once the entire backward
-//! pass is done, gradients are partitioned into **buckets** and each
-//! bucket's all-reduce launches as soon as its gradients exist, overlapping
-//! the remaining backward computation. Here that overlap lives on the
-//! *simulated* clock and in the trace; the host executor reduces after the
-//! last wave whatever the plan (see [`crate::Trainer`]), so bucketing cannot
-//! touch a value. What keeps the simulated schedule itself deterministic:
+//! gradients are partitioned into **buckets** and each bucket's all-reduce
+//! launches as soon as its gradients exist, overlapping the rest of the
+//! backward pass. Here that overlap lives on the *simulated* clock and in
+//! the trace; the host executor reduces after the last wave whatever the
+//! plan (see [`crate::Trainer`]), so bucketing cannot touch a value.
 //!
-//! * **fixed boundaries** — [`BucketPlan`] cuts the canonical parameter
-//!   list (in *reverse* order, the order backward produces gradients) at a
-//!   byte threshold; the cut is a pure function of parameter shapes and the
-//!   threshold, never of timing;
-//! * **fixed ready times** — [`bucket_ready_times`] places the buckets at
-//!   deterministic points inside the overlappable backward window.
-//!
-//! The comm lane that serves the buckets sequentially is
-//! `vf_device::TwoLaneClock`: the exposed communication cost of a step is
-//! `max(0, comm_end − compute_end)` — the quantity
-//! [`crate::perf_model::step_time_overlapped`] reports and the chaos
-//! supervisor charges to its simulated clock.
+//! `pipeline_buckets` runs the simulated schedule for both of its users:
+//! [`crate::perf_model::step_time`] (α–β priced collectives) and the chaos
+//! supervisor (faulty, retried ones). Both cut the gradient into
+//! fixed `split_bucket_bytes` chunks. [`BucketPlan`] is a second rule over
+//! the same threshold: it cuts the canonical parameter list at parameter
+//! boundaries and decides the trainer's `bucket{k}/reduce` trace spans.
+//! Both cuts are pure functions of sizes and threshold, never of timing.
 
 use serde::{Deserialize, Serialize};
+use vf_device::TwoLaneClock;
 
 /// One fixed gradient bucket: a contiguous run of parameters (indices into
 /// the canonical parameter list) and their total payload.
@@ -118,18 +111,32 @@ impl BucketPlan {
     }
 }
 
-/// Deterministic per-bucket gradient-ready times: bucket `b` of `n` becomes
-/// ready at `window_start + (b/n) · window` — the backward tail streams
-/// gradients out uniformly, and bucket 0 (the output-side gradients) is
-/// available as soon as the overlappable window opens. With one bucket this
-/// is the window start; the window itself models the *overlappable
-/// backward*, so a schedule that keeps the lane busy from the first ready
-/// time can hide at most `window` seconds of communication.
-pub fn bucket_ready_times(window_start_s: f64, window_s: f64, n: usize) -> Vec<f64> {
-    let n = n.max(1);
-    (0..n)
-        .map(|b| window_start_s + window_s * (b as f64 / n as f64))
-        .collect()
+/// Runs one step's bucketed sync on a [`TwoLaneClock`] whose lanes start
+/// at `t0_s`. Compute occupies `compute_s`, whose last `window_s` is the
+/// backward tail; it streams gradients out uniformly, so bucket `b` of `n`
+/// is ready `b/n` of the way into the window and its collective starts once
+/// the comm lane is free. `collective(b, bytes, start_s)` returns that
+/// collective's duration. The returned clock's `join` ends the step.
+///
+/// # Errors
+///
+/// The first error `collective` returns; later buckets are not run.
+pub(crate) fn pipeline_buckets<E>(
+    t0_s: f64,
+    compute_s: f64,
+    window_s: f64,
+    sizes: &[u64],
+    mut collective: impl FnMut(usize, u64, f64) -> Result<f64, E>,
+) -> Result<TwoLaneClock, E> {
+    let window_start = t0_s + compute_s - window_s;
+    let mut lanes = TwoLaneClock::new(t0_s);
+    lanes.advance_compute(compute_s);
+    for (b, &bytes) in sizes.iter().enumerate() {
+        let ready = window_start + window_s * (b as f64 / sizes.len() as f64);
+        let start = lanes.begin_comm(ready);
+        lanes.advance_comm(collective(b, bytes, start)?);
+    }
+    Ok(lanes)
 }
 
 #[cfg(test)]
@@ -173,10 +180,49 @@ mod tests {
         assert_eq!(BucketPlan::single(&sizes).buckets()[0].params, vec![0, 1, 2]);
     }
 
+    /// Drives 4 one-megabyte buckets through a 2 s window at the end of
+    /// 10 s of compute, each collective costing `comm_s`; returns the
+    /// clock and the start time of each collective.
+    fn pipeline(comm_s: f64) -> (TwoLaneClock, Vec<f64>) {
+        let mut starts = Vec::new();
+        let lanes = pipeline_buckets::<()>(0.0, 10.0, 2.0, &[1 << 20; 4], |b, bytes, start| {
+            assert_eq!((b, bytes), (starts.len(), 1 << 20));
+            starts.push(start);
+            Ok(comm_s)
+        })
+        .unwrap();
+        (lanes, starts)
+    }
+
     #[test]
-    fn ready_times_tile_the_window() {
-        let r = bucket_ready_times(10.0, 2.0, 4);
-        assert_eq!(r, vec![10.0, 10.5, 11.0, 11.5]);
-        assert_eq!(bucket_ready_times(3.0, 1.0, 1), vec![3.0]);
+    fn exposed_comm_is_zero_when_comm_fits_under_backward() {
+        // 0.1 s per bucket, far under the 0.5 s ready spacing: each
+        // collective starts when its bucket is ready and hides completely.
+        let (lanes, starts) = pipeline(0.1);
+        assert_eq!(starts, vec![8.0, 8.5, 9.0, 9.5]);
+        assert_eq!(lanes.exposed_comm_s(), 0.0);
+        assert_eq!(lanes.join(), 10.0);
+    }
+
+    #[test]
+    fn exposed_comm_is_comm_minus_backward_tail_when_it_does_not_fit() {
+        // 1 s per bucket ≥ the 0.5 s ready spacing, so the comm lane runs
+        // back-to-back from the first ready point: exactly total comm −
+        // window seconds stick out past the end of compute.
+        let (lanes, starts) = pipeline(1.0);
+        assert_eq!(starts, vec![8.0, 9.0, 10.0, 11.0]);
+        assert_eq!(lanes.exposed_comm_s(), 4.0 - 2.0);
+        assert_eq!(lanes.join(), 12.0);
+    }
+
+    #[test]
+    fn a_failed_collective_stops_the_pipeline() {
+        let mut calls = 0;
+        let r = pipeline_buckets(0.0, 1.0, 1.0, &[8; 3], |b, _, _| {
+            calls += 1;
+            if b == 1 { Err("partitioned") } else { Ok(0.1) }
+        });
+        assert_eq!(r, Err("partitioned"));
+        assert_eq!(calls, 2);
     }
 }

@@ -87,11 +87,6 @@ impl TwoLaneClock {
         TwoLaneClock { compute_s: start_s, comm_s: start_s }
     }
 
-    /// Current front of the comm lane.
-    pub fn comm_now(&self) -> f64 {
-        self.comm_s
-    }
-
     /// Advances the compute lane by `dt_s` seconds.
     ///
     /// # Panics
@@ -208,7 +203,7 @@ mod tests {
         for b in 0..4 {
             assert_eq!(lanes.begin_comm(10.0 + 0.25 * f64::from(b)), prev_end);
             lanes.advance_comm(1.0);
-            prev_end = lanes.comm_now();
+            prev_end += 1.0;
         }
         assert_eq!(lanes.join(), 14.0);
         assert!((lanes.exposed_comm_s() - (4.0 - 1.0)).abs() < 1e-12);

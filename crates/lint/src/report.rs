@@ -17,7 +17,8 @@ use crate::workspace::Outcome;
 
 /// Builds the metrics registry summarizing an audit outcome: scan
 /// counters, error/note/waiver totals, the semantic-findings headline,
-/// the public-surface counts (`lint/pub_items`, `lint/uncalled_pub`), and
+/// the public-surface counts (`lint/pub_items`, `lint/uncalled_pub`), the
+/// non-test line count of each library crate (`lint/lines/<crate>`), and
 /// one `lint/rule/<id>` counter per catalog rule (declared at zero so
 /// the schema is identical on clean and dirty trees).
 pub fn metrics(outcome: &Outcome) -> Metrics {
@@ -27,6 +28,9 @@ pub fn metrics(outcome: &Outcome) -> Metrics {
     m.inc("lint/waived", outcome.waived as u64);
     m.inc("lint/pub_items", outcome.pub_items as u64);
     m.inc("lint/uncalled_pub", outcome.uncalled_pub.len() as u64);
+    for (krate, lines) in &outcome.lines {
+        m.inc(&format!("lint/lines/{krate}"), *lines as u64);
+    }
     m.inc("lint/errors", 0);
     m.inc("lint/notes", 0);
     m.inc("lint/semantic_findings", 0);

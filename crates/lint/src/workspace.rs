@@ -39,6 +39,9 @@ pub struct Outcome {
     pub pub_items: usize,
     /// Those of them that no non-test code names, as sorted `path::name`.
     pub uncalled_pub: Vec<String>,
+    /// Non-test lines per library crate: lines of `crates/<name>/src`
+    /// outside `src/bin/` and outside test regions, keyed by `<name>`.
+    pub lines: BTreeMap<String, usize>,
 }
 
 /// Locates the workspace root: the nearest ancestor of `start` whose
@@ -166,6 +169,11 @@ pub fn audit(root: &Path) -> io::Result<Outcome> {
         out.diagnostics.extend(report.diagnostics);
         let library = rel_path.starts_with("crates/") && !rel_path.contains("/src/bin/");
         surface.add(&rel_path, &lexed, library);
+        if library {
+            let krate = rel_path["crates/".len()..].split('/').next().unwrap_or_default();
+            let non_test = lexed.test_lines.iter().filter(|&&test| !test).count();
+            *out.lines.entry(krate.to_string()).or_default() += non_test;
+        }
         parsed.push(parse::parse_file(&rel_path, &lexed));
     }
     for path in reference_files(root)? {

@@ -404,6 +404,28 @@ fn public_surface_count_reads_examples_and_ignores_tests() {
     assert_eq!(outcome.files_scanned, 1);
 }
 
+#[test]
+fn line_counts_are_per_library_crate_outside_tests_and_binaries() {
+    let fx = Fixture::new(
+        "pub fn a() {}\n\
+         \n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+             #[test]\n\
+             fn t() {}\n\
+         }\n",
+    );
+    fx.write("crates/foo/src/more.rs", "// a comment counts\nfn b() {}\n");
+    fx.write("crates/foo/src/bin/tool.rs", "fn main() {}\n");
+    fx.write("crates/bar/src/lib.rs", "fn c() {}\n");
+    fx.write("src/lib.rs", "pub use foo;\n");
+    let outcome = audit(fx.root()).unwrap();
+    let lines: Vec<(&str, usize)> =
+        outcome.lines.iter().map(|(k, &n)| (k.as_str(), n)).collect();
+    // foo: `pub fn a` and the blank line, then both lines of more.rs.
+    assert_eq!(lines, [("bar", 1), ("foo", 4)]);
+}
+
 /// The acceptance check: the real workspace this crate ships in must audit
 /// clean, so `cargo run -p vf-lint -- --deny` stays a tier-1 gate.
 #[test]

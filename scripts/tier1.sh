@@ -25,9 +25,10 @@ cargo test --release -q --manifest-path perf_bench/Cargo.toml
 echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =="
 cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
 
-echo "== tier 1: figure byte-identity (scheduler + conv + trainer-driven MLP/BN): figures regenerate to the committed bytes =="
+echo "== tier 1: figure byte-identity (scheduler + conv + trainer-driven MLP/BN + step-time model): figures regenerate to the committed bytes =="
 for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro \
-    tab01_resnet_repro tab02_bert_repro fig02_rte_finetune fig07_bert_curves fig08_resnet_curves ablate_noise_scale; do
+    tab01_resnet_repro tab02_bert_repro fig02_rte_finetune fig07_bert_curves fig08_resnet_curves ablate_noise_scale \
+    fig04_design_space fig09_update_throughput fig11_bs_throughput fig16_throughput_vn ablate_hierarchical; do
     cargo run --release -q -p vf-bench --bin "$bin" > /dev/null
     git diff --exit-code -- "results/$bin.json" "results/$bin.txt"
 done

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use virtualflow::core::fault::fail_device;
-use virtualflow::core::perf_model::step_time_on_topology;
+use virtualflow::core::perf_model::{step_time, StepOptions, SyncSchedule};
 use virtualflow::core::Checkpoint;
 use virtualflow::device::FailureModel;
 use virtualflow::models::ResidualMlp;
@@ -174,8 +174,9 @@ fn topology_aware_step_time_is_consistent_with_sync_model() {
         2,
         256,
     );
-    let flat = step_time_on_topology(&model, &shape, &topo, false);
-    let hier = step_time_on_topology(&model, &shape, &topo, true);
+    let on = |sync| StepOptions { sync, bucket_bytes: None };
+    let flat = step_time(&model, &shape, on(SyncSchedule::Flat(topo)));
+    let hier = step_time(&model, &shape, on(SyncSchedule::Hierarchical(topo)));
     assert_eq!(flat.compute_s, hier.compute_s);
     assert!(hier.sync_s < flat.sync_s);
     assert_eq!(
