@@ -8,12 +8,12 @@
 //! pay off — the reason checkpoint/restart-based elasticity (minutes per
 //! resize) underdelivers.
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_comm::{BootstrapPolicy, ElasticGroup, WorkerId};
 use vf_sched::trace::poisson_trace;
 use vf_sched::{run_trace, ElasticWfs, SimConfig, StaticPriority};
 
-fn main() {
+fn main() -> Result {
     println!("== ablation: bootstrap policy and resize cost ==\n");
 
     // Part 1: group-level stall accounting over a burst of joins.
@@ -60,10 +60,10 @@ fn main() {
         }));
     }
     print_table(&["penalty (s)", "makespan gain"], &table);
-    let cheap = sweep[0]["makespan_gain_pct"].as_f64().expect("numeric");
-    let expensive = sweep.last().expect("non-empty")["makespan_gain_pct"]
+    let cheap = sweep[0]["makespan_gain_pct"].as_f64().context("numeric")?;
+    let expensive = sweep.last().context("non-empty")?["makespan_gain_pct"]
         .as_f64()
-        .expect("numeric");
+        .context("numeric")?;
     println!(
         "\ncheap resizes gain {cheap:.1}%; checkpoint-restart-class resizes (30 min) gain {expensive:.1}%"
     );
@@ -71,5 +71,6 @@ fn main() {
     emit(
         "ablate_bootstrap",
         &serde_json::json!({ "bootstrap": rows, "penalty_sweep": sweep }),
-    );
+    )?;
+    Ok(())
 }

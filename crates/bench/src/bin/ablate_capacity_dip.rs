@@ -7,11 +7,11 @@
 //! through a capacity loss and grow back, while a rigid scheduler must
 //! evict whole jobs and restart them later.
 
-use vf_bench::report::{emit, improvement_pct, print_table};
+use vf_bench::report::{emit, improvement_pct, print_table, Context, Result};
 use vf_sched::trace::poisson_trace;
 use vf_sched::{run_trace, CapacityEvent, ElasticWfs, SimConfig, StaticPriority};
 
-fn main() {
+fn main() -> Result {
     println!("== ablation: capacity dip (16 → 8 → 16 GPUs) ==\n");
     let mk_config = |dip: bool| {
         let mut c = SimConfig::v100_cluster(16);
@@ -59,8 +59,8 @@ fn main() {
         ],
         &rows,
     );
-    let steady = out[0]["makespan_gain_pct"].as_f64().expect("numeric");
-    let dipped = out[1]["makespan_gain_pct"].as_f64().expect("numeric");
+    let steady = out[0]["makespan_gain_pct"].as_f64().context("numeric")?;
+    let dipped = out[1]["makespan_gain_pct"].as_f64().context("numeric")?;
     println!(
         "\nelasticity's edge grows under churn: {steady:+.1}% steady → {dipped:+.1}% with the dip"
     );
@@ -68,5 +68,6 @@ fn main() {
         dipped > steady,
         "the dip must widen the gap: steady {steady} vs dipped {dipped}"
     );
-    emit("ablate_capacity_dip", &serde_json::json!({ "rows": out }));
+    emit("ablate_capacity_dip", &serde_json::json!({ "rows": out }))?;
+    Ok(())
 }

@@ -8,19 +8,19 @@
 //! (reshape, convolution, residual adds, pooling all run per virtual node).
 
 use std::sync::Arc;
-use vf_bench::report::{emit, pct, print_table};
+use vf_bench::report::{emit, pct, print_table, Context, Result};
 use vf_core::{Trainer, TrainerConfig};
 use vf_data::synthetic::ImageTask;
 use vf_device::DeviceId;
 use vf_models::ConvNet;
 
-fn main() {
+fn main() -> Result {
     println!("== conv reproducibility: residual CNN, batch 32 over 8 VNs ==\n");
     let mut task = ImageTask::small(60);
     task.num_examples = 320;
     task.signal = 1.6;
-    let full = task.generate().expect("generates");
-    let (train, val) = full.split(0.2).expect("valid split");
+    let full = task.generate().context("generates")?;
+    let (train, val) = full.split(0.2).context("valid split")?;
     let train = Arc::new(train);
     let arch = Arc::new(ConvNet::new(1, 8, 8, 6, 1, 4));
     let config = TrainerConfig {
@@ -34,11 +34,11 @@ fn main() {
     for gpus in [1u32, 2, 8] {
         let ids: Vec<DeviceId> = (0..gpus).map(DeviceId).collect();
         let mut trainer = Trainer::new(arch.clone(), train.clone(), config.clone(), &ids)
-            .expect("valid config");
+            .context("valid config")?;
         for _ in 0..8 {
-            trainer.run_epoch().expect("trains");
+            trainer.run_epoch().context("trains")?;
         }
-        let acc = trainer.evaluate(&val).expect("evals").accuracy;
+        let acc = trainer.evaluate(&val).context("evals")?.accuracy;
         rows.push(vec![
             gpus.to_string(),
             (8 / gpus).to_string(),
@@ -58,5 +58,6 @@ fn main() {
         &serde_json::json!({
             "accuracies": finals.iter().map(|(g, _, a)| (g, a)).collect::<Vec<_>>(),
         }),
-    );
+    )?;
+    Ok(())
 }

@@ -8,7 +8,7 @@
 //! quantifies how much of the step VirtualFlow's single per-step
 //! synchronization costs under each schedule.
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_comm::Topology;
 use vf_core::perf_model::{step_time, ExecutionShape, StepOptions, SyncSchedule};
 use vf_device::{DeviceProfile, DeviceType};
@@ -19,7 +19,7 @@ fn on(sync: SyncSchedule) -> StepOptions {
     StepOptions { sync, bucket_bytes: None }
 }
 
-fn main() {
+fn main() -> Result {
     println!("== ablation: flat vs hierarchical all-reduce (2 servers x 8 V100) ==\n");
     let topo = Topology::paper_testbed();
     let v100 = DeviceProfile::of(DeviceType::V100);
@@ -57,15 +57,17 @@ fn main() {
         println!();
     }
     // Within one server both schedules coincide; across two they must not.
-    let same_server = out.iter().find(|r| r["gpus"] == 8).expect("8-GPU row");
-    assert!(
-        (same_server["flat_sync_ms"].as_f64().unwrap()
-            - same_server["hier_sync_ms"].as_f64().unwrap())
-        .abs()
-            < 1e-6
+    let ms = |row: &serde_json::Value, key: &str| row[key].as_f64().context(key);
+    let same_server = out.iter().find(|r| r["gpus"] == 8).context("8-GPU row")?;
+    let (flat_sync_ms, hier_sync_ms) = (
+        ms(same_server, "flat_sync_ms")?,
+        ms(same_server, "hier_sync_ms")?,
     );
-    let cross = out.iter().find(|r| r["gpus"] == 16).expect("16-GPU row");
-    assert!(cross["step_speedup"].as_f64().unwrap() > 1.2);
+    assert!((flat_sync_ms - hier_sync_ms).abs() < 1e-6);
+    let cross = out.iter().find(|r| r["gpus"] == 16).context("16-GPU row")?;
+    let step_speedup = ms(cross, "step_speedup")?;
+    assert!(step_speedup > 1.2);
     println!("crossing the slow link, hierarchical reduction recovers most of the step ✓");
-    emit("ablate_hierarchical", &serde_json::json!({ "rows": out }));
+    emit("ablate_hierarchical", &serde_json::json!({ "rows": out }))?;
+    Ok(())
 }

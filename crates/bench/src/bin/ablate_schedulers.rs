@@ -6,7 +6,7 @@
 //! itself is the common enabler — every elastic policy beats the rigid
 //! baseline — while the policies trade off JCT vs priority fidelity.
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_comm::LinkProfile;
 use vf_device::{DeviceProfile, DeviceType};
 use vf_sched::trace::poisson_trace;
@@ -15,7 +15,7 @@ use vf_sched::{
     WeightPolicy,
 };
 
-fn main() {
+fn main() -> Result {
     println!("== ablation: scheduling policies, 20-job trace on 16 V100s ==\n");
     let mut config = SimConfig::v100_cluster(16);
     config.resched_interval_s = Some(120.0); // LAS needs periodic reevaluation
@@ -62,35 +62,26 @@ fn main() {
     // makespan. The throughput optimizer is *not* asserted: maximizing
     // aggregate steps/second starves poorly-scaling jobs, and on this trace
     // it loses on makespan — a cautionary result worth keeping visible.
-    let static_makespan = out
-        .iter()
-        .find(|r| r["scheduler"] == "static-priority")
-        .expect("present")["makespan_s"]
-        .as_f64()
-        .expect("numeric");
+    let metric = |scheduler: &str, key: &str| {
+        out.iter()
+            .find(|r| r["scheduler"] == scheduler)
+            .context("present")?[key]
+            .as_f64()
+            .context("numeric")
+    };
+    let static_makespan = metric("static-priority", "makespan_s")?;
     for r in &out {
-        let name = r["scheduler"].as_str().expect("string");
+        let name = r["scheduler"].as_str().context("string")?;
         if name.starts_with("elastic-") {
-            assert!(
-                r["makespan_s"].as_f64().expect("numeric") < static_makespan,
-                "{name} must beat static"
-            );
+            let makespan = r["makespan_s"].as_f64().context("numeric")?;
+            assert!(makespan < static_makespan, "{name} must beat static");
         }
     }
-    let srtf_jct = out
-        .iter()
-        .find(|r| r["scheduler"] == "elastic-srtf")
-        .expect("present")["median_jct_s"]
-        .as_f64()
-        .expect("numeric");
-    let wfs_jct = out
-        .iter()
-        .find(|r| r["scheduler"] == "elastic-wfs")
-        .expect("present")["median_jct_s"]
-        .as_f64()
-        .expect("numeric");
+    let srtf_jct = metric("elastic-srtf", "median_jct_s")?;
+    let wfs_jct = metric("elastic-wfs", "median_jct_s")?;
     println!(
         "\nSRTF median JCT {srtf_jct:.0}s vs WFS {wfs_jct:.0}s — SRTF trades priority fidelity for JCT"
     );
-    emit("ablate_schedulers", &serde_json::json!({ "rows": out }));
+    emit("ablate_schedulers", &serde_json::json!({ "rows": out }))?;
+    Ok(())
 }

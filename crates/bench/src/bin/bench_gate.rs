@@ -19,11 +19,10 @@
 //! values in the same commit that explains them.
 
 use std::path::PathBuf;
-use std::process::ExitCode;
-use vf_bench::report::{history_path, results_dir};
+use vf_bench::report::{history_path, results_dir, Context, Result};
 use vf_obs::history::{gate, parse_history, Baseline};
 
-fn main() -> ExitCode {
+fn main() -> Result {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut history = history_path();
     let mut baseline_path = results_dir().join("BENCH_baseline.json");
@@ -39,8 +38,10 @@ fn main() -> ExitCode {
                 i += 2;
             }
             (other, _) => {
-                eprintln!("unknown argument {other:?}; usage: bench_gate [--history <path>] [--baseline <path>]");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "unknown argument {other:?}; usage: bench_gate [--history <path>] [--baseline <path>]"
+                )
+                .into());
             }
         }
     }
@@ -48,42 +49,18 @@ fn main() -> ExitCode {
     println!("history:  {}", history.display());
     println!("baseline: {}", baseline_path.display());
 
-    let history_text = match std::fs::read_to_string(&history) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL: cannot read history: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL: cannot read baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match parse_history(&history_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("FAIL: malformed history: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match Baseline::parse(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("FAIL: malformed baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let history_text = std::fs::read_to_string(&history).context("cannot read history")?;
+    let baseline_text = std::fs::read_to_string(&baseline_path).context("cannot read baseline")?;
+    let records = parse_history(&history_text).context("malformed history")?;
+    let baseline = Baseline::parse(&baseline_text).context("malformed baseline")?;
     println!("records:  {}\n", records.len());
 
     let outcome = gate(&records, &baseline);
     print!("{}", outcome.render());
-    if outcome.pass() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nregression beyond tolerance — if intentional, re-bless results/BENCH_baseline.json in this change");
-        ExitCode::FAILURE
+    if !outcome.pass() {
+        return Err("regression beyond tolerance — if intentional, re-bless \
+                    results/BENCH_baseline.json in this change"
+            .into());
     }
+    Ok(())
 }

@@ -11,9 +11,8 @@
 //! Usage: `chaos_bench [--smoke]` — `--smoke` shrinks the run for the
 //! tier-1 suite (a few seconds of wall clock).
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{append_history, emit, print_table};
+use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
 use vf_core::{Trainer, TrainerConfig};
@@ -22,7 +21,7 @@ use vf_data::Dataset;
 use vf_device::{DeviceId, FailureModel, FaultPlan, SpotModel};
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
-use vf_obs::{HistoryRecord, Metrics};
+use vf_obs::Metrics;
 
 const SEED: u64 = 2022;
 
@@ -37,12 +36,8 @@ struct ScenarioResult {
 /// The shared training-job ingredients every scenario starts from.
 type JobParts = (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig);
 
-fn parts() -> Result<JobParts, String> {
-    let dataset = Arc::new(
-        ClusterTask::easy(SEED)
-            .generate()
-            .map_err(|e| format!("dataset: {e}"))?,
-    );
+fn parts() -> Result<JobParts> {
+    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("dataset")?);
     let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
     let config = TrainerConfig::simple(8, 64, 0.1, SEED);
     Ok((arch, dataset, config))
@@ -80,7 +75,7 @@ const INTENSITIES: &[Intensity] = &[
 ];
 
 /// The fault plan for a named intensity, seeded off the bench seed.
-fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>), String> {
+fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>)> {
     let spec = INTENSITIES
         .iter()
         .find(|i| i.name == name)
@@ -97,7 +92,7 @@ fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>), String> {
     Ok((plan, comm))
 }
 
-fn run_scenario(name: &str, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::Tensor>), String> {
+fn run_scenario(name: &str, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::Tensor>)> {
     let (arch, dataset, config) = parts()?;
     let (plan, comm) = plan_for(name)?;
     let mut cfg = ChaosConfig::new(plan, steps);
@@ -120,27 +115,18 @@ fn run_scenario(name: &str, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::T
     Ok((out.report, params))
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    match run(smoke) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(smoke: bool) -> Result<ExitCode, String> {
+fn main() -> Result {
+    let mode = Mode::from_args();
+    let smoke = mode == Mode::Smoke;
     let steps: u64 = if smoke { 120 } else { 300 };
     println!("== chaos bench: {steps} steps per scenario ==\n");
 
     // Plain-trainer reference for the bit-equality assertion.
     let reference = {
         let (arch, dataset, config) = parts()?;
-        let mut t = Trainer::new(arch, dataset, config, &devices(0..4))
-            .map_err(|e| format!("reference trainer: {e}"))?;
-        t.run_steps(steps as usize).map_err(|e| format!("reference run: {e}"))?;
+        let mut t =
+            Trainer::new(arch, dataset, config, &devices(0..4)).context("reference trainer")?;
+        t.run_steps(steps as usize).context("reference run")?;
         t.params().to_vec()
     };
 
@@ -168,7 +154,7 @@ fn run(smoke: bool) -> Result<ExitCode, String> {
             fault_free = Some(report.clone());
         }
         let Some(base) = fault_free.as_ref() else {
-            return Err("scenario list must start with fault-free".to_string());
+            return Err("scenario list must start with fault-free".into());
         };
         let identical = params == reference;
         if !identical {
@@ -219,23 +205,14 @@ fn run(smoke: bool) -> Result<ExitCode, String> {
         &rows,
     );
 
-    let metrics_json: serde_json::Value = serde_json::from_str(&metrics.to_json())
-        .map_err(|e| format!("metrics registry rendered invalid JSON: {e}"))?;
-    emit(
-        if smoke { "BENCH_chaos_smoke" } else { "BENCH_chaos" },
-        &serde_json::json!({
-            "scenarios": results,
-            "metrics": metrics_json,
-        }),
-    );
-    // Full runs append their headline record for the bench_gate diff;
-    // smoke runs are shrunk and would pollute the trajectory.
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("chaos_bench", &metrics));
+    mode.publish(
+        "BENCH_chaos",
+        "chaos_bench",
+        serde_json::json!({ "scenarios": results }),
+        &metrics,
+    )?;
+    if diverged {
+        return Err("a scenario broke the fault-free trajectory (FAIL lines above)".into());
     }
-    Ok(if diverged {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(())
 }

@@ -4,13 +4,13 @@
 //! Batch 16 does not fit the GPU natively (max 4), but converges to a
 //! higher accuracy — virtual nodes put it in reach.
 
-use vf_bench::report::emit;
+use vf_bench::report::{emit, Result};
 use vf_bench::standins::{bert_large_task, LargeTask};
 use vf_core::memory_model::check_fits;
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::bert_large;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 2: BERT-LARGE on RTE, single RTX 2080 Ti ==\n");
     let gpu = DeviceProfile::of(DeviceType::Rtx2080Ti);
     let profile = bert_large();
@@ -29,8 +29,8 @@ fn main() {
     println!("memory check: batch 4 fits natively; batch 16 only as 4 virtual nodes ✓\n");
 
     let w = bert_large_task(LargeTask::Rte);
-    let without_vn = w.train("TF (bs 4)", 4, 1, 1);
-    let with_vn = w.train("VirtualFlow (bs 16, 4 VNs)", 16, 4, 1);
+    let without_vn = w.train("TF (bs 4)", 4, 1, 1)?;
+    let with_vn = w.train("VirtualFlow (bs 16, 4 VNs)", 16, 4, 1)?;
 
     println!("epoch   TF bs=4   VF bs=16");
     for (i, (a, b)) in without_vn.curve.iter().zip(with_vn.curve.iter()).enumerate() {
@@ -46,5 +46,6 @@ fn main() {
     emit(
         "fig02_rte_finetune",
         &serde_json::json!({ "without_vn": without_vn, "with_vn": with_vn }),
-    );
+    )?;
+    Ok(())
 }

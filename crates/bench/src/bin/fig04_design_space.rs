@@ -5,14 +5,14 @@
 //! grows as devices shrink, while convergence is untouched. Today's
 //! systems only offer the top-left point.
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_comm::LinkProfile;
 use vf_core::memory_model::check_shape_fits;
 use vf_core::perf_model::{step_time, ExecutionShape};
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::resnet50;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 4: the virtual-node design space (ResNet-50, batch 8192) ==\n");
     let v100 = DeviceProfile::of(DeviceType::V100);
     let link = LinkProfile::paper_testbed();
@@ -26,7 +26,7 @@ fn main() {
     for gpus in [32usize, 16, 8, 4, 2, 1] {
         let vn_per_gpu = total_vns / gpus;
         let shape = ExecutionShape::homogeneous(v100, gpus, vn_per_gpu, micro);
-        let peak = check_shape_fits(&model, &shape).expect("config fits a V100");
+        let peak = check_shape_fits(&model, &shape).context("config fits a V100")?;
         let t = step_time(&model, &shape, &link).total_s();
         let base = *base_time.get_or_insert(t);
         rows.push(vec![
@@ -52,10 +52,11 @@ fn main() {
     println!("vanilla frameworks offer only the first row.");
     // Sanity: time monotonically increases as devices shrink; memory stays
     // bounded by the device.
-    let times: Vec<f64> = out
+    let times = out
         .iter()
-        .map(|r| r["step_time_s"].as_f64().expect("numeric"))
-        .collect();
+        .map(|r| r["step_time_s"].as_f64().context("numeric"))
+        .collect::<Result<Vec<f64>>>()?;
     assert!(times.windows(2).all(|w| w[1] > w[0]));
-    emit("fig04_design_space", &serde_json::json!({ "rows": out }));
+    emit("fig04_design_space", &serde_json::json!({ "rows": out }))?;
+    Ok(())
 }

@@ -4,21 +4,21 @@
 //! Activations dominate at the peak (they scale with the micro-batch), the
 //! first step is slower (graph optimization), and usage cycles per step.
 
-use vf_bench::report::{append_history, emit, print_table};
+use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_core::memory_model::{simulate_step_timeline, timeline_peak};
 use vf_device::{DeviceProfile, DeviceType, MemoryCategory};
 use vf_models::profile::resnet50;
-use vf_obs::{HistoryRecord, Metrics};
+use vf_obs::Metrics;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 6: memory timeline, ResNet-50 on one RTX 2080 Ti ==\n");
     let gpu = DeviceProfile::of(DeviceType::Rtx2080Ti);
     let model = resnet50();
     let micro = model.max_micro_batch(&gpu);
     println!("micro-batch: {micro} examples (largest that fits)\n");
 
-    let timeline = simulate_step_timeline(&model, &gpu, micro, 1, 3, 1, 3.0)
-        .expect("configuration fits");
+    let timeline =
+        simulate_step_timeline(&model, &gpu, micro, 1, 3, 1, 3.0).context("configuration fits")?;
 
     // Print every snapshot as a row.
     let gib = |b: u64| format!("{:.2}", b as f64 / (1u64 << 30) as f64);
@@ -44,7 +44,7 @@ fn main() {
     let peak_snapshot = timeline
         .iter()
         .max_by_key(|s| s.total())
-        .expect("non-empty timeline");
+        .context("non-empty timeline")?;
     let act = peak_snapshot.get(MemoryCategory::Activations);
     println!(
         "\npeak {:.2} GiB; activations are {:.0}% of it (paper: 'the vast majority')",
@@ -85,17 +85,12 @@ fn main() {
     metrics.set_gauge("mem/first_step_s", first);
     metrics.set_gauge("mem/steady_step_s", second);
     metrics.inc("mem/snapshots", timeline.len() as u64);
-    let metrics_json: serde_json::Value =
-        // vf-lint: allow(panic-ratchet) — registry rendering is self-tested; abort loudly
-        serde_json::from_str(&metrics.to_json()).expect("metrics registry renders valid JSON");
-    emit(
-        "fig06_memory_timeline",
-        &serde_json::json!({
-            "micro_batch": micro,
-            "timeline": timeline,
-            "metrics": metrics_json,
-        }),
-    );
     // Pure simulated-time numbers: deterministic, and therefore gateable.
-    append_history(&HistoryRecord::from_metrics("fig06_memory_timeline", &metrics));
+    Mode::Full.publish(
+        "fig06_memory_timeline",
+        "fig06_memory_timeline",
+        serde_json::json!({ "micro_batch": micro, "timeline": timeline }),
+        &metrics,
+    )?;
+    Ok(())
 }

@@ -1,10 +1,10 @@
 //! Figure 7: BERT-BASE convergence trajectories across GPU counts overlap
 //! when the batch size (64) and virtual node count are fixed.
 
-use vf_bench::report::emit;
+use vf_bench::report::{emit, Result};
 use vf_bench::standins::{bert_base_glue, GlueTask};
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 7: BERT-BASE convergence trajectories, batch 64 ==");
     let mut all = serde_json::Map::new();
     for task in [GlueTask::Qnli, GlueTask::Sst2, GlueTask::Cola] {
@@ -13,7 +13,7 @@ fn main() {
         let mut series = Vec::new();
         let mut reference: Option<Vec<f32>> = None;
         for gpus in [1u32, 2, 4, 8] {
-            let run = w.train(&format!("{gpus} GPUs"), 64, 8, gpus);
+            let run = w.train(&format!("{gpus} GPUs"), 64, 8, gpus)?;
             // Console sparkline: accuracy every 4 epochs.
             let picks: Vec<String> = run
                 .curve
@@ -37,5 +37,6 @@ fn main() {
         println!("  → all four trajectories identical ✓");
         all.insert(w.name.clone(), serde_json::Value::Array(series));
     }
-    emit("fig07_bert_curves", &serde_json::Value::Object(all));
+    emit("fig07_bert_curves", &serde_json::Value::Object(all))?;
+    Ok(())
 }

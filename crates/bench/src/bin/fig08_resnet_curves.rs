@@ -3,10 +3,10 @@
 //! All VirtualFlow runs trace each other exactly; TF* runs (unretuned
 //! smaller batches) converge to visibly lower accuracies.
 
-use vf_bench::report::emit;
+use vf_bench::report::{emit, Context, Result};
 use vf_bench::standins::resnet50_imagenet;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 8: ResNet-50 convergence trajectories, batch 8192 ==\n");
     let w = resnet50_imagenet();
     let mut series = Vec::new();
@@ -23,7 +23,7 @@ fn main() {
     println!("VirtualFlow (bs 8192, 32 VNs):");
     let mut reference = None;
     for gpus in [1u32, 4, 16] {
-        let run = w.train(&format!("VF {gpus} GPUs"), 8192, 32, gpus);
+        let run = w.train(&format!("VF {gpus} GPUs"), 8192, 32, gpus)?;
         println!("  {gpus:2} GPU(s): {}", sample(&run.curve));
         match &reference {
             None => reference = Some(run.curve.clone()),
@@ -36,9 +36,13 @@ fn main() {
     println!("  → identical ✓\n");
 
     println!("TF* (bs 256 per GPU, LR not retuned):");
-    let vf_final = reference.expect("VF runs recorded").last().copied().unwrap();
+    let vf_final = reference
+        .context("VF runs recorded")?
+        .last()
+        .copied()
+        .context("a non-empty VF curve")?;
     for gpus in [1u32, 2, 4, 8] {
-        let run = w.train(&format!("TF* {gpus} GPUs"), 256 * gpus as usize, gpus, gpus);
+        let run = w.train(&format!("TF* {gpus} GPUs"), 256 * gpus as usize, gpus, gpus)?;
         println!("  {gpus:2} GPU(s): {}", sample(&run.curve));
         assert!(
             run.final_accuracy < vf_final,
@@ -49,5 +53,9 @@ fn main() {
         }));
     }
     println!("  → all conspicuously below the VirtualFlow target ✓");
-    emit("fig08_resnet_curves", &serde_json::json!({ "series": series }));
+    emit(
+        "fig08_resnet_curves",
+        &serde_json::json!({ "series": series }),
+    )?;
+    Ok(())
 }

@@ -6,13 +6,13 @@
 //! once per 8·D examples. The fewer GPUs, the larger VirtualFlow's edge
 //! (paper: +16–19% at 1 GPU).
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_comm::LinkProfile;
 use vf_core::perf_model::{throughput, ExecutionShape};
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::bert_base;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 9: model update frequency effect (BERT-BASE, batch 64) ==\n");
     let v100 = DeviceProfile::of(DeviceType::V100);
     let link = LinkProfile::nvlink(); // single-server GPU counts
@@ -57,22 +57,27 @@ fn main() {
         &["GPUs", "TF* BS", "VF BS", "TF* ex/s", "VF ex/s", "VF gain"],
         &rows,
     );
-    let gains: Vec<f64> = out
+    let gains = out
         .iter()
-        .map(|r| r["gain_pct"].as_f64().expect("numeric"))
-        .collect();
+        .map(|r| r["gain_pct"].as_f64().context("numeric"))
+        .collect::<Result<Vec<f64>>>()?;
+    let last = *gains.last().context("non-empty")?;
     println!(
         "\ngain at 1 GPU: {:+.1}% (paper: +16.1–19.2%); at 8 GPUs VF and TF* coincide ✓",
         gains[0]
     );
     assert!(gains[0] > 5.0, "1-GPU gain must be visible");
     assert!(
-        gains[0] > *gains.last().expect("non-empty"),
+        gains[0] > last,
         "fewer GPUs must benefit more than the VN-free configuration: {gains:?}"
     );
     assert!(
-        gains.last().expect("non-empty").abs() < 1.0,
+        last.abs() < 1.0,
         "at 8 GPUs VF runs 1 VN/GPU and must match TF*: {gains:?}"
     );
-    emit("fig09_update_throughput", &serde_json::json!({ "rows": out }));
+    emit(
+        "fig09_update_throughput",
+        &serde_json::json!({ "rows": out }),
+    )?;
+    Ok(())
 }

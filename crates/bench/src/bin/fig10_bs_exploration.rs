@@ -5,7 +5,7 @@
 //! explores [4, 8, 16, 32, 64, 128]. For RTE the larger batches converge
 //! significantly higher (paper: +7.1 pp at batch 16).
 
-use vf_bench::report::{emit, pct, print_table};
+use vf_bench::report::{emit, pct, print_table, Result};
 use vf_bench::standins::{bert_large_task, LargeTask};
 
 /// The micro-batch an RTX 2080 Ti natively holds for BERT-LARGE.
@@ -14,7 +14,7 @@ const NATIVE_MICRO_BATCH: usize = 4;
 /// Batch sizes explored in the figure.
 pub const BATCH_SIZES: [usize; 6] = [4, 8, 16, 32, 64, 128];
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 10: batch exploration on one RTX 2080 Ti (BERT-LARGE) ==\n");
     let mut results = serde_json::Map::new();
     let mut rte_accs: Vec<f32> = Vec::new();
@@ -25,7 +25,7 @@ fn main() {
         let mut series = Vec::new();
         for bs in BATCH_SIZES {
             let vns = (bs / NATIVE_MICRO_BATCH).max(1) as u32;
-            let run = w.train(&format!("bs {bs}"), bs, vns, 1);
+            let run = w.train(&format!("bs {bs}"), bs, vns, 1)?;
             rows.push(vec![
                 bs.to_string(),
                 vns.to_string(),
@@ -60,5 +60,6 @@ fn main() {
         acc16 > acc4 + 0.02,
         "RTE must gain visibly from the larger batch"
     );
-    emit("fig10_bs_exploration", &serde_json::Value::Object(results));
+    emit("fig10_bs_exploration", &serde_json::Value::Object(results))?;
+    Ok(())
 }

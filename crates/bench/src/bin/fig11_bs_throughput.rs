@@ -5,13 +5,13 @@
 //! example; for BERT-LARGE the update is expensive, so throughput rises
 //! with the batch size (paper: +18.5% at batch 16, +28.7% at 128).
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_core::perf_model::{throughput, ExecutionShape};
 use vf_comm::LinkProfile;
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::bert_large;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 11: throughput of batch exploration (BERT-LARGE, 1x 2080 Ti) ==\n");
     let gpu = DeviceProfile::of(DeviceType::Rtx2080Ti);
     let link = LinkProfile::paper_testbed();
@@ -40,12 +40,13 @@ fn main() {
     }
     print_table(&["BS", "VNs", "examples/s", "vs TF (bs 4)"], &rows);
 
-    let t16 = out[2]["gain_vs_tf_pct"].as_f64().expect("numeric");
-    let t128 = out[5]["gain_vs_tf_pct"].as_f64().expect("numeric");
+    let t16 = out[2]["gain_vs_tf_pct"].as_f64().context("numeric")?;
+    let t128 = out[5]["gain_vs_tf_pct"].as_f64().context("numeric")?;
     println!(
         "\nbatch 16: {t16:+.1}% (paper +18.5%) | batch 128: {t128:+.1}% (paper +28.7%)"
     );
     assert!(t16 > 5.0, "batch 16 must improve throughput noticeably");
     assert!(t128 > t16, "gains must grow with the batch size");
-    emit("fig11_bs_throughput", &serde_json::json!({ "rows": out }));
+    emit("fig11_bs_throughput", &serde_json::json!({ "rows": out }))?;
+    Ok(())
 }

@@ -11,9 +11,8 @@
 //! simulator produced, and its parameters compared to a fixed-allocation
 //! run.
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{emit, improvement_pct, print_table};
+use vf_bench::report::{emit, improvement_pct, print_table, Context, Result};
 use vf_bench::standins::{bert_base_glue, GlueTask};
 use vf_data::synthetic::ClusterTask;
 use vf_device::{DeviceId, DeviceProfile};
@@ -63,17 +62,7 @@ fn accuracy_at(curve: &[f32], work_fraction: f64) -> f32 {
     curve[idx]
 }
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run() -> Result<(), String> {
+fn main() -> Result {
     println!("== Figure 12: 3-job elastic trace on 4 V100s ==\n");
     let config = SimConfig::v100_cluster(4);
     let trace = three_job_trace(&config.link);
@@ -99,10 +88,10 @@ fn run() -> Result<(), String> {
     let makespan_gain = improvement_pct(elastic.metrics.makespan_s, static_.metrics.makespan_s);
     let elastic_top_jct = elastic.jobs[2]
         .jct_s()
-        .ok_or("elastic run never finished the high-priority job")?;
+        .context("elastic run never finished the high-priority job")?;
     let static_top_jct = static_.jobs[2]
         .jct_s()
-        .ok_or("static run never finished the high-priority job")?;
+        .context("static run never finished the high-priority job")?;
     let top_jct_gain = improvement_pct(elastic_top_jct, static_top_jct);
     println!(
         "\nmakespan: {:.0}s vs {:.0}s ({:.0}% lower; paper: 38%)",
@@ -118,17 +107,13 @@ fn run() -> Result<(), String> {
     // Accuracy preservation: replay job 0's actual resize schedule (its
     // allocation after every scheduling event) through the numeric trainer.
     println!("\naccuracy preservation check (numeric replay of job 0's resizes):");
-    let dataset = Arc::new(
-        ClusterTask::easy(99)
-            .generate()
-            .map_err(|e| format!("dataset: {e}"))?,
-    );
+    let dataset = Arc::new(ClusterTask::easy(99).generate().context("dataset")?);
     let arch = Arc::new(Mlp::linear(16, 4));
     let tc = TrainerConfig::simple(8, 64, 0.2, 99);
     let mut resized = Trainer::new(arch.clone(), dataset.clone(), tc.clone(), &[DeviceId(0)])
-        .map_err(|e| format!("resized trainer: {e}"))?;
-    let mut fixed = Trainer::new(arch, dataset.clone(), tc, &[DeviceId(0)])
-        .map_err(|e| format!("fixed trainer: {e}"))?;
+        .context("resized trainer")?;
+    let mut fixed =
+        Trainer::new(arch, dataset.clone(), tc, &[DeviceId(0)]).context("fixed trainer")?;
     // Walk the recorded allocations of job 0 in the elastic run.
     let allocs: Vec<u32> = elastic
         .timeline
@@ -141,14 +126,11 @@ fn run() -> Result<(), String> {
         resized
             .resize(&ids)
             .map_err(|e| format!("resize to {gpus} devices: {e}"))?;
-        resized.run_steps(2).map_err(|e| format!("resized train: {e}"))?;
-        fixed.run_steps(2).map_err(|e| format!("fixed train: {e}"))?;
+        resized.run_steps(2).context("resized train")?;
+        fixed.run_steps(2).context("fixed train")?;
     }
     assert_eq!(resized.params(), fixed.params());
-    let acc = resized
-        .evaluate(&dataset)
-        .map_err(|e| format!("eval: {e}"))?
-        .accuracy;
+    let acc = resized.evaluate(&dataset).context("eval")?.accuracy;
     println!(
         "  replayed {} allocation changes: parameters identical, accuracy {:.2}% ✓",
         allocs.len().min(6),
@@ -164,7 +146,7 @@ fn run() -> Result<(), String> {
     for task in [GlueTask::Sst2, GlueTask::Cola, GlueTask::Qnli] {
         let mut w = bert_base_glue(task);
         w.epochs = 10;
-        curves.push(w.train("curve", 64, 8, 1).curve);
+        curves.push(w.train("curve", 64, 8, 1)?.curve);
     }
     let mut panels = serde_json::Map::new();
     for (label, result) in [("elastic", &elastic), ("static", &static_)] {
@@ -177,7 +159,7 @@ fn run() -> Result<(), String> {
                 .collect();
             let (t_final, acc_final) = *acc_series
                 .last()
-                .ok_or("progress series lost its arrival sample")?;
+                .context("progress series lost its arrival sample")?;
             println!(
                 "  {label:7} {}: reaches {:.1}% at t={:.0}s",
                 result.jobs[j].spec.name,
@@ -194,7 +176,7 @@ fn run() -> Result<(), String> {
     // Final accuracies are identical under both schedulers (same curve,
     // full work) — the "accuracies preserved" claim of the figure.
     for curve in &curves {
-        let last = *curve.last().ok_or("stand-in produced an empty curve")?;
+        let last = *curve.last().context("stand-in produced an empty curve")?;
         assert_eq!(accuracy_at(curve, 1.0), last);
     }
 
@@ -207,6 +189,6 @@ fn run() -> Result<(), String> {
             "top_priority_jct_gain_pct": top_jct_gain,
             "accuracy_over_time": panels,
         }),
-    );
+    )?;
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! the makespan (paper: −45.5%). The harness also prints the allocation
 //! timeline — the "boxes" of Figure 13 — as a GPU-count strip chart.
 
-use vf_bench::report::{emit, improvement_pct};
+use vf_bench::report::{emit, improvement_pct, Result};
 use vf_sched::trace::poisson_trace;
 use vf_sched::{run_trace, ElasticWfs, SimConfig, SimResult, StaticPriority};
 
@@ -25,7 +25,7 @@ fn strip_chart(result: &SimResult, gpus: u32) {
     println!("  {:16} |{}| (digits = GPUs of {gpus} in use per event)", result.scheduler, chars);
 }
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 13: 20-job Poisson trace on 16 V100s ==\n");
     let config = SimConfig::v100_cluster(16);
     let trace = poisson_trace(20, 12.0, 16, TRACE_SEED, &config.link);
@@ -61,5 +61,6 @@ fn main() {
             "utilization_gain_pp": util_e - util_s,
             "makespan_gain_pct": makespan_gain,
         }),
-    );
+    )?;
+    Ok(())
 }

@@ -4,7 +4,7 @@
 //! arrive instead of waiting behind long jobs (paper: median JCT −47.6%,
 //! median queuing delay −99.3%).
 
-use vf_bench::report::{emit, improvement_pct, print_table};
+use vf_bench::report::{emit, improvement_pct, print_table, Result};
 use vf_sched::trace::poisson_trace;
 use vf_sched::{run_trace, ElasticWfs, SimConfig, SimResult, StaticPriority};
 
@@ -38,7 +38,7 @@ fn collect(result: &SimResult) -> (Vec<f64>, Vec<f64>) {
     (jct, delay)
 }
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 14: JCT and queuing delay CDFs (20-job trace) ==\n");
     let config = SimConfig::v100_cluster(16);
     let trace = poisson_trace(20, 12.0, 16, TRACE_SEED, &config.link);
@@ -79,5 +79,6 @@ fn main() {
             "median_jct_gain_pct": jct_gain,
             "median_delay_gain_pct": delay_gain,
         }),
-    );
+    )?;
+    Ok(())
 }

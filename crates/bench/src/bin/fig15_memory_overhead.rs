@@ -5,13 +5,13 @@
 //! tensor — so the ratio jumps once between 1 and 2 virtual nodes, stays
 //! constant afterwards, scales with the model size, and never exceeds 20%.
 
-use vf_bench::report::{append_history, emit, print_table};
+use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_core::memory_model::{simulate_step_timeline, timeline_peak};
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::{bert_base, bert_large, resnet50};
-use vf_obs::{HistoryRecord, Metrics};
+use vf_obs::Metrics;
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 15: normalized peak memory vs virtual node count ==\n");
     let gpu = DeviceProfile::of(DeviceType::Rtx2080Ti);
     let vn_counts = [1usize, 2, 4, 8, 16];
@@ -23,13 +23,13 @@ fn main() {
     for model in [resnet50(), bert_base(), bert_large()] {
         let micro = model.max_micro_batch_virtual(&gpu).max(1);
         let base = timeline_peak(
-            &simulate_step_timeline(&model, &gpu, micro, 1, 1, 1, 1.0).expect("fits"),
+            &simulate_step_timeline(&model, &gpu, micro, 1, 1, 1, 1.0).context("fits")?,
         ) as f64;
         let mut row = vec![model.name.clone(), micro.to_string()];
         let mut ratios = Vec::new();
         for &vn in &vn_counts {
             let peak = timeline_peak(
-                &simulate_step_timeline(&model, &gpu, micro, vn, 1, 1, 1.0).expect("fits"),
+                &simulate_step_timeline(&model, &gpu, micro, vn, 1, 1, 1.0).context("fits")?,
             ) as f64;
             let ratio = peak / base;
             row.push(format!("{ratio:.3}"));
@@ -65,15 +65,18 @@ fn main() {
     println!("\noverhead appears once (the gradient buffer), is constant in VN count,");
     println!("scales with model size, and stays below 20% — matching Figure 15.");
     // Larger models pay a larger relative overhead.
-    let jump = |i: usize| out[i]["normalized_peak"][1].as_f64().expect("numeric");
-    assert!(jump(2) > jump(0), "BERT-LARGE jump must exceed ResNet-50's");
-    let metrics_json: serde_json::Value =
-        // vf-lint: allow(panic-ratchet) — registry rendering is self-tested; abort loudly
-        serde_json::from_str(&metrics.to_json()).expect("metrics registry renders valid JSON");
-    emit(
-        "fig15_memory_overhead",
-        &serde_json::json!({ "rows": out, "metrics": metrics_json }),
+    let jump = |i: usize| out[i]["normalized_peak"][1].as_f64().context("numeric");
+    let (bert_large_jump, resnet_jump) = (jump(2)?, jump(0)?);
+    assert!(
+        bert_large_jump > resnet_jump,
+        "BERT-LARGE jump must exceed ResNet-50's"
     );
     // Pure simulated-time numbers: deterministic, and therefore gateable.
-    append_history(&HistoryRecord::from_metrics("fig15_memory_overhead", &metrics));
+    Mode::Full.publish(
+        "fig15_memory_overhead",
+        "fig15_memory_overhead",
+        serde_json::json!({ "rows": out }),
+        &metrics,
+    )?;
+    Ok(())
 }

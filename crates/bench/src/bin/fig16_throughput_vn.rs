@@ -4,13 +4,13 @@
 //! Large models (BERT-LARGE) gain up to ~1.3x because each step amortizes
 //! one expensive model update over more examples; small models are flat.
 
-use vf_bench::report::{emit, print_table};
+use vf_bench::report::{emit, print_table, Context, Result};
 use vf_comm::LinkProfile;
 use vf_core::perf_model::{throughput, ExecutionShape};
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::{bert_base, bert_large, resnet50};
 
-fn main() {
+fn main() -> Result {
     println!("== Figure 16: normalized throughput vs virtual node count ==\n");
     let gpu = DeviceProfile::of(DeviceType::Rtx2080Ti);
     let link = LinkProfile::paper_testbed();
@@ -48,14 +48,22 @@ fn main() {
     }
     print_table(&["model", "VN=1", "VN=2", "VN=4", "VN=8", "VN=16"], &rows);
 
-    let at16 = |i: usize| out[i]["normalized_throughput"][4].as_f64().expect("numeric");
+    let at16 = |i: usize| {
+        out[i]["normalized_throughput"][4]
+            .as_f64()
+            .context("numeric")
+    };
+    let (bert_large, resnet) = (at16(2)?, at16(0)?);
     println!(
         "\nBERT-LARGE reaches {:.2}x (paper: up to 1.3x); ResNet-50 stays ~flat at {:.2}x",
-        at16(2),
-        at16(0)
+        bert_large, resnet
     );
-    assert!(at16(2) > 1.1, "BERT-LARGE must gain visibly");
-    assert!(at16(2) < 1.45, "gain must be bounded near the paper's 1.3x");
-    assert!(at16(0) < 1.1, "ResNet-50 must stay roughly flat");
-    emit("fig16_throughput_vn", &serde_json::json!({ "rows": out }));
+    assert!(bert_large > 1.1, "BERT-LARGE must gain visibly");
+    assert!(
+        bert_large < 1.45,
+        "gain must be bounded near the paper's 1.3x"
+    );
+    assert!(resnet < 1.1, "ResNet-50 must stay roughly flat");
+    emit("fig16_throughput_vn", &serde_json::json!({ "rows": out }))?;
+    Ok(())
 }

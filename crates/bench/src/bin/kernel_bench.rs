@@ -14,8 +14,8 @@
 //! Writes `results/BENCH_kernels.json` with GFLOP/s and speedups per size.
 
 use std::time::Instant;
-use vf_bench::report::{append_history, emit, print_table};
-use vf_obs::{HistoryRecord, Metrics};
+use vf_bench::report::{print_table, Context, Mode, Result};
+use vf_obs::Metrics;
 use vf_tensor::{conv, gemm, init, pool, Tensor};
 
 /// The seed tree's `ops::matmul` inner loops, verbatim (zero-skip included).
@@ -39,7 +39,7 @@ fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
 
 /// The seed tree's `conv::conv2d` loops, verbatim (padding taps skipped).
 #[allow(clippy::many_single_char_names)]
-fn naive_conv2d(input: &Tensor, kernel: &Tensor) -> Tensor {
+fn naive_conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor> {
     let d = input.shape().dims();
     let (n, ic, h, w) = (d[0], d[1], d[2], d[3]);
     let kd_dims = kernel.shape().dims();
@@ -75,7 +75,7 @@ fn naive_conv2d(input: &Tensor, kernel: &Tensor) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(out, [n, oc, h, w]).expect("shape")
+    Ok(Tensor::from_vec(out, [n, oc, h, w])?)
 }
 
 /// Times `f` with a warm-up pass: runs until ~0.25 s or `max_reps` have
@@ -99,7 +99,7 @@ fn time_secs(max_reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn main() -> Result<(), vf_tensor::TensorError> {
+fn main() -> Result {
     println!("== kernel microbenchmarks (f32, single process) ==\n");
     println!(
         "threads: {} (VF_NUM_THREADS to override)\n",
@@ -210,17 +210,19 @@ fn main() -> Result<(), vf_tensor::TensorError> {
         let g = init::normal(&mut rng, [n, c, hw, hw], 0.0, 1.0);
         let flops = 2.0 * (n * c * c * 9 * hw * hw) as f64;
         let shape = format!("{n}x{c}x{hw}");
+        // Checked once: the operands are fixed, so the timed calls cannot
+        // fail where these did not.
+        naive_conv2d(&x, &k)?;
+        conv::conv2d(&x, &k)?;
+        conv::conv2d_grad_input(&g, &k)?;
+        conv::conv2d_grad_kernel(&x, &g, 3, 3)?;
         let t_naive = time_secs(12, || {
-            std::hint::black_box(naive_conv2d(&x, &k));
+            std::hint::black_box(naive_conv2d(&x, &k).ok());
         });
         let gf_naive = flops / t_naive / 1e9;
         let t_fwd = time_secs(48, || {
-            std::hint::black_box(conv::conv2d(&x, &k).expect("conv"));
+            std::hint::black_box(conv::conv2d(&x, &k).ok());
         });
-        // Checked once: the operands are fixed, so the timed calls cannot
-        // fail where these did not.
-        conv::conv2d_grad_input(&g, &k)?;
-        conv::conv2d_grad_kernel(&x, &g, 3, 3)?;
         let t_gi = time_secs(48, || {
             std::hint::black_box(conv::conv2d_grad_input(&g, &k).ok());
         });
@@ -279,7 +281,7 @@ fn main() -> Result<(), vf_tensor::TensorError> {
     );
 
     let gemm_256 = &gemm_json[2];
-    let speedup_256 = gemm_256["speedup"].as_f64().expect("speedup");
+    let speedup_256 = gemm_256["speedup"].as_f64().context("speedup")?;
     println!("\n256x256x256 GEMM speedup over seed naive: {speedup_256:.2}x");
     assert!(
         speedup_256 >= 3.0,
@@ -293,22 +295,18 @@ fn main() -> Result<(), vf_tensor::TensorError> {
     metrics.set_gauge("pool/chunks_executed", st.chunks_executed as f64);
     metrics.set_gauge("pool/serial_fallbacks", st.serial_fallbacks as f64);
 
-    let metrics_json: serde_json::Value =
-        // vf-lint: allow(panic-ratchet) — registry rendering is self-tested; abort loudly
-        serde_json::from_str(&metrics.to_json()).expect("metrics registry renders valid JSON");
-    emit(
+    // Wall-clock GFLOPS land in history for trend-watching; the committed
+    // baseline only gates deterministic metrics, so this cannot flake CI.
+    Mode::Full.publish(
         "BENCH_kernels",
-        &serde_json::json!({
+        "kernel_bench",
+        serde_json::json!({
             "threads": pool::num_threads(),
             "gemm": gemm_json,
             "gemm_shapes": shape_json,
             "conv": conv_json,
-            "metrics": metrics_json,
         }),
-    );
-    println!("wrote results/BENCH_kernels.json");
-    // Wall-clock GFLOPS land in history for trend-watching; the committed
-    // baseline only gates deterministic metrics, so this cannot flake CI.
-    append_history(&HistoryRecord::from_metrics("kernel_bench", &metrics));
+        &metrics,
+    )?;
     Ok(())
 }

@@ -17,42 +17,26 @@
 //!
 //! Usage: `lint_gate` (workspace root discovered from the cwd).
 
-use std::process::ExitCode;
 use std::time::Instant;
-use vf_bench::report::append_history;
-use vf_lint::diag::Severity;
+use vf_bench::report::{append_history, Context, Result};
 use vf_lint::semantic::SEMANTIC_RULE_IDS;
 use vf_lint::workspace;
 use vf_obs::HistoryRecord;
 
-fn main() -> ExitCode {
+fn main() -> Result {
     println!("== lint gate ==");
-    let root = match std::env::current_dir().and_then(|d| workspace::find_root(&d)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("FAIL: locating workspace root: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let root = std::env::current_dir()
+        .and_then(|d| workspace::find_root(&d))
+        .context("locating workspace root")?;
     let t0 = Instant::now();
-    let outcome = match workspace::audit(&root) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("FAIL: audit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = workspace::audit(&root).context("audit")?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let errors = outcome
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
+    let errors = outcome.diagnostics.len();
     let semantic_findings = outcome
         .diagnostics
         .iter()
-        .filter(|d| d.severity == Severity::Error && SEMANTIC_RULE_IDS.contains(&d.rule))
+        .filter(|d| SEMANTIC_RULE_IDS.contains(&d.rule))
         .count();
 
     let mut rec = HistoryRecord::new("lint_gate");
@@ -66,7 +50,7 @@ fn main() -> ExitCode {
         rec.set(&format!("lines/{krate}"), *lines as f64);
     }
     rec.set("wall_ms", wall_ms);
-    append_history(&rec);
+    append_history(&rec)?;
 
     println!(
         "{} file(s) analyzed in {wall_ms:.0} ms: {errors} error(s) \
@@ -78,12 +62,9 @@ fn main() -> ExitCode {
     );
     if errors > 0 {
         for d in &outcome.diagnostics {
-            if d.severity == Severity::Error {
-                eprintln!("{d}");
-            }
+            eprintln!("{d}");
         }
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err(format!("{errors} lint error(s)").into());
     }
+    Ok(())
 }

@@ -17,16 +17,17 @@
 //!   and the status board are byte-identical when the same scenario is
 //!   replayed under a different worker-thread count.
 //!
-//! Representative renders are written to `results/MONITOR_*.{txt,html}`
-//! and the headline counts flow into the bench-gate history.
+//! A full run writes representative renders to
+//! `results/MONITOR_*.{txt,html}` and feeds the headline counts into the
+//! bench-gate history.
 //!
-//! Usage: `monitor_bench [--smoke]` — `--smoke` skips the history append
-//! for the tier-1 suite; scenario sizes are identical in both modes so
-//! the gated counts never drift between smoke and full runs.
+//! Usage: `monitor_bench [--smoke]` — `--smoke` writes only
+//! `BENCH_monitor_smoke.json` for the tier-1 suite; scenario sizes are
+//! identical in both modes so the gated counts never drift between smoke
+//! and full runs.
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{append_history, emit, print_table, results_dir};
+use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::TrainerConfig;
@@ -36,7 +37,7 @@ use vf_device::{DeviceId, FaultPlan, RackModel};
 use vf_models::profile::resnet56;
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
-use vf_obs::{HistoryRecord, Metrics, Monitor, Recorder};
+use vf_obs::{Metrics, Monitor, Recorder};
 use vf_sched::sim::run_trace_monitored;
 use vf_sched::{CapacityEvent, ElasticWfs, JobId, JobSpec, SimConfig};
 use vf_store::StoreConfig;
@@ -49,12 +50,8 @@ const RACK_SEED: u64 = 5;
 /// The shared training-job ingredients the chaos scenarios start from.
 type JobParts = (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig);
 
-fn parts(seed: u64) -> Result<JobParts, String> {
-    let dataset = Arc::new(
-        ClusterTask::easy(seed)
-            .generate()
-            .map_err(|e| format!("dataset: {e}"))?,
-    );
+fn parts(seed: u64) -> Result<JobParts> {
+    let dataset = Arc::new(ClusterTask::easy(seed).generate().context("dataset")?);
     let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
     let config = TrainerConfig::simple(8, 64, 0.1, seed);
     Ok((arch, dataset, config))
@@ -92,7 +89,7 @@ fn chaos_scenario(
     plan: FaultPlan,
     comm: Option<CommFaultModel>,
     store: Option<StoreConfig>,
-) -> Result<ScenarioRun, String> {
+) -> Result<ScenarioRun> {
     let (arch, dataset, config) = parts(seed)?;
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = comm;
@@ -125,7 +122,7 @@ fn chaos_scenario(
 /// replays the gauge sequence a diverging trainer *would* publish — a few
 /// healthy steps, a blow-up, then NaN — straight into the registry, which
 /// is exactly the surface the trainer's `set_monitor` wiring writes to.
-fn nonfinite_scenario(name: &str) -> Result<ScenarioRun, String> {
+fn nonfinite_scenario(name: &str) -> Result<ScenarioRun> {
     let mon = Monitor::with_default_pack();
     let m = mon.metrics();
     for step in 0..20u64 {
@@ -157,11 +154,7 @@ fn job(id: u32, demand: u32, steps: u64, arrival: f64) -> JobSpec {
 
 /// Scheduler trace replayed through `run_trace_monitored` with a fresh
 /// default-pack monitor ticking at every scheduling event.
-fn sched_scenario(
-    name: &str,
-    trace: &[JobSpec],
-    config: &SimConfig,
-) -> Result<ScenarioRun, String> {
+fn sched_scenario(name: &str, trace: &[JobSpec], config: &SimConfig) -> Result<ScenarioRun> {
     let mon = Monitor::with_default_pack();
     run_trace_monitored(
         trace,
@@ -247,7 +240,7 @@ const SCENARIOS: &[Scenario] = &[
     },
 ];
 
-fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
+fn run_scenario(name: &str) -> Result<ScenarioRun> {
     match name {
         "chaos-calm" => chaos_scenario(name, SEED, 120, FaultPlan::new(SEED), None, None),
         "comm-storm" => chaos_scenario(
@@ -290,26 +283,12 @@ fn run_scenario(name: &str) -> Result<ScenarioRun, String> {
         }
         "sched-calm" => sched_scenario(name, &calm_trace(), &SimConfig::v100_cluster(4)),
         "nonfinite-loss" => nonfinite_scenario(name),
-        other => Err(format!("unknown scenario {other}")),
+        other => Err(format!("unknown scenario {other}").into()),
     }
 }
 
-fn write_artifact(path: &std::path::Path, contents: &str) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()))
-}
-
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    match run(smoke) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(smoke: bool) -> Result<ExitCode, String> {
+fn main() -> Result {
+    let mode = Mode::from_args();
     println!("== monitor bench: {} scenarios ==\n", SCENARIOS.len());
 
     let metrics = Metrics::new();
@@ -375,25 +354,19 @@ fn run(smoke: bool) -> Result<ExitCode, String> {
         &rows,
     );
 
-    let dir = results_dir();
-    write_artifact(&dir.join("MONITOR_status.txt"), &status_boards)?;
+    mode.write_artifact("MONITOR_status.txt", &status_boards)?;
     if let Some((prom, dash)) = &storm_renders {
-        write_artifact(&dir.join("MONITOR_prom.txt"), prom)?;
-        write_artifact(&dir.join("MONITOR_dashboard.html"), dash)?;
+        mode.write_artifact("MONITOR_prom.txt", prom)?;
+        mode.write_artifact("MONITOR_dashboard.html", dash)?;
     }
-
-    let metrics_json: serde_json::Value = serde_json::from_str(&metrics.to_json())
-        .map_err(|e| format!("metrics registry rendered invalid JSON: {e}"))?;
-    emit(
-        if smoke { "BENCH_monitor_smoke" } else { "BENCH_monitor" },
-        &serde_json::json!({
-            "scenarios": rows,
-            "metrics": metrics_json,
-        }),
-    );
-    // Full runs append their headline record for the bench_gate diff.
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("monitor_bench", &metrics));
+    mode.publish(
+        "BENCH_monitor",
+        "monitor_bench",
+        serde_json::json!({ "scenarios": rows }),
+        &metrics,
+    )?;
+    if failed {
+        return Err("monitor checks failed (FAIL lines above)".into());
     }
-    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+    Ok(())
 }

@@ -18,18 +18,19 @@
 //!   overhead percentage is published (and loosely gated) so obs cost
 //!   regressions surface in the bench history.
 //!
-//! Representative renders land in `results/OBS_SCALE_*.{txt,html}` and the
-//! headline counts flow into the bench-gate history.
+//! A full run writes representative renders to
+//! `results/OBS_SCALE_*.{txt,html}` and feeds the headline counts into the
+//! bench-gate history.
 //!
-//! Usage: `obs_scale_bench [--smoke]` — `--smoke` skips the history append
-//! for the tier-1 suite; the workload is identical in both modes so the
-//! gated counts never drift between smoke and full runs.
+//! Usage: `obs_scale_bench [--smoke]` — `--smoke` writes only
+//! `BENCH_obs_scale_smoke.json` for the tier-1 suite; the workload is
+//! identical in both modes so the gated counts never drift between smoke
+//! and full runs.
 
-use std::process::ExitCode;
 use std::time::Instant;
-use vf_bench::report::{append_history, emit, print_table, results_dir};
+use vf_bench::report::{print_table, Mode, Result};
 use vf_obs::scale::mix64;
-use vf_obs::{Event, HistoryRecord, Metrics, Monitor, Recorder, RingSink};
+use vf_obs::{Event, Metrics, Monitor, Recorder, RingSink};
 
 const SEED: u64 = 2022;
 /// Completed jobs in the synthetic trace.
@@ -163,22 +164,8 @@ fn min_wall(reps: u32, mut f: impl FnMut() -> u64) -> (f64, u64) {
     (best, checksum)
 }
 
-fn write_artifact(path: &std::path::Path, contents: &str) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()))
-}
-
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    match run(smoke) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(smoke: bool) -> Result<ExitCode, String> {
+fn main() -> Result {
+    let mode = Mode::from_args();
     println!(
         "== obs scale bench: {JOBS} jobs, {TENANTS} tenants (budget {TENANT_BUDGET}), \
          {}ppm trace sampling ==\n",
@@ -305,18 +292,16 @@ fn run(smoke: bool) -> Result<ExitCode, String> {
         ],
     );
 
-    let dir = results_dir();
-    write_artifact(&dir.join("OBS_SCALE_prom.txt"), &one.prom)?;
-    write_artifact(&dir.join("OBS_SCALE_dashboard.html"), &one.dashboard)?;
-
-    let metrics_json: serde_json::Value = serde_json::from_str(&metrics.to_json())
-        .map_err(|e| format!("metrics registry rendered invalid JSON: {e}"))?;
-    emit(
-        if smoke { "BENCH_obs_scale_smoke" } else { "BENCH_obs_scale" },
-        &serde_json::json!({ "metrics": metrics_json }),
-    );
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("obs_scale_bench", &metrics));
+    mode.write_artifact("OBS_SCALE_prom.txt", &one.prom)?;
+    mode.write_artifact("OBS_SCALE_dashboard.html", &one.dashboard)?;
+    mode.publish(
+        "BENCH_obs_scale",
+        "obs_scale_bench",
+        serde_json::json!({}),
+        &metrics,
+    )?;
+    if failed {
+        return Err("obs scale checks failed (FAIL lines above)".into());
     }
-    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+    Ok(())
 }

@@ -16,9 +16,8 @@
 //! Usage: `overlap_bench [--smoke]` — `--smoke` shrinks the runs for
 //! tier-1 and skips the history append.
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{append_history, emit, print_table};
+use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::LinkProfile;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::perf_model::{step_time, ExecutionShape, StepOptions, StepTimeBreakdown, SyncSchedule};
@@ -29,7 +28,7 @@ use vf_device::{DeviceId, DeviceProfile, DeviceType, FaultPlan};
 use vf_models::profile::resnet50;
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
-use vf_obs::{HistoryRecord, Metrics};
+use vf_obs::Metrics;
 
 const SEED: u64 = 2022;
 
@@ -43,13 +42,11 @@ fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
     range.map(DeviceId).collect()
 }
 
-fn parts() -> (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig) {
-    let dataset =
-        // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-        Arc::new(ClusterTask::easy(SEED).generate().expect("generates"));
+fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
+    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
     let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
     let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    (arch, dataset, config)
+    Ok((arch, dataset, config))
 }
 
 /// Fault-free chaos run; `bucket_bytes` selects overlapped vs legacy sync.
@@ -59,8 +56,11 @@ fn parts() -> (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig) {
 /// link here is scaled down to put sync and compute in the same ratio
 /// regime as ResNet-50 on the real testbed (~20% of the step), which is
 /// the regime overlap exists for.
-fn sim_run(steps: u64, bucket_bytes: Option<u64>) -> (vf_core::chaos::ChaosReport, Vec<Vec<u32>>) {
-    let (arch, dataset, config) = parts();
+fn sim_run(
+    steps: u64,
+    bucket_bytes: Option<u64>,
+) -> Result<(vf_core::chaos::ChaosReport, Vec<Vec<u32>>)> {
+    let (arch, dataset, config) = parts()?;
     let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), steps);
     cfg.bucket_bytes = bucket_bytes;
     cfg.link = LinkProfile {
@@ -68,18 +68,16 @@ fn sim_run(steps: u64, bucket_bytes: Option<u64>) -> (vf_core::chaos::ChaosRepor
         bandwidth: 2.0e3,
     };
     let out = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..12), cfg)
-        // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-        .expect("supervisor")
+        .context("supervisor")?
         .run()
-        // vf-lint: allow(panic-ratchet) — a dead fault-free run leaves nothing to bench
-        .expect("fault-free run survives");
+        .context("fault-free run survives")?;
     let params = out
         .trainer
         .params()
         .iter()
         .map(|p| p.data().iter().map(|v| v.to_bits()).collect())
         .collect();
-    (out.report, params)
+    Ok((out.report, params))
 }
 
 /// Fraction of `total_s` of communication left exposed (0 without any).
@@ -115,9 +113,9 @@ fn overlapped_json(t: &StepTimeBreakdown) -> serde_json::Value {
     })
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sim_steps: u64 = if smoke { 80 } else { 300 };
+fn main() -> Result {
+    let mode = Mode::from_args();
+    let sim_steps: u64 = if mode == Mode::Smoke { 80 } else { 300 };
     println!("== overlap bench: bucketed pipelined sync vs single-sync ==\n");
 
     let metrics = Metrics::new();
@@ -149,8 +147,8 @@ fn main() -> ExitCode {
     metrics.set_gauge("model/hidden_comm_s", overlapped.sync_s - overlapped.exposed_comm_s);
 
     // -- Part 2: simulated-time trainer through the chaos clock -----------
-    let (legacy, legacy_params) = sim_run(sim_steps, None);
-    let (overlap, overlap_params) = sim_run(sim_steps, Some(TRAINER_BUCKET_BYTES));
+    let (legacy, legacy_params) = sim_run(sim_steps, None)?;
+    let (overlap, overlap_params) = sim_run(sim_steps, Some(TRAINER_BUCKET_BYTES))?;
     if overlap.sim_time_s >= legacy.sim_time_s {
         eprintln!(
             "FAIL: overlapped sim time ({:.2}s) not strictly below legacy ({:.2}s)",
@@ -191,26 +189,20 @@ fn main() -> ExitCode {
         ],
     );
 
-    let metrics_json: serde_json::Value =
-        // vf-lint: allow(panic-ratchet) — registry rendering is self-tested; abort loudly
-        serde_json::from_str(&metrics.to_json()).expect("metrics registry renders valid JSON");
-    emit(
-        if smoke { "BENCH_overlap_smoke" } else { "BENCH_overlap" },
-        &serde_json::json!({
+    mode.publish(
+        "BENCH_overlap",
+        "overlap_bench",
+        serde_json::json!({
             "model": {
                 "additive": additive_json(&additive),
                 "overlapped": overlapped_json(&overlapped),
             },
             "sim": { "legacy": legacy, "overlapped": overlap, "steps": sim_steps },
-            "metrics": metrics_json,
         }),
-    );
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("overlap_bench", &metrics));
-    }
+        &metrics,
+    )?;
     if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err("overlap checks failed (FAIL lines above)".into());
     }
+    Ok(())
 }

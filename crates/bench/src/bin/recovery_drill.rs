@@ -20,9 +20,8 @@
 //! Usage: `recovery_drill [--smoke]` — `--smoke` shrinks step counts for
 //! tier-1 and skips the history append.
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{append_history, emit, print_table};
+use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
 use vf_core::{Trainer, TrainerConfig};
@@ -31,17 +30,16 @@ use vf_data::Dataset;
 use vf_device::{DeviceId, FailureModel, FaultPlan, RackModel, SpotModel};
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
-use vf_obs::{HistoryRecord, Metrics};
+use vf_obs::Metrics;
 use vf_store::{StorageFaultPlan, StoreConfig};
 
 const SEED: u64 = 2022;
 
-fn parts() -> (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig) {
-    // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().expect("generates"));
+fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
+    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
     let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
     let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    (arch, dataset, config)
+    Ok((arch, dataset, config))
 }
 
 fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
@@ -68,13 +66,12 @@ struct Scenario {
     expect_fallback: bool,
 }
 
-fn scenarios(steps: u64) -> Vec<Scenario> {
+fn scenarios(steps: u64) -> Result<Vec<Scenario>> {
     // 1. Whole-fleet rack wipe + storage faults: recovery *must* go through
     //    the store, and some saves along the way tear or crash (by seeded
     //    draw), so the restore path sweeps real debris.
     let rack = {
-        // vf-lint: allow(panic-ratchet) — fixed valid model parameters
-        let plan = FaultPlan::new(SEED).with_racks(RackModel::new(4, 90.0).expect("valid"));
+        let plan = FaultPlan::new(SEED).with_racks(RackModel::new(4, 90.0).context("valid")?);
         let mut cfg = ChaosConfig::new(plan, steps);
         cfg.checkpoint_every = 10;
         cfg.store = Some(faulty_storage(SEED));
@@ -85,8 +82,8 @@ fn scenarios(steps: u64) -> Vec<Scenario> {
     //    saves under fire.
     let combined = {
         let plan = FaultPlan::new(SEED)
-            .with_crashes(FailureModel::new(180.0, SEED).expect("valid")) // vf-lint: allow(panic-ratchet) — fixed valid model parameters
-            .with_preemptions(SpotModel::new(300.0, 45.0).expect("valid")); // vf-lint: allow(panic-ratchet) — fixed valid model parameters
+            .with_crashes(FailureModel::new(180.0, SEED).context("valid")?)
+            .with_preemptions(SpotModel::new(300.0, 45.0).context("valid")?);
         let mut cfg = ChaosConfig::new(plan, steps);
         cfg.comm = Some(CommFaultModel::new(SEED, 0.05, 0.01, 0.03));
         cfg.checkpoint_every = 10;
@@ -100,8 +97,7 @@ fn scenarios(steps: u64) -> Vec<Scenario> {
     //    detect the damage and fall back — restoring the newest checkpoint
     //    blindly would poison the trajectory.
     let sabotage = {
-        // vf-lint: allow(panic-ratchet) — fixed valid model parameters
-        let plan = FaultPlan::new(SEED).with_racks(RackModel::new(4, 90.0).expect("valid"));
+        let plan = FaultPlan::new(SEED).with_racks(RackModel::new(4, 90.0).context("valid")?);
         let mut cfg = ChaosConfig::new(plan, steps);
         cfg.checkpoint_every = 10;
         let mut sc = StoreConfig::quiet(SEED + 2);
@@ -110,11 +106,11 @@ fn scenarios(steps: u64) -> Vec<Scenario> {
         cfg.store = Some(sc);
         cfg
     };
-    vec![
+    Ok(vec![
         Scenario { name: "rack-wipe+storage", cfg: rack, expect_fallback: false },
         Scenario { name: "crashes+comm+storage", cfg: combined, expect_fallback: false },
         Scenario { name: "sabotaged-newest", cfg: sabotage, expect_fallback: true },
-    ]
+    ])
 }
 
 #[derive(serde::Serialize)]
@@ -124,26 +120,25 @@ struct DrillResult {
     bit_identical: bool,
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> Result {
+    let mode = Mode::from_args();
     // The rack wipe fires at 90 simulated seconds; steps must comfortably
     // outlast it so every scenario actually exercises a durable restore.
-    let steps: u64 = if smoke { 60 } else { 120 };
+    let steps: u64 = if mode == Mode::Smoke { 60 } else { 120 };
     println!("== recovery drill: {steps} steps per scenario ==\n");
 
     let reference = {
-        let (arch, dataset, config) = parts();
-        // vf-lint: allow(panic-ratchet) — a dead reference run leaves nothing to compare
-        let mut t = Trainer::new(arch, dataset, config, &devices(0..4)).expect("trainer");
-        t.run_steps(steps as usize).expect("runs"); // vf-lint: allow(panic-ratchet) — fault-free by construction
+        let (arch, dataset, config) = parts()?;
+        let mut t = Trainer::new(arch, dataset, config, &devices(0..4)).context("trainer")?;
+        t.run_steps(steps as usize).context("runs")?;
         t.params().to_vec()
     };
 
     let metrics = Metrics::new();
     let mut results = Vec::new();
     let mut failed = false;
-    for scenario in scenarios(steps) {
-        let (arch, dataset, config) = parts();
+    for scenario in scenarios(steps)? {
+        let (arch, dataset, config) = parts()?;
         let sup = ChaosSupervisor::new(
             arch,
             dataset,
@@ -152,10 +147,8 @@ fn main() -> ExitCode {
             &devices(100..104), // spares on a different rack
             scenario.cfg,
         )
-        // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-        .expect("supervisor");
-        // vf-lint: allow(panic-ratchet) — a scenario the supervisor cannot survive is a drill failure
-        let out = sup.run().expect("drill survives its fault plan");
+        .context("supervisor")?;
+        let out = sup.run().context("drill survives its fault plan")?;
         let report = out.report;
         let bit_identical = out.trainer.params() == &reference[..];
 
@@ -220,23 +213,14 @@ fn main() -> ExitCode {
         &rows,
     );
 
-    let metrics_json: serde_json::Value =
-        // vf-lint: allow(panic-ratchet) — registry rendering is self-tested; abort loudly
-        serde_json::from_str(&metrics.to_json()).expect("metrics registry renders valid JSON");
-    emit(
-        if smoke { "BENCH_recovery_smoke" } else { "BENCH_recovery" },
-        &serde_json::json!({
-            "steps": steps,
-            "scenarios": results,
-            "metrics": metrics_json,
-        }),
-    );
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("recovery_drill", &metrics));
-    }
+    mode.publish(
+        "BENCH_recovery",
+        "recovery_drill",
+        serde_json::json!({ "steps": steps, "scenarios": results }),
+        &metrics,
+    )?;
     if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err("recovery drill checks failed (FAIL lines above)".into());
     }
+    Ok(())
 }

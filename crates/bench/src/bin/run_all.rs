@@ -8,9 +8,9 @@
 //! Each harness binary asserts its own qualitative claims; this driver
 //! invokes the already-built binaries and reports which held.
 
-use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
+use vf_bench::report::{Context, Result};
 
 /// Every experiment binary, in paper order.
 const EXPERIMENTS: &[&str] = &[
@@ -44,23 +44,20 @@ const EXPERIMENTS: &[&str] = &[
     "recovery_drill",
     "monitor_bench",
     "obs_scale_bench",
-    // Last: diff the fresh history records against the committed baseline.
+    // Last: audit the tree just run, then diff the fresh history records
+    // (the audit's among them) against the committed baseline.
+    "lint_gate",
     "bench_gate",
 ];
 
-fn sibling_binary(name: &str) -> PathBuf {
-    let mut p = std::env::current_exe().expect("current exe path");
-    p.pop();
-    p.push(name);
-    p
-}
-
-fn main() {
+fn main() -> Result {
+    let mut bin_dir = std::env::current_exe().context("current exe path")?;
+    bin_dir.pop();
     println!("== VirtualFlow reproduction: running all {} experiments ==\n", EXPERIMENTS.len());
     let mut failures = Vec::new();
     for name in EXPERIMENTS {
         let start = Instant::now();
-        let status = Command::new(sibling_binary(name))
+        let status = Command::new(bin_dir.join(name))
             .stdout(std::process::Stdio::null())
             .status();
         let elapsed = start.elapsed().as_secs_f64();
@@ -84,8 +81,8 @@ fn main() {
             "all {} experiments reproduced their claims; outputs in results/",
             EXPERIMENTS.len()
         );
+        Ok(())
     } else {
-        println!("{} experiment(s) failed: {failures:?}", failures.len());
-        std::process::exit(1);
+        Err(format!("{} experiment(s) failed: {failures:?}", failures.len()).into())
     }
 }

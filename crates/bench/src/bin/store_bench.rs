@@ -14,9 +14,8 @@
 //! Usage: `store_bench [--smoke]` — `--smoke` shrinks payloads for tier-1
 //! and skips the history append.
 
-use std::process::ExitCode;
-use vf_bench::report::{append_history, emit, print_table};
-use vf_obs::{HistoryRecord, Metrics};
+use vf_bench::report::{print_table, Context, Mode, Result};
+use vf_obs::Metrics;
 use vf_store::{CheckpointStore, StoreConfig, StoreError};
 
 const SEED: u64 = 2022;
@@ -29,90 +28,98 @@ fn payload(step: u64, len: usize) -> Vec<u8> {
 
 /// Saves `rounds` checkpoints of `len` bytes through a quiet store and
 /// restores the newest; returns (save_mbps, restore_mbps).
-fn throughput(len: usize, rounds: u64) -> (f64, f64) {
+fn throughput(len: usize, rounds: u64) -> Result<(f64, f64)> {
     let mut cfg = StoreConfig::quiet(SEED);
     cfg.shard_bytes = 256 * 1024;
     cfg.capacity_bytes = (len as u64 + 1024) * (cfg.retention.keep_last as u64 + 2);
-    // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-    let mut store = CheckpointStore::new(cfg).expect("quiet store");
+    let mut store = CheckpointStore::new(cfg).context("quiet store")?;
     let mb = len as f64 / 1.0e6;
     let mut save_s = 0.0;
     for step in 1..=rounds {
-        // vf-lint: allow(panic-ratchet) — the quiet plan injects no faults
-        store.save(step, &payload(step, len)).expect("quiet save succeeds");
+        store
+            .save(step, &payload(step, len))
+            .context("quiet save succeeds")?;
         save_s += store.drain_time_s();
     }
-    // vf-lint: allow(panic-ratchet) — a dead restore leaves nothing to time
-    let (report, bytes) = store.restore_latest().expect("restore succeeds");
+    let (report, bytes) = store.restore_latest().context("restore succeeds")?;
     let restore_s = store.drain_time_s();
     assert_eq!(report.step, rounds);
     assert_eq!(bytes, payload(rounds, len));
-    (mb * rounds as f64 / save_s, mb / restore_s)
+    Ok((mb * rounds as f64 / save_s, mb / restore_s))
 }
 
 /// Time to recover when the newest `bad` checkpoints are corrupt: the scan
 /// quarantines them and the restore walks back to the newest valid one.
-fn recovery_time(len: usize, saves: u64, bad: u64) -> (f64, u64) {
+fn recovery_time(len: usize, saves: u64, bad: u64) -> Result<(f64, u64)> {
     let mut cfg = StoreConfig::quiet(SEED + 1);
     cfg.shard_bytes = 256 * 1024;
     cfg.retention.keep_last = saves as usize;
     cfg.capacity_bytes = (len as u64 + 4096) * (saves + 2);
     // Sabotage the last `bad` committed saves post-commit.
     cfg.sabotage_saves = (saves - bad..saves).collect();
-    // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-    let mut store = CheckpointStore::new(cfg).expect("store");
+    let mut store = CheckpointStore::new(cfg).context("store")?;
     for step in 1..=saves {
-        // vf-lint: allow(panic-ratchet) — sabotage happens post-commit, saves succeed
-        store.save(step, &payload(step, len)).expect("save succeeds");
+        store
+            .save(step, &payload(step, len))
+            .context("save succeeds")?;
     }
     store.drain_time_s(); // saves are not part of the recovery clock
-    // vf-lint: allow(panic-ratchet) — the first `saves - bad` checkpoints are intact
-    let (report, bytes) = store.restore_latest().expect("an older valid checkpoint survives");
+    let (report, bytes) = store
+        .restore_latest()
+        .context("an older valid checkpoint survives")?;
     let recovery_s = store.drain_time_s();
     assert_eq!(report.step, saves - bad, "walked back past every corrupt checkpoint");
     assert!(report.fallback);
     assert_eq!(bytes, payload(report.step, len));
-    (recovery_s, store.counters().quarantined)
+    Ok((recovery_s, store.counters().quarantined))
 }
 
 /// Corrupts every checkpoint immediately after committing it and measures
 /// how many of those corruptions the restore path detects. The answer must
 /// be every single one.
-fn detection_rate(len: usize, rounds: u64) -> (f64, u64, u64) {
+fn detection_rate(len: usize, rounds: u64) -> Result<(f64, u64, u64)> {
     let mut cfg = StoreConfig::quiet(SEED + 2);
     cfg.shard_bytes = 4096;
     // Quarantined checkpoints keep occupying space until a real GC story
     // for them exists; size the disk for the whole corrupted history.
     cfg.capacity_bytes = (len as u64 + 8192) * (rounds + 6);
-    // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-    let mut store = CheckpointStore::new(cfg).expect("store");
+    let mut store = CheckpointStore::new(cfg).context("store")?;
     for step in 1..=rounds {
-        store.save(step, &payload(step, len)).expect("save succeeds"); // vf-lint: allow(panic-ratchet) — quiet plan, saves succeed
-        store.corrupt_newest().expect("newest exists"); // vf-lint: allow(panic-ratchet) — the save above committed
+        store
+            .save(step, &payload(step, len))
+            .context("save succeeds")?;
+        store.corrupt_newest().context("newest exists")?;
         match store.restore_latest() {
             // Older checkpoints were already quarantined, so a successful
             // restore here would have to serve corrupted bytes — the
             // counters below would catch it as a silent restore.
             Ok((r, bytes)) => assert_eq!(bytes, payload(r.step, len)),
             Err(StoreError::NoValidCheckpoint { .. }) => {}
-            // vf-lint: allow(panic-ratchet) — any other error is a harness bug; abort loudly
-            Err(e) => panic!("unexpected restore error: {e}"),
+            Err(e) => return Err(format!("unexpected restore error: {e}").into()),
         }
     }
     let c = store.counters();
     assert_eq!(c.silent_restores, 0, "corrupted bytes were served");
-    (c.corruptions_detected as f64 / rounds as f64, c.corruptions_detected, c.quarantined)
+    Ok((
+        c.corruptions_detected as f64 / rounds as f64,
+        c.corruptions_detected,
+        c.quarantined,
+    ))
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (len, rounds) = if smoke { (256 * 1024, 6) } else { (4 * 1024 * 1024, 16) };
+fn main() -> Result {
+    let mode = Mode::from_args();
+    let (len, rounds) = if mode == Mode::Smoke {
+        (256 * 1024, 6)
+    } else {
+        (4 * 1024 * 1024, 16)
+    };
     println!("== store bench: {rounds} saves of {len} B ==\n");
 
     let metrics = Metrics::new();
-    let (save_mbps, restore_mbps) = throughput(len, rounds);
-    let (recovery_s, quarantined) = recovery_time(len, rounds, 2);
-    let (rate, detected, _) = detection_rate(len.min(64 * 1024), rounds);
+    let (save_mbps, restore_mbps) = throughput(len, rounds)?;
+    let (recovery_s, quarantined) = recovery_time(len, rounds, 2)?;
+    let (rate, detected, _) = detection_rate(len.min(64 * 1024), rounds)?;
 
     metrics.set_gauge("save/throughput_mbps", save_mbps);
     metrics.set_gauge("restore/throughput_mbps", restore_mbps);
@@ -132,23 +139,14 @@ fn main() -> ExitCode {
         ],
     );
 
-    let metrics_json: serde_json::Value =
-        // vf-lint: allow(panic-ratchet) — registry rendering is self-tested; abort loudly
-        serde_json::from_str(&metrics.to_json()).expect("metrics registry renders valid JSON");
-    emit(
-        if smoke { "BENCH_store_smoke" } else { "BENCH_store" },
-        &serde_json::json!({
-            "payload_bytes": len,
-            "rounds": rounds,
-            "metrics": metrics_json,
-        }),
-    );
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("store_bench", &metrics));
-    }
+    mode.publish(
+        "BENCH_store",
+        "store_bench",
+        serde_json::json!({ "payload_bytes": len, "rounds": rounds }),
+        &metrics,
+    )?;
     if (rate - 1.0).abs() > f64::EPSILON {
-        eprintln!("FAIL: corruption-detection rate {rate} != 1.0");
-        return ExitCode::FAILURE;
+        return Err(format!("corruption-detection rate {rate} != 1.0").into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! while keeping the learning rate tuned for 8192, and falls short.
 
 use serde::Serialize;
-use vf_bench::report::{emit, pct, print_table};
+use vf_bench::report::{emit, pct, print_table, Result};
 use vf_bench::standins::{resnet50_imagenet, ConvergenceRun};
 
 #[derive(Serialize)]
@@ -20,7 +20,7 @@ struct Row {
     accuracy: f32,
 }
 
-fn main() {
+fn main() -> Result {
     let workload = resnet50_imagenet();
     println!("== Table 1: ResNet-50 on ImageNet (stand-in), batch 8192 ==\n");
 
@@ -37,7 +37,7 @@ fn main() {
         (2, 64, "RTX 2080 Ti"),
     ] {
         let label = format!("VirtualFlow {gpus}x{gpu_type} ({}VN/GPU)", total_vns / gpus);
-        let run = workload.train(&label, 8192, total_vns, gpus);
+        let run = workload.train(&label, 8192, total_vns, gpus)?;
         rows.push(Row {
             system: "VirtualFlow",
             gpus,
@@ -53,7 +53,7 @@ fn main() {
     for gpus in [1u32, 2, 4, 8] {
         let bs = 256 * gpus as usize;
         let label = format!("TF* {gpus}xV100 (bs {bs})");
-        let run = workload.train(&label, bs, gpus, gpus);
+        let run = workload.train(&label, bs, gpus, gpus)?;
         rows.push(Row {
             system: "TF*",
             gpus,
@@ -73,7 +73,7 @@ fn main() {
         let mut retuned = workload.clone();
         retuned.lr *= bs as f32 / workload.headline_batch as f32;
         let label = format!("TF*+LSR {gpus}xV100 (bs {bs}, lr {:.3})", retuned.lr);
-        let run = retuned.train(&label, bs, gpus, gpus);
+        let run = retuned.train(&label, bs, gpus, gpus)?;
         rows.push(Row {
             system: "TF*+LSR",
             gpus,
@@ -134,7 +134,10 @@ fn main() {
          but VirtualFlow gets there with zero retuning",
         lsr_min * 100.0
     );
-    emit("tab01_resnet_repro", &serde_json::json!({ "rows": rows, "runs": runs }));
+    emit(
+        "tab01_resnet_repro",
+        &serde_json::json!({ "rows": rows, "runs": runs }),
+    )?;
     assert!(vf_spread < 0.02, "VF accuracies must agree within 2 pp");
     assert!(
         vf_min > tf_max,
@@ -145,4 +148,5 @@ fn main() {
         lsr_min > tf_min + 0.03,
         "the scaling rule must recover a large part of the gap: {lsr_min} vs {tf_min}"
     );
+    Ok(())
 }

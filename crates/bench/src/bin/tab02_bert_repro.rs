@@ -6,7 +6,7 @@
 //! deterministic.
 
 use serde::Serialize;
-use vf_bench::report::{emit, pct, print_table};
+use vf_bench::report::{emit, pct, print_table, Result};
 use vf_bench::standins::{bert_base_glue, GlueTask};
 
 #[derive(Serialize)]
@@ -19,7 +19,7 @@ struct Row {
     cola: f32,
 }
 
-fn main() {
+fn main() -> Result {
     println!("== Table 2: BERT-BASE finetuning on GLUE (stand-in), batch 64 ==\n");
     let tasks = [GlueTask::Qnli, GlueTask::Sst2, GlueTask::Cola];
     let total_vns = 8u32;
@@ -28,7 +28,7 @@ fn main() {
         let mut accs = [0.0f32; 3];
         for (i, &task) in tasks.iter().enumerate() {
             let w = bert_base_glue(task);
-            let run = w.train(&format!("{} on {gpus} GPUs", w.name), 64, total_vns, gpus);
+            let run = w.train(&format!("{} on {gpus} GPUs", w.name), 64, total_vns, gpus)?;
             accs[i] = run.final_accuracy;
         }
         rows.push(Row {
@@ -67,5 +67,6 @@ fn main() {
     }
     println!("\nwithin each task, every GPU count converges identically ✓");
     println!("(paper spread ≤1.6 pp from hardware nondeterminism; ours is exactly 0)");
-    emit("tab02_bert_repro", &serde_json::json!({ "rows": rows }));
+    emit("tab02_bert_repro", &serde_json::json!({ "rows": rows }))?;
+    Ok(())
 }

@@ -22,11 +22,11 @@
 //! traced total — and finishes by appending its headline numbers to
 //! `results/BENCH_history.jsonl` for the `bench_gate` regression check.
 //!
-//! Usage: `trace_profile [--smoke]` — `--smoke` shrinks the run for tier-1.
+//! Usage: `trace_profile [--smoke]` — `--smoke` shrinks the run for tier-1
+//! and writes nothing: it checks and prints only.
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{append_history, results_dir};
+use vf_bench::report::{Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
 use vf_core::memory_model::simulate_step_timeline;
@@ -40,19 +40,18 @@ use vf_models::profile::resnet50;
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
 use vf_obs::profile::{counter_series, render_counter_series};
-use vf_obs::{Event, HistoryRecord, Metrics, Phase, Profile, Recorder, RingSink};
+use vf_obs::{Event, Metrics, Phase, Profile, Recorder, RingSink};
 use vf_sched::trace::three_job_trace;
 use vf_sched::{run_trace_monitored, ElasticWfs, SimConfig};
 use vf_tensor::pool;
 
 const SEED: u64 = 2022;
 
-fn parts() -> (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig) {
-    // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().expect("generates"));
+fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
+    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
     let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
     let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    (arch, dataset, config)
+    Ok((arch, dataset, config))
 }
 
 fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
@@ -63,13 +62,12 @@ fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
 /// (so per-category peaks come from the tracker, not recomputation) and
 /// emits both the timeline counters and the tracker's peaks onto device
 /// `index`'s trace track.
-fn emit_device_memory(obs: &Recorder, index: usize, gpu: &DeviceProfile, vns: usize) {
+fn emit_device_memory(obs: &Recorder, index: usize, gpu: &DeviceProfile, vns: usize) -> Result {
     let model = resnet50();
     // Virtual-aware sizing: leaves room for the VN gradient buffer.
     let micro = model.max_micro_batch_virtual(gpu).max(1);
     let timeline = simulate_step_timeline(&model, gpu, micro, vns, 2, 2, 2.0)
-        // vf-lint: allow(panic-ratchet) — fixed config known to fit the device
-        .expect("memory configuration fits");
+        .context("memory configuration fits")?;
     emit_memory_timeline(obs, index, &timeline);
     let mut tracker = MemoryTracker::new(gpu.memory_bytes);
     let mut prev = [0u64; 6];
@@ -79,8 +77,7 @@ fn emit_device_memory(obs: &Recorder, index: usize, gpu: &DeviceProfile, vns: us
             if cur > prev[ci] {
                 tracker
                     .alloc(*cat, cur - prev[ci], snap.time_s)
-                    // vf-lint: allow(panic-ratchet) — replay of a timeline that fit
-                    .expect("replayed timeline fits");
+                    .context("replayed timeline fits")?;
             } else if cur < prev[ci] {
                 tracker.free(*cat, prev[ci] - cur, snap.time_s);
             }
@@ -89,21 +86,20 @@ fn emit_device_memory(obs: &Recorder, index: usize, gpu: &DeviceProfile, vns: us
     }
     let end_s = timeline.last().map_or(0.0, |s| s.time_s);
     tracker.emit_peaks(obs, index, end_s);
+    Ok(())
 }
 
 /// Runs the full recorded scenario: chaos training, scheduler sim, device
 /// memory timelines — all into one sink, in one fixed order.
-fn run_scenario(steps: u64) -> (Vec<Event>, ChaosReport) {
+fn run_scenario(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     let sink = Arc::new(RingSink::unbounded());
     let obs = Recorder::with_sink(sink.clone());
 
     // 1. Chaos-supervised training: train/comm/chaos spans + dev busy.
-    let (arch, dataset, config) = parts();
+    let (arch, dataset, config) = parts()?;
     let plan = FaultPlan::new(SEED)
-        // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-        .with_crashes(FailureModel::new(250.0, SEED).expect("valid"))
-        // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-        .with_preemptions(SpotModel::new(400.0, 50.0).expect("valid"));
+        .with_crashes(FailureModel::new(250.0, SEED).context("valid")?)
+        .with_preemptions(SpotModel::new(400.0, 50.0).context("valid")?);
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = Some(CommFaultModel::new(SEED, 0.03, 0.005, 0.02));
     // Overlapped execution: per-parameter buckets, collectives pipelined
@@ -111,19 +107,10 @@ fn run_scenario(steps: u64) -> (Vec<Event>, ChaosReport) {
     cfg.bucket_bytes = Some(64);
     cfg.cooldown_s = 90.0;
     cfg.bootstrap_s = 20.0;
-    let mut sup = ChaosSupervisor::new(
-        arch,
-        dataset,
-        config,
-        &devices(0..4),
-        &devices(8..16),
-        cfg,
-    )
-    // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-    .expect("supervisor");
+    let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
+        .context("supervisor")?;
     sup.set_recorder(obs.clone());
-    // vf-lint: allow(panic-ratchet) — a dead run leaves nothing to profile
-    let out = sup.run().expect("scenario survives its fault plan");
+    let out = sup.run().context("scenario survives its fault plan")?;
 
     // 2. Scheduler simulation, stamped after the training run (the sim
     // offsets its clock by the recorder's current time): the critical
@@ -133,10 +120,10 @@ fn run_scenario(steps: u64) -> (Vec<Event>, ChaosReport) {
     run_trace_monitored(&trace, &mut ElasticWfs::new(), &sim, &obs, None);
 
     // 3. Per-device memory timelines on the device tracks.
-    emit_device_memory(&obs, 0, &DeviceProfile::of(DeviceType::V100), 1);
-    emit_device_memory(&obs, 1, &DeviceProfile::of(DeviceType::Rtx2080Ti), 2);
+    emit_device_memory(&obs, 0, &DeviceProfile::of(DeviceType::V100), 1)?;
+    emit_device_memory(&obs, 1, &DeviceProfile::of(DeviceType::Rtx2080Ti), 2)?;
 
-    (sink.events(), out.report)
+    Ok((sink.events(), out.report))
 }
 
 /// Backward windows (`step/backward` spans) and bucket-collective start
@@ -160,13 +147,13 @@ fn overlap_spans(events: &[Event]) -> (Vec<(u64, u64)>, Vec<u64>) {
 /// start *inside* it — bucket 0 is ready the moment the backward tail
 /// begins, so a first collective outside its window means the pipelining
 /// silently degraded to sync-after-compute.
-fn check_first_collective_in_window(events: &[Event]) -> Result<usize, String> {
+fn check_first_collective_in_window(events: &[Event]) -> Result<usize> {
     let (windows, mut collectives) = overlap_spans(events);
     if windows.is_empty() {
-        return Err("no step/backward windows in the trace".to_string());
+        return Err("no step/backward windows in the trace".into());
     }
     if collectives.is_empty() {
-        return Err("no allreduce spans in the trace".to_string());
+        return Err("no allreduce spans in the trace".into());
     }
     collectives.sort_unstable();
     for &(lo, hi) in &windows {
@@ -175,7 +162,8 @@ fn check_first_collective_in_window(events: &[Event]) -> Result<usize, String> {
             got => {
                 return Err(format!(
                     "window [{lo},{hi}]us: first collective at {got:?} — not inside"
-                ))
+                )
+                .into())
             }
         }
     }
@@ -188,10 +176,10 @@ fn check_first_collective_in_window(events: &[Event]) -> Result<usize, String> {
 /// path. The bucketed trace must nest *every* collective inside a backward
 /// window, and both its simulated time and its profile critical path must
 /// not exceed the legacy run's.
-fn overlap_proof() -> Result<String, String> {
+fn overlap_proof() -> Result<String> {
     const PROOF_STEPS: u64 = 8;
-    let run = |bucket_bytes: Option<u64>| {
-        let (arch, dataset, config) = parts();
+    let run = |bucket_bytes: Option<u64>| -> Result<(Vec<Event>, f64)> {
+        let (arch, dataset, config) = parts()?;
         let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), PROOF_STEPS);
         cfg.bucket_bytes = bucket_bytes;
         // Legacy path: still traced (quiet fault model), still additive.
@@ -207,34 +195,31 @@ fn overlap_proof() -> Result<String, String> {
         };
         let sink = Arc::new(RingSink::unbounded());
         let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &[], cfg)
-            // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-            .expect("supervisor");
+            .context("supervisor")?;
         sup.set_recorder(Recorder::with_sink(sink.clone()));
-        // vf-lint: allow(panic-ratchet) — fault-free plan cannot kill the run
-        let out = sup.run().expect("fault-free run survives");
-        (sink.events(), out.report.sim_time_s)
+        let out = sup.run().context("fault-free run survives")?;
+        Ok((sink.events(), out.report.sim_time_s))
     };
-    let (bucketed, sim_bucketed) = run(Some(64));
-    let (legacy, sim_legacy) = run(None);
+    let (bucketed, sim_bucketed) = run(Some(64))?;
+    let (legacy, sim_legacy) = run(None)?;
 
     let (windows, collectives) = overlap_spans(&bucketed);
     if windows.len() != PROOF_STEPS as usize {
-        return Err(format!(
-            "want {PROOF_STEPS} backward windows, got {}",
-            windows.len()
-        ));
+        return Err(format!("want {PROOF_STEPS} backward windows, got {}", windows.len()).into());
     }
     for &ts in &collectives {
         if !windows.iter().any(|&(lo, hi)| ts >= lo && ts <= hi) {
             return Err(format!(
                 "collective at {ts}us starts outside every backward window {windows:?}"
-            ));
+            )
+            .into());
         }
     }
     if sim_bucketed >= sim_legacy {
         return Err(format!(
             "bucketed sim time {sim_bucketed:.4}s not below legacy {sim_legacy:.4}s"
-        ));
+        )
+        .into());
     }
     let cp = |events: &[Event]| {
         let p = Profile::from_events(events);
@@ -242,9 +227,9 @@ fn overlap_proof() -> Result<String, String> {
     };
     let (cp_bucketed, cp_legacy) = (cp(&bucketed), cp(&legacy));
     if cp_bucketed > cp_legacy {
-        return Err(format!(
-            "bucketed critical path {cp_bucketed}us exceeds legacy {cp_legacy}us"
-        ));
+        return Err(
+            format!("bucketed critical path {cp_bucketed}us exceeds legacy {cp_legacy}us").into(),
+        );
     }
     Ok(format!(
         "{} collectives inside {} windows; sim {:.2}s < {:.2}s; path {}us <= {}us",
@@ -296,17 +281,17 @@ fn render_report(p: &Profile, report: &ChaosReport) -> String {
     out
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let steps: u64 = if smoke { 60 } else { 240 };
+fn main() -> Result {
+    let mode = Mode::from_args();
+    let steps: u64 = if mode == Mode::Smoke { 60 } else { 240 };
     println!("== trace profile: {steps}-step chaos run + sched sim, profiled ==\n");
 
     // Determinism gate: the whole scenario and every derived artifact must
     // be byte-identical between a 4-way-chunking and a serial kernel pool.
     pool::set_num_threads(4);
-    let (events, report) = run_scenario(steps);
+    let (events, report) = run_scenario(steps)?;
     pool::set_num_threads(1);
-    let (events_serial, _) = run_scenario(steps);
+    let (events_serial, _) = run_scenario(steps)?;
 
     let profile = Profile::from_events(&events);
     let report_txt = render_report(&profile, &report);
@@ -318,8 +303,7 @@ fn main() -> ExitCode {
         let collapsed2 = p2.collapsed_stacks();
         let counters2 = render_counter_series(&counter_series(&events_serial));
         if report_txt != report2 || collapsed != collapsed2 || counters != counters2 {
-            eprintln!("FAIL: profile artifacts differ between 4-way and serial kernel pools");
-            return ExitCode::FAILURE;
+            return Err("profile artifacts differ between 4-way and serial kernel pools".into());
         }
     }
     println!("determinism: 4-thread and serial profiles are byte-identical");
@@ -331,16 +315,19 @@ fn main() -> ExitCode {
     let on_path = profile.path_duration_us(&path);
     let (lo, hi) = profile.window_us().unwrap_or((0, 0));
     if on_path > hi - lo {
-        eprintln!("FAIL: critical path ({on_path} us) exceeds the traced window ({} us)", hi - lo);
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "critical path ({on_path} us) exceeds the traced window ({} us)",
+            hi - lo
+        )
+        .into());
     }
     if profile.total_self_us() != profile.total_traced_us() {
-        eprintln!(
-            "FAIL: self-times sum to {} us, traced total is {} us — child spans escape parents",
+        return Err(format!(
+            "self-times sum to {} us, traced total is {} us — child spans escape parents",
             profile.total_self_us(),
             profile.total_traced_us()
-        );
-        return ExitCode::FAILURE;
+        )
+        .into());
     }
     println!(
         "invariants: path {} us <= window {} us; self-times sum to traced total {} us",
@@ -352,35 +339,20 @@ fn main() -> ExitCode {
     // Overlap structure on the faulty trace: every step's first bucket
     // collective must launch inside that step's backward window, even with
     // comm faults retrying collectives mid-flight.
-    match check_first_collective_in_window(&events) {
-        Ok(n) => println!("overlap: first collective inside each of {n} backward windows"),
-        Err(e) => {
-            eprintln!("FAIL: overlap structure broken on the chaos trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let n = check_first_collective_in_window(&events)
+        .map_err(|e| format!("overlap structure broken on the chaos trace: {e:?}"))?;
+    println!("overlap: first collective inside each of {n} backward windows");
     // And the quiet paired run: full nesting plus a critical path no longer
     // than the legacy sync-after-compute schedule.
-    match overlap_proof() {
-        Ok(msg) => println!("overlap proof: {msg}"),
-        Err(e) => {
-            eprintln!("FAIL: overlap proof: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let proof = overlap_proof().map_err(|e| format!("overlap proof: {e:?}"))?;
+    println!("overlap proof: {proof}");
 
-    let dir = results_dir();
-    // vf-lint: allow(panic-ratchet) — harness has nothing to do without its outputs
-    std::fs::create_dir_all(&dir).expect("create results dir");
     for (name, body) in [
         ("PROFILE_chaos.txt", &report_txt),
         ("PROFILE_chaos.collapsed", &collapsed),
         ("PROFILE_counters.txt", &counters),
     ] {
-        let path = dir.join(name);
-        // vf-lint: allow(panic-ratchet) — harness has nothing to do without its outputs
-        std::fs::write(&path, body).expect("write profile artifact");
-        println!("[wrote {}]", path.display());
+        mode.write_artifact(name, body)?;
     }
 
     // Sample of the collapsed-stack export for the console (and README).
@@ -409,10 +381,6 @@ fn main() -> ExitCode {
         .sum();
     m.set_gauge("profile/device_busy_us", dev_busy as f64);
     println!("\nmetrics: {}", m.to_json());
-    if smoke {
-        println!("[smoke run: history not appended]");
-    } else {
-        append_history(&HistoryRecord::from_metrics("trace_profile", &m));
-    }
-    ExitCode::SUCCESS
+    mode.record("trace_profile", &m)?;
+    Ok(())
 }

@@ -4,18 +4,18 @@
 //! The harness drives one training job through a mild fault plan with the
 //! vf-obs recorder attached, twice — once with the kernel pool chunking
 //! 4 ways, once serial — and exits nonzero unless the two exports are
-//! byte-identical. The surviving trace is written as
+//! byte-identical. A full run writes the surviving trace as
 //! `results/TRACE_chaos.json` (Chrome `trace_event` format: load it in
 //! `chrome://tracing` or Perfetto) and `results/TRACE_chaos.txt` (a
 //! per-step human-readable timeline). Headline numbers flow through the
 //! vf-obs [`Metrics`] registry so the summary block shares the schema of
 //! every other `results/*.json`.
 //!
-//! Usage: `trace_report [--smoke]` — `--smoke` shrinks the run for tier-1.
+//! Usage: `trace_report [--smoke]` — `--smoke` shrinks the run for tier-1
+//! and writes nothing: it checks and prints only.
 
-use std::process::ExitCode;
 use std::sync::Arc;
-use vf_bench::report::{append_history, results_dir};
+use vf_bench::report::{Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
 use vf_core::TrainerConfig;
@@ -24,17 +24,16 @@ use vf_data::Dataset;
 use vf_device::{DeviceId, FailureModel, FaultPlan, SpotModel};
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
-use vf_obs::{chrome, ArgValue, Event, HistoryRecord, Metrics, Phase, Recorder, RingSink};
+use vf_obs::{chrome, ArgValue, Event, Metrics, Phase, Recorder, RingSink};
 use vf_tensor::pool;
 
 const SEED: u64 = 2022;
 
-fn parts() -> (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig) {
-    // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().expect("generates"));
+fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
+    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
     let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
     let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    (arch, dataset, config)
+    Ok((arch, dataset, config))
 }
 
 fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
@@ -43,32 +42,21 @@ fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
 
 /// Runs the traced chaos scenario and returns every recorded event plus
 /// the run report.
-fn run_traced(steps: u64) -> (Vec<Event>, ChaosReport) {
-    let (arch, dataset, config) = parts();
+fn run_traced(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
+    let (arch, dataset, config) = parts()?;
     let plan = FaultPlan::new(SEED)
-        // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-        .with_crashes(FailureModel::new(250.0, SEED).expect("valid"))
-        // vf-lint: allow(panic-ratchet) — harness setup with fixed valid inputs
-        .with_preemptions(SpotModel::new(400.0, 50.0).expect("valid"));
+        .with_crashes(FailureModel::new(250.0, SEED).context("valid")?)
+        .with_preemptions(SpotModel::new(400.0, 50.0).context("valid")?);
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = Some(CommFaultModel::new(SEED, 0.03, 0.005, 0.02));
     cfg.cooldown_s = 90.0;
     cfg.bootstrap_s = 20.0;
-    let mut sup = ChaosSupervisor::new(
-        arch,
-        dataset,
-        config,
-        &devices(0..4),
-        &devices(8..16),
-        cfg,
-    )
-    // vf-lint: allow(panic-ratchet) — harness aborts loudly on setup failure
-    .expect("supervisor");
+    let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
+        .context("supervisor")?;
     let sink = Arc::new(RingSink::unbounded());
     sup.set_recorder(Recorder::with_sink(sink.clone()));
-    // vf-lint: allow(panic-ratchet) — a dead run leaves nothing to report
-    let out = sup.run().expect("scenario survives its fault plan");
-    (sink.events(), out.report)
+    let out = sup.run().context("scenario survives its fault plan")?;
+    Ok((sink.events(), out.report))
 }
 
 fn fmt_arg(v: &ArgValue) -> String {
@@ -115,22 +103,21 @@ fn render_timeline(events: &[Event], report: &ChaosReport) -> String {
     out
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let steps: u64 = if smoke { 80 } else { 300 };
+fn main() -> Result {
+    let mode = Mode::from_args();
+    let steps: u64 = if mode == Mode::Smoke { 80 } else { 300 };
     println!("== trace report: {steps}-step chaos run, traced ==\n");
 
     // The determinism gate: chunking 4 ways vs serial must export the
     // exact same bytes. Anything less means thread state leaked into the
     // trace, and the report is not worth writing.
     pool::set_num_threads(4);
-    let (events, report) = run_traced(steps);
+    let (events, report) = run_traced(steps)?;
     pool::set_num_threads(1);
-    let (events_serial, _) = run_traced(steps);
+    let (events_serial, _) = run_traced(steps)?;
     let jsonl = chrome::render_jsonl(&events);
     if jsonl != chrome::render_jsonl(&events_serial) {
-        eprintln!("FAIL: trace export differs between 4-way and serial kernel pools");
-        return ExitCode::FAILURE;
+        return Err("trace export differs between 4-way and serial kernel pools".into());
     }
     println!("determinism: 4-thread and serial exports are byte-identical");
 
@@ -138,34 +125,18 @@ fn main() -> ExitCode {
     // event (the renderer is hand-rolled for byte stability, so check it
     // against a real parser before shipping the file).
     let trace = chrome::render_trace(&events);
-    let parsed = match vf_obs::json::parse(&trace) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("FAIL: rendered trace is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let parsed = vf_obs::json::parse(&trace).context("rendered trace is not valid JSON")?;
     let n_parsed = parsed
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .map_or(0, <[_]>::len);
     if n_parsed != events.len() {
-        eprintln!(
-            "FAIL: trace carries {n_parsed} events, recorder saw {}",
+        return Err(format!(
+            "trace carries {n_parsed} events, recorder saw {}",
             events.len()
-        );
-        return ExitCode::FAILURE;
+        )
+        .into());
     }
-
-    let dir = results_dir();
-    // vf-lint: allow(panic-ratchet) — harness has nothing to do without its outputs
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let json_path = dir.join("TRACE_chaos.json");
-    // vf-lint: allow(panic-ratchet) — harness has nothing to do without its outputs
-    std::fs::write(&json_path, &trace).expect("write trace json");
-    let txt_path = dir.join("TRACE_chaos.txt");
-    // vf-lint: allow(panic-ratchet) — harness has nothing to do without its outputs
-    std::fs::write(&txt_path, render_timeline(&events, &report)).expect("write timeline");
 
     // Headline numbers through the shared metrics registry.
     let m = Metrics::new();
@@ -186,12 +157,9 @@ fn main() -> ExitCode {
     m.set_gauge("pool/jobs_submitted", st.jobs_submitted as f64);
     m.set_gauge("pool/chunks_executed", st.chunks_executed as f64);
     m.set_gauge("pool/serial_fallbacks", st.serial_fallbacks as f64);
-    println!("\nmetrics: {}", m.to_json());
-    println!("\n[wrote {}]", json_path.display());
-    println!("[wrote {}]", txt_path.display());
-    // Full runs feed the bench_gate trajectory; smoke runs are shrunk.
-    if !smoke {
-        append_history(&HistoryRecord::from_metrics("trace_report", &m));
-    }
-    ExitCode::SUCCESS
+    println!("\nmetrics: {}\n", m.to_json());
+    mode.write_artifact("TRACE_chaos.json", &trace)?;
+    mode.write_artifact("TRACE_chaos.txt", &render_timeline(&events, &report))?;
+    mode.record("trace_report", &m)?;
+    Ok(())
 }

@@ -6,6 +6,7 @@
 //! 10 — who wins, by roughly what factor — not the absolute numbers, since
 //! the substrate is a simulator rather than the authors' testbed.
 
+use crate::report::{Context, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vf_core::{OptimizerConfig, Trainer, TrainerConfig};
@@ -54,21 +55,23 @@ pub struct ConvergenceRun {
 
 impl Standin {
     /// Generates the train/validation split (a pure function of the task).
-    pub fn dataset(&self) -> (Arc<Dataset>, Dataset) {
-        let full = self.task.generate().expect("task generates");
-        let (train, val) = full.split(self.val_fraction).expect("split is valid");
-        (Arc::new(train), val)
+    pub fn dataset(&self) -> Result<(Arc<Dataset>, Dataset)> {
+        let full = self.task.generate().context("task generates")?;
+        let (train, val) = full.split(self.val_fraction).context("split is valid")?;
+        Ok((Arc::new(train), val))
     }
 
     /// Trains with `batch_size` split over `total_vns` virtual nodes on
-    /// `devices` simulated devices, evaluating after every epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid configurations (indivisible batches etc.) — the
-    /// harness constructs only valid ones.
-    pub fn train(&self, label: &str, batch_size: usize, total_vns: u32, devices: u32) -> ConvergenceRun {
-        let (train, val) = self.dataset();
+    /// `devices` simulated devices, evaluating after every epoch. An
+    /// invalid configuration (an indivisible batch etc.) is an error.
+    pub fn train(
+        &self,
+        label: &str,
+        batch_size: usize,
+        total_vns: u32,
+        devices: u32,
+    ) -> Result<ConvergenceRun> {
+        let (train, val) = self.dataset()?;
         let config = TrainerConfig {
             total_vns,
             batch_size,
@@ -81,11 +84,11 @@ impl Standin {
         };
         let ids: Vec<DeviceId> = (0..devices).map(DeviceId).collect();
         let mut trainer = Trainer::new(Arc::new(self.arch.clone()), train, config, &ids)
-            .expect("valid harness configuration");
+            .context("valid harness configuration")?;
         let mut curve = Vec::with_capacity(self.epochs);
         for _ in 0..self.epochs {
-            trainer.run_epoch().expect("training step succeeds");
-            let eval = trainer.evaluate(&val).expect("evaluation succeeds");
+            trainer.run_epoch().context("training step succeeds")?;
+            let eval = trainer.evaluate(&val).context("evaluation succeeds")?;
             curve.push(eval.accuracy);
         }
         // Report the mean accuracy over the last quarter of training: a
@@ -93,12 +96,12 @@ impl Standin {
         // oscillation — the quantity the batch-size experiments compare.
         let tail = &curve[curve.len() - (curve.len() / 4).max(1)..];
         let final_accuracy = tail.iter().sum::<f32>() / tail.len() as f32;
-        ConvergenceRun {
+        Ok(ConvergenceRun {
             label: label.to_string(),
             final_accuracy,
             curve,
             updates: trainer.steps_done(),
-        }
+        })
     }
 }
 
@@ -218,7 +221,7 @@ mod tests {
     fn standins_produce_valid_runs() {
         let mut w = bert_base_glue(GlueTask::Sst2);
         w.epochs = 2;
-        let run = w.train("smoke", 64, 8, 2);
+        let run = w.train("smoke", 64, 8, 2).unwrap();
         assert_eq!(run.curve.len(), 2);
         assert!(run.final_accuracy > 0.4);
         assert!(run.updates > 0);
@@ -228,8 +231,8 @@ mod tests {
     fn same_config_same_run() {
         let mut w = bert_large_task(LargeTask::Rte);
         w.epochs = 2;
-        let a = w.train("a", 16, 4, 1);
-        let b = w.train("b", 16, 4, 4);
+        let a = w.train("a", 16, 4, 1).unwrap();
+        let b = w.train("b", 16, 4, 4).unwrap();
         assert_eq!(a.curve, b.curve, "device count must not matter");
     }
 }

@@ -2,16 +2,9 @@
 
 use std::fmt;
 
-/// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// A rule violation: fails the audit under `--deny`.
-    Error,
-    /// Advisory only (e.g. a baseline entry that can be ratcheted down).
-    Note,
-}
-
-/// One finding at a source location.
+/// One violation at a source location. Every diagnostic fails the audit
+/// under `--deny`; a deliberate exception is waived inline instead (see
+/// [`crate::suppress`]).
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// Rule identifier, e.g. `ambient-time`.
@@ -22,8 +15,6 @@ pub struct Diagnostic {
     pub line: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Whether this finding fails the audit.
-    pub severity: Severity,
 }
 
 impl Diagnostic {
@@ -34,34 +25,18 @@ impl Diagnostic {
             path: path.to_string(),
             line,
             message: message.into(),
-            severity: Severity::Error,
-        }
-    }
-
-    /// An advisory note.
-    pub fn note(rule: &'static str, path: &str, line: u32, message: impl Into<String>) -> Self {
-        Diagnostic {
-            rule,
-            path: path.to_string(),
-            line,
-            message: message.into(),
-            severity: Severity::Note,
         }
     }
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.severity {
-            Severity::Error => "error",
-            Severity::Note => "note",
-        };
         if self.line == 0 {
-            write!(f, "{}: {kind}[{}]: {}", self.path, self.rule, self.message)
+            write!(f, "{}: error[{}]: {}", self.path, self.rule, self.message)
         } else {
             write!(
                 f,
-                "{}:{}: {kind}[{}]: {}",
+                "{}:{}: error[{}]: {}",
                 self.path, self.line, self.rule, self.message
             )
         }

@@ -10,9 +10,8 @@
 //! checked invariants:
 //!
 //! * [`rules`] — the per-file catalog: `hash-iteration`, `ambient-time`,
-//!   `ad-hoc-thread`, `registry-dep`, and the `panic-ratchet`.
-//! * [`baseline`] — the one-way ratchet over panic-family call sites in
-//!   library code (`lint-baseline.toml`).
+//!   `ad-hoc-thread`, `registry-dep`, and the panic rule `panic-ratchet`
+//!   (no `unwrap`/`expect`/`panic!` outside tests unless waived).
 //! * [`suppress`] — inline, reasoned waivers:
 //!   `// vf-lint: allow(rule) — reason`.
 //! * [`lexer`] — the minimal Rust lexer the rules run on (comments and
@@ -43,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diag;
 pub mod lexer;
@@ -56,7 +54,6 @@ mod surface;
 pub mod symbols;
 pub mod workspace;
 
-pub use baseline::{Baseline, BASELINE_FILE};
-pub use diag::{Diagnostic, Severity};
+pub use diag::Diagnostic;
 pub use rules::{check_manifest, check_source};
-pub use workspace::{audit, find_root, write_baseline, Outcome};
+pub use workspace::{audit, find_root, Outcome};

@@ -3,11 +3,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vf_lint::diag::Severity;
 use vf_lint::{rules, workspace};
 
 const USAGE: &str = "\
-vf-lint — workspace invariant auditor (determinism lints + panic ratchet)
+vf-lint — workspace invariant auditor (determinism lints + panic rule)
 
 USAGE:
     cargo run -p vf-lint -- [OPTIONS]
@@ -15,7 +14,6 @@ USAGE:
 OPTIONS:
     --deny             Exit nonzero if any violation is found (tier-1 mode)
     --json             Write the audit report to <root>/results/LINT_report.json
-    --write-baseline   Regenerate lint-baseline.toml; refuses any increase
     --root <PATH>      Workspace root (default: discovered from cwd)
     --list-rules       Print the rule catalog and exit
     -h, --help         Show this help
@@ -24,7 +22,6 @@ OPTIONS:
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
-    let mut write_baseline = false;
     let mut list_rules = false;
     let mut root: Option<PathBuf> = None;
 
@@ -33,7 +30,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
             "--list-rules" => list_rules = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -68,31 +64,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if write_baseline {
-        return match workspace::write_baseline(&root) {
-            Ok(Ok(new)) => {
-                println!(
-                    "wrote {} ({} file(s) with panic-family sites)",
-                    vf_lint::BASELINE_FILE,
-                    new.entries.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(Err(increases)) => {
-                eprintln!(
-                    "error: refusing to raise the panic ratchet for: {}",
-                    increases.join(", ")
-                );
-                eprintln!("fix the new panic sites or add reasoned `vf-lint: allow(panic-ratchet)` suppressions");
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let outcome = match workspace::audit(&root) {
         Ok(o) => o,
         Err(e) => {
@@ -114,16 +85,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut errors = 0usize;
     for d in &outcome.diagnostics {
-        match d.severity {
-            Severity::Error => {
-                errors += 1;
-                eprintln!("{d}");
-            }
-            Severity::Note => println!("{d}"),
-        }
+        eprintln!("{d}");
     }
+    let errors = outcome.diagnostics.len();
     println!(
         "vf-lint: {} source file(s), {} manifest(s) audited; {} violation(s), {} waived by suppression; \
          {} public item(s), {} uncalled",

@@ -10,13 +10,12 @@
 use vf_obs::json::escape_into;
 use vf_obs::Metrics;
 
-use crate::diag::Severity;
 use crate::rules;
 use crate::semantic::SEMANTIC_RULE_IDS;
 use crate::workspace::Outcome;
 
 /// Builds the metrics registry summarizing an audit outcome: scan
-/// counters, error/note/waiver totals, the semantic-findings headline,
+/// counters, error/waiver totals, the semantic-findings headline,
 /// the public-surface counts (`lint/pub_items`, `lint/uncalled_pub`), the
 /// non-test line count of each library crate (`lint/lines/<crate>`), and
 /// one `lint/rule/<id>` counter per catalog rule (declared at zero so
@@ -31,22 +30,15 @@ pub fn metrics(outcome: &Outcome) -> Metrics {
     for (krate, lines) in &outcome.lines {
         m.inc(&format!("lint/lines/{krate}"), *lines as u64);
     }
-    m.inc("lint/errors", 0);
-    m.inc("lint/notes", 0);
+    m.inc("lint/errors", outcome.diagnostics.len() as u64);
     m.inc("lint/semantic_findings", 0);
     for rule in rules::RULE_IDS {
         m.inc(&format!("lint/rule/{rule}"), 0);
     }
     for d in &outcome.diagnostics {
-        match d.severity {
-            Severity::Error => {
-                m.inc("lint/errors", 1);
-                m.inc(&format!("lint/rule/{}", d.rule), 1);
-                if SEMANTIC_RULE_IDS.contains(&d.rule) {
-                    m.inc("lint/semantic_findings", 1);
-                }
-            }
-            Severity::Note => m.inc("lint/notes", 1),
+        m.inc(&format!("lint/rule/{}", d.rule), 1);
+        if SEMANTIC_RULE_IDS.contains(&d.rule) {
+            m.inc("lint/semantic_findings", 1);
         }
     }
     m
@@ -67,12 +59,7 @@ pub fn render(outcome: &Outcome) -> String {
         escape_into(&d.path, &mut out);
         out.push_str("\",\"line\":");
         out.push_str(&d.line.to_string());
-        out.push_str(",\"severity\":\"");
-        out.push_str(match d.severity {
-            Severity::Error => "error",
-            Severity::Note => "note",
-        });
-        out.push_str("\",\"message\":\"");
+        out.push_str(",\"message\":\"");
         escape_into(&d.message, &mut out);
         out.push_str("\"}");
     }
@@ -108,12 +95,10 @@ mod tests {
         let o = outcome_with(vec![
             Diagnostic::error("lock-order", "a.rs", 1, "cycle"),
             Diagnostic::error("stray-print", "b.rs", 2, "println"),
-            Diagnostic::note("panic-ratchet", "c.rs", 0, "note"),
         ]);
         let json = render(&o);
         assert!(json.contains("\"lint/semantic_findings\":{\"type\":\"counter\",\"value\":1}"));
         assert!(json.contains("\"lint/errors\":{\"type\":\"counter\",\"value\":2}"));
-        assert!(json.contains("\"lint/notes\":{\"type\":\"counter\",\"value\":1}"));
         assert!(json.contains("\"lint/rule/lock-order\":{\"type\":\"counter\",\"value\":1}"));
         assert!(json.contains("\"lint/rule/hash-iteration\":{\"type\":\"counter\",\"value\":0}"));
     }

@@ -6,9 +6,10 @@
 //! * **Determinism rules** ban constructs whose observable behavior depends
 //!   on ambient state: hash-ordered collections, wall-clock reads outside
 //!   the bench crate, and threads spawned outside the audited worker pool.
-//! * The **panic ratchet** counts `unwrap()`/`expect()`/`panic!`-family
-//!   macros in non-test library code against a checked-in per-file baseline
-//!   that may only shrink (see [`crate::baseline`]).
+//! * The **panic rule** (`panic-ratchet`) makes every `unwrap()`/`expect()`
+//!   call and `panic!`-family macro in non-test code an error unless a
+//!   reasoned waiver names it: libraries return typed errors, and harness
+//!   binaries return them from `main`.
 //!
 //! Every rule honors inline suppressions (see [`crate::suppress`]); the
 //! allowlists below encode the few places a construct is *supposed* to
@@ -109,11 +110,8 @@ const AMBIENT_TIME_TYPES: &[&str] = &["Instant", "SystemTime", "UNIX_EPOCH"];
 /// The audit result for one source file.
 #[derive(Debug, Default)]
 pub struct FileReport {
-    /// Violations and notes found in the file.
+    /// Violations found in the file.
     pub diagnostics: Vec<Diagnostic>,
-    /// Panic-family call sites in non-test, non-suppressed code, with their
-    /// lines — the input to the baseline ratchet.
-    pub panic_sites: Vec<(u32, String)>,
     /// How many findings were waived by inline suppressions.
     pub waived: usize,
 }
@@ -167,7 +165,7 @@ pub fn check_source_lexed(path: &str, lexed: &LexedFile) -> FileReport {
     check_thread_spawn(path, lexed, &sups, &mut report);
     check_stray_print(path, lexed, &sups, &mut report);
     check_metric_cardinality(path, lexed, &sups, &mut report);
-    count_panic_sites(lexed, &sups, &mut report);
+    check_panic_sites(path, lexed, &sups, &mut report);
 
     report.diagnostics.append(&mut diagnostics);
     report
@@ -340,11 +338,11 @@ fn check_metric_cardinality(
     }
 }
 
-/// Macros counted by the panic ratchet alongside `.unwrap()`/`.expect()`.
+/// Macros the panic rule forbids alongside `.unwrap()`/`.expect()`.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Records every panic-family call site in non-test, non-suppressed code.
-fn count_panic_sites(lexed: &LexedFile, sups: &[Suppression], report: &mut FileReport) {
+/// Flags every panic-family call site in non-test, non-suppressed code.
+fn check_panic_sites(path: &str, lexed: &LexedFile, sups: &[Suppression], report: &mut FileReport) {
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
         if lexed.is_test_line(toks[i].line) {
@@ -369,7 +367,15 @@ fn count_panic_sites(lexed: &LexedFile, sups: &[Suppression], report: &mut FileR
             report.waived += 1;
             continue;
         }
-        report.panic_sites.push((toks[i].line, site));
+        report.diagnostics.push(Diagnostic::error(
+            "panic-ratchet",
+            path,
+            toks[i].line,
+            format!(
+                "`{site}` outside test code; return a typed error instead, or \
+                 waive it with a reasoned `// vf-lint: allow(panic-ratchet)`"
+            ),
+        ));
     }
 }
 
@@ -594,7 +600,7 @@ mod tests {
     #[test]
     fn raw_fs_suppression_is_waived_and_lookalikes_pass() {
         let src = "// vf-lint: allow(raw-fs) — documented bridge, validated downstream\n\
-                   fn f() { std::fs::read(\"x\").unwrap(); }\n";
+                   fn f() -> std::io::Result<Vec<u8>> { std::fs::read(\"x\") }\n";
         let r = check_source("crates/core/src/x.rs", src);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.waived, 1);
@@ -604,15 +610,15 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_are_counted_outside_tests_only() {
+    fn panic_sites_are_errors_outside_tests_only() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
                    fn g() { panic!(\"boom\"); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { None::<u8>.unwrap(); }\n}\n";
         let r = check_source("crates/x/src/lib.rs", src);
-        assert_eq!(
-            r.panic_sites,
-            vec![(1, "unwrap()".to_string()), (2, "panic!".to_string())]
-        );
+        let hits: Vec<(&str, u32)> = r.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(hits, [("panic-ratchet", 1), ("panic-ratchet", 2)]);
+        assert!(r.diagnostics[0].message.contains("`unwrap()`"));
+        assert!(r.diagnostics[1].message.contains("`panic!`"));
     }
 
     #[test]
@@ -620,7 +626,7 @@ mod tests {
         let src = "// vf-lint: allow(panic-ratchet) — contract documented above\n\
                    fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         let r = check_source("crates/x/src/lib.rs", src);
-        assert!(r.panic_sites.is_empty());
+        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.waived, 1);
     }
 
@@ -629,7 +635,6 @@ mod tests {
         let src = "fn f() { let s = \"HashMap Instant spawn( unwrap()\"; let _ = s; }\n";
         let r = check_source("crates/x/src/lib.rs", src);
         assert!(r.diagnostics.is_empty());
-        assert!(r.panic_sites.is_empty());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Baseline, BASELINE_FILE};
 use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
 use crate::parse::{self, ParsedFile};
@@ -31,10 +30,6 @@ pub struct Outcome {
     pub manifests_scanned: usize,
     /// Findings waived by inline suppressions.
     pub waived: usize,
-    /// Per-file panic-site counts (input to the ratchet).
-    pub counts: BTreeMap<String, usize>,
-    /// Per-file panic-site locations, for messages.
-    pub sites: BTreeMap<String, Vec<(u32, String)>>,
     /// Non-test `pub` items declared in `crates/*/src` outside `src/bin/`.
     pub pub_items: usize,
     /// Those of them that no non-test code names, as sorted `path::name`.
@@ -146,10 +141,10 @@ pub fn manifest_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Runs every rule over the workspace at `root`: the per-file rules,
-/// the workspace-wide semantic passes (lock-order, claim-coverage,
-/// safety-comment, discarded-result; DESIGN.md §16), and the baseline
-/// ratchet against `lint-baseline.toml`.
+/// Runs every rule over the workspace at `root`: the per-file rules
+/// (the panic rule among them) and the workspace-wide semantic passes
+/// (lock-order, claim-coverage, safety-comment, discarded-result;
+/// DESIGN.md §16).
 pub fn audit(root: &Path) -> io::Result<Outcome> {
     let mut out = Outcome::default();
 
@@ -164,8 +159,6 @@ pub fn audit(root: &Path) -> io::Result<Outcome> {
         let report = rules::check_source_lexed(&rel_path, &lexed);
         out.files_scanned += 1;
         out.waived += report.waived;
-        out.counts.insert(rel_path.clone(), report.panic_sites.len());
-        out.sites.insert(rel_path.clone(), report.panic_sites);
         out.diagnostics.extend(report.diagnostics);
         let library = rel_path.starts_with("crates/") && !rel_path.contains("/src/bin/");
         surface.add(&rel_path, &lexed, library);
@@ -199,53 +192,7 @@ pub fn audit(root: &Path) -> io::Result<Outcome> {
         out.manifests_scanned += 1;
     }
 
-    let baseline_path = root.join(BASELINE_FILE);
-    let baseline = if baseline_path.is_file() {
-        match Baseline::parse(&fs::read_to_string(&baseline_path)?) {
-            Ok(b) => b,
-            Err(e) => {
-                out.diagnostics.push(Diagnostic::error(
-                    "panic-ratchet",
-                    BASELINE_FILE,
-                    e.line,
-                    e.message,
-                ));
-                Baseline::default()
-            }
-        }
-    } else {
-        out.diagnostics.push(Diagnostic::note(
-            "panic-ratchet",
-            BASELINE_FILE,
-            0,
-            "baseline file missing; bootstrap it with `cargo run -p vf-lint -- --write-baseline`",
-        ));
-        Baseline::default()
-    };
-    out.diagnostics
-        .extend(baseline.compare(&out.counts, &out.sites));
-
     out.diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(out)
-}
-
-/// Regenerates `lint-baseline.toml` from current counts. Refuses to raise
-/// any existing entry (or add a new nonzero one) unless no baseline exists
-/// yet: the ratchet only turns one way. Returns the offending paths on
-/// refusal.
-pub fn write_baseline(root: &Path) -> io::Result<Result<Baseline, Vec<String>>> {
-    let out = audit(root)?;
-    let new = Baseline::from_counts(&out.counts);
-    let baseline_path = root.join(BASELINE_FILE);
-    if baseline_path.is_file() {
-        let old = Baseline::parse(&fs::read_to_string(&baseline_path)?)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let increases = old.increases_in(&new);
-        if !increases.is_empty() {
-            return Ok(Err(increases));
-        }
-    }
-    fs::write(&baseline_path, new.render())?;
-    Ok(Ok(new))
 }

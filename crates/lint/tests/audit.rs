@@ -1,12 +1,12 @@
 //! End-to-end tests for the workspace auditor: each rule must fire on a
-//! minimal fixture tree, suppressions must waive findings, the baseline
-//! ratchet must reject regressions, and the real workspace must be clean.
+//! minimal fixture tree, suppressions must waive findings, and the real
+//! workspace must be clean.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use vf_lint::{audit, baseline::Baseline, write_baseline, Severity, BASELINE_FILE};
+use vf_lint::audit;
 
 static NEXT_FIXTURE: AtomicUsize = AtomicUsize::new(0);
 
@@ -52,13 +52,13 @@ impl Fixture {
         &self.root
     }
 
-    /// Error diagnostics for a given rule, as `(path, line)` pairs.
+    /// Diagnostics for a given rule, as `(path, line)` pairs.
     fn errors(&self, rule: &str) -> Vec<(String, u32)> {
         let outcome = audit(self.root()).unwrap();
         outcome
             .diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Error && d.rule == rule)
+            .filter(|d| d.rule == rule)
             .map(|d| (d.path.clone(), d.line))
             .collect()
     }
@@ -250,7 +250,7 @@ fn registry_dep_accepts_path_and_workspace_dependencies() {
 }
 
 #[test]
-fn panic_ratchet_counts_against_missing_baseline() {
+fn panic_rule_flags_an_unwrap_in_library_code() {
     let fx = Fixture::new(
         "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
     );
@@ -300,66 +300,6 @@ fn suppression_of_unknown_rule_is_rejected() {
     );
     let errs = fx.errors("bad-suppression");
     assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
-fn baseline_ratchet_rejects_an_increase() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n\
-         pub fn g(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    fx.write(BASELINE_FILE, "\"crates/foo/src/lib.rs\" = 1\n");
-    let errs = fx.errors("panic-ratchet");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
-fn baseline_ratchet_demands_tightening_when_counts_drop() {
-    let fx = Fixture::new("pub fn f() {}\n");
-    fx.write(BASELINE_FILE, "\"crates/foo/src/lib.rs\" = 3\n");
-    // The file is clean but the baseline still allows 3: the ratchet
-    // requires committing the improvement via --write-baseline.
-    let errs = fx.errors("panic-ratchet");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
-fn baseline_at_exact_counts_is_clean() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    fx.write(BASELINE_FILE, "\"crates/foo/src/lib.rs\" = 1\n");
-    assert!(fx.errors("panic-ratchet").is_empty());
-}
-
-#[test]
-fn write_baseline_refuses_to_grow_an_existing_entry() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n\
-         pub fn g(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    fx.write(BASELINE_FILE, "\"crates/foo/src/lib.rs\" = 1\n");
-    let refused = write_baseline(fx.root()).unwrap();
-    let increases = refused.expect_err("an increase must be refused");
-    assert!(
-        increases.iter().any(|m| m.contains("crates/foo/src/lib.rs")),
-        "{increases:?}"
-    );
-    // The file on disk is untouched.
-    let kept = fs::read_to_string(fx.root().join(BASELINE_FILE)).unwrap();
-    let kept = Baseline::parse(&kept).unwrap();
-    assert_eq!(kept.entries.get("crates/foo/src/lib.rs"), Some(&1));
-}
-
-#[test]
-fn write_baseline_bootstraps_when_no_file_exists() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    let written = write_baseline(fx.root()).unwrap().expect("bootstrap");
-    assert_eq!(written.entries.get("crates/foo/src/lib.rs"), Some(&1));
-    let on_disk = fs::read_to_string(fx.root().join(BASELINE_FILE)).unwrap();
-    assert!(on_disk.contains("\"crates/foo/src/lib.rs\" = 1"));
 }
 
 #[test]
@@ -433,15 +373,11 @@ fn the_real_workspace_audits_clean() {
     let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let root = vf_lint::find_root(&manifest_dir).unwrap();
     let outcome = audit(&root).unwrap();
-    let errors: Vec<_> = outcome
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .collect();
     assert!(
-        errors.is_empty(),
+        outcome.diagnostics.is_empty(),
         "the workspace must satisfy its own lints:\n{}",
-        errors
+        outcome
+            .diagnostics
             .iter()
             .map(|d| d.to_string())
             .collect::<Vec<_>>()

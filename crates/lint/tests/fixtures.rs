@@ -14,7 +14,6 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use vf_lint::diag::Severity;
 use vf_lint::semantic::SEMANTIC_RULE_IDS;
 use vf_lint::workspace;
 
@@ -64,7 +63,7 @@ fn fixtures_match_expectations() {
             let actual: BTreeSet<String> = outcome
                 .diagnostics
                 .iter()
-                .filter(|d| d.severity == Severity::Error && d.rule == rule)
+                .filter(|d| d.rule == rule)
                 .map(|d| format!("{}:{}", d.path, d.line))
                 .collect();
 

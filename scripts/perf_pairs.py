@@ -17,6 +17,10 @@ quartiles (statistics.quantiles(values, n=4)), and a verdict:
 
 Also prints, per run, the operations attempted and failed and the output
 digest, and fails when an operation failed or the two builds' digests differ.
+A run that exits nonzero after its result line (perf_bench does when its
+output check fails) counts all its operations as failed; a run that printed
+no result line, or timed out, counts as one failed operation and is left out
+of the medians. Either way the session goes on and exits 1 at the end.
 Metric names, directions, bounds and the run length come from BENCHMARK.json.
 
 `--workload all` is the whole no-regression table in one command: within each
@@ -85,16 +89,29 @@ workloads = NAMES if args.workload == "all" else [args.workload]
 
 
 def run(binary, workload, seed, trace=0):
+    """One child run. A run without a result line is one failed operation
+    and carries no metrics, so it stays out of the medians."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                         timeout=60 + 10 * args.seconds, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    digest = re.search(r"digest ([0-9a-f]+)", out)
-    return {"attempted": result["attempted"],
-            "failed": result["failed"] if result["correct"] else result["attempted"],
+    lost = {"attempted": 1, "failed": 1, "digest": None}
+    try:
+        child = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
+                               timeout=60 + 10 * args.seconds)
+    except subprocess.TimeoutExpired:
+        return {**lost, "error": "timed out"}
+    try:
+        result = json.loads(child.stdout.strip().splitlines()[-1])
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        attempted, failed, correct = result["attempted"], result["failed"], result["correct"]
+    except (IndexError, ValueError, TypeError, KeyError, AttributeError):
+        return {**lost, "error": f"exit {child.returncode}, no result line"}
+    digest = re.search(r"digest ([0-9a-f]+)", child.stdout)
+    ok = correct and child.returncode == 0
+    return {"attempted": attempted,
+            "failed": failed if ok else attempted,
             "digest": digest.group(1) if digest else "?",
-            **{name: m["value"] for name, m in result["metrics"].items()}}
+            **({} if child.returncode == 0 else {"error": f"exit {child.returncode}"}),
+            **metrics}
 
 
 def quartiles(values):
@@ -104,10 +121,18 @@ def quartiles(values):
 
 
 def verdict(metric, parent, change):
+    """`parent` and `change` hold one value per pair, None for a run that
+    reported nothing: wins count pairs where both sides reported, the
+    quartiles each side's reported values."""
     higher = metric["better"] == "higher"
     better = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
-    wins = sum(better(c, p) for p, c in zip(parent, change))
-    losses = sum(better(p, c) for p, c in zip(parent, change))
+    pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
+    wins = sum(better(c, p) for p, c in pairs)
+    losses = sum(better(p, c) for p, c in pairs)
+    parent = [p for p in parent if p is not None]
+    change = [c for c in change if c is not None]
+    if not parent or not change:
+        return wins, losses, (0, 0, 0), (0, 0, 0), "no data"
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     gap = (cm - pm) if higher else (pm - cm)
     if wins >= 0.9 * len(parent) and gap > p3 - p1:
@@ -124,7 +149,7 @@ def verdict(metric, parent, change):
 def report(workload, seed, runs):
     """Prints one workload's block; returns (ok, its summary rows)."""
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    digests = {side: sorted({r["digest"] for r in rs}) for side, rs in runs.items()}
+    digests = {side: sorted({r["digest"] for r in rs if r["digest"]}) for side, rs in runs.items()}
     same = digests["parent"] == digests["change"] and len(digests["parent"]) == 1
     clean = same and not any(failed.values())
     ok = clean
@@ -142,12 +167,18 @@ def report(workload, seed, runs):
     rows = []
     for metric in bench["end_to_end"]:
         name = metric["name"]
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
+        parent = [r.get(name) for r in runs["parent"]]
+        change = [r.get(name) for r in runs["change"]]
         wins, losses, pq, cq, word = verdict(metric, parent, change)
-        ok = ok and word != "REGRESSION"
+        ok = ok and word not in ("REGRESSION", "no data")
+        if word == "no data":
+            print(f"  {name}: no run of one side reported it | no data")
+            rows.append(f"  {workload:14} {name:14} {'-':>13}  {wins:2}/{len(parent):<2}  no data")
+            continue
         print(f"  {name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%})")
-        print("    per pair, parent/change: " + "  ".join(f"{p:.6g}/{c:.6g}" for p, c in zip(parent, change)))
+        print("    per pair, parent/change: " + "  ".join(
+            f"{'-' if p is None else f'{p:.6g}'}/{'-' if c is None else f'{c:.6g}'}"
+            for p, c in zip(parent, change)))
         print(f"    parent Q1 {pq[0]:.6g} median {pq[1]:.6g} Q3 {pq[2]:.6g} | "
               f"change Q1 {cq[0]:.6g} median {cq[1]:.6g} Q3 {cq[2]:.6g}")
         print(f"    change won {wins}, lost {losses} of {len(parent)} | change/parent median "

@@ -25,10 +25,11 @@ cargo test --release -q --manifest-path perf_bench/Cargo.toml
 echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =="
 cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
 
-echo "== tier 1: figure byte-identity (scheduler + conv + trainer-driven MLP/BN + step-time model): figures regenerate to the committed bytes =="
+echo "== tier 1: figure byte-identity (every deterministic figure and ablation): figures regenerate to the committed bytes =="
 for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro \
     tab01_resnet_repro tab02_bert_repro fig02_rte_finetune fig07_bert_curves fig08_resnet_curves ablate_noise_scale \
-    fig04_design_space fig09_update_throughput fig11_bs_throughput fig16_throughput_vn ablate_hierarchical; do
+    fig04_design_space fig09_update_throughput fig11_bs_throughput fig16_throughput_vn ablate_hierarchical \
+    fig06_memory_timeline fig10_bs_exploration fig15_memory_overhead ablate_bootstrap; do
     cargo run --release -q -p vf-bench --bin "$bin" > /dev/null
     git diff --exit-code -- "results/$bin.json" "results/$bin.txt"
 done
@@ -57,6 +58,9 @@ cargo run --release -q -p vf-bench --bin monitor_bench -- --smoke
 
 echo "== tier 1: obs scale smoke (bounded cardinality, zero silent drops, byte-stable renders) =="
 cargo run --release -q -p vf-bench --bin obs_scale_bench -- --smoke
+
+echo "== tier 1: committed outputs unchanged (smoke runs write only <id>_smoke.json; history is append-only, obs-scale smoke carries wall-clock timings) =="
+git diff --exit-code -- results/ ':!results/BENCH_history.jsonl' ':!results/BENCH_obs_scale_smoke.json'
 
 echo "== tier 1: lint gate (semantic findings pinned at zero, analysis wall time recorded) =="
 cargo run --release -q -p vf-bench --bin lint_gate
