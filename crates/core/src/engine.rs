@@ -7,9 +7,11 @@
 //!    logical VN order (never device order);
 //! 2. devices process their assigned virtual nodes **sequentially** (waves),
 //!    while different devices run **in parallel** (one thread per device);
-//! 3. after the last wave, per-VN gradients are reduced in VN order through
-//!    the one tree of [`vf_tensor::reduce`] and synchronized **once per
-//!    step**, then the optimizer applies exactly one update.
+//! 3. each device folds its VN gradients into partial sums as they finish,
+//!    in the reduction order's VN-order tree ([`vf_tensor::reduce`]); after
+//!    the last wave one more fold joins every device's partials, the sum is
+//!    synchronized **once per step**, and the optimizer applies exactly one
+//!    update.
 //!
 //! There is one executor for every reduction order and bucket plan
 //! (`Trainer::compute_and_reduce`); gradient bucketing
@@ -411,14 +413,18 @@ impl Trainer {
     }
 
     /// The one wave executor (paper §3.2, Fig. 5): one pool task per device
-    /// runs that device's virtual nodes wave by wave, then — after every
-    /// device has joined — each parameter's per-VN gradients are moved, in
-    /// VN order, into [`reduce::reduce_mean_owned`]. VN order is what makes
-    /// the result independent of the mapping. Sharing the process-wide
-    /// vf-tensor pool (instead of spawning per-step threads) keeps device
-    /// fan-out and kernel parallelism on one fixed set of workers; nested
-    /// kernel submissions are deadlock-free because submitters help drain
-    /// their own jobs.
+    /// runs that device's virtual nodes wave by wave and folds each VN's
+    /// gradients into its own partial sums as soon as they exist
+    /// ([`reduce::fold_partial`]), so a device holds one partial per
+    /// aligned block of VNs it has run — not one gradient per VN. After
+    /// every device has joined, all devices' partials, sorted by first VN,
+    /// go through one more fold, and the sum is scaled by `1/N` once. The
+    /// fold combines partials exactly where the reduction order's tree
+    /// does, so the result has the same bits for every mapping, contiguous
+    /// or not. Sharing the process-wide vf-tensor pool (instead of spawning
+    /// per-step threads) keeps device fan-out and kernel parallelism on one
+    /// fixed set of workers; nested kernel submissions are deadlock-free
+    /// because submitters help drain their own jobs.
     ///
     /// Takes `&self`: a failing device or reduction leaves the trainer
     /// untouched, and [`Trainer::step`] commits the output as a whole.
@@ -427,6 +433,7 @@ impl Trainer {
         let dataset = &self.dataset;
         let params = &self.params;
         let plan = &self.plan;
+        let order = self.config.reduction;
         let total_vns = self.config.total_vns as usize;
         let work: Vec<(DeviceId, &[VirtualNodeId], &StatefulState)> = self
             .replicas
@@ -434,48 +441,52 @@ impl Trainer {
             .map(|(&d, st)| (d, self.mapping.vns_on(d), st))
             .collect();
 
-        type DeviceResult = Result<
-            (DeviceId, StatefulState, Vec<(usize, Vec<Tensor>, f32)>),
-            CoreError,
-        >;
+        type Partials = Vec<(std::ops::Range<usize>, Vec<Tensor>)>;
+        type DeviceResult =
+            Result<(DeviceId, StatefulState, Partials, Vec<(usize, f32)>), CoreError>;
         let results: Vec<DeviceResult> = vf_tensor::pool::parallel_tasks(work.len(), |i| {
             let (device, vns, stateful) = work[i];
             let mut stateful = stateful.clone();
-            let mut outputs = Vec::with_capacity(vns.len());
+            let mut partials = Vec::new();
+            let mut losses = Vec::with_capacity(vns.len());
             for vn in vns {
                 let vn = vn.0 as usize;
                 let (x, y) = dataset.gather(plan.shard(step_in_epoch, vn))?;
                 let report = arch.grad(params, &mut stateful, &x, &y)?;
-                outputs.push((vn, report.grads, report.loss));
+                reduce::fold_partial(&mut partials, order, total_vns, vn..vn + 1, report.grads)?;
+                losses.push((vn, report.loss));
             }
-            Ok((device, stateful, outputs))
+            Ok((device, stateful, partials, losses))
         });
 
-        // One gradient column per VN, consumed parameter by parameter.
-        let mut vn_grads: Vec<std::vec::IntoIter<Tensor>> =
-            vec![Vec::new().into_iter(); total_vns];
         let mut vn_losses = vec![0.0; total_vns];
         let mut replicas = Vec::with_capacity(results.len());
+        let mut partials = Vec::new();
         for result in results {
-            let (device, stateful, outputs) = result?;
+            let (device, stateful, device_partials, losses) = result?;
             replicas.push((device, stateful));
-            for (vn, grads, loss) in outputs {
+            partials.extend(device_partials);
+            for (vn, loss) in losses {
                 vn_losses[vn] = loss;
-                vn_grads[vn] = grads.into_iter();
             }
         }
 
-        let mut reduced = Vec::with_capacity(self.params.len());
-        for _ in 0..self.params.len() {
-            let parts: Vec<Tensor> = vn_grads
-                .iter_mut()
-                .map(|g| {
-                    g.next().ok_or(CoreError::Internal {
-                        invariant: "every VN ran on one device and yielded a gradient per parameter",
-                    })
+        partials.sort_unstable_by_key(|(vns, _)| vns.start);
+        let mut joined = Vec::with_capacity(1);
+        for (vns, sums) in partials {
+            reduce::fold_partial(&mut joined, order, total_vns, vns, sums)?;
+        }
+        let mut reduced = match joined.pop() {
+            Some((vns, sums)) if joined.is_empty() && vns == (0..total_vns) => sums,
+            _ => {
+                return Err(CoreError::Internal {
+                    invariant: "every VN ran on one device, so the fold ends in one sum",
                 })
-                .collect::<Result<_, _>>()?;
-            reduced.push(reduce::reduce_mean_owned(parts, self.config.reduction, None)?);
+            }
+        };
+        let scale = 1.0 / total_vns as f32;
+        for g in &mut reduced {
+            g.scale_assign(scale);
         }
         Ok(StepOutput {
             reduced,
@@ -839,6 +850,41 @@ mod tests {
             assert_eq!(a.loss, b.loss, "step {step}");
         }
         assert_eq!(fixed.params(), elastic.params());
+    }
+
+    #[test]
+    fn non_contiguous_mappings_reproduce_one_device() {
+        // 8 VNs over 4 → 2 → 3 devices: a shrink hands each survivor the
+        // VNs of a departed device, so a device folds VNs that are not one
+        // run ({0, 1, 4, 5}); its partials wait for the join to combine.
+        let gapped = |t: &Trainer| {
+            t.mapping()
+                .iter()
+                .any(|(_, vns)| vns.windows(2).any(|w| w[1].0 != w[0].0 + 1))
+        };
+        for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
+            let mk = |num_devices| {
+                let dataset = Arc::new(ClusterTask::easy(11).generate().unwrap());
+                let arch = Arc::new(Mlp::new(16, vec![12], 4));
+                let mut config = TrainerConfig::simple(8, 64, 0.2, 11);
+                config.reduction = order;
+                Trainer::new(arch, dataset, config, &devices(num_devices)).unwrap()
+            };
+            let (mut single, mut elastic) = (mk(1), mk(4));
+            for step in 0..9 {
+                if step == 3 {
+                    elastic.resize(&devices(2)).unwrap();
+                    assert!(gapped(&elastic), "{:?}", elastic.mapping());
+                }
+                if step == 6 {
+                    elastic.resize(&devices(3)).unwrap();
+                }
+                let a = single.step().unwrap();
+                let b = elastic.step().unwrap();
+                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{order:?} step {step}");
+            }
+            assert_eq!(single.params(), elastic.params(), "{order:?}");
+        }
     }
 
     #[test]

@@ -10,13 +10,18 @@
 //! and so are the calls and bytes of a dense and of a convolutional step,
 //! where a buffer copy shows up in the bytes.
 //!
+//! The peak of the bytes live during a step is the paper's memory claim: a
+//! device keeps partial gradient sums that grow with the logarithm of its
+//! VN count, not a gradient per VN, so on one device the peak over 512 VNs
+//! exceeds that over one VN by at most `(1 + ⌈log₂ 512⌉)` gradients.
+//!
 //! This file owns its process — the counting allocator is this binary's
 //! global allocator — and holds a single test, so nothing else allocates
 //! while counting is armed. The pool is pinned to one logical thread: no
 //! workers, no job hand-off, device tasks inline in device order.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use vf_core::{Trainer, TrainerConfig};
 use vf_data::synthetic::{ClusterTask, ImageTask};
@@ -30,11 +35,23 @@ struct Counting;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated minus bytes freed since counting was armed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// The highest [`LIVE`] since counting was armed.
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 fn note(bytes: usize) {
     if ARMED.load(Ordering::Relaxed) {
         CALLS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+/// Moves the live bytes by `delta` and the peak with them.
+fn live(delta: i64) {
+    if ARMED.load(Ordering::Relaxed) {
+        let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(now, Ordering::Relaxed);
     }
 }
 
@@ -44,23 +61,27 @@ fn note(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -142,41 +163,97 @@ const CONV: Workload = Workload {
 
 /// Allocator calls one step of [`MANY_VN`] may make per virtual node (gather,
 /// tape, backward, and the step's own bookkeeping spread over the 64 VNs).
-/// Measured: 1 588 a step (1 590 in debug builds) = 24.8 per VN. What is
+/// Measured: 1 567 a step (1 569 in debug builds) = 24.5 per VN. What is
 /// left is one allocation per tensor an op produces — its data — except
 /// where the backward pass writes into a buffer it owns: the softmax
 /// probabilities become the logits' gradient, batch norm's x̂ its input's,
 /// and ReLU's mask is multiplied into the gradient it receives. (With a
 /// separate bias-add node, a batch norm that recomputed x̂ and allocated
 /// every temporary, and a tree reduction that allocated a vector per level:
-/// 2 008 a step, 31.4 per VN; when every GEMM call still allocated two pack
+/// 2 008 a step, 31.4 per VN; when the step kept every VN's gradient list
+/// and a vector of parts per parameter for the reduction: 1 588, 24.8 per
+/// VN; when every GEMM call still allocated two pack
 /// buffers and every `Shape` a heap word: 3 938, 61.5 per VN; when every VN
 /// also copied the parameters, its micro-batch and each node's gradient:
 /// 7 461, 116.6 per VN.)
 const CALLS_PER_VN_BUDGET: u64 = 25;
 
 /// What one step of [`DENSE`] may ask of the allocator, with ~8 % slack.
-/// Measured: 198 calls and 27.1 MB in release builds; debug builds add the
-/// pool-race sanitizer's claim set, two calls per pool job, for 334. With a
-/// bias pass copying every layer's output and ReLU's gradient in a fresh
+/// Measured: 191 calls and 27.1 MB in release builds; debug builds add the
+/// pool-race sanitizer's claim set, two calls per pool job, for 327. With
+/// every VN's gradients kept for a reduction per parameter it was 198
+/// calls; with a bias pass copying every layer's output and ReLU's gradient in a fresh
 /// buffer it was 264 calls and 35.8 MB; with a packed copy of `B`, a packed
 /// `A` block and a zero-filled output per GEMM call, 560 calls and 62.7 MB.
-const DENSE_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 360 } else { 214 };
+const DENSE_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 353 } else { 206 };
 const DENSE_BYTES_BUDGET: u64 = 29_300_000;
 
 /// What one step of [`CONV`] may ask of the allocator, with ~8 % slack.
-/// Measured: 701 calls and 45.8 MB in release builds, 959 calls in debug
-/// builds (the sanitizer's claim sets). With ReLU's gradient in a fresh
+/// Measured: 688 calls and 45.8 MB in release builds, 946 calls in debug
+/// builds (the sanitizer's claim sets); 701 and 959 with every VN's
+/// gradients kept for a reduction per parameter. With ReLU's gradient in a fresh
 /// buffer — 256 KiB a time, five per VN — it was 778 calls and 56.3 MB.
-const CONV_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 1_035 } else { 757 };
+const CONV_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 1_022 } else { 743 };
 const CONV_BYTES_BUDGET: u64 = 49_400_000;
 
-/// `(calls, bytes)` of the third step of `shape` over a dataset of
-/// `dataset_len` examples. Step 0 builds the epoch's order and the
+/// The most bytes one step of [`DENSE`] and of [`CONV`] may hold live at
+/// once, with ~8 % slack. A dense device folds its two VNs into one partial
+/// sum as soon as the second gradient exists; the conv device holds at most
+/// three partials besides the VN it is running. Measured: 9.14 MB dense and
+/// 3.70 MB conv, in release and debug builds alike. Holding every VN's
+/// gradients until the last device finished, the dense peak was 14.07 MB.
+const DENSE_PEAK_LIVE_BUDGET: u64 = 9_900_000;
+const CONV_PEAK_LIVE_BUDGET: u64 = 4_000_000;
+
+/// The model of the VN-count sweep: an MLP without batch norm, so a VN's
+/// gradient is its parameters' size and nothing a device keeps across VNs
+/// is not gradient.
+const VN_SWEEP_MODEL: Model = Model::Mlp {
+    input: 32,
+    hidden: &[512],
+    classes: 8,
+    batch_norm: false,
+};
+
+/// Examples of the sweep's dataset: eight steps of the 512-VN batch.
+const VN_SWEEP_DATASET: usize = 8 * 512 * 2;
+
+/// Bytes of one gradient of [`VN_SWEEP_MODEL`]: its parameters' bytes.
+fn vn_sweep_param_bytes() -> u64 {
+    let Model::Mlp {
+        input,
+        hidden,
+        classes,
+        ..
+    } = VN_SWEEP_MODEL
+    else {
+        unreachable!("the sweep's model is an MLP")
+    };
+    Mlp::new(input, hidden.to_vec(), classes)
+        .init_params(0)
+        .iter()
+        .map(|p| p.size_bytes() as u64)
+        .sum()
+}
+
+/// What one step asked of the allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StepAllocations {
+    /// Allocator calls (allocations and reallocations).
+    calls: u64,
+    /// Bytes those calls asked for.
+    bytes: u64,
+    /// The most bytes live at once during the step, beyond those live
+    /// when it began.
+    peak_live: u64,
+}
+
+/// What the third step of `shape` over a dataset of `dataset_len` examples
+/// asks of the allocator. Step 0 builds the epoch's order and the
 /// optimizer's state and grows each thread's pack scratch to its working
 /// size; by step 2 the trainer is in steady state, and at least 8 steps an
 /// epoch keep it clear of an epoch change.
-fn third_step_allocations(shape: &Workload, dataset_len: usize) -> (u64, u64) {
+fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocations {
     let (arch, dataset): (Arc<dyn Architecture>, Dataset) = match shape.model {
         Model::Mlp {
             input,
@@ -233,14 +310,27 @@ fn third_step_allocations(shape: &Workload, dataset_len: usize) -> (u64, u64) {
     trainer.run_steps(2).expect("warm-up");
 
     let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
     let report = trainer.step();
     ARMED.store(false, Ordering::Relaxed);
     report.expect("step");
-    (
-        CALLS.load(Ordering::Relaxed) - calls,
-        BYTES.load(Ordering::Relaxed) - bytes,
-    )
+    StepAllocations {
+        calls: CALLS.load(Ordering::Relaxed) - calls,
+        bytes: BYTES.load(Ordering::Relaxed) - bytes,
+        peak_live: PEAK.load(Ordering::Relaxed) as u64,
+    }
+}
+
+/// [`VN_SWEEP_MODEL`] as `vns` virtual nodes of two examples on one device.
+fn vn_sweep(vns: u32) -> Workload {
+    Workload {
+        model: VN_SWEEP_MODEL,
+        vns,
+        micro_batch: 2,
+        devices: 1,
+    }
 }
 
 #[test]
@@ -248,32 +338,62 @@ fn a_step_allocates_by_the_batch_not_by_the_dataset() {
     pool::set_num_threads(1);
     let small = third_step_allocations(&MANY_VN, 4_096);
     let large = third_step_allocations(&MANY_VN, 65_536);
-    assert_eq!(
-        small, large,
-        "(calls, bytes) of one step over 4 096 vs 65 536 examples"
-    );
+    assert_eq!(small, large, "one step over 4 096 vs 65 536 examples");
     assert!(
-        small.0 <= CALLS_PER_VN_BUDGET * u64::from(MANY_VN.vns),
+        small.calls <= CALLS_PER_VN_BUDGET * u64::from(MANY_VN.vns),
         "{} allocator calls a step = {:.1} per VN, budget {CALLS_PER_VN_BUDGET} per VN",
-        small.0,
-        small.0 as f64 / f64::from(MANY_VN.vns)
+        small.calls,
+        small.calls as f64 / f64::from(MANY_VN.vns)
     );
 
-    for (name, shape, dataset_len, calls_budget, bytes_budget) in [
+    for (name, shape, dataset_len, calls_budget, bytes_budget, peak_budget) in [
         (
             "dense",
             &DENSE,
             8_192,
             DENSE_CALLS_BUDGET,
             DENSE_BYTES_BUDGET,
+            DENSE_PEAK_LIVE_BUDGET,
         ),
-        ("conv", &CONV, 2_048, CONV_CALLS_BUDGET, CONV_BYTES_BUDGET),
+        (
+            "conv",
+            &CONV,
+            2_048,
+            CONV_CALLS_BUDGET,
+            CONV_BYTES_BUDGET,
+            CONV_PEAK_LIVE_BUDGET,
+        ),
     ] {
-        let (calls, bytes) = third_step_allocations(shape, dataset_len);
+        let step = third_step_allocations(shape, dataset_len);
         assert!(
-            calls <= calls_budget && bytes <= bytes_budget,
-            "a {name} step made {calls} allocator calls for {bytes} bytes, \
-             budget {calls_budget} calls and {bytes_budget} bytes"
+            step.calls <= calls_budget
+                && step.bytes <= bytes_budget
+                && step.peak_live <= peak_budget,
+            "a {name} step made {} allocator calls for {} bytes, {} bytes live at its peak; \
+             budget {calls_budget} calls, {bytes_budget} bytes, {peak_budget} bytes live",
+            step.calls,
+            step.bytes,
+            step.peak_live,
+        );
+    }
+
+    // The gradient a device holds grows with log₂ of its VN count. On one
+    // device, one VN's step holds one gradient plus what is not gradient
+    // (activations, tape, the optimizer's update); V VNs add at most
+    // 1 + ⌈log₂ V⌉ partial sums. Holding a gradient per VN until the last
+    // one finished, the peak over 512 VNs was 512 gradients.
+    let param_bytes = vn_sweep_param_bytes();
+    let one = third_step_allocations(&vn_sweep(1), VN_SWEEP_DATASET);
+    let not_gradient = one.peak_live - param_bytes;
+    for vns in [8u32, 64, 512] {
+        let step = third_step_allocations(&vn_sweep(vns), VN_SWEEP_DATASET);
+        let budget =
+            u64::from(2 + vns.next_power_of_two().trailing_zeros()) * param_bytes + not_gradient;
+        assert!(
+            step.peak_live <= budget,
+            "{vns} VNs on one device: {} bytes live at the step's peak, budget {budget} \
+             ({param_bytes} bytes a gradient, {not_gradient} bytes beside one gradient at 1 VN)",
+            step.peak_live,
         );
     }
 }

@@ -58,6 +58,15 @@ pub enum TensorError {
         /// The operation that failed.
         context: &'static str,
     },
+    /// An arrival order that is not a permutation of `0..len`: an index out
+    /// of range, repeated or missing would sum some parts twice or not at
+    /// all.
+    NotAPermutation {
+        /// Number of parts the order must permute.
+        len: usize,
+        /// The operation that failed.
+        context: &'static str,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -96,6 +105,12 @@ impl fmt::Display for TensorError {
                 "batch-norm epsilon {} in {context} must be finite and positive",
                 f32::from_bits(*bits)
             ),
+            TensorError::NotAPermutation { len, context } => {
+                write!(
+                    f,
+                    "arrival order in {context} is not a permutation of 0..{len}"
+                )
+            }
         }
     }
 }

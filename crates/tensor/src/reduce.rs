@@ -2,20 +2,34 @@
 //!
 //! VirtualFlow's reproducibility guarantee rests on gradients being combined
 //! in a *fixed* order regardless of how virtual nodes are mapped to devices.
-//! This module provides the reduction strategies used by the executor in
-//! `vf-core` and ablated in `vf-bench`:
+//! Every sum here is one fold, [`fold_partial`]: partial sums, each over a
+//! range of virtual nodes (VNs), are pushed in VN order, and the top two
+//! combine (`left += right`, tensor by tensor) while they are adjacent and
+//! their union is a node of the order's combine tree:
 //!
-//! * [`ReductionOrder::Tree`] — pairwise (binary tree) summation in virtual
-//!   node order. Deterministic and numerically well conditioned; the default.
-//! * [`ReductionOrder::Sequential`] — left-to-right summation in virtual node
-//!   order. Deterministic but accumulates rounding error linearly.
-//! * [`ReductionOrder::ArrivalOrder`] — summation in the (simulated) order
-//!   devices finish, standing in for a non-deterministic all-reduce. Kept for
-//!   the ablation bench that demonstrates why determinism matters.
+//! * [`ReductionOrder::Tree`] — pairwise summation in VN order, the tree of
+//!   adjacent pairs with the odd one carried up a level: `[a, b) + [b, c)`
+//!   combine when `b − a = 2ᵏ`, `a` is a multiple of `2ᵏ⁺¹` and
+//!   `c = min(a + 2ᵏ⁺¹, total)`. Deterministic and numerically well
+//!   conditioned; the default.
+//! * [`ReductionOrder::Sequential`] — left-to-right summation in VN order:
+//!   a partial combines only into the prefix `[0, b)`. Deterministic but
+//!   accumulates rounding error linearly.
+//! * [`ReductionOrder::ArrivalOrder`] — summation in the order devices
+//!   finish, given as a permutation, standing in for a non-deterministic
+//!   all-reduce: the parts are reordered, then summed sequentially. Without
+//!   a permutation it is sequential order.
+//!
+//! Partials that are not adjacent wait, so any subset of the VNs can be
+//! folded where it is produced — each device folds the VNs it runs, in
+//! whatever pattern the mapping gives it — and the partials of all subsets,
+//! sorted by first VN, folded once more. Every combine is one the fold of
+//! all parts at once would make, so the bits are the same.
 
 use crate::tensor::Tensor;
 use crate::TensorError;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The order in which per-virtual-node gradients are summed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -30,6 +44,98 @@ pub enum ReductionOrder {
     ArrivalOrder,
 }
 
+/// Pushes the partial sums `sums` over virtual nodes `vns` onto a fold of
+/// `total` virtual nodes, then combines the top two partials while `order`
+/// says they form one node of its combine tree (see the module docs).
+///
+/// `sums` holds one tensor per summed quantity — one per parameter for a
+/// gradient — and every partial of a fold must hold the same number, of the
+/// same shapes. Push the VNs a producer owns in increasing order; partials
+/// of several producers are joined by pushing them, sorted by first VN,
+/// onto a new fold. A fold that has seen every VN holds exactly one
+/// partial, over `0..total`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::Empty`] if `vns` is empty,
+/// [`TensorError::OutOfBounds`] if it ends past `total`, and
+/// [`TensorError::ShapeMismatch`] if two partials that combine disagree in
+/// length or shapes; the fold is then left part-combined.
+///
+/// # Examples
+///
+/// ```
+/// use vf_tensor::reduce::{self, ReductionOrder};
+/// use vf_tensor::Tensor;
+///
+/// // Two devices of a 4-VN fold: one runs VNs 0 and 2, the other 1 and 3.
+/// let vn = |v: usize| vec![Tensor::full([2], v as f32)];
+/// let (mut even, mut odd) = (Vec::new(), Vec::new());
+/// for v in [0, 2] {
+///     reduce::fold_partial(&mut even, ReductionOrder::Tree, 4, v..v + 1, vn(v))?;
+///     reduce::fold_partial(&mut odd, ReductionOrder::Tree, 4, v + 1..v + 2, vn(v + 1))?;
+/// }
+/// let mut partials: Vec<_> = even.into_iter().chain(odd).collect();
+/// partials.sort_by_key(|(vns, _)| vns.start);
+/// let mut joined = Vec::new();
+/// for (vns, sums) in partials {
+///     reduce::fold_partial(&mut joined, ReductionOrder::Tree, 4, vns, sums)?;
+/// }
+/// assert_eq!(joined.len(), 1);
+/// assert_eq!(joined[0].0, 0..4);
+/// assert_eq!(joined[0].1[0].data(), &[6.0, 6.0]);
+/// # Ok::<(), vf_tensor::TensorError>(())
+/// ```
+pub fn fold_partial(
+    partials: &mut Vec<(Range<usize>, Vec<Tensor>)>,
+    order: ReductionOrder,
+    total: usize,
+    vns: Range<usize>,
+    sums: Vec<Tensor>,
+) -> Result<(), TensorError> {
+    const CONTEXT: &str = "reduce::fold_partial";
+    if vns.is_empty() {
+        return Err(TensorError::Empty { context: CONTEXT });
+    }
+    if vns.end > total {
+        return Err(TensorError::OutOfBounds {
+            index: vns.end,
+            len: total,
+            context: CONTEXT,
+        });
+    }
+    partials.push((vns, sums));
+    while let [.., (left, left_sums), (right, right_sums)] = partials.as_mut_slice() {
+        if left.end != right.start || !combines(order, total, left.start, left.end, right.end) {
+            break;
+        }
+        if left_sums.len() != right_sums.len() {
+            return Err(TensorError::ShapeMismatch {
+                expected: left_sums.len(),
+                actual: right_sums.len(),
+                context: CONTEXT,
+            });
+        }
+        for (sum, part) in left_sums.iter_mut().zip(right_sums.iter()) {
+            sum.add_assign(part)?;
+        }
+        left.end = right.end;
+        partials.pop();
+    }
+    Ok(())
+}
+
+/// Whether `[a, b)` and `[b, c)` of a `total`-VN fold combine under `order`.
+fn combines(order: ReductionOrder, total: usize, a: usize, b: usize, c: usize) -> bool {
+    match order {
+        ReductionOrder::Tree => {
+            let width = b - a;
+            width.is_power_of_two() && a.is_multiple_of(2 * width) && c == total.min(a + 2 * width)
+        }
+        ReductionOrder::Sequential | ReductionOrder::ArrivalOrder => a == 0,
+    }
+}
+
 /// Sums a list of same-shaped tensors with the given strategy.
 ///
 /// For [`ReductionOrder::ArrivalOrder`], `arrival` gives the permutation in
@@ -38,8 +144,10 @@ pub enum ReductionOrder {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Empty`] if `parts` is empty and
-/// [`TensorError::ShapeMismatch`] if shapes disagree.
+/// Returns [`TensorError::Empty`] if `parts` is empty,
+/// [`TensorError::ShapeMismatch`] if shapes disagree, and
+/// [`TensorError::NotAPermutation`] if an arrival order is given that is
+/// not a permutation of `0..parts.len()`.
 ///
 /// # Examples
 ///
@@ -57,16 +165,44 @@ pub fn reduce_sum(
     order: ReductionOrder,
     arrival: Option<&[usize]>,
 ) -> Result<Tensor, TensorError> {
-    if parts.is_empty() {
-        return Err(TensorError::Empty {
-            context: "reduce::reduce_sum",
-        });
+    match (order, arrival) {
+        (ReductionOrder::ArrivalOrder, Some(idx)) => {
+            let mut seen = vec![false; parts.len()];
+            let is_permutation = idx.len() == parts.len()
+                && idx
+                    .iter()
+                    .all(|&i| seen.get_mut(i).is_some_and(|s| !std::mem::replace(s, true)));
+            if !is_permutation {
+                return Err(TensorError::NotAPermutation {
+                    len: parts.len(),
+                    context: "reduce::reduce_sum",
+                });
+            }
+            fold_all(idx.iter().map(|&i| parts[i].clone()), order)
+        }
+        _ => fold_all(parts.iter().cloned(), order),
     }
-    match order {
-        ReductionOrder::Tree => tree_sum_owned(parts.to_vec()),
-        ReductionOrder::Sequential => sequential_sum_indices(parts, None),
-        ReductionOrder::ArrivalOrder => sequential_sum_indices(parts, arrival),
+}
+
+/// Folds `parts` as VNs `0..parts.len()` and returns the one sum.
+fn fold_all(
+    parts: impl ExactSizeIterator<Item = Tensor>,
+    order: ReductionOrder,
+) -> Result<Tensor, TensorError> {
+    let total = parts.len();
+    let mut partials = Vec::new();
+    for (vn, part) in parts.enumerate() {
+        fold_partial(&mut partials, order, total, vn..vn + 1, vec![part])?;
     }
+    // A fold that has seen every VN holds one partial, so anything else
+    // means there were no parts.
+    match partials.as_mut_slice() {
+        [(_, sums)] => sums.pop(),
+        _ => None,
+    }
+    .ok_or(TensorError::Empty {
+        context: "reduce::reduce_sum",
+    })
 }
 
 /// Averages a list of same-shaped tensors with the given strategy.
@@ -84,73 +220,6 @@ pub fn reduce_mean(
     Ok(s)
 }
 
-/// [`reduce_mean`] over parts the caller no longer needs: the pairwise tree
-/// consumes them instead of copying them first. Bit-identical to
-/// [`reduce_mean`] on the same parts for every order.
-///
-/// # Errors
-///
-/// Same as [`reduce_sum`].
-pub fn reduce_mean_owned(
-    parts: Vec<Tensor>,
-    order: ReductionOrder,
-    arrival: Option<&[usize]>,
-) -> Result<Tensor, TensorError> {
-    let n = parts.len();
-    let mut s = match order {
-        ReductionOrder::Tree => tree_sum_owned(parts)?,
-        _ => reduce_sum(&parts, order, arrival)?,
-    };
-    s.scale_assign(1.0 / n as f32);
-    Ok(s)
-}
-
-fn sequential_sum_indices(
-    parts: &[Tensor],
-    arrival: Option<&[usize]>,
-) -> Result<Tensor, TensorError> {
-    match arrival {
-        Some(idx) => {
-            let mut acc = parts[idx[0]].clone();
-            for &i in &idx[1..] {
-                acc.add_assign(&parts[i])?;
-            }
-            Ok(acc)
-        }
-        None => {
-            let mut acc = parts[0].clone();
-            for p in &parts[1..] {
-                acc.add_assign(p)?;
-            }
-            Ok(acc)
-        }
-    }
-}
-
-fn tree_sum_owned(mut level: Vec<Tensor>) -> Result<Tensor, TensorError> {
-    // Pairwise reduction: combine adjacent pairs until one tensor remains.
-    // The combination tree depends only on the number of parts, so the
-    // result is a pure function of the ordered part list. Each pass works in
-    // place: slot `i` takes part `2i` and adds part `2i + 1` to it. Slots
-    // `[i, 2i)` hold spent parts by then and `2i`, `2i + 1` are untouched,
-    // so one vector serves every level.
-    while level.len() > 1 {
-        let half = level.len().div_ceil(2);
-        for i in 0..half {
-            level.swap(i, 2 * i);
-            let (sums, rest) = level.split_at_mut(2 * i + 1);
-            if let Some(b) = rest.first() {
-                sums[i].add_assign(b)?;
-            }
-        }
-        level.truncate(half);
-    }
-    // Halving never empties a non-empty list, so `None` means no parts.
-    level.pop().ok_or(TensorError::Empty {
-        context: "reduce::reduce_sum",
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,8 +234,42 @@ mod tests {
     fn empty_input_is_an_error() {
         assert!(reduce_sum(&[], ReductionOrder::Tree, None).is_err());
         for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
-            assert!(reduce_mean_owned(Vec::new(), order, None).is_err());
+            assert!(reduce_mean(&[], order, None).is_err());
         }
+    }
+
+    #[test]
+    fn a_bad_arrival_order_is_an_error() {
+        let p = parts(4);
+        let bad: [&[usize]; 5] = [
+            &[],
+            &[0, 1, 2, 4],
+            &[0, 1, 2],
+            &[0, 1, 1, 3],
+            &[0, 1, 2, 3, 3],
+        ];
+        for arrival in bad {
+            let expected = Err(TensorError::NotAPermutation {
+                len: 4,
+                context: "reduce::reduce_sum",
+            });
+            let sum = reduce_sum(&p, ReductionOrder::ArrivalOrder, Some(arrival));
+            let mean = reduce_mean(&p, ReductionOrder::ArrivalOrder, Some(arrival));
+            assert_eq!(sum, expected, "{arrival:?}");
+            assert_eq!(mean, expected, "{arrival:?}");
+        }
+    }
+
+    #[test]
+    fn fold_rejects_ranges_outside_the_fold_and_mismatched_partials() {
+        let mut partials = Vec::new();
+        let one = || vec![Tensor::ones([2])];
+        assert!(fold_partial(&mut partials, ReductionOrder::Tree, 4, 2..2, one()).is_err());
+        assert!(fold_partial(&mut partials, ReductionOrder::Tree, 4, 3..5, one()).is_err());
+        assert!(partials.is_empty());
+        fold_partial(&mut partials, ReductionOrder::Tree, 4, 0..1, one()).unwrap();
+        let two = vec![Tensor::ones([2]), Tensor::ones([2])];
+        assert!(fold_partial(&mut partials, ReductionOrder::Tree, 4, 1..2, two).is_err());
     }
 
     #[test]

@@ -1,13 +1,55 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
 use proptest::prelude::*;
-use vf_tensor::reduce::{reduce_mean, reduce_mean_owned, reduce_sum, ReductionOrder};
+use vf_tensor::reduce::{fold_partial, reduce_mean, reduce_sum, ReductionOrder};
 use vf_tensor::{init, ops, Shape, Tensor};
 
 fn small_tensor(max_len: usize) -> impl Strategy<Value = Tensor> {
     (1..=max_len, any::<u64>()).prop_map(|(n, seed)| {
         init::normal(&mut init::rng(seed), [n], 0.0, 1.0)
     })
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The pairwise tree the reduction has always summed in: adjacent pairs,
+/// an odd last part carried up a level unchanged.
+fn pairwise_reference(mut level: Vec<Tensor>) -> Tensor {
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match pair {
+                [a, b] => a.add(b).unwrap(),
+                _ => pair[0].clone(),
+            })
+            .collect();
+    }
+    level.pop().unwrap()
+}
+
+/// Left-to-right summation of `parts` taken in `order`.
+fn sequential_reference(parts: &[Tensor], order: impl Iterator<Item = usize>) -> Tensor {
+    let mut order = order;
+    let mut acc = parts[order.next().unwrap()].clone();
+    for i in order {
+        acc.add_assign(&parts[i]).unwrap();
+    }
+    acc
+}
+
+/// How many partials a tree fold may hold for one contiguous run of `k`
+/// VNs from `start`: the popcount of `k`, at most `1 + ⌈log₂ k⌉`, when the
+/// run starts on a multiple of `k.next_power_of_two()`; otherwise up to a
+/// rising and a falling staircase of dyadic blocks, `2⌊log₂ k⌋` (VNs 1..15
+/// of 16 are `[1,2) [2,4) [4,8) [8,12) [12,14) [14,15)`).
+fn tree_partials_bound(start: usize, k: usize) -> usize {
+    if start.is_multiple_of(k.next_power_of_two()) {
+        1 + k.next_power_of_two().trailing_zeros() as usize
+    } else {
+        (2 * k.ilog2() as usize).max(1)
+    }
 }
 
 fn matrix(rows: std::ops::RangeInclusive<usize>, cols: std::ops::RangeInclusive<usize>)
@@ -131,21 +173,23 @@ proptest! {
             prop_assert!(mean.data().iter().all(|&v| v == expected * (1.0 / parts_n as f32)));
         }
 
-        // On parts where rounding matters, the consuming entry point is
-        // bit-equal to the borrowed one for every order (1..=17 parts puts
-        // odd carries at several tree levels).
+        // On parts where rounding matters, every order sums in the order it
+        // always has (1..=17 parts puts odd carries at several tree levels).
         let mut rng = init::rng(seed);
         let parts: Vec<Tensor> =
             (0..parts_n).map(|_| init::normal(&mut rng, [len], 0.0, 1.0)).collect();
         let arrival: Vec<usize> = (0..parts_n).rev().map(|i| (i + 3) % parts_n).collect();
-        for (order, arr) in [
-            (ReductionOrder::Tree, None),
-            (ReductionOrder::Sequential, None),
-            (ReductionOrder::ArrivalOrder, Some(arrival.as_slice())),
+        for (order, arr, expected) in [
+            (ReductionOrder::Tree, None, pairwise_reference(parts.clone())),
+            (ReductionOrder::Sequential, None, sequential_reference(&parts, 0..parts_n)),
+            (
+                ReductionOrder::ArrivalOrder,
+                Some(arrival.as_slice()),
+                sequential_reference(&parts, arrival.iter().copied()),
+            ),
         ] {
-            let borrowed = reduce_mean(&parts, order, arr).unwrap();
-            let owned = reduce_mean_owned(parts.clone(), order, arr).unwrap();
-            prop_assert_eq!(borrowed.data(), owned.data(), "{:?}", order);
+            let sum = reduce_sum(&parts, order, arr).unwrap();
+            prop_assert_eq!(bits(&sum), bits(&expected), "{:?}", order);
         }
     }
 
@@ -201,5 +245,67 @@ proptest! {
         ops::clip_global_norm(&mut grads, 1.0);
         let norm: f32 = grads.iter().map(|g| g.data().iter().map(|v| v * v).sum::<f32>()).sum::<f32>().sqrt();
         prop_assert!(norm <= 1.0 + 1e-4);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every VN count 1..=300, each over one random assignment of VNs to 8
+    /// devices and over the same owners sorted into contiguous blocks.
+    #[test]
+    fn folding_per_device_then_across_devices_is_the_vn_order_reduction(
+        owners in proptest::collection::vec(0usize..8, 300..301),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = init::rng(seed);
+        let all_parts: Vec<Tensor> =
+            (0..300).map(|_| init::normal(&mut rng, [3], 0.0, 1.0)).collect();
+        for (total, contiguous) in (1..=300).flat_map(|v| [(v, false), (v, true)]) {
+            let parts = &all_parts[..total];
+            // The device of each VN: anywhere at all (as a resize leaves
+            // them), or blocks in VN order.
+            let mut owners = owners[..total].to_vec();
+            if contiguous {
+                owners.sort_unstable();
+            }
+            for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
+                let mut partials = Vec::new();
+                for device in 0..8 {
+                    let mut held = Vec::new();
+                    // `(first VN, length)` of the device's contiguous runs so far.
+                    let mut runs: Vec<(usize, usize)> = Vec::new();
+                    for vn in (0..total).filter(|&vn| owners[vn] == device) {
+                        match runs.last_mut() {
+                            Some((first, k)) if *first + *k == vn => *k += 1,
+                            _ => runs.push((vn, 1)),
+                        }
+                        fold_partial(&mut held, order, total, vn..vn + 1, vec![parts[vn].clone()])
+                            .unwrap();
+                        if order == ReductionOrder::Tree {
+                            let bound: usize =
+                                runs.iter().map(|&(first, k)| tree_partials_bound(first, k)).sum();
+                            prop_assert!(
+                                held.len() <= bound,
+                                "{} partials over runs {:?} of {}", held.len(), runs, total
+                            );
+                        }
+                    }
+                    partials.extend(held);
+                }
+                partials.sort_by_key(|(vns, _)| vns.start);
+                let mut joined = Vec::new();
+                for (vns, sums) in partials {
+                    fold_partial(&mut joined, order, total, vns, sums).unwrap();
+                }
+                prop_assert_eq!(joined.len(), 1);
+                let (vns, mut sums) = joined.pop().unwrap();
+                prop_assert_eq!(vns, 0..total);
+                let mut mean = sums.pop().unwrap();
+                mean.scale_assign(1.0 / total as f32);
+                let expected = reduce_mean(parts, order, None).unwrap();
+                prop_assert_eq!(bits(&mean), bits(&expected), "{:?} over {} VNs", order, total);
+            }
+        }
     }
 }

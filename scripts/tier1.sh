@@ -13,6 +13,9 @@ cargo test --workspace -q
 echo "== tier 1: tensor tests (release profile: the codegen the benchmarks run) =="
 cargo test --release -q -p vf-tensor
 
+echo "== tier 1: step allocation pins (release profile: the call ceilings the benchmarks' codegen must meet) =="
+cargo test --release -q -p vf-core --test step_allocations
+
 echo "== tier 1: workspace invariants (vf-lint, semantic passes + JSON report) =="
 cargo run -q -p vf-lint -- --deny --json
 
