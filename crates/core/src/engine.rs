@@ -69,9 +69,12 @@ struct DataPlan {
     kind: PlanKind,
     /// Examples per virtual node per step.
     micro_batch: usize,
-    /// `(epoch, order)`: the epoch permutation (replicated), or every
-    /// partition's permutation back to back in VN order (partitioned).
-    order: Option<(usize, Vec<usize>)>,
+    /// The epoch `order` belongs to; `None` until the first seek.
+    epoch: Option<usize>,
+    /// The epoch permutation (replicated), or every partition's permutation
+    /// back to back in VN order (partitioned). Each new epoch overwrites it
+    /// in place, so no epoch boundary holds two orders.
+    order: Vec<usize>,
 }
 
 impl DataPlan {
@@ -92,7 +95,8 @@ impl DataPlan {
         Ok(DataPlan {
             kind,
             micro_batch: config.micro_batch(),
-            order: None,
+            epoch: None,
+            order: Vec::new(),
         })
     }
 
@@ -108,14 +112,18 @@ impl DataPlan {
     fn seek(&mut self, step: usize) -> (usize, usize) {
         let spe = self.steps_per_epoch();
         let epoch = step / spe;
-        if self.order.as_ref().map(|(e, _)| *e) != Some(epoch) {
-            let order = match &self.kind {
-                PlanKind::Replicated(p) => p.epoch_permutation(epoch),
-                PlanKind::Partitioned(p) => (0..p.num_partitions())
-                    .flat_map(|vn| p.partition_permutation(vn, epoch))
-                    .collect(),
-            };
-            self.order = Some((epoch, order));
+        if self.epoch != Some(epoch) {
+            match &self.kind {
+                PlanKind::Replicated(p) => p.epoch_permutation(epoch, &mut self.order),
+                PlanKind::Partitioned(p) => {
+                    let len = p.partition_len();
+                    self.order.resize(p.num_partitions() as usize * len, 0);
+                    for (vn, part) in (0..p.num_partitions()).zip(self.order.chunks_exact_mut(len)) {
+                        p.partition_permutation(vn, epoch, part);
+                    }
+                }
+            }
+            self.epoch = Some(epoch);
         }
         (epoch, step % spe)
     }
@@ -128,13 +136,12 @@ impl DataPlan {
     /// Panics if no epoch was sought yet, or `(step_in_epoch, vn)` lies
     /// outside it.
     fn shard(&self, step_in_epoch: usize, vn: usize) -> &[usize] {
-        let order = self.order.as_ref().map_or(&[][..], |(_, o)| o);
         let m = self.micro_batch;
         let start = match &self.kind {
             PlanKind::Replicated(p) => step_in_epoch * p.batch_size() + vn * m,
             PlanKind::Partitioned(p) => vn * p.partition_len() + step_in_epoch * m,
         };
-        &order[start..start + m]
+        &self.order[start..start + m]
     }
 }
 

@@ -4,7 +4,9 @@
 //! allocations are a function of (model, batch, virtual nodes) and not of
 //! the dataset: the same calls and the same bytes over 4 096 examples as
 //! over 65 536. (Reshuffling the dataset per step, as the trainer once did,
-//! costs `8 · dataset_len` bytes a step for the permutation alone.) The
+//! costs `8 · dataset_len` bytes a step for the permutation alone.) The step
+//! that starts a new epoch writes the new order over the old one, so it too
+//! allocates what a mid-epoch step does. The
 //! per-VN call count of the paper's many-small-VNs shape is pinned too, so
 //! a copy creeping back into the tape or the gather shows up as a number,
 //! and so are the calls and bytes of a dense and of a convolutional step,
@@ -25,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use vf_core::{Trainer, TrainerConfig};
 use vf_data::synthetic::{ClusterTask, ImageTask};
-use vf_data::Dataset;
+use vf_data::{Dataset, DistributionMode};
 use vf_device::DeviceId;
 use vf_models::{Architecture, ConvNet, Mlp};
 use vf_tensor::pool;
@@ -248,12 +250,8 @@ struct StepAllocations {
     peak_live: u64,
 }
 
-/// What the third step of `shape` over a dataset of `dataset_len` examples
-/// asks of the allocator. Step 0 builds the epoch's order and the
-/// optimizer's state and grows each thread's pack scratch to its working
-/// size; by step 2 the trainer is in steady state, and at least 8 steps an
-/// epoch keep it clear of an epoch change.
-fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocations {
+/// The model of `shape` and its dataset of `dataset_len` examples.
+fn model_and_dataset(shape: &Workload, dataset_len: usize) -> (Arc<dyn Architecture>, Arc<Dataset>) {
     let (arch, dataset): (Arc<dyn Architecture>, Dataset) = match shape.model {
         Model::Mlp {
             input,
@@ -303,12 +301,25 @@ fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocatio
             (Arc::new(net), dataset.expect("generates"))
         }
     };
-    let batch = shape.vns as usize * shape.micro_batch;
-    let config = TrainerConfig::simple(shape.vns, batch, 0.05, 5);
-    let devices: Vec<DeviceId> = (0..shape.devices).map(DeviceId).collect();
-    let mut trainer = Trainer::new(arch, Arc::new(dataset), config, &devices).expect("trainer");
-    trainer.run_steps(2).expect("warm-up");
+    (arch, Arc::new(dataset))
+}
 
+/// The trainer configuration of `shape`, its data distributed as
+/// `distribution`.
+fn config(shape: &Workload, distribution: DistributionMode) -> TrainerConfig {
+    let batch = shape.vns as usize * shape.micro_batch;
+    let mut config = TrainerConfig::simple(shape.vns, batch, 0.05, 5);
+    config.distribution = distribution;
+    config
+}
+
+/// The devices `shape` runs on.
+fn devices(shape: &Workload) -> Vec<DeviceId> {
+    (0..shape.devices).map(DeviceId).collect()
+}
+
+/// What `trainer`'s next step asks of the allocator.
+fn next_step_allocations(trainer: &mut Trainer) -> StepAllocations {
     let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
@@ -321,6 +332,43 @@ fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocatio
         bytes: BYTES.load(Ordering::Relaxed) - bytes,
         peak_live: PEAK.load(Ordering::Relaxed) as u64,
     }
+}
+
+/// What the third step of `shape` over a dataset of `dataset_len` examples
+/// asks of the allocator. Step 0 builds the epoch's order and the
+/// optimizer's state and grows each thread's pack scratch to its working
+/// size; by step 2 the trainer is in steady state, and at least 8 steps an
+/// epoch keep it clear of an epoch change.
+fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocations {
+    let (arch, dataset) = model_and_dataset(shape, dataset_len);
+    let config = config(shape, DistributionMode::Replicated);
+    let mut trainer = Trainer::new(arch, dataset, config, &devices(shape)).expect("trainer");
+    trainer.run_steps(2).expect("warm-up");
+    next_step_allocations(&mut trainer)
+}
+
+/// What the next-to-last step of epoch 0 and the first step of epoch 1 of
+/// [`MANY_VN`] over `dataset_len` examples ask of the allocator, as
+/// `(mid_epoch, boundary)`. The trainer jumps close to the end of epoch 0
+/// through a checkpoint, and two steps bring it to steady state there.
+fn epoch_boundary_allocations(
+    dataset_len: usize,
+    distribution: DistributionMode,
+) -> (StepAllocations, StepAllocations) {
+    let (arch, dataset) = model_and_dataset(&MANY_VN, dataset_len);
+    let devices = devices(&MANY_VN);
+    let config = config(&MANY_VN, distribution);
+    let fresh =
+        Trainer::new(arch.clone(), dataset.clone(), config, &devices).expect("trainer");
+    let mut checkpoint = fresh.to_checkpoint();
+    checkpoint.step = fresh.steps_per_epoch() as u64 - 4;
+    let mut trainer =
+        Trainer::from_checkpoint(arch, dataset, checkpoint, &devices).expect("restore");
+    trainer.run_steps(2).expect("warm-up");
+    let mid = next_step_allocations(&mut trainer);
+    trainer.step().expect("last step of epoch 0");
+    assert!(trainer.at_epoch_boundary());
+    (mid, next_step_allocations(&mut trainer))
 }
 
 /// [`VN_SWEEP_MODEL`] as `vns` virtual nodes of two examples on one device.
@@ -394,6 +442,27 @@ fn a_step_allocates_by_the_batch_not_by_the_dataset() {
             "{vns} VNs on one device: {} bytes live at the step's peak, budget {budget} \
              ({param_bytes} bytes a gradient, {not_gradient} bytes beside one gradient at 1 VN)",
             step.peak_live,
+        );
+    }
+
+    // Each epoch's order overwrites the last one in place: a step that
+    // crosses an epoch boundary allocates what a mid-epoch step does, and
+    // never holds two orders. Building the new order beside the old one,
+    // the boundary step asked for one more permutation, `8 · n` bytes, and
+    // that permutation set its peak.
+    for distribution in [DistributionMode::Replicated, DistributionMode::Partitioned] {
+        let n = 65_536;
+        let permutation = 8 * n as u64;
+        let (mid, boundary) = epoch_boundary_allocations(n, distribution);
+        assert!(
+            boundary.bytes == mid.bytes && boundary.peak_live < mid.peak_live + permutation / 2,
+            "{distribution:?} over {n} examples: the epoch-boundary step asked for {} bytes \
+             with {} live at its peak, a mid-epoch step {} bytes with {} live; one \
+             permutation is {permutation} bytes",
+            boundary.bytes,
+            boundary.peak_live,
+            mid.bytes,
+            mid.peak_live,
         );
     }
 }

@@ -93,8 +93,10 @@ impl BatchPlan {
         self.dataset_len / self.batch_size
     }
 
-    /// The permutation of the dataset used in `epoch`.
-    pub fn epoch_permutation(&self, epoch: usize) -> Vec<usize> {
+    /// Overwrites `order` with the permutation of the dataset used in
+    /// `epoch`, reusing its allocation: whatever `order` held, and however
+    /// long it was, it ends up `dataset_len` long.
+    pub fn epoch_permutation(&self, epoch: usize, order: &mut Vec<usize>) {
         // Mix the epoch into the seed with distinct odd multipliers so that
         // nearby (seed, epoch) pairs decorrelate.
         let mixed = self
@@ -102,9 +104,9 @@ impl BatchPlan {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((epoch as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ 0x94D0_49BB_1331_11EB);
         let mut rng = init::rng(mixed);
-        let mut order: Vec<usize> = (0..self.dataset_len).collect();
+        order.clear();
+        order.extend(0..self.dataset_len);
         order.shuffle(&mut rng);
-        order
     }
 
     /// The global batch at `(epoch, step_in_epoch)`.
@@ -118,12 +120,15 @@ impl BatchPlan {
             "step {step_in_epoch} beyond epoch of {} steps",
             self.steps_per_epoch()
         );
-        let perm = self.epoch_permutation(epoch);
+        let mut indices = Vec::new();
+        self.epoch_permutation(epoch, &mut indices);
         let start = step_in_epoch * self.batch_size;
+        indices.truncate(start + self.batch_size);
+        indices.drain(..start);
         GlobalBatch {
             epoch,
             step_in_epoch,
-            indices: perm[start..start + self.batch_size].to_vec(),
+            indices,
         }
     }
 
@@ -189,11 +194,6 @@ impl VisitLedger {
             .collect()
     }
 
-    /// Whether every example was visited exactly once.
-    pub fn exactly_once(&self) -> bool {
-        self.violations(1).is_empty()
-    }
-
     /// Resets all counts (call at each epoch boundary).
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
@@ -212,10 +212,16 @@ mod tests {
         assert!(BatchPlan::new(10, 10, 0).is_ok());
     }
 
+    fn permutation(plan: &BatchPlan, epoch: usize) -> Vec<usize> {
+        let mut order = Vec::new();
+        plan.epoch_permutation(epoch, &mut order);
+        order
+    }
+
     #[test]
     fn epoch_permutation_is_a_permutation() {
         let plan = BatchPlan::new(50, 10, 3).unwrap();
-        let p = plan.epoch_permutation(4);
+        let p = permutation(&plan, 4);
         let set: HashSet<_> = p.iter().copied().collect();
         assert_eq!(set.len(), 50);
         assert_eq!(*p.iter().max().unwrap(), 49);
@@ -224,9 +230,9 @@ mod tests {
     #[test]
     fn permutations_differ_across_epochs_and_seeds() {
         let plan = BatchPlan::new(100, 10, 3).unwrap();
-        assert_ne!(plan.epoch_permutation(0), plan.epoch_permutation(1));
+        assert_ne!(permutation(&plan, 0), permutation(&plan, 1));
         let other = BatchPlan::new(100, 10, 4).unwrap();
-        assert_ne!(plan.epoch_permutation(0), other.epoch_permutation(0));
+        assert_ne!(permutation(&plan, 0), permutation(&other, 0));
     }
 
     #[test]
@@ -247,7 +253,7 @@ mod tests {
         for s in 0..plan.steps_per_epoch() {
             ledger.record(&plan.batch(0, s).indices);
         }
-        assert!(ledger.exactly_once());
+        assert!(ledger.violations(1).is_empty());
     }
 
     #[test]
@@ -309,7 +315,7 @@ mod tests {
     fn ledger_reset_clears_counts() {
         let mut ledger = VisitLedger::new(4);
         ledger.record(&[0, 1, 2, 3]);
-        assert!(ledger.exactly_once());
+        assert!(ledger.violations(1).is_empty());
         ledger.reset();
         assert_eq!(ledger.violations(0).len(), 0);
     }

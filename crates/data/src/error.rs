@@ -42,6 +42,12 @@ pub enum DataError {
         /// Steps remaining until the next epoch boundary.
         steps_into_epoch: usize,
     },
+    /// A synthetic task cannot be generated as configured: it has no
+    /// classes, or more feature values than fit in memory.
+    BadTask {
+        /// What is wrong with the configuration.
+        reason: &'static str,
+    },
     /// A tensor operation inside the pipeline failed.
     Tensor(vf_tensor::TensorError),
 }
@@ -78,6 +84,7 @@ impl fmt::Display for DataError {
                 f,
                 "partitioned pipeline resized {steps_into_epoch} steps into an epoch; exactly-once visitation requires epoch-boundary resizes"
             ),
+            DataError::BadTask { reason } => write!(f, "synthetic task cannot be generated: {reason}"),
             DataError::Tensor(e) => write!(f, "tensor operation in pipeline failed: {e}"),
         }
     }

@@ -17,6 +17,7 @@
 
 use crate::dataset::Dataset;
 use crate::DataError;
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -60,55 +61,105 @@ impl ClusterTask {
 
     /// Generates the dataset.
     ///
+    /// Host memory holds the features once: every example is drawn into
+    /// its row, and the shuffle of example order then moves rows in place,
+    /// one permutation cycle at a time, through one row of scratch.
+    ///
     /// # Errors
     ///
-    /// Returns [`DataError::EmptyDataset`] if `num_examples == 0`.
+    /// Returns [`DataError::EmptyDataset`] if `num_examples == 0`, and
+    /// [`DataError::BadTask`] if `num_classes == 0` or the features would
+    /// not fit in memory.
     pub fn generate(&self) -> Result<Dataset, DataError> {
-        if self.num_examples == 0 {
-            return Err(DataError::EmptyDataset);
-        }
+        let (n, dim) = (self.num_examples, self.dim);
+        let len = feature_len(n, dim, self.num_classes)?;
         let mut rng = init::rng(self.seed);
-        let centers = init::normal(
-            &mut rng,
-            [self.num_classes, self.dim],
-            0.0,
-            self.separation,
-        );
-        let mut features = Vec::with_capacity(self.num_examples * self.dim);
-        let mut labels = Vec::with_capacity(self.num_examples);
-        for i in 0..self.num_examples {
+        let centers = init::normal(&mut rng, [self.num_classes, dim], 0.0, self.separation);
+        let mut features = vec![0.0f32; len];
+        for i in 0..n {
             let class = i % self.num_classes;
-            let noise = init::normal(&mut rng, [self.dim], 0.0, self.spread);
-            let cd = centers.data();
-            for j in 0..self.dim {
-                features.push(cd[class * self.dim + j] + noise.data()[j]);
-            }
-            labels.push(class);
+            add_noise(
+                &mut rng,
+                &centers.data()[class * dim..(class + 1) * dim],
+                &mut features[i * dim..(i + 1) * dim],
+                self.spread,
+            );
         }
-        // Shuffle example order so class labels are not periodic.
-        let mut order: Vec<usize> = (0..self.num_examples).collect();
+        // Shuffle example order so class labels are not periodic: position
+        // k takes example order[k], whose class is order[k] mod classes.
+        let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
-        let f = Tensor::from_vec(features, [self.num_examples, self.dim])?;
-        let mut shuffled = Vec::with_capacity(self.num_examples * self.dim);
-        let mut shuffled_labels = Vec::with_capacity(self.num_examples);
-        for &i in &order {
-            shuffled.extend_from_slice(&f.data()[i * self.dim..(i + 1) * self.dim]);
-            shuffled_labels.push(labels[i]);
-        }
+        let mut labels: Vec<usize> = order.iter().map(|&i| i % self.num_classes).collect();
+        gather_rows_in_place(&mut features, dim, &mut order);
         // Corrupt labels with an independent RNG so that the same seed with
         // and without noise yields the same examples in the same order.
         if self.label_noise > 0.0 {
             let mut noise_rng = init::rng(self.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-            for label in shuffled_labels.iter_mut() {
+            for label in labels.iter_mut() {
                 if noise_rng.gen::<f32>() < self.label_noise {
                     *label = noise_rng.gen_range(0..self.num_classes);
                 }
             }
         }
-        Dataset::new(
-            Tensor::from_vec(shuffled, [self.num_examples, self.dim])?,
-            shuffled_labels,
-        )
+        Dataset::new(Tensor::from_vec(features, [n, dim])?, labels)
+    }
+}
+
+/// Feature values of `num_examples` examples of `per_example` values each,
+/// for a task of `num_classes` classes.
+///
+/// # Errors
+///
+/// [`DataError::EmptyDataset`] for no examples, [`DataError::BadTask`] for
+/// no classes or a count that overflows `usize`.
+fn feature_len(num_examples: usize, per_example: usize, num_classes: usize) -> Result<usize, DataError> {
+    if num_examples == 0 {
+        return Err(DataError::EmptyDataset);
+    }
+    if num_classes == 0 {
+        return Err(DataError::BadTask {
+            reason: "num_classes is 0",
+        });
+    }
+    num_examples
+        .checked_mul(per_example)
+        .ok_or(DataError::BadTask {
+            reason: "num_examples × features per example overflows usize",
+        })
+}
+
+/// Draws `row`'s noise, `N(0, std²)` per element in [`init::normal`]'s
+/// order, and adds `mean` to it (IEEE addition commutes, so these are the
+/// bits of `mean[j] + noise[j]`).
+fn add_noise(rng: &mut StdRng, mean: &[f32], row: &mut [f32], std: f32) {
+    init::normal_into(rng, row, 0.0, std);
+    for (x, &m) in row.iter_mut().zip(mean) {
+        *x += m;
+    }
+}
+
+/// Replaces row `k` of the `dim`-wide `rows` by the row that was at
+/// `order[k]`, for every `k`, without a second copy of `rows`: each cycle
+/// of the permutation rotates through one row of scratch. `order` is spent
+/// as the visited marks.
+fn gather_rows_in_place(rows: &mut [f32], dim: usize, order: &mut [usize]) {
+    const VISITED: usize = usize::MAX;
+    let mut scratch = vec![0.0f32; dim];
+    for start in 0..order.len() {
+        if order[start] == VISITED {
+            continue;
+        }
+        scratch.copy_from_slice(&rows[start * dim..(start + 1) * dim]);
+        let mut k = start;
+        loop {
+            let from = std::mem::replace(&mut order[k], VISITED);
+            if from == start {
+                rows[k * dim..(k + 1) * dim].copy_from_slice(&scratch);
+                break;
+            }
+            rows.copy_within(from * dim..(from + 1) * dim, k * dim);
+            k = from;
+        }
     }
 }
 
@@ -139,11 +190,11 @@ impl TeacherTask {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::EmptyDataset`] if `num_examples == 0`.
+    /// Returns [`DataError::EmptyDataset`] if `num_examples == 0`, and
+    /// [`DataError::BadTask`] if `num_classes == 0` or the inputs would not
+    /// fit in memory.
     pub fn generate(&self) -> Result<Dataset, DataError> {
-        if self.num_examples == 0 {
-            return Err(DataError::EmptyDataset);
-        }
+        feature_len(self.num_examples, self.dim, self.num_classes)?;
         let mut rng = init::rng(self.seed);
         let w1 = init::normal(&mut rng, [self.dim, self.hidden], 0.0, 1.0 / (self.dim as f32).sqrt());
         let w2 = init::normal(
@@ -228,32 +279,35 @@ impl ImageTask {
         }
     }
 
-    /// Pixels per example.
-    pub fn pixels(&self) -> usize {
-        self.channels * self.height * self.width
-    }
-
-    /// Generates the dataset (flattened pixels).
+    /// Generates the dataset (flattened pixels), each example's noise drawn
+    /// straight into its row.
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::EmptyDataset`] if `num_examples == 0`.
+    /// Returns [`DataError::EmptyDataset`] if `num_examples == 0`, and
+    /// [`DataError::BadTask`] if `num_classes == 0` or the pixels would not
+    /// fit in memory.
     pub fn generate(&self) -> Result<Dataset, DataError> {
-        if self.num_examples == 0 {
-            return Err(DataError::EmptyDataset);
-        }
-        let d = self.pixels();
+        let d = self
+            .channels
+            .checked_mul(self.height)
+            .and_then(|p| p.checked_mul(self.width))
+            .ok_or(DataError::BadTask {
+                reason: "channels × height × width overflows usize",
+            })?;
+        let len = feature_len(self.num_examples, d, self.num_classes)?;
         let mut rng = init::rng(self.seed);
         let prototypes = init::normal(&mut rng, [self.num_classes, d], 0.0, self.signal);
-        let mut features = Vec::with_capacity(self.num_examples * d);
+        let mut features = vec![0.0f32; len];
         let mut labels = Vec::with_capacity(self.num_examples);
         for i in 0..self.num_examples {
             let class = (i * 7 + i / self.num_classes) % self.num_classes;
-            let noise = init::normal(&mut rng, [d], 0.0, 1.0);
-            let pd = prototypes.data();
-            for j in 0..d {
-                features.push(pd[class * d + j] + noise.data()[j]);
-            }
+            add_noise(
+                &mut rng,
+                &prototypes.data()[class * d..(class + 1) * d],
+                &mut features[i * d..(i + 1) * d],
+                1.0,
+            );
             labels.push(class);
         }
         if self.label_noise > 0.0 {
@@ -369,6 +423,66 @@ mod tests {
             counts[l] += 1;
         }
         assert!(counts.iter().all(|&c| c > 50), "class counts {counts:?}");
+    }
+
+    #[test]
+    fn cluster_task_rejects_no_classes_and_overflowing_sizes() {
+        let no_classes = ClusterTask {
+            num_classes: 0,
+            ..ClusterTask::easy(0)
+        };
+        assert!(matches!(no_classes.generate(), Err(DataError::BadTask { .. })));
+        let too_big = ClusterTask {
+            num_examples: usize::MAX / 2,
+            dim: 4,
+            ..ClusterTask::easy(0)
+        };
+        assert!(matches!(too_big.generate(), Err(DataError::BadTask { .. })));
+    }
+
+    #[test]
+    fn image_task_rejects_no_classes_and_overflowing_sizes() {
+        let no_classes = ImageTask {
+            num_classes: 0,
+            ..ImageTask::small(0)
+        };
+        assert!(matches!(no_classes.generate(), Err(DataError::BadTask { .. })));
+        let too_big = ImageTask {
+            height: usize::MAX / 2,
+            ..ImageTask::small(0)
+        };
+        assert!(matches!(too_big.generate(), Err(DataError::BadTask { .. })));
+    }
+
+    #[test]
+    fn teacher_task_rejects_no_classes_with_or_without_label_noise() {
+        for label_noise in [0.0, 0.2] {
+            let t = TeacherTask {
+                num_examples: 100,
+                dim: 4,
+                hidden: 8,
+                num_classes: 0,
+                label_noise,
+                seed: 1,
+            };
+            assert!(
+                matches!(t.generate(), Err(DataError::BadTask { .. })),
+                "label noise {label_noise}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_row_gather_applies_the_order() {
+        let order = [2, 0, 3, 1, 4];
+        let mut rows: Vec<f32> = (0..10).map(|v| v as f32).collect();
+        let mut spent = order;
+        gather_rows_in_place(&mut rows, 2, &mut spent);
+        let want: Vec<f32> = order
+            .iter()
+            .flat_map(|&i| [2.0 * i as f32, 2.0 * i as f32 + 1.0])
+            .collect();
+        assert_eq!(rows, want);
     }
 
     #[test]

@@ -140,11 +140,9 @@ impl Unfold {
     }
 
     /// Writes `tap`'s unfolded values at the `len` consecutive output
-    /// positions starting at `(y, x) = start` to `dst[0], dst[stride], …`:
-    /// the image element inside the image, an explicit zero outside, so a
-    /// padding tap enters the FMA chain exactly like the reference kernels'
-    /// zero taps. `stride == 1` fills a row of a `taps × NR` panel;
-    /// `stride == NR` fills a column of a `h·w × NR` one.
+    /// positions starting at `(y, x) = start` to `dst[..len]`: the image
+    /// element inside the image, an explicit zero outside, so a padding tap
+    /// enters the FMA chain exactly like the reference kernels' zero taps.
     ///
     /// Input and output rows have the same pitch, so inside `tap.span` the
     /// tap reads one contiguous image range: zeros before the span, one copy
@@ -157,17 +155,16 @@ impl Unfold {
         (y, x): (usize, usize),
         len: usize,
         dst: &mut [f32],
-        stride: usize,
     ) {
         let j0 = y * self.w + x;
         let a = tap.span.start.clamp(j0, j0 + len);
         let b = tap.span.end.clamp(a, j0 + len);
-        zero(dst, 0, stride, a - j0);
+        dst[..a - j0].fill(0.0);
         if a < b {
             let src = &img[tap.base + a - self.pad..tap.base + b - self.pad];
-            put(dst, (a - j0) * stride, stride, src);
+            dst[a - j0..b - j0].copy_from_slice(src);
         }
-        zero(dst, (b - j0) * stride, stride, j0 + len - b);
+        dst[b - j0..len].fill(0.0);
         // The pad columns before valid row r — the right pad of row r − 1
         // and the left pad of row r — are one range ending at r·w + xs.start.
         let gap = self.w - tap.xs.len();
@@ -180,7 +177,7 @@ impl Unfold {
                 break;
             }
             for j in (end - gap).max(a)..end.min(b) {
-                dst[(j - j0) * stride] = 0.0;
+                dst[j - j0] = 0.0;
             }
         }
     }
@@ -205,28 +202,6 @@ impl Unfold {
             for (d, &v) in img[s..s + run].iter_mut().zip(&row[j..]) {
                 *d += v;
             }
-        }
-    }
-}
-
-/// `dst[from + i·stride] = 0` for `i < n`.
-fn zero(dst: &mut [f32], from: usize, stride: usize, n: usize) {
-    if stride == 1 {
-        dst[from..from + n].fill(0.0);
-    } else {
-        for i in 0..n {
-            dst[from + i * stride] = 0.0;
-        }
-    }
-}
-
-/// `dst[from + i·stride] = src[i]`.
-fn put(dst: &mut [f32], from: usize, stride: usize, src: &[f32]) {
-    if stride == 1 {
-        dst[from..from + src.len()].copy_from_slice(src);
-    } else {
-        for (i, &v) in src.iter().enumerate() {
-            dst[from + i * stride] = v;
         }
     }
 }
@@ -284,7 +259,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
                 let cols = nr.min(hw - jc);
                 let start = (jc / w, jc % w);
                 for (tap, row) in unfold.taps.iter().zip(panel.chunks_exact_mut(nr)) {
-                    unfold.unfold(tap, img, start, cols, row, 1);
+                    unfold.unfold(tap, img, start, cols, row);
                 }
                 for (blk, kblock) in kpack.chunks_exact(taps * mr).enumerate() {
                     let ir = blk * mr;
@@ -438,7 +413,10 @@ pub fn conv2d_grad_kernel(
             pool::claim_region(out_ptr.get(), o * taps + owned.start..o * taps + owned.end);
         }
         let mut gpack = vec![0.0f32; oc.div_ceil(mr) * hw * mr];
-        let mut panel = vec![0.0f32; hw * nr];
+        // One allocation: the hw × NR panel, then up to NR unfolded taps as
+        // contiguous hw-long rows.
+        let mut scratch = vec![0.0f32; 2 * hw * nr];
+        let (panel, rows) = scratch.split_at_mut(hw * nr);
         for b in 0..n {
             // dOut_b (oc × hw) is the broadcast operand.
             gemm::pack_a(
@@ -451,12 +429,14 @@ pub fn conv2d_grad_kernel(
             );
             let img = &id[b * ic * hw..(b + 1) * ic * hw];
             for tc in owned.clone().step_by(nr) {
-                // cols_bᵀ for taps [tc, tc + cols): position-major, one tap
-                // per lane.
+                // cols_bᵀ for taps [tc, tc + cols): each tap unfolds into a
+                // stride-1 row, and the cols × hw rows transpose into the
+                // position-major panel, one tap per lane.
                 let cols = nr.min(taps - tc);
-                for (lane, tap) in unfold.taps[tc..tc + cols].iter().enumerate() {
-                    unfold.unfold(tap, img, (0, 0), hw, &mut panel[lane..], nr);
+                for (tap, row) in unfold.taps[tc..tc + cols].iter().zip(rows.chunks_exact_mut(hw)) {
+                    unfold.unfold(tap, img, (0, 0), hw, row);
                 }
+                gemm::pack_b_into(Op::Nt, &rows[..cols * hw], hw, cols, nr, panel);
                 for (blk, gblock) in gpack.chunks_exact(hw * mr).enumerate() {
                     let ir = blk * mr;
                     // SAFETY: this chunk owns columns `owned` of `out`

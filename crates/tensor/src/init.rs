@@ -30,20 +30,26 @@ pub fn rng(seed: u64) -> StdRng {
 /// Samples a tensor with i.i.d. normal entries (Box–Muller, deterministic).
 pub fn normal(rng: &mut StdRng, shape: impl Into<crate::Shape>, mean: f32, std: f32) -> Tensor {
     let shape = shape.into();
-    let n = shape.num_elements();
-    let mut data = Vec::with_capacity(n);
-    while data.len() < n {
+    let mut data = vec![0.0; shape.num_elements()];
+    normal_into(rng, &mut data, mean, std);
+    Tensor::from_parts(data, shape)
+}
+
+/// Overwrites `out` with i.i.d. normal samples: the values, and the draws
+/// from `rng`, of [`normal`] over `out.len()` elements. One Box–Muller pair
+/// fills two elements; an odd length drops the last pair's second sample.
+pub fn normal_into(rng: &mut StdRng, out: &mut [f32], mean: f32, std: f32) {
+    for pair in out.chunks_mut(2) {
         // Box–Muller transform on uniform samples in (0, 1].
         let u1: f32 = 1.0 - rng.gen::<f32>();
         let u2: f32 = rng.gen::<f32>();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(mean + std * r * theta.cos());
-        if data.len() < n {
-            data.push(mean + std * r * theta.sin());
+        pair[0] = mean + std * r * theta.cos();
+        if let Some(second) = pair.get_mut(1) {
+            *second = mean + std * r * theta.sin();
         }
     }
-    Tensor::from_parts(data, shape)
 }
 
 /// Samples a tensor with i.i.d. uniform entries in `[lo, hi)`.

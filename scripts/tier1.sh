@@ -13,8 +13,9 @@ cargo test --workspace -q
 echo "== tier 1: tensor tests (release profile: the codegen the benchmarks run) =="
 cargo test --release -q -p vf-tensor
 
-echo "== tier 1: step allocation pins (release profile: the call ceilings the benchmarks' codegen must meet) =="
+echo "== tier 1: step and generation allocation pins (release profile: the call ceilings and live-byte peaks the benchmarks' codegen must meet) =="
 cargo test --release -q -p vf-core --test step_allocations
+cargo test --release -q -p vf-data --test generate_allocations
 
 echo "== tier 1: workspace invariants (vf-lint, semantic passes + JSON report) =="
 cargo run -q -p vf-lint -- --deny --json
