@@ -38,7 +38,10 @@ fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
 }
 
 /// The seed tree's `conv::conv2d` loops, verbatim (padding taps skipped).
-#[allow(clippy::many_single_char_names)]
+#[allow(
+    clippy::many_single_char_names,
+    reason = "the seed tree's loops, kept verbatim with their index names"
+)]
 fn naive_conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor> {
     let d = input.shape().dims();
     let (n, ic, h, w) = (d[0], d[1], d[2], d[3]);

@@ -2,10 +2,10 @@
 //!
 //! Runs the full `vf-lint` audit (per-file rules plus the semantic passes
 //! of DESIGN.md §16), appends a `lint_gate` record — error and
-//! semantic-finding counts, waivers, files scanned, the public-surface
-//! counts (`pub_items`, `uncalled_pub`), each library crate's non-test
-//! line count (`lines/<crate>`), analysis wall time —
-//! to `results/BENCH_history.jsonl`, and exits nonzero on any error. The
+//! semantic-finding counts, per-site clippy waivers (DESIGN.md §11), files
+//! scanned, the public-surface counts (`pub_items`, `uncalled_pub`), each
+//! library crate's non-test line count (`lines/<crate>`), analysis wall
+//! time — to `results/BENCH_history.jsonl`, and exits nonzero on any error. The
 //! committed `results/BENCH_baseline.json` pins `lint_gate/errors` and
 //! `lint_gate/semantic_findings` at zero with zero tolerance, so
 //! `bench_gate` fails the build if a finding ever lands, and pins `waived`,

@@ -85,7 +85,6 @@ fn render_timeline(events: &[Event], report: &ChaosReport) -> String {
         let ms = e.ts_us as f64 / 1e3;
         let kind = match e.ph {
             Phase::Complete => format!("{} [{}us]", e.name, e.dur_us),
-            // vf-lint: allow(ambient-time) — Chrome phase name, not std::time::Instant
             Phase::Instant => e.name.clone(),
             Phase::Counter => format!("{} =", e.name),
         };

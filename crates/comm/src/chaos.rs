@@ -215,7 +215,10 @@ pub fn ring_reform_time_s(workers: usize, link: &LinkProfile) -> f64 {
 /// Returns [`CollectiveExhausted`] if `max_attempts` attempts all fail,
 /// which callers should treat as a network partition (fall back to
 /// checkpoint recovery).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the event stream is a pure function of exactly these inputs; a struct would only rename them"
+)]
 pub fn allreduce_with_recovery(
     model: &CommFaultModel,
     stream: u64,
@@ -460,8 +463,10 @@ mod tests {
             let m = CommFaultModel::new(seed, 0.3, 0.2, 0.1);
             let ring = Arc::new(RingSink::unbounded());
             let obs = Recorder::with_sink(ring.clone());
+            // An exhausted collective still leaves its attempt markers, so
+            // every stream's trace counts, whatever its outcome.
             for stream in 0..16 {
-                let _ = allreduce_with_recovery(&m, stream, 1 << 20, 8, &link(), 16, &obs);
+                allreduce_with_recovery(&m, stream, 1 << 20, 8, &link(), 16, &obs).ok();
             }
             vf_obs::chrome::render_jsonl(&ring.events())
         };

@@ -99,8 +99,10 @@ pub struct ChaosConfig {
     #[serde(default)]
     pub bucket_bytes: Option<u64>,
     /// Fraction of one wave's compute that is backward pass — the window
-    /// bucketed collectives may overlap. Only read when `bucket_bytes` is
-    /// set; clamped to `[0, 1]`.
+    /// bucketed collectives may overlap. Read on every step, on both
+    /// schedules: each step emits this backward window to the trace, and
+    /// with `bucket_bytes` set the buckets also overlap it. Clamped to
+    /// `[0, 1]`.
     #[serde(default)]
     pub backward_fraction: f64,
     /// Durable checkpoint store configuration. `None` (the default) keeps
@@ -443,7 +445,10 @@ impl ChaosSupervisor {
             // while enabled. A storage fault here is survivable — the next
             // periodic checkpoint retries, and the in-memory copy remains.
             let payload = last_checkpoint.to_json()?;
-            // vf-lint: allow(discarded-result) — survivable fault; periodic save retries
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "survivable fault; periodic save retries"
+            )]
             let _ = s.save(last_checkpoint.step, payload.as_bytes());
         }
         let param_bytes: u64 = trainer.params().iter().map(|t| t.size_bytes() as u64).sum();
@@ -1021,7 +1026,10 @@ impl ChaosSupervisor {
             self.last_checkpoint = self.trainer.to_checkpoint();
             if let Some(store) = self.store.as_mut() {
                 let payload = self.last_checkpoint.to_json()?;
-                // vf-lint: allow(discarded-result) — faults here are the drill's subject; recovery uses the last committed manifest
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "faults here are the drill's subject; recovery uses the last committed manifest"
+                )]
                 let _ = store.save(self.last_checkpoint.step, payload.as_bytes());
                 self.clock.advance(store.drain_time_s());
             }

@@ -10,6 +10,13 @@
 //! trajectory must not move by a single bit, because virtual node
 //! processing fixes *what* is computed independently of *where*.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::sync::Arc;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::{Checkpoint, Trainer, TrainerConfig};

@@ -13,6 +13,13 @@
 //! chunking — the workers stay alive and idle — which is exactly the
 //! invariant under test.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::sync::Arc;
 use vf_core::{Trainer, TrainerConfig};
 use vf_data::synthetic::ClusterTask;

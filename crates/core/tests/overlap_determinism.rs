@@ -12,6 +12,13 @@
 //! `set_num_threads(8)` call pins the physical worker set before any kernel
 //! runs; later calls only change chunking.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::sync::Arc;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::{Trainer, TrainerConfig};

@@ -15,6 +15,13 @@
 //! Like the other determinism suites, this file owns its process so it can
 //! pin the worker-pool size before any kernel runs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::sync::Arc;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::TrainerConfig;

@@ -22,6 +22,13 @@
 //! while counting is armed. The pool is pinned to one logical thread: no
 //! workers, no job hand-off, device tasks inline in device order.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -229,7 +236,7 @@ fn vn_sweep_param_bytes() -> u64 {
         ..
     } = VN_SWEEP_MODEL
     else {
-        unreachable!("the sweep's model is an MLP")
+        panic!("the sweep's model is an MLP")
     };
     Mlp::new(input, hidden.to_vec(), classes)
         .init_params(0)

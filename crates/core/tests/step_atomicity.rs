@@ -11,6 +11,13 @@
 //! tasks run in device order, and "the k-th `grad` call" names one virtual
 //! node on one device.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vf_core::{CoreError, Trainer, TrainerConfig};

@@ -12,6 +12,13 @@
 //! Like `determinism_threads.rs`, this file owns its process so it can pin
 //! the worker-pool size before any kernel runs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::sync::Arc;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::{Trainer, TrainerConfig};

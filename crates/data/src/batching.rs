@@ -203,7 +203,7 @@ impl VisitLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn plan_rejects_bad_batch_sizes() {
@@ -222,7 +222,7 @@ mod tests {
     fn epoch_permutation_is_a_permutation() {
         let plan = BatchPlan::new(50, 10, 3).unwrap();
         let p = permutation(&plan, 4);
-        let set: HashSet<_> = p.iter().copied().collect();
+        let set: BTreeSet<_> = p.iter().copied().collect();
         assert_eq!(set.len(), 50);
         assert_eq!(*p.iter().max().unwrap(), 49);
     }

@@ -55,7 +55,10 @@ impl Dataset {
     }
 
     /// Number of examples.
-    #[allow(clippy::len_without_is_empty)] // construction forbids emptiness
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "construction forbids emptiness"
+    )]
     pub fn len(&self) -> usize {
         self.labels.len()
     }

@@ -147,7 +147,7 @@ impl PartitionedPlan {
 mod tests {
     use super::*;
     use crate::batching::VisitLedger;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn permutation(plan: &PartitionedPlan, partition: u32, epoch: usize) -> Vec<usize> {
         let mut order = vec![0; plan.partition_len()];
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn partitions_are_disjoint_and_cover_prefix() {
         let plan = PartitionedPlan::new(100, 4, 20, 3).unwrap();
-        let mut all = HashSet::new();
+        let mut all = BTreeSet::new();
         for p in 0..4 {
             for i in permutation(&plan, p, 0) {
                 assert!(all.insert(i), "index {i} owned twice");

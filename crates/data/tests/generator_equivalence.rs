@@ -9,6 +9,13 @@
 //! drops the second sample of an odd-length draw, so odd widths (1
 //! included) are where a row-at-a-time sampler would first diverge.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

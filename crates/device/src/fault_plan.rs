@@ -196,8 +196,11 @@ impl FaultPlan {
         if let Some(spot) = &self.preemptions {
             // Derive an independent stream so enabling crashes does not
             // reshuffle preemption times.
+            #[expect(
+                clippy::expect_used,
+                reason = "SpotModel's constructor already validated mean_between_s > 0"
+            )]
             let stream = FailureModel::new(spot.mean_between_s, self.seed ^ 0x5157_BEEF_0173_AB01)
-                // vf-lint: allow(panic-ratchet) — SpotModel's constructor already validated mean_between_s > 0
                 .expect("SpotModel validated mean_between_s");
             for e in stream.all_failures_before(devices, horizon_s) {
                 out.push(PlannedFault {
@@ -213,8 +216,11 @@ impl FaultPlan {
             let mut rack_ids: Vec<u32> = devices.iter().map(|&d| racks.rack_of(d)).collect();
             rack_ids.sort_unstable();
             rack_ids.dedup();
+            #[expect(
+                clippy::expect_used,
+                reason = "RackModel's constructor already validated mtbf_s > 0"
+            )]
             let stream = FailureModel::new(racks.mtbf_s, self.seed ^ 0x7AC6_F001_D00D_CAFE)
-                // vf-lint: allow(panic-ratchet) — RackModel's constructor already validated mtbf_s > 0
                 .expect("RackModel validated mtbf_s");
             for &rack in &rack_ids {
                 for at_s in stream.failure_times_before(DeviceId(rack), horizon_s) {

@@ -23,7 +23,10 @@ proptest! {
         for (cat, bytes, is_alloc) in ops {
             time += 1.0;
             if is_alloc {
-                let _ = t.alloc(cat, bytes, time); // may legitimately OOM
+                // An allocation may legitimately OOM: exactly when it would
+                // overrun the capacity.
+                let fits = t.in_use() + bytes <= capacity;
+                prop_assert_eq!(t.alloc(cat, bytes, time).is_ok(), fits);
             } else {
                 t.free(cat, bytes, time);
             }

@@ -3,11 +3,10 @@
 use std::fmt;
 
 /// One violation at a source location. Every diagnostic fails the audit
-/// under `--deny`; a deliberate exception is waived inline instead (see
-/// [`crate::suppress`]).
+/// under `--deny`.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier, e.g. `ambient-time`.
+    /// Rule identifier, e.g. `lock-order`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,

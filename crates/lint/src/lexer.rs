@@ -2,10 +2,10 @@
 //!
 //! The rule engine does not need a full parse of the language — it needs a
 //! token stream with comments and string/char literals stripped (so that
-//! `"panic!"` inside an error message never trips a rule), accurate line
-//! numbers, the comments themselves (for suppression directives), and a map
-//! of which lines belong to test-only code (`#[cfg(test)]` regions and
-//! `#[test]` functions). This module provides exactly that and nothing more.
+//! `"format!"` inside an error message never trips a rule), accurate line
+//! numbers, and a map of which lines belong to test-only code
+//! (`#[cfg(test)]` regions and `#[test]` functions). This module provides
+//! exactly that and nothing more.
 
 /// One lexical token: an identifier, number, or punctuation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,30 +18,11 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A comment with its location, used for suppression directives.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment text without the `//` / `/* */` delimiters, trimmed.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// True when a code token precedes the comment on the same line
-    /// (a trailing comment applies to its own line; a standalone comment
-    /// applies to the line below it).
-    pub trailing: bool,
-    /// True for doc comments (`///`, `//!`, `/** */`, `/*! */`). Doc
-    /// comments describe APIs and may quote directive syntax in examples,
-    /// so the suppression parser ignores them.
-    pub doc: bool,
-}
-
 /// The result of lexing one source file.
 #[derive(Debug, Default)]
 pub struct LexedFile {
     /// Code tokens, in source order, literals collapsed.
     pub tokens: Vec<Token>,
-    /// All comments (line and block, including doc comments).
-    pub comments: Vec<Comment>,
     /// `test_lines[line - 1]` is true when `line` is inside test-only code.
     pub test_lines: Vec<bool>,
 }
@@ -57,14 +38,13 @@ impl LexedFile {
     }
 }
 
-/// Lexes `src` into tokens, comments, and a test-region line map.
+/// Lexes `src` into tokens and a test-region line map.
 pub fn lex(src: &str) -> LexedFile {
     let mut lx = Lexer::new(src);
     lx.run();
     let total_lines = src.lines().count().max(1);
     let mut out = LexedFile {
         tokens: lx.tokens,
-        comments: lx.comments,
         test_lines: vec![false; total_lines],
     };
     mark_test_regions(&mut out);
@@ -76,7 +56,6 @@ struct Lexer<'a> {
     pos: usize,
     line: u32,
     tokens: Vec<Token>,
-    comments: Vec<Comment>,
     src: std::marker::PhantomData<&'a str>,
 }
 
@@ -87,7 +66,6 @@ impl<'a> Lexer<'a> {
             pos: 0,
             line: 1,
             tokens: Vec::new(),
-            comments: Vec::new(),
             src: std::marker::PhantomData,
         }
     }
@@ -112,10 +90,6 @@ impl<'a> Lexer<'a> {
             text: text.into(),
             line,
         });
-    }
-
-    fn last_token_on(&self, line: u32) -> bool {
-        self.tokens.last().is_some_and(|t| t.line == line)
     }
 
     fn run(&mut self) {
@@ -147,36 +121,15 @@ impl<'a> Lexer<'a> {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let trailing = self.last_token_on(line);
-        self.bump();
-        self.bump();
-        let doc = matches!(self.peek(0), Some('/') | Some('!'));
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        self.comments.push(Comment {
-            text: text.trim_start_matches(['/', '!']).trim().to_string(),
-            line,
-            trailing,
-            doc,
-        });
     }
 
     fn block_comment(&mut self) {
-        let line = self.line;
-        let trailing = self.last_token_on(line);
         self.bump();
         self.bump();
-        // `/**` or `/*!` open a doc comment; `/**/` is an empty plain one.
-        let doc = matches!(self.peek(0), Some('*') | Some('!')) && self.peek(1) != Some('/');
         let mut depth = 1usize;
-        let mut text = String::new();
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
                 (Some('/'), Some('*')) => {
@@ -189,19 +142,12 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     self.bump();
                 }
-                (Some(c), _) => {
-                    text.push(c);
+                (Some(_), _) => {
                     self.bump();
                 }
                 (None, _) => break,
             }
         }
-        self.comments.push(Comment {
-            text: text.trim_start_matches(['*', '!']).trim().to_string(),
-            line,
-            trailing,
-            doc,
-        });
     }
 
     /// Consumes a `"..."` literal (escapes honored) and emits a placeholder.
@@ -472,10 +418,9 @@ mod tests {
 
     #[test]
     fn strings_and_comments_are_stripped() {
-        let f = lex("let x = \"panic!() inside\"; // panic! in comment\n");
+        let f = lex("let x = \"panic!() inside\"; // panic! in comment\nlet y = 1;\n");
         assert!(f.tokens.iter().all(|t| t.text != "panic"));
-        assert_eq!(f.comments.len(), 1);
-        assert!(f.comments[0].trailing);
+        assert!(f.tokens.iter().any(|t| t.text == "y" && t.line == 2));
     }
 
     #[test]
@@ -522,7 +467,7 @@ mod tests {
     #[test]
     fn block_comments_nest() {
         let f = lex("/* outer /* inner */ still comment */ fn f() {}");
-        assert!(f.tokens.iter().any(|t| t.text == "fn"));
-        assert_eq!(f.comments.len(), 1);
+        let texts: Vec<&str> = f.tokens.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(texts, ["fn", "f", "(", ")", "{", "}"]);
     }
 }

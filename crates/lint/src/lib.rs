@@ -6,14 +6,13 @@
 //! to the original schedule no matter how many devices or threads back it —
 //! is easy to erode by accident: one `HashMap` iteration, one wall-clock
 //! read inside the simulator, one ad-hoc thread writing an output buffer,
-//! and trajectories stop replaying. `vf-lint` turns those conventions into
-//! checked invariants:
+//! and trajectories stop replaying. Those per-site bans are clippy lints,
+//! configured in the root `Cargo.toml` and `clippy.toml` (DESIGN.md §11).
+//! `vf-lint` checks what clippy cannot express with types:
 //!
-//! * [`rules`] — the per-file catalog: `hash-iteration`, `ambient-time`,
-//!   `ad-hoc-thread`, `registry-dep`, and the panic rule `panic-ratchet`
-//!   (no `unwrap`/`expect`/`panic!` outside tests unless waived).
-//! * [`suppress`] — inline, reasoned waivers:
-//!   `// vf-lint: allow(rule) — reason`.
+//! * [`rules`] — the per-file rules `metric-cardinality` (no
+//!   `format!`-built metric names) and `registry-dep` (path-only
+//!   manifests), and the count of per-site clippy waivers.
 //! * [`lexer`] — the minimal Rust lexer the rules run on (comments and
 //!   string literals stripped, `#[cfg(test)]` regions mapped).
 //! * [`workspace`] — discovery and the full audit pass.
@@ -21,14 +20,14 @@
 //! On top of the per-file rules sits the semantic engine (DESIGN.md §16):
 //!
 //! * [`parse`] — an item/expression-level parser over the token stream:
-//!   functions, calls, lock acquisitions with guard scopes, closures,
-//!   raw-pointer writes, `unsafe` sites, and `let _ =` discards.
+//!   functions, calls, lock acquisitions with guard scopes, closures and
+//!   raw-pointer writes.
 //! * [`symbols`] — the workspace-wide symbol index (free functions by
 //!   name; methods same-file with a std-shadow deny-list).
 //! * [`callgraph`] — the over-approximate call graph, with transitive
 //!   lock/raw-write/claim/submit facts computed to a fixpoint.
-//! * [`semantic`] — the four workspace-wide passes: `lock-order`,
-//!   `claim-coverage`, `safety-comment`, `discarded-result`.
+//! * [`semantic`] — the two workspace-wide passes: `lock-order` and
+//!   `claim-coverage`.
 //! * [`report`] — the canonical-JSON audit report
 //!   (`results/LINT_report.json`), byte-stable across runs.
 //! * `surface` — the public-surface count: `pub` items declared by the
@@ -49,7 +48,6 @@ pub mod parse;
 pub mod report;
 pub mod rules;
 pub mod semantic;
-pub mod suppress;
 mod surface;
 pub mod symbols;
 pub mod workspace;

@@ -6,7 +6,7 @@ use std::process::ExitCode;
 use vf_lint::{rules, workspace};
 
 const USAGE: &str = "\
-vf-lint — workspace invariant auditor (determinism lints + panic rule)
+vf-lint — workspace invariant auditor (the rules clippy cannot check)
 
 USAGE:
     cargo run -p vf-lint -- [OPTIONS]
@@ -90,7 +90,7 @@ fn main() -> ExitCode {
     }
     let errors = outcome.diagnostics.len();
     println!(
-        "vf-lint: {} source file(s), {} manifest(s) audited; {} violation(s), {} waived by suppression; \
+        "vf-lint: {} source file(s), {} manifest(s) audited; {} violation(s), {} clippy waiver(s); \
          {} public item(s), {} uncalled",
         outcome.files_scanned,
         outcome.manifests_scanned,

@@ -5,17 +5,15 @@
 //! acquired and how long their guards live, which calls a body makes,
 //! where closures are bound, and which regions are `unsafe`. This module
 //! recovers exactly that shape — item boundaries (`fn`/`impl`/`mod`/
-//! `trait`), call expressions, closure bindings, lock acquisitions, raw
-//! pointer writes, and `let _ =` discards — without attempting to be a
-//! real Rust parser. Everything here is a deliberate over-approximation:
+//! `trait`), call expressions, closure bindings, lock acquisitions and raw
+//! pointer writes — without attempting to be a real Rust parser. Everything here is a deliberate over-approximation:
 //! when the grammar is ambiguous at token level, the parser errs toward
 //! *seeing more* (a guard scope extends to the innermost enclosing brace;
 //! a nested function's calls also count toward its parent), because the
 //! passes built on top only ever turn extra visibility into extra checks,
 //! never into missed ones.
 
-use crate::lexer::{Comment, LexedFile, Token};
-use crate::suppress::{self, Suppression};
+use crate::lexer::{LexedFile, Token};
 
 /// Pool-submission entry points: a closure passed to one of these (or to
 /// any workspace function that transitively reaches one) runs on pool
@@ -25,28 +23,6 @@ pub const SUBMIT_NAMES: &[&str] = &["parallel_rows", "parallel_tasks", "run_job"
 
 /// Calls that register a claim with the pool race sanitizer.
 pub const CLAIM_NAMES: &[&str] = &["claim_region", "claim", "claim_bytes"];
-
-/// What kind of construct an `unsafe` keyword introduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// An `unsafe { … }` block.
-    Block,
-    /// An `unsafe fn` definition.
-    Fn,
-    /// An `unsafe impl`/`unsafe trait` (e.g. `unsafe impl Send for T`).
-    Impl,
-}
-
-/// One `unsafe` keyword in non-macro position.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// 1-based line of the `unsafe` token.
-    pub line: u32,
-    /// Block, fn, or impl/trait.
-    pub kind: UnsafeKind,
-    /// True when the site lies in test-only code.
-    pub is_test: bool,
-}
 
 /// One call expression (`name(…)` or `recv.name(…)`) inside a function.
 #[derive(Debug, Clone)]
@@ -90,15 +66,6 @@ pub struct ClosureBind {
     pub line: u32,
 }
 
-/// A `let _ = …;` statement and the calls its discarded expression makes.
-#[derive(Debug, Clone)]
-pub struct Discard {
-    /// 1-based line of the `let`.
-    pub line: u32,
-    /// Called names in the discarded expression, with method-call flags.
-    pub callees: Vec<(String, bool)>,
-}
-
 /// One function definition (free, method, or nested).
 #[derive(Debug, Clone)]
 pub struct FnDef {
@@ -110,8 +77,6 @@ pub struct FnDef {
     pub line: u32,
     /// True when defined in test-only code.
     pub is_test: bool,
-    /// True when the declared return type mentions `Result`.
-    pub returns_result: bool,
     /// Token range of the body (empty for bodyless trait/extern decls).
     pub body: std::ops::Range<usize>,
     /// Calls made anywhere in the body (including nested closures/fns).
@@ -122,24 +87,6 @@ pub struct FnDef {
     pub closures: Vec<ClosureBind>,
     /// Token indexes of raw-pointer write sites in the body.
     pub raw_writes: Vec<usize>,
-    /// `let _ =` discard statements in the body.
-    pub discards: Vec<Discard>,
-}
-
-/// Per-line classification used by the safety-comment adjacency walk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LineInfo {
-    /// Any code token starts on this line.
-    pub has_token: bool,
-    /// The line may sit between a `// SAFETY:` comment and its `unsafe`
-    /// site: every token belongs to an attribute, or the line itself
-    /// contains an `unsafe` token (consecutive unsafe statements share
-    /// one justification).
-    pub skippable: bool,
-    /// A `SAFETY` comment starts on this line.
-    pub safety_comment: bool,
-    /// Any comment starts on this line.
-    pub has_comment: bool,
 }
 
 /// The parsed shape of one source file.
@@ -154,20 +101,6 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     /// Every function definition, in source order.
     pub fns: Vec<FnDef>,
-    /// Every `unsafe` keyword site.
-    pub unsafe_sites: Vec<UnsafeSite>,
-    /// Inline waiver directives (re-collected; diagnostics for malformed
-    /// ones are emitted by the per-file rules, not here).
-    pub suppressions: Vec<Suppression>,
-    /// `lines[line - 1]` classifies 1-based `line`.
-    pub lines: Vec<LineInfo>,
-}
-
-impl ParsedFile {
-    /// True when `rule` is waived on `line` by an inline suppression.
-    pub fn is_suppressed(&self, rule: &str, line: u32) -> bool {
-        suppress::is_suppressed(&self.suppressions, rule, line)
-    }
 }
 
 /// Keywords that look like `ident (` but are never calls.
@@ -178,13 +111,6 @@ const NON_CALL_WORDS: &[&str] = &[
     "static", "struct", "enum", "union", "type",
 ];
 
-/// Comment text that counts as a safety justification: the canonical
-/// `// SAFETY: …` marker or the rustdoc `# Safety` section heading.
-fn is_safety_comment(c: &Comment) -> bool {
-    let t = c.text.trim_start();
-    t.starts_with("SAFETY") || t.starts_with("# Safety") || t.starts_with("Safety:")
-}
-
 /// Parses one lexed file into items, call sites, and unsafe regions.
 /// `path` must be workspace-relative with forward slashes.
 pub fn parse_file(path: &str, lexed: &LexedFile) -> ParsedFile {
@@ -194,13 +120,10 @@ pub fn parse_file(path: &str, lexed: &LexedFile) -> ParsedFile {
         .unwrap_or(path)
         .trim_end_matches(".rs")
         .to_string();
-    let (suppressions, _) = suppress::collect(path, &lexed.comments);
     let mut pf = ParsedFile {
         path: path.to_string(),
         stem,
         tokens: lexed.tokens.clone(),
-        suppressions,
-        lines: vec![LineInfo::default(); lexed.test_lines.len()],
         ..ParsedFile::default()
     };
 
@@ -208,8 +131,8 @@ pub fn parse_file(path: &str, lexed: &LexedFile) -> ParsedFile {
     let attr = attribute_spans(&pf.tokens);
     let (brace_match, encl_open) = match_braces(&pf.tokens);
 
-    // Item walk: find fn/impl/mod/trait boundaries and unsafe sites, and
-    // record which token ranges are unsafe (blocks and unsafe fn bodies).
+    // Item walk: find fn/impl/mod/trait boundaries, and record which token
+    // ranges are unsafe (blocks and unsafe fn bodies).
     let mut in_unsafe = vec![false; n];
     let mut walker = Walker {
         pf: &mut pf,
@@ -220,8 +143,8 @@ pub fn parse_file(path: &str, lexed: &LexedFile) -> ParsedFile {
     };
     walker.walk(0, n, &mut Vec::new());
 
-    // Per-function body scans (calls, locks, closures, raw writes,
-    // discards) run after the walk so unsafe ranges are complete.
+    // Per-function body scans (calls, locks, closures, raw writes) run
+    // after the walk so unsafe ranges are complete.
     for i in 0..pf.fns.len() {
         let body = pf.fns[i].body.clone();
         let scanned = scan_body(
@@ -237,10 +160,7 @@ pub fn parse_file(path: &str, lexed: &LexedFile) -> ParsedFile {
         f.locks = scanned.locks;
         f.closures = scanned.closures;
         f.raw_writes = scanned.raw_writes;
-        f.discards = scanned.discards;
     }
-
-    classify_lines(&mut pf, lexed, &attr);
     pf
 }
 
@@ -309,8 +229,8 @@ fn match_braces(toks: &[Token]) -> (Vec<usize>, Vec<usize>) {
     (brace_match, encl_open)
 }
 
-/// The recursive item walker. Mutates `pf.fns`, `pf.unsafe_sites`, and
-/// the `in_unsafe` token map.
+/// The recursive item walker. Mutates `pf.fns` and the `in_unsafe` token
+/// map.
 struct Walker<'a> {
     pf: &'a mut ParsedFile,
     lexed: &'a LexedFile,
@@ -334,41 +254,19 @@ impl Walker<'_> {
             }
             match self.text(i) {
                 "unsafe" => {
-                    let line = self.pf.tokens[i].line;
-                    let is_test = self.lexed.is_test_line(line);
                     let mut j = i + 1;
                     while j < end && self.attr[j] {
                         j += 1;
                     }
                     match self.text(j) {
-                        "fn" | "extern" => {
-                            self.pf.unsafe_sites.push(UnsafeSite {
-                                line,
-                                kind: UnsafeKind::Fn,
-                                is_test,
-                            });
-                            pending_unsafe_fn = true;
-                        }
-                        "impl" | "trait" => {
-                            self.pf.unsafe_sites.push(UnsafeSite {
-                                line,
-                                kind: UnsafeKind::Impl,
-                                is_test,
-                            });
-                        }
-                        _ => {
-                            self.pf.unsafe_sites.push(UnsafeSite {
-                                line,
-                                kind: UnsafeKind::Block,
-                                is_test,
-                            });
-                            if self.text(j) == "{" {
-                                let close = self.brace_match[j].min(self.in_unsafe.len());
-                                for u in self.in_unsafe.iter_mut().take(close).skip(j) {
-                                    *u = true;
-                                }
+                        "fn" | "extern" => pending_unsafe_fn = true,
+                        "{" => {
+                            let close = self.brace_match[j].min(self.in_unsafe.len());
+                            for u in self.in_unsafe.iter_mut().take(close).skip(j) {
+                                *u = true;
                             }
                         }
+                        _ => {}
                     }
                     i += 1;
                 }
@@ -412,8 +310,6 @@ impl Walker<'_> {
         let mut j = i + 2;
         let mut paren = 0i32;
         let mut angle = 0i32;
-        let mut returns_result = false;
-        let mut seen_arrow = false;
         let mut body = 0..0;
         while j < end {
             let t = self.text(j);
@@ -423,15 +319,10 @@ impl Walker<'_> {
                 "<" => angle += 1,
                 ">" => {
                     let prev = self.text(j - 1);
-                    if prev == "-" {
-                        if paren == 0 && angle == 0 {
-                            seen_arrow = true;
-                        }
-                    } else if prev != "=" && angle > 0 {
+                    if prev != "-" && prev != "=" && angle > 0 {
                         angle -= 1;
                     }
                 }
-                "Result" if seen_arrow => returns_result = true,
                 "{" if paren == 0 && angle == 0 => {
                     let close = self.brace_match[j].min(end);
                     body = j + 1..close;
@@ -460,13 +351,11 @@ impl Walker<'_> {
             qual,
             line,
             is_test: self.lexed.is_test_line(line),
-            returns_result,
             body,
             calls: Vec::new(),
             locks: Vec::new(),
             closures: Vec::new(),
             raw_writes: Vec::new(),
-            discards: Vec::new(),
         });
         if !body_range.is_empty() {
             ctx.push(name);
@@ -543,7 +432,6 @@ struct ScannedBody {
     locks: Vec<LockSite>,
     closures: Vec<ClosureBind>,
     raw_writes: Vec<usize>,
-    discards: Vec<Discard>,
 }
 
 /// True when `t` starts like an identifier.
@@ -565,8 +453,7 @@ fn is_raw_write_name(t: &str, prev: &str, prev2: &str) -> bool {
         || (t.starts_with("_mm") && t.contains("store"))
 }
 
-/// Scans a body token range for calls, locks, closures, raw writes, and
-/// `let _ =` discards.
+/// Scans a body token range for calls, locks, closures, and raw writes.
 fn scan_body(
     toks: &[Token],
     body: std::ops::Range<usize>,
@@ -637,31 +524,6 @@ fn scan_body(
         }
 
         if t == "let" {
-            // `let _ = expr;` discards.
-            if text(i + 1) == "_" && text(i + 2) == "=" {
-                let line = toks[i].line;
-                let mut callees = Vec::new();
-                let mut depth = 0i32;
-                let mut j = i + 3;
-                while j < body.end {
-                    match text(j) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        ";" if depth <= 0 => break,
-                        w if is_ident(w)
-                            && text(j + 1) == "("
-                            && !NON_CALL_WORDS.contains(&w) =>
-                        {
-                            callees.push((w.to_string(), text(j.wrapping_sub(1)) == "."));
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                out.discards.push(Discard { line, callees });
-                i = j + 1;
-                continue;
-            }
             // `let name = [move] |params| body` closure bindings.
             let mut j = i + 1;
             if text(j) == "mut" {
@@ -834,39 +696,6 @@ fn deref_assign_target(toks: &[Token], star: usize, end: usize) -> Option<usize>
     }
 }
 
-/// Fills the per-line classification for the safety-comment walk.
-fn classify_lines(pf: &mut ParsedFile, lexed: &LexedFile, attr: &[bool]) {
-    let nlines = pf.lines.len();
-    let mut all_attr = vec![true; nlines];
-    let mut has_unsafe = vec![false; nlines];
-    for (i, t) in pf.tokens.iter().enumerate() {
-        let l = t.line as usize - 1;
-        if l >= nlines {
-            continue;
-        }
-        pf.lines[l].has_token = true;
-        if !attr[i] {
-            all_attr[l] = false;
-        }
-        if t.text == "unsafe" {
-            has_unsafe[l] = true;
-        }
-    }
-    for c in &lexed.comments {
-        let l = c.line as usize - 1;
-        if l >= nlines {
-            continue;
-        }
-        pf.lines[l].has_comment = true;
-        if is_safety_comment(c) {
-            pf.lines[l].safety_comment = true;
-        }
-    }
-    for l in 0..nlines {
-        pf.lines[l].skippable = all_attr[l] || has_unsafe[l];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,16 +728,11 @@ mod tests {
     }
 
     #[test]
-    fn returns_result_sees_through_paths_and_generics() {
-        let src = "fn a() -> Result<u32, E> { f() }\n\
-                   fn b() -> io::Result<()> { g() }\n\
-                   fn c(f: impl Fn(u32) -> u32) -> u32 { f(1) }\n";
+    fn arrows_in_signatures_do_not_derail_body_detection() {
+        let src = "fn c(f: impl Fn(u32) -> u32) -> u32 { f(1) }\n";
         let pf = parse(src);
-        assert!(find(&pf, "a").returns_result);
-        assert!(find(&pf, "b").returns_result);
-        assert!(!find(&pf, "c").returns_result);
-        // The `-> u32` inside the Fn bound must not derail body detection.
-        assert!(!find(&pf, "c").body.is_empty());
+        // The `-> u32` inside the Fn bound must not end the signature.
+        assert_eq!(find(&pf, "c").calls.len(), 1);
     }
 
     #[test]
@@ -968,8 +792,6 @@ mod tests {
         assert_eq!(f.raw_writes.len(), 1, "deref assign in unsafe counts");
         assert!(f.raw_writes[0] >= f.closures[0].body.start);
         assert!(f.raw_writes[0] < f.closures[0].body.end);
-        assert_eq!(pf.unsafe_sites.len(), 1);
-        assert_eq!(pf.unsafe_sites[0].kind, UnsafeKind::Block);
     }
 
     #[test]
@@ -980,31 +802,11 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_fn_marks_kind_and_body() {
-        let src = "unsafe fn micro(p: *mut f32) { *p = 0.0; }\nfn safe() {}";
+    fn unsafe_fn_body_is_an_unsafe_region() {
+        let src = "unsafe fn micro(p: *mut f32) { *p = 0.0; }\nfn safe(x: &mut f32) { *x = 0.0; }";
         let pf = parse(src);
-        assert_eq!(pf.unsafe_sites.len(), 1);
-        assert_eq!(pf.unsafe_sites[0].kind, UnsafeKind::Fn);
         assert_eq!(find(&pf, "micro").raw_writes.len(), 1);
-    }
-
-    #[test]
-    fn unsafe_impl_kind_is_impl() {
-        let pf = parse("unsafe impl Send for S {}\nunsafe impl<T> Sync for P<T> {}");
-        assert_eq!(pf.unsafe_sites.len(), 2);
-        assert!(pf.unsafe_sites.iter().all(|s| s.kind == UnsafeKind::Impl));
-    }
-
-    #[test]
-    fn discards_record_their_callees() {
-        let src = "fn f(&self) { let _ = self.sim.delete(&path); let _ = (a, b); \
-                   let _ = mac!(x); }";
-        let pf = parse(src);
-        let d = &find(&pf, "f").discards;
-        assert_eq!(d.len(), 3);
-        assert_eq!(d[0].callees, vec![("delete".to_string(), true)]);
-        assert!(d[1].callees.is_empty());
-        assert!(d[2].callees.is_empty(), "macros are not calls");
+        assert!(find(&pf, "safe").raw_writes.is_empty());
     }
 
     #[test]
@@ -1017,28 +819,11 @@ mod tests {
     }
 
     #[test]
-    fn line_info_classifies_attrs_unsafe_and_safety_comments() {
-        let src = "// SAFETY: callers uphold the contract\n\
-                   #[inline]\n\
-                   #[target_feature(enable = \"avx2\")]\n\
-                   unsafe fn k() {}\n\
-                   fn plain() {}\n";
-        let pf = parse(src);
-        assert!(pf.lines[0].safety_comment);
-        assert!(!pf.lines[0].has_token);
-        assert!(pf.lines[1].skippable && pf.lines[1].has_token);
-        assert!(pf.lines[2].skippable);
-        assert!(pf.lines[3].skippable, "unsafe line is skippable");
-        assert!(!pf.lines[4].skippable);
-    }
-
-    #[test]
-    fn test_regions_mark_fns_and_unsafe_sites() {
+    fn test_regions_mark_fns() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { unsafe { x(); } }\n}\n";
         let pf = parse(src);
         assert!(!find(&pf, "lib").is_test);
         assert!(find(&pf, "t").is_test);
-        assert!(pf.unsafe_sites[0].is_test);
     }
 
     #[test]

@@ -15,11 +15,12 @@ use crate::semantic::SEMANTIC_RULE_IDS;
 use crate::workspace::Outcome;
 
 /// Builds the metrics registry summarizing an audit outcome: scan
-/// counters, error/waiver totals, the semantic-findings headline,
-/// the public-surface counts (`lint/pub_items`, `lint/uncalled_pub`), the
-/// non-test line count of each library crate (`lint/lines/<crate>`), and
-/// one `lint/rule/<id>` counter per catalog rule (declared at zero so
-/// the schema is identical on clean and dirty trees).
+/// counters, the error total, the clippy-waiver count, the
+/// semantic-findings headline, the public-surface counts
+/// (`lint/pub_items`, `lint/uncalled_pub`), the non-test line count of
+/// each library crate (`lint/lines/<crate>`), and one `lint/rule/<id>`
+/// counter per catalog rule (declared at zero so the schema is identical
+/// on clean and dirty trees).
 pub fn metrics(outcome: &Outcome) -> Metrics {
     let m = Metrics::new();
     m.inc("lint/files_scanned", outcome.files_scanned as u64);
@@ -94,18 +95,18 @@ mod tests {
     fn report_counts_semantic_findings_and_rule_hits() {
         let o = outcome_with(vec![
             Diagnostic::error("lock-order", "a.rs", 1, "cycle"),
-            Diagnostic::error("stray-print", "b.rs", 2, "println"),
+            Diagnostic::error("registry-dep", "b/Cargo.toml", 2, "serde"),
         ]);
         let json = render(&o);
         assert!(json.contains("\"lint/semantic_findings\":{\"type\":\"counter\",\"value\":1}"));
         assert!(json.contains("\"lint/errors\":{\"type\":\"counter\",\"value\":2}"));
         assert!(json.contains("\"lint/rule/lock-order\":{\"type\":\"counter\",\"value\":1}"));
-        assert!(json.contains("\"lint/rule/hash-iteration\":{\"type\":\"counter\",\"value\":0}"));
+        assert!(json.contains("\"lint/rule/claim-coverage\":{\"type\":\"counter\",\"value\":0}"));
     }
 
     #[test]
     fn rendering_is_byte_stable() {
-        let o = outcome_with(vec![Diagnostic::error("raw-fs", "a \"quoted\".rs", 3, "msg")]);
+        let o = outcome_with(vec![Diagnostic::error("metric-cardinality", "a \"quoted\".rs", 3, "msg")]);
         assert_eq!(render(&o), render(&o));
         assert!(render(&o).contains("a \\\"quoted\\\".rs"));
     }

@@ -8,8 +8,7 @@
 //! that some test actually executes. This pass makes the claim *statically
 //! required*: if a submitted closure (or anything it calls) may write
 //! through a raw pointer, it must also be able to reach a sanitizer claim
-//! (`claim_region`/`claim`/`claim_bytes`) — or carry a reasoned
-//! `vf-lint: allow(claim-coverage)` waiver.
+//! (`claim_region`/`claim`/`claim_bytes`).
 //!
 //! Closure discovery is syntactic: an inline `|…|` literal in the
 //! argument list, or an argument identifier that names a `let`-bound
@@ -23,14 +22,12 @@ use crate::diag::Diagnostic;
 use crate::parse::{CallSite, FnDef, ParsedFile, CLAIM_NAMES, SUBMIT_NAMES};
 use crate::symbols::SymbolIndex;
 
-use super::PassOutcome;
-
 /// Runs the pass, appending findings to `out`.
 pub fn check(
     files: &[ParsedFile],
     index: &SymbolIndex,
     graph: &CallGraph,
-    out: &mut PassOutcome,
+    out: &mut Vec<Diagnostic>,
 ) {
     for (fi, pf) in files.iter().enumerate() {
         for f in &pf.fns {
@@ -57,19 +54,14 @@ pub fn check(
                 if claimed {
                     continue;
                 }
-                if pf.is_suppressed("claim-coverage", c.line) {
-                    out.waived += 1;
-                    continue;
-                }
-                out.diagnostics.push(Diagnostic::error(
+                out.push(Diagnostic::error(
                     "claim-coverage",
                     &pf.path,
                     c.line,
                     format!(
                         "closure submitted to the pool via `{}` writes through raw pointers \
                          but cannot reach a ClaimSet claim; call pool::claim_region over the \
-                         output range (so the race sanitizer can audit overlap) or waive with \
-                         a reasoned `vf-lint: allow(claim-coverage)`",
+                         output range so the race sanitizer can audit overlap",
                         c.name
                     ),
                 ));
@@ -156,14 +148,14 @@ mod tests {
     use super::*;
     use crate::{lexer, parse};
 
-    fn run(srcs: &[(&str, &str)]) -> PassOutcome {
+    fn run(srcs: &[(&str, &str)]) -> Vec<Diagnostic> {
         let files: Vec<ParsedFile> = srcs
             .iter()
             .map(|(p, s)| parse::parse_file(p, &lexer::lex(s)))
             .collect();
         let index = SymbolIndex::build(&files);
         let graph = CallGraph::build(&files, &index);
-        let mut out = PassOutcome::default();
+        let mut out = Vec::new();
         check(&files, &index, &graph, &mut out);
         out
     }
@@ -179,9 +171,9 @@ mod tests {
     #[test]
     fn claim_free_pool_write_is_flagged() {
         let out = run(&[("crates/a/src/lib.rs", BAD)]);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
-        assert_eq!(out.diagnostics[0].rule, "claim-coverage");
-        assert_eq!(out.diagnostics[0].line, 6);
+        assert_eq!(out.len(), 1, "{:?}", out);
+        assert_eq!(out[0].rule, "claim-coverage");
+        assert_eq!(out[0].line, 6);
     }
 
     #[test]
@@ -195,7 +187,7 @@ mod tests {
             parallel_rows(out.len(), work);\n\
         }\n";
         let out = run(&[("crates/a/src/lib.rs", src)]);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -207,7 +199,7 @@ mod tests {
             unsafe { *p.add(r.start) = 0.0; } });\n\
         }\n";
         let out = run(&[("crates/a/src/lib.rs", src)]);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -221,25 +213,16 @@ mod tests {
             par_chunks(out.len(), work);\n\
         }\n";
         let out = run(&[("crates/a/src/lib.rs", src)]);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
-        assert_eq!(out.diagnostics[0].line, 7, "flagged at the wrapper call site");
+        assert_eq!(out.len(), 1, "{:?}", out);
+        assert_eq!(out[0].line, 7, "flagged at the wrapper call site");
     }
 
     #[test]
-    fn read_only_closures_and_waivers_are_clean() {
+    fn read_only_closures_are_clean() {
         let src = "pub fn f(xs: &[f32]) -> Vec<f32> {\n\
             parallel_tasks(xs.len(), |i| xs[i] * 2.0)\n\
         }\n";
         let out = run(&[("crates/a/src/lib.rs", src)]);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-
-        let waived_src = BAD.replace(
-            "parallel_rows(out.len(), work);",
-            "// vf-lint: allow(claim-coverage) — output rows proven disjoint by construction\n\
-             parallel_rows(out.len(), work);",
-        );
-        let out = run(&[("crates/a/src/lib.rs", &waived_src)]);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-        assert_eq!(out.waived, 1);
+        assert!(out.is_empty(), "{:?}", out);
     }
 }

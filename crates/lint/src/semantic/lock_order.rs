@@ -9,8 +9,7 @@
 //! to a workspace-wide graph whose nodes are `file_stem::receiver` lock
 //! keys. A cycle in that graph means two executions can acquire the same
 //! locks in opposite orders — a potential deadlock, reported as one error
-//! per cycle. Suppressing any edge site (`vf-lint: allow(lock-order)`)
-//! removes that edge and, when it was load-bearing, waives the cycle.
+//! per cycle.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,18 +18,9 @@ use crate::diag::Diagnostic;
 use crate::parse::ParsedFile;
 use crate::symbols::SymbolIndex;
 
-use super::PassOutcome;
-
-/// One acquisition-order observation: while `from` was held, `to` was
-/// (possibly transitively) acquired at `path:line`.
-#[derive(Debug, Clone)]
-struct EdgeSite {
-    path: String,
-    line: u32,
-    suppressed: bool,
-}
-
-type Edges = BTreeMap<(String, String), Vec<EdgeSite>>;
+/// Acquisition-order observations: while `from` was held, `to` was
+/// (possibly transitively) acquired, first at `path:line`.
+type Edges = BTreeMap<(String, String), (String, u32)>;
 
 /// A flattened `(from, to)` edge with its first reporting site.
 type Edge = ((String, String), (String, u32));
@@ -40,7 +30,7 @@ pub fn check(
     files: &[ParsedFile],
     index: &SymbolIndex,
     graph: &CallGraph,
-    out: &mut PassOutcome,
+    out: &mut Vec<Diagnostic>,
 ) {
     let mut edges: Edges = BTreeMap::new();
     for (fi, pf) in files.iter().enumerate() {
@@ -70,33 +60,13 @@ pub fn check(
         }
     }
 
-    let live: Vec<Edge> = edges
-        .iter()
-        .filter_map(|((from, to), sites)| {
-            sites
-                .iter()
-                .find(|s| !s.suppressed)
-                .map(|s| ((from.clone(), to.clone()), (s.path.clone(), s.line)))
-        })
-        .collect();
-    let all: Vec<Edge> = edges
-        .iter()
-        .filter_map(|((from, to), sites)| {
-            sites
-                .first()
-                .map(|s| ((from.clone(), to.clone()), (s.path.clone(), s.line)))
-        })
-        .collect();
-
-    let live_cycles = cycle_components(&live);
-    let all_cycles = cycle_components(&all);
-
-    for cycle in &live_cycles {
+    let edges: Vec<Edge> = edges.into_iter().collect();
+    for cycle in &cycle_components(&edges) {
         // Anchor the error at the first edge site of the cycle; list every
         // in-cycle edge so the report names the opposing orders.
         let mut detail = String::new();
         let mut anchor: Option<(String, u32)> = None;
-        for ((from, to), (path, line)) in &live {
+        for ((from, to), (path, line)) in &edges {
             if cycle.contains(from) && cycle.contains(to) {
                 if !detail.is_empty() {
                     detail.push_str(", ");
@@ -110,38 +80,23 @@ pub fn check(
         }
         let Some((path, line)) = anchor else { continue };
         let nodes: Vec<&str> = cycle.iter().map(String::as_str).collect();
-        out.diagnostics.push(Diagnostic::error(
+        out.push(Diagnostic::error(
             "lock-order",
             &path,
             line,
             format!(
                 "potential deadlock: locks {{{}}} can be acquired in opposing orders: {detail}; \
-                 pick one acquisition order or waive the edge with a reasoned \
-                 `vf-lint: allow(lock-order)`",
+                 pick one acquisition order",
                 nodes.join(", ")
             ),
         ));
     }
-
-    // A cycle present in the full graph but absent from the live graph was
-    // broken by suppression: count it as one waived finding.
-    for cycle in &all_cycles {
-        if !live_cycles.contains(cycle) {
-            out.waived += 1;
-        }
-    }
 }
 
 fn add_edge(edges: &mut Edges, pf: &ParsedFile, from: &str, to: String, line: u32) {
-    let suppressed = pf.is_suppressed("lock-order", line);
     edges
         .entry((from.to_string(), to))
-        .or_default()
-        .push(EdgeSite {
-            path: pf.path.clone(),
-            line,
-            suppressed,
-        });
+        .or_insert_with(|| (pf.path.clone(), line));
 }
 
 /// The strongly-connected node sets that contain a cycle: components with
@@ -200,14 +155,14 @@ mod tests {
     use crate::symbols::SymbolIndex;
     use crate::{lexer, parse};
 
-    fn run(srcs: &[(&str, &str)]) -> PassOutcome {
+    fn run(srcs: &[(&str, &str)]) -> Vec<Diagnostic> {
         let files: Vec<ParsedFile> = srcs
             .iter()
             .map(|(p, s)| parse::parse_file(p, &lexer::lex(s)))
             .collect();
         let index = SymbolIndex::build(&files);
         let graph = CallGraph::build(&files, &index);
-        let mut out = PassOutcome::default();
+        let mut out = Vec::new();
         check(&files, &index, &graph, &mut out);
         out
     }
@@ -220,9 +175,9 @@ mod tests {
              fn ab(&self) { let _a = self.a.lock(); let _b = self.b.lock(); }\n\
              fn ba(&self) { let _b = self.b.lock(); let _a = self.a.lock(); }\n}\n",
         )]);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
-        assert!(out.diagnostics[0].message.contains("s::a"));
-        assert!(out.diagnostics[0].message.contains("s::b"));
+        assert_eq!(out.len(), 1, "{:?}", out);
+        assert!(out[0].message.contains("s::a"));
+        assert!(out[0].message.contains("s::b"));
     }
 
     #[test]
@@ -233,7 +188,7 @@ mod tests {
              fn ab(&self) { let _a = self.a.lock(); let _b = self.b.lock(); }\n\
              fn ab2(&self) { let _a = self.a.lock(); let _b = self.b.lock(); }\n}\n",
         )]);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -245,7 +200,7 @@ mod tests {
              fn g(s: &S) { let _b = s.b.lock(); lock_a_only(s); }\n\
              fn lock_a_only(s: &S) { let _a = s.a.lock(); }\n",
         )]);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
+        assert_eq!(out.len(), 1, "{:?}", out);
     }
 
     #[test]
@@ -255,27 +210,18 @@ mod tests {
             "fn f(s: &S) { let a = s.a.lock(); drop(a); let _b = s.b.lock(); }\n\
              fn g(s: &S) { let _b = s.b.lock(); let _a = s.a.lock(); }\n",
         )]);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
-    fn test_code_is_exempt_and_suppression_waives() {
+    fn test_code_is_exempt() {
         let test_only = run(&[(
             "crates/a/src/s.rs",
             "#[cfg(test)]\nmod tests {\n\
              fn ab(s: &S) { let _a = s.a.lock(); let _b = s.b.lock(); }\n\
              fn ba(s: &S) { let _b = s.b.lock(); let _a = s.a.lock(); }\n}\n",
         )]);
-        assert!(test_only.diagnostics.is_empty());
-
-        let waived = run(&[(
-            "crates/a/src/s.rs",
-            "fn ab(s: &S) { let _a = s.a.lock(); let _b = s.b.lock(); }\n\
-             // vf-lint: allow(lock-order) — b is only tried, never blocked on\n\
-             fn ba(s: &S) { let _b = s.b.lock(); let _a = s.a.lock(); }\n",
-        )]);
-        assert!(waived.diagnostics.is_empty(), "{:?}", waived.diagnostics);
-        assert_eq!(waived.waived, 1);
+        assert!(test_only.is_empty());
     }
 
     #[test]
@@ -285,7 +231,7 @@ mod tests {
             "fn f(s: &S) { let _a = s.a.lock(); helper(s); }\n\
              fn helper(s: &S) { let _a = s.a.lock(); }\n",
         )]);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
-        assert!(out.diagnostics[0].message.contains("s::a"));
+        assert_eq!(out.len(), 1, "{:?}", out);
+        assert!(out[0].message.contains("s::a"));
     }
 }

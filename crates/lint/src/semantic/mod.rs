@@ -8,16 +8,10 @@
 //!   deadlocks (`lock-order`);
 //! * [`claim_coverage`] — closures reaching pool submission that write
 //!   through raw pointers must reach a sanitizer claim
-//!   (`claim-coverage`);
-//! * [`safety_comment`] — every `unsafe` needs an adjacent `// SAFETY:`
-//!   justification (`safety-comment`);
-//! * [`discarded_result`] — `let _ =` on fallible store/comm/core calls
-//!   is an error in library code (`discarded-result`).
+//!   (`claim-coverage`).
 
 pub mod claim_coverage;
-pub mod discarded_result;
 pub mod lock_order;
-pub mod safety_comment;
 
 use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
@@ -25,28 +19,12 @@ use crate::parse::ParsedFile;
 use crate::symbols::SymbolIndex;
 
 /// Rule ids owned by the semantic passes, in catalog order.
-pub const SEMANTIC_RULE_IDS: &[&str] = &[
-    "lock-order",
-    "claim-coverage",
-    "safety-comment",
-    "discarded-result",
-];
-
-/// Diagnostics plus the number of findings waived by inline suppressions.
-#[derive(Debug, Default)]
-pub struct PassOutcome {
-    /// Findings across every pass.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Findings waived by `// vf-lint: allow(…)` directives.
-    pub waived: usize,
-}
+pub const SEMANTIC_RULE_IDS: &[&str] = &["lock-order", "claim-coverage"];
 
 /// Runs every semantic pass over the parsed workspace.
-pub fn check_all(files: &[ParsedFile], index: &SymbolIndex, graph: &CallGraph) -> PassOutcome {
-    let mut out = PassOutcome::default();
+pub fn check_all(files: &[ParsedFile], index: &SymbolIndex, graph: &CallGraph) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
     lock_order::check(files, index, graph, &mut out);
     claim_coverage::check(files, index, graph, &mut out);
-    safety_comment::check(files, &mut out);
-    discarded_result::check(files, index, &mut out);
     out
 }

@@ -28,7 +28,8 @@ pub struct Outcome {
     pub files_scanned: usize,
     /// Manifests scanned.
     pub manifests_scanned: usize,
-    /// Findings waived by inline suppressions.
+    /// Per-site clippy waivers in non-test code: `expect`/`allow`
+    /// attributes naming a lint of [`rules::MOVED_LINTS`].
     pub waived: usize,
     /// Non-test `pub` items declared in `crates/*/src` outside `src/bin/`.
     pub pub_items: usize,
@@ -142,24 +143,23 @@ pub fn manifest_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Runs every rule over the workspace at `root`: the per-file rules
-/// (the panic rule among them) and the workspace-wide semantic passes
-/// (lock-order, claim-coverage, safety-comment, discarded-result;
-/// DESIGN.md §16).
+/// (metric-cardinality, registry-dep) and the workspace-wide semantic
+/// passes (lock-order, claim-coverage; DESIGN.md §16), and counts the
+/// clippy waivers and the public surface.
 pub fn audit(root: &Path) -> io::Result<Outcome> {
     let mut out = Outcome::default();
 
-    // Each file is lexed once; the token stream feeds both the per-file
-    // rules and the semantic parser.
+    // Each file is lexed once; the token stream feeds the per-file rule,
+    // the counts and the semantic parser.
     let mut parsed: Vec<ParsedFile> = Vec::new();
     let mut surface = Surface::default();
     for path in source_files(root)? {
         let rel_path = rel(root, &path);
         let src = fs::read_to_string(&path)?;
         let lexed = lexer::lex(&src);
-        let report = rules::check_source_lexed(&rel_path, &lexed);
+        out.diagnostics.extend(rules::check_source(&rel_path, &lexed));
         out.files_scanned += 1;
-        out.waived += report.waived;
-        out.diagnostics.extend(report.diagnostics);
+        out.waived += rules::waivers(&lexed);
         let library = rel_path.starts_with("crates/") && !rel_path.contains("/src/bin/");
         surface.add(&rel_path, &lexed, library);
         if library {
@@ -180,9 +180,7 @@ pub fn audit(root: &Path) -> io::Result<Outcome> {
     // resolution and lock propagation need every file's symbols.
     let index = SymbolIndex::build(&parsed);
     let graph = CallGraph::build(&parsed, &index);
-    let sem = semantic::check_all(&parsed, &index, &graph);
-    out.waived += sem.waived;
-    out.diagnostics.extend(sem.diagnostics);
+    out.diagnostics.extend(semantic::check_all(&parsed, &index, &graph));
 
     for path in manifest_files(root)? {
         let rel_path = rel(root, &path);

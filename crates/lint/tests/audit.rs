@@ -1,6 +1,13 @@
 //! End-to-end tests for the workspace auditor: each rule must fire on a
-//! minimal fixture tree, suppressions must waive findings, and the real
-//! workspace must be clean.
+//! minimal fixture tree, the counts must read what they promise, and the
+//! real workspace must be clean.
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -66,161 +73,9 @@ impl Fixture {
 
 impl Drop for Fixture {
     fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.root);
+        // Best effort: a leftover temp directory fails nothing.
+        fs::remove_dir_all(&self.root).ok();
     }
-}
-
-#[test]
-fn hash_iteration_fires_on_hashmap_in_library_code() {
-    let fx = Fixture::new(
-        "use std::collections::HashMap;\n\
-         pub fn f() -> usize { HashMap::<u32, u32>::new().len() }\n",
-    );
-    let errs = fx.errors("hash-iteration");
-    assert!(
-        errs.iter().any(|(p, _)| p == "crates/foo/src/lib.rs"),
-        "expected hash-iteration error, got {errs:?}"
-    );
-}
-
-#[test]
-fn hash_iteration_ignores_test_code() {
-    let fx = Fixture::new(
-        "pub fn f() {}\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-             use std::collections::HashMap;\n\
-             #[test]\n\
-             fn t() { let _ = HashMap::<u32, u32>::new(); }\n\
-         }\n",
-    );
-    assert!(fx.errors("hash-iteration").is_empty());
-}
-
-#[test]
-fn ambient_time_fires_outside_bench() {
-    let fx = Fixture::new(
-        "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
-    );
-    let errs = fx.errors("ambient-time");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-    assert_eq!(errs[0].0, "crates/foo/src/lib.rs");
-}
-
-#[test]
-fn ambient_time_allows_bench_crate() {
-    let fx = Fixture::new("pub fn f() {}\n");
-    fx.write(
-        "crates/bench/Cargo.toml",
-        "[package]\nname = \"bench\"\nversion = \"0.1.0\"\n",
-    );
-    fx.write(
-        "crates/bench/src/lib.rs",
-        "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
-    );
-    assert!(fx.errors("ambient-time").is_empty());
-}
-
-#[test]
-fn ad_hoc_thread_fires_outside_the_pool() {
-    let fx = Fixture::new(
-        "pub fn f() { std::thread::spawn(|| {}); }\n",
-    );
-    let errs = fx.errors("ad-hoc-thread");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
-fn stray_print_fires_in_library_code() {
-    let fx = Fixture::new(
-        "pub fn f() { println!(\"dbg\"); }\n\
-         pub fn g(x: u32) -> u32 { dbg!(x) }\n",
-    );
-    let errs = fx.errors("stray-print");
-    assert_eq!(errs.len(), 2, "{errs:?}");
-    assert_eq!(errs[0], ("crates/foo/src/lib.rs".to_string(), 1));
-    assert_eq!(errs[1], ("crates/foo/src/lib.rs".to_string(), 2));
-}
-
-#[test]
-fn stray_print_allows_bench_tests_and_suppressions() {
-    let fx = Fixture::new(
-        "pub fn f() {}\n\
-         pub fn g() {\n\
-             // vf-lint: allow(stray-print) — operator-facing banner\n\
-             eprintln!(\"boot\");\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-             #[test]\n\
-             fn t() { println!(\"test output is fine\"); }\n\
-         }\n",
-    );
-    fx.write(
-        "crates/bench/Cargo.toml",
-        "[package]\nname = \"bench\"\nversion = \"0.1.0\"\n",
-    );
-    fx.write(
-        "crates/bench/src/main.rs",
-        "fn main() { println!(\"headline: 1.0\"); }\n",
-    );
-    assert!(fx.errors("stray-print").is_empty());
-    let outcome = audit(fx.root()).unwrap();
-    assert_eq!(outcome.waived, 1);
-}
-
-#[test]
-fn stray_print_exemption_stays_scoped_to_the_bench_crate() {
-    // The bench-harness carve-out must not leak: the same println-heavy
-    // binary shape is exempt under crates/bench/src/bin/ and flagged
-    // anywhere else — bin targets of other crates included.
-    let fx = Fixture::new("pub fn f() {}\n");
-    fx.write(
-        "crates/bench/Cargo.toml",
-        "[package]\nname = \"bench\"\nversion = \"0.1.0\"\n",
-    );
-    fx.write(
-        "crates/bench/src/bin/trace_profile.rs",
-        "fn main() { println!(\"critical path: 12 spans\"); }\n",
-    );
-    fx.write(
-        "crates/bench/src/bin/monitor_bench.rs",
-        "fn main() { println!(\"== monitor bench ==\"); eprintln!(\"FAIL: recall\"); }\n",
-    );
-    fx.write(
-        "crates/foo/src/bin/tool.rs",
-        "fn main() { println!(\"not a bench harness\"); }\n",
-    );
-    let errs = fx.errors("stray-print");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-    assert_eq!(errs[0], ("crates/foo/src/bin/tool.rs".to_string(), 1));
-}
-
-#[test]
-fn raw_fs_fires_outside_the_storage_layer() {
-    let fx = Fixture::new(
-        "use std::fs;\n\
-         pub fn f() { let _ = fs::read(\"state.json\"); }\n",
-    );
-    let errs = fx.errors("raw-fs");
-    assert_eq!(errs.len(), 2, "{errs:?}");
-    assert!(errs.iter().all(|(p, _)| p == "crates/foo/src/lib.rs"));
-}
-
-#[test]
-fn raw_fs_allows_the_bench_crate_and_flags_the_store() {
-    let fx = Fixture::new("pub fn f() {}\n");
-    for krate in ["store", "bench"] {
-        fx.write(
-            &format!("crates/{krate}/Cargo.toml"),
-            &format!("[package]\nname = \"{krate}\"\nversion = \"0.1.0\"\n"),
-        );
-        fx.write(
-            &format!("crates/{krate}/src/lib.rs"),
-            "pub fn dump(bytes: &[u8]) { std::fs::write(\"out\", bytes).unwrap(); }\n",
-        );
-    }
-    assert_eq!(fx.errors("raw-fs"), [("crates/store/src/lib.rs".to_string(), 1)]);
 }
 
 #[test]
@@ -250,59 +105,6 @@ fn registry_dep_accepts_path_and_workspace_dependencies() {
 }
 
 #[test]
-fn panic_rule_flags_an_unwrap_in_library_code() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    let errs = fx.errors("panic-ratchet");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
-fn panic_ratchet_ignores_test_functions() {
-    let fx = Fixture::new(
-        "pub fn f() {}\n\
-         #[test]\n\
-         fn t() { Some(1).unwrap(); }\n",
-    );
-    assert!(fx.errors("panic-ratchet").is_empty());
-}
-
-#[test]
-fn suppression_with_reason_waives_a_finding() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 {\n\
-             // vf-lint: allow(panic-ratchet) — caller guarantees Some\n\
-             v.unwrap()\n\
-         }\n",
-    );
-    assert!(fx.errors("panic-ratchet").is_empty());
-    let outcome = audit(fx.root()).unwrap();
-    assert_eq!(outcome.waived, 1);
-}
-
-#[test]
-fn suppression_without_reason_is_rejected() {
-    let fx = Fixture::new(
-        "pub fn f(v: Option<u32>) -> u32 {\n\
-             // vf-lint: allow(panic-ratchet)\n\
-             v.unwrap()\n\
-         }\n",
-    );
-    let errs = fx.errors("bad-suppression");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
-fn suppression_of_unknown_rule_is_rejected() {
-    let fx = Fixture::new(
-        "// vf-lint: allow(made-up-rule) — because\npub fn f() {}\n",
-    );
-    let errs = fx.errors("bad-suppression");
-    assert_eq!(errs.len(), 1, "{errs:?}");
-}
-
-#[test]
 fn shim_sources_are_exempt_but_shim_manifests_are_not() {
     let fx = Fixture::new("pub fn f() {}\n");
     fx.write(
@@ -312,12 +114,38 @@ fn shim_sources_are_exempt_but_shim_manifests_are_not() {
     );
     fx.write(
         "shims/fake/src/lib.rs",
-        "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
+        "pub fn f(m: &M, j: u32) { m.inc(format!(\"job{j}\"), 1); }\n",
     );
-    // Shim source escapes ambient-time, but its manifest may not pull a
-    // registry dependency.
-    assert!(fx.errors("ambient-time").is_empty());
+    // Shim source escapes metric-cardinality, but its manifest may not
+    // pull a registry dependency.
+    assert!(fx.errors("metric-cardinality").is_empty());
     assert_eq!(fx.errors("registry-dep").len(), 1);
+}
+
+#[test]
+fn waived_counts_clippy_waivers_in_audited_non_test_code() {
+    let fx = Fixture::new(
+        "#[expect(clippy::expect_used, reason = \"validated by the constructor\")]\n\
+         pub fn f(v: Option<u32>) -> u32 { v.expect(\"validated\") }\n\
+         #[allow(clippy::too_many_arguments, reason = \"not a moved lint\")]\n\
+         pub fn g() {}\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+             #[expect(clippy::panic, reason = \"test code is not counted\")]\n\
+             fn t() {}\n\
+         }\n",
+    );
+    fx.write(
+        "crates/foo/src/pool.rs",
+        "pub fn spawn() {\n\
+             #[expect(clippy::disallowed_methods, reason = \"the pool owns its threads\")]\n\
+             std::thread::spawn(|| {});\n\
+         }\n",
+    );
+    // Integration tests and shims are not audited.
+    fx.write("crates/foo/tests/it.rs", "#![allow(clippy::unwrap_used, reason = \"test\")]\n");
+    fx.write("shims/fake/src/lib.rs", "#![allow(clippy::disallowed_types, reason = \"shim\")]\n");
+    assert_eq!(audit(fx.root()).unwrap().waived, 2);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Fixture-driven conformance tests for the semantic passes and the
-//! lexical rules that warrant end-to-end coverage.
+//! `metric-cardinality` rule.
 //!
 //! Every directory under `tests/fixtures/<rule>/<case>/` is a miniature
 //! workspace (its own `[workspace]` manifest plus `crates/*/src/*.rs`)
@@ -10,10 +10,18 @@
 //! pass that goes quiet (false-negative regression) fails as loudly as
 //! one that starts over-reporting.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use vf_lint::rules::RULE_IDS;
 use vf_lint::semantic::SEMANTIC_RULE_IDS;
 use vf_lint::workspace;
 
@@ -41,7 +49,7 @@ fn fixtures_match_expectations() {
     for rule_dir in sorted_dirs(&root) {
         let rule = name_of(&rule_dir);
         assert!(
-            vf_lint::rules::is_known_rule(&rule),
+            RULE_IDS.contains(&rule.as_str()),
             "fixture directory {rule} does not name a known rule"
         );
         rules_seen.insert(rule.clone());
@@ -90,7 +98,7 @@ fn fixtures_match_expectations() {
     for rule in SEMANTIC_RULE_IDS {
         assert!(rules_seen.contains(*rule), "no fixtures for rule {rule}");
     }
-    assert!(positives + negatives >= 16, "fixture suite shrank");
+    assert!(positives + negatives >= 12, "fixture suite shrank");
 }
 
 #[test]

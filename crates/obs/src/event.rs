@@ -12,7 +12,6 @@ pub enum Phase {
     /// A complete span (`"X"`): begins at `ts`, lasts `dur` microseconds.
     Complete,
     /// A point-in-time marker (`"i"`).
-    // vf-lint: allow(ambient-time) — Chrome phase name, not std::time::Instant
     Instant,
     /// A counter sample (`"C"`): args carry the sampled series values.
     Counter,
@@ -23,7 +22,6 @@ impl Phase {
     pub fn code(self) -> &'static str {
         match self {
             Phase::Complete => "X",
-            // vf-lint: allow(ambient-time) — Chrome phase name, not std::time::Instant
             Phase::Instant => "i",
             Phase::Counter => "C",
         }
@@ -144,7 +142,6 @@ impl Event {
 
     /// An instant marker at `ts_us`.
     pub fn instant(name: impl Into<String>, cat: &'static str, ts_us: u64) -> Self {
-        // vf-lint: allow(ambient-time) — Chrome phase name, not std::time::Instant
         Event::new(name, cat, Phase::Instant, ts_us)
     }
 

@@ -47,8 +47,8 @@
 //!    fixed logical order (virtual-node order, event-queue order) — worker
 //!    threads never write to sinks;
 //! 2. timestamps come from [`SimClock`](Recorder::set_time_s) or logical
-//!    step offsets, never `Instant`/`SystemTime` (the `ambient-time` lint
-//!    enforces this workspace-wide);
+//!    step offsets, never `Instant`/`SystemTime` (clippy's
+//!    `disallowed_types` lint enforces this workspace-wide);
 //! 3. anything that legitimately varies with physical parallelism (e.g.
 //!    worker-pool chunk counts) belongs in bench-side [`Metrics`], never in
 //!    the trace.

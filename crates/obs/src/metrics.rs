@@ -1,7 +1,7 @@
 //! A deterministic metrics registry: counters, gauges, and quantile
 //! sketches.
 //!
-//! Everything is `BTreeMap`-backed (the workspace's `hash-iteration` lint
+//! Everything is `BTreeMap`-backed (the workspace's clippy configuration
 //! forbids hash-ordered collections in library code), so snapshots and the
 //! JSON rendering enumerate series in one canonical order. The bench
 //! harnesses route their headline numbers through a registry so

@@ -321,7 +321,12 @@ mod tests {
         // A disabled recorder neither records nor counts drops.
         let off = Recorder::disabled();
         off.set_head_sampling(42, 0);
-        off.record_sampled(7, || unreachable!("disabled"));
+        let mut built = false;
+        off.record_sampled(7, || {
+            built = true;
+            Event::instant("e", "sched", 0)
+        });
+        assert!(!built, "a disabled recorder never builds the event");
         assert_eq!(off.events_dropped(), 0);
         assert!(!off.admits(7));
     }

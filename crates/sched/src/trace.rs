@@ -75,7 +75,10 @@ pub fn paper_workload_mix() -> Vec<WorkloadTemplate> {
 /// the GPU demand follows from the requested virtual nodes per GPU; the
 /// demand is capped at `max_demand`. `target_runtime_s` is converted into a
 /// step count for the demanded allocation.
-#[allow(clippy::too_many_arguments)] // a job is genuinely nine-dimensional
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a job is genuinely nine-dimensional"
+)]
 pub fn make_job(
     id: u32,
     template: &WorkloadTemplate,
@@ -113,9 +116,15 @@ pub fn make_job(
 /// 4 GPUs), arriving in increasing priority order on a 4-GPU machine.
 pub fn three_job_trace(link: &LinkProfile) -> Vec<JobSpec> {
     let mix = paper_workload_mix();
-    // vf-lint: allow(panic-ratchet) — paper_workload_mix is a static table that always contains SST-2
+    #[expect(
+        clippy::expect_used,
+        reason = "paper_workload_mix is a static table that always contains SST-2"
+    )]
     let bert = mix.iter().find(|w| w.name.contains("SST-2")).expect("mix has SST-2");
-    // vf-lint: allow(panic-ratchet) — paper_workload_mix is a static table that always contains cifar10
+    #[expect(
+        clippy::expect_used,
+        reason = "paper_workload_mix is a static table that always contains cifar10"
+    )]
     let resnet = mix.iter().find(|w| w.name.contains("cifar10")).expect("mix has cifar10");
     let mut qnli = bert.clone();
     qnli.name = "BERT-BASE/QNLI".to_string();

@@ -339,10 +339,10 @@ impl SimStore {
                     ((frac * len as f64) as usize).min(len - 1)
                 }
             };
+            #[expect(clippy::expect_used, reason = "path came from iterating this very map")]
             let o = self
                 .objects
                 .get_mut(path)
-                // vf-lint: allow(panic-ratchet) — path came from iterating this very map
                 .expect("victim listed from the object map");
             if cut < o.data.len() {
                 o.data.truncate(cut);

@@ -340,7 +340,10 @@ impl CheckpointStore {
             // Sweep the partial directory; leftovers are also caught by the
             // next scan, so failures here are ignorable.
             for path in self.sim.list(&format!("{dir}/")) {
-                // vf-lint: allow(discarded-result) — best-effort sweep; the next scan retries
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort sweep; the next scan retries"
+                )]
                 let _ = self.sim.delete(&path);
             }
             self.absorb_time_s();
@@ -357,7 +360,10 @@ impl CheckpointStore {
         self.counters.saves += 1;
         if self.sabotage.contains(&ordinal) {
             if let Some(shard) = self.sim.list(&format!("{dir}/shard-")).first() {
-                // vf-lint: allow(discarded-result) — sabotage is opportunistic by design
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "sabotage is opportunistic by design"
+                )]
                 let _ = self.sim.corrupt_object(shard, 17);
             }
         }
@@ -390,7 +396,10 @@ impl CheckpointStore {
         let mut deleted = 0;
         for (_, dir) in manifests.into_iter().take(excess) {
             for path in self.sim.list(&format!("{dir}/")) {
-                // vf-lint: allow(discarded-result) — GC is best-effort; survivors rescan
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "GC is best-effort; survivors rescan"
+                )]
                 let _ = self.sim.delete(&path);
             }
             deleted += 1;
@@ -429,7 +438,10 @@ impl CheckpointStore {
     /// Moves every object of `dir` under the quarantine prefix.
     fn quarantine(&mut self, dir: &str) {
         for path in self.sim.list(&format!("{dir}/")) {
-            // vf-lint: allow(discarded-result) — a failed rename leaves the object uncommitted, which the scan already treats as damage
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a failed rename leaves the object uncommitted, which the scan already treats as damage"
+            )]
             let _ = self.sim.rename(&path, &format!("{QUARANTINE_PREFIX}{path}"));
         }
         self.counters.quarantined += 1;
@@ -445,7 +457,10 @@ impl CheckpointStore {
         // Stray temps: crashed mid-protocol, never renamed.
         for path in self.sim.list("ckpt-") {
             if path.ends_with(TEMP_SUFFIX) {
-                // vf-lint: allow(discarded-result) — stray temps retry next scan
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "stray temps retry next scan"
+                )]
                 let _ = self.sim.delete(&path);
                 report.temps_cleaned += 1;
             }
@@ -457,7 +472,10 @@ impl CheckpointStore {
         for path in self.sim.list("ckpt-") {
             let Some((dir, _)) = path.split_once('/') else { continue };
             if !committed.contains(dir) {
-                // vf-lint: allow(discarded-result) — uncommitted debris retries next scan
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "uncommitted debris retries next scan"
+                )]
                 let _ = self.sim.delete(&path);
                 report.uncommitted_cleaned += 1;
             }

@@ -2,6 +2,13 @@
 //! schedules: every injected silent corruption is either quarantined or
 //! swept, never restored, and the whole history replays bit-identically.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use vf_store::{CheckpointStore, StorageFaultPlan, StoreConfig, StoreError};
 
 fn payload(step: u64, len: usize) -> Vec<u8> {

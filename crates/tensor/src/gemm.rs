@@ -179,15 +179,22 @@ impl Tile {
     }
 }
 
-// SAFETY: callers guarantee AVX-512F was detected at runtime, `apanel` and
-// `bpanel` are valid for `k` full tiles (zero-padded by the packers), `out`
-// is valid for `mr × nr` writes at leading dimension `ldout` with exclusive
-// access to that tile (pool claims are per output region), and a
-// `Tile::Bias` pointer is readable for `nr` elements. Masked lanes are
-// never accessed, so the pointers past `nr` are formed with `wrapping_add`.
+/// The AVX-512F microkernel.
+///
+/// # Safety
+///
+/// Callers guarantee AVX-512F was detected at runtime, `apanel` and
+/// `bpanel` are valid for `k` full tiles (zero-padded by the packers), `out`
+/// is valid for `mr × nr` writes at leading dimension `ldout` with exclusive
+/// access to that tile (pool claims are per output region), and a
+/// `Tile::Bias` pointer is readable for `nr` elements. Masked lanes are
+/// never accessed, so the pointers past `nr` are formed with `wrapping_add`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: flat scalars keep the hot call cheap"
+)]
 unsafe fn micro_avx512(
     apanel: *const f32,
     bpanel: *const f32,
@@ -253,13 +260,20 @@ unsafe fn micro_avx512(
     }
 }
 
-// SAFETY: callers guarantee AVX2+FMA were detected at runtime, the panels
-// are valid for `k` full zero-padded tiles, `out` is valid for `mr × nr`
-// exclusive writes at leading dimension `ldout`, and a `Tile::Bias` pointer
-// is readable for `nr` elements; masked lanes are never accessed.
+/// The AVX2+FMA microkernel.
+///
+/// # Safety
+///
+/// Callers guarantee AVX2+FMA were detected at runtime, the panels
+/// are valid for `k` full zero-padded tiles, `out` is valid for `mr × nr`
+/// exclusive writes at leading dimension `ldout`, and a `Tile::Bias` pointer
+/// is readable for `nr` elements; masked lanes are never accessed.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: flat scalars keep the hot call cheap"
+)]
 unsafe fn micro_avx2(
     apanel: *const f32,
     bpanel: *const f32,
@@ -327,11 +341,17 @@ unsafe fn micro_avx2(
 }
 
 /// Portable fallback: the same packed walk with scalar [`f32::mul_add`].
-// SAFETY: `unsafe` only to share the microkernel ABI — callers uphold the
-// same panel-validity, bias-readability and exclusive `mr × nr`
-// output-tile contract as the SIMD variants; no target features are
-// required here.
-#[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
+///
+/// # Safety
+///
+/// `unsafe` only to share the microkernel ABI — callers uphold the
+/// same panel-validity, bias-readability and exclusive `mr × nr`
+/// output-tile contract as the SIMD variants; no target features are
+/// required here.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: flat scalars keep the hot call cheap"
+)]
 unsafe fn micro_scalar(
     apanel: *const f32,
     bpanel: *const f32,
@@ -478,9 +498,12 @@ fn transpose_strip(
 /// Transposes the 8×8 tile at `src` (row pitch `src_pitch`) into the tile at
 /// `dst` (row pitch `dst_pitch`) in registers. Shuffles move bit patterns:
 /// NaN payloads and signed zeros arrive as they left.
-// SAFETY: callers guarantee AVX was detected at runtime, `src` is readable
-// for 8 rows of 8 elements at pitch `src_pitch`, and `dst` is writable for
-// 8 rows of 8 elements at pitch `dst_pitch`.
+///
+/// # Safety
+///
+/// Callers guarantee AVX was detected at runtime, `src` is readable
+/// for 8 rows of 8 elements at pitch `src_pitch`, and `dst` is writable for
+/// 8 rows of 8 elements at pitch `dst_pitch`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn transpose_8x8(src: *const f32, src_pitch: usize, dst: *mut f32, dst_pitch: usize) {
@@ -617,7 +640,10 @@ pub(crate) fn pack_a(op: Op, a: &[f32], m: usize, k: usize, mr_max: usize, apack
 /// dimension `ldout`, and nothing else may access that tile during the call
 /// (pool chunks claim disjoint output regions). A `Tile::Bias` pointer must
 /// be readable for `n` elements.
-#[allow(clippy::too_many_arguments)] // microkernel ABI: flat scalars keep the hot call cheap
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: flat scalars keep the hot call cheap"
+)]
 pub(crate) unsafe fn walk_panels(
     isa: Isa,
     apanel: *const f32,

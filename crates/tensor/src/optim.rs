@@ -289,7 +289,9 @@ impl Optimizer for Adam {
                 pool::claim_region(v_ptr.get(), r.clone());
                 // SAFETY: chunks cover disjoint index ranges of p, m, and v.
                 let pd = unsafe { std::slice::from_raw_parts_mut(p_ptr.get().add(r.start), r.len()) };
+                // SAFETY: as for `pd`: this chunk's range of m is its alone.
                 let md = unsafe { std::slice::from_raw_parts_mut(m_ptr.get().add(r.start), r.len()) };
+                // SAFETY: as for `pd`: this chunk's range of v is its alone.
                 let vd = unsafe { std::slice::from_raw_parts_mut(v_ptr.get().add(r.start), r.len()) };
                 let gd = &gd[r.clone()];
                 for j in 0..gd.len() {

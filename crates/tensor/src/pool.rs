@@ -50,6 +50,8 @@ pub(crate) struct SendPtr<T>(pub *mut T);
 // threads touch the same element) is the caller's disjointness contract
 // stated above, enforced in debug builds by the claim-set sanitizer.
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: sharing the address is sound for the same reason as sending it:
+// every access through it is bound by the disjointness contract above.
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> Clone for SendPtr<T> {
@@ -161,6 +163,9 @@ struct Job {
 // closure owned by the submitter, which blocks in `run_job` until
 // `done == total` — no worker can hold the pointer past that wait.
 unsafe impl Send for Job {}
+// SAFETY: every field but `func` is `Sync`; `func` points to a `Sync`
+// closure that workers only call through a shared reference, for no
+// longer than the wait described above.
 unsafe impl Sync for Job {}
 
 struct Pool {
@@ -179,10 +184,17 @@ fn pool() -> &'static Pool {
             workers,
         }));
         for i in 0..workers {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool is the one place that creates threads; its jobs are what the race sanitizer audits"
+            )]
+            #[expect(
+                clippy::expect_used,
+                reason = "failing to spawn a pool worker at startup is unrecoverable"
+            )]
             std::thread::Builder::new()
                 .name(format!("vf-pool-{i}"))
                 .spawn(move || worker_loop(pool))
-                // vf-lint: allow(panic-ratchet) — failing to spawn a pool worker at startup is unrecoverable
                 .expect("spawn vf-tensor pool worker");
         }
         pool
@@ -192,7 +204,10 @@ fn pool() -> &'static Pool {
 fn worker_loop(pool: &'static Pool) {
     loop {
         let job = {
-            // vf-lint: allow(panic-ratchet) — poisoned pool lock means a worker already aborted; propagate
+            #[expect(
+                clippy::expect_used,
+                reason = "poisoned pool lock means a worker already aborted; propagate"
+            )]
             let mut q = pool.queue.lock().expect("pool queue poisoned");
             loop {
                 // Discard fully-claimed jobs; their chunks are finishing on
@@ -207,8 +222,12 @@ fn worker_loop(pool: &'static Pool) {
                 if let Some(front) = q.front() {
                     break Arc::clone(front);
                 }
-                // vf-lint: allow(panic-ratchet) — poisoned pool lock means a worker already aborted; propagate
-                q = pool.available.wait(q).expect("pool queue poisoned");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "poisoned pool lock means a worker already aborted; propagate"
+                )]
+                let woken = pool.available.wait(q).expect("pool queue poisoned");
+                q = woken;
             }
         };
         run_chunks(&job);
@@ -228,14 +247,17 @@ fn run_chunks(job: &Job) {
         #[cfg(debug_assertions)]
         let _ctx = sanitizer::enter(&job.claims, c);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(c))) {
-            let mut slot = job
-                .panic_payload
-                .lock()
-                // vf-lint: allow(panic-ratchet) — this lock is only poisoned if the runtime itself panicked; nothing sane to do
-                .expect("job panic slot poisoned");
+            #[expect(
+                clippy::expect_used,
+                reason = "this lock is only poisoned if the runtime itself panicked; nothing sane to do"
+            )]
+            let mut slot = job.panic_payload.lock().expect("job panic slot poisoned");
             slot.get_or_insert(payload);
         }
-        // vf-lint: allow(panic-ratchet) — chunk bodies run under catch_unwind, so this lock cannot be poisoned by user code
+        #[expect(
+            clippy::expect_used,
+            reason = "chunk bodies run under catch_unwind, so this lock cannot be poisoned by user code"
+        )]
         let mut done = job.done.lock().expect("job completion lock poisoned");
         *done += 1;
         if *done == job.total {
@@ -281,24 +303,40 @@ fn run_job(body: &(dyn Fn(usize) + Sync), total: usize) {
         #[cfg(debug_assertions)]
         claims: Arc::new(sanitizer::ClaimSet::default()),
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned pool lock means a worker already aborted; propagate"
+    )]
     pool.queue
         .lock()
-        // vf-lint: allow(panic-ratchet) — poisoned pool lock means a worker already aborted; propagate
         .expect("pool queue poisoned")
         .push_back(Arc::clone(&job));
     pool.available.notify_all();
     run_chunks(&job);
-    // vf-lint: allow(panic-ratchet) — chunk bodies run under catch_unwind, so this lock cannot be poisoned by user code
+    #[expect(
+        clippy::expect_used,
+        reason = "chunk bodies run under catch_unwind, so this lock cannot be poisoned by user code"
+    )]
     let mut done = job.done.lock().expect("job completion lock poisoned");
     while *done < job.total {
-        // vf-lint: allow(panic-ratchet) — chunk bodies run under catch_unwind, so this lock cannot be poisoned by user code
-        done = job.complete.wait(done).expect("job completion lock poisoned");
+        #[expect(
+            clippy::expect_used,
+            reason = "chunk bodies run under catch_unwind, so this lock cannot be poisoned by user code"
+        )]
+        let woken = job
+            .complete
+            .wait(done)
+            .expect("job completion lock poisoned");
+        done = woken;
     }
     drop(done);
+    #[expect(
+        clippy::expect_used,
+        reason = "this lock is only poisoned if the runtime itself panicked; nothing sane to do"
+    )]
     let payload = job
         .panic_payload
         .lock()
-        // vf-lint: allow(panic-ratchet) — this lock is only poisoned if the runtime itself panicked; nothing sane to do
         .expect("job panic slot poisoned")
         .take();
     if let Some(payload) = payload {
@@ -375,6 +413,10 @@ pub fn parallel_rows(rows: usize, body: impl Fn(Range<usize>) + Sync) {
 /// This is the engine's device fan-out: each device processes its virtual
 /// nodes in a task, results come back positionally, and the caller reduces
 /// them in a fixed order — so scheduling never affects the outcome.
+#[expect(
+    clippy::expect_used,
+    reason = "run_job returns only after every slot was written; an empty slot is a pool bug"
+)]
 pub fn parallel_tasks<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
@@ -389,7 +431,6 @@ pub fn parallel_tasks<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T
         run_job(&run, n);
     }
     out.into_iter()
-        // vf-lint: allow(panic-ratchet) — run_job returns only after every slot was written; an empty slot is a pool bug
         .map(|o| o.expect("pool task completed without a result"))
         .collect()
 }

@@ -2,9 +2,11 @@
 //!
 //! The worker pool's safety story (and VirtualFlow's bit-exactness story)
 //! rests on one contract: every chunk of a parallel job writes only output
-//! regions *disjoint* from every other chunk's. The static lints in
-//! `vf-lint` keep parallelism confined to the pool; this module enforces
-//! the disjointness contract itself at runtime, in debug builds only.
+//! regions *disjoint* from every other chunk's. The workspace's clippy
+//! configuration keeps thread creation confined to the pool, and
+//! `vf-lint`'s `claim-coverage` pass makes pool writes claim; this module
+//! enforces the disjointness contract itself at runtime, in debug builds
+//! only.
 //!
 //! Kernels call [`crate::pool::claim_region`] at the top of each chunk with
 //! the output range they are about to write. Claims are recorded per job as
@@ -39,6 +41,10 @@ pub(crate) struct ClaimSet {
 impl ClaimSet {
     /// Registers `bytes` for `chunk`, panicking on overlap with a claim
     /// from any other chunk of the same job.
+    #[expect(
+        clippy::panic,
+        reason = "the sanitizer's entire purpose is to abort on a claim overlap"
+    )]
     fn claim(&self, bytes: Range<usize>, chunk: usize) {
         if bytes.is_empty() {
             return;
@@ -47,10 +53,13 @@ impl ClaimSet {
         // while holding the lock would poison it and turn every later
         // chunk's diagnostic into a useless poison message.
         let conflict = {
+            #[expect(
+                clippy::expect_used,
+                reason = "lock is never held across a panic (see above), so poisoning means the runtime itself is broken"
+            )]
             let mut regions = self
                 .regions
                 .lock()
-                // vf-lint: allow(panic-ratchet) — lock is never held across a panic (see above), so poisoning means the runtime itself is broken
                 .expect("vf-tensor pool-race sanitizer: claim lock poisoned");
             let hit = regions
                 .iter()
@@ -65,7 +74,6 @@ impl ClaimSet {
             hit
         };
         if let Some(c) = conflict {
-            // vf-lint: allow(panic-ratchet) — the sanitizer's entire purpose is to abort on a claim overlap
             panic!(
                 "vf-tensor pool-race sanitizer: chunk {chunk} claimed output bytes \
                  {:#x}..{:#x}, overlapping bytes {:#x}..{:#x} already claimed by \

@@ -55,8 +55,8 @@ impl Tensor {
     ///
     /// Internal kernels size their buffers from the shape itself, so the
     /// length check cannot fail; routing them here instead of through
-    /// `from_vec(..).expect(..)` keeps impossible panics out of the
-    /// panic-ratchet baseline. Debug builds still verify the contract.
+    /// `from_vec(..).expect(..)` keeps impossible panics, and their
+    /// waivers, out of the code. Debug builds still verify the contract.
     pub(crate) fn from_parts(data: Vec<f32>, shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         debug_assert_eq!(

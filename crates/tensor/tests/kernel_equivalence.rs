@@ -21,6 +21,13 @@
 //! compared with itself — thread counts here, device counts in the trainer's
 //! determinism tests — the comparison stays exact, NaN bits included.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use proptest::prelude::*;
 use vf_tensor::autograd::Tape;
 use vf_tensor::{conv, gemm, init, ops, pool, Tensor};

@@ -1,5 +1,12 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration test"
+)]
+
 use proptest::prelude::*;
 use vf_tensor::reduce::{fold_partial, reduce_mean, reduce_sum, ReductionOrder};
 use vf_tensor::{init, ops, Shape, Tensor};

@@ -17,10 +17,10 @@ echo "== tier 1: step and generation allocation pins (release profile: the call 
 cargo test --release -q -p vf-core --test step_allocations
 cargo test --release -q -p vf-data --test generate_allocations
 
-echo "== tier 1: workspace invariants (vf-lint, semantic passes + JSON report) =="
+echo "== tier 1: vf-lint (registry-dep, metric-cardinality, lock-order, claim-coverage; surface, line and waiver counts + JSON report) =="
 cargo run -q -p vf-lint -- --deny --json
 
-echo "== tier 1: clippy (deny warnings) =="
+echo "== tier 1: clippy, deny warnings (determinism bans, panic rule, prints, SAFETY comments, discarded Results, reasoned waivers: Cargo.toml + clippy.toml) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier 1: perf_bench unit tests (benchmark package builds against the library) =="

@@ -16,6 +16,11 @@
 //! - Map keys are stringified on serialization (real `serde_json` does the
 //!   same for integer-keyed maps) and re-parsed on deserialization.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the shim implements its traits for std's HashMap, as serde does; it renders the keys sorted"
+)]
+
 mod value;
 
 pub use serde_derive::{Deserialize, Serialize};
