@@ -8,19 +8,27 @@
 //! that starts a new epoch writes the new order over the old one, so it too
 //! allocates what a mid-epoch step does. The
 //! per-VN call count of the paper's many-small-VNs shape is pinned too, so
-//! a copy creeping back into the tape or the gather shows up as a number,
-//! and so are the calls and bytes of a dense and of a convolutional step,
-//! where a buffer copy shows up in the bytes.
+//! a buffer that stops being recycled, or a copy creeping back into the
+//! tape or the gather, shows up as a number, and so are the calls and bytes
+//! of a dense and of a convolutional step.
 //!
-//! The peak of the bytes live during a step is the paper's memory claim: a
-//! device keeps partial gradient sums that grow with the logarithm of its
-//! VN count, not a gradient per VN, so on one device the peak over 512 VNs
-//! exceeds that over one VN by at most `(1 + ⌈log₂ 512⌉)` gradients.
+//! A steady-state step takes its tensors' storage from what its thread
+//! recycled (vf-tensor's per-thread shelves), so it asks the allocator for
+//! little. Live bytes are therefore counted from just before the trainer is
+//! built, on a thread of its own: the storage a thread holds for reuse is
+//! live, and a step's peak is the trainer's whole footprint — parameters,
+//! optimizer state, epoch order, held storage and what the step uses.
+//!
+//! That peak is the paper's memory claim: a device keeps partial gradient
+//! sums that grow with the logarithm of its VN count, not a gradient per
+//! VN, so on one device the peak over 512 VNs exceeds that over one VN by
+//! at most `(1 + ⌈log₂ 512⌉)` gradients.
 //!
 //! This file owns its process — the counting allocator is this binary's
 //! global allocator — and holds a single test, so nothing else allocates
 //! while counting is armed. The pool is pinned to one logical thread: no
-//! workers, no job hand-off, device tasks inline in device order.
+//! workers, no job hand-off, device tasks inline in device order on the
+//! measuring thread.
 
 #![allow(
     clippy::unwrap_used,
@@ -171,12 +179,11 @@ const CONV: Workload = Workload {
 };
 
 /// Allocator calls one step of [`MANY_VN`] may make per virtual node (gather,
-/// tape, backward, and the step's own bookkeeping spread over the 64 VNs).
-/// Measured: 1 567 a step (1 569 in debug builds) = 24.5 per VN. What is
-/// left is one allocation per tensor an op produces — its data — except
-/// where the backward pass writes into a buffer it owns: the softmax
-/// probabilities become the logits' gradient, batch norm's x̂ its input's,
-/// and ReLU's mask is multiplied into the gradient it receives. (With a
+/// tape, backward, and the step's own bookkeeping spread over the 64 VNs),
+/// with ~8 % slack. Measured: 343 a step (345 in debug builds) = 5.4 per
+/// VN: every tensor's storage is recycled, and what is left is bookkeeping
+/// such as the tape's node vector and the labels a VN gathers. (With one
+/// allocation per tensor an op produced: 1 567 a step, 24.5 per VN; with a
 /// separate bias-add node, a batch norm that recomputed x̂ and allocated
 /// every temporary, and a tree reduction that allocated a vector per level:
 /// 2 008 a step, 31.4 per VN; when the step kept every VN's gradient list
@@ -185,34 +192,42 @@ const CONV: Workload = Workload {
 /// buffers and every `Shape` a heap word: 3 938, 61.5 per VN; when every VN
 /// also copied the parameters, its micro-batch and each node's gradient:
 /// 7 461, 116.6 per VN.)
-const CALLS_PER_VN_BUDGET: u64 = 25;
+const CALLS_PER_VN_BUDGET: u64 = 6;
 
 /// What one step of [`DENSE`] may ask of the allocator, with ~8 % slack.
-/// Measured: 191 calls and 27.1 MB in release builds; debug builds add the
-/// pool-race sanitizer's claim set, two calls per pool job, for 327. With
-/// every VN's gradients kept for a reduction per parameter it was 198
-/// calls; with a bias pass copying every layer's output and ReLU's gradient in a fresh
-/// buffer it was 264 calls and 35.8 MB; with a packed copy of `B`, a packed
-/// `A` block and a zero-filled output per GEMM call, 560 calls and 62.7 MB.
-const DENSE_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 353 } else { 206 };
-const DENSE_BYTES_BUDGET: u64 = 29_300_000;
+/// Measured: 55 calls and 79 432 bytes in release builds; debug builds add
+/// the pool-race sanitizer's claim set, two calls per pool job, for 191
+/// calls and 89 224 bytes. With a fresh buffer for every tensor it was 191
+/// calls and 27.1 MB in release builds; with every VN's gradients kept for
+/// a reduction per parameter, 198 calls; with a bias pass copying every
+/// layer's output and ReLU's gradient in a fresh buffer, 264 calls and
+/// 35.8 MB; with a packed copy of `B`, a packed `A` block and a zero-filled
+/// output per GEMM call, 560 calls and 62.7 MB.
+const DENSE_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 206 } else { 59 };
+const DENSE_BYTES_BUDGET: u64 = 96_400;
 
 /// What one step of [`CONV`] may ask of the allocator, with ~8 % slack.
-/// Measured: 688 calls and 45.8 MB in release builds, 946 calls in debug
-/// builds (the sanitizer's claim sets); 701 and 959 with every VN's
-/// gradients kept for a reduction per parameter. With ReLU's gradient in a fresh
-/// buffer — 256 KiB a time, five per VN — it was 778 calls and 56.3 MB.
-const CONV_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 1_022 } else { 743 };
-const CONV_BYTES_BUDGET: u64 = 49_400_000;
+/// Measured: 160 calls and 875 224 bytes in release builds, 418 calls and
+/// 907 624 bytes in debug builds (the sanitizer's claim sets). With a fresh
+/// buffer for every tensor and a `vec!` for every pack and panel it was 688
+/// calls and 47.1 MB (946 calls in debug builds); with every VN's gradients
+/// kept for a reduction per parameter, 701 and 959; with ReLU's gradient in
+/// a fresh buffer — 256 KiB a time, five per VN — 778 calls and 56.3 MB.
+const CONV_CALLS_BUDGET: u64 = if cfg!(debug_assertions) { 451 } else { 173 };
+const CONV_BYTES_BUDGET: u64 = 980_300;
 
 /// The most bytes one step of [`DENSE`] and of [`CONV`] may hold live at
-/// once, with ~8 % slack. A dense device folds its two VNs into one partial
-/// sum as soon as the second gradient exists; the conv device holds at most
-/// three partials besides the VN it is running. Measured: 9.14 MB dense and
-/// 3.70 MB conv, in release and debug builds alike. Holding every VN's
-/// gradients until the last device finished, the dense peak was 14.07 MB.
-const DENSE_PEAK_LIVE_BUDGET: u64 = 9_900_000;
-const CONV_PEAK_LIVE_BUDGET: u64 = 4_000_000;
+/// once, counted from before the trainer was built, with ~8 % slack. A
+/// dense device folds its two VNs into one partial sum as soon as the
+/// second gradient exists; the conv device holds at most three partials
+/// besides the VN it is running; the storage a thread holds for reuse is
+/// at most what it once had in use of each length. Measured: 11.74 MB
+/// dense and 3.86 MB conv, in release and debug builds alike. (Counted from
+/// the step's start, before storage was recycled, the peaks were 9.14 MB
+/// and 3.70 MB; holding every VN's gradients until the last device
+/// finished, the dense peak was 14.07 MB.)
+const DENSE_PEAK_LIVE_BUDGET: u64 = 12_680_000;
+const CONV_PEAK_LIVE_BUDGET: u64 = 4_170_000;
 
 /// The model of the VN-count sweep: an MLP without batch norm, so a VN's
 /// gradient is its parameters' size and nothing a device keeps across VNs
@@ -252,9 +267,32 @@ struct StepAllocations {
     calls: u64,
     /// Bytes those calls asked for.
     bytes: u64,
-    /// The most bytes live at once during the step, beyond those live
-    /// when it began.
+    /// The most bytes live at once during the step, counting everything
+    /// allocated since just before the trainer was built and not freed:
+    /// its parameters and optimizer state, the epoch order, and the
+    /// storage its thread holds for reuse as well as what the step uses.
     peak_live: u64,
+}
+
+/// Runs `measure` on a thread of its own: the storage a thread recycles
+/// (vf-tensor's per-thread shelves) then starts empty, so every buffer the
+/// measured trainer reuses was allocated, and is counted, while it ran.
+/// The pool is pinned to one logical thread, so its jobs run inline there.
+fn on_fresh_thread<T: Send>(measure: impl FnOnce() -> T + Send) -> T {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a fresh thread is what gives a measurement empty storage shelves"
+    )]
+    let out = std::thread::scope(|s| s.spawn(measure).join().expect("measuring thread"));
+    out
+}
+
+/// Starts counting, live bytes from zero: call just before building the
+/// trainer whose steps are measured.
+fn arm() {
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
 }
 
 /// The model of `shape` and its dataset of `dataset_len` examples.
@@ -325,14 +363,12 @@ fn devices(shape: &Workload) -> Vec<DeviceId> {
     (0..shape.devices).map(DeviceId).collect()
 }
 
-/// What `trainer`'s next step asks of the allocator.
+/// What `trainer`'s next step asks of the allocator, counting [armed](arm)
+/// before the trainer was built.
 fn next_step_allocations(trainer: &mut Trainer) -> StepAllocations {
     let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
-    LIVE.store(0, Ordering::Relaxed);
-    PEAK.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let report = trainer.step();
-    ARMED.store(false, Ordering::Relaxed);
     report.expect("step");
     StepAllocations {
         calls: CALLS.load(Ordering::Relaxed) - calls,
@@ -342,16 +378,22 @@ fn next_step_allocations(trainer: &mut Trainer) -> StepAllocations {
 }
 
 /// What the third step of `shape` over a dataset of `dataset_len` examples
-/// asks of the allocator. Step 0 builds the epoch's order and the
-/// optimizer's state and grows each thread's pack scratch to its working
-/// size; by step 2 the trainer is in steady state, and at least 8 steps an
-/// epoch keep it clear of an epoch change.
+/// asks of the allocator, on a thread of its own. Step 0 builds the epoch's
+/// order and the optimizer's state and grows the thread's pack scratch and
+/// recycled storage to their working size; by step 2 the trainer is in
+/// steady state, and at least 8 steps an epoch keep it clear of an epoch
+/// change.
 fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocations {
-    let (arch, dataset) = model_and_dataset(shape, dataset_len);
-    let config = config(shape, DistributionMode::Replicated);
-    let mut trainer = Trainer::new(arch, dataset, config, &devices(shape)).expect("trainer");
-    trainer.run_steps(2).expect("warm-up");
-    next_step_allocations(&mut trainer)
+    on_fresh_thread(|| {
+        let (arch, dataset) = model_and_dataset(shape, dataset_len);
+        let config = config(shape, DistributionMode::Replicated);
+        arm();
+        let mut trainer = Trainer::new(arch, dataset, config, &devices(shape)).expect("trainer");
+        trainer.run_steps(2).expect("warm-up");
+        let step = next_step_allocations(&mut trainer);
+        ARMED.store(false, Ordering::Relaxed);
+        step
+    })
 }
 
 /// What the next-to-last step of epoch 0 and the first step of epoch 1 of
@@ -362,20 +404,26 @@ fn epoch_boundary_allocations(
     dataset_len: usize,
     distribution: DistributionMode,
 ) -> (StepAllocations, StepAllocations) {
-    let (arch, dataset) = model_and_dataset(&MANY_VN, dataset_len);
-    let devices = devices(&MANY_VN);
-    let config = config(&MANY_VN, distribution);
-    let fresh =
-        Trainer::new(arch.clone(), dataset.clone(), config, &devices).expect("trainer");
-    let mut checkpoint = fresh.to_checkpoint();
-    checkpoint.step = fresh.steps_per_epoch() as u64 - 4;
-    let mut trainer =
-        Trainer::from_checkpoint(arch, dataset, checkpoint, &devices).expect("restore");
-    trainer.run_steps(2).expect("warm-up");
-    let mid = next_step_allocations(&mut trainer);
-    trainer.step().expect("last step of epoch 0");
-    assert!(trainer.at_epoch_boundary());
-    (mid, next_step_allocations(&mut trainer))
+    on_fresh_thread(|| {
+        let (arch, dataset) = model_and_dataset(&MANY_VN, dataset_len);
+        let devices = devices(&MANY_VN);
+        let config = config(&MANY_VN, distribution);
+        let fresh =
+            Trainer::new(arch.clone(), dataset.clone(), config, &devices).expect("trainer");
+        let mut checkpoint = fresh.to_checkpoint();
+        checkpoint.step = fresh.steps_per_epoch() as u64 - 4;
+        drop(fresh);
+        arm();
+        let mut trainer =
+            Trainer::from_checkpoint(arch, dataset, checkpoint, &devices).expect("restore");
+        trainer.run_steps(2).expect("warm-up");
+        let mid = next_step_allocations(&mut trainer);
+        trainer.step().expect("last step of epoch 0");
+        assert!(trainer.at_epoch_boundary());
+        let boundary = next_step_allocations(&mut trainer);
+        ARMED.store(false, Ordering::Relaxed);
+        (mid, boundary)
+    })
 }
 
 /// [`VN_SWEEP_MODEL`] as `vns` virtual nodes of two examples on one device.
@@ -391,9 +439,14 @@ fn vn_sweep(vns: u32) -> Workload {
 #[test]
 fn a_step_allocates_by_the_batch_not_by_the_dataset() {
     pool::set_num_threads(1);
+    // The peak live bytes differ by the epoch order, one index per example.
     let small = third_step_allocations(&MANY_VN, 4_096);
     let large = third_step_allocations(&MANY_VN, 65_536);
-    assert_eq!(small, large, "one step over 4 096 vs 65 536 examples");
+    assert_eq!(
+        (small.calls, small.bytes),
+        (large.calls, large.bytes),
+        "one step over 4 096 vs 65 536 examples"
+    );
     assert!(
         small.calls <= CALLS_PER_VN_BUDGET * u64::from(MANY_VN.vns),
         "{} allocator calls a step = {:.1} per VN, budget {CALLS_PER_VN_BUDGET} per VN",
@@ -434,9 +487,11 @@ fn a_step_allocates_by_the_batch_not_by_the_dataset() {
 
     // The gradient a device holds grows with log₂ of its VN count. On one
     // device, one VN's step holds one gradient plus what is not gradient
-    // (activations, tape, the optimizer's update); V VNs add at most
-    // 1 + ⌈log₂ V⌉ partial sums. Holding a gradient per VN until the last
-    // one finished, the peak over 512 VNs was 512 gradients.
+    // (parameters, optimizer state, epoch order, activations, tape, the
+    // optimizer's update, and the storage held for reuse of each); V VNs
+    // add at most 1 + ⌈log₂ V⌉ partial sums, recycled or not. Holding a
+    // gradient per VN until the last one finished, the peak over 512 VNs
+    // was 512 gradients.
     let param_bytes = vn_sweep_param_bytes();
     let one = third_step_allocations(&vn_sweep(1), VN_SWEEP_DATASET);
     let not_gradient = one.peak_live - param_bytes;

@@ -89,6 +89,9 @@ impl Dataset {
 
     /// Gathers the examples at `indices` into a `(features, labels)` batch.
     ///
+    /// The features go into a tensor from [`Tensor::zeros`], so a step's
+    /// batch reuses the storage its thread recycled from the last one.
+    ///
     /// # Errors
     ///
     /// Returns [`DataError::OutOfBounds`] if any index exceeds the dataset.
@@ -96,16 +99,16 @@ impl Dataset {
         let n = self.len();
         let d = self.feature_dim();
         let fd = self.features.data();
-        let mut out = Vec::with_capacity(indices.len() * d);
+        let mut features = Tensor::zeros([indices.len(), d]);
+        let out = features.data_mut();
         let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
+        for (k, &i) in indices.iter().enumerate() {
             if i >= n {
                 return Err(DataError::OutOfBounds { index: i, len: n });
             }
-            out.extend_from_slice(&fd[i * d..(i + 1) * d]);
+            out[k * d..(k + 1) * d].copy_from_slice(&fd[i * d..(i + 1) * d]);
             labels.push(self.labels[i]);
         }
-        let features = Tensor::from_vec(out, [indices.len(), d])?;
         Ok((features, labels))
     }
 

@@ -109,7 +109,7 @@ enum Op<'a> {
         /// The normalized input, written over by its gradient.
         xhat: Tensor,
         /// σⱼ = √(varⱼ + ε), written over by γⱼ/σⱼ.
-        sigma: Vec<f32>,
+        sigma: Tensor,
     },
     LayerNorm {
         input: Var,
@@ -643,21 +643,21 @@ impl<'a> Tape<'a> {
                     let n = sigma.len();
                     let (sum_dy, sum_dy_xhat) = ops::bn_column_sums(gout.data(), xhat.data(), n);
                     if needs(input) {
-                        let sums = (&sum_dy[..], &sum_dy_xhat[..]);
+                        let sums = (sum_dy.data(), sum_dy_xhat.data());
                         ops::bn_input_grad(
                             gout.data(),
                             xhat.data_mut(),
-                            &mut sigma,
+                            sigma.data_mut(),
                             val(gamma).data(),
                             sums,
                         );
                     }
                     if needs(beta) {
-                        let db = reshape_like(Tensor::from_parts(sum_dy, [n]), val(beta))?;
+                        let db = reshape_like(sum_dy, val(beta))?;
                         accumulate(&mut grads, beta, db)?;
                     }
                     if needs(gamma) {
-                        let dg = reshape_like(Tensor::from_parts(sum_dy_xhat, [n]), val(gamma))?;
+                        let dg = reshape_like(sum_dy_xhat, val(gamma))?;
                         accumulate(&mut grads, gamma, dg)?;
                     }
                     if needs(input) {
@@ -678,33 +678,37 @@ impl<'a> Tape<'a> {
                     let (md, vd) = (mean.data(), var_.data());
                     let gamma_d = val(gamma).data();
                     // Recompute x̂ from saved per-row stats.
-                    let mut xhat = vec![0.0f32; m * n];
+                    let mut xhat = Tensor::zeros([m * n]);
+                    let xh = xhat.data_mut();
                     for i in 0..m {
                         let inv_sigma = 1.0 / (vd[i] + eps).sqrt();
                         for j in 0..n {
-                            xhat[i * n + j] = (x.data()[i * n + j] - md[i]) * inv_sigma;
+                            xh[i * n + j] = (x.data()[i * n + j] - md[i]) * inv_sigma;
                         }
                     }
+                    let xhat = xhat.data();
                     if needs(beta) {
                         let db = ops::sum_rows(&gout);
                         let db = reshape_like(db, val(beta))?;
                         accumulate(&mut grads, beta, db)?;
                     }
                     if needs(gamma) {
-                        let mut dg = vec![0.0f32; n];
+                        let mut dg = Tensor::zeros([n]);
+                        let dgd = dg.data_mut();
                         for i in 0..m {
                             for j in 0..n {
-                                dg[j] += gd[i * n + j] * xhat[i * n + j];
+                                dgd[j] += gd[i * n + j] * xhat[i * n + j];
                             }
                         }
-                        let dg = reshape_like(Tensor::from_vec(dg, [n])?, val(gamma))?;
+                        let dg = reshape_like(dg, val(gamma))?;
                         accumulate(&mut grads, gamma, dg)?;
                     }
                     if needs(input) {
                         // dx̂ = dy ⊙ γ; dx = (dx̂ − mean(dx̂) − x̂·mean(dx̂⊙x̂)) / σ
                         // with means taken along each row.
                         let inv_n = 1.0 / n as f32;
-                        let mut dx = vec![0.0f32; m * n];
+                        let mut dx = Tensor::zeros(x.shape().clone());
+                        let dxd = dx.data_mut();
                         for i in 0..m {
                             let inv_sigma = 1.0 / (vd[i] + eps).sqrt();
                             let mut mean_dxhat = 0.0f32;
@@ -718,11 +722,11 @@ impl<'a> Tape<'a> {
                             mean_dxhat_xhat *= inv_n;
                             for j in 0..n {
                                 let dxh = gd[i * n + j] * gamma_d[j];
-                                dx[i * n + j] = inv_sigma
+                                dxd[i * n + j] = inv_sigma
                                     * (dxh - mean_dxhat - xhat[i * n + j] * mean_dxhat_xhat);
                             }
                         }
-                        accumulate(&mut grads, input, Tensor::from_vec(dx, x.shape().clone())?)?;
+                        accumulate(&mut grads, input, dx)?;
                     }
                 }
                 Op::Conv2d { input, kernel } => {

@@ -27,9 +27,11 @@
 //!   pad columns between rows. The fold back is a zipped `+=` per clipped
 //!   row. No per-element bounds test anywhere.
 //! * **Who owns scratch.** The chunk. One panel (plus, for the gradients,
-//!   one packed `dOut_b` or one strip) is allocated at the top of a chunk
-//!   and reused for every image it visits; nothing column-shaped outlives a
-//!   call or is cached between forward and backward.
+//!   one packed `dOut_b` or one strip) is taken at the top of a chunk from
+//!   its thread's recycled storage (`crate::storage`), zero-filled as the
+//!   `vec!` it replaced was, reused for every image it visits and given
+//!   back at the end, as is the packed kernel; nothing column-shaped is
+//!   cached between forward and backward.
 //! * **One pool job per call.** Forward and grad-input chunk over images.
 //!   Grad-kernel chunks over *tap panels*: a chunk unfolds only its own taps
 //!   of every image, in batch order, so no unfolding is repeated and no
@@ -52,6 +54,7 @@
 
 use crate::gemm::{self, Op, Tile};
 use crate::pool::{self, SendPtr};
+use crate::storage;
 use crate::tensor::Tensor;
 use crate::TensorError;
 use std::ops::Range;
@@ -236,7 +239,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
     }
     let hw = h * w;
     let taps = ic * kh * kw;
-    let mut out = vec![0.0f32; n * oc * hw];
+    let mut out = storage::zeroed(n * oc * hw);
     if out.is_empty() || taps == 0 {
         return Tensor::from_vec(out, [n, oc, h, w]);
     }
@@ -244,7 +247,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
     let (mr, nr) = (isa.mr(), isa.nr());
     let unfold = Unfold::new(ic, h, w, kh, kw);
     // K_flat (oc × taps) is the broadcast operand of every image's GEMM.
-    let mut kpack = vec![0.0f32; oc.div_ceil(mr) * taps * mr];
+    let mut kpack = storage::zeroed(oc.div_ceil(mr) * taps * mr);
     gemm::pack_a(Op::Nn, kernel.data(), oc, taps, mr, &mut kpack);
     let id = input.data();
     let out_ptr = SendPtr(out.as_mut_ptr());
@@ -252,7 +255,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
         // Race sanitizer (debug): this chunk owns the output rows of its
         // image range.
         pool::claim_region(out_ptr.get(), images.start * oc * hw..images.end * oc * hw);
-        let mut panel = vec![0.0f32; taps * nr];
+        let mut panel = storage::zeroed(taps * nr);
         for b in images {
             let img = &id[b * ic * hw..(b + 1) * ic * hw];
             for jc in (0..hw).step_by(nr) {
@@ -285,8 +288,10 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
                 }
             }
         }
+        storage::give(panel);
     };
     dispatch(n, oc * taps * hw, work);
+    storage::give(kpack);
     Tensor::from_vec(out, [n, oc, h, w])
 }
 
@@ -308,7 +313,7 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
     }
     let hw = h * w;
     let taps = ic * kh * kw;
-    let mut out = vec![0.0f32; n * ic * hw];
+    let mut out = storage::zeroed(n * ic * hw);
     if out.is_empty() || oc == 0 || taps == 0 {
         return Tensor::from_vec(out, [n, ic, h, w]);
     }
@@ -317,7 +322,7 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
     let unfold = Unfold::new(ic, h, w, kh, kw);
     // K_flatᵀ (taps × oc) is the broadcast operand; the kernel tensor is it
     // stored inner-dimension-major (oc × taps).
-    let mut kpack = vec![0.0f32; taps.div_ceil(mr) * oc * mr];
+    let mut kpack = storage::zeroed(taps.div_ceil(mr) * oc * mr);
     gemm::pack_a(Op::Tn, kernel.data(), taps, oc, mr, &mut kpack);
     let gd = grad_out.data();
     let out_ptr = SendPtr(out.as_mut_ptr());
@@ -325,8 +330,8 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
         // Race sanitizer (debug): this chunk owns the input-gradient rows
         // of its image range.
         pool::claim_region(out_ptr.get(), images.start * ic * hw..images.end * ic * hw);
-        let mut gpack = vec![0.0f32; hw.div_ceil(nr) * oc * nr];
-        let mut strip = vec![0.0f32; mr * hw];
+        let mut gpack = storage::zeroed(hw.div_ceil(nr) * oc * nr);
+        let mut strip = storage::zeroed(mr * hw);
         for b in images {
             gemm::pack_b_into(
                 Op::Nn,
@@ -363,8 +368,11 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
                 }
             }
         }
+        storage::give(gpack);
+        storage::give(strip);
     };
     dispatch(n, oc * taps * hw, work);
+    storage::give(kpack);
     Tensor::from_vec(out, [n, ic, h, w])
 }
 
@@ -391,7 +399,7 @@ pub fn conv2d_grad_kernel(
     }
     let hw = h * w;
     let taps = ic * kh * kw;
-    let mut out = vec![0.0f32; oc * taps];
+    let mut out = storage::zeroed(oc * taps);
     if out.is_empty() || n * hw == 0 {
         return Tensor::from_vec(out, [oc, ic, kh, kw]);
     }
@@ -412,10 +420,10 @@ pub fn conv2d_grad_kernel(
         for o in 0..oc {
             pool::claim_region(out_ptr.get(), o * taps + owned.start..o * taps + owned.end);
         }
-        let mut gpack = vec![0.0f32; oc.div_ceil(mr) * hw * mr];
+        let mut gpack = storage::zeroed(oc.div_ceil(mr) * hw * mr);
         // One allocation: the hw × NR panel, then up to NR unfolded taps as
         // contiguous hw-long rows.
-        let mut scratch = vec![0.0f32; 2 * hw * nr];
+        let mut scratch = storage::zeroed(2 * hw * nr);
         let (panel, rows) = scratch.split_at_mut(hw * nr);
         for b in 0..n {
             // dOut_b (oc × hw) is the broadcast operand.
@@ -461,6 +469,8 @@ pub fn conv2d_grad_kernel(
                 }
             }
         }
+        storage::give(gpack);
+        storage::give(scratch);
     };
     dispatch(taps.div_ceil(nr), oc * taps * hw, work);
     Tensor::from_vec(out, [oc, ic, kh, kw])
@@ -482,7 +492,7 @@ pub fn global_avg_pool(input: &Tensor) -> Result<Tensor, TensorError> {
     }
     let inv = 1.0 / (h * w) as f32;
     let id = input.data();
-    let mut out = vec![0.0f32; n * c];
+    let mut out = storage::zeroed(n * c);
     for b in 0..n {
         for ch in 0..c {
             let base = (b * c + ch) * h * w;
@@ -520,7 +530,7 @@ pub fn global_avg_pool_grad(
     }
     let inv = 1.0 / (h * w) as f32;
     let gd = grad_out.data();
-    let mut out = vec![0.0f32; n * c * h * w];
+    let mut out = storage::zeroed(n * c * h * w);
     for b in 0..n {
         for ch in 0..c {
             let g = gd[b * c + ch] * inv;

@@ -65,9 +65,11 @@
 //! buffer for the call and gives the excess back. `B` is deliberately never
 //! packed whole: keeping a whole-operand pack (1 MiB for a 512×512 weight)
 //! resident per thread measured +4 % peak RSS on `train_dense`; a panel is
-//! `k · NR` elements. [`crate::conv`] keeps its own per-chunk buffers.
+//! `k · NR` elements. [`crate::conv`] takes its per-chunk buffers from the
+//! thread's recycled tensor storage, as `gemm` takes its output.
 
 use crate::pool::{self, SendPtr};
+use crate::storage;
 use std::cell::Cell;
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -717,7 +719,7 @@ fn gemm(
     k: usize,
     n: usize,
 ) -> Vec<f32> {
-    let mut out: Vec<f32> = Vec::with_capacity(m * n);
+    let mut out = storage::take(m * n);
     // An empty output never reads the operands, so their lengths are
     // unconstrained (callers may legitimately pass empty slices).
     if m == 0 || n == 0 {

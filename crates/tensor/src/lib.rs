@@ -61,6 +61,7 @@ pub mod reduce;
 #[cfg(debug_assertions)]
 mod sanitizer;
 mod shape;
+mod storage;
 mod tensor;
 
 pub use error::TensorError;

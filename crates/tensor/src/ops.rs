@@ -7,6 +7,7 @@
 //! [`crate::reduce`].
 
 use crate::shape::Shape;
+use crate::storage;
 use crate::tensor::Tensor;
 use crate::TensorError;
 
@@ -83,7 +84,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 pub fn transpose(a: &Tensor) -> Tensor {
     let (m, n) = a.shape().as_rows_cols();
     let ad = a.data();
-    let mut out = vec![0.0f32; m * n];
+    let mut out = storage::zeroed(m * n);
     for i in 0..m {
         for j in 0..n {
             out[j * m + i] = ad[i * n + j];
@@ -146,7 +147,7 @@ fn rows(data: &[f32], n: usize) -> std::slice::ChunksExact<'_, f32> {
 /// column summed in row order from `0.0`).
 pub fn sum_rows(a: &Tensor) -> Tensor {
     let (_, n) = a.shape().as_rows_cols();
-    let mut out = vec![0.0f32; n];
+    let mut out = storage::zeroed(n);
     for row in rows(a.data(), n) {
         for (s, &v) in out.iter_mut().zip(row) {
             *s += v;
@@ -200,7 +201,7 @@ pub fn gelu_grad(a: &Tensor) -> Tensor {
 pub fn softmax_rows(a: &Tensor) -> Tensor {
     let (m, n) = a.shape().as_rows_cols();
     let ad = a.data();
-    let mut out = vec![0.0f32; m * n];
+    let mut out = storage::zeroed(m * n);
     for i in 0..m {
         let row = &ad[i * n..(i + 1) * n];
         let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -342,7 +343,7 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32, TensorError> {
 /// normalization semantics.
 pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
     let (m, n) = a.shape().as_rows_cols();
-    let mut mean = vec![0.0f32; n];
+    let mut mean = storage::zeroed(n);
     for row in rows(a.data(), n) {
         for (s, &x) in mean.iter_mut().zip(row) {
             *s += x;
@@ -352,7 +353,7 @@ pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
     for v in &mut mean {
         *v *= inv_m;
     }
-    let mut var = vec![0.0f32; n];
+    let mut var = storage::zeroed(n);
     for row in rows(a.data(), n) {
         for ((s, &x), &mu) in var.iter_mut().zip(row).zip(&mean) {
             let d = x - mu;
@@ -404,13 +405,13 @@ fn check_columns<const N: usize>(
 }
 
 /// σⱼ = √(varⱼ + ε).
-fn bn_sigma(var: &[f32], eps: f32) -> Vec<f32> {
-    var.iter().map(|&v| (v + eps).sqrt()).collect()
+fn bn_sigma(var: &Tensor, eps: f32) -> Tensor {
+    var.map(|v| (v + eps).sqrt())
 }
 
 /// x̂ = (x − μ)/σ, row by row.
 fn bn_normalize(a: &[f32], mean: &[f32], sigma: &[f32]) -> Vec<f32> {
-    let mut xhat = Vec::with_capacity(a.len());
+    let mut xhat = storage::take(a.len());
     for row in rows(a, mean.len()) {
         xhat.extend(
             row.iter()
@@ -459,8 +460,8 @@ pub fn batch_norm_apply(
         ],
     )?;
     check_eps(eps, "ops::batch_norm_apply")?;
-    let sigma = bn_sigma(var.data(), eps);
-    let mut y = bn_normalize(a.data(), mean.data(), &sigma);
+    let sigma = bn_sigma(var, eps);
+    let mut y = bn_normalize(a.data(), mean.data(), sigma.data());
     bn_scale_shift(&mut y, gamma.data(), beta.data());
     Ok(Tensor::from_parts(y, a.shape().clone()))
 }
@@ -477,7 +478,7 @@ pub(crate) struct BatchNormed {
     /// The normalized input, shaped like it.
     pub(crate) xhat: Tensor,
     /// σⱼ = √(varⱼ + ε).
-    pub(crate) sigma: Vec<f32>,
+    pub(crate) sigma: Tensor,
 }
 
 /// Batch normalization over rows with the batch's own statistics.
@@ -501,9 +502,9 @@ pub(crate) fn batch_norm_train(
     )?;
     check_eps(eps, "Tape::batch_norm")?;
     let (mean, var) = batch_stats(a);
-    let sigma = bn_sigma(var.data(), eps);
+    let sigma = bn_sigma(&var, eps);
     let xhat = Tensor::from_parts(
-        bn_normalize(a.data(), mean.data(), &sigma),
+        bn_normalize(a.data(), mean.data(), sigma.data()),
         a.shape().clone(),
     );
     let mut out = xhat.clone();
@@ -520,9 +521,9 @@ pub(crate) fn batch_norm_train(
 /// Σdy and Σdy·x̂ per column, each summed in row order from `0.0`: they are
 /// `dβ` and `dγ` of a batch norm, and ×1/m the two means its input gradient
 /// subtracts.
-pub(crate) fn bn_column_sums(dy: &[f32], xhat: &[f32], n: usize) -> (Vec<f32>, Vec<f32>) {
-    let mut sum_dy = vec![0.0f32; n];
-    let mut sum_dy_xhat = vec![0.0f32; n];
+pub(crate) fn bn_column_sums(dy: &[f32], xhat: &[f32], n: usize) -> (Tensor, Tensor) {
+    let mut sum_dy = storage::zeroed(n);
+    let mut sum_dy_xhat = storage::zeroed(n);
     for (g_row, x_row) in rows(dy, n).zip(rows(xhat, n)) {
         for (((s, sx), &g), &x) in sum_dy
             .iter_mut()
@@ -534,7 +535,10 @@ pub(crate) fn bn_column_sums(dy: &[f32], xhat: &[f32], n: usize) -> (Vec<f32>, V
             *sx += g * x;
         }
     }
-    (sum_dy, sum_dy_xhat)
+    (
+        Tensor::from_parts(sum_dy, [n]),
+        Tensor::from_parts(sum_dy_xhat, [n]),
+    )
 }
 
 /// The input gradient of a batch norm over `m` rows,
@@ -571,8 +575,8 @@ pub fn row_stats(a: &Tensor) -> (Tensor, Tensor) {
     let (m, n) = a.shape().as_rows_cols();
     let ad = a.data();
     let inv_n = if n == 0 { 0.0 } else { 1.0 / n as f32 };
-    let mut mean = vec![0.0f32; m];
-    let mut var = vec![0.0f32; m];
+    let mut mean = storage::zeroed(m);
+    let mut var = storage::zeroed(m);
     for i in 0..m {
         let row = &ad[i * n..(i + 1) * n];
         let mu: f32 = row.iter().sum::<f32>() * inv_n;
@@ -608,7 +612,7 @@ pub fn layer_norm_rows(
     }
     let (mean, var) = row_stats(a);
     let (ad, md, vd, gd, bd) = (a.data(), mean.data(), var.data(), gamma.data(), beta.data());
-    let mut out = vec![0.0f32; m * n];
+    let mut out = storage::zeroed(m * n);
     for i in 0..m {
         let inv_sigma = 1.0 / (vd[i] + eps).sqrt();
         for j in 0..n {
@@ -638,9 +642,10 @@ pub fn dropout_mask(shape: impl Into<Shape>, rate: f32, seed: u64) -> Tensor {
     let mut rng = crate::init::rng(seed ^ 0xD509_7AB6_1EDB_90E5);
     let keep = 1.0 - rate;
     let scale = 1.0 / keep;
-    let data = (0..shape.num_elements())
-        .map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 })
-        .collect();
+    let mut data = storage::take(shape.num_elements());
+    data.extend(
+        (0..shape.num_elements()).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }),
+    );
     Tensor::from_parts(data, shape)
 }
 

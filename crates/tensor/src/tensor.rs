@@ -6,8 +6,13 @@
 //! `Vec<f32>` plus a [`Shape`]; every operation is deterministic so that the
 //! reproducibility experiments of the paper can assert *bitwise* equality of
 //! training trajectories.
+//!
+//! A tensor's buffer is recycled: a dropped tensor gives it to its thread's
+//! [storage](crate::storage) shelf, and the constructors, elementwise maps
+//! and kernels take their buffers from there first.
 
 use crate::shape::Shape;
+use crate::storage;
 use crate::TensorError;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -25,7 +30,7 @@ use std::fmt;
 /// let c = a.add(&b).unwrap();
 /// assert_eq!(c.data(), &[2.0, 3.0, 4.0, 5.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -69,12 +74,7 @@ impl Tensor {
 
     /// Creates a tensor filled with zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let n = shape.num_elements();
-        Tensor {
-            shape,
-            data: vec![0.0; n],
-        }
+        Self::full(shape, 0.0)
     }
 
     /// Creates a tensor filled with ones.
@@ -86,18 +86,14 @@ impl Tensor {
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
         let n = shape.num_elements();
-        Tensor {
-            shape,
-            data: vec![value; n],
-        }
+        let mut data = storage::take(n);
+        data.resize(n, value);
+        Tensor { shape, data }
     }
 
     /// Creates a scalar tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: vec![value],
-        }
+        Self::full(Shape::scalar(), value)
     }
 
     /// The tensor's shape.
@@ -126,8 +122,8 @@ impl Tensor {
     }
 
     /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// Extracts the single value of a scalar (or single-element) tensor.
@@ -160,7 +156,7 @@ impl Tensor {
         }
         Ok(Tensor {
             shape,
-            data: self.data.clone(),
+            data: copied(&self.data),
         })
     }
 
@@ -200,7 +196,7 @@ impl Tensor {
         let start = row_start * row_width;
         let end = start + rows * row_width;
         let shape = self.shape.with_dim(0, rows);
-        Tensor::from_vec(self.data[start..end].to_vec(), shape)
+        Ok(Tensor::from_parts(copied(&self.data[start..end]), shape))
     }
 
     /// Elementwise binary operation against a tensor of identical shape.
@@ -220,12 +216,8 @@ impl Tensor {
                 context: "Tensor::zip_map",
             });
         }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
+        let mut data = storage::take(self.len());
+        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Ok(Tensor {
             shape: self.shape.clone(),
             data,
@@ -234,9 +226,11 @@ impl Tensor {
 
     /// Elementwise unary map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut data = storage::take(self.len());
+        data.extend(self.data.iter().map(|&a| f(a)));
         Tensor {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&a| f(a)).collect(),
+            data,
         }
     }
 
@@ -345,6 +339,28 @@ impl Tensor {
     /// Size of the tensor payload in bytes (excluding metadata).
     pub fn size_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
+    }
+}
+
+/// `src` in a [taken](storage::take) buffer.
+fn copied(src: &[f32]) -> Vec<f32> {
+    let mut data = storage::take(src.len());
+    data.extend_from_slice(src);
+    data
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            data: copied(&self.data),
+        }
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        storage::give(std::mem::take(&mut self.data));
     }
 }
 

@@ -17,6 +17,10 @@ quartiles (statistics.quantiles(values, n=4)), and a verdict:
 
 Also prints, per run, the operations attempted and failed and the output
 digest, and fails when an operation failed or the two builds' digests differ.
+Each workload block also lists every run's minor page faults (the
+getrusage(RUSAGE_CHILDREN) delta around the child, its own children
+included) and each side's median: information for locating a saving, no
+verdict.
 A run that exits nonzero after its result line (perf_bench does when its
 output check fails) counts all its operations as failed; a run that printed
 no result line, or timed out, counts as one failed operation and is left out
@@ -53,6 +57,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -94,22 +99,25 @@ def run(binary, workload, seed, trace=0):
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(trace)]
     lost = {"attempted": 1, "failed": 1, "digest": None}
+    faults_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     try:
         child = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                                timeout=60 + 10 * args.seconds)
     except subprocess.TimeoutExpired:
         return {**lost, "error": "timed out"}
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults_before
     try:
         result = json.loads(child.stdout.strip().splitlines()[-1])
         metrics = {name: m["value"] for name, m in result["metrics"].items()}
         attempted, failed, correct = result["attempted"], result["failed"], result["correct"]
     except (IndexError, ValueError, TypeError, KeyError, AttributeError):
-        return {**lost, "error": f"exit {child.returncode}, no result line"}
+        return {**lost, "minflt": minflt, "error": f"exit {child.returncode}, no result line"}
     digest = re.search(r"digest ([0-9a-f]+)", child.stdout)
     ok = correct and child.returncode == 0
     return {"attempted": attempted,
             "failed": failed if ok else attempted,
             "digest": digest.group(1) if digest else "?",
+            "minflt": minflt,
             **({} if child.returncode == 0 else {"error": f"exit {child.returncode}"}),
             **metrics}
 
@@ -158,6 +166,10 @@ def report(workload, seed, runs):
           f"{'equal' if same else 'DIFFER'}: parent {digests['parent']}, change {digests['change']}")
     print("  ops attempted per run: parent", [r["attempted"] for r in runs["parent"]],
           "change", [r["attempted"] for r in runs["change"]])
+    faults = {side: [r["minflt"] for r in rs if "minflt" in r] for side, rs in runs.items()}
+    print("  minor page faults per run: parent", faults["parent"], "change", faults["change"])
+    print("    median: " + " | ".join(
+        f"{side} {statistics.median(f):.0f}" if f else f"{side} -" for side, f in faults.items()))
     if workload == "train_conv":
         ended = {side: [r["attempted"] + CONV_WARM_UP - 1 for r in rs] for side, rs in runs.items()}
         hazard = sorted({s for steps in ended.values() for s in steps} & CONV_HAZARD.get(seed, set()))

@@ -30,6 +30,13 @@ echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =
 cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
 
 echo "== tier 1: figure byte-identity (every deterministic figure and ablation): figures regenerate to the committed bytes =="
+# fig06_memory_timeline and fig15_memory_overhead are full runs, and a full
+# run appends a record to the history: the stage leaves the history as it
+# found it, also when a figure differs.
+history=$(mktemp)
+cp results/BENCH_history.jsonl "$history"
+restore_history() { cp "$history" results/BENCH_history.jsonl; rm -f "$history"; }
+trap restore_history EXIT
 for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro \
     tab01_resnet_repro tab02_bert_repro fig02_rte_finetune fig07_bert_curves fig08_resnet_curves ablate_noise_scale \
     fig04_design_space fig09_update_throughput fig11_bs_throughput fig16_throughput_vn ablate_hierarchical \
@@ -37,6 +44,8 @@ for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ab
     cargo run --release -q -p vf-bench --bin "$bin" > /dev/null
     git diff --exit-code -- "results/$bin.json" "results/$bin.txt"
 done
+restore_history
+trap - EXIT
 
 echo "== tier 1: chaos smoke (fixed seed, bit-exact under faults) =="
 cargo run --release -q -p vf-bench --bin chaos_bench -- --smoke
