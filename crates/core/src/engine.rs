@@ -34,7 +34,7 @@ use crate::overlap::BucketPlan;
 use crate::vnode::{MigrationPlan, VirtualNodeId, VnMapping};
 use crate::CoreError;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use vf_data::batching::{BatchPlan, VisitLedger};
 use vf_data::partitioned::PartitionedPlan;
 use vf_data::{Dataset, DistributionMode};
@@ -420,18 +420,20 @@ impl Trainer {
     }
 
     /// The one wave executor (paper §3.2, Fig. 5): one pool task per device
-    /// runs that device's virtual nodes wave by wave and folds each VN's
+    /// runs that device's virtual nodes wave by wave, folds each VN's
     /// gradients into its own partial sums as soon as they exist
-    /// ([`reduce::fold_partial`]), so a device holds one partial per
-    /// aligned block of VNs it has run — not one gradient per VN. After
-    /// every device has joined, all devices' partials, sorted by first VN,
-    /// go through one more fold, and the sum is scaled by `1/N` once. The
-    /// fold combines partials exactly where the reduction order's tree
-    /// does, so the result has the same bits for every mapping, contiguous
-    /// or not. Sharing the process-wide vf-tensor pool (instead of spawning
-    /// per-step threads) keeps device fan-out and kernel parallelism on one
-    /// fixed set of workers; nested kernel submissions are deadlock-free
-    /// because submitters help drain their own jobs.
+    /// ([`reduce::fold_partial`]), and when its last VN is done pushes its
+    /// partials onto the step's one fold, where they combine at once with
+    /// whatever other devices pushed before — no device's partials wait for
+    /// the last device. So the step holds one partial per aligned block of
+    /// VNs that has finished, not one gradient per VN nor every device's
+    /// partials at once. The fold combines partials exactly where the
+    /// reduction order's tree does, in whatever order they arrive, so the
+    /// result has the same bits for every mapping and schedule; the sum is
+    /// scaled by `1/N` once. Sharing the process-wide vf-tensor pool (instead of
+    /// spawning per-step threads) keeps device fan-out and kernel
+    /// parallelism on one fixed set of workers; nested kernel submissions
+    /// are deadlock-free because submitters help drain their own jobs.
     ///
     /// Takes `&self`: a failing device or reduction leaves the trainer
     /// untouched, and [`Trainer::step`] commits the output as a whole.
@@ -448,10 +450,13 @@ impl Trainer {
             .map(|(&d, st)| (d, self.mapping.vns_on(d), st))
             .collect();
 
-        type Partials = Vec<(std::ops::Range<usize>, Vec<Tensor>)>;
-        type DeviceResult =
-            Result<(DeviceId, StatefulState, Partials, Vec<(usize, f32)>), CoreError>;
-        let results: Vec<DeviceResult> = vf_tensor::pool::parallel_tasks(work.len(), |i| {
+        // The fold and every VN's loss. In VN order the fold is a binary
+        // counter: ⌈log₂ N⌉ + 1 partials at most. A device task that panics
+        // while holding the lock re-raises on this thread once the job is
+        // done, so a fold it left half-combined is never read.
+        let fold_room = total_vns.ilog2() as usize + 2;
+        let join = Mutex::new((Vec::with_capacity(fold_room), vec![0.0; total_vns]));
+        let results = vf_tensor::pool::parallel_tasks(work.len(), |i| {
             let (device, vns, stateful) = work[i];
             let mut stateful = stateful.clone();
             let mut partials = Vec::new();
@@ -463,28 +468,21 @@ impl Trainer {
                 reduce::fold_partial(&mut partials, order, total_vns, vn..vn + 1, report.grads)?;
                 losses.push((vn, report.loss));
             }
-            Ok((device, stateful, partials, losses))
-        });
-
-        let mut vn_losses = vec![0.0; total_vns];
-        let mut replicas = Vec::with_capacity(results.len());
-        let mut partials = Vec::new();
-        for result in results {
-            let (device, stateful, device_partials, losses) = result?;
-            replicas.push((device, stateful));
-            partials.extend(device_partials);
+            let mut join = join.lock().unwrap_or_else(PoisonError::into_inner);
+            let (fold, vn_losses) = &mut *join;
             for (vn, loss) in losses {
                 vn_losses[vn] = loss;
             }
-        }
+            for (vns, sums) in partials {
+                reduce::fold_partial(fold, order, total_vns, vns, sums)?;
+            }
+            Ok::<_, CoreError>((device, stateful))
+        });
+        let replicas = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-        partials.sort_unstable_by_key(|(vns, _)| vns.start);
-        let mut joined = Vec::with_capacity(1);
-        for (vns, sums) in partials {
-            reduce::fold_partial(&mut joined, order, total_vns, vns, sums)?;
-        }
-        let mut reduced = match joined.pop() {
-            Some((vns, sums)) if joined.is_empty() && vns == (0..total_vns) => sums,
+        let (mut fold, vn_losses) = join.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut reduced = match fold.pop() {
+            Some((vns, sums)) if fold.is_empty() && vns == (0..total_vns) => sums,
             _ => {
                 return Err(CoreError::Internal {
                     invariant: "every VN ran on one device, so the fold ends in one sum",

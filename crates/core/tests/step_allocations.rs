@@ -19,10 +19,12 @@
 //! live, and a step's peak is the trainer's whole footprint — parameters,
 //! optimizer state, epoch order, held storage and what the step uses.
 //!
-//! That peak is the paper's memory claim: a device keeps partial gradient
+//! That peak is the paper's memory claim: a step keeps partial gradient
 //! sums that grow with the logarithm of its VN count, not a gradient per
-//! VN, so on one device the peak over 512 VNs exceeds that over one VN by
-//! at most `(1 + ⌈log₂ 512⌉)` gradients.
+//! VN nor a partial per device, so the peak over 512 VNs on one device, or
+//! over 64 VNs on up to 64 devices, exceeds that over one VN by at most
+//! `(1 + ⌈log₂ V⌉)` gradients. Once warm, a step holds nothing new: the
+//! live bytes after step 50 are those after step 3.
 //!
 //! This file owns its process — the counting allocator is this binary's
 //! global allocator — and holds a single test, so nothing else allocates
@@ -219,15 +221,19 @@ const CONV_BYTES_BUDGET: u64 = 980_300;
 /// The most bytes one step of [`DENSE`] and of [`CONV`] may hold live at
 /// once, counted from before the trainer was built, with ~8 % slack. A
 /// dense device folds its two VNs into one partial sum as soon as the
-/// second gradient exists; the conv device holds at most three partials
-/// besides the VN it is running; the storage a thread holds for reuse is
-/// at most what it once had in use of each length. Measured: 11.74 MB
-/// dense and 3.86 MB conv, in release and debug builds alike. (Counted from
-/// the step's start, before storage was recycled, the peaks were 9.14 MB
-/// and 3.70 MB; holding every VN's gradients until the last device
-/// finished, the dense peak was 14.07 MB.)
-const DENSE_PEAK_LIVE_BUDGET: u64 = 12_680_000;
-const CONV_PEAK_LIVE_BUDGET: u64 = 4_170_000;
+/// second gradient exists and pushes it onto the step's fold, where it
+/// combines at once with what the tree allows, so the step holds at most
+/// four gradients; the conv device holds at most three partials besides
+/// the VN it is running; ReLU rectifies its input's buffer in place; the
+/// storage a thread holds for reuse is at most what it once had in use of
+/// each length. Measured: 9.57 MB dense and 2.81 MB conv, in release and
+/// debug builds alike. (With ReLU writing a new buffer and every device's
+/// partials held until the last device finished, then sorted and folded:
+/// 11.74 MB and 3.86 MB; counted from the step's start, before storage was
+/// recycled, 9.14 MB and 3.70 MB; holding every VN's gradients until the
+/// last device finished, the dense peak was 14.07 MB.)
+const DENSE_PEAK_LIVE_BUDGET: u64 = 10_340_000;
+const CONV_PEAK_LIVE_BUDGET: u64 = 3_040_000;
 
 /// The model of the VN-count sweep: an MLP without batch norm, so a VN's
 /// gradient is its parameters' size and nothing a device keeps across VNs
@@ -396,6 +402,24 @@ fn third_step_allocations(shape: &Workload, dataset_len: usize) -> StepAllocatio
     })
 }
 
+/// The live bytes after step 3 and after step 50 of `shape` over a dataset
+/// of `dataset_len` examples, counted from before the trainer was built, on
+/// a thread of its own.
+fn live_after_steps_3_and_50(shape: &Workload, dataset_len: usize) -> (i64, i64) {
+    on_fresh_thread(|| {
+        let (arch, dataset) = model_and_dataset(shape, dataset_len);
+        let config = config(shape, DistributionMode::Replicated);
+        arm();
+        let mut trainer = Trainer::new(arch, dataset, config, &devices(shape)).expect("trainer");
+        trainer.run_steps(3).expect("three steps");
+        let after_3 = LIVE.load(Ordering::Relaxed);
+        trainer.run_steps(47).expect("47 more steps");
+        let after_50 = LIVE.load(Ordering::Relaxed);
+        ARMED.store(false, Ordering::Relaxed);
+        (after_3, after_50)
+    })
+}
+
 /// What the next-to-last step of epoch 0 and the first step of epoch 1 of
 /// [`MANY_VN`] over `dataset_len` examples ask of the allocator, as
 /// `(mid_epoch, boundary)`. The trainer jumps close to the end of epoch 0
@@ -485,27 +509,48 @@ fn a_step_allocates_by_the_batch_not_by_the_dataset() {
         );
     }
 
-    // The gradient a device holds grows with log₂ of its VN count. On one
-    // device, one VN's step holds one gradient plus what is not gradient
-    // (parameters, optimizer state, epoch order, activations, tape, the
-    // optimizer's update, and the storage held for reuse of each); V VNs
-    // add at most 1 + ⌈log₂ V⌉ partial sums, recycled or not. Holding a
-    // gradient per VN until the last one finished, the peak over 512 VNs
-    // was 512 gradients.
+    // The gradient a step holds grows with log₂ of its VN count, on one
+    // device or many. One VN's step on one device holds one gradient plus
+    // what is not gradient (parameters, optimizer state, epoch order,
+    // activations, tape, the optimizer's update, and the storage held for
+    // reuse of each); V VNs add at most 1 + ⌈log₂ V⌉ partial sums, recycled
+    // or not. Holding a gradient per VN until the last one finished, the
+    // peak over 512 VNs was 512 gradients; holding every device's partials
+    // until the last device finished, the peak over 64 VNs on 64 devices
+    // was 64.
     let param_bytes = vn_sweep_param_bytes();
     let one = third_step_allocations(&vn_sweep(1), VN_SWEEP_DATASET);
     let not_gradient = one.peak_live - param_bytes;
-    for vns in [8u32, 64, 512] {
-        let step = third_step_allocations(&vn_sweep(vns), VN_SWEEP_DATASET);
+    for (vns, devices) in [(8u32, 1u32), (64, 1), (512, 1), (64, 2), (64, 8), (64, 64)] {
+        let shape = Workload {
+            devices,
+            ..vn_sweep(vns)
+        };
+        let step = third_step_allocations(&shape, VN_SWEEP_DATASET);
         let budget =
             u64::from(2 + vns.next_power_of_two().trailing_zeros()) * param_bytes + not_gradient;
         assert!(
             step.peak_live <= budget,
-            "{vns} VNs on one device: {} bytes live at the step's peak, budget {budget} \
+            "{vns} VNs on {devices} devices: {} bytes live at the step's peak, budget {budget} \
              ({param_bytes} bytes a gradient, {not_gradient} bytes beside one gradient at 1 VN)",
             step.peak_live,
         );
     }
+
+    // A warm trainer holds nothing new: every buffer a step takes is one a
+    // step before it gave back. (At two pool threads the shelves still grow
+    // as the schedule varies: `steady_state_two_threads.rs`.)
+    let shape = Workload {
+        devices: 4,
+        ..vn_sweep(8)
+    };
+    let (after_3, after_50) = live_after_steps_3_and_50(&shape, VN_SWEEP_DATASET);
+    assert_eq!(
+        after_50,
+        after_3,
+        "live bytes after step 50 vs after step 3, 8 VNs on 4 devices ({} more)",
+        after_50 - after_3
+    );
 
     // Each epoch's order overwrites the last one in place: a step that
     // crosses an epoch boundary allocates what a mid-epoch step does, and

@@ -186,6 +186,10 @@ impl<'a> Tape<'a> {
 
     /// The forward value of `var`.
     ///
+    /// Once [`Tape::relu`] has rectified `var`'s buffer in place and taken
+    /// it, `var` is spent and this is an empty tensor of shape `[0]`; an op
+    /// that names a spent var reads that empty tensor.
+    ///
     /// # Panics
     ///
     /// Panics if `var` belongs to a different tape.
@@ -292,8 +296,34 @@ impl<'a> Tape<'a> {
     }
 
     /// Rectified linear unit.
+    ///
+    /// Over the tape's newest node, when that is a linear layer, a
+    /// convolution, an addition or a batch norm — ops whose backward pass
+    /// never reads their own output — ReLU rectifies that node's buffer in
+    /// place and takes it, so the tape keeps one activation where it would
+    /// keep two; `a` is then spent (see [`Tape::value`]). Any other input
+    /// is rectified into a new buffer. The backward pass reads its mask
+    /// from the output, `y > 0` exactly where `x > 0`, so both give the same
+    /// bits.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = ops::relu(self.value(a));
+        let spendable = a.0 + 1 == self.nodes.len()
+            && matches!(
+                self.nodes[a.0],
+                Node {
+                    value: Cow::Owned(_),
+                    op: Op::Linear(..) | Op::Conv2d { .. } | Op::Add(..) | Op::BatchNorm { .. },
+                    ..
+                }
+            );
+        let v = if spendable {
+            let mut v = std::mem::replace(self.nodes[a.0].value.to_mut(), Tensor::zeros([0]));
+            for x in v.data_mut() {
+                *x = ops::rectify(*x);
+            }
+            v
+        } else {
+            ops::relu(self.value(a))
+        };
         self.push(v, Op::Relu(a), false)
     }
 
@@ -574,10 +604,11 @@ impl<'a> Tape<'a> {
                 }
                 Op::Relu(a) => {
                     if needs(a) {
-                        // The mask multiply of `ops::relu_grad_mask`, fused: the
-                        // same float product per element (so NaN, ±∞ and −0.0
-                        // gradients come out bit-identical), one pass.
-                        let g = mul_into(gout, val(a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })?;
+                        // The mask multiply, fused: one float product per
+                        // element (so NaN, ±∞ and −0.0 gradients come out as
+                        // `g · mask` does), the mask read from the output —
+                        // `y > 0` exactly where `x > 0`, NaN and −0.0 too.
+                        let g = mul_into(gout, &value, |g, y| g * if y > 0.0 { 1.0 } else { 0.0 })?;
                         accumulate(&mut grads, a, g)?;
                     }
                 }
@@ -1148,8 +1179,10 @@ mod tests {
     fn relu_backward_is_bitwise_the_mask_multiply() {
         // Every upstream gradient (NaN, ±∞, ±0, ordinary) against every kind
         // of input (positive, negative, ±0, NaN): the fused backward must
-        // equal `gout · relu_grad_mask(x)` bit for bit — 0 · NaN stays NaN,
-        // 0 · −2 stays −0.0.
+        // equal `gout · mask(x)` bit for bit — 0 · NaN stays NaN, 0 · −2
+        // stays −0.0 — whether ReLU made a new buffer (over a leaf) or
+        // rectified its input's in place (over `x + −0.0`, which is `x` to
+        // the bit).
         let gs = [
             f32::NAN,
             f32::INFINITY,
@@ -1163,18 +1196,64 @@ mod tests {
         let n = gs.len() * xs.len();
         let gout = Tensor::from_vec((0..n).map(|i| gs[i / xs.len()]).collect(), [n]).unwrap();
         let x = Tensor::from_vec((0..n).map(|i| xs[i % xs.len()]).collect(), [n]).unwrap();
-        let want = gout.mul(&ops::relu_grad_mask(&x)).unwrap();
-
-        // sum(relu(x) ⊙ gout) hands relu exactly `1.0 · gout` as its upstream.
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x);
-        let r = tape.relu(xv);
-        let c = tape.constant(gout);
-        let m = tape.mul(r, c).unwrap();
-        let l = tape.sum_all(m);
-        let grads = tape.backward(l).unwrap();
+        let mask = x.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
+        let want = gout.mul(&mask).unwrap();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(grads.get(xv).unwrap()), bits(&want));
+
+        for in_place in [false, true] {
+            // sum(relu(x) ⊙ gout) hands relu exactly `1.0 · gout` as its
+            // upstream.
+            let mut tape = Tape::new();
+            let xv = tape.leaf(&x);
+            let input = if in_place {
+                let neg_zero = tape.constant(Tensor::full([n], -0.0));
+                tape.add(xv, neg_zero).unwrap()
+            } else {
+                xv
+            };
+            let r = tape.relu(input);
+            assert_eq!(tape.value(input).is_empty(), in_place);
+            assert_eq!(
+                bits(tape.value(r)),
+                bits(&ops::relu(&x)),
+                "in place: {in_place}"
+            );
+            let c = tape.constant(&gout);
+            let m = tape.mul(r, c).unwrap();
+            let l = tape.sum_all(m);
+            let grads = tape.backward(l).unwrap();
+            assert_eq!(
+                bits(grads.get(xv).unwrap()),
+                bits(&want),
+                "in place: {in_place}"
+            );
+        }
+    }
+
+    #[test]
+    fn relu_spends_only_the_newest_node_of_an_op_that_does_not_read_its_output() {
+        let mut tape = Tape::new();
+        let x = tape.constant(Tensor::from_vec(vec![-1.0, 2.0], [1, 2]).unwrap());
+        let w = tape.leaf(Tensor::ones([2, 2]));
+        let b = tape.leaf(Tensor::zeros([2]));
+        // A linear layer's output, newest on the tape: ReLU takes its
+        // buffer, and the spent var reads as an empty tensor of shape [0].
+        let h = tape.linear(x, w, b).unwrap();
+        let r = tape.relu(h);
+        assert_eq!(tape.value(h).shape().dims(), &[0]);
+        assert_eq!(tape.value(r).data(), &[1.0, 1.0]);
+        // A linear layer's output that something already read (here tanh),
+        // a tanh (whose backward reads its output) and a constant keep their
+        // values: ReLU writes a new buffer.
+        let h2 = tape.linear(x, w, b).unwrap();
+        let t = tape.tanh(h2);
+        let r2 = tape.relu(h2);
+        let r3 = tape.relu(t);
+        let r4 = tape.relu(x);
+        for (kept, relu) in [(h2, r2), (t, r3), (x, r4)] {
+            assert_eq!(tape.value(kept).len(), 2);
+            assert_eq!(tape.value(relu).len(), 2);
+        }
     }
 
     #[test]

@@ -239,10 +239,12 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
     }
     let hw = h * w;
     let taps = ic * kh * kw;
-    let mut out = storage::zeroed(n * oc * hw);
-    if out.is_empty() || taps == 0 {
-        return Tensor::from_vec(out, [n, oc, h, w]);
+    let len = n * oc * hw;
+    if len == 0 || taps == 0 {
+        return Tensor::from_vec(storage::zeroed(len), [n, oc, h, w]);
     }
+    // Taken, not zeroed: every tile below is stored, not accumulated.
+    let mut out = storage::take(len);
     let isa = gemm::isa();
     let (mr, nr) = (isa.mr(), isa.nr());
     let unfold = Unfold::new(ic, h, w, kh, kw);
@@ -292,7 +294,13 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
     };
     dispatch(n, oc * taps * hw, work);
     storage::give(kpack);
-    Tensor::from_vec(out, [n, oc, h, w])
+    // SAFETY: the job (or the serial fallback) has returned; its chunks
+    // tile images 0..n, and for each image the `Tile::Store` walks above
+    // cover row blocks 0..oc (MR rows at a time) × columns 0..hw (NR at a
+    // time), storing every element of the tile, so all n · oc · hw elements
+    // are initialised.
+    unsafe { out.set_len(len) };
+    Ok(Tensor::from_parts(out, [n, oc, h, w]))
 }
 
 /// Gradient of [`conv2d`] with respect to the input: `K_flatᵀ · dOut` per

@@ -58,11 +58,11 @@ pub enum TensorError {
         /// The operation that failed.
         context: &'static str,
     },
-    /// An arrival order that is not a permutation of `0..len`: an index out
-    /// of range, repeated or missing would sum some parts twice or not at
-    /// all.
+    /// An arrival order that is not a permutation of `0..len`, or a fold
+    /// partial over virtual nodes the fold already holds: an index out of
+    /// range, repeated or missing would sum some parts twice or not at all.
     NotAPermutation {
-        /// Number of parts the order must permute.
+        /// Number of parts the order must permute (VNs of the fold).
         len: usize,
         /// The operation that failed.
         context: &'static str,
@@ -108,7 +108,7 @@ impl fmt::Display for TensorError {
             TensorError::NotAPermutation { len, context } => {
                 write!(
                     f,
-                    "arrival order in {context} is not a permutation of 0..{len}"
+                    "the parts summed in {context} are not a permutation of 0..{len}"
                 )
             }
         }

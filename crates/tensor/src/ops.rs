@@ -158,12 +158,17 @@ pub fn sum_rows(a: &Tensor) -> Tensor {
 
 /// Rectified linear unit, elementwise.
 pub fn relu(a: &Tensor) -> Tensor {
-    a.map(|x| if x > 0.0 { x } else { 0.0 })
+    a.map(rectify)
 }
 
-/// Derivative mask of ReLU (1 where input > 0).
-pub fn relu_grad_mask(a: &Tensor) -> Tensor {
-    a.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
+/// `x` if it is positive, else `+0.0` (NaN and −0.0 included): one element
+/// of [`relu`].
+pub(crate) fn rectify(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
 }
 
 /// Hyperbolic tangent, elementwise.

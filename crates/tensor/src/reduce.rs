@@ -3,9 +3,9 @@
 //! VirtualFlow's reproducibility guarantee rests on gradients being combined
 //! in a *fixed* order regardless of how virtual nodes are mapped to devices.
 //! Every sum here is one fold, [`fold_partial`]: partial sums, each over a
-//! range of virtual nodes (VNs), are pushed in VN order, and the top two
-//! combine (`left += right`, tensor by tensor) while they are adjacent and
-//! their union is a node of the order's combine tree:
+//! range of virtual nodes (VNs), are inserted at their place in VN order,
+//! and neighbours combine (`left += right`, tensor by tensor) while their
+//! union is a node of the order's combine tree:
 //!
 //! * [`ReductionOrder::Tree`] — pairwise summation in VN order, the tree of
 //!   adjacent pairs with the odd one carried up a level: `[a, b) + [b, c)`
@@ -20,11 +20,13 @@
 //!   all-reduce: the parts are reordered, then summed sequentially. Without
 //!   a permutation it is sequential order.
 //!
-//! Partials that are not adjacent wait, so any subset of the VNs can be
-//! folded where it is produced — each device folds the VNs it runs, in
-//! whatever pattern the mapping gives it — and the partials of all subsets,
-//! sorted by first VN, folded once more. Every combine is one the fold of
-//! all parts at once would make, so the bits are the same.
+//! Partials that are not a tree node's two children wait, so partials may
+//! arrive in any order — each device folds the VNs it runs, in whatever
+//! pattern the mapping gives it, and pushes its partials onto the step's
+//! one fold when it finishes — and every combine is still one the fold of
+//! all parts in VN order would make, on the same two operands: the bits
+//! are the same. Pushed in VN order, the fold is a binary counter and
+//! holds at most `⌈log₂ V⌉ + 1` partials.
 
 use crate::tensor::Tensor;
 use crate::TensorError;
@@ -44,23 +46,25 @@ pub enum ReductionOrder {
     ArrivalOrder,
 }
 
-/// Pushes the partial sums `sums` over virtual nodes `vns` onto a fold of
-/// `total` virtual nodes, then combines the top two partials while `order`
-/// says they form one node of its combine tree (see the module docs).
+/// Inserts the partial sums `sums` over virtual nodes `vns` into a fold of
+/// `total` virtual nodes, at its place in VN order, then combines
+/// neighbouring partials while `order` says they form one node of its
+/// combine tree (see the module docs).
 ///
 /// `sums` holds one tensor per summed quantity — one per parameter for a
 /// gradient — and every partial of a fold must hold the same number, of the
-/// same shapes. Push the VNs a producer owns in increasing order; partials
-/// of several producers are joined by pushing them, sorted by first VN,
-/// onto a new fold. A fold that has seen every VN holds exactly one
-/// partial, over `0..total`.
+/// same shapes. Partials may be pushed in any order, and the sum has the
+/// same bits for every order. A fold that has seen every VN holds exactly
+/// one partial, over `0..total`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Empty`] if `vns` is empty,
-/// [`TensorError::OutOfBounds`] if it ends past `total`, and
-/// [`TensorError::ShapeMismatch`] if two partials that combine disagree in
-/// length or shapes; the fold is then left part-combined.
+/// [`TensorError::OutOfBounds`] if it ends past `total`,
+/// [`TensorError::NotAPermutation`] if it overlaps a range already in the
+/// fold (a VN summed twice), and [`TensorError::ShapeMismatch`] if two
+/// partials that combine disagree in length or shapes; the fold is then
+/// left part-combined.
 ///
 /// # Examples
 ///
@@ -68,22 +72,16 @@ pub enum ReductionOrder {
 /// use vf_tensor::reduce::{self, ReductionOrder};
 /// use vf_tensor::Tensor;
 ///
-/// // Two devices of a 4-VN fold: one runs VNs 0 and 2, the other 1 and 3.
-/// let vn = |v: usize| vec![Tensor::full([2], v as f32)];
-/// let (mut even, mut odd) = (Vec::new(), Vec::new());
-/// for v in [0, 2] {
-///     reduce::fold_partial(&mut even, ReductionOrder::Tree, 4, v..v + 1, vn(v))?;
-///     reduce::fold_partial(&mut odd, ReductionOrder::Tree, 4, v + 1..v + 2, vn(v + 1))?;
+/// // Two devices of a 4-VN fold, one running VNs 0 and 2, the other 1 and
+/// // 3, finishing in the order 2, 3, 1, 0.
+/// let mut fold = Vec::new();
+/// for v in [2, 3, 1, 0] {
+///     let sums = vec![Tensor::full([2], v as f32)];
+///     reduce::fold_partial(&mut fold, ReductionOrder::Tree, 4, v..v + 1, sums)?;
 /// }
-/// let mut partials: Vec<_> = even.into_iter().chain(odd).collect();
-/// partials.sort_by_key(|(vns, _)| vns.start);
-/// let mut joined = Vec::new();
-/// for (vns, sums) in partials {
-///     reduce::fold_partial(&mut joined, ReductionOrder::Tree, 4, vns, sums)?;
-/// }
-/// assert_eq!(joined.len(), 1);
-/// assert_eq!(joined[0].0, 0..4);
-/// assert_eq!(joined[0].1[0].data(), &[6.0, 6.0]);
+/// assert_eq!(fold.len(), 1);
+/// assert_eq!(fold[0].0, 0..4);
+/// assert_eq!(fold[0].1[0].data(), &[6.0, 6.0]);
 /// # Ok::<(), vf_tensor::TensorError>(())
 /// ```
 pub fn fold_partial(
@@ -104,24 +102,62 @@ pub fn fold_partial(
             context: CONTEXT,
         });
     }
-    partials.push((vns, sums));
-    while let [.., (left, left_sums), (right, right_sums)] = partials.as_mut_slice() {
-        if left.end != right.start || !combines(order, total, left.start, left.end, right.end) {
-            break;
-        }
-        if left_sums.len() != right_sums.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected: left_sums.len(),
-                actual: right_sums.len(),
-                context: CONTEXT,
-            });
-        }
-        for (sum, part) in left_sums.iter_mut().zip(right_sums.iter()) {
-            sum.add_assign(part)?;
-        }
-        left.end = right.end;
-        partials.pop();
+    // The first partial that ends after `vns` starts; it and the one before
+    // it are the neighbours, and neither may overlap.
+    let mut at = partials.partition_point(|(p, _)| p.end <= vns.start);
+    if partials.get(at).is_some_and(|(p, _)| p.start < vns.end) {
+        return Err(TensorError::NotAPermutation {
+            len: total,
+            context: CONTEXT,
+        });
     }
+    partials.insert(at, (vns, sums));
+    // Combine with the left neighbour, then the right, until neither forms
+    // a tree node with the partial at `at`.
+    loop {
+        if at > 0 && joins(partials, order, total, at - 1) {
+            combine(partials, at - 1)?;
+            at -= 1;
+        } else if joins(partials, order, total, at) {
+            combine(partials, at)?;
+        } else {
+            return Ok(());
+        }
+    }
+}
+
+/// Whether partials `i` and `i + 1` are adjacent and their union is a node
+/// of `order`'s tree over `total` VNs.
+fn joins(
+    partials: &[(Range<usize>, Vec<Tensor>)],
+    order: ReductionOrder,
+    total: usize,
+    i: usize,
+) -> bool {
+    match partials.get(i..i + 2) {
+        Some([(left, _), (right, _)]) => {
+            left.end == right.start && combines(order, total, left.start, left.end, right.end)
+        }
+        _ => false,
+    }
+}
+
+/// `partials[i] += partials[i + 1]`, tensor by tensor, the right one
+/// removed.
+fn combine(partials: &mut Vec<(Range<usize>, Vec<Tensor>)>, i: usize) -> Result<(), TensorError> {
+    let (right, right_sums) = partials.remove(i + 1);
+    let (left, left_sums) = &mut partials[i];
+    if left_sums.len() != right_sums.len() {
+        return Err(TensorError::ShapeMismatch {
+            expected: left_sums.len(),
+            actual: right_sums.len(),
+            context: "reduce::fold_partial",
+        });
+    }
+    for (sum, part) in left_sums.iter_mut().zip(&right_sums) {
+        sum.add_assign(part)?;
+    }
+    left.end = right.end;
     Ok(())
 }
 

@@ -13,14 +13,24 @@
 //! buffers add up to those it created, and it creates one only when it
 //! holds none of that length, so it never keeps more buffers of a length
 //! than it once had in use at the same time. A buffer given back on a
-//! thread that has none of its length checked out — one that migrated from
-//! another thread, or that no take handed out — goes to the allocator.
+//! thread that has none of its length checked out — one that no take
+//! handed out — goes to the allocator.
+//!
+//! A buffer goes home. A tensor remembers the thread it was made on (its
+//! [`Home`]); dropped on another thread — a gradient partial that a device
+//! task on a pool worker made and the step's fold consumed elsewhere — its
+//! buffer is posted to that thread's inbox, and the home thread shelves its
+//! mail on its next [`take`]. Until then the buffer still counts as checked
+//! out there, so the bound holds on every thread. Mail for a thread that
+//! has exited is freed.
 //!
 //! A taken buffer has length 0, so stale values can never be read: callers
 //! fill it ([`zeroed`] writes the zeros a fresh `vec!` would have).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The buffers of one length on one thread.
 #[derive(Default)]
@@ -31,8 +41,141 @@ struct Shelf {
     out: usize,
 }
 
+/// Buffers dropped on other threads, on their way back to one thread.
+#[derive(Default)]
+struct Inbox {
+    /// The posted buffers.
+    mail: Mutex<Vec<Vec<f32>>>,
+    /// Set after every post, under the lock, so a `take` locks `mail` only
+    /// when there is some: a plain load on every take, never a
+    /// read-modify-write. The mutex orders the buffers themselves, so the
+    /// flag needs no ordering of its own; the owner clears it before it
+    /// locks, so a post it misses sets it again.
+    posted: AtomicBool,
+}
+
+/// The inbox of every live thread that has storage, by [thread
+/// number](this_thread). A thread removes its own as it exits, so a buffer
+/// posted to a thread that is gone finds none and is freed.
+static INBOXES: Mutex<BTreeMap<u64, Arc<Inbox>>> = Mutex::new(BTreeMap::new());
+
+/// The next thread number to hand out; 0 means "none yet".
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+
 thread_local! {
-    static SHELVES: RefCell<BTreeMap<usize, Shelf>> = const { RefCell::new(BTreeMap::new()) };
+    /// This thread's number, once it has asked for one.
+    static THREAD: Cell<u64> = const { Cell::new(0) };
+    static LOCAL: Local = Local::registered();
+}
+
+/// This thread's number: unique in the process, never reused.
+fn this_thread() -> u64 {
+    THREAD.with(|id| {
+        if id.get() == 0 {
+            id.set(NEXT_THREAD.fetch_add(1, Ordering::Relaxed));
+        }
+        id.get()
+    })
+}
+
+/// One thread's storage: its shelves, and the inbox other threads post its
+/// buffers to.
+struct Local {
+    shelves: RefCell<BTreeMap<usize, Shelf>>,
+    inbox: Arc<Inbox>,
+}
+
+impl Local {
+    /// Empty shelves, and an inbox the other threads can find.
+    fn registered() -> Local {
+        let local = Local {
+            shelves: RefCell::new(BTreeMap::new()),
+            inbox: Arc::default(),
+        };
+        INBOXES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(this_thread(), Arc::clone(&local.inbox));
+        local
+    }
+
+    /// Shelves `buf` if this thread has one of its length checked out, and
+    /// frees it otherwise.
+    fn shelve(&self, mut buf: Vec<f32>) {
+        let len = buf.len();
+        buf.clear();
+        if let Some(shelf) = self
+            .shelves
+            .borrow_mut()
+            .get_mut(&len)
+            .filter(|s| s.out > 0)
+        {
+            shelf.out -= 1;
+            shelf.held.push(buf);
+        }
+    }
+
+    /// Shelves what other threads posted home since the last call.
+    fn collect_mail(&self) {
+        if !self.inbox.posted.load(Ordering::Relaxed) {
+            return;
+        }
+        self.inbox.posted.store(false, Ordering::Relaxed);
+        let mut mail = self
+            .inbox
+            .mail
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // `drain` keeps the inbox's capacity for the next step's mail.
+        for buf in mail.drain(..) {
+            self.shelve(buf);
+        }
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        // The thread is exiting: no buffer can be posted to it from now on,
+        // and what is in its inbox is freed with it.
+        INBOXES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&this_thread());
+    }
+}
+
+/// The thread a tensor's buffer goes back to when the tensor is dropped:
+/// the one it was made on.
+pub(crate) struct Home(u64);
+
+impl Default for Home {
+    /// This thread.
+    fn default() -> Home {
+        Home(this_thread())
+    }
+}
+
+impl Home {
+    /// Gives `buf` back: to this thread's shelf if it is home, to its home
+    /// thread's inbox if not, and to the allocator if that thread has
+    /// exited.
+    pub(crate) fn give(&self, buf: Vec<f32>) {
+        if self.0 == this_thread() {
+            give(buf);
+        } else if !buf.is_empty() {
+            // Posting under the registry's lock: the home thread cannot
+            // exit, and free its inbox, halfway through.
+            let inboxes = INBOXES.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(inbox) = inboxes.get(&self.0) {
+                inbox
+                    .mail
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(buf);
+                inbox.posted.store(true, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// An empty buffer with room for `len` elements: a held one of exactly that
@@ -41,8 +184,9 @@ pub(crate) fn take(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    let held = SHELVES.try_with(|shelves| {
-        let mut shelves = shelves.borrow_mut();
+    let held = LOCAL.try_with(|local| {
+        local.collect_mail();
+        let mut shelves = local.shelves.borrow_mut();
         let shelf = shelves.entry(len).or_default();
         shelf.out += 1;
         shelf.held.pop()
@@ -59,30 +203,26 @@ pub(crate) fn zeroed(len: usize) -> Vec<f32> {
     buf
 }
 
-/// Returns `buf` to this thread's shelf of its length if the thread has one
-/// of that length checked out, and to the allocator otherwise.
-pub(crate) fn give(mut buf: Vec<f32>) {
-    let len = buf.len();
-    if len == 0 {
+/// Returns `buf`, taken on this thread, to this thread's shelf of its
+/// length if the thread has one of that length checked out, and to the
+/// allocator otherwise.
+pub(crate) fn give(buf: Vec<f32>) {
+    if buf.is_empty() {
         return;
     }
-    buf.clear();
     // During thread teardown the shelves may already be gone: free instead.
-    SHELVES
-        .try_with(|shelves| {
-            if let Some(shelf) = shelves.borrow_mut().get_mut(&len).filter(|s| s.out > 0) {
-                shelf.out -= 1;
-                shelf.held.push(std::mem::take(&mut buf));
-            }
-        })
+    LOCAL
+        .try_with(|local| local.shelve(buf))
         .unwrap_or_default();
 }
 
 /// This thread's `(held, checked out)` buffers of length `len`.
 #[cfg(test)]
 fn counts(len: usize) -> (usize, usize) {
-    SHELVES.with(|s| {
-        s.borrow()
+    LOCAL.with(|local| {
+        local
+            .shelves
+            .borrow()
             .get(&len)
             .map_or((0, 0), |s| (s.held.len(), s.out))
     })
@@ -130,5 +270,23 @@ mod tests {
         give(b);
         assert_eq!(zeroed(4), vec![0.0; 4]);
         assert!(take(0).is_empty() && counts(0) == (0, 0));
+    }
+
+    #[test]
+    fn a_buffer_given_on_another_thread_is_shelved_at_home_on_its_next_take() {
+        let (home, buf) = (Home::default(), zeroed(9));
+        let ptr = buf.as_ptr();
+        assert_eq!(counts(9), (0, 1));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test is about a buffer dropped on a second thread"
+        )]
+        std::thread::scope(|s| s.spawn(|| home.give(buf)).join().expect("second thread"));
+        assert_eq!(counts(9), (0, 1), "posted, not yet collected");
+        let again = zeroed(9);
+        assert_eq!(counts(9), (0, 1), "collected, then taken again");
+        assert_eq!(again.as_ptr(), ptr, "the same buffer");
+        give(again);
+        assert_eq!(counts(9), (1, 0));
     }
 }

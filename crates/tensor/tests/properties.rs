@@ -316,3 +316,75 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Each device folds the VNs it owns — contiguous blocks, or scattered
+    /// as a resize leaves them — and its partials then reach the step's one
+    /// fold interleaved in a random order with every other device's. The
+    /// sum has the bits of the single fold of all partials sorted by first
+    /// VN, and of the VN-order reduction; a range that overlaps one already
+    /// in the fold is refused and leaves the fold as it was.
+    #[test]
+    fn a_fold_sums_partials_arriving_in_any_order_to_the_sorted_folds_bits(
+        total in 1usize..=130,
+        devices in 1usize..=9,
+        contiguous in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        use vf_tensor::TensorError;
+
+        let mut rng = init::rng(seed);
+        let parts: Vec<Tensor> =
+            (0..total).map(|_| init::normal(&mut rng, [3], 0.0, 1.0)).collect();
+        let mut owners: Vec<usize> = (0..total).map(|_| rng.gen_range(0..devices)).collect();
+        if contiguous {
+            owners.sort_unstable();
+        }
+        let refused = |total| Err(TensorError::NotAPermutation {
+            len: total,
+            context: "reduce::fold_partial",
+        });
+        for order in [ReductionOrder::Tree, ReductionOrder::Sequential] {
+            let mut arrivals = Vec::new();
+            for device in 0..devices {
+                let mut held = Vec::new();
+                for vn in (0..total).filter(|&vn| owners[vn] == device) {
+                    fold_partial(&mut held, order, total, vn..vn + 1, vec![parts[vn].clone()])
+                        .unwrap();
+                }
+                arrivals.extend(held);
+            }
+            let mut sorted = arrivals.clone();
+            sorted.sort_by_key(|(vns, _)| vns.start);
+            arrivals.shuffle(&mut rng);
+
+            let mut fold = Vec::new();
+            for (vns, sums) in arrivals {
+                let again = (vns.clone(), sums.clone());
+                fold_partial(&mut fold, order, total, vns, sums).unwrap();
+                // The same range again, and one reaching a VN further left.
+                let before: Vec<_> = fold.iter().map(|(vns, _)| vns.clone()).collect();
+                let wider = again.0.start.saturating_sub(1)..again.0.end;
+                prop_assert_eq!(
+                    fold_partial(&mut fold, order, total, again.0, again.1.clone()),
+                    refused(total)
+                );
+                prop_assert_eq!(fold_partial(&mut fold, order, total, wider, again.1), refused(total));
+                prop_assert_eq!(fold.iter().map(|(vns, _)| vns.clone()).collect::<Vec<_>>(), before);
+            }
+            let mut joined = Vec::new();
+            for (vns, sums) in sorted {
+                fold_partial(&mut joined, order, total, vns, sums).unwrap();
+            }
+            prop_assert_eq!(fold.len(), 1);
+            prop_assert_eq!(&fold[0].0, &(0..total));
+            prop_assert_eq!(bits(&fold[0].1[0]), bits(&joined[0].1[0]), "{:?}", order);
+            let expected = reduce_sum(&parts, order, None).unwrap();
+            prop_assert_eq!(bits(&fold[0].1[0]), bits(&expected), "{:?}", order);
+        }
+    }
+}

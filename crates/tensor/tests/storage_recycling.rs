@@ -1,12 +1,13 @@
 //! What a thread's recycled tensor storage asks of the allocator, and how
 //! much it keeps.
 //!
-//! A dropped tensor's buffer goes to a shelf of its thread, keyed by exact
-//! length, and a new tensor of that length takes it back. Per length a
-//! thread's held and checked-out buffers add up to those it created, and it
-//! creates one only when it holds none, so it never keeps more of a length
-//! than it once had in use at the same time; a buffer dropped on a thread
-//! that has none of its length checked out is freed.
+//! A dropped tensor's buffer goes to a shelf of the thread that made the
+//! tensor, keyed by exact length, and a new tensor of that length takes it
+//! back. Per length a thread's held and checked-out buffers add up to those
+//! it created, and it creates one only when it holds none, so it never
+//! keeps more of a length than it once had in use at the same time. A
+//! tensor dropped on another thread sends its buffer home; one whose home
+//! thread has exited is freed.
 //!
 //! This file owns its process: the counting allocator is this binary's
 //! global allocator. It counts per thread, and each test runs on a thread
@@ -116,28 +117,55 @@ fn a_thread_creates_a_buffer_only_when_it_holds_none_of_its_length() {
     drop((four, other));
 }
 
-#[test]
-fn a_buffer_dropped_on_a_thread_with_none_of_its_length_out_is_freed() {
-    const LEN: usize = 2_000;
-    let t = Tensor::full([LEN], 1.5);
+/// Runs `f` on a second thread, to its exit, and returns what it returned
+/// with the `(frees, live bytes)` it made there.
+fn on_second_thread<T: Send>(f: impl FnOnce() -> T + Send) -> (T, (u64, i64)) {
     #[expect(
         clippy::disallowed_methods,
-        reason = "the test is about a second thread's storage shelf"
+        reason = "the test is about a second thread's storage"
     )]
-    let (frees, bytes) = std::thread::scope(|s| {
-        s.spawn(move || {
+    let out = std::thread::scope(|s| {
+        s.spawn(|| {
             let (frees, bytes) = (FREES.with(Cell::get), LIVE.with(Cell::get));
-            drop(t);
-            (FREES.with(Cell::get) - frees, LIVE.with(Cell::get) - bytes)
+            let out = f();
+            (
+                out,
+                (FREES.with(Cell::get) - frees, LIVE.with(Cell::get) - bytes),
+            )
         })
         .join()
         .expect("second thread")
     });
-    assert!(frees >= 1, "the migrated buffer went to the allocator");
-    assert!(bytes <= -(4 * LEN as i64), "and its bytes with it");
-    // The creating thread never got it back: its next one is new.
+    out
+}
+
+#[test]
+fn a_buffer_dropped_on_another_thread_returns_to_its_home_shelf() {
+    const LEN: usize = 2_000;
+    // One round trip first, so the shelf's list of held buffers has room.
+    drop(Tensor::zeros([LEN]));
+    let t = Tensor::full([LEN], 1.5);
+    let ((), (frees, _)) = on_second_thread(move || drop(t));
+    assert_eq!(frees, 0, "the buffer was sent home, not freed");
+    // The home thread's next tensor of that length is the same buffer.
     let (_t, made) = allocations_of(|| Tensor::zeros([LEN]));
-    assert_eq!(made, 1);
+    assert_eq!(made, 0, "the returned buffer is taken");
+}
+
+#[test]
+fn a_buffer_whose_home_thread_has_exited_is_freed() {
+    const LEN: usize = 3_000;
+    let (t, _) = on_second_thread(|| Tensor::full([LEN], 2.5));
+    let (frees, bytes) = (FREES.with(Cell::get), LIVE.with(Cell::get));
+    drop(t);
+    assert!(
+        FREES.with(Cell::get) > frees,
+        "the orphaned buffer went to the allocator"
+    );
+    assert!(
+        LIVE.with(Cell::get) - bytes <= -(4 * LEN as i64),
+        "and its bytes with it"
+    );
 }
 
 #[test]

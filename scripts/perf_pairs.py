@@ -46,12 +46,19 @@ and the scheduler's event, allocate-call and resize counts) — one run per
 side is their value; the timed ones are one sample each, to be read against
 the pairs.
 
+`--threads N` is a different, information-only session: no pairs of the
+benchmark and no verdict. It runs each side's `--child measure` child
+directly, at VF_NUM_THREADS=N (the gated runs use one thread), alternating
+sides as the pairs do, and prints each run's peak_rss_mib and each side's
+median, per workload and seed. It answers "what does a second thread cost in
+memory?", which the one-thread benchmark cannot.
+
 Build each commit once, in its own checkout, then from the repository root:
 
   cargo build --release --manifest-path perf_bench/Cargo.toml
   python3 scripts/perf_pairs.py PARENT/perf_bench/target/release/perf_bench \\
       perf_bench/target/release/perf_bench --workload train_many_vn \\
-      [--seeds 2022,7] [--pairs 10] [--seconds 20] [--layers]
+      [--seeds 2022,7] [--pairs 10] [--seconds 20] [--layers | --threads N]
 """
 import argparse
 import json
@@ -89,6 +96,9 @@ parser.add_argument("--pairs", type=int, default=10)
 parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
 parser.add_argument("--layers", action="store_true",
                     help="after the pairs, one traced run per side: per-layer metrics, parent -> change")
+parser.add_argument("--threads", type=int,
+                    help="instead of the pairs: each side's measure child at VF_NUM_THREADS=N, "
+                         "peak_rss_mib per run and median (information only, no verdict)")
 args = parser.parse_args()
 workloads = NAMES if args.workload == "all" else [args.workload]
 
@@ -218,6 +228,42 @@ def layers(workload, seed):
               f"({metric['better']} is better) {exact}")
     print(flush=True)
 
+
+def peak_rss_at_threads():
+    """The --threads session: peak_rss_mib of each side's measure child at
+    VF_NUM_THREADS=args.threads. Exits 1 if a child failed, else 0."""
+    env = {**os.environ, "VF_NUM_THREADS": str(args.threads)}
+    failed = 0
+    for seed in [int(s) for s in args.seeds.split(",")]:
+        peaks = {w: {"parent": [], "change": []} for w in workloads}
+        for pair in range(args.pairs):
+            sides = [("parent", args.parent_bin), ("change", args.change_bin)]
+            for side, binary in sides if pair % 2 == 0 else sides[::-1]:
+                for w in workloads:
+                    cmd = [binary, "--child", "measure", "--workload", w, "--seed", str(seed),
+                           "--seconds", str(args.seconds)]
+                    child = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, env=env,
+                                           timeout=60 + 10 * args.seconds)
+                    found = re.search(r"^m peak_rss_mib (\S+)$", child.stdout, re.MULTILINE)
+                    if child.returncode != 0 or not found:
+                        failed += 1
+                        print(f"{w} seed {seed} pair {pair + 1}/{args.pairs} {side}: "
+                              f"FAILED (exit {child.returncode})", flush=True)
+                        continue
+                    peaks[w][side].append(float(found.group(1)))
+                    print(f"{w} seed {seed} pair {pair + 1}/{args.pairs} {side}: "
+                          f"peak_rss_mib {found.group(1)}", flush=True)
+        for w in workloads:
+            print(f"\n== {w} | seed {seed} | peak_rss_mib at VF_NUM_THREADS={args.threads}, "
+                  f"{args.pairs} runs of {args.seconds:g} s per side (information only) ==")
+            for side, values in peaks[w].items():
+                median = f"{statistics.median(values):.4g}" if values else "-"
+                print(f"  {side:6} runs {' '.join(f'{v:.4g}' for v in values)} | median {median}")
+    sys.exit(1 if failed else 0)
+
+
+if args.threads:
+    peak_rss_at_threads()
 
 ok = True
 summary = []

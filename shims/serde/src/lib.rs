@@ -395,7 +395,7 @@ impl Deserialize for Value {
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
@@ -404,5 +404,11 @@ impl<T: Serialize> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::from_value(v).map(Vec::into_boxed_slice)
     }
 }

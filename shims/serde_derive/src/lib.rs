@@ -3,7 +3,8 @@
 //! `proc_macro::TokenStream` with a small cursor, supports exactly the shapes
 //! this workspace uses (non-generic structs with named fields, tuple/newtype
 //! structs, and enums with unit/newtype/tuple/struct variants, plus
-//! `#[serde(default)]`), and generates code as strings.
+//! `#[serde(default)]` and `#[serde(skip)]` on named fields), and generates
+//! code as strings.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -40,24 +41,25 @@ impl Cursor {
         self.pos >= self.toks.len()
     }
 
-    /// Skip attributes; returns true if one of them was `#[serde(default)]`
-    /// (or a serde attr list containing `default`).
-    fn skip_attrs(&mut self) -> bool {
-        let mut has_default = false;
+    /// Skip attributes; returns the `#[serde(default)]` / `#[serde(skip)]`
+    /// options among them.
+    fn skip_attrs(&mut self) -> SerdeAttrs {
+        let mut attrs = SerdeAttrs::default();
         loop {
             match self.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     self.bump();
                     match self.bump() {
                         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                            if attr_is_serde_default(g.stream()) {
-                                has_default = true;
+                            for word in serde_attr_words(g.stream()) {
+                                attrs.default |= word == "default";
+                                attrs.skip |= word == "skip";
                             }
                         }
                         other => panic!("expected [...] after # in attribute, got {other:?}"),
                     }
                 }
-                _ => return has_default,
+                _ => return attrs,
             }
         }
     }
@@ -123,24 +125,39 @@ impl Cursor {
     }
 }
 
-fn attr_is_serde_default(stream: TokenStream) -> bool {
+/// The serde options of a field.
+#[derive(Default)]
+struct SerdeAttrs {
+    /// `#[serde(default)]`: a missing field deserializes as its default.
+    default: bool,
+    /// `#[serde(skip)]`: never serialized, always deserialized as its
+    /// default.
+    skip: bool,
+}
+
+/// The identifiers inside a `serde(...)` attribute; none for any other.
+fn serde_attr_words(stream: TokenStream) -> Vec<String> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
-    match toks.first() {
-        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
-        _ => return false,
-    }
-    match toks.get(1) {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => g
-            .stream()
-            .into_iter()
-            .any(|t| matches!(&t, TokenTree::Ident(id) if id.to_string() == "default")),
-        _ => false,
+    match (toks.first(), toks.get(1)) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(g)))
+            if id.to_string() == "serde" && g.delimiter() == Delimiter::Parenthesis =>
+        {
+            g.stream()
+                .into_iter()
+                .filter_map(|t| match t {
+                    TokenTree::Ident(id) => Some(id.to_string()),
+                    _ => None,
+                })
+                .collect()
+        }
+        _ => Vec::new(),
     }
 }
 
 struct Field {
     name: String,
     has_default: bool,
+    skip: bool,
     is_option: bool,
 }
 
@@ -165,7 +182,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut c = Cursor::new(stream);
     let mut fields = Vec::new();
     while !c.at_end() {
-        let has_default = c.skip_attrs();
+        let attrs = c.skip_attrs();
         if c.at_end() {
             break;
         }
@@ -176,7 +193,8 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         c.eat_punct(',');
         fields.push(Field {
             name,
-            has_default,
+            has_default: attrs.default,
+            skip: attrs.skip,
             is_option: type_is_option(&ty),
         });
     }
@@ -286,7 +304,7 @@ fn gen_serialize(item: &Item) -> String {
                 }
                 Fields::Named(fs) => {
                     s.push_str("        let mut __vf_map = ::serde::Map::new();\n");
-                    for f in fs {
+                    for f in fs.iter().filter(|f| !f.skip) {
                         s.push_str(&format!(
                             "        __vf_map.insert(::std::string::String::from(\"{0}\"), ::serde::Serialize::to_value(&self.{0}));\n",
                             f.name
@@ -335,7 +353,7 @@ fn gen_serialize(item: &Item) -> String {
                             "            {name}::{vname} {{ {} }} => {{\n                let mut __vf_inner = ::serde::Map::new();\n",
                             binders.join(", ")
                         ));
-                        for (i, f) in fs.iter().enumerate() {
+                        for (i, f) in fs.iter().enumerate().filter(|(_, f)| !f.skip) {
                             s.push_str(&format!(
                                 "                __vf_inner.insert(::std::string::String::from(\"{}\"), ::serde::Serialize::to_value(__vf_f{i}));\n",
                                 f.name
@@ -356,6 +374,13 @@ fn gen_serialize(item: &Item) -> String {
 fn gen_named_field_reads(ty_name: &str, fs: &[Field], obj: &str) -> String {
     let mut s = String::new();
     for f in fs {
+        if f.skip {
+            s.push_str(&format!(
+                "            {}: ::std::default::Default::default(),\n",
+                f.name
+            ));
+            continue;
+        }
         let missing = if f.has_default || f.is_option {
             "::std::default::Default::default()".to_string()
         } else {
