@@ -9,9 +9,10 @@
 //!    a *strict* steady-step improvement and reports the exposed-comm
 //!    fraction; both are deterministic and gated by `bench_gate`.
 //! 2. **Simulated trainer** — the chaos supervisor's fault-free clock over
-//!    a real training run, overlapped versus legacy sync. Asserts strictly
-//!    less simulated time *and* bit-identical final parameters (schedule
-//!    change, never a value change).
+//!    a real training run, 64 B buckets versus one bucket (the single sync
+//!    after the last backward pass). Asserts strictly less simulated time
+//!    *and* bit-identical final parameters (schedule change, never a value
+//!    change).
 //!
 //! Usage: `overlap_bench [--smoke]` — `--smoke` shrinks the runs for
 //! tier-1 and skips the history append.
@@ -49,7 +50,8 @@ fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
     Ok((arch, dataset, config))
 }
 
-/// Fault-free chaos run; `bucket_bytes` selects overlapped vs legacy sync.
+/// Fault-free chaos run with the given bucket threshold (`u64::MAX`: one
+/// bucket, the single sync).
 ///
 /// The bench MLP's gradient is under a kilobyte, so on the paper-testbed
 /// link its sync is a rounding error next to the simulated compute. The
@@ -58,7 +60,7 @@ fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
 /// the regime overlap exists for.
 fn sim_run(
     steps: u64,
-    bucket_bytes: Option<u64>,
+    bucket_bytes: u64,
 ) -> Result<(vf_core::chaos::ChaosReport, Vec<Vec<u32>>)> {
     let (arch, dataset, config) = parts()?;
     let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), steps);
@@ -147,16 +149,16 @@ fn main() -> Result {
     metrics.set_gauge("model/hidden_comm_s", overlapped.sync_s - overlapped.exposed_comm_s);
 
     // -- Part 2: simulated-time trainer through the chaos clock -----------
-    let (legacy, legacy_params) = sim_run(sim_steps, None)?;
-    let (overlap, overlap_params) = sim_run(sim_steps, Some(TRAINER_BUCKET_BYTES))?;
-    if overlap.sim_time_s >= legacy.sim_time_s {
+    let (single, single_params) = sim_run(sim_steps, u64::MAX)?;
+    let (overlap, overlap_params) = sim_run(sim_steps, TRAINER_BUCKET_BYTES)?;
+    if overlap.sim_time_s >= single.sim_time_s {
         eprintln!(
-            "FAIL: overlapped sim time ({:.2}s) not strictly below legacy ({:.2}s)",
-            overlap.sim_time_s, legacy.sim_time_s
+            "FAIL: overlapped sim time ({:.2}s) not strictly below single sync ({:.2}s)",
+            overlap.sim_time_s, single.sim_time_s
         );
         failed = true;
     }
-    if overlap_params != legacy_params {
+    if overlap_params != single_params {
         eprintln!("FAIL: overlapped trainer diverged from the single-sync trajectory");
         failed = true;
     }
@@ -164,9 +166,9 @@ fn main() -> Result {
     metrics.set_gauge("sim/steady_step_s", overlap.sim_time_s / sim_steps as f64);
     metrics.set_gauge(
         "sim/baseline_step_s",
-        legacy.sim_time_s / sim_steps as f64,
+        single.sim_time_s / sim_steps as f64,
     );
-    metrics.set_gauge("sim/speedup", legacy.sim_time_s / overlap.sim_time_s);
+    metrics.set_gauge("sim/speedup", single.sim_time_s / overlap.sim_time_s);
     metrics.set_gauge("sim/exposed_comm_frac", exposed_frac);
 
     print_table(
@@ -181,9 +183,9 @@ fn main() -> Result {
             ],
             vec![
                 "sim step (s)".into(),
-                format!("{:.4}", legacy.sim_time_s / sim_steps as f64),
+                format!("{:.4}", single.sim_time_s / sim_steps as f64),
                 format!("{:.4}", overlap.sim_time_s / sim_steps as f64),
-                format!("{:.3}x", legacy.sim_time_s / overlap.sim_time_s),
+                format!("{:.3}x", single.sim_time_s / overlap.sim_time_s),
                 format!("{:.3}", exposed_frac),
             ],
         ],
@@ -197,7 +199,7 @@ fn main() -> Result {
                 "additive": additive_json(&additive),
                 "overlapped": overlapped_json(&overlapped),
             },
-            "sim": { "legacy": legacy, "overlapped": overlap, "steps": sim_steps },
+            "sim": { "single": single, "overlapped": overlap, "steps": sim_steps },
         }),
         &metrics,
     )?;

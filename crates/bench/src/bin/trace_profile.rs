@@ -104,7 +104,7 @@ fn run_scenario(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     cfg.comm = Some(CommFaultModel::new(SEED, 0.03, 0.005, 0.02));
     // Overlapped execution: per-parameter buckets, collectives pipelined
     // under the backward window (asserted on the trace in `main`).
-    cfg.bucket_bytes = Some(64);
+    cfg.bucket_bytes = 64;
     cfg.cooldown_s = 90.0;
     cfg.bootstrap_s = 20.0;
     let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
@@ -144,9 +144,10 @@ fn overlap_spans(events: &[Event]) -> (Vec<(u64, u64)>, Vec<u64>) {
 
 /// Checks the overlap structure of a bucketed trace: for every backward
 /// window, the first collective launched at-or-after the window opens must
-/// start *inside* it — bucket 0 is ready the moment the backward tail
-/// begins, so a first collective outside its window means the pipelining
-/// silently degraded to sync-after-compute.
+/// start *inside* it — bucket 0 of `K` is ready `1/K` of the way into the
+/// backward tail, once its last gradient exists, so a first collective
+/// outside its window means the pipelining silently degraded to
+/// sync-after-compute.
 fn check_first_collective_in_window(events: &[Event]) -> Result<usize> {
     let (windows, mut collectives) = overlap_spans(events);
     if windows.is_empty() {
@@ -171,18 +172,17 @@ fn check_first_collective_in_window(events: &[Event]) -> Result<usize> {
 }
 
 /// A fault-free paired run proving the overlap claim on the trace itself:
-/// same job, same (scaled) link, once with per-parameter buckets pipelined
-/// under the backward window and once through the legacy sync-after-compute
-/// path. The bucketed trace must nest *every* collective inside a backward
-/// window, and both its simulated time and its profile critical path must
-/// not exceed the legacy run's.
+/// same job, same (scaled) link, once with 64 B buckets pipelined under the
+/// backward window and once with one bucket, the single sync after the last
+/// backward pass. The bucketed trace must nest *every* collective inside a
+/// backward window, and both its simulated time and its profile critical
+/// path must not exceed the single sync's.
 fn overlap_proof() -> Result<String> {
     const PROOF_STEPS: u64 = 8;
-    let run = |bucket_bytes: Option<u64>| -> Result<(Vec<Event>, f64)> {
+    let run = |bucket_bytes: u64| -> Result<(Vec<Event>, f64)> {
         let (arch, dataset, config) = parts()?;
         let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), PROOF_STEPS);
         cfg.bucket_bytes = bucket_bytes;
-        // Legacy path: still traced (quiet fault model), still additive.
         cfg.comm = Some(CommFaultModel::quiet(SEED));
         // The bench MLP's gradient is under a kilobyte; scale the link so
         // sync is a realistic ~12% of the step (see overlap_bench), while
@@ -200,8 +200,8 @@ fn overlap_proof() -> Result<String> {
         let out = sup.run().context("fault-free run survives")?;
         Ok((sink.events(), out.report.sim_time_s))
     };
-    let (bucketed, sim_bucketed) = run(Some(64))?;
-    let (legacy, sim_legacy) = run(None)?;
+    let (bucketed, sim_bucketed) = run(64)?;
+    let (single, sim_single) = run(u64::MAX)?;
 
     let (windows, collectives) = overlap_spans(&bucketed);
     if windows.len() != PROOF_STEPS as usize {
@@ -215,9 +215,9 @@ fn overlap_proof() -> Result<String> {
             .into());
         }
     }
-    if sim_bucketed >= sim_legacy {
+    if sim_bucketed >= sim_single {
         return Err(format!(
-            "bucketed sim time {sim_bucketed:.4}s not below legacy {sim_legacy:.4}s"
+            "bucketed sim time {sim_bucketed:.4}s not below single sync {sim_single:.4}s"
         )
         .into());
     }
@@ -225,10 +225,10 @@ fn overlap_proof() -> Result<String> {
         let p = Profile::from_events(events);
         p.path_duration_us(&p.critical_path())
     };
-    let (cp_bucketed, cp_legacy) = (cp(&bucketed), cp(&legacy));
-    if cp_bucketed > cp_legacy {
+    let (cp_bucketed, cp_single) = (cp(&bucketed), cp(&single));
+    if cp_bucketed > cp_single {
         return Err(
-            format!("bucketed critical path {cp_bucketed}us exceeds legacy {cp_legacy}us").into(),
+            format!("bucketed critical path {cp_bucketed}us exceeds single sync {cp_single}us").into(),
         );
     }
     Ok(format!(
@@ -236,9 +236,9 @@ fn overlap_proof() -> Result<String> {
         collectives.len(),
         windows.len(),
         sim_bucketed,
-        sim_legacy,
+        sim_single,
         cp_bucketed,
-        cp_legacy,
+        cp_single,
     ))
 }
 
@@ -343,7 +343,7 @@ fn main() -> Result {
         .map_err(|e| format!("overlap structure broken on the chaos trace: {e:?}"))?;
     println!("overlap: first collective inside each of {n} backward windows");
     // And the quiet paired run: full nesting plus a critical path no longer
-    // than the legacy sync-after-compute schedule.
+    // than the one-bucket single sync's.
     let proof = overlap_proof().map_err(|e| format!("overlap proof: {e:?}"))?;
     println!("overlap proof: {proof}");
 

@@ -42,9 +42,7 @@ fn unit_open(z: u64) -> f64 {
 ///
 /// Bucketed overlap runs one collective per gradient bucket per step, so
 /// each needs its own independent draw stream. Bucket 0 maps to `step`
-/// itself — a single-bucket run draws exactly the fault sequence the
-/// historical one-collective-per-step path drew, keeping committed chaos
-/// trajectories stable.
+/// itself, so a one-bucket run draws one plain stream per step.
 pub fn collective_stream(step: u64, bucket: u32) -> u64 {
     if bucket == 0 {
         step
@@ -105,7 +103,7 @@ impl CommFaultModel {
     /// exposure of the single-sync step over the same wire time. Scaling
     /// each bucket's probabilities by its byte share keeps the expected
     /// faults per step invariant to bucketing. `share = 1` is the
-    /// identity, so a single bucket draws exactly the legacy model.
+    /// identity, so a single bucket draws exactly the unscaled model.
     pub fn scaled(&self, share: f64) -> Self {
         let share = if share.is_finite() { share.clamp(0.0, 1.0) } else { 1.0 };
         CommFaultModel {
@@ -357,7 +355,7 @@ mod tests {
     #[test]
     fn scaled_model_keeps_expected_faults_invariant_to_bucketing() {
         let m = CommFaultModel::new(5, 0.2, 0.1, 0.1);
-        // Full share is the identity: a single bucket draws the legacy model.
+        // Full share is the identity: a single bucket draws the unscaled model.
         assert_eq!(m.scaled(1.0), m);
         // K equal buckets each carry 1/K the probability mass.
         let b = m.scaled(0.25);
@@ -484,7 +482,7 @@ mod tests {
 
     #[test]
     fn bucket_streams_are_deterministic_and_legacy_compatible() {
-        // Bucket 0 is the legacy per-step stream; other buckets get their
+        // Bucket 0 is the plain per-step stream; other buckets get their
         // own streams, distinct across both bucket and step.
         for step in 0..64 {
             assert_eq!(collective_stream(step, 0), step);

@@ -39,7 +39,7 @@ use crate::{CoreError, TrainerConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vf_comm::allreduce::{ring_allreduce_time_s, split_bucket_bytes};
+use vf_comm::allreduce::split_bucket_bytes;
 use vf_comm::chaos::{
     allreduce_with_recovery, collective_stream, ring_reform_time_s, CommFaultModel,
 };
@@ -92,17 +92,18 @@ pub struct ChaosConfig {
     /// Horizon the fault plan is materialized over. Must comfortably
     /// exceed the simulated run time; events beyond the end never fire.
     pub events_horizon_s: f64,
-    /// Gradient-bucket byte threshold for overlapped execution. `None`
-    /// (the default) keeps the legacy schedule: one allreduce serialized
-    /// after all compute. `Some(b)` splits the sync into buckets pipelined
-    /// against the final wave's backward window on a second clock lane.
+    /// Gradient-bucket byte threshold: each step's sync is cut into
+    /// `split_bucket_bytes` chunks pipelined against the final wave's
+    /// backward window on a second clock lane, each launched once its last
+    /// gradient exists. The default, `u64::MAX` (as is `0`, or any
+    /// threshold at or above the gradient's size), is one bucket: the
+    /// paper's single all-reduce after the last backward pass.
     #[serde(default)]
-    pub bucket_bytes: Option<u64>,
+    pub bucket_bytes: u64,
     /// Fraction of one wave's compute that is backward pass — the window
-    /// bucketed collectives may overlap. Read on every step, on both
-    /// schedules: each step emits this backward window to the trace, and
-    /// with `bucket_bytes` set the buckets also overlap it. Clamped to
-    /// `[0, 1]`.
+    /// over which gradients become ready, and which every step emits to the
+    /// trace. With more than one bucket, all but the last collective can
+    /// start inside it. Clamped to `[0, 1]`.
     #[serde(default)]
     pub backward_fraction: f64,
     /// Durable checkpoint store configuration. `None` (the default) keeps
@@ -135,7 +136,7 @@ impl ChaosConfig {
             restore_s: 60.0,
             cooldown_s: 300.0,
             events_horizon_s: steps as f64 * 30.0 + 3_600.0,
-            bucket_bytes: None,
+            bucket_bytes: u64::MAX,
             backward_fraction: 0.5,
             store: None,
         }
@@ -217,9 +218,10 @@ pub struct ChaosReport {
     /// Total communication time charged across all steps, in seconds.
     #[serde(default)]
     pub comm_total_s: f64,
-    /// Communication time *not* hidden under compute: with the legacy
-    /// schedule this equals `comm_total_s`; with overlapped execution it is
-    /// only the part sticking out past each step's backward window.
+    /// Communication time *not* hidden under compute: the part of each
+    /// step's comm lane sticking out past the end of its backward window.
+    /// With one bucket every collective starts as compute ends, so this
+    /// equals `comm_total_s`.
     #[serde(default)]
     pub comm_exposed_s: f64,
     /// Checkpoints durably committed to the store (0 without a store).
@@ -425,11 +427,7 @@ impl ChaosSupervisor {
         cfg: ChaosConfig,
     ) -> Result<Self, CoreError> {
         cfg.validate()?;
-        let mut trainer = Trainer::new(arch.clone(), dataset.clone(), config, devices)?;
-        // The real executor mirrors the simulated bucket plan, so the
-        // pipelined reduction runs (and its trajectory equality is
-        // exercised) whenever the time model is overlapped.
-        trainer.set_bucket_bytes(cfg.bucket_bytes);
+        let trainer = Trainer::new(arch.clone(), dataset.clone(), config, devices)?;
         let mut universe: Vec<DeviceId> = devices.iter().chain(spares.iter()).copied().collect();
         universe.sort_unstable();
         universe.dedup();
@@ -842,14 +840,12 @@ impl ChaosSupervisor {
         )?;
         self.last_checkpoint = restored;
         // The rebuilt trainer starts with a disabled recorder; re-attach
-        // ours so the replayed steps keep tracing, and restore the bucket
-        // plan the checkpoint does not carry. The monitor hook is rebuilt
-        // the same way so loss keeps flowing through the fallback.
+        // ours so the replayed steps keep tracing. The monitor hook is
+        // rebuilt the same way so loss keeps flowing through the fallback.
         self.trainer.set_recorder(self.obs.clone());
         if let Some(mon) = &self.monitor {
             self.trainer.set_monitor(mon.clone());
         }
-        self.trainer.set_bucket_bytes(self.cfg.bucket_bytes);
         self.group = ElasticGroup::new(fleet.iter().map(|d| WorkerId(d.0)));
         self.clock.advance(self.cfg.restore_s);
         self.report.mttr_total_s += self.clock.now() - mttr_t0;
@@ -905,10 +901,13 @@ impl ChaosSupervisor {
     }
 
     /// One training step: waves of compute, then the (possibly faulty)
-    /// gradient all-reduce, all charged to the simulated clock. With
-    /// `bucket_bytes` set the sync is bucketed and pipelined against the
-    /// final wave's backward window on a second clock lane; the step then
-    /// ends at the *join* of the lanes rather than their sum.
+    /// gradient all-reduce, all charged to the simulated clock. The sync is
+    /// bucketed and pipelined against the final wave's backward window on a
+    /// second clock lane (`crate::overlap::pipeline_buckets`); the step
+    /// ends at the *join* of the lanes. Each bucket's collective draws its
+    /// faults from its own stream, with probabilities scaled by its byte
+    /// share so fault exposure is invariant to bucketing, and retries on
+    /// its own; trajectories stay bit-exact throughout.
     fn execute_step(&mut self) -> Result<(), CoreError> {
         // Faults handled this iteration advanced the clock past the loop's
         // snapshot; re-sync so step and comm events are stamped correctly.
@@ -918,62 +917,31 @@ impl ChaosSupervisor {
         self.obs
             .record_with(|| Event::counter("chaos/fleet", "chaos", self.obs.now_us(), workers));
         let compute_s = self.cfg.compute_s_per_wave * waves as f64;
-        // The overlappable window is the backward tail of the final wave. It
-        // exists whether or not sync is bucketed, and recording it on the
-        // legacy paths too keeps traces comparable: the critical-path delta
-        // between the two schedules is then exactly the communication
-        // hidden under the window.
+        // The overlappable window is the backward tail of the final wave.
         let window =
             (self.cfg.backward_fraction.clamp(0.0, 1.0) * self.cfg.compute_s_per_wave).min(compute_s);
         let step = self.trainer.steps_done();
-        emit_backward_window(&self.obs, step, self.clock.now() + compute_s - window, window);
-        let elapsed = if let Some(bucket_bytes) = self.cfg.bucket_bytes {
-            self.overlapped_sync_time_s(compute_s, window, workers, bucket_bytes)?
-        } else if let Some(comm) = &self.cfg.comm {
-            let outcome = allreduce_with_recovery(
-                comm,
-                step,
-                self.param_bytes,
-                workers,
-                &self.cfg.link,
-                self.cfg.max_collective_attempts,
-                &self.obs,
-            )
-            .map_err(|e| CoreError::CommPartitioned { attempts: e.attempts })?;
-            self.report.comm_timeouts += outcome.timeouts as usize;
-            self.report.comm_aborts += outcome.aborts as usize;
-            self.report.comm_stragglers += outcome.stragglers as usize;
-            self.report.comm_total_s += outcome.time_s;
-            self.report.comm_exposed_s += outcome.time_s;
-            compute_s + outcome.time_s
-        } else {
-            let comm_s = ring_allreduce_time_s(self.param_bytes, workers, &self.cfg.link);
-            self.report.comm_total_s += comm_s;
-            self.report.comm_exposed_s += comm_s;
-            compute_s + comm_s
-        };
+        let t0 = self.clock.now();
+        emit_backward_window(&self.obs, step, t0 + compute_s - window, window);
+        let elapsed = self.sync_time_s(t0, compute_s, window, workers)?;
         self.trainer.step()?;
         self.clock.advance(elapsed);
         self.report.min_fleet = self.report.min_fleet.min(workers);
         Ok(())
     }
 
-    /// Simulated duration of one overlapped step: compute advances one
-    /// lane; each gradient bucket's (possibly faulty) collective runs on
-    /// the comm lane as soon as its backward slice is done and the lane is
-    /// free. Fault draws use per-bucket streams (with probabilities scaled
-    /// by byte share, so fault exposure is invariant to bucketing) and
-    /// retries recover per-bucket; trajectories stay bit-exact throughout.
-    fn overlapped_sync_time_s(
+    /// Simulated duration of one step starting at `t0`: compute advances
+    /// one lane; each gradient bucket's collective runs on the comm lane
+    /// once its last gradient exists and the lane is free.
+    fn sync_time_s(
         &mut self,
+        t0: f64,
         compute_s: f64,
         window: f64,
         workers: usize,
-        bucket_bytes: u64,
     ) -> Result<f64, CoreError> {
         let step = self.trainer.steps_done();
-        let t0 = self.clock.now();
-        let sizes = split_bucket_bytes(self.param_bytes, bucket_bytes);
+        let sizes = split_bucket_bytes(self.param_bytes, self.cfg.bucket_bytes);
         let model = self.cfg.comm.unwrap_or(CommFaultModel::quiet(0));
         let (obs, report) = (&self.obs, &mut self.report);
         let (link, max_attempts) = (&self.cfg.link, self.cfg.max_collective_attempts);
@@ -1359,7 +1327,7 @@ mod tests {
     ) -> Result<ChaosSupervisor, CoreError> {
         let (arch, dataset, config) = parts(1);
         let mut cfg = ChaosConfig::new(FaultPlan::new(1), 10);
-        cfg.bucket_bytes = Some(64);
+        cfg.bucket_bytes = 64;
         set(&mut cfg, value);
         ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..12), cfg)
     }
@@ -1468,33 +1436,72 @@ mod tests {
 
     #[test]
     fn overlapped_sync_shrinks_sim_time_and_keeps_the_trajectory() {
-        let mk = |bucket: Option<u64>| {
+        let mk = |bucket_bytes: u64| {
             let (arch, dataset, config) = parts(9);
             let mut cfg = ChaosConfig::new(FaultPlan::new(9), 30);
-            cfg.bucket_bytes = bucket;
+            cfg.bucket_bytes = bucket_bytes;
             ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..12), cfg)
                 .unwrap()
                 .run()
                 .unwrap()
         };
-        let legacy = mk(None);
-        let overlapped = mk(Some(64));
-        // The tiny MLP's comm hides entirely under the backward window, so
-        // overlap strictly beats the additive schedule.
+        let single = mk(u64::MAX);
+        let overlapped = mk(64);
+        // The tiny MLP's early buckets hide under the backward window and
+        // only the last 64 B collective sticks out, so overlap strictly
+        // beats the single sync.
         assert!(
-            overlapped.report.sim_time_s < legacy.report.sim_time_s,
-            "overlapped {} vs legacy {}",
+            overlapped.report.sim_time_s < single.report.sim_time_s,
+            "overlapped {} vs single sync {}",
             overlapped.report.sim_time_s,
-            legacy.report.sim_time_s
+            single.report.sim_time_s
         );
-        assert_eq!(overlapped.report.comm_exposed_s, 0.0);
-        assert!(overlapped.report.comm_total_s > 0.0);
-        // Legacy charges every comm second as exposed.
-        assert_eq!(legacy.report.comm_exposed_s, legacy.report.comm_total_s);
-        // Multi-bucket pipelined reduction in the real executor lands on
-        // bit-identical parameters.
-        assert_eq!(overlapped.trainer.params(), legacy.trainer.params());
+        assert!(overlapped.report.comm_exposed_s > 0.0);
+        assert!(overlapped.report.comm_exposed_s < single.report.comm_exposed_s);
+        assert!(overlapped.report.comm_exposed_s < overlapped.report.comm_total_s);
+        // Bucketing is a schedule, never a value: both runs land on the
+        // plain trainer's bit-identical parameters.
+        assert_eq!(overlapped.trainer.params(), single.trainer.params());
         assert_eq!(overlapped.trainer.params(), &fault_free_params(9, 30)[..]);
+    }
+
+    #[test]
+    fn one_bucket_syncs_once_after_each_backward_pass() {
+        use vf_obs::{Phase, Recorder, RingSink};
+        let (arch, dataset, config) = parts(10);
+        let mut cfg = ChaosConfig::new(FaultPlan::new(10), 12);
+        // A slow link puts sync at a sizable share of the step, so the
+        // clock's rounding at its magnitude is far below the tolerance.
+        cfg.link = LinkProfile { latency_s: 100.0e-6, bandwidth: 2.0e3 };
+        let mut sup =
+            ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &[], cfg).unwrap();
+        let sink = Arc::new(RingSink::unbounded());
+        sup.set_recorder(Recorder::with_sink(sink.clone()));
+        let report = sup.run().unwrap().report;
+        let events = sink.events();
+        let spans = |name: &str| -> Vec<(u64, u64)> {
+            events
+                .iter()
+                .filter(|e| e.name == name && e.ph == Phase::Complete)
+                .map(|e| (e.ts_us, e.ts_us + e.dur_us))
+                .collect()
+        };
+        let windows = spans("step/backward");
+        let collectives = spans("allreduce");
+        assert_eq!(windows.len(), 12, "one backward window per step");
+        assert_eq!(collectives.len(), 12, "one collective per step");
+        for (&(_, backward_end), &(start, _)) in windows.iter().zip(&collectives) {
+            assert_eq!(start, backward_end, "the sync starts as the last backward pass ends");
+        }
+        // Nothing overlaps: every comm second is exposed.
+        assert!(report.comm_total_s > 0.0);
+        let gap = (report.comm_exposed_s - report.comm_total_s).abs();
+        assert!(
+            gap <= 1e-12 * report.comm_total_s,
+            "exposed {} vs total {}",
+            report.comm_exposed_s,
+            report.comm_total_s
+        );
     }
 
     #[test]
@@ -1503,7 +1510,7 @@ mod tests {
         let plan = FaultPlan::new(11).with_crashes(FailureModel::new(300.0, 11).unwrap());
         let mut cfg = ChaosConfig::new(plan, 40);
         cfg.comm = Some(CommFaultModel::new(11, 0.1, 0.02, 0.05));
-        cfg.bucket_bytes = Some(128);
+        cfg.bucket_bytes = 128;
         cfg.cooldown_s = 60.0;
         let out =
             ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
@@ -1521,7 +1528,7 @@ mod tests {
         use vf_obs::{Phase, Recorder, RingSink};
         let (arch, dataset, config) = parts(12);
         let mut cfg = ChaosConfig::new(FaultPlan::new(12), 3);
-        cfg.bucket_bytes = Some(64);
+        cfg.bucket_bytes = 64;
         let mut sup =
             ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &[], cfg).unwrap();
         let sink = Arc::new(RingSink::unbounded());

@@ -13,10 +13,9 @@
 //!    synchronized **once per step**, and the optimizer applies exactly one
 //!    update.
 //!
-//! There is one executor for every reduction order and bucket plan
-//! (`Trainer::compute_and_reduce`); gradient bucketing
-//! ([`crate::overlap`]) shapes the simulated comm lane and the trace, not
-//! host execution.
+//! There is one executor for every reduction order
+//! (`Trainer::compute_and_reduce`); gradient bucketing (`crate::overlap`)
+//! shapes the simulated comm lane and its trace, not host execution.
 //!
 //! Because the shard decomposition, gradient reduction order, and optimizer
 //! state depend only on the virtual node count — not on the device mapping —
@@ -30,7 +29,6 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::TrainerConfig;
-use crate::overlap::BucketPlan;
 use crate::vnode::{MigrationPlan, VirtualNodeId, VnMapping};
 use crate::CoreError;
 use std::collections::BTreeMap;
@@ -208,10 +206,6 @@ pub struct Trainer {
     /// Monitoring hook: when attached, each step publishes its loss, lr,
     /// and step count into the monitor's registry.
     monitor: Option<Arc<Monitor>>,
-    /// Fixed gradient-bucket boundaries: one `bucket{k}/reduce` trace span
-    /// per bucket. A single bucket (the default) is the one-sync-per-step
-    /// schedule.
-    bucket_plan: BucketPlan,
 }
 
 impl Trainer {
@@ -251,7 +245,6 @@ impl Trainer {
             DistributionMode::Partitioned => Some(VisitLedger::new(dataset.len())),
             DistributionMode::Replicated => None,
         };
-        let sizes: Vec<u64> = params.iter().map(|p| p.size_bytes() as u64).collect();
         Ok(Trainer {
             arch,
             dataset,
@@ -265,31 +258,7 @@ impl Trainer {
             ledger,
             obs: Recorder::disabled(),
             monitor: None,
-            bucket_plan: BucketPlan::single(&sizes),
         })
-    }
-
-    /// Sets the gradient-bucket byte threshold; `None` restores the
-    /// single-bucket default (one sync per step).
-    ///
-    /// Boundaries are a pure function of the canonical parameter order and
-    /// this threshold — never of arrival time. The plan decides only how
-    /// many `bucket{k}/reduce` spans a step's trace carries. It is not an
-    /// input to the reduction, so the parameter trajectory is bit-identical
-    /// for every setting. The simulated comm lanes (`ChaosConfig::bucket_bytes`,
-    /// [`crate::perf_model::StepOptions`]) read the same threshold but cut
-    /// the gradient into fixed `split_bucket_bytes` chunks instead.
-    pub fn set_bucket_bytes(&mut self, bucket_bytes: Option<u64>) {
-        let sizes: Vec<u64> = self.params.iter().map(|p| p.size_bytes() as u64).collect();
-        self.bucket_plan = match bucket_bytes {
-            Some(b) => BucketPlan::from_sizes(&sizes, b),
-            None => BucketPlan::single(&sizes),
-        };
-    }
-
-    /// The gradient-bucket plan the step trace reports.
-    pub fn bucket_plan(&self) -> &BucketPlan {
-        &self.bucket_plan
     }
 
     /// Attaches a trace recorder. Spans and counters are emitted only from
@@ -552,24 +521,13 @@ impl Trainer {
         }
         let agg_ts = base + total_vns as u64;
         let param_bytes: usize = self.params.iter().map(Tensor::size_bytes).sum();
-        // The aggregate span widens just enough to parent one unit-width
-        // reduce span per gradient bucket; the single-bucket default keeps
-        // the original width-4 span.
-        let buckets = self.bucket_plan.num_buckets();
-        let agg_dur = 4u64.max(buckets as u64 + 1);
+        let agg_dur = 4;
         self.obs.emit(
             Event::complete("aggregate", "train", agg_ts, agg_dur)
                 .with_arg("step", report.step)
                 .with_arg("waves", report.waves)
-                .with_arg("param_bytes", param_bytes)
-                .with_arg("buckets", buckets),
+                .with_arg("param_bytes", param_bytes),
         );
-        for k in 0..buckets {
-            self.obs.emit(
-                Event::complete(format!("bucket{k}/reduce"), "comm", agg_ts + k as u64, 1)
-                    .with_arg("step", report.step),
-            );
-        }
         self.obs
             .emit(Event::counter("train/loss", "train", agg_ts, f64::from(report.loss)));
         self.obs

@@ -52,7 +52,7 @@ mod error;
 pub mod fault;
 pub mod hetero;
 pub mod memory_model;
-pub mod overlap;
+mod overlap;
 pub mod perf_model;
 pub mod vnode;
 

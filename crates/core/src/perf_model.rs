@@ -47,8 +47,10 @@ pub struct StepOptions {
     /// The all-reduce schedule and the links it runs over.
     pub sync: SyncSchedule,
     /// Gradient-bucket byte threshold, as in `ChaosConfig::bucket_bytes`:
-    /// `None` is one all-reduce after all compute, `Some(b)` pipelines fixed
-    /// `b`-byte buckets under the backward tail of the last wave.
+    /// `Some(b)` pipelines fixed `b`-byte buckets under the backward tail
+    /// of the last wave. `None` is the closed form of one all-reduce after
+    /// all compute, which the figures' bits rest on; the one-bucket
+    /// pipeline, `Some(u64::MAX)`, equals it up to the clock's rounding.
     pub bucket_bytes: Option<u64>,
 }
 

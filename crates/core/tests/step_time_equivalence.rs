@@ -3,8 +3,11 @@
 //!
 //! `reference` below holds the additive `step_time`, its bucketed variant
 //! and its topology-priced variant exactly as they were written before they
-//! were merged, renamed `additive`, `overlapped` and `on_topology`. Every
-//! property compares every breakdown field, and `total_s`, with `to_bits`.
+//! were merged, renamed `additive`, `overlapped` and `on_topology`, with one
+//! later change: a bucket is ready once its last gradient exists,
+//! `(b + 1)/n` of the way into the backward window, not `b/n`. Every
+//! reference property compares every breakdown field, and `total_s`, with
+//! `to_bits`; one more holds the one-bucket pipeline to the closed form.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -131,7 +134,7 @@ mod reference {
     fn bucket_ready_times(window_start_s: f64, window_s: f64, n: usize) -> Vec<f64> {
         let n = n.max(1);
         (0..n)
-            .map(|b| window_start_s + window_s * (b as f64 / n as f64))
+            .map(|b| window_start_s + window_s * ((b + 1) as f64 / n as f64))
             .collect()
     }
 
@@ -319,6 +322,30 @@ proptest! {
                 assert_bits("total_s", new.total_s(), old.total_s())?;
                 prop_assert_eq!(new.buckets, old.buckets);
             }
+        }
+    }
+
+    /// One bucket is the paper's single sync after the last backward pass:
+    /// the pipeline with an unbounded threshold equals the closed form.
+    /// They differ only by the clock's rounding (the collective starts at
+    /// `window_start + window` and its exposure is measured against the
+    /// compute lane's end), so the tolerance is relative to the step.
+    #[test]
+    fn one_bucket_pipeline_matches_the_closed_form(seed in any::<u64>()) {
+        let rng = &mut TestRng::new(seed);
+        let model = model(rng);
+        let shape = shape(rng, 32);
+        let sync = SyncSchedule::Ring(link(rng));
+        let closed = step_time(&model, &shape, StepOptions { sync, bucket_bytes: None });
+        let piped = step_time(&model, &shape, StepOptions { sync, bucket_bytes: Some(u64::MAX) });
+        prop_assert_eq!(piped.buckets, 1);
+        let scale = closed.total_s();
+        for (name, new, old) in [
+            ("sync_s", piped.sync_s, closed.sync_s),
+            ("exposed_comm_s", piped.exposed_comm_s, closed.exposed_comm_s),
+            ("total_s", piped.total_s(), closed.total_s()),
+        ] {
+            prop_assert!((new - old).abs() <= 1e-12 * scale, "{}: pipeline {} vs closed form {}", name, new, old);
         }
     }
 
