@@ -38,7 +38,7 @@ use vf_models::profile::resnet56;
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
 use vf_obs::{Metrics, Monitor, Recorder};
-use vf_sched::sim::run_trace_monitored;
+use vf_sched::sim::run_trace_recorded;
 use vf_sched::{CapacityEvent, ElasticWfs, JobId, JobSpec, SimConfig};
 use vf_store::StoreConfig;
 
@@ -110,7 +110,7 @@ fn chaos_scenario(
     let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &spares, cfg)
         .map_err(|e| format!("{name}: supervisor: {e}"))?;
     let mon = Arc::new(Monitor::with_default_pack());
-    sup.set_monitor(mon.clone());
+    sup.set_recorder(Recorder::disabled().with_monitor(mon.clone()));
     sup.run()
         .map_err(|e| format!("{name}: scenario did not survive its fault plan: {e}"))?;
     Ok(finish(name, &mon))
@@ -121,7 +121,8 @@ fn chaos_scenario(
 /// real trainer here can never emit a non-finite loss; this scenario
 /// replays the gauge sequence a diverging trainer *would* publish — a few
 /// healthy steps, a blow-up, then NaN — straight into the registry, which
-/// is exactly the surface the trainer's `set_monitor` wiring writes to.
+/// is exactly the surface a trainer whose recorder carries a monitor
+/// writes to.
 fn nonfinite_scenario(name: &str) -> Result<ScenarioRun> {
     let mon = Monitor::with_default_pack();
     let m = mon.metrics();
@@ -133,7 +134,7 @@ fn nonfinite_scenario(name: &str) -> Result<ScenarioRun> {
         };
         m.set_gauge("train/loss", loss);
         m.set_counter("train/steps", step + 1);
-        mon.tick(step as f64);
+        mon.tick(step as f64, &Recorder::disabled());
     }
     Ok(finish(name, &mon))
 }
@@ -152,17 +153,12 @@ fn job(id: u32, demand: u32, steps: u64, arrival: f64) -> JobSpec {
     }
 }
 
-/// Scheduler trace replayed through `run_trace_monitored` with a fresh
+/// Scheduler trace replayed through `run_trace_recorded` with a fresh
 /// default-pack monitor ticking at every scheduling event.
 fn sched_scenario(name: &str, trace: &[JobSpec], config: &SimConfig) -> Result<ScenarioRun> {
-    let mon = Monitor::with_default_pack();
-    run_trace_monitored(
-        trace,
-        &mut ElasticWfs::new(),
-        config,
-        &Recorder::disabled(),
-        Some(&mon),
-    );
+    let mon = Arc::new(Monitor::with_default_pack());
+    let obs = Recorder::disabled().with_monitor(mon.clone());
+    run_trace_recorded(trace, &mut ElasticWfs::new(), config, &obs);
     Ok(finish(name, &mon))
 }
 

@@ -27,6 +27,7 @@
 //! identical in both modes so the gated counts never drift between smoke
 //! and full runs.
 
+use std::sync::Arc;
 use std::time::Instant;
 use vf_bench::report::{print_table, Mode, Result};
 use vf_obs::scale::mix64;
@@ -72,11 +73,11 @@ fn job(i: u64) -> Job {
     }
 }
 
-/// Replays the synthetic trace. With `mon = None` the recorder is disabled
-/// and no metrics are published — the bare-workload baseline for the
-/// overhead measurement. Returns a checksum so the bookkeeping loop cannot
-/// be optimized away.
-fn workload(mon: Option<&Monitor>, rec: &Recorder) -> u64 {
+/// Replays the synthetic trace. A disabled recorder without a monitor
+/// publishes nothing — the bare-workload baseline for the overhead
+/// measurement. Returns a checksum so the bookkeeping loop cannot be
+/// optimized away.
+fn workload(rec: &Recorder) -> u64 {
     let mut checksum = 0u64;
     for i in 0..JOBS {
         let j = job(i);
@@ -90,14 +91,14 @@ fn workload(mon: Option<&Monitor>, rec: &Recorder) -> u64 {
         rec.record_sampled(j.id, || {
             Event::complete(format!("job{}/run", j.id), "sched", j.id * 1_000, 500)
         });
-        if let Some(mon) = mon {
+        if let Some(mon) = rec.monitor() {
             let m = mon.metrics();
             m.counter_with("sched/completions", &[("priority", &j.priority.to_string())], 1);
             m.counter_with("sched/tenant_done", &[("tenant", &format!("t{}", j.tenant))], 1);
             m.observe_sketch("sched/jct_s", j.jct_s);
             m.observe_sketch("sched/queue_delay_s", j.queue_delay_s);
             if i % TICK_EVERY == 0 {
-                mon.tick(i as f64 * 0.05);
+                mon.tick(i as f64 * 0.05, rec);
             }
         }
     }
@@ -121,15 +122,22 @@ struct ObsRun {
     checksum: u64,
 }
 
-fn instrumented() -> ObsRun {
-    let mon = Monitor::with_default_pack();
+/// The fully-instrumented handle: a head-sampled ring sink carrying a
+/// default-pack monitor with bounded retention and a tenant budget.
+fn instrumented_recorder() -> (Arc<Monitor>, Recorder) {
+    let mon = Arc::new(Monitor::with_default_pack());
     mon.set_retention(RETENTION);
-    let m = mon.metrics();
-    m.set_cardinality_budget("sched/tenant_done", TENANT_BUDGET);
-    let rec = Recorder::new(RingSink::with_capacity(4096));
+    mon.metrics().set_cardinality_budget("sched/tenant_done", TENANT_BUDGET);
+    let rec = Recorder::new(RingSink::with_capacity(4096)).with_monitor(mon.clone());
     rec.set_head_sampling(SEED, KEEP_PPM);
+    (mon, rec)
+}
 
-    let checksum = workload(Some(&mon), &rec);
+fn instrumented() -> ObsRun {
+    let (mon, rec) = instrumented_recorder();
+    let m = mon.metrics();
+
+    let checksum = workload(&rec);
 
     let snaps = m.labeled_snapshot();
     let tenant = snaps.iter().find(|f| f.name == "sched/tenant_done");
@@ -240,15 +248,8 @@ fn main() -> Result {
     // Self-overhead: fully instrumented vs disabled-recorder replays of
     // the identical workload. Warm runs, best-of-3 each.
     let disabled = Recorder::disabled();
-    let (off_s, off_sum) = min_wall(3, || workload(None, &disabled));
-    let (on_s, _) = min_wall(3, || {
-        let mon = Monitor::with_default_pack();
-        mon.set_retention(RETENTION);
-        mon.metrics().set_cardinality_budget("sched/tenant_done", TENANT_BUDGET);
-        let rec = Recorder::new(RingSink::with_capacity(4096));
-        rec.set_head_sampling(SEED, KEEP_PPM);
-        workload(Some(&mon), &rec)
-    });
+    let (off_s, off_sum) = min_wall(3, || workload(&disabled));
+    let (on_s, _) = min_wall(3, || workload(&instrumented_recorder().1));
     assert_eq!(off_sum, one.checksum, "bare workload diverged from instrumented");
     let overhead_pct = if off_s > 0.0 { (on_s - off_s) / off_s * 100.0 } else { 0.0 };
     metrics.inc("obs/overhead_breaches", 0);

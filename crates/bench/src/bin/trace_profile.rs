@@ -42,7 +42,7 @@ use vf_models::Mlp;
 use vf_obs::profile::{counter_series, render_counter_series};
 use vf_obs::{Event, Metrics, Phase, Profile, Recorder, RingSink};
 use vf_sched::trace::three_job_trace;
-use vf_sched::{run_trace_monitored, ElasticWfs, SimConfig};
+use vf_sched::{run_trace_recorded, ElasticWfs, SimConfig};
 use vf_tensor::pool;
 
 const SEED: u64 = 2022;
@@ -117,7 +117,7 @@ fn run_scenario(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     // path can then thread trainer -> allreduce -> scheduler spans.
     let sim = SimConfig::v100_cluster(4);
     let trace = three_job_trace(&sim.link);
-    run_trace_monitored(&trace, &mut ElasticWfs::new(), &sim, &obs, None);
+    run_trace_recorded(&trace, &mut ElasticWfs::new(), &sim, &obs);
 
     // 3. Per-device memory timelines on the device tracks.
     emit_device_memory(&obs, 0, &DeviceProfile::of(DeviceType::V100), 1)?;

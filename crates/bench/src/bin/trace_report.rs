@@ -122,13 +122,15 @@ fn main() -> Result {
 
     // Self-validate: the Chrome render must parse as JSON and carry every
     // event (the renderer is hand-rolled for byte stability, so check it
-    // against a real parser before shipping the file).
+    // against serde_json, which shares no code with it, before shipping
+    // the file).
     let trace = chrome::render_trace(&events);
-    let parsed = vf_obs::json::parse(&trace).context("rendered trace is not valid JSON")?;
+    let parsed: serde_json::Value =
+        serde_json::from_str(&trace).context("rendered trace is not valid JSON")?;
     let n_parsed = parsed
         .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .map_or(0, <[_]>::len);
+        .and_then(serde_json::Value::as_array)
+        .map_or(0, Vec::len);
     if n_parsed != events.len() {
         return Err(format!(
             "trace carries {n_parsed} events, recorder saw {}",

@@ -49,7 +49,7 @@ use vf_data::Dataset;
 use vf_device::obs::emit_backward_window;
 use vf_device::{Backoff, BackoffPolicy, DeviceId, FaultKind, FaultPlan, PlannedFault, SimClock};
 use vf_models::trainable::Architecture;
-use vf_obs::{Event, Metrics, Monitor, Recorder};
+use vf_obs::{Event, Metrics, Recorder};
 use vf_store::{CheckpointStore, StoreConfig};
 
 /// Stream tag for recovery-attempt draws inside the fault plan's seed
@@ -406,7 +406,6 @@ pub struct ChaosSupervisor {
     recovery_draws: u64,
     report: ChaosReport,
     obs: Recorder,
-    monitor: Option<Arc<Monitor>>,
 }
 
 impl ChaosSupervisor {
@@ -471,16 +470,22 @@ impl ChaosSupervisor {
             recovery_draws: 0,
             report,
             obs: Recorder::disabled(),
-            monitor: None,
             cfg,
         })
     }
 
-    /// Attaches a trace recorder to the supervisor *and* its trainer.
+    /// Attaches the observability handle to the supervisor, its trainer
+    /// and its store.
     ///
     /// All chaos events are emitted from the supervisor's single control
     /// loop, timestamped on the supervisor's [`SimClock`] — so the trace is
-    /// bit-identical across thread counts and repeat runs.
+    /// bit-identical across thread counts and repeat runs. When the
+    /// recorder carries a monitor, every supervisor loop iteration
+    /// publishes its live signals — the report's cumulative counts, the
+    /// fleet fraction, and the store's counters — into the monitor's
+    /// registry and ticks it at the current `SimClock` time, driving the
+    /// sampler and alert rules in step with the simulation; the trainer
+    /// publishes `train/*` through the same handle.
     pub fn set_recorder(&mut self, obs: Recorder) {
         self.trainer.set_recorder(obs.clone());
         if let Some(s) = self.store.as_mut() {
@@ -489,23 +494,12 @@ impl ChaosSupervisor {
         self.obs = obs;
     }
 
-    /// Attaches a monitor. Every supervisor loop iteration then publishes
-    /// its live signals — the report's cumulative counts, the fleet
-    /// fraction, and the store's counters — into the monitor's registry
-    /// and ticks it at the current `SimClock` time, driving the sampler
-    /// and alert rules in step with the simulation. The trainer gets the
-    /// same handle, so `train/loss` flows through too.
-    pub fn set_monitor(&mut self, monitor: Arc<Monitor>) {
-        self.trainer.set_monitor(monitor.clone());
-        self.monitor = Some(monitor);
-    }
-
-    /// Publishes the current signals and ticks the monitor (no-op without
-    /// one). Called once per supervisor loop iteration, after the step —
-    /// all from the single control thread, with `SimClock` time, so the
-    /// resulting series and alerts are deterministic.
+    /// Publishes the current signals and ticks the recorder's monitor
+    /// (no-op without one). Called once per supervisor loop iteration,
+    /// after the step — all from the single control thread, with `SimClock`
+    /// time, so the resulting series and alerts are deterministic.
     fn publish_monitor(&self, step_dt_s: f64) {
-        let Some(mon) = &self.monitor else { return };
+        let Some(mon) = self.obs.monitor() else { return };
         let m = mon.metrics();
         self.report.mirror_metrics(m, self.trainer.steps_done());
         // Step-time distribution as a bounded sketch: p50/p99 stay
@@ -521,7 +515,7 @@ impl ChaosSupervisor {
         if let Some(s) = self.store.as_ref() {
             s.counters().record_metrics(m);
         }
-        mon.tick(self.clock.now());
+        mon.tick(self.clock.now(), &self.obs);
     }
 
     /// Runs the job to the configured step count, surviving the fault plan.
@@ -840,12 +834,8 @@ impl ChaosSupervisor {
         )?;
         self.last_checkpoint = restored;
         // The rebuilt trainer starts with a disabled recorder; re-attach
-        // ours so the replayed steps keep tracing. The monitor hook is
-        // rebuilt the same way so loss keeps flowing through the fallback.
+        // ours so the replayed steps keep tracing and publishing.
         self.trainer.set_recorder(self.obs.clone());
-        if let Some(mon) = &self.monitor {
-            self.trainer.set_monitor(mon.clone());
-        }
         self.group = ElasticGroup::new(fleet.iter().map(|d| WorkerId(d.0)));
         self.clock.advance(self.cfg.restore_s);
         self.report.mttr_total_s += self.clock.now() - mttr_t0;

@@ -38,7 +38,7 @@ use vf_data::partitioned::PartitionedPlan;
 use vf_data::{Dataset, DistributionMode};
 use vf_device::DeviceId;
 use vf_models::trainable::{Architecture, EvalReport, StatefulState};
-use vf_obs::{Event, Monitor, Recorder};
+use vf_obs::{Event, Recorder};
 use vf_tensor::ops::clip_global_norm;
 use vf_tensor::optim::Optimizer;
 use vf_tensor::reduce;
@@ -203,9 +203,6 @@ pub struct Trainer {
     step: u64,
     ledger: Option<VisitLedger>,
     obs: Recorder,
-    /// Monitoring hook: when attached, each step publishes its loss, lr,
-    /// and step count into the monitor's registry.
-    monitor: Option<Arc<Monitor>>,
 }
 
 impl Trainer {
@@ -257,34 +254,28 @@ impl Trainer {
             step: 0,
             ledger,
             obs: Recorder::disabled(),
-            monitor: None,
         })
     }
 
-    /// Attaches a trace recorder. Spans and counters are emitted only from
-    /// the coordinating thread, in virtual node order, with timestamps on
-    /// the recorder's simulated clock — so the trace is bit-identical
-    /// across `VF_NUM_THREADS` settings and repeat runs.
+    /// Attaches the observability handle. Spans and counters are emitted
+    /// only from the coordinating thread, in virtual node order, with
+    /// timestamps on the recorder's simulated clock — so the trace is
+    /// bit-identical across `VF_NUM_THREADS` settings and repeat runs.
+    ///
+    /// When the recorder carries a monitor, each completed step publishes
+    /// `train/loss` (gauge, *verbatim* — a NaN loss must reach the
+    /// non-finite-loss alert rule, so it is not sanitized here),
+    /// `train/lr` (gauge), and `train/steps` (monotone counter mirror) into
+    /// its registry, on the coordinating thread after the deterministic
+    /// loss reduction. The trainer never ticks the monitor — sampling
+    /// cadence belongs to the driver that owns the simulated clock.
     pub fn set_recorder(&mut self, obs: Recorder) {
         self.obs = obs;
     }
 
-    /// The attached trace recorder (disabled by default).
+    /// The attached recorder (disabled by default).
     pub fn recorder(&self) -> &Recorder {
         &self.obs
-    }
-
-    /// Attaches a monitor. Each completed step then publishes `train/loss`
-    /// (gauge, *verbatim* — a NaN loss must reach the non-finite-loss
-    /// alert rule, so it is not sanitized here), `train/lr` (gauge), and
-    /// `train/steps` (monotone counter mirror) into the monitor's
-    /// registry. Publishing happens on the coordinating thread after the
-    /// deterministic loss reduction, so the published values are
-    /// bit-identical across thread counts. The trainer never ticks the
-    /// monitor — sampling cadence belongs to the driver that owns the
-    /// simulated clock.
-    pub fn set_monitor(&mut self, monitor: Arc<Monitor>) {
-        self.monitor = Some(monitor);
     }
 
     /// The current model parameters.
@@ -376,7 +367,7 @@ impl Trainer {
         };
         self.trace_step(&report, &vn_losses);
         self.step += 1;
-        if let Some(mon) = &self.monitor {
+        if let Some(mon) = self.obs.monitor() {
             let m = mon.metrics();
             m.set_gauge("train/loss", f64::from(loss));
             m.set_gauge("train/lr", f64::from(lr));

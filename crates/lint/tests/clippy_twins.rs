@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use vf_lint::rules::MOVED_LINTS;
-use vf_obs::json::{self, JsonValue};
+use serde_json::Value;
 
 // Case sources. A `//~ lint…` marker names the lints that must fire on its
 // line. A `//~?` marker does the same in a crate whose configuration bans
@@ -360,32 +360,32 @@ fn clippy_findings(ws: &Path, target: &Path) -> BTreeSet<(String, u32, String)> 
     );
     let mut found = BTreeSet::new();
     for line in String::from_utf8(out.stdout).unwrap().lines() {
-        let record = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let record: Value = serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         let Some(msg) = record.get("message") else {
             continue;
         };
         let Some(code) = msg
             .get("code")
             .and_then(|c| c.get("code"))
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
         else {
             continue;
         };
         let spans = msg
             .get("spans")
-            .and_then(JsonValue::as_array)
-            .unwrap_or(&[]);
+            .and_then(Value::as_array)
+            .map_or(&[][..], Vec::as_slice);
         let primary = spans
             .iter()
-            .find(|s| s.get("is_primary") == Some(&JsonValue::Bool(true)))
+            .find(|s| s.get("is_primary") == Some(&Value::Bool(true)))
             .unwrap_or_else(|| panic!("{code} has no primary span: {line}"));
         let file = primary
             .get("file_name")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .unwrap();
         let line_no = primary
             .get("line_start")
-            .and_then(JsonValue::as_f64)
+            .and_then(Value::as_u64)
             .unwrap();
         found.insert((file.to_string(), line_no as u32, code.to_string()));
     }

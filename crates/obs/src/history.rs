@@ -19,7 +19,8 @@
 //! every other vf-obs artifact, so a record is byte-stable: re-serializing
 //! a parsed record reproduces the input line exactly.
 
-use crate::json::{self, escape_into, push_f64, JsonValue};
+use crate::json::{escape_into, push_f64};
+use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// The current history record schema version. Parsers reject records with
@@ -120,10 +121,10 @@ impl HistoryRecord {
     /// Returns a description when the line is not JSON, lacks a required
     /// field, or carries an unknown schema version.
     pub fn parse_line(line: &str) -> Result<HistoryRecord, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
+        let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let schema = v
             .get("schema")
-            .and_then(JsonValue::as_f64)
+            .and_then(Value::as_f64)
             .ok_or("record is missing \"schema\"")? as u64;
         if schema > SCHEMA_VERSION {
             return Err(format!(
@@ -132,13 +133,13 @@ impl HistoryRecord {
         }
         let bench = v
             .get("bench")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or("record is missing \"bench\"")?
             .to_string();
         let mut metrics = BTreeMap::new();
         let map = v
             .get("metrics")
-            .and_then(JsonValue::as_object)
+            .and_then(Value::as_object)
             .ok_or("record is missing \"metrics\"")?;
         for (name, value) in map {
             if let Some(x) = value.as_f64() {
@@ -226,10 +227,10 @@ impl Baseline {
     ///
     /// Returns a description for malformed JSON or missing fields.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
+        let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let schema = v
             .get("schema")
-            .and_then(JsonValue::as_f64)
+            .and_then(Value::as_f64)
             .ok_or("baseline is missing \"schema\"")? as u64;
         if schema > SCHEMA_VERSION {
             return Err(format!(
@@ -238,22 +239,22 @@ impl Baseline {
         }
         let map = v
             .get("metrics")
-            .and_then(JsonValue::as_object)
+            .and_then(Value::as_object)
             .ok_or("baseline is missing \"metrics\"")?;
         let mut metrics = BTreeMap::new();
         for (key, entry) in map {
             let value = entry
                 .get("value")
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("baseline {key:?} is missing \"value\""))?;
             let direction = entry
                 .get("direction")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| format!("baseline {key:?} is missing \"direction\""))
                 .and_then(Direction::parse)?;
             let tolerance_pct = entry
                 .get("tolerance_pct")
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("baseline {key:?} is missing \"tolerance_pct\""))?;
             metrics.insert(key.clone(), BaselineMetric { value, direction, tolerance_pct });
         }

@@ -1,20 +1,10 @@
-//! Canonical JSON primitives shared by every vf-obs renderer and reader.
+//! Canonical JSON primitives shared by every vf-obs renderer.
 //!
-//! One escape routine, one float formatter, one minimal parser — so the
-//! Chrome trace renderer, the metrics registry, and the bench-history
-//! subsystem all speak byte-identical JSON. The escaping previously lived
-//! as two hand-rolled copies (`chrome.rs`, `metrics.rs`) that disagreed on
-//! control characters; this module is the single source of truth.
-//!
-//! The parser accepts strict JSON (objects, arrays, strings with escapes,
-//! numbers, booleans, null) and exists so [`crate::history`] can read back
-//! the JSONL records and baselines it writes without pulling a dependency
-//! into this otherwise dependency-free crate. It is not a streaming parser
-//! and is not meant for untrusted megabyte inputs — history records and
-//! baselines are small, repo-controlled files.
-
-use std::collections::BTreeMap;
-use std::fmt;
+//! One escape routine and one float formatter, so the Chrome trace
+//! renderer, the metrics registry, and the bench-history subsystem all
+//! write byte-identical JSON. Reading goes through `serde_json`, a parser
+//! independent of these renderers, so every round-trip test checks the
+//! hand-written bytes against a second implementation.
 
 /// Escapes `s` into `out` as JSON string contents (no surrounding quotes).
 ///
@@ -48,309 +38,15 @@ pub fn push_f64(v: f64, out: &mut String) {
     }
 }
 
-/// A parsed JSON value.
-///
-/// Object keys are held in a `BTreeMap`, matching the workspace rule that
-/// library collections iterate deterministically; canonical vf-obs output
-/// is name-ordered anyway, so nothing is lost.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object, keys in sorted order.
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// The value at `key` if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The object map, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: what went wrong and the byte offset it went wrong at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Human-readable description of the failure.
-    pub message: String,
-    /// Byte offset into the input where parsing stopped.
-    pub offset: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one complete JSON value; trailing non-whitespace is an error.
-///
-/// # Errors
-///
-/// Returns [`JsonError`] on malformed input.
-///
-/// # Examples
-///
-/// ```
-/// use vf_obs::json::{parse, JsonValue};
-///
-/// let v = parse(r#"{"a": 1, "b": [true, "x"]}"#)?;
-/// assert_eq!(v.get("a").and_then(JsonValue::as_f64), Some(1.0));
-/// # Ok::<(), vf_obs::json::JsonError>(())
-/// ```
-pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err("trailing characters after value", pos));
-    }
-    Ok(value)
-}
-
-fn err(message: &str, offset: usize) -> JsonError {
-    JsonError {
-        message: message.to_string(),
-        offset,
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(&format!("expected `{}`", b as char), *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(_) => Err(err("unexpected character", *pos)),
-        None => Err(err("unexpected end of input", *pos)),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(&format!("expected `{word}`"), *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && (bytes[*pos].is_ascii_digit()
-            || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| err("number is not UTF-8", start))?;
-    text.parse::<f64>()
-        .map(JsonValue::Num)
-        .map_err(|_| err("malformed number", start))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        if (0xD800..0xDC00).contains(&code) {
-                            // Surrogate pair: a low half must follow.
-                            if bytes.get(*pos + 1) != Some(&b'\\')
-                                || bytes.get(*pos + 2) != Some(&b'u')
-                            {
-                                return Err(err("unpaired surrogate", *pos));
-                            }
-                            let low = parse_hex4(bytes, *pos + 3)?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(err("invalid low surrogate", *pos));
-                            }
-                            *pos += 6;
-                            let c = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| err("invalid surrogate pair", *pos))?,
-                            );
-                        } else {
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| err("invalid \\u escape", *pos))?,
-                            );
-                        }
-                    }
-                    _ => return Err(err("invalid escape", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (1–4 bytes).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err("string is not UTF-8", *pos))?;
-                let c = rest.chars().next().ok_or_else(|| err("empty string tail", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
-    let slice = bytes
-        .get(at..at + 4)
-        .ok_or_else(|| err("truncated \\u escape", at))?;
-    let text = std::str::from_utf8(slice).map_err(|_| err("non-ASCII \\u escape", at))?;
-    u32::from_str_radix(text, 16).map_err(|_| err("non-hex \\u escape", at))
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(err("expected `,` or `]`", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(map));
-            }
-            _ => return Err(err("expected `,` or `}`", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn read_back(escaped: &str) -> String {
+        let v: serde_json::Value =
+            serde_json::from_str(&format!("\"{escaped}\"")).expect("escaped form parses");
+        v.as_str().expect("a string").to_string()
+    }
 
     /// Every control character, the quote, and the backslash must escape to
     /// text that (a) matches the documented form exactly and (b) parses
@@ -368,21 +64,22 @@ mod tests {
                 _ => format!("\\u{code:04x}"),
             };
             assert_eq!(out, expected, "control char U+{code:04X}");
-            // Round-trip through the parser restores the original.
-            let parsed = parse(&format!("\"{out}\"")).expect("escaped form parses");
-            assert_eq!(parsed, JsonValue::Str(c.to_string()));
+            assert_eq!(read_back(&out), c.to_string(), "U+{code:04X} round-trips");
         }
         for (c, expected) in [('"', "\\\""), ('\\', "\\\\")] {
             let mut out = String::new();
             escape_into(&c.to_string(), &mut out);
             assert_eq!(out, expected);
-            let parsed = parse(&format!("\"{out}\"")).expect("escaped form parses");
-            assert_eq!(parsed, JsonValue::Str(c.to_string()));
+            assert_eq!(read_back(&out), c.to_string());
         }
-        // Printable ASCII and non-ASCII pass through untouched.
+        // Printable ASCII and non-ASCII, including a character outside the
+        // BMP, pass through untouched and read back unchanged.
         let mut out = String::new();
-        escape_into("aé∞ b", &mut out);
-        assert_eq!(out, "aé∞ b");
+        escape_into("aé∞ b😀", &mut out);
+        assert_eq!(out, "aé∞ b😀");
+        assert_eq!(read_back(&out), "aé∞ b😀");
+        // A surrogate pair, as other writers escape astral characters.
+        assert_eq!(read_back("\\ud83d\\ude00"), "😀");
     }
 
     #[test]
@@ -396,50 +93,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_nested_structures() {
-        let v = parse(r#" {"a": [1, -2.5, 1e3], "b": {"c": true, "d": null}, "e": "x"} "#)
-            .expect("parses");
-        assert_eq!(v.get("a"), Some(&JsonValue::Array(vec![
-            JsonValue::Num(1.0),
-            JsonValue::Num(-2.5),
-            JsonValue::Num(1000.0),
-        ])));
-        assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("b").and_then(|b| b.get("d")), Some(&JsonValue::Null));
-        assert_eq!(v.get("e").and_then(JsonValue::as_str), Some("x"));
-    }
-
-    #[test]
-    fn parses_string_escapes_including_surrogate_pairs() {
-        let v = parse(r#""a\"b\\c\nd\u00e9\ud83d\ude00""#).expect("parses");
-        assert_eq!(v, JsonValue::Str("a\"b\\c\ndé😀".to_string()));
-    }
-
-    #[test]
-    fn rejects_malformed_input_with_offsets() {
-        for bad in ["", "{", "[1,", "\"unterminated", "{\"a\":}", "1 2", "tru", "\"\\q\""] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
-        }
-        let e = parse("[1, }").unwrap_err();
-        assert!(e.to_string().contains("byte"));
-    }
-
-    #[test]
-    fn empty_containers_parse() {
-        assert_eq!(parse("{}").unwrap(), JsonValue::Object(BTreeMap::new()));
-        assert_eq!(parse("[]").unwrap(), JsonValue::Array(Vec::new()));
-    }
-
-    #[test]
-    fn chrome_and_metrics_renderers_round_trip_through_this_parser() {
+    fn chrome_and_metrics_renderers_round_trip_through_serde_json() {
         use crate::{Event, Metrics};
         let e = Event::complete("a\"b\u{1}", "train", 5, 7).with_arg("x", 0.25f64);
         let line = crate::chrome::render_event(&e);
-        let v = parse(&line).expect("rendered event parses");
-        assert_eq!(v.get("name").and_then(JsonValue::as_str), Some("a\"b\u{1}"));
+        let v: serde_json::Value = serde_json::from_str(&line).expect("rendered event parses");
+        assert_eq!(v.get("name").and_then(serde_json::Value::as_str), Some("a\"b\u{1}"));
+        assert_eq!(v.get("args").and_then(|a| a.get("x")), Some(&serde_json::json!(0.25)));
         let m = Metrics::new();
         m.inc("steps\u{2}", 3);
-        let v = parse(&m.to_json()).expect("rendered metrics parse");
+        let v: serde_json::Value =
+            serde_json::from_str(&m.to_json()).expect("rendered metrics parse");
         assert!(v.get("steps\u{2}").is_some());
     }
 }

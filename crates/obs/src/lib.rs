@@ -20,16 +20,19 @@
 //!   span, instant, or counter sample) with typed args.
 //! * [`Sink`] — where events go: [`RingSink`] (an in-memory buffer,
 //!   bounded or not) is the one the workspace uses.
-//! * [`Recorder`] — the cheap cloneable handle instrumented code holds. A
-//!   disabled recorder is a `None`: emission sites gate on
+//! * [`Recorder`] — the one cheap cloneable handle instrumented code
+//!   holds: a trace sink, a [`Monitor`], both or neither. A disabled
+//!   recorder's sink is a `None`: emission sites gate on
 //!   [`Recorder::is_enabled`] (or use [`Recorder::record_with`]) so the
 //!   hot path neither formats names nor allocates events when tracing is
-//!   off.
+//!   off, and publishers gate on [`Recorder::monitor`] the same way.
 //! * [`Metrics`] — a `BTreeMap`-backed registry of counters, gauges, and
 //!   quantile sketches ([`Sketch`], the one distribution type) whose JSON
 //!   rendering is deterministic, shared by the bench harnesses so
 //!   `results/BENCH_*.json` and traces speak one schema.
-//! * [`chrome`] — renders events to Chrome `trace_event` JSONL / JSON.
+//! * [`chrome`] — renders events to Chrome `trace_event` JSONL / JSON,
+//!   byte for byte through the [`json`] escape and float helpers; records
+//!   and baselines are read back with `serde_json`.
 //! * [`monitor`] — the *active* layer over the registry: deterministic
 //!   time-series sampling, an alerting rules engine with debounce and
 //!   hysteresis, per-component health rollups, and byte-stable Prometheus

@@ -2,17 +2,19 @@
 //! health rollups, and exporters over one shared [`Metrics`] registry.
 //!
 //! The passive spine (recorder → sink → trace) records what happened; the
-//! [`Monitor`] *evaluates* it as it happens. Components publish their
-//! existing signals into the monitor's registry (gauges and monotone
-//! counter mirrors), and the driver calls [`Monitor::tick`] on simulated-
-//! time ticks. Each tick:
+//! [`Monitor`] *evaluates* it as it happens. A monitor rides on the
+//! [`Recorder`] a component holds ([`Recorder::with_monitor`]).
+//! Components publish their existing signals into the monitor's registry
+//! (gauges and monotone counter mirrors), and the driver calls
+//! [`Monitor::tick`] on simulated-time ticks with its own recorder. Each
+//! tick:
 //!
 //! 1. the [`SeriesStore`] samples the registry (counter deltas → windowed
 //!    rates, gauges verbatim, sketch p50/p99),
 //! 2. the [`AlertEngine`] advances every rule's pending→firing→resolved
 //!    state machine against the sampled series,
 //! 3. transitions are published back as `alerts/*` counters, emitted as
-//!    trace instants on the attached [`Recorder`], and appended to the
+//!    trace instants on the ticking driver's recorder, and appended to the
 //!    transition log.
 //!
 //! Everything downstream of the registry is a pure function of
@@ -37,7 +39,6 @@ use std::sync::{Mutex, PoisonError};
 struct Inner {
     store: SeriesStore,
     engine: AlertEngine,
-    obs: Recorder,
     transitions: Vec<Transition>,
 }
 
@@ -51,10 +52,11 @@ struct Inner {
 ///
 /// ```
 /// use vf_obs::monitor::Monitor;
+/// use vf_obs::Recorder;
 ///
 /// let mon = Monitor::with_default_pack();
 /// mon.metrics().set_gauge("train/loss", f64::NAN);
-/// let edges = mon.tick(1.0);
+/// let edges = mon.tick(1.0, &Recorder::disabled());
 /// assert_eq!(edges.len(), 1);
 /// assert_eq!(edges[0].rule, "train/nonfinite-loss");
 /// assert!(mon.render_status_board().contains("UNHEALTHY"));
@@ -65,14 +67,13 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor over `rules` with a fresh registry and no recorder.
+    /// A monitor over `rules` with a fresh registry.
     pub fn new(rules: Vec<AlertRule>) -> Self {
         Monitor {
             metrics: Metrics::new(),
             inner: Mutex::new(Inner {
                 store: SeriesStore::new(),
                 engine: AlertEngine::new(rules),
-                obs: Recorder::disabled(),
                 transitions: Vec::new(),
             }),
         }
@@ -93,12 +94,6 @@ impl Monitor {
         &self.metrics
     }
 
-    /// Attaches a recorder; alert transitions emit as trace instants
-    /// (category `"alert"`) from then on.
-    pub fn set_recorder(&self, obs: Recorder) {
-        self.with_inner(|inner| inner.obs = obs);
-    }
-
     /// Caps every sampled series at `cap` points with deterministic
     /// decimation (see [`SeriesStore::set_retention`]) — required for
     /// 100k-job runs where unbounded retention would dominate memory.
@@ -112,9 +107,10 @@ impl Monitor {
     }
 
     /// Samples the registry at simulated time `t_s`, evaluates every rule,
-    /// publishes `alerts/*` counters, and returns the transitions taken
-    /// this tick. Non-finite or negative times are ignored (no tick).
-    pub fn tick(&self, t_s: f64) -> Vec<Transition> {
+    /// publishes `alerts/*` counters, emits each transition on `obs` as a
+    /// trace instant (category `"alert"`), and returns the transitions
+    /// taken this tick. Non-finite or negative times are ignored (no tick).
+    pub fn tick(&self, t_s: f64, obs: &Recorder) -> Vec<Transition> {
         if !t_s.is_finite() || t_s < 0.0 {
             return Vec::new();
         }
@@ -123,8 +119,8 @@ impl Monitor {
             inner.store.sample(t_us, &self.metrics);
             let edges = inner.engine.evaluate(t_us, &inner.store);
             for edge in &edges {
-                inner.obs.set_time_us(edge.at_us);
-                inner.obs.record_with(|| {
+                obs.set_time_us(edge.at_us);
+                obs.record_with(|| {
                     Event::instant(
                         format!("alert/{}/{}", edge.phase.name(), edge.rule),
                         "alert",
@@ -349,7 +345,7 @@ mod tests {
         mon.metrics().set_counter("chaos/comm_retries", 0);
         mon.metrics().set_gauge("chaos/fleet_frac", 1.0);
         for t in 0..200 {
-            assert!(mon.tick(t as f64 * 2.0).is_empty(), "tick {t} fired");
+            assert!(mon.tick(t as f64 * 2.0, &Recorder::disabled()).is_empty(), "tick {t} fired");
         }
         assert!(mon.fired_rules().is_empty());
         for row in mon.health() {
@@ -361,14 +357,14 @@ mod tests {
     fn retry_storm_fires_resolves_and_publishes_counters() {
         let ring = Arc::new(RingSink::unbounded());
         let mon = Monitor::with_default_pack();
-        mon.set_recorder(Recorder::with_sink(ring.clone()));
+        let obs = Recorder::with_sink(ring.clone());
         let mut retries = 0u64;
         // Storm: one retry per 10 simulated seconds for 300 s.
         for t in (0..=300u64).step_by(10) {
             retries += 1;
             mon.metrics().set_counter("chaos/comm_retries", retries);
             mon.metrics().set_counter("chaos/comm_attempts", retries * 2);
-            mon.tick(t as f64);
+            mon.tick(t as f64, &obs);
         }
         let fired = mon.fired_rules();
         assert!(
@@ -392,7 +388,7 @@ mod tests {
         for t in (310..=700u64).step_by(10) {
             mon.metrics().set_counter("chaos/comm_retries", retries);
             mon.metrics().set_counter("chaos/comm_attempts", retries * 2 + (t - 300) / 10);
-            mon.tick(t as f64);
+            mon.tick(t as f64, &obs);
         }
         assert!(mon
             .transitions()
@@ -408,7 +404,7 @@ mod tests {
                 mon.metrics().set_gauge("train/loss", 1.0 / (t + 1) as f64);
                 mon.metrics().set_counter("train/steps", t);
                 mon.metrics().observe_sketch("step_ms", (t % 5) as f64);
-                mon.tick(t as f64);
+                mon.tick(t as f64, &Recorder::disabled());
             }
             (
                 mon.render_prometheus(),

@@ -1,8 +1,12 @@
-//! The [`Recorder`]: the handle instrumented code holds.
+//! The [`Recorder`]: the one observability handle instrumented code holds.
 //!
 //! A recorder is either *disabled* (the default — a `None`, so cloning and
 //! carrying one costs a pointer and emission sites cost one branch) or
-//! *enabled* around a shared [`Sink`]. It also carries the **simulated
+//! *enabled* around a shared [`Sink`]. Either way it may carry a
+//! [`Monitor`]: components publish their live signals into the monitor's
+//! registry through [`Recorder::monitor`], and the driver that ticks the
+//! monitor passes the same recorder, so alert edges land on the trace when
+//! a sink is attached. It also carries the **simulated
 //! clock** for timestamps: the chaos supervisor and cluster simulator push
 //! `SimClock` seconds into it, while a bare trainer advances it by a fixed
 //! logical step width, so every event gets a deterministic `ts` without any
@@ -13,6 +17,7 @@
 //! backwards (Chrome renders backwards timestamps as garbage).
 
 use crate::event::Event;
+use crate::monitor::Monitor;
 use crate::scale;
 use crate::sink::Sink;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -53,12 +58,13 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
+    monitor: Option<Arc<Monitor>>,
 }
 
 impl Recorder {
-    /// The disabled recorder: every operation is a no-op.
+    /// The disabled recorder: every trace operation is a no-op.
     pub fn disabled() -> Self {
-        Recorder { inner: None }
+        Recorder::default()
     }
 
     /// A recorder owning its sink.
@@ -72,7 +78,23 @@ impl Recorder {
                 sample_seed: AtomicU64::new(0),
                 keep_ppm: AtomicU32::new(1_000_000),
             })),
+            monitor: None,
         }
+    }
+
+    /// This recorder carrying `monitor`: whoever holds it publishes into
+    /// the monitor's registry through [`Recorder::monitor`]. A disabled
+    /// recorder can carry a monitor too: monitoring without a trace.
+    #[must_use]
+    pub fn with_monitor(mut self, monitor: Arc<Monitor>) -> Self {
+        self.monitor = Some(monitor);
+        self
+    }
+
+    /// The monitor this recorder carries, if any.
+    #[inline]
+    pub fn monitor(&self) -> Option<&Monitor> {
+        self.monitor.as_deref()
     }
 
     /// A recorder over a shared sink, letting the caller keep a handle to
@@ -212,6 +234,7 @@ impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
             .field("enabled", &self.is_enabled())
+            .field("monitor", &self.monitor.is_some())
             .field("now_us", &self.now_us())
             .field("events_recorded", &self.events_recorded())
             .finish()
@@ -329,6 +352,18 @@ mod tests {
         assert!(!built, "a disabled recorder never builds the event");
         assert_eq!(off.events_dropped(), 0);
         assert!(!off.admits(7));
+    }
+
+    #[test]
+    fn a_disabled_recorder_can_carry_a_monitor_that_clones_share() {
+        let mon = Arc::new(Monitor::with_default_pack());
+        let obs = Recorder::disabled().with_monitor(mon.clone());
+        assert!(!obs.is_enabled(), "a monitor is not a trace sink");
+        let clone = obs.clone();
+        clone.monitor().expect("clones carry the monitor").metrics().inc("x", 1);
+        assert!(obs.monitor().is_some_and(|m| std::ptr::eq(m, &*mon)));
+        assert!(mon.metrics().to_json().contains("\"x\""));
+        assert!(Recorder::new(RingSink::unbounded()).monitor().is_none());
     }
 
     #[test]

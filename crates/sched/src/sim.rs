@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vf_comm::LinkProfile;
 use vf_device::{DeviceId, DeviceProfile, DeviceType, FaultPlan};
-use vf_obs::{Event, Monitor, Recorder};
+use vf_obs::{Event, Recorder};
 
 /// Configuration of a cluster simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,7 +150,7 @@ pub fn run_trace(
     scheduler: &mut dyn Scheduler,
     config: &SimConfig,
 ) -> SimResult {
-    run_trace_monitored(trace, scheduler, config, &Recorder::disabled(), None)
+    run_trace_recorded(trace, scheduler, config, &Recorder::disabled())
 }
 
 /// Logical `tid` block for per-job tracks (`job N` → `JOB_TID_BASE + N`),
@@ -158,8 +158,8 @@ pub fn run_trace(
 /// (`vf_device::obs::DEVICE_TID_BASE` block).
 const JOB_TID_BASE: u32 = 2000;
 
-/// [`run_trace`] with a trace recorder and, optionally, a live [`Monitor`]
-/// attached.
+/// [`run_trace`] with an observability handle attached: a trace sink, a
+/// live monitor ([`Recorder::with_monitor`]), both or neither.
 ///
 /// Emits `sched` events on the simulator's own clock, offset by the
 /// recorder's clock at entry (so a simulation recorded after a training
@@ -176,7 +176,8 @@ const JOB_TID_BASE: u32 = 2000;
 /// `sched/gpus_busy`, the cumulative `sched/busy_gpu_ms` counter, and `sched/starvation` (1 exactly when
 /// jobs are queued and nothing runs, so an idle-but-empty cluster never
 /// reads as starved) — then ticks the monitor at the event's simulated
-/// time, driving the sampler and alert rules in event order. Completions
+/// time, driving the sampler and alert rules in event order (alert edges
+/// land on `obs` as trace instants). Completions
 /// additionally feed the bounded `sched/jct_s` / `sched/queue_delay_s`
 /// quantile sketches and the priority-labeled `sched/completions` counter
 /// family, so distribution telemetry stays O(1) however many jobs the
@@ -187,12 +188,11 @@ const JOB_TID_BASE: u32 = 2000;
 /// # Panics
 ///
 /// Same conditions as [`run_trace`].
-pub fn run_trace_monitored(
+pub fn run_trace_recorded(
     trace: &[JobSpec],
     scheduler: &mut dyn Scheduler,
     config: &SimConfig,
     obs: &Recorder,
-    monitor: Option<&Monitor>,
 ) -> SimResult {
     let device = DeviceProfile::of(config.device_type);
     // Everything below stamps simulated seconds relative to this base, so
@@ -353,7 +353,7 @@ pub fn run_trace_monitored(
                     .with_arg("resizes", job.resizes)
                 });
             }
-            if let Some(mon) = monitor {
+            if let Some(mon) = obs.monitor() {
                 // Distribution telemetry is aggregate by construction:
                 // bounded sketches for the JCT / queue-delay curves the
                 // paper's Figs 12–14 report, and a labeled completion
@@ -414,7 +414,7 @@ pub fn run_trace_monitored(
             obs.emit(Event::counter("sched/gpus_busy", "sched", now_us, total));
             obs.emit(Event::counter("sched/busy_gpu_s", "sched", now_us, busy_integral));
         }
-        if let Some(mon) = monitor {
+        if let Some(mon) = obs.monitor() {
             let m = mon.metrics();
             m.set_gauge("sched/queue_depth", queued as f64);
             m.set_gauge("sched/running", running as f64);
@@ -425,7 +425,7 @@ pub fn run_trace_monitored(
                 "sched/starvation",
                 if queued > 0 && running == 0 { 1.0 } else { 0.0 },
             );
-            mon.tick(now_us as f64 / 1e6);
+            mon.tick(now_us as f64 / 1e6, obs);
         }
         timeline.push(AllocationSample {
             time_s: now,

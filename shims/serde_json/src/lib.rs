@@ -231,10 +231,36 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(from_str::<Value>("{\"a\": }").is_err());
-        assert!(from_str::<Value>("[1, 2,]").is_err());
-        assert!(from_str::<Value>("nul").is_err());
-        assert!(from_str::<Value>("1 2").is_err());
+        for bad in [
+            "", "{", "[1,", "[1, 2,]", "[1, }", "\"unterminated", "{\"a\": }", "1 2", "nul",
+            "tru", "\"\\q\"", "-", "1.2.3",
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn parses_nested_and_empty_containers() {
+        let v: Value =
+            from_str(r#" {"a": [1, -2.5, 1e3], "b": {"c": true, "d": null}, "e": "x", "f": {}, "g": []} "#)
+                .unwrap();
+        assert_eq!(v["a"], json!([1, -2.5, 1000.0]));
+        assert_eq!(v["b"]["c"], true);
+        assert!(v["b"]["d"].is_null());
+        assert_eq!(v["e"], "x");
+        assert_eq!(v["f"], json!({}));
+        assert_eq!(v["g"], json!([]));
+    }
+
+    #[test]
+    fn numbers_read_as_str_parse_reads_them() {
+        for text in ["0", "-7", "3.25", "1e3", "-0", "18446744073709551616", "-9223372036854775809"] {
+            let v: Value = from_str(text).unwrap();
+            let want: f64 = text.parse().unwrap();
+            assert_eq!(v.as_f64().map(f64::to_bits), Some(want.to_bits()), "{text}");
+        }
+        let max: Value = from_str("18446744073709551615").unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX));
     }
 
     #[test]

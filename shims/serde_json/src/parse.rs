@@ -210,23 +210,16 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::new("invalid number"))?;
-        let n = if is_float {
-            Number::F64(
+        // Integers keep their exact representation when they fit; "-0" and
+        // integers beyond 64 bits read as the f64 `str::parse` gives them,
+        // as real serde_json does.
+        let n = match (is_float || text == "-0", text.parse::<u64>(), text.parse::<i64>()) {
+            (false, Ok(u), _) => Number::U64(u),
+            (false, _, Ok(i)) => Number::I64(i),
+            _ => Number::F64(
                 text.parse::<f64>()
                     .map_err(|_| Error::new(format!("invalid number `{text}`")))?,
-            )
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            // Negative integer (parse magnitude separately to keep -0 exact).
-            let _ = stripped;
-            Number::I64(
-                text.parse::<i64>()
-                    .map_err(|_| Error::new(format!("integer out of range `{text}`")))?,
-            )
-        } else {
-            Number::U64(
-                text.parse::<u64>()
-                    .map_err(|_| Error::new(format!("integer out of range `{text}`")))?,
-            )
+            ),
         };
         Ok(Value::Number(n))
     }

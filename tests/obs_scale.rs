@@ -4,8 +4,9 @@
 //! the worker-thread count, and sketch merging must be order-independent
 //! so shard-local sketches can be combined in any topology.
 
+use std::sync::Arc;
 use virtualflow::obs::{Metrics, Monitor, Recorder, RingSink, Sketch};
-use virtualflow::sched::sim::run_trace_monitored;
+use virtualflow::sched::sim::run_trace_recorded;
 use virtualflow::sched::{ElasticWfs, JobId, JobSpec, SimConfig};
 
 const SEED: u64 = 2022;
@@ -41,17 +42,11 @@ struct Replay {
 
 fn replay(threads: usize) -> Replay {
     virtualflow::tensor::pool::set_num_threads(threads);
-    let mon = Monitor::with_default_pack();
+    let mon = Arc::new(Monitor::with_default_pack());
     mon.set_retention(64);
-    let rec = Recorder::new(RingSink::unbounded());
+    let rec = Recorder::new(RingSink::unbounded()).with_monitor(mon.clone());
     rec.set_head_sampling(SEED, 250_000);
-    run_trace_monitored(
-        &trace(),
-        &mut ElasticWfs::new(),
-        &SimConfig::v100_cluster(8),
-        &rec,
-        Some(&mon),
-    );
+    run_trace_recorded(&trace(), &mut ElasticWfs::new(), &SimConfig::v100_cluster(8), &rec);
     let m = mon.metrics();
     Replay {
         prom: mon.render_prometheus(),
