@@ -299,40 +299,12 @@ impl ChaosReport {
         }
     }
 
-    /// Publishes the report into a [`Metrics`] registry under `chaos/*`
-    /// names. Counters and gauges are pure functions of the report, so two
-    /// identical runs — regardless of thread count — produce identical
-    /// registries.
-    pub fn record_metrics(&self, m: &Metrics) {
-        m.inc("chaos/steps", self.steps);
-        m.inc("chaos/crashes", self.crashes as u64);
-        m.inc("chaos/rack_device_failures", self.rack_device_failures as u64);
-        m.inc("chaos/preemptions", self.preemptions as u64);
-        m.inc("chaos/recoveries", self.recoveries as u64);
-        m.inc("chaos/rejoins", self.rejoins as u64);
-        m.inc("chaos/recovery_retries", self.recovery_retries as u64);
-        m.inc("chaos/checkpoint_fallbacks", self.checkpoint_fallbacks as u64);
-        m.inc("chaos/replayed_steps", self.replayed_steps);
-        m.inc("chaos/store_saves", self.store_saves);
-        m.inc("chaos/store_save_failures", self.store_save_failures);
-        m.inc("chaos/store_restores", self.store_restores);
-        m.inc("chaos/store_restore_attempts", self.store_restore_attempts);
-        m.inc("chaos/store_fallback_restores", self.store_fallback_restores);
-        m.inc("chaos/store_corruptions_detected", self.store_corruptions_detected);
-        m.inc("chaos/store_quarantined", self.store_quarantined);
-        m.inc("chaos/store_silent_restores", self.store_silent_restores);
-        m.inc("chaos/store_restore_failures", self.store_restore_failures);
-        m.set_gauge("chaos/sim_time_s", self.sim_time_s);
-        m.set_gauge("chaos/backoff_total_s", self.backoff_total_s);
-        m.set_gauge("chaos/mttr_s", self.mttr_s());
-    }
-
     /// Mirrors the report's cumulative counts into a registry with
-    /// [`Metrics::set_counter`] — safe to call every tick, unlike
-    /// [`ChaosReport::record_metrics`], whose `inc` calls would
-    /// double-count. Also publishes the two derived series the default
-    /// alert pack watches: `chaos/comm_retries` (timeouts + aborts) and
-    /// `chaos/comm_attempts` (steps + retries, the burn-rate denominator).
+    /// [`Metrics::set_counter`] — monotone, so safe to call every tick
+    /// without double-counting. Also publishes the two derived series the
+    /// default alert pack watches: `chaos/comm_retries` (timeouts + aborts)
+    /// and `chaos/comm_attempts` (steps + retries, the burn-rate
+    /// denominator).
     pub fn mirror_metrics(&self, m: &Metrics, steps_done: u64) {
         let retries = (self.comm_timeouts + self.comm_aborts) as u64;
         m.set_counter("chaos/steps", steps_done);
@@ -912,37 +884,41 @@ impl ChaosSupervisor {
             (self.cfg.backward_fraction.clamp(0.0, 1.0) * self.cfg.compute_s_per_wave).min(compute_s);
         let step = self.trainer.steps_done();
         let t0 = self.clock.now();
-        emit_backward_window(&self.obs, step, t0 + compute_s - window, window);
-        let elapsed = self.sync_time_s(t0, compute_s, window, workers)?;
+        // The step's compute is stamped at its start, before the sync it
+        // feeds moves the recorder to each collective's start.
         self.trainer.step()?;
+        emit_backward_window(&self.obs, step, t0 + compute_s - window, window);
+        let elapsed = self.sync_time_s(step, t0, compute_s, window, workers)?;
         self.clock.advance(elapsed);
         self.report.min_fleet = self.report.min_fleet.min(workers);
         Ok(())
     }
 
-    /// Simulated duration of one step starting at `t0`: compute advances
-    /// one lane; each gradient bucket's collective runs on the comm lane
-    /// once its last gradient exists and the lane is free.
+    /// Simulated duration of step `step`, which starts at `t0`: compute
+    /// advances one lane; each gradient bucket's collective runs on the
+    /// comm lane once its last gradient exists and the lane is free. The
+    /// pipeline runs in step-local time, so the exposed comm it reports is
+    /// a difference of durations, not of clock readings.
     fn sync_time_s(
         &mut self,
+        step: u64,
         t0: f64,
         compute_s: f64,
         window: f64,
         workers: usize,
     ) -> Result<f64, CoreError> {
-        let step = self.trainer.steps_done();
         let sizes = split_bucket_bytes(self.param_bytes, self.cfg.bucket_bytes);
         let model = self.cfg.comm.unwrap_or(CommFaultModel::quiet(0));
         let (obs, report) = (&self.obs, &mut self.report);
         let (link, max_attempts) = (&self.cfg.link, self.cfg.max_collective_attempts);
         let (mut comm_total, total_bytes) = (0.0, self.param_bytes);
         let pipeline = crate::overlap::pipeline_buckets::<CoreError>;
-        let lanes = pipeline(t0, compute_s, window, &sizes, |b, bytes, start| {
+        let lanes = pipeline(0.0, compute_s, window, &sizes, |b, bytes, start| {
             // Bucket starts are nondecreasing, so this never rewinds the
             // recorder; comm spans land inside (or after) the backward
             // window, which is exactly what the trace-structure checks
             // assert.
-            obs.set_time_s(start);
+            obs.set_time_s(t0 + start);
             // Per-attempt fault probabilities are scaled by the bucket's
             // byte share: fault exposure tracks bytes on the wire, so a
             // step's expected fault count is invariant to bucketing.
@@ -965,7 +941,7 @@ impl ChaosSupervisor {
         })?;
         self.report.comm_total_s += comm_total;
         self.report.comm_exposed_s += lanes.exposed_comm_s();
-        Ok(lanes.join() - t0)
+        Ok(lanes.join())
     }
 
     /// Periodic checkpoint for the last-resort path. With a store
@@ -1215,18 +1191,20 @@ mod tests {
         assert_eq!(out.trainer.params(), &fault_free_params(5, 60)[..]);
     }
 
-    /// The published metrics registry is a pure function of the run, so
-    /// thread count must not leak into it.
+    /// What a monitor reads is a pure function of the run, so thread count
+    /// must not leak into it. The rack wipe forces the checkpoint-restore
+    /// fallback, whose rebuilt trainer must get the recorder back: the
+    /// registry's `train/steps` reaching the target proves it publishes.
     #[test]
     fn chaos_metrics_are_identical_across_thread_counts() {
-        fn metrics_json(threads: usize) -> String {
+        fn monitored(threads: usize) -> (ChaosReport, String, Option<vf_obs::Metric>) {
             vf_tensor::pool::set_num_threads(threads);
             let (arch, dataset, config) = parts(5);
             let plan = FaultPlan::new(5).with_racks(RackModel::new(4, 90.0).unwrap());
             let mut cfg = ChaosConfig::new(plan, 40);
             cfg.checkpoint_every = 10;
             cfg.store = Some(StoreConfig::quiet(5));
-            let sup = ChaosSupervisor::new(
+            let mut sup = ChaosSupervisor::new(
                 arch,
                 dataset,
                 config,
@@ -1235,18 +1213,21 @@ mod tests {
                 cfg,
             )
             .unwrap();
-            let out = sup.run().unwrap();
-            let m = Metrics::new();
-            out.report.record_metrics(&m);
-            m.to_json()
+            let mon = Arc::new(vf_obs::Monitor::with_default_pack());
+            sup.set_recorder(Recorder::disabled().with_monitor(mon.clone()));
+            let report = sup.run().unwrap().report;
+            (report, mon.metrics().to_json(), mon.metrics().get("train/steps"))
         }
         let orig = vf_tensor::pool::num_threads();
-        let single = metrics_json(1);
-        let quad = metrics_json(4);
+        let single = monitored(1);
+        let quad = monitored(4);
         vf_tensor::pool::set_num_threads(orig);
-        assert_eq!(single, quad);
-        assert!(single.contains("chaos/store_saves"));
-        assert!(single.contains("chaos/mttr_s"));
+        assert_eq!(single.0, quad.0);
+        assert_eq!(single.1, quad.1);
+        assert!(single.0.checkpoint_fallbacks > 0, "{:?}", single.0);
+        assert_eq!(single.2, Some(vf_obs::Metric::Counter(40)));
+        assert!(single.1.contains("chaos/checkpoint_fallbacks"));
+        assert!(single.1.contains("store/restores"));
     }
 
     #[test]
@@ -1457,12 +1438,10 @@ mod tests {
 
     #[test]
     fn one_bucket_syncs_once_after_each_backward_pass() {
-        use vf_obs::{Phase, Recorder, RingSink};
+        use vf_obs::{Phase, RingSink};
         let (arch, dataset, config) = parts(10);
-        let mut cfg = ChaosConfig::new(FaultPlan::new(10), 12);
-        // A slow link puts sync at a sizable share of the step, so the
-        // clock's rounding at its magnitude is far below the tolerance.
-        cfg.link = LinkProfile { latency_s: 100.0e-6, bandwidth: 2.0e3 };
+        const STEPS: u64 = 12;
+        let cfg = ChaosConfig::new(FaultPlan::new(10), STEPS);
         let mut sup =
             ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &[], cfg).unwrap();
         let sink = Arc::new(RingSink::unbounded());
@@ -1478,12 +1457,13 @@ mod tests {
         };
         let windows = spans("step/backward");
         let collectives = spans("allreduce");
-        assert_eq!(windows.len(), 12, "one backward window per step");
-        assert_eq!(collectives.len(), 12, "one collective per step");
+        assert_eq!(windows.len(), STEPS as usize, "one backward window per step");
+        assert_eq!(collectives.len(), STEPS as usize, "one collective per step");
         for (&(_, backward_end), &(start, _)) in windows.iter().zip(&collectives) {
             assert_eq!(start, backward_end, "the sync starts as the last backward pass ends");
         }
-        // Nothing overlaps: every comm second is exposed.
+        // Nothing overlaps: every comm second is exposed, up to the
+        // rounding of one step's durations, however late in the run.
         assert!(report.comm_total_s > 0.0);
         let gap = (report.comm_exposed_s - report.comm_total_s).abs();
         assert!(
@@ -1492,6 +1472,48 @@ mod tests {
             report.comm_exposed_s,
             report.comm_total_s
         );
+    }
+
+    /// Each step's compute (`vn{k}/grad`, `dev{d}/busy`, `aggregate`) is
+    /// stamped at the step's start, before the collectives it feeds.
+    #[test]
+    fn a_steps_compute_is_traced_before_its_collectives() {
+        use vf_obs::{Phase, RingSink};
+        let (arch, dataset, config) = parts(12);
+        let mut cfg = ChaosConfig::new(FaultPlan::new(12), 3);
+        cfg.bucket_bytes = 64;
+        let mut sup =
+            ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &[], cfg).unwrap();
+        let sink = Arc::new(RingSink::unbounded());
+        sup.set_recorder(Recorder::with_sink(sink.clone()));
+        sup.run().unwrap();
+        let events = sink.events();
+        let spans = |name: &str| -> Vec<(u64, u64)> {
+            events
+                .iter()
+                .filter(|e| e.name == name && e.ph == Phase::Complete)
+                .map(|e| (e.ts_us, e.ts_us + e.dur_us))
+                .collect()
+        };
+        let windows = spans("step/backward");
+        let aggregates = spans("aggregate");
+        let collectives = spans("allreduce");
+        assert_eq!((windows.len(), aggregates.len()), (3, 3));
+        for (k, (&(window_start, _), &(_, aggregate_end))) in
+            windows.iter().zip(&aggregates).enumerate()
+        {
+            let next_window = windows.get(k + 1).map_or(u64::MAX, |w| w.0);
+            let first_collective = collectives
+                .iter()
+                .map(|c| c.0)
+                .filter(|&ts| ts >= window_start && ts < next_window)
+                .min()
+                .unwrap();
+            assert!(
+                aggregate_end <= first_collective,
+                "step {k}: aggregate ends at {aggregate_end}us, after its first allreduce at {first_collective}us"
+            );
+        }
     }
 
     #[test]
