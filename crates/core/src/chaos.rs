@@ -1219,15 +1219,15 @@ mod tests {
             (report, mon.metrics().to_json(), mon.metrics().get("train/steps"))
         }
         let orig = vf_tensor::pool::num_threads();
-        let single = monitored(1);
-        let quad = monitored(4);
+        let (report, json, steps) = monitored(1);
+        let (quad_report, quad_json, _) = monitored(4);
         vf_tensor::pool::set_num_threads(orig);
-        assert_eq!(single.0, quad.0);
-        assert_eq!(single.1, quad.1);
-        assert!(single.0.checkpoint_fallbacks > 0, "{:?}", single.0);
-        assert_eq!(single.2, Some(vf_obs::Metric::Counter(40)));
-        assert!(single.1.contains("chaos/checkpoint_fallbacks"));
-        assert!(single.1.contains("store/restores"));
+        assert_eq!(report, quad_report);
+        assert_eq!(json, quad_json);
+        assert!(report.checkpoint_fallbacks > 0, "{report:?}");
+        assert_eq!(steps, Some(vf_obs::Metric::Counter(40)));
+        assert!(json.contains("chaos/checkpoint_fallbacks"));
+        assert!(json.contains("store/restores"));
     }
 
     #[test]

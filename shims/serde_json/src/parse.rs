@@ -213,11 +213,15 @@ impl<'a> Parser<'a> {
         // Integers keep their exact representation when they fit; "-0" and
         // integers beyond 64 bits read as the f64 `str::parse` gives them,
         // as real serde_json does.
-        let n = match (is_float || text == "-0", text.parse::<u64>(), text.parse::<i64>()) {
-            (false, Ok(u), _) => Number::U64(u),
-            (false, _, Ok(i)) => Number::I64(i),
-            _ => Number::F64(
-                text.parse::<f64>()
+        let int = if is_float || text == "-0" {
+            None
+        } else {
+            text.parse().map(Number::U64).or_else(|_| text.parse().map(Number::I64)).ok()
+        };
+        let n = match int {
+            Some(n) => n,
+            None => Number::F64(
+                text.parse()
                     .map_err(|_| Error::new(format!("invalid number `{text}`")))?,
             ),
         };
