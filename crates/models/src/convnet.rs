@@ -98,11 +98,15 @@ impl Architecture for ConvNet {
             params.push(he(&mut rng, self.filters, self.filters));
             // Scale the block's second conv down so deep stacks start near
             // the identity.
-            let k2 = he(&mut rng, self.filters, self.filters)
-                .scale(1.0 / (self.blocks as f32).sqrt());
+            let k2 =
+                he(&mut rng, self.filters, self.filters).scale(1.0 / (self.blocks as f32).sqrt());
             params.push(k2);
         }
-        params.push(init::xavier_uniform(&mut rng, self.filters, self.num_classes));
+        params.push(init::xavier_uniform(
+            &mut rng,
+            self.filters,
+            self.num_classes,
+        ));
         params.push(Tensor::zeros([self.num_classes]));
         params
     }

@@ -33,8 +33,8 @@ pub mod profile;
 pub mod residual;
 pub mod trainable;
 
+pub use convnet::ConvNet;
 pub use error::ModelError;
 pub use profile::{ModelProfile, OptimizerKind};
-pub use convnet::ConvNet;
 pub use residual::ResidualMlp;
 pub use trainable::{Architecture, EvalReport, GradReport, Mlp, StatefulState};

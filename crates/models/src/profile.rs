@@ -95,7 +95,11 @@ impl ModelProfile {
     /// nodes (paper §3.3). With a single virtual node per device the buffer
     /// is unnecessary and elided.
     pub fn peak_bytes_virtual(&self, micro_batch: usize, vn_per_device: usize) -> u64 {
-        let buffer = if vn_per_device > 1 { self.param_bytes() } else { 0 };
+        let buffer = if vn_per_device > 1 {
+            self.param_bytes()
+        } else {
+            0
+        };
         self.peak_bytes_vanilla(micro_batch) + buffer
     }
 
@@ -255,11 +259,7 @@ mod tests {
         for p in [resnet50(), bert_base(), bert_large()] {
             let mb = p.max_micro_batch_virtual(&ti).max(1);
             let ratio = p.peak_bytes_virtual(mb, 4) as f64 / p.peak_bytes_vanilla(mb) as f64;
-            assert!(
-                ratio <= 1.20,
-                "{}: overhead ratio {ratio:.3}",
-                p.name
-            );
+            assert!(ratio <= 1.20, "{}: overhead ratio {ratio:.3}", p.name);
         }
     }
 

@@ -181,8 +181,7 @@ impl Architecture for ResidualMlp {
         let mut h = ops::linear(features, &params[0], &params[1])?;
         let mut pi = 2;
         for _ in 0..self.blocks {
-            let normed =
-                ops::layer_norm_rows(&h, &params[pi], &params[pi + 1], self.ln_eps)?;
+            let normed = ops::layer_norm_rows(&h, &params[pi], &params[pi + 1], self.ln_eps)?;
             let inner = ops::gelu(&ops::linear(&normed, &params[pi + 2], &params[pi + 3])?);
             // Dropout is identity at evaluation time.
             let out = ops::linear(&inner, &params[pi + 4], &params[pi + 5])?;

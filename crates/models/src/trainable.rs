@@ -165,10 +165,7 @@ pub struct Mlp {
 impl Mlp {
     /// An MLP without batch normalization.
     pub fn new(input_dim: usize, hidden: Vec<usize>, num_classes: usize) -> Self {
-        let name = format!(
-            "mlp-{}x{:?}x{}",
-            input_dim, hidden, num_classes
-        );
+        let name = format!("mlp-{}x{:?}x{}", input_dim, hidden, num_classes);
         Mlp {
             input_dim,
             hidden,
@@ -234,7 +231,11 @@ impl Mlp {
     }
 
     fn check_stateful(&self, stateful: &StatefulState) -> Result<(), ModelError> {
-        let expected = if self.batch_norm { 2 * self.hidden.len() } else { 0 };
+        let expected = if self.batch_norm {
+            2 * self.hidden.len()
+        } else {
+            0
+        };
         if stateful.tensors().len() != expected {
             return Err(ModelError::StatefulCount {
                 expected,
@@ -313,7 +314,11 @@ impl Architecture for Mlp {
                 // Update the moving statistics (the "stateful kernel").
                 let moving = stateful.tensors_mut();
                 update_moving(&mut moving[2 * layer], tape.value(mean), self.bn_momentum)?;
-                update_moving(&mut moving[2 * layer + 1], tape.value(var), self.bn_momentum)?;
+                update_moving(
+                    &mut moving[2 * layer + 1],
+                    tape.value(var),
+                    self.bn_momentum,
+                )?;
             }
             h = match self.activation {
                 Activation::Relu => tape.relu(h),
