@@ -15,11 +15,14 @@
 //! function of `(params, micro-batch)`, which is what makes virtual node
 //! execution bit-reproducible across device mappings.
 
-use crate::trainable::{Architecture, EvalReport, GradReport, StatefulState};
+use crate::trainable::{
+    eval_of, grad_of, Architecture, Evaluated, Forward, Graded, Mode, StatefulState,
+};
 use crate::ModelError;
 use serde::{Deserialize, Serialize};
-use vf_tensor::autograd::Tape;
-use vf_tensor::{conv, init, ops, Tensor};
+use std::borrow::Cow;
+use vf_tensor::autograd::{Tape, Var};
+use vf_tensor::{init, Tensor};
 
 /// A residual CNN classifier over flattened image features.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,26 +62,6 @@ impl ConvNet {
             name: format!("convnet-{channels}x{height}x{width}-f{filters}b{blocks}-{num_classes}"),
         }
     }
-
-    /// Number of parameter tensors: stem kernel + 2 kernels per block +
-    /// head weight + head bias.
-    pub fn num_param_tensors(&self) -> usize {
-        1 + 2 * self.blocks + 2
-    }
-
-    fn check_params(&self, params: &[Tensor]) -> Result<(), ModelError> {
-        if params.len() != self.num_param_tensors() {
-            return Err(ModelError::ParamCount {
-                expected: self.num_param_tensors(),
-                actual: params.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn input_pixels(&self) -> usize {
-        self.channels * self.height * self.width
-    }
 }
 
 impl Architecture for ConvNet {
@@ -102,11 +85,8 @@ impl Architecture for ConvNet {
                 he(&mut rng, self.filters, self.filters).scale(1.0 / (self.blocks as f32).sqrt());
             params.push(k2);
         }
-        params.push(init::xavier_uniform(
-            &mut rng,
-            self.filters,
-            self.num_classes,
-        ));
+        let head = init::xavier_uniform(&mut rng, self.filters, self.num_classes);
+        params.push(head);
         params.push(Tensor::zeros([self.num_classes]));
         params
     }
@@ -115,86 +95,51 @@ impl Architecture for ConvNet {
         StatefulState::default()
     }
 
-    fn grad(
+    fn grad(&self, params: &[Tensor], st: &mut StatefulState, x: &Tensor, y: &[usize]) -> Graded {
+        grad_of(self, params, st, x, y)
+    }
+
+    fn eval(&self, params: &[Tensor], st: &StatefulState, x: &Tensor, y: &[usize]) -> Evaluated {
+        eval_of(self, params, st, x, y)
+    }
+}
+
+impl Forward for ConvNet {
+    /// Stem kernel + 2 kernels per block + head weight + head bias.
+    fn num_param_tensors(&self) -> usize {
+        1 + 2 * self.blocks + 2
+    }
+
+    /// The micro-batch as NCHW images: its one copy and the one check of its
+    /// geometry (a constant needs no reshape node to route a gradient back).
+    fn input<'a>(&self, features: &'a Tensor, n: usize) -> Result<Cow<'a, Tensor>, ModelError> {
+        Ok(Cow::Owned(features.reshape([
+            n,
+            self.channels,
+            self.height,
+            self.width,
+        ])?))
+    }
+
+    fn forward(
         &self,
-        params: &[Tensor],
-        _stateful: &mut StatefulState,
-        features: &Tensor,
-        labels: &[usize],
-    ) -> Result<GradReport, ModelError> {
-        self.check_params(params)?;
-        let n = labels.len();
-        let mut tape = Tape::new();
-        let vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
-        // The one copy of the micro-batch: a constant needs no reshape node
-        // to route a gradient back through.
-        let x = tape.constant(features.reshape([n, self.channels, self.height, self.width])?);
-        let mut h = tape.conv2d(x, vars[0])?;
+        tape: &mut Tape<'_>,
+        params: &[Var],
+        x: Var,
+        _mode: Mode<'_>,
+    ) -> Result<Var, ModelError> {
+        let mut h = tape.conv2d(x, params[0])?;
         h = tape.relu(h);
         for block in 0..self.blocks {
-            let k1 = vars[1 + 2 * block];
-            let k2 = vars[2 + 2 * block];
-            let mut inner = tape.conv2d(h, k1)?;
+            let mut inner = tape.conv2d(h, params[1 + 2 * block])?;
             inner = tape.relu(inner);
-            let inner = tape.conv2d(inner, k2)?;
+            let inner = tape.conv2d(inner, params[2 + 2 * block])?;
             h = tape.add(h, inner)?;
             h = tape.relu(h);
         }
         let pooled = tape.global_avg_pool(h)?;
-        let head_w = vars[vars.len() - 2];
-        let head_b = vars[vars.len() - 1];
-        let logits = tape.linear(pooled, head_w, head_b)?;
-        let loss = tape.softmax_cross_entropy(logits, labels)?;
-        let loss_value = tape.value(loss).item()?;
-        let mut grads_out = tape.backward(loss)?;
-        let grads = vars
-            .iter()
-            .zip(params.iter())
-            .map(|(&v, p)| {
-                grads_out
-                    .take(v)
-                    .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
-            })
-            .collect();
-        Ok(GradReport {
-            grads,
-            loss: loss_value,
-            examples: n,
-        })
-    }
-
-    fn eval(
-        &self,
-        params: &[Tensor],
-        _stateful: &StatefulState,
-        features: &Tensor,
-        labels: &[usize],
-    ) -> Result<EvalReport, ModelError> {
-        self.check_params(params)?;
-        let n = labels.len();
-        if features.len() != n * self.input_pixels() {
-            return Err(ModelError::Tensor(vf_tensor::TensorError::ShapeMismatch {
-                expected: n * self.input_pixels(),
-                actual: features.len(),
-                context: "ConvNet::eval",
-            }));
-        }
-        let x = features.reshape([n, self.channels, self.height, self.width])?;
-        let mut h = ops::relu(&conv::conv2d(&x, &params[0])?);
-        for block in 0..self.blocks {
-            let inner = ops::relu(&conv::conv2d(&h, &params[1 + 2 * block])?);
-            let inner = conv::conv2d(&inner, &params[2 + 2 * block])?;
-            h = ops::relu(&h.add(&inner)?);
-        }
-        let pooled = conv::global_avg_pool(&h)?;
-        let logits = ops::linear(
-            &pooled,
-            &params[params.len() - 2],
-            &params[params.len() - 1],
-        )?;
-        let (loss, _) = ops::softmax_cross_entropy(&logits, labels)?;
-        let accuracy = ops::accuracy(&logits, labels)?;
-        Ok(EvalReport { loss, accuracy })
+        let (head_w, head_b) = (params[params.len() - 2], params[params.len() - 1]);
+        Ok(tape.linear(pooled, head_w, head_b)?)
     }
 }
 

@@ -9,11 +9,13 @@
 //! from the device, so training remains bit-reproducible across any virtual
 //! node mapping.
 
-use crate::trainable::{Architecture, EvalReport, GradReport, StatefulState};
+use crate::trainable::{
+    eval_of, grad_of, Architecture, Evaluated, Forward, Graded, Mode, StatefulState,
+};
 use crate::ModelError;
 use serde::{Deserialize, Serialize};
-use vf_tensor::autograd::Tape;
-use vf_tensor::{init, ops, Tensor};
+use vf_tensor::autograd::{Tape, Var};
+use vf_tensor::{init, Tensor};
 
 /// A residual MLP classifier with pre-layer-norm blocks.
 ///
@@ -65,21 +67,6 @@ impl ResidualMlp {
         self
     }
 
-    /// Number of parameter tensors.
-    pub fn num_param_tensors(&self) -> usize {
-        2 + self.blocks * 6 + 2
-    }
-
-    fn check_params(&self, params: &[Tensor]) -> Result<(), ModelError> {
-        if params.len() != self.num_param_tensors() {
-            return Err(ModelError::ParamCount {
-                expected: self.num_param_tensors(),
-                actual: params.len(),
-            });
-        }
-        Ok(())
-    }
-
     /// A mapping-independent dropout seed derived from the micro-batch.
     fn data_seed(labels: &[usize]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -122,76 +109,48 @@ impl Architecture for ResidualMlp {
         StatefulState::default()
     }
 
-    fn grad(
+    fn grad(&self, params: &[Tensor], st: &mut StatefulState, x: &Tensor, y: &[usize]) -> Graded {
+        grad_of(self, params, st, x, y)
+    }
+
+    fn eval(&self, params: &[Tensor], st: &StatefulState, x: &Tensor, y: &[usize]) -> Evaluated {
+        eval_of(self, params, st, x, y)
+    }
+}
+
+impl Forward for ResidualMlp {
+    fn num_param_tensors(&self) -> usize {
+        2 + self.blocks * 6 + 2
+    }
+
+    fn forward(
         &self,
-        params: &[Tensor],
-        _stateful: &mut StatefulState,
-        features: &Tensor,
-        labels: &[usize],
-    ) -> Result<GradReport, ModelError> {
-        self.check_params(params)?;
-        let mut tape = Tape::new();
-        let vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
-        let x = tape.constant(features);
-        let mut h = tape.linear(x, vars[0], vars[1])?;
-        let seed = Self::data_seed(labels);
+        tape: &mut Tape<'_>,
+        params: &[Var],
+        x: Var,
+        mode: Mode<'_>,
+    ) -> Result<Var, ModelError> {
+        let dropout_seed = match mode {
+            Mode::Train(_, labels) if self.dropout > 0.0 => Some(Self::data_seed(labels)),
+            _ => None,
+        };
+        let mut h = tape.linear(x, params[0], params[1])?;
         let mut pi = 2;
         for block in 0..self.blocks {
-            let (gamma, beta) = (vars[pi], vars[pi + 1]);
-            let (w1, b1) = (vars[pi + 2], vars[pi + 3]);
-            let (w2, b2) = (vars[pi + 4], vars[pi + 5]);
+            let (gamma, beta) = (params[pi], params[pi + 1]);
+            let (w1, b1) = (params[pi + 2], params[pi + 3]);
+            let (w2, b2) = (params[pi + 4], params[pi + 5]);
             pi += 6;
             let normed = tape.layer_norm(h, gamma, beta, self.ln_eps)?;
             let mut inner = tape.linear(normed, w1, b1)?;
             inner = tape.gelu(inner);
-            if self.dropout > 0.0 {
+            if let Some(seed) = dropout_seed {
                 inner = tape.dropout(inner, self.dropout, seed ^ (block as u64) << 8)?;
             }
             let out = tape.linear(inner, w2, b2)?;
             h = tape.add(h, out)?;
         }
-        let logits = tape.linear(h, vars[pi], vars[pi + 1])?;
-        let loss = tape.softmax_cross_entropy(logits, labels)?;
-        let loss_value = tape.value(loss).item()?;
-        let mut grads_out = tape.backward(loss)?;
-        let grads = vars
-            .iter()
-            .zip(params.iter())
-            .map(|(&v, p)| {
-                grads_out
-                    .take(v)
-                    .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
-            })
-            .collect();
-        Ok(GradReport {
-            grads,
-            loss: loss_value,
-            examples: labels.len(),
-        })
-    }
-
-    fn eval(
-        &self,
-        params: &[Tensor],
-        _stateful: &StatefulState,
-        features: &Tensor,
-        labels: &[usize],
-    ) -> Result<EvalReport, ModelError> {
-        self.check_params(params)?;
-        let mut h = ops::linear(features, &params[0], &params[1])?;
-        let mut pi = 2;
-        for _ in 0..self.blocks {
-            let normed = ops::layer_norm_rows(&h, &params[pi], &params[pi + 1], self.ln_eps)?;
-            let inner = ops::gelu(&ops::linear(&normed, &params[pi + 2], &params[pi + 3])?);
-            // Dropout is identity at evaluation time.
-            let out = ops::linear(&inner, &params[pi + 4], &params[pi + 5])?;
-            h = h.add(&out)?;
-            pi += 6;
-        }
-        let logits = ops::linear(&h, &params[pi], &params[pi + 1])?;
-        let (loss, _) = ops::softmax_cross_entropy(&logits, labels)?;
-        let accuracy = ops::accuracy(&logits, labels)?;
-        Ok(EvalReport { loss, accuracy })
+        Ok(tape.linear(h, params[pi], params[pi + 1])?)
     }
 }
 

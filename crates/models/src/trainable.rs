@@ -14,7 +14,8 @@
 
 use crate::ModelError;
 use serde::{Deserialize, Serialize};
-use vf_tensor::autograd::Tape;
+use std::borrow::Cow;
+use vf_tensor::autograd::{Tape, Var};
 use vf_tensor::{init, ops, Tensor};
 
 /// Per-device stateful kernels: tensors that are updated during training but
@@ -74,6 +75,10 @@ pub struct EvalReport {
 
 /// A trainable architecture: pure configuration that knows how to
 /// initialize, differentiate, and evaluate itself.
+///
+/// This crate's stand-ins write their layers once, as one forward pass that
+/// `grad` runs in training mode and `eval` in evaluation mode (§5.1: batch
+/// statistics vs the moving ones, dropout vs the identity).
 pub trait Architecture: Send + Sync {
     /// Human-readable architecture name.
     fn name(&self) -> &str;
@@ -113,6 +118,107 @@ pub trait Architecture: Send + Sync {
         features: &Tensor,
         labels: &[usize],
     ) -> Result<EvalReport, ModelError>;
+}
+
+/// The mode a stand-in's forward pass runs in.
+pub(crate) enum Mode<'s> {
+    /// Batch statistics, folded into the moving ones; dropout seeded by the
+    /// micro-batch's labels.
+    Train(&'s mut StatefulState, &'s [usize]),
+    /// The moving statistics; dropout is the identity.
+    Eval(&'s StatefulState),
+}
+
+/// A stand-in's one forward pass, which [`grad_of`] and [`eval_of`] run.
+pub(crate) trait Forward {
+    /// Number of parameter tensors.
+    fn num_param_tensors(&self) -> usize;
+
+    /// The micro-batch of `n` examples as the first layer reads it.
+    fn input<'a>(&self, features: &'a Tensor, _n: usize) -> Result<Cow<'a, Tensor>, ModelError> {
+        Ok(Cow::Borrowed(features))
+    }
+
+    /// The logits of the micro-batch `x`, the parameters in `init_params` order.
+    fn forward(
+        &self,
+        tape: &mut Tape<'_>,
+        params: &[Var],
+        x: Var,
+        mode: Mode<'_>,
+    ) -> Result<Var, ModelError>;
+}
+
+pub(crate) type Graded = Result<GradReport, ModelError>;
+pub(crate) type Evaluated = Result<EvalReport, ModelError>;
+
+/// Records `model`'s forward pass on a fresh tape, the parameters as leaves
+/// in training mode and as constants in evaluation mode.
+fn record<'a>(
+    model: &impl Forward,
+    params: &'a [Tensor],
+    features: &'a Tensor,
+    n: usize,
+    mode: Mode<'_>,
+) -> Result<(Tape<'a>, Vec<Var>, Var), ModelError> {
+    let expected = model.num_param_tensors();
+    if params.len() != expected {
+        let actual = params.len();
+        return Err(ModelError::ParamCount { expected, actual });
+    }
+    let x = model.input(features, n)?;
+    let mut tape = Tape::new();
+    let vars: Vec<_> = match mode {
+        Mode::Train(..) => params.iter().map(|p| tape.leaf(p)).collect(),
+        Mode::Eval(_) => params.iter().map(|p| tape.constant(p)).collect(),
+    };
+    let x = tape.constant(x);
+    let logits = model.forward(&mut tape, &vars, x, mode)?;
+    Ok((tape, vars, logits))
+}
+
+/// [`Architecture::grad`] of a stand-in: the mean cross-entropy's gradient
+/// for every parameter (zeros where the loss does not reach).
+pub(crate) fn grad_of(
+    model: &impl Forward,
+    params: &[Tensor],
+    stateful: &mut StatefulState,
+    features: &Tensor,
+    labels: &[usize],
+) -> Graded {
+    let mode = Mode::Train(stateful, labels);
+    let (mut tape, vars, logits) = record(model, params, features, labels.len(), mode)?;
+    let loss = tape.softmax_cross_entropy(logits, labels)?;
+    let loss_value = tape.value(loss).item()?;
+    let mut g = tape.backward(loss)?;
+    let grads = vars
+        .iter()
+        .zip(params)
+        .map(|(&v, p)| {
+            g.take(v)
+                .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
+        })
+        .collect();
+    Ok(GradReport {
+        grads,
+        loss: loss_value,
+        examples: labels.len(),
+    })
+}
+
+/// [`Architecture::eval`] of a stand-in: mean cross-entropy and top-1
+/// accuracy.
+pub(crate) fn eval_of(
+    model: &impl Forward,
+    params: &[Tensor],
+    stateful: &StatefulState,
+    features: &Tensor,
+    labels: &[usize],
+) -> Evaluated {
+    let (tape, _, logits) = record(model, params, features, labels.len(), Mode::Eval(stateful))?;
+    let (loss, _) = ops::softmax_cross_entropy(tape.value(logits), labels)?;
+    let accuracy = ops::accuracy(tape.value(logits), labels)?;
+    Ok(EvalReport { loss, accuracy })
 }
 
 /// Hidden-layer activation function.
@@ -202,12 +308,6 @@ impl Mlp {
         dims
     }
 
-    /// Number of parameter tensors.
-    pub fn num_param_tensors(&self) -> usize {
-        let per_hidden = if self.batch_norm { 4 } else { 2 };
-        self.hidden.len() * per_hidden + 2
-    }
-
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
         let mut n = 0;
@@ -218,31 +318,6 @@ impl Mlp {
             }
         }
         n
-    }
-
-    fn check_params(&self, params: &[Tensor]) -> Result<(), ModelError> {
-        if params.len() != self.num_param_tensors() {
-            return Err(ModelError::ParamCount {
-                expected: self.num_param_tensors(),
-                actual: params.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_stateful(&self, stateful: &StatefulState) -> Result<(), ModelError> {
-        let expected = if self.batch_norm {
-            2 * self.hidden.len()
-        } else {
-            0
-        };
-        if stateful.tensors().len() != expected {
-            return Err(ModelError::StatefulCount {
-                expected,
-                actual: stateful.tensors().len(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -282,43 +357,64 @@ impl Architecture for Mlp {
         StatefulState::new(tensors)
     }
 
-    fn grad(
+    fn grad(&self, params: &[Tensor], st: &mut StatefulState, x: &Tensor, y: &[usize]) -> Graded {
+        grad_of(self, params, st, x, y)
+    }
+
+    fn eval(&self, params: &[Tensor], st: &StatefulState, x: &Tensor, y: &[usize]) -> Evaluated {
+        eval_of(self, params, st, x, y)
+    }
+}
+
+impl Forward for Mlp {
+    fn num_param_tensors(&self) -> usize {
+        let per_hidden = if self.batch_norm { 4 } else { 2 };
+        self.hidden.len() * per_hidden + 2
+    }
+
+    fn forward(
         &self,
-        params: &[Tensor],
-        stateful: &mut StatefulState,
-        features: &Tensor,
-        labels: &[usize],
-    ) -> Result<GradReport, ModelError> {
-        self.check_params(params)?;
-        self.check_stateful(stateful)?;
-        if self.batch_norm && !(0.0..=1.0).contains(&self.bn_momentum) {
-            return Err(ModelError::BnMomentum {
-                bits: self.bn_momentum.to_bits(),
-            });
+        tape: &mut Tape<'_>,
+        params: &[Var],
+        x: Var,
+        mut mode: Mode<'_>,
+    ) -> Result<Var, ModelError> {
+        let expected = 2 * self.hidden.len() * usize::from(self.batch_norm);
+        let actual = match &mode {
+            Mode::Train(stateful, _) => stateful.tensors().len(),
+            Mode::Eval(stateful) => stateful.tensors().len(),
+        };
+        if actual != expected {
+            return Err(ModelError::StatefulCount { expected, actual });
         }
-        let mut tape = Tape::new();
-        let param_vars: Vec<_> = params.iter().map(|p| tape.leaf(p)).collect();
-        let mut h = tape.constant(features);
+        let (m, eps) = (self.bn_momentum, self.bn_eps);
+        if self.batch_norm && matches!(mode, Mode::Train(..)) && !(0.0..=1.0).contains(&m) {
+            return Err(ModelError::BnMomentum { bits: m.to_bits() });
+        }
+        let mut h = x;
         let mut pi = 0;
         for layer in 0..self.hidden.len() {
-            let w = param_vars[pi];
-            let b = param_vars[pi + 1];
+            h = tape.linear(h, params[pi], params[pi + 1])?;
             pi += 2;
-            h = tape.linear(h, w, b)?;
             if self.batch_norm {
-                let gamma = param_vars[pi];
-                let beta = param_vars[pi + 1];
+                let (gamma, beta) = (params[pi], params[pi + 1]);
                 pi += 2;
-                let (out, mean, var) = tape.batch_norm(h, gamma, beta, self.bn_eps)?;
-                h = out;
-                // Update the moving statistics (the "stateful kernel").
-                let moving = stateful.tensors_mut();
-                update_moving(&mut moving[2 * layer], tape.value(mean), self.bn_momentum)?;
-                update_moving(
-                    &mut moving[2 * layer + 1],
-                    tape.value(var),
-                    self.bn_momentum,
-                )?;
+                h = match &mut mode {
+                    Mode::Train(stateful, _) => {
+                        let (out, mean, var) = tape.batch_norm(h, gamma, beta, eps)?;
+                        // Update the moving statistics (the "stateful kernel").
+                        let moving = &mut stateful.tensors_mut()[2 * layer..];
+                        update_moving(&mut moving[0], tape.value(mean), m)?;
+                        update_moving(&mut moving[1], tape.value(var), m)?;
+                        out
+                    }
+                    Mode::Eval(stateful) => {
+                        let moving = &stateful.tensors()[2 * layer..];
+                        let (x, g, b) = (tape.value(h), tape.value(gamma), tape.value(beta));
+                        let out = ops::batch_norm_apply(x, &moving[0], &moving[1], g, b, eps)?;
+                        tape.constant(out)
+                    }
+                };
             }
             h = match self.activation {
                 Activation::Relu => tape.relu(h),
@@ -326,62 +422,7 @@ impl Architecture for Mlp {
                 Activation::Gelu => tape.gelu(h),
             };
         }
-        let w = param_vars[pi];
-        let b = param_vars[pi + 1];
-        let logits = tape.linear(h, w, b)?;
-        let loss = tape.softmax_cross_entropy(logits, labels)?;
-        let loss_value = tape.value(loss).item()?;
-        let mut grads_out = tape.backward(loss)?;
-        let grads = param_vars
-            .iter()
-            .zip(params.iter())
-            .map(|(&v, p)| {
-                grads_out
-                    .take(v)
-                    .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
-            })
-            .collect();
-        Ok(GradReport {
-            grads,
-            loss: loss_value,
-            examples: labels.len(),
-        })
-    }
-
-    fn eval(
-        &self,
-        params: &[Tensor],
-        stateful: &StatefulState,
-        features: &Tensor,
-        labels: &[usize],
-    ) -> Result<EvalReport, ModelError> {
-        self.check_params(params)?;
-        self.check_stateful(stateful)?;
-        let mut h = features.clone();
-        let mut pi = 0;
-        for layer in 0..self.hidden.len() {
-            let w = &params[pi];
-            let b = &params[pi + 1];
-            pi += 2;
-            h = ops::linear(&h, w, b)?;
-            if self.batch_norm {
-                let gamma = &params[pi];
-                let beta = &params[pi + 1];
-                pi += 2;
-                let mov_mean = &stateful.tensors()[2 * layer];
-                let mov_var = &stateful.tensors()[2 * layer + 1];
-                h = ops::batch_norm_apply(&h, mov_mean, mov_var, gamma, beta, self.bn_eps)?;
-            }
-            h = match self.activation {
-                Activation::Relu => ops::relu(&h),
-                Activation::Tanh => ops::tanh(&h),
-                Activation::Gelu => ops::gelu(&h),
-            };
-        }
-        let logits = ops::linear(&h, &params[pi], &params[pi + 1])?;
-        let (loss, _) = ops::softmax_cross_entropy(&logits, labels)?;
-        let accuracy = ops::accuracy(&logits, labels)?;
-        Ok(EvalReport { loss, accuracy })
+        Ok(tape.linear(h, params[pi], params[pi + 1])?)
     }
 }
 
