@@ -595,32 +595,25 @@ impl ChaosSupervisor {
             let Some(event) = self.events.pop_front() else {
                 break;
             };
-            match event.kind {
-                FaultKind::Crash => {
-                    let victims = self.active_victims(&event.devices);
-                    self.drop_bootstrapping_victims(&event.devices, event.at_s);
-                    if !victims.is_empty() {
-                        self.report.crashes += victims.len();
-                        self.obs.record_with(|| {
-                            Event::instant("fault/crash", "chaos", self.obs.now_us())
-                                .with_arg("victims", victims.len())
-                        });
-                        self.recover_from_deaths(&victims, event.at_s)?;
-                    }
+            // A crash and a rack failure differ only in their name and
+            // counter; a preemption gives notice first.
+            let (name, counter): (_, fn(&mut ChaosReport) -> &mut usize) = match event.kind {
+                FaultKind::Crash => ("fault/crash", |r| &mut r.crashes),
+                FaultKind::Rack { .. } => ("fault/rack", |r| &mut r.rack_device_failures),
+                FaultKind::Preemption => {
+                    self.handle_preemption(&event)?;
+                    continue;
                 }
-                FaultKind::Rack { .. } => {
-                    let victims = self.active_victims(&event.devices);
-                    self.drop_bootstrapping_victims(&event.devices, event.at_s);
-                    if !victims.is_empty() {
-                        self.report.rack_device_failures += victims.len();
-                        self.obs.record_with(|| {
-                            Event::instant("fault/rack", "chaos", self.obs.now_us())
-                                .with_arg("victims", victims.len())
-                        });
-                        self.recover_from_deaths(&victims, event.at_s)?;
-                    }
-                }
-                FaultKind::Preemption => self.handle_preemption(&event)?,
+            };
+            let victims = self.active_victims(&event.devices);
+            self.drop_bootstrapping_victims(&event.devices, event.at_s);
+            if !victims.is_empty() {
+                *counter(&mut self.report) += victims.len();
+                self.obs.record_with(|| {
+                    Event::instant(name, "chaos", self.obs.now_us())
+                        .with_arg("victims", victims.len())
+                });
+                self.recover_from_deaths(&victims, event.at_s)?;
             }
         }
         Ok(())
@@ -958,6 +951,9 @@ impl ChaosSupervisor {
                 .is_multiple_of(self.cfg.checkpoint_every)
         {
             self.last_checkpoint = self.trainer.to_checkpoint();
+            // The sync left the recorder at its last collective's start;
+            // the save happens once the step has ended.
+            self.obs.set_time_s(self.clock.now());
             if let Some(store) = self.store.as_mut() {
                 let payload = self.last_checkpoint.to_json()?;
                 #[expect(
@@ -1513,6 +1509,45 @@ mod tests {
                 aggregate_end <= first_collective,
                 "step {k}: aggregate ends at {aggregate_end}us, after its first allreduce at {first_collective}us"
             );
+        }
+    }
+
+    /// A checkpoint is saved once its step has ended: every `checkpoint/save`
+    /// instant, and the store's `ckpt/save` span, starts at or after the end
+    /// of every collective that started before it.
+    #[test]
+    fn checkpoints_are_stamped_after_their_steps_sync() {
+        use vf_obs::{Phase, RingSink};
+        for with_store in [false, true] {
+            let (arch, dataset, config) = parts(13);
+            let mut cfg = ChaosConfig::new(FaultPlan::new(13), 12);
+            cfg.checkpoint_every = 4;
+            cfg.store = with_store.then(|| StoreConfig::quiet(5));
+            let mut sup =
+                ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &[], cfg).unwrap();
+            let sink = Arc::new(RingSink::unbounded());
+            sup.set_recorder(Recorder::with_sink(sink.clone()));
+            sup.run().unwrap();
+            let events = sink.events();
+            let collectives: Vec<(u64, u64)> = events
+                .iter()
+                .filter(|e| e.name == "allreduce" && e.ph == Phase::Complete)
+                .map(|e| (e.ts_us, e.ts_us + e.dur_us))
+                .collect();
+            let saves: Vec<u64> = events
+                .iter()
+                .filter(|e| e.name == "checkpoint/save" || e.name == "ckpt/save")
+                .map(|e| e.ts_us)
+                .collect();
+            assert_eq!(saves.len(), 3 * (1 + usize::from(with_store)));
+            for ts in saves {
+                for &(start, end) in collectives.iter().filter(|c| c.0 <= ts) {
+                    assert!(
+                        end <= ts,
+                        "save at {ts}us inside the allreduce {start}..{end}us (store: {with_store})"
+                    );
+                }
+            }
         }
     }
 
