@@ -72,7 +72,7 @@ mod sink;
 pub use event::{ArgValue, Event, Phase};
 pub use history::{Baseline, BaselineMetric, Direction, GateOutcome, HistoryRecord};
 pub use metrics::{Metric, Metrics, RegistryStats};
-pub use scale::{FamilyKind, FamilySnapshot, FamilyValue, Sketch, DEFAULT_CARDINALITY_BUDGET};
+pub use scale::{FamilyKind, FamilySnapshot, Sketch, DEFAULT_CARDINALITY_BUDGET};
 pub use monitor::{default_alert_pack, AlertRule, Monitor};
 pub use profile::Profile;
 pub use recorder::Recorder;

@@ -8,7 +8,7 @@
 //! `results/BENCH_*.json` files and traces share one schema.
 
 use crate::json::{escape_into, push_f64};
-use crate::scale::{FamilyKind, FamilySnapshot, FamilyValue, LabeledStore, Sketch};
+use crate::scale::{FamilyKind, FamilySnapshot, LabeledStore, Sketch};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -31,6 +31,19 @@ impl Metric {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Sketch(_) => "sketch",
+        }
+    }
+
+    /// Folds `other` into `self` — a labeled family's rollup and overflow
+    /// aggregation: counters add, gauges add (fleet gauges aggregate by
+    /// sum), sketches merge. A kind mismatch cannot occur inside a
+    /// homogeneous family and folds nothing.
+    pub fn fold(&mut self, other: &Metric) {
+        match (self, other) {
+            (Metric::Counter(a), Metric::Counter(b)) => *a = a.saturating_add(*b),
+            (Metric::Gauge(a), Metric::Gauge(b)) => *a += *b,
+            (Metric::Sketch(a), Metric::Sketch(b)) => a.merge(b),
+            _ => {}
         }
     }
 }
@@ -158,7 +171,7 @@ impl Metrics {
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         self.with_labeled(|store| {
             store.route(name, FamilyKind::Counter, labels, |v| {
-                if let FamilyValue::Counter(c) = v {
+                if let Metric::Counter(c) = v {
                     *c = c.saturating_add(delta);
                 }
             });
@@ -171,7 +184,7 @@ impl Metrics {
     pub fn set_counter_with(&self, name: &str, labels: &[(&str, &str)], value: u64) {
         self.with_labeled(|store| {
             store.route(name, FamilyKind::Counter, labels, |v| {
-                if let FamilyValue::Counter(c) = v {
+                if let Metric::Counter(c) = v {
                     *c = (*c).max(value);
                 }
             });
@@ -183,7 +196,7 @@ impl Metrics {
     pub fn set_gauge_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.with_labeled(|store| {
             store.route(name, FamilyKind::Gauge, labels, |v| {
-                if let FamilyValue::Gauge(g) = v {
+                if let Metric::Gauge(g) = v {
                     *g = value;
                 }
             });
@@ -196,7 +209,7 @@ impl Metrics {
     pub fn observe_sketch_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.with_labeled(|store| {
             store.route(name, FamilyKind::Sketch, labels, |v| {
-                if let FamilyValue::Sketch(s) = v {
+                if let Metric::Sketch(s) = v {
                     s.observe(value);
                 }
             });
@@ -332,11 +345,11 @@ fn render_metric_json(metric: &Metric, out: &mut String) {
 /// Renders one labeled series value: counters as bare integers, gauges as
 /// canonical floats (non-finite → `null`), sketches as their canonical
 /// object render.
-fn render_family_value_json(v: &FamilyValue, out: &mut String) {
+fn render_family_value_json(v: &Metric, out: &mut String) {
     match v {
-        FamilyValue::Counter(c) => out.push_str(&c.to_string()),
-        FamilyValue::Gauge(g) => push_f64(*g, out),
-        FamilyValue::Sketch(s) => out.push_str(&s.render()),
+        Metric::Counter(c) => out.push_str(&c.to_string()),
+        Metric::Gauge(g) => push_f64(*g, out),
+        Metric::Sketch(s) => out.push_str(&s.render()),
     }
 }
 
@@ -455,7 +468,7 @@ mod tests {
             .into_iter()
             .find(|f| f.name == "mir")
             .unwrap();
-        assert!(matches!(fam.series[0].1, crate::FamilyValue::Counter(5)));
+        assert!(matches!(fam.series[0].1, crate::Metric::Counter(5)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use super::health::ComponentHealth;
 use crate::metrics::{Metric, Metrics};
-use crate::scale::{FamilyKind, FamilyValue, OVERFLOW_LABEL};
+use crate::scale::OVERFLOW_LABEL;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum points per sparkline; longer series are downsampled with a
@@ -107,34 +107,13 @@ pub fn render_prometheus(metrics: &Metrics) -> String {
     let mut typed: BTreeSet<String> = BTreeSet::new();
     for (raw, metric) in metrics.snapshot() {
         let name = sanitize_metric_name(&raw);
-        if typed.insert(name.clone()) {
-            // Sketches expose as Prometheus summaries (quantile-labeled
-            // samples); every other kind keeps its own exposition name.
-            let type_str = match &metric {
-                Metric::Sketch(_) => "summary",
-                m => m.type_str(),
-            };
-            out.push_str(&format!("# TYPE {name} {type_str}\n"));
-        }
-        match metric {
-            Metric::Counter(c) => out.push_str(&format!("{name} {c}\n")),
-            Metric::Gauge(g) => {
-                out.push_str(&format!("{name} {}\n", format_prom_value(g)));
-            }
-            Metric::Sketch(s) => render_prom_sketch(&name, "", &s, &mut out),
-        }
+        type_header(&mut typed, &name, metric.type_str(), &mut out);
+        render_prom_row(&name, None, &metric, &mut out);
     }
     for family in metrics.labeled_snapshot() {
         let name = sanitize_metric_name(&family.name);
-        if typed.insert(name.clone()) {
-            let type_str = match family.kind {
-                FamilyKind::Counter => "counter",
-                FamilyKind::Gauge => "gauge",
-                FamilyKind::Sketch => "summary",
-            };
-            out.push_str(&format!("# TYPE {name} {type_str}\n"));
-        }
-        let mut rows: Vec<(Vec<(String, String)>, &FamilyValue)> = family
+        type_header(&mut typed, &name, family.kind.type_str(), &mut out);
+        let mut rows: Vec<(Vec<(String, String)>, &Metric)> = family
             .series
             .iter()
             .map(|(values, v)| {
@@ -157,19 +136,31 @@ pub fn render_prometheus(metrics: &Metrics) -> String {
             ));
         }
         for (pairs, v) in rows {
-            let labels = format_labels(&pairs);
-            match v {
-                FamilyValue::Counter(c) => {
-                    out.push_str(&format!("{name}{{{labels}}} {c}\n"));
-                }
-                FamilyValue::Gauge(g) => {
-                    out.push_str(&format!("{name}{{{labels}}} {}\n", format_prom_value(*g)));
-                }
-                FamilyValue::Sketch(s) => render_prom_sketch(&name, &labels, s, &mut out),
-            }
+            render_prom_row(&name, Some(&format_labels(&pairs)), v, &mut out);
         }
     }
     out
+}
+
+/// Emits the `# TYPE` header of `name` unless one was: sketches expose as
+/// Prometheus summaries (quantile-labeled samples), every other kind under
+/// its own exposition name.
+fn type_header(typed: &mut BTreeSet<String>, name: &str, type_str: &str, out: &mut String) {
+    if typed.insert(name.to_string()) {
+        let type_str = if type_str == "sketch" { "summary" } else { type_str };
+        out.push_str(&format!("# TYPE {name} {type_str}\n"));
+    }
+}
+
+/// Renders one series: `name value`, or `name{labels} value` for a series
+/// of a labeled family; a sketch as summary samples.
+fn render_prom_row(name: &str, labels: Option<&str>, metric: &Metric, out: &mut String) {
+    let braced = labels.map_or(String::new(), |l| format!("{{{l}}}"));
+    match metric {
+        Metric::Counter(c) => out.push_str(&format!("{name}{braced} {c}\n")),
+        Metric::Gauge(g) => out.push_str(&format!("{name}{braced} {}\n", format_prom_value(*g))),
+        Metric::Sketch(s) => render_prom_sketch(name, labels.unwrap_or(""), s, out),
+    }
 }
 
 /// Renders one sketch as Prometheus summary samples: `quantile="0.5"` /

@@ -26,6 +26,7 @@
 //! storage, canonical (label-string) render order, no ambient time, no
 //! randomness.
 
+use crate::metrics::Metric;
 use std::collections::BTreeMap;
 
 /// Relative-accuracy parameter of [`Sketch`]: the comb is fixed at
@@ -240,45 +241,22 @@ pub enum FamilyKind {
 }
 
 impl FamilyKind {
+    /// A new series of this kind: a zero count, a zero gauge, an empty
+    /// sketch.
+    fn zero(self) -> Metric {
+        match self {
+            FamilyKind::Counter => Metric::Counter(0),
+            FamilyKind::Gauge => Metric::Gauge(0.0),
+            FamilyKind::Sketch => Metric::Sketch(Sketch::new()),
+        }
+    }
+
     /// The kind's canonical exposition name.
     pub fn type_str(self) -> &'static str {
         match self {
             FamilyKind::Counter => "counter",
             FamilyKind::Gauge => "gauge",
             FamilyKind::Sketch => "sketch",
-        }
-    }
-}
-
-/// One series' value inside a labeled family.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FamilyValue {
-    /// A monotone count.
-    Counter(u64),
-    /// A last-value-wins sample.
-    Gauge(f64),
-    /// A quantile sketch.
-    Sketch(Sketch),
-}
-
-impl FamilyValue {
-    fn new(kind: FamilyKind) -> Self {
-        match kind {
-            FamilyKind::Counter => FamilyValue::Counter(0),
-            FamilyKind::Gauge => FamilyValue::Gauge(0.0),
-            FamilyKind::Sketch => FamilyValue::Sketch(Sketch::new()),
-        }
-    }
-
-    /// Folds `other` into `self` — the rollup/overflow aggregation:
-    /// counters add, gauges add (fleet gauges aggregate by sum), sketches
-    /// merge. Kind mismatches cannot occur inside a homogeneous family.
-    pub fn fold(&mut self, other: &FamilyValue) {
-        match (self, other) {
-            (FamilyValue::Counter(a), FamilyValue::Counter(b)) => *a = a.saturating_add(*b),
-            (FamilyValue::Gauge(a), FamilyValue::Gauge(b)) => *a += *b,
-            (FamilyValue::Sketch(a), FamilyValue::Sketch(b)) => a.merge(b),
-            _ => {}
         }
     }
 }
@@ -293,9 +271,9 @@ pub struct Family {
     keys: Vec<u32>,
     budget: usize,
     /// Interned label value ids (aligned with `keys`) → series value.
-    series: BTreeMap<Vec<u32>, FamilyValue>,
+    series: BTreeMap<Vec<u32>, Metric>,
     /// Aggregate of every sample whose label set arrived past the budget.
-    overflow: Option<FamilyValue>,
+    overflow: Option<Metric>,
     /// Samples folded into the overflow series.
     overflow_samples: u64,
     /// Samples rejected for schema mismatch (wrong label keys or wrong
@@ -322,7 +300,7 @@ impl Family {
     /// Routes one sample: into its concrete series while under budget,
     /// into the counted overflow series past it. `values` must align with
     /// the family's keys (the registry sorts and interns before calling).
-    fn route(&mut self, kind: FamilyKind, values: Vec<u32>, apply: impl FnOnce(&mut FamilyValue)) {
+    fn route(&mut self, kind: FamilyKind, values: Vec<u32>, apply: impl FnOnce(&mut Metric)) {
         self.total_samples = self.total_samples.saturating_add(1);
         if kind != self.kind {
             self.counted_drops = self.counted_drops.saturating_add(1);
@@ -336,14 +314,12 @@ impl Family {
             let v = self
                 .series
                 .entry(values)
-                .or_insert_with(|| FamilyValue::new(self.kind));
+                .or_insert_with(|| self.kind.zero());
             apply(v);
             return;
         }
         self.overflow_samples = self.overflow_samples.saturating_add(1);
-        let v = self
-            .overflow
-            .get_or_insert_with(|| FamilyValue::new(self.kind));
+        let v = self.overflow.get_or_insert_with(|| self.kind.zero());
         apply(v);
     }
 }
@@ -360,9 +336,9 @@ pub struct FamilySnapshot {
     pub keys: Vec<String>,
     /// Concrete series: label values (aligned with `keys`) → value,
     /// sorted by label values.
-    pub series: Vec<(Vec<String>, FamilyValue)>,
+    pub series: Vec<(Vec<String>, Metric)>,
     /// Aggregate of over-budget samples, if any arrived.
-    pub overflow: Option<FamilyValue>,
+    pub overflow: Option<Metric>,
     /// The family's cardinality budget.
     pub budget: usize,
     /// Samples folded into the overflow series.
@@ -381,41 +357,18 @@ impl FamilySnapshot {
     /// only for non-counter kinds (where sample counts are not recoverable
     /// from values) or a registry bug.
     pub fn unaccounted(&self) -> u64 {
+        let samples = |v: &Metric| match v {
+            Metric::Counter(c) => *c,
+            Metric::Sketch(s) => s.total(),
+            Metric::Gauge(_) => 0,
+        };
         match self.kind {
-            FamilyKind::Counter => {
-                let visible: u64 = self
-                    .series
-                    .iter()
-                    .map(|(_, v)| match v {
-                        FamilyValue::Counter(c) => *c,
-                        _ => 0,
-                    })
+            FamilyKind::Counter | FamilyKind::Sketch => {
+                let visible = (self.series.iter().map(|(_, v)| samples(v)))
+                    .chain(self.overflow.iter().map(samples))
                     .fold(0u64, u64::saturating_add);
-                let overflow = match &self.overflow {
-                    Some(FamilyValue::Counter(c)) => *c,
-                    _ => 0,
-                };
                 self.total_samples
                     .saturating_sub(visible)
-                    .saturating_sub(overflow)
-                    .saturating_sub(self.counted_drops)
-            }
-            FamilyKind::Sketch => {
-                let visible: u64 = self
-                    .series
-                    .iter()
-                    .map(|(_, v)| match v {
-                        FamilyValue::Sketch(s) => s.total(),
-                        _ => 0,
-                    })
-                    .fold(0u64, u64::saturating_add);
-                let overflow = match &self.overflow {
-                    Some(FamilyValue::Sketch(s)) => s.total(),
-                    _ => 0,
-                };
-                self.total_samples
-                    .saturating_sub(visible)
-                    .saturating_sub(overflow)
                     .saturating_sub(self.counted_drops)
             }
             // Gauges are last-value-wins: sample counts are not
@@ -430,7 +383,7 @@ impl FamilySnapshot {
     /// and so on. The overflow series participates under the
     /// [`OVERFLOW_LABEL`] value for every kept key, so no rollup loses the
     /// folded mass. Unknown keys in `keep` are ignored.
-    pub fn rollup(&self, keep: &[&str]) -> Vec<(Vec<(String, String)>, FamilyValue)> {
+    pub fn rollup(&self, keep: &[&str]) -> Vec<(Vec<(String, String)>, Metric)> {
         let kept: Vec<usize> = self
             .keys
             .iter()
@@ -438,7 +391,7 @@ impl FamilySnapshot {
             .filter(|(_, k)| keep.contains(&k.as_str()))
             .map(|(i, _)| i)
             .collect();
-        let mut grouped: BTreeMap<Vec<(String, String)>, FamilyValue> = BTreeMap::new();
+        let mut grouped: BTreeMap<Vec<(String, String)>, Metric> = BTreeMap::new();
         for (values, v) in &self.series {
             let group: Vec<(String, String)> = kept
                 .iter()
@@ -446,7 +399,7 @@ impl FamilySnapshot {
                 .collect();
             grouped
                 .entry(group)
-                .or_insert_with(|| FamilyValue::new(self.kind))
+                .or_insert_with(|| self.kind.zero())
                 .fold(v);
         }
         if let Some(ov) = &self.overflow {
@@ -456,7 +409,7 @@ impl FamilySnapshot {
                 .collect();
             grouped
                 .entry(group)
-                .or_insert_with(|| FamilyValue::new(self.kind))
+                .or_insert_with(|| self.kind.zero())
                 .fold(ov);
         }
         grouped.into_iter().collect()
@@ -466,7 +419,7 @@ impl FamilySnapshot {
     /// and gauges report the sum over every series plus overflow; sketch
     /// families report total observations.
     pub fn scalar_sum(&self) -> f64 {
-        let mut acc = FamilyValue::new(self.kind);
+        let mut acc = self.kind.zero();
         for (_, v) in &self.series {
             acc.fold(v);
         }
@@ -474,9 +427,9 @@ impl FamilySnapshot {
             acc.fold(ov);
         }
         match acc {
-            FamilyValue::Counter(c) => c as f64,
-            FamilyValue::Gauge(g) => g,
-            FamilyValue::Sketch(s) => s.total() as f64,
+            Metric::Counter(c) => c as f64,
+            Metric::Gauge(g) => g,
+            Metric::Sketch(s) => s.total() as f64,
         }
     }
 }
@@ -531,7 +484,7 @@ impl LabeledStore {
         name: &str,
         kind: FamilyKind,
         labels: &[(&str, &str)],
-        apply: impl FnOnce(&mut FamilyValue),
+        apply: impl FnOnce(&mut Metric),
     ) {
         let (keys, values) = self.canonical(labels);
         let family = match self.families.get_mut(name) {
@@ -580,7 +533,7 @@ impl LabeledStore {
                     .iter()
                     .map(|&k| self.interner.resolve(k).to_string())
                     .collect();
-                let mut series: Vec<(Vec<String>, FamilyValue)> = f
+                let mut series: Vec<(Vec<String>, Metric)> = f
                     .series
                     .iter()
                     .map(|(vals, v)| {
@@ -710,7 +663,7 @@ mod tests {
         for j in 0..10u32 {
             let v = j.to_string();
             store.route("jobs", FamilyKind::Counter, &[("job", &v)], |c| {
-                if let FamilyValue::Counter(n) = c {
+                if let Metric::Counter(n) = c {
                     *n += 1;
                 }
             });
@@ -720,10 +673,10 @@ mod tests {
         assert_eq!(snap.overflow_samples, 6);
         assert_eq!(snap.total_samples, 10);
         assert_eq!(snap.unaccounted(), 0, "zero silent drops");
-        assert!(matches!(snap.overflow, Some(FamilyValue::Counter(6))));
+        assert!(matches!(snap.overflow, Some(Metric::Counter(6))));
         // Existing series keep absorbing samples after the cap trips.
         store.route("jobs", FamilyKind::Counter, &[("job", "0")], |c| {
-            if let FamilyValue::Counter(n) = c {
+            if let Metric::Counter(n) = c {
                 *n += 1;
             }
         });
@@ -736,7 +689,7 @@ mod tests {
     fn schema_and_kind_mismatches_are_counted_drops() {
         let mut store = LabeledStore::new();
         store.route("x", FamilyKind::Counter, &[("job", "1")], |c| {
-            if let FamilyValue::Counter(n) = c {
+            if let Metric::Counter(n) = c {
                 *n += 1;
             }
         });
@@ -753,8 +706,8 @@ mod tests {
     #[test]
     fn labels_canonicalize_order_and_duplicate_keys() {
         let mut store = LabeledStore::new();
-        let bump = |c: &mut FamilyValue| {
-            if let FamilyValue::Counter(n) = c {
+        let bump = |c: &mut Metric| {
+            if let Metric::Counter(n) = c {
                 *n += 1;
             }
         };
@@ -780,7 +733,7 @@ mod tests {
         let snap = &store.snapshot()[0];
         assert_eq!(snap.keys, vec!["a", "b"]);
         assert_eq!(snap.series.len(), 1, "one canonical series");
-        assert!(matches!(snap.series[0].1, FamilyValue::Counter(3)));
+        assert!(matches!(snap.series[0].1, Metric::Counter(3)));
     }
 
     #[test]
@@ -799,7 +752,7 @@ mod tests {
                 FamilyKind::Counter,
                 &[("tenant", tenant), ("device_class", dev)],
                 |c| {
-                    if let FamilyValue::Counter(n) = c {
+                    if let Metric::Counter(n) = c {
                         *n += 2;
                     }
                 },
@@ -814,7 +767,7 @@ mod tests {
         assert_eq!(labels, vec![OVERFLOW_LABEL.to_string(), "t0".into(), "t1".into()]);
         let fleet = snap.rollup(&[]);
         assert_eq!(fleet.len(), 1);
-        assert!(matches!(fleet[0].1, FamilyValue::Counter(8)), "fleet view keeps folded mass");
+        assert!(matches!(fleet[0].1, Metric::Counter(8)), "fleet view keeps folded mass");
         assert_eq!(snap.scalar_sum(), 8.0);
         // Unknown keys are ignored.
         assert_eq!(snap.rollup(&["nope"]).len(), 1);
@@ -826,7 +779,7 @@ mod tests {
         for j in 0..5u32 {
             let v = j.to_string();
             store.route("z", FamilyKind::Counter, &[("job", &v)], |c| {
-                if let FamilyValue::Counter(n) = c {
+                if let Metric::Counter(n) = c {
                     *n += 1;
                 }
             });
@@ -836,7 +789,7 @@ mod tests {
         assert_eq!(snap.series.len(), 5, "shrinking keeps existing series");
         // But new sets fold from now on.
         store.route("z", FamilyKind::Counter, &[("job", "9")], |c| {
-            if let FamilyValue::Counter(n) = c {
+            if let Metric::Counter(n) = c {
                 *n += 1;
             }
         });
