@@ -113,12 +113,8 @@ impl Forward for ConvNet {
     /// The micro-batch as NCHW images: its one copy and the one check of its
     /// geometry (a constant needs no reshape node to route a gradient back).
     fn input<'a>(&self, features: &'a Tensor, n: usize) -> Result<Cow<'a, Tensor>, ModelError> {
-        Ok(Cow::Owned(features.reshape([
-            n,
-            self.channels,
-            self.height,
-            self.width,
-        ])?))
+        let images = features.reshape([n, self.channels, self.height, self.width])?;
+        Ok(Cow::Owned(images))
     }
 
     fn forward(

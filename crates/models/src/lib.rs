@@ -8,11 +8,11 @@
 //!   and activation footprints, calibrated against the capacities the paper
 //!   reports (a V100 fits 256 ResNet-50 examples, 8 BERT-BASE sequences, …).
 //!   These drive the performance and memory experiments.
-//! * [`trainable`] — **trainable stand-ins** (logistic regression and MLPs
-//!   with optional batch normalization) that actually run SGD on synthetic
-//!   tasks. These drive the convergence/reproducibility experiments, where
-//!   what matters is the *identity of the gradient sequence* across hardware
-//!   mappings, not the absolute model quality.
+//! * [`trainable`] — **trainable stand-ins** (MLPs with optional batch norm,
+//!   [`ConvNet`], [`ResidualMlp`]), each one forward pass that `grad` and
+//!   `eval` run, training on synthetic tasks. These drive the convergence
+//!   experiments, where what matters is the *identity of the gradient
+//!   sequence* across hardware mappings, not the absolute model quality.
 //!
 //! ## Example
 //!

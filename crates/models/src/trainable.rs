@@ -190,12 +190,13 @@ pub(crate) fn grad_of(
     let (mut tape, vars, logits) = record(model, params, features, labels.len(), mode)?;
     let loss = tape.softmax_cross_entropy(logits, labels)?;
     let loss_value = tape.value(loss).item()?;
-    let mut g = tape.backward(loss)?;
+    let mut grads_out = tape.backward(loss)?;
     let grads = vars
         .iter()
         .zip(params)
         .map(|(&v, p)| {
-            g.take(v)
+            grads_out
+                .take(v)
                 .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
         })
         .collect();

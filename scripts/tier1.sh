@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: build (release) =="
 cargo build --release
 
+echo "== tier 1: rustfmt (crates held formatted: vf-models) =="
+cargo fmt -p vf-models --check
+
 echo "== tier 1: tests (every crate and shim; debug profile, so the pool-race sanitizer is armed) =="
 cargo test --workspace -q
 
