@@ -50,9 +50,8 @@ fn main() -> Result {
         let trace = poisson_trace(20, 12.0, 16, 17, &config.link);
         let elastic = run_trace(&trace, &mut ElasticWfs::new(), &config);
         let static_ = run_trace(&trace, &mut StaticPriority::new(), &config);
-        let gain =
-            100.0 * (static_.metrics.makespan_s - elastic.metrics.makespan_s)
-                / static_.metrics.makespan_s;
+        let gain = 100.0 * (static_.metrics.makespan_s - elastic.metrics.makespan_s)
+            / static_.metrics.makespan_s;
         table.push(vec![format!("{penalty_s:.0}"), format!("{gain:+.1}%")]);
         sweep.push(serde_json::json!({
             "resize_penalty_s": penalty_s,

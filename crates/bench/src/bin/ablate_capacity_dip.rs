@@ -17,8 +17,14 @@ fn main() -> Result {
         let mut c = SimConfig::v100_cluster(16);
         if dip {
             c.capacity_events = vec![
-                CapacityEvent { at_s: 1800.0, num_gpus: 8 },
-                CapacityEvent { at_s: 5400.0, num_gpus: 16 },
+                CapacityEvent {
+                    at_s: 1800.0,
+                    num_gpus: 8,
+                },
+                CapacityEvent {
+                    at_s: 5400.0,
+                    num_gpus: 16,
+                },
             ];
         }
         c

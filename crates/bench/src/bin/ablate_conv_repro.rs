@@ -39,11 +39,7 @@ fn main() -> Result {
             trainer.run_epoch().context("trains")?;
         }
         let acc = trainer.evaluate(&val).context("evals")?.accuracy;
-        rows.push(vec![
-            gpus.to_string(),
-            (8 / gpus).to_string(),
-            pct(acc),
-        ]);
+        rows.push(vec![gpus.to_string(), (8 / gpus).to_string(), pct(acc)]);
         finals.push((gpus, trainer.params().to_vec(), acc));
     }
     print_table(&["GPUs", "VN/GPU", "val acc %"], &rows);

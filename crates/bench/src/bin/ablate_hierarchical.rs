@@ -16,7 +16,10 @@ use vf_models::profile::{bert_base, resnet50};
 
 /// An unbucketed step synchronized by `sync`.
 fn on(sync: SyncSchedule) -> StepOptions {
-    StepOptions { sync, bucket_bytes: None }
+    StepOptions {
+        sync,
+        bucket_bytes: None,
+    }
 }
 
 fn main() -> Result {
@@ -51,7 +54,14 @@ fn main() -> Result {
             }));
         }
         print_table(
-            &["GPUs", "flat sync ms", "hier sync ms", "flat step ms", "hier step ms", "speedup"],
+            &[
+                "GPUs",
+                "flat sync ms",
+                "hier sync ms",
+                "flat step ms",
+                "hier step ms",
+                "speedup",
+            ],
             &rows,
         );
         println!();

@@ -38,7 +38,10 @@ fn main() -> Result {
             "bs64_vs_bs4_gain_pp": gain_pp,
         }));
     }
-    print_table(&["task", "noise scale (examples)", "bs64 − bs4 (pp)"], &rows);
+    print_table(
+        &["task", "noise scale (examples)", "bs64 − bs4 (pp)"],
+        &rows,
+    );
 
     // The noisiest task must be the one that gains most from batching.
     // The last of equal maxima wins, as with `Iterator::max_by`.

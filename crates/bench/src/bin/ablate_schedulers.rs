@@ -11,8 +11,7 @@ use vf_comm::LinkProfile;
 use vf_device::{DeviceProfile, DeviceType};
 use vf_sched::trace::poisson_trace;
 use vf_sched::{
-    run_trace, ElasticWfs, Scheduler, SimConfig, StaticPriority, ThroughputOptimizer,
-    WeightPolicy,
+    run_trace, ElasticWfs, Scheduler, SimConfig, StaticPriority, ThroughputOptimizer, WeightPolicy,
 };
 
 fn main() -> Result {
@@ -54,7 +53,14 @@ fn main() -> Result {
         }));
     }
     print_table(
-        &["scheduler", "makespan s", "med JCT s", "med queue s", "util %", "resizes"],
+        &[
+            "scheduler",
+            "makespan s",
+            "med JCT s",
+            "med queue s",
+            "util %",
+            "resizes",
+        ],
         &rows,
     );
 

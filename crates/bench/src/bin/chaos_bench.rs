@@ -56,7 +56,11 @@ struct Intensity {
 }
 
 const INTENSITIES: &[Intensity] = &[
-    Intensity { name: "fault-free", crashes: None, comm: None },
+    Intensity {
+        name: "fault-free",
+        crashes: None,
+        comm: None,
+    },
     Intensity {
         name: "mild",
         crashes: Some((400.0, (600.0, 60.0))),
@@ -88,7 +92,9 @@ fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>)> {
                 SpotModel::new(preempt_s, notice_s).map_err(|e| format!("{name}: {e}"))?,
             );
     }
-    let comm = spec.comm.map(|(drop, dup, delay)| CommFaultModel::new(SEED, drop, dup, delay));
+    let comm = spec
+        .comm
+        .map(|(drop, dup, delay)| CommFaultModel::new(SEED, drop, dup, delay));
     Ok((plan, comm))
 }
 
@@ -99,15 +105,8 @@ fn run_scenario(name: &str, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::T
     cfg.comm = comm;
     cfg.cooldown_s = 90.0;
     cfg.bootstrap_s = 20.0;
-    let sup = ChaosSupervisor::new(
-        arch,
-        dataset,
-        config,
-        &devices(0..4),
-        &devices(8..16),
-        cfg,
-    )
-    .map_err(|e| format!("{name}: supervisor: {e}"))?;
+    let sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
+        .map_err(|e| format!("{name}: supervisor: {e}"))?;
     let out = sup
         .run()
         .map_err(|e| format!("{name}: scenario did not survive its fault plan: {e}"))?;
@@ -193,14 +192,26 @@ fn main() -> Result {
                 format!("{:.0}", r.report.backoff_total_s),
                 r.report.checkpoint_fallbacks.to_string(),
                 format!("{:.3}", r.goodput_vs_fault_free),
-                if r.bit_identical_to_fault_free { "yes" } else { "NO" }.to_string(),
+                if r.bit_identical_to_fault_free {
+                    "yes"
+                } else {
+                    "NO"
+                }
+                .to_string(),
             ]
         })
         .collect();
     print_table(
         &[
-            "scenario", "faults", "recoveries", "drained", "retries", "backoff(s)",
-            "ckpt-fallbacks", "goodput", "bit-identical",
+            "scenario",
+            "faults",
+            "recoveries",
+            "drained",
+            "retries",
+            "backoff(s)",
+            "ckpt-fallbacks",
+            "goodput",
+            "bit-identical",
         ],
         &rows,
     );

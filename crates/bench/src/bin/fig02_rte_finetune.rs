@@ -33,7 +33,12 @@ fn main() -> Result {
     let with_vn = w.train("VirtualFlow (bs 16, 4 VNs)", 16, 4, 1)?;
 
     println!("epoch   TF bs=4   VF bs=16");
-    for (i, (a, b)) in without_vn.curve.iter().zip(with_vn.curve.iter()).enumerate() {
+    for (i, (a, b)) in without_vn
+        .curve
+        .iter()
+        .zip(with_vn.curve.iter())
+        .enumerate()
+    {
         println!("{:5}   {:6.2}%   {:7.2}%", i + 1, a * 100.0, b * 100.0);
     }
     println!(

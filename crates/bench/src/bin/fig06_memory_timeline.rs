@@ -37,7 +37,15 @@ fn main() -> Result {
         })
         .collect();
     print_table(
-        &["t (s)", "params", "opt", "input", "activations", "grads", "total GiB"],
+        &[
+            "t (s)",
+            "params",
+            "opt",
+            "input",
+            "activations",
+            "grads",
+            "total GiB",
+        ],
         &rows,
     );
 

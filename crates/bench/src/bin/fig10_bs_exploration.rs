@@ -29,7 +29,12 @@ fn main() -> Result {
             rows.push(vec![
                 bs.to_string(),
                 vns.to_string(),
-                if bs <= NATIVE_MICRO_BATCH { "yes" } else { "no" }.to_string(),
+                if bs <= NATIVE_MICRO_BATCH {
+                    "yes"
+                } else {
+                    "no"
+                }
+                .to_string(),
                 pct(run.final_accuracy),
             ]);
             if task == LargeTask::Rte {

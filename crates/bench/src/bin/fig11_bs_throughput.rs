@@ -6,8 +6,8 @@
 //! with the batch size (paper: +18.5% at batch 16, +28.7% at 128).
 
 use vf_bench::report::{emit, print_table, Context, Result};
-use vf_core::perf_model::{throughput, ExecutionShape};
 use vf_comm::LinkProfile;
+use vf_core::perf_model::{throughput, ExecutionShape};
 use vf_device::{DeviceProfile, DeviceType};
 use vf_models::profile::bert_large;
 
@@ -18,12 +18,20 @@ fn main() -> Result {
     let model = bert_large();
     let micro = 4usize; // the native per-pass capacity
 
-    let base = throughput(&model, &ExecutionShape::homogeneous(gpu, 1, 1, micro), &link);
+    let base = throughput(
+        &model,
+        &ExecutionShape::homogeneous(gpu, 1, 1, micro),
+        &link,
+    );
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for bs in [4usize, 8, 16, 32, 64, 128] {
         let vns = bs / micro;
-        let t = throughput(&model, &ExecutionShape::homogeneous(gpu, 1, vns, micro), &link);
+        let t = throughput(
+            &model,
+            &ExecutionShape::homogeneous(gpu, 1, vns, micro),
+            &link,
+        );
         let gain = 100.0 * (t / base - 1.0);
         rows.push(vec![
             bs.to_string(),
@@ -42,9 +50,7 @@ fn main() -> Result {
 
     let t16 = out[2]["gain_vs_tf_pct"].as_f64().context("numeric")?;
     let t128 = out[5]["gain_vs_tf_pct"].as_f64().context("numeric")?;
-    println!(
-        "\nbatch 16: {t16:+.1}% (paper +18.5%) | batch 128: {t128:+.1}% (paper +28.7%)"
-    );
+    println!("\nbatch 16: {t16:+.1}% (paper +18.5%) | batch 128: {t128:+.1}% (paper +28.7%)");
     assert!(t16 > 5.0, "batch 16 must improve throughput noticeably");
     assert!(t128 > t16, "gains must grow with the batch size");
     emit("fig11_bs_throughput", &serde_json::json!({ "rows": out }))?;

@@ -14,9 +14,9 @@
 use std::sync::Arc;
 use vf_bench::report::{emit, improvement_pct, print_table, Context, Result};
 use vf_bench::standins::{bert_base_glue, GlueTask};
+use vf_core::{Trainer, TrainerConfig};
 use vf_data::synthetic::ClusterTask;
 use vf_device::{DeviceId, DeviceProfile};
-use vf_core::{Trainer, TrainerConfig};
 use vf_models::Mlp;
 use vf_sched::trace::three_job_trace;
 use vf_sched::{run_trace, ElasticWfs, SimConfig, SimResult, StaticPriority};
@@ -81,7 +81,14 @@ fn main() -> Result {
         ]);
     }
     print_table(
-        &["job", "prio", "demand", "elastic JCT (s)", "static JCT (s)", "resizes"],
+        &[
+            "job",
+            "prio",
+            "demand",
+            "elastic JCT (s)",
+            "static JCT (s)",
+            "resizes",
+        ],
         &rows,
     );
 

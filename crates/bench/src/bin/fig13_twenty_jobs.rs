@@ -22,7 +22,10 @@ fn strip_chart(result: &SimResult, gpus: u32) {
             char::from_digit(used.min(15), 16).unwrap_or('?')
         })
         .collect();
-    println!("  {:16} |{}| (digits = GPUs of {gpus} in use per event)", result.scheduler, chars);
+    println!(
+        "  {:16} |{}| (digits = GPUs of {gpus} in use per event)",
+        result.scheduler, chars
+    );
 }
 
 fn main() -> Result {

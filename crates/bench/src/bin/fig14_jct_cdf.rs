@@ -50,12 +50,18 @@ fn main() -> Result {
     println!("JCT quantiles (s):");
     print_table(
         &["scheduler", "p25", "p50", "p75", "p95"],
-        &[cdf_row("elastic-wfs", &e_jct), cdf_row("static-priority", &s_jct)],
+        &[
+            cdf_row("elastic-wfs", &e_jct),
+            cdf_row("static-priority", &s_jct),
+        ],
     );
     println!("\nqueuing delay quantiles (s):");
     print_table(
         &["scheduler", "p25", "p50", "p75", "p95"],
-        &[cdf_row("elastic-wfs", &e_delay), cdf_row("static-priority", &s_delay)],
+        &[
+            cdf_row("elastic-wfs", &e_delay),
+            cdf_row("static-priority", &s_delay),
+        ],
     );
 
     let jct_gain = improvement_pct(elastic.metrics.median_jct_s, static_.metrics.median_jct_s);
@@ -68,7 +74,8 @@ fn main() -> Result {
     );
     assert!(jct_gain > 10.0, "median JCT must drop");
     assert!(
-        elastic.metrics.median_queuing_delay_s < 0.1 * static_.metrics.median_queuing_delay_s.max(1.0),
+        elastic.metrics.median_queuing_delay_s
+            < 0.1 * static_.metrics.median_queuing_delay_s.max(1.0),
         "elastic queuing delay must be near zero"
     );
     emit(

@@ -36,7 +36,11 @@ fn main() -> Result {
             ratios.push(ratio);
         }
         // Paper's claims, asserted per model.
-        assert!((ratios[0] - 1.0).abs() < 1e-9, "{}: VN=1 is the baseline", model.name);
+        assert!(
+            (ratios[0] - 1.0).abs() < 1e-9,
+            "{}: VN=1 is the baseline",
+            model.name
+        );
         assert!(
             ratios[1] > 1.0 && ratios[1] <= 1.20,
             "{}: overhead must be positive and ≤20%: {ratios:?}",
@@ -59,7 +63,15 @@ fn main() -> Result {
         rows.push(row);
     }
     print_table(
-        &["model", "micro-batch", "VN=1", "VN=2", "VN=4", "VN=8", "VN=16"],
+        &[
+            "model",
+            "micro-batch",
+            "VN=1",
+            "VN=2",
+            "VN=4",
+            "VN=8",
+            "VN=16",
+        ],
         &rows,
     );
     println!("\noverhead appears once (the gradient buffer), is constant in VN count,");

@@ -19,11 +19,19 @@ fn main() -> Result {
     let mut out = Vec::new();
     for model in [resnet50(), bert_base(), bert_large()] {
         let micro = model.max_micro_batch_virtual(&gpu).max(1);
-        let base = throughput(&model, &ExecutionShape::homogeneous(gpu, 1, 1, micro), &link);
+        let base = throughput(
+            &model,
+            &ExecutionShape::homogeneous(gpu, 1, 1, micro),
+            &link,
+        );
         let mut row = vec![model.name.clone()];
         let mut ratios = Vec::new();
         for &vn in &vn_counts {
-            let t = throughput(&model, &ExecutionShape::homogeneous(gpu, 1, vn, micro), &link);
+            let t = throughput(
+                &model,
+                &ExecutionShape::homogeneous(gpu, 1, vn, micro),
+                &link,
+            );
             let r = t / base;
             row.push(format!("{r:.3}"));
             ratios.push(r);

@@ -166,7 +166,9 @@ fn sched_scenario(name: &str, trace: &[JobSpec], config: &SimConfig) -> Result<S
 /// seconds apart on a 4-GPU cluster, so the backlog passes the runaway
 /// threshold early and stays there for minutes of simulated time.
 fn overload_trace() -> Vec<JobSpec> {
-    (0..16).map(|i| job(i, 4, 6000, 2.0 * f64::from(i))).collect()
+    (0..16)
+        .map(|i| job(i, 4, 6000, 2.0 * f64::from(i)))
+        .collect()
 }
 
 /// A capacity outage under sustained demand: the cluster drops to zero
@@ -179,8 +181,14 @@ fn outage_trace() -> (Vec<JobSpec>, SimConfig) {
     }
     let mut config = SimConfig::v100_cluster(4);
     config.capacity_events = vec![
-        CapacityEvent { at_s: 30.0, num_gpus: 0 },
-        CapacityEvent { at_s: 600.0, num_gpus: 4 },
+        CapacityEvent {
+            at_s: 30.0,
+            num_gpus: 0,
+        },
+        CapacityEvent {
+            at_s: 600.0,
+            num_gpus: 4,
+        },
     ];
     (trace, config)
 }
@@ -202,8 +210,16 @@ struct Scenario {
 }
 
 const SCENARIOS: &[Scenario] = &[
-    Scenario { name: "chaos-calm", expect: &[], fault_free: true },
-    Scenario { name: "sched-calm", expect: &[], fault_free: true },
+    Scenario {
+        name: "chaos-calm",
+        expect: &[],
+        fault_free: true,
+    },
+    Scenario {
+        name: "sched-calm",
+        expect: &[],
+        fault_free: true,
+    },
     Scenario {
         name: "comm-storm",
         expect: &["comm/retry-storm", "comm/slo-burn"],
@@ -302,11 +318,13 @@ fn main() -> Result {
         let four = run_scenario(sc.name)?;
         vf_tensor::pool::set_num_threads(orig_threads);
 
-        let deterministic = one.status == four.status
-            && one.prom == four.prom
-            && one.dashboard == four.dashboard;
+        let deterministic =
+            one.status == four.status && one.prom == four.prom && one.dashboard == four.dashboard;
         if !deterministic {
-            eprintln!("FAIL: scenario '{}' renders differ across thread counts", sc.name);
+            eprintln!(
+                "FAIL: scenario '{}' renders differ across thread counts",
+                sc.name
+            );
             metrics.inc("monitor/render_mismatches", 1);
             failed = true;
         }
@@ -317,12 +335,18 @@ fn main() -> Result {
             .copied()
             .collect();
         if !missed.is_empty() {
-            eprintln!("FAIL: scenario '{}' never fired {:?} (fired: {:?})", sc.name, missed, one.fired);
+            eprintln!(
+                "FAIL: scenario '{}' never fired {:?} (fired: {:?})",
+                sc.name, missed, one.fired
+            );
             metrics.inc("monitor/recall_misses", missed.len() as u64);
             failed = true;
         }
         if sc.fault_free && !one.fired.is_empty() {
-            eprintln!("FAIL: fault-free scenario '{}' fired {:?}", sc.name, one.fired);
+            eprintln!(
+                "FAIL: fault-free scenario '{}' fired {:?}",
+                sc.name, one.fired
+            );
             metrics.inc("monitor/false_positives", one.fired.len() as u64);
             failed = true;
         }
@@ -341,7 +365,11 @@ fn main() -> Result {
     }
     // Zero-initialise the gate counters so a clean run still publishes
     // them (the baseline pins all three at zero).
-    for key in ["monitor/render_mismatches", "monitor/recall_misses", "monitor/false_positives"] {
+    for key in [
+        "monitor/render_mismatches",
+        "monitor/recall_misses",
+        "monitor/false_positives",
+    ] {
         metrics.inc(key, 0);
     }
 

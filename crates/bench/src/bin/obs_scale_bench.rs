@@ -93,8 +93,16 @@ fn workload(rec: &Recorder) -> u64 {
         });
         if let Some(mon) = rec.monitor() {
             let m = mon.metrics();
-            m.counter_with("sched/completions", &[("priority", &j.priority.to_string())], 1);
-            m.counter_with("sched/tenant_done", &[("tenant", &format!("t{}", j.tenant))], 1);
+            m.counter_with(
+                "sched/completions",
+                &[("priority", &j.priority.to_string())],
+                1,
+            );
+            m.counter_with(
+                "sched/tenant_done",
+                &[("tenant", &format!("t{}", j.tenant))],
+                1,
+            );
             m.observe_sketch("sched/jct_s", j.jct_s);
             m.observe_sketch("sched/queue_delay_s", j.queue_delay_s);
             if i % TICK_EVERY == 0 {
@@ -127,7 +135,8 @@ struct ObsRun {
 fn instrumented_recorder() -> (Arc<Monitor>, Recorder) {
     let mon = Arc::new(Monitor::with_default_pack());
     mon.set_retention(RETENTION);
-    mon.metrics().set_cardinality_budget("sched/tenant_done", TENANT_BUDGET);
+    mon.metrics()
+        .set_cardinality_budget("sched/tenant_done", TENANT_BUDGET);
     let rec = Recorder::new(RingSink::with_capacity(4096)).with_monitor(mon.clone());
     rec.set_head_sampling(SEED, KEEP_PPM);
     (mon, rec)
@@ -198,11 +207,19 @@ fn main() -> Result {
     metrics.inc("obs/render_mismatches", 0);
     metrics.inc("obs/sampler_mismatches", 0);
     if one.prom != four.prom || one.dashboard != four.dashboard || one.json != four.json {
-        fail(&metrics, "obs/render_mismatches", "renders differ across thread counts".into());
+        fail(
+            &metrics,
+            "obs/render_mismatches",
+            "renders differ across thread counts".into(),
+        );
         failed = true;
     }
     if (one.recorded, one.dropped) != (four.recorded, four.dropped) {
-        fail(&metrics, "obs/sampler_mismatches", "head sampler admitted different sets".into());
+        fail(
+            &metrics,
+            "obs/sampler_mismatches",
+            "head sampler admitted different sets".into(),
+        );
         failed = true;
     }
     assert_eq!(one.checksum, four.checksum, "synthetic workload diverged");
@@ -215,7 +232,10 @@ fn main() -> Result {
         fail(
             &metrics,
             "obs/series_over_budget",
-            format!("tenant family holds {} series over budget {TENANT_BUDGET}", one.tenant_series),
+            format!(
+                "tenant family holds {} series over budget {TENANT_BUDGET}",
+                one.tenant_series
+            ),
         );
         failed = true;
     }
@@ -228,7 +248,10 @@ fn main() -> Result {
         failed = true;
     }
     if one.silent_drops != 0 || one.tenant_unaccounted != 0 {
-        metrics.inc("obs/silent_drops", one.silent_drops + one.tenant_unaccounted);
+        metrics.inc(
+            "obs/silent_drops",
+            one.silent_drops + one.tenant_unaccounted,
+        );
         eprintln!(
             "FAIL: {} samples vanished without accounting (unaccounted {})",
             one.silent_drops, one.tenant_unaccounted
@@ -240,7 +263,10 @@ fn main() -> Result {
         fail(
             &metrics,
             "obs/sampler_mismatches",
-            format!("sampler kept {} / dropped {} of {JOBS} events", one.recorded, one.dropped),
+            format!(
+                "sampler kept {} / dropped {} of {JOBS} events",
+                one.recorded, one.dropped
+            ),
         );
         failed = true;
     }
@@ -250,8 +276,15 @@ fn main() -> Result {
     let disabled = Recorder::disabled();
     let (off_s, off_sum) = min_wall(3, || workload(&disabled));
     let (on_s, _) = min_wall(3, || workload(&instrumented_recorder().1));
-    assert_eq!(off_sum, one.checksum, "bare workload diverged from instrumented");
-    let overhead_pct = if off_s > 0.0 { (on_s - off_s) / off_s * 100.0 } else { 0.0 };
+    assert_eq!(
+        off_sum, one.checksum,
+        "bare workload diverged from instrumented"
+    );
+    let overhead_pct = if off_s > 0.0 {
+        (on_s - off_s) / off_s * 100.0
+    } else {
+        0.0
+    };
     metrics.inc("obs/overhead_breaches", 0);
     if overhead_pct > MAX_OVERHEAD_PCT {
         fail(
@@ -283,13 +316,31 @@ fn main() -> Result {
         &["check", "value"],
         &[
             vec!["jobs".into(), JOBS.to_string()],
-            vec!["tenant series (budget 64)".into(), one.tenant_series.to_string()],
-            vec!["tenant overflow samples".into(), one.tenant_overflow.to_string()],
+            vec![
+                "tenant series (budget 64)".into(),
+                one.tenant_series.to_string(),
+            ],
+            vec![
+                "tenant overflow samples".into(),
+                one.tenant_overflow.to_string(),
+            ],
             vec!["silent drops".into(), one.silent_drops.to_string()],
-            vec!["trace recorded / dropped".into(), format!("{} / {}", one.recorded, one.dropped)],
-            vec!["series points decimated".into(), one.points_decimated.to_string()],
-            vec!["render bytes".into(), (one.prom.len() + one.dashboard.len() + one.json.len()).to_string()],
-            vec!["obs overhead".into(), format!("{overhead_pct:.1}% ({on_s:.3}s vs {off_s:.3}s)")],
+            vec![
+                "trace recorded / dropped".into(),
+                format!("{} / {}", one.recorded, one.dropped),
+            ],
+            vec![
+                "series points decimated".into(),
+                one.points_decimated.to_string(),
+            ],
+            vec![
+                "render bytes".into(),
+                (one.prom.len() + one.dashboard.len() + one.json.len()).to_string(),
+            ],
+            vec![
+                "obs overhead".into(),
+                format!("{overhead_pct:.1}% ({on_s:.3}s vs {off_s:.3}s)"),
+            ],
         ],
     );
 

@@ -21,7 +21,9 @@ use std::sync::Arc;
 use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::LinkProfile;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
-use vf_core::perf_model::{step_time, ExecutionShape, StepOptions, StepTimeBreakdown, SyncSchedule};
+use vf_core::perf_model::{
+    step_time, ExecutionShape, StepOptions, StepTimeBreakdown, SyncSchedule,
+};
 use vf_core::TrainerConfig;
 use vf_data::synthetic::ClusterTask;
 use vf_data::Dataset;
@@ -58,10 +60,7 @@ fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
 /// link here is scaled down to put sync and compute in the same ratio
 /// regime as ResNet-50 on the real testbed (~20% of the step), which is
 /// the regime overlap exists for.
-fn sim_run(
-    steps: u64,
-    bucket_bytes: u64,
-) -> Result<(vf_core::chaos::ChaosReport, Vec<Vec<u32>>)> {
+fn sim_run(steps: u64, bucket_bytes: u64) -> Result<(vf_core::chaos::ChaosReport, Vec<Vec<u32>>)> {
     let (arch, dataset, config) = parts()?;
     let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), steps);
     cfg.bucket_bytes = bucket_bytes;
@@ -131,7 +130,10 @@ fn main() -> Result {
     let overlapped = step_time(
         &model,
         &shape,
-        StepOptions { sync: SyncSchedule::Ring(link), bucket_bytes: Some(MODEL_BUCKET_BYTES) },
+        StepOptions {
+            sync: SyncSchedule::Ring(link),
+            bucket_bytes: Some(MODEL_BUCKET_BYTES),
+        },
     );
     if overlapped.total_s() >= additive.total_s() {
         eprintln!(
@@ -146,7 +148,10 @@ fn main() -> Result {
     metrics.set_gauge("model/speedup", additive.total_s() / overlapped.total_s());
     let model_exposed_frac = exposed_fraction(overlapped.exposed_comm_s, overlapped.sync_s);
     metrics.set_gauge("model/exposed_comm_frac", model_exposed_frac);
-    metrics.set_gauge("model/hidden_comm_s", overlapped.sync_s - overlapped.exposed_comm_s);
+    metrics.set_gauge(
+        "model/hidden_comm_s",
+        overlapped.sync_s - overlapped.exposed_comm_s,
+    );
 
     // -- Part 2: simulated-time trainer through the chaos clock -----------
     let (single, single_params) = sim_run(sim_steps, u64::MAX)?;
@@ -164,15 +169,18 @@ fn main() -> Result {
     }
     let exposed_frac = exposed_fraction(overlap.comm_exposed_s, overlap.comm_total_s);
     metrics.set_gauge("sim/steady_step_s", overlap.sim_time_s / sim_steps as f64);
-    metrics.set_gauge(
-        "sim/baseline_step_s",
-        single.sim_time_s / sim_steps as f64,
-    );
+    metrics.set_gauge("sim/baseline_step_s", single.sim_time_s / sim_steps as f64);
     metrics.set_gauge("sim/speedup", single.sim_time_s / overlap.sim_time_s);
     metrics.set_gauge("sim/exposed_comm_frac", exposed_frac);
 
     print_table(
-        &["measurement", "baseline", "overlapped", "speedup", "exposed-frac"],
+        &[
+            "measurement",
+            "baseline",
+            "overlapped",
+            "speedup",
+            "exposed-frac",
+        ],
         &[
             vec![
                 "perf-model step (s)".into(),

@@ -107,9 +107,21 @@ fn scenarios(steps: u64) -> Result<Vec<Scenario>> {
         cfg
     };
     Ok(vec![
-        Scenario { name: "rack-wipe+storage", cfg: rack, expect_fallback: false },
-        Scenario { name: "crashes+comm+storage", cfg: combined, expect_fallback: false },
-        Scenario { name: "sabotaged-newest", cfg: sabotage, expect_fallback: true },
+        Scenario {
+            name: "rack-wipe+storage",
+            cfg: rack,
+            expect_fallback: false,
+        },
+        Scenario {
+            name: "crashes+comm+storage",
+            cfg: combined,
+            expect_fallback: false,
+        },
+        Scenario {
+            name: "sabotaged-newest",
+            cfg: sabotage,
+            expect_fallback: true,
+        },
     ])
 }
 
@@ -153,7 +165,10 @@ fn main() -> Result {
         let bit_identical = out.trainer.params() == &reference[..];
 
         if !bit_identical {
-            eprintln!("FAIL: '{}' diverged from the fault-free trajectory", scenario.name);
+            eprintln!(
+                "FAIL: '{}' diverged from the fault-free trajectory",
+                scenario.name
+            );
             failed = true;
         }
         if report.store_silent_restores != 0 {
@@ -182,11 +197,24 @@ fn main() -> Result {
         metrics.set_gauge(&format!("{n}/mttr_s"), report.mttr_s());
         metrics.inc(&format!("{n}/store_saves"), report.store_saves);
         metrics.inc(&format!("{n}/store_restores"), report.store_restores);
-        metrics.inc(&format!("{n}/fallback_restores"), report.store_fallback_restores);
-        metrics.inc(&format!("{n}/corruptions_detected"), report.store_corruptions_detected);
-        metrics.inc(&format!("{n}/silent_restores"), report.store_silent_restores);
+        metrics.inc(
+            &format!("{n}/fallback_restores"),
+            report.store_fallback_restores,
+        );
+        metrics.inc(
+            &format!("{n}/corruptions_detected"),
+            report.store_corruptions_detected,
+        );
+        metrics.inc(
+            &format!("{n}/silent_restores"),
+            report.store_silent_restores,
+        );
         metrics.inc(&format!("{n}/bit_identical"), bit_identical as u64);
-        results.push(DrillResult { scenario: n.to_string(), report, bit_identical });
+        results.push(DrillResult {
+            scenario: n.to_string(),
+            report,
+            bit_identical,
+        });
     }
 
     let rows: Vec<Vec<String>> = results
@@ -207,8 +235,15 @@ fn main() -> Result {
         .collect();
     print_table(
         &[
-            "scenario", "saves", "save-fail", "restores", "fallbacks", "corrupt-det",
-            "silent", "mttr(s)", "bit-identical",
+            "scenario",
+            "saves",
+            "save-fail",
+            "restores",
+            "fallbacks",
+            "corrupt-det",
+            "silent",
+            "mttr(s)",
+            "bit-identical",
         ],
         &rows,
     );

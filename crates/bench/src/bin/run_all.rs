@@ -53,7 +53,10 @@ const EXPERIMENTS: &[&str] = &[
 fn main() -> Result {
     let mut bin_dir = std::env::current_exe().context("current exe path")?;
     bin_dir.pop();
-    println!("== VirtualFlow reproduction: running all {} experiments ==\n", EXPERIMENTS.len());
+    println!(
+        "== VirtualFlow reproduction: running all {} experiments ==\n",
+        EXPERIMENTS.len()
+    );
     let mut failures = Vec::new();
     for name in EXPERIMENTS {
         let start = Instant::now();

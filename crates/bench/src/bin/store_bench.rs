@@ -68,7 +68,11 @@ fn recovery_time(len: usize, saves: u64, bad: u64) -> Result<(f64, u64)> {
         .restore_latest()
         .context("an older valid checkpoint survives")?;
     let recovery_s = store.drain_time_s();
-    assert_eq!(report.step, saves - bad, "walked back past every corrupt checkpoint");
+    assert_eq!(
+        report.step,
+        saves - bad,
+        "walked back past every corrupt checkpoint"
+    );
     assert!(report.fallback);
     assert_eq!(bytes, payload(report.step, len));
     Ok((recovery_s, store.counters().quarantined))

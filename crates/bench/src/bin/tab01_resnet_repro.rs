@@ -98,10 +98,7 @@ fn main() -> Result {
             ]
         })
         .collect();
-    print_table(
-        &["system", "GPUs", "type", "BS", "VN/GPU", "acc %"],
-        &table,
-    );
+    print_table(&["system", "GPUs", "type", "BS", "VN/GPU", "acc %"], &table);
 
     let vf_accs: Vec<f32> = rows
         .iter()
@@ -117,7 +114,10 @@ fn main() -> Result {
         - vf_accs.iter().copied().fold(f32::MAX, f32::min);
     let vf_min = vf_accs.iter().copied().fold(f32::MAX, f32::min);
     let tf_max = tf_accs.iter().copied().fold(f32::MIN, f32::max);
-    println!("\nVirtualFlow spread: {:.2} pp (paper: ±0.5)", vf_spread * 100.0);
+    println!(
+        "\nVirtualFlow spread: {:.2} pp (paper: ±0.5)",
+        vf_spread * 100.0
+    );
     println!(
         "worst VirtualFlow {:.2}% vs best TF* {:.2}% (paper: 75.68 vs 73.04)",
         vf_min * 100.0,
@@ -139,10 +139,7 @@ fn main() -> Result {
         &serde_json::json!({ "rows": rows, "runs": runs }),
     )?;
     assert!(vf_spread < 0.02, "VF accuracies must agree within 2 pp");
-    assert!(
-        vf_min > tf_max,
-        "every VF run must beat every TF* run"
-    );
+    assert!(vf_min > tf_max, "every VF run must beat every TF* run");
     let tf_min = tf_accs.iter().copied().fold(f32::MAX, f32::min);
     assert!(
         lsr_min > tf_min + 0.03,

@@ -53,13 +53,13 @@ fn main() -> Result {
             ]
         })
         .collect();
-    print_table(&["GPUs", "BS", "VN/GPU", "QNLI %", "SST-2 %", "CoLA %"], &table);
+    print_table(
+        &["GPUs", "BS", "VN/GPU", "QNLI %", "SST-2 %", "CoLA %"],
+        &table,
+    );
 
     for col in 0..3 {
-        let vals: Vec<f32> = rows
-            .iter()
-            .map(|r| [r.qnli, r.sst2, r.cola][col])
-            .collect();
+        let vals: Vec<f32> = rows.iter().map(|r| [r.qnli, r.sst2, r.cola][col]).collect();
         assert!(
             vals.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-6),
             "accuracies must be identical across GPU counts"

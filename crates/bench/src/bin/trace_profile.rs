@@ -227,9 +227,10 @@ fn overlap_proof() -> Result<String> {
     };
     let (cp_bucketed, cp_single) = (cp(&bucketed), cp(&single));
     if cp_bucketed > cp_single {
-        return Err(
-            format!("bucketed critical path {cp_bucketed}us exceeds single sync {cp_single}us").into(),
-        );
+        return Err(format!(
+            "bucketed critical path {cp_bucketed}us exceeds single sync {cp_single}us"
+        )
+        .into());
     }
     Ok(format!(
         "{} collectives inside {} windows; sim {:.2}s < {:.2}s; path {}us <= {}us",
