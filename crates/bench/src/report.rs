@@ -1,17 +1,18 @@
-//! Experiment reporting, and the conventions every harness binary shares
+//! Experiment reporting, and the conventions every harness shares
 //! (DESIGN.md §4).
 //!
 //! A harness prints its rows as aligned console tables and leaves its
 //! machine-readable output under `results/` through this module, which
 //! owns the output rules:
 //!
-//! * `--smoke` is the only argument a harness takes ([`Mode::from_args`]);
+//! * `--smoke` is the only argument a harness takes, and only one with a
+//!   smoke mode: `vf-bench` parses it into the [`Mode`] the harness runs in;
 //! * a result that carries a metrics registry embeds the registry's JSON
 //!   under `"metrics"` ([`Mode::publish`]);
 //! * a smoke run writes its result as `<id>_smoke.json`, appends no
 //!   history record and writes no other artifact, so it never overwrites
 //!   a full run's committed output;
-//! * `main` returns [`Result`]: a step that fails returns an [`Error`]
+//! * a harness returns [`Result`]: a step that fails returns an [`Error`]
 //!   carrying its message instead of panicking. The claim `assert!`s are
 //!   the harness's checks and stay assertions.
 
@@ -22,8 +23,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use vf_obs::{HistoryRecord, Metrics};
 
-/// A harness step that failed. Returned from `main`, it is printed as
-/// `Error: <message>` and the process exits 1.
+/// A harness step that failed. Returned from `vf-bench`'s `main`, it is
+/// printed as `Error: <message>` and the process exits 1.
 pub struct Error(String);
 
 // `main` prints the `Debug` form. `Error` deliberately has no `Display`:
@@ -42,7 +43,7 @@ impl<E: fmt::Display> From<E> for Error {
     }
 }
 
-/// What every harness `main` returns.
+/// What every harness returns.
 pub type Result<T = ()> = std::result::Result<T, Error>;
 
 /// Names the step that failed: `.context("what")?` is a harness's
@@ -76,15 +77,6 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// [`Mode::Smoke`] when the process was started with `--smoke`.
-    pub fn from_args() -> Mode {
-        if std::env::args().any(|a| a == "--smoke") {
-            Mode::Smoke
-        } else {
-            Mode::Full
-        }
-    }
-
     /// Writes `result` (a JSON object) with the registry's JSON embedded
     /// under `"metrics"` to `results/<id>.json` — `<id>_smoke.json` in a
     /// smoke run — and then [`record`](Mode::record)s `metrics` as
@@ -182,7 +174,7 @@ pub fn history_path() -> PathBuf {
 
 /// Appends one headline record to `results/BENCH_history.jsonl` (creating
 /// it on first use), so the repo accumulates a trajectory the `bench_gate`
-/// binary can diff against the committed baseline. Harnesses that publish
+/// experiment can diff against the committed baseline. Harnesses that publish
 /// a metrics registry go through [`Mode::record`], which skips smoke runs.
 pub fn append_history(record: &HistoryRecord) -> io::Result<()> {
     let dir = results_dir();

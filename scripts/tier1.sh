@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: build (release) =="
 cargo build --release
 
-echo "== tier 1: rustfmt (crates held formatted: vf-models) =="
-cargo fmt -p vf-models --check
+echo "== tier 1: rustfmt (crates held formatted: vf-models, vf-bench) =="
+cargo fmt -p vf-models -p vf-bench --check
 
 echo "== tier 1: tests (every crate and shim; debug profile, so the pool-race sanitizer is armed) =="
 cargo test --workspace -q
@@ -32,56 +32,50 @@ cargo test --release -q --manifest-path perf_bench/Cargo.toml
 echo "== tier 1: perf_bench smoke (four workloads, bit-identity output checks) =="
 cargo run --release -q --manifest-path perf_bench/Cargo.toml -- --smoke
 
-echo "== tier 1: figure byte-identity (every deterministic figure and ablation): figures regenerate to the committed bytes =="
-# fig06_memory_timeline and fig15_memory_overhead are full runs, and a full
-# run appends a record to the history: the stage leaves the history as it
-# found it, also when a figure differs.
+# Every experiment runs through the one harness binary, and `vf-bench list`
+# names them with their tags: `identical` (the full run regenerates the
+# committed bytes), `smoke` (a shrunk run for this suite) and `gate` (checks
+# the tree and the history; runs last).
+vf_bench() { cargo run --release -q -p vf-bench -- "$@"; }
+tagged() { vf_bench list | grep -w "$1" | cut -d' ' -f1; }
+# Assignments, so that a failed `list` or an empty tag stops the suite here.
+identical=$(tagged identical)
+smoke=$(tagged smoke)
+gates=$(tagged gate)
+
+echo "== tier 1: figure byte-identity (every experiment tagged identical): figures regenerate to the committed bytes =="
+# Two of these full runs append a record to the history: the stage leaves
+# the history as it found it, also when a figure differs.
 history=$(mktemp)
 cp results/BENCH_history.jsonl "$history"
 restore_history() { cp "$history" results/BENCH_history.jsonl; rm -f "$history"; }
 trap restore_history EXIT
-for bin in fig12_three_jobs fig13_twenty_jobs fig14_jct_cdf ablate_schedulers ablate_capacity_dip ablate_conv_repro \
-    tab01_resnet_repro tab02_bert_repro fig02_rte_finetune fig07_bert_curves fig08_resnet_curves ablate_noise_scale \
-    fig04_design_space fig09_update_throughput fig11_bs_throughput fig16_throughput_vn ablate_hierarchical \
-    fig06_memory_timeline fig10_bs_exploration fig15_memory_overhead ablate_bootstrap; do
-    cargo run --release -q -p vf-bench --bin "$bin" > /dev/null
-    git diff --exit-code -- "results/$bin.json" "results/$bin.txt"
+for name in $identical; do
+    vf_bench "$name" > /dev/null
+    git diff --exit-code -- "results/$name.json" "results/$name.txt"
 done
 restore_history
 trap - EXIT
 
-echo "== tier 1: chaos smoke (fixed seed, bit-exact under faults) =="
-cargo run --release -q -p vf-bench --bin chaos_bench -- --smoke
+# chaos: bit-exact under faults; overlap: bucketed sync strictly faster in
+# simulated time; trace: export byte-identical across pool sizes; profile:
+# critical path + self-time invariants; store: 100% corruption detection;
+# recovery drill: durable restores bit-exact; monitor: alert recall and
+# precision; obs scale: bounded cardinality, zero silent drops. A smoke run
+# writes only its <id>_smoke.json, which must regenerate the committed
+# bytes (history is append-only; the obs-scale smoke carries wall-clock
+# timings).
+for name in $smoke; do
+    echo "== tier 1: $name smoke =="
+    vf_bench "$name" --smoke
+    git diff --exit-code -- results/ ':!results/BENCH_history.jsonl' ':!results/BENCH_obs_scale_smoke.json'
+done
 
-echo "== tier 1: overlap smoke (bucketed sync strictly faster in simulated time, bit-exact, committed JSON regenerates) =="
-cargo run --release -q -p vf-bench --bin overlap_bench -- --smoke
-git diff --exit-code -- results/BENCH_overlap_smoke.json
-
-echo "== tier 1: trace smoke (export byte-identical across pool sizes) =="
-cargo run --release -q -p vf-bench --bin trace_report -- --smoke
-
-echo "== tier 1: profile smoke (critical path + self-time invariants) =="
-cargo run --release -q -p vf-bench --bin trace_profile -- --smoke
-
-echo "== tier 1: store smoke (save/restore throughput, 100% corruption detection) =="
-cargo run --release -q -p vf-bench --bin store_bench -- --smoke
-
-echo "== tier 1: recovery drill smoke (durable restores bit-exact, zero silent restores) =="
-cargo run --release -q -p vf-bench --bin recovery_drill -- --smoke
-
-echo "== tier 1: monitor smoke (alert recall/precision, byte-stable renders) =="
-cargo run --release -q -p vf-bench --bin monitor_bench -- --smoke
-
-echo "== tier 1: obs scale smoke (bounded cardinality, zero silent drops, byte-stable renders) =="
-cargo run --release -q -p vf-bench --bin obs_scale_bench -- --smoke
-
-echo "== tier 1: committed outputs unchanged (smoke runs write only <id>_smoke.json; history is append-only, obs-scale smoke carries wall-clock timings) =="
-git diff --exit-code -- results/ ':!results/BENCH_history.jsonl' ':!results/BENCH_obs_scale_smoke.json'
-
-echo "== tier 1: lint gate (semantic findings pinned at zero, analysis wall time recorded) =="
-cargo run --release -q -p vf-bench --bin lint_gate
-
-echo "== tier 1: bench gate (committed history vs committed baseline) =="
-cargo run --release -q -p vf-bench --bin bench_gate
+# lint gate: semantic findings pinned at zero, analysis wall time recorded;
+# bench gate: the committed history against the committed baseline.
+for name in $gates; do
+    echo "== tier 1: $name =="
+    vf_bench "$name"
+done
 
 echo "tier 1 OK"
