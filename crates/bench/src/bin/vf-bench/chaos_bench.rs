@@ -11,16 +11,12 @@
 //! Usage: `vf-bench chaos_bench [--smoke]` — `--smoke` shrinks the run for the
 //! tier-1 suite (a few seconds of wall clock).
 
-use std::sync::Arc;
+use crate::{chaos_job, devices};
 use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
-use vf_core::{Trainer, TrainerConfig};
-use vf_data::synthetic::ClusterTask;
-use vf_data::Dataset;
-use vf_device::{DeviceId, FailureModel, FaultPlan, SpotModel};
-use vf_models::trainable::Architecture;
-use vf_models::Mlp;
+use vf_core::Trainer;
+use vf_device::{FailureModel, FaultPlan, SpotModel};
 use vf_obs::Metrics;
 
 const SEED: u64 = 2022;
@@ -31,20 +27,6 @@ struct ScenarioResult {
     report: ChaosReport,
     goodput_vs_fault_free: f64,
     bit_identical_to_fault_free: bool,
-}
-
-/// The shared training-job ingredients every scenario starts from.
-type JobParts = (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig);
-
-fn parts() -> Result<JobParts> {
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("dataset")?);
-    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
-    let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    Ok((arch, dataset, config))
-}
-
-fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
-    range.map(DeviceId).collect()
 }
 
 /// One fault intensity: crash/preemption mean intervals plus comm-fault
@@ -99,7 +81,7 @@ fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>)> {
 }
 
 fn run_scenario(name: &str, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::Tensor>)> {
-    let (arch, dataset, config) = parts()?;
+    let (arch, dataset, config) = chaos_job(SEED)?;
     let (plan, comm) = plan_for(name)?;
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = comm;
@@ -121,7 +103,7 @@ pub fn run(mode: Mode) -> Result {
 
     // Plain-trainer reference for the bit-equality assertion.
     let reference = {
-        let (arch, dataset, config) = parts()?;
+        let (arch, dataset, config) = chaos_job(SEED)?;
         let mut t =
             Trainer::new(arch, dataset, config, &devices(0..4)).context("reference trainer")?;
         t.run_steps(steps as usize).context("reference run")?;

@@ -44,9 +44,17 @@ mod tab02_bert_repro;
 mod trace_profile;
 mod trace_report;
 
+use std::ops::Range;
 use std::process::{Command, Stdio};
+use std::sync::Arc;
 use std::time::Instant;
 use vf_bench::report::{Context, Error, Mode, Result};
+use vf_core::TrainerConfig;
+use vf_data::synthetic::ClusterTask;
+use vf_data::Dataset;
+use vf_device::DeviceId;
+use vf_models::trainable::Architecture;
+use vf_models::Mlp;
 
 /// What the table says of an experiment besides its name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,6 +243,21 @@ fn main() -> Result {
             Ok(())
         }
     }
+}
+
+/// The training job the fault, overlap, trace and monitor experiments
+/// drive: a batch-normed MLP 16-8-4 on the easy cluster task, 8 VNs of a
+/// 64-example global batch at learning rate 0.1, all seeded by `seed`.
+fn chaos_job(seed: u64) -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
+    let dataset = Arc::new(ClusterTask::easy(seed).generate().context("dataset")?);
+    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
+    let config = TrainerConfig::simple(8, 64, 0.1, seed);
+    Ok((arch, dataset, config))
+}
+
+/// Devices `range.start..range.end`.
+fn devices(range: Range<u32>) -> Vec<DeviceId> {
+    range.map(DeviceId).collect()
 }
 
 #[cfg(test)]

@@ -26,17 +26,13 @@
 //! identical in both modes so the gated counts never drift between smoke
 //! and full runs.
 
+use crate::{chaos_job, devices};
 use std::sync::Arc;
-use vf_bench::report::{print_table, Context, Mode, Result};
+use vf_bench::report::{print_table, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
-use vf_core::TrainerConfig;
-use vf_data::synthetic::ClusterTask;
-use vf_data::Dataset;
-use vf_device::{DeviceId, FaultPlan, RackModel};
+use vf_device::{FaultPlan, RackModel};
 use vf_models::profile::resnet56;
-use vf_models::trainable::Architecture;
-use vf_models::Mlp;
 use vf_obs::{Metrics, Monitor, Recorder};
 use vf_sched::sim::run_trace_recorded;
 use vf_sched::{CapacityEvent, ElasticWfs, JobId, JobSpec, SimConfig};
@@ -46,20 +42,6 @@ const SEED: u64 = 2022;
 /// Seed for the rack-wipe fault plans; matches the chaos-suite recipe
 /// where `FaultPlan::new(5)` wipes the 4-device rack early in the run.
 const RACK_SEED: u64 = 5;
-
-/// The shared training-job ingredients the chaos scenarios start from.
-type JobParts = (Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig);
-
-fn parts(seed: u64) -> Result<JobParts> {
-    let dataset = Arc::new(ClusterTask::easy(seed).generate().context("dataset")?);
-    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
-    let config = TrainerConfig::simple(8, 64, 0.1, seed);
-    Ok((arch, dataset, config))
-}
-
-fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
-    range.map(DeviceId).collect()
-}
 
 /// Everything a scenario leaves behind for the gates: which rules fired
 /// and the three deterministic renders.
@@ -90,7 +72,7 @@ fn chaos_scenario(
     comm: Option<CommFaultModel>,
     store: Option<StoreConfig>,
 ) -> Result<ScenarioRun> {
-    let (arch, dataset, config) = parts(seed)?;
+    let (arch, dataset, config) = chaos_job(seed)?;
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = comm;
     if store.is_some() {

@@ -17,20 +17,15 @@
 //! Usage: `vf-bench overlap_bench [--smoke]` — `--smoke` shrinks the runs for
 //! tier-1 and skips the history append.
 
-use std::sync::Arc;
+use crate::{chaos_job, devices};
 use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::LinkProfile;
 use vf_core::chaos::{ChaosConfig, ChaosSupervisor};
 use vf_core::perf_model::{
     step_time, ExecutionShape, StepOptions, StepTimeBreakdown, SyncSchedule,
 };
-use vf_core::TrainerConfig;
-use vf_data::synthetic::ClusterTask;
-use vf_data::Dataset;
-use vf_device::{DeviceId, DeviceProfile, DeviceType, FaultPlan};
+use vf_device::{DeviceProfile, DeviceType, FaultPlan};
 use vf_models::profile::resnet50;
-use vf_models::trainable::Architecture;
-use vf_models::Mlp;
 use vf_obs::Metrics;
 
 const SEED: u64 = 2022;
@@ -41,17 +36,6 @@ const MODEL_BUCKET_BYTES: u64 = 25 << 20;
 /// Small-tensor threshold for the MLP trainer: one parameter per bucket.
 const TRAINER_BUCKET_BYTES: u64 = 64;
 
-fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
-    range.map(DeviceId).collect()
-}
-
-fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
-    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
-    let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    Ok((arch, dataset, config))
-}
-
 /// Fault-free chaos run with the given bucket threshold (`u64::MAX`: one
 /// bucket, the single sync).
 ///
@@ -61,7 +45,7 @@ fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
 /// regime as ResNet-50 on the real testbed (~20% of the step), which is
 /// the regime overlap exists for.
 fn sim_run(steps: u64, bucket_bytes: u64) -> Result<(vf_core::chaos::ChaosReport, Vec<Vec<u32>>)> {
-    let (arch, dataset, config) = parts()?;
+    let (arch, dataset, config) = chaos_job(SEED)?;
     let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), steps);
     cfg.bucket_bytes = bucket_bytes;
     cfg.link = LinkProfile {

@@ -20,31 +20,16 @@
 //! Usage: `vf-bench recovery_drill [--smoke]` — `--smoke` shrinks step counts for
 //! tier-1 and skips the history append.
 
-use std::sync::Arc;
+use crate::{chaos_job, devices};
 use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
-use vf_core::{Trainer, TrainerConfig};
-use vf_data::synthetic::ClusterTask;
-use vf_data::Dataset;
-use vf_device::{DeviceId, FailureModel, FaultPlan, RackModel, SpotModel};
-use vf_models::trainable::Architecture;
-use vf_models::Mlp;
+use vf_core::Trainer;
+use vf_device::{FailureModel, FaultPlan, RackModel, SpotModel};
 use vf_obs::Metrics;
 use vf_store::{StorageFaultPlan, StoreConfig};
 
 const SEED: u64 = 2022;
-
-fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
-    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
-    let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    Ok((arch, dataset, config))
-}
-
-fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
-    range.map(DeviceId).collect()
-}
 
 /// A faulty-but-survivable storage plan: saves occasionally tear, crash, or
 /// flip bits, and every read/write pays stall and bandwidth costs.
@@ -139,7 +124,7 @@ pub fn run(mode: Mode) -> Result {
     println!("== recovery drill: {steps} steps per scenario ==\n");
 
     let reference = {
-        let (arch, dataset, config) = parts()?;
+        let (arch, dataset, config) = chaos_job(SEED)?;
         let mut t = Trainer::new(arch, dataset, config, &devices(0..4)).context("trainer")?;
         t.run_steps(steps as usize).context("runs")?;
         t.params().to_vec()
@@ -149,7 +134,7 @@ pub fn run(mode: Mode) -> Result {
     let mut results = Vec::new();
     let mut failed = false;
     for scenario in scenarios(steps)? {
-        let (arch, dataset, config) = parts()?;
+        let (arch, dataset, config) = chaos_job(SEED)?;
         let sup = ChaosSupervisor::new(
             arch,
             dataset,

@@ -25,20 +25,16 @@
 //! Usage: `vf-bench trace_profile [--smoke]` — `--smoke` shrinks the run for tier-1
 //! and writes nothing: it checks and prints only.
 
+use crate::{chaos_job, devices};
 use std::sync::Arc;
 use vf_bench::report::{Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
 use vf_core::memory_model::simulate_step_timeline;
-use vf_core::TrainerConfig;
-use vf_data::synthetic::ClusterTask;
-use vf_data::Dataset;
 use vf_device::memory::{MemoryCategory, MemoryTracker};
 use vf_device::obs::emit_memory_timeline;
-use vf_device::{DeviceId, DeviceProfile, DeviceType, FailureModel, FaultPlan, SpotModel};
+use vf_device::{DeviceProfile, DeviceType, FailureModel, FaultPlan, SpotModel};
 use vf_models::profile::resnet50;
-use vf_models::trainable::Architecture;
-use vf_models::Mlp;
 use vf_obs::profile::{counter_series, render_counter_series};
 use vf_obs::{Event, Metrics, Phase, Profile, Recorder, RingSink};
 use vf_sched::trace::three_job_trace;
@@ -46,17 +42,6 @@ use vf_sched::{run_trace_recorded, ElasticWfs, SimConfig};
 use vf_tensor::pool;
 
 const SEED: u64 = 2022;
-
-fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
-    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
-    let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    Ok((arch, dataset, config))
-}
-
-fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
-    range.map(DeviceId).collect()
-}
 
 /// Replays a simulated memory timeline through a real [`MemoryTracker`]
 /// (so per-category peaks come from the tracker, not recomputation) and
@@ -96,7 +81,7 @@ fn run_scenario(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     let obs = Recorder::with_sink(sink.clone());
 
     // 1. Chaos-supervised training: train/comm/chaos spans + dev busy.
-    let (arch, dataset, config) = parts()?;
+    let (arch, dataset, config) = chaos_job(SEED)?;
     let plan = FaultPlan::new(SEED)
         .with_crashes(FailureModel::new(250.0, SEED).context("valid")?)
         .with_preemptions(SpotModel::new(400.0, 50.0).context("valid")?);
@@ -180,7 +165,7 @@ fn check_first_collective_in_window(events: &[Event]) -> Result<usize> {
 fn overlap_proof() -> Result<String> {
     const PROOF_STEPS: u64 = 8;
     let run = |bucket_bytes: u64| -> Result<(Vec<Event>, f64)> {
-        let (arch, dataset, config) = parts()?;
+        let (arch, dataset, config) = chaos_job(SEED)?;
         let mut cfg = ChaosConfig::new(FaultPlan::new(SEED), PROOF_STEPS);
         cfg.bucket_bytes = bucket_bytes;
         cfg.comm = Some(CommFaultModel::quiet(SEED));

@@ -14,36 +14,21 @@
 //! Usage: `vf-bench trace_report [--smoke]` — `--smoke` shrinks the run for tier-1
 //! and writes nothing: it checks and prints only.
 
+use crate::{chaos_job, devices};
 use std::sync::Arc;
 use vf_bench::report::{Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
-use vf_core::TrainerConfig;
-use vf_data::synthetic::ClusterTask;
-use vf_data::Dataset;
-use vf_device::{DeviceId, FailureModel, FaultPlan, SpotModel};
-use vf_models::trainable::Architecture;
-use vf_models::Mlp;
+use vf_device::{FailureModel, FaultPlan, SpotModel};
 use vf_obs::{chrome, ArgValue, Event, Metrics, Phase, Recorder, RingSink};
 use vf_tensor::pool;
 
 const SEED: u64 = 2022;
 
-fn parts() -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerConfig)> {
-    let dataset = Arc::new(ClusterTask::easy(SEED).generate().context("generates")?);
-    let arch: Arc<dyn Architecture> = Arc::new(Mlp::new(16, vec![8], 4).with_batch_norm());
-    let config = TrainerConfig::simple(8, 64, 0.1, SEED);
-    Ok((arch, dataset, config))
-}
-
-fn devices(range: std::ops::Range<u32>) -> Vec<DeviceId> {
-    range.map(DeviceId).collect()
-}
-
 /// Runs the traced chaos scenario and returns every recorded event plus
 /// the run report.
 fn run_traced(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
-    let (arch, dataset, config) = parts()?;
+    let (arch, dataset, config) = chaos_job(SEED)?;
     let plan = FaultPlan::new(SEED)
         .with_crashes(FailureModel::new(250.0, SEED).context("valid")?)
         .with_preemptions(SpotModel::new(400.0, 50.0).context("valid")?);
