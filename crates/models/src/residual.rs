@@ -207,6 +207,31 @@ mod tests {
     }
 
     #[test]
+    fn layer_norm_rejects_an_epsilon_that_would_make_nans() {
+        // Zero features: the first hidden layer is its zero bias, every row
+        // normalizes with variance 0, and ε = 0 would give 0/0.
+        let m = ResidualMlp {
+            ln_eps: 0.0,
+            ..ResidualMlp::new(4, 8, 1, 2)
+        };
+        let params = m.init_params(0);
+        let mut st = m.init_stateful();
+        let x = Tensor::zeros([2, 4]);
+        for err in [
+            m.grad(&params, &mut st, &x, &[0, 1]).unwrap_err(),
+            m.eval(&params, &st, &x, &[0, 1]).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    ModelError::Tensor(vf_tensor::TensorError::InvalidEpsilon { bits: 0, .. })
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn dropout_seed_depends_on_data_not_device() {
         let m = ResidualMlp::new(8, 16, 1, 3).with_dropout(0.2);
         let params = m.init_params(0);

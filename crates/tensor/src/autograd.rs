@@ -432,12 +432,14 @@ impl<'a> Tape<'a> {
     }
 
     /// Layer normalization over rows with learnable per-column
-    /// `gamma`/`beta` (as in transformer blocks).
+    /// `gamma`/`beta` (as in transformer blocks). The node keeps the row
+    /// statistics the forward pass computed.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `gamma`/`beta` do not match
-    /// the column count.
+    /// the column count, and [`TensorError::InvalidEpsilon`] unless `eps` is
+    /// finite and positive.
     pub fn layer_norm(
         &mut self,
         input: Var,
@@ -445,8 +447,7 @@ impl<'a> Tape<'a> {
         beta: Var,
         eps: f32,
     ) -> Result<Var, TensorError> {
-        let (mean, var_) = ops::row_stats(self.value(input));
-        let out = ops::layer_norm_rows(
+        let (out, mean, var_) = ops::layer_norm_rows(
             self.value(input),
             self.value(gamma),
             self.value(beta),
@@ -1050,6 +1051,22 @@ mod tests {
                 TensorError::ShapeMismatch { expected: 2, actual: 3, context: c } if c == context
             ));
         }
+    }
+
+    #[test]
+    fn layer_norm_rejects_bad_epsilon() {
+        // A row of equal entries has variance 0, and ε = 0 would give 0/0.
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::ones([2, 3]));
+        let (g, b) = (tape.leaf(Tensor::ones([3])), tape.leaf(Tensor::zeros([3])));
+        for eps in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            assert!(matches!(
+                tape.layer_norm(x, g, b, eps).unwrap_err(),
+                TensorError::InvalidEpsilon { bits, context: "ops::layer_norm_rows" } if bits == eps.to_bits()
+            ));
+        }
+        let out = tape.layer_norm(x, g, b, 1e-5).unwrap();
+        assert_eq!(tape.value(out).data(), &[0.0; 6]);
     }
 
     #[test]

@@ -50,8 +50,9 @@ pub enum TensorError {
         /// Right operand `(rows, cols)`.
         right: (usize, usize),
     },
-    /// A batch-norm ε that is not finite and positive: a zero-variance
-    /// column (every column, at micro-batch 1) would normalize to 0/0 = NaN.
+    /// A batch- or layer-norm ε that is not finite and positive: a
+    /// zero-variance column (every column, at micro-batch 1) or row would
+    /// normalize to 0/0 = NaN.
     InvalidEpsilon {
         /// The rejected ε as `f32::to_bits` (bits keep the error `Eq`).
         bits: u32,
@@ -102,7 +103,7 @@ impl fmt::Display for TensorError {
             ),
             TensorError::InvalidEpsilon { bits, context } => write!(
                 f,
-                "batch-norm epsilon {} in {context} must be finite and positive",
+                "normalization epsilon {} in {context} must be finite and positive",
                 f32::from_bits(*bits)
             ),
             TensorError::NotAPermutation { len, context } => {

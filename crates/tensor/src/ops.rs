@@ -382,7 +382,8 @@ pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
 // column, and the loops — slices zipped, no `[i * n + j]` — vectorize.
 
 /// Rejects an ε that is not finite and positive: at micro-batch 1 every
-/// column's batch variance is exactly 0, and ε = 0 makes x̂ = 0/0 = NaN.
+/// column's batch variance is exactly 0, as is the variance of a row of
+/// equal entries, and ε = 0 makes x̂ = 0/0 = NaN.
 fn check_eps(eps: f32, context: &'static str) -> Result<(), TensorError> {
     if eps.is_finite() && eps > 0.0 {
         Ok(())
@@ -576,7 +577,7 @@ pub(crate) fn bn_input_grad(
 
 /// Per-row statistics of a matrix: `(mean, variance)` per row (biased
 /// variance), as used by layer normalization.
-pub fn row_stats(a: &Tensor) -> (Tensor, Tensor) {
+fn row_stats(a: &Tensor) -> (Tensor, Tensor) {
     let (m, n) = a.shape().as_rows_cols();
     let ad = a.data();
     let inv_n = if n == 0 { 0.0 } else { 1.0 / n as f32 };
@@ -595,18 +596,21 @@ pub fn row_stats(a: &Tensor) -> (Tensor, Tensor) {
 }
 
 /// Layer normalization over each row, with per-column affine parameters:
-/// `y_ij = gamma_j · (x_ij − μ_i)/√(σ²_i + eps) + beta_j`.
+/// `y_ij = gamma_j · (x_ij − μ_i)/√(σ²_i + eps) + beta_j`. Returns
+/// `(y, μ, σ²)`: the per-row statistics are computed once, for the output
+/// and for the backward pass that keeps them.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `gamma`/`beta` do not match
-/// the column count.
+/// the column count, and [`TensorError::InvalidEpsilon`] unless `eps` is
+/// finite and positive.
 pub fn layer_norm_rows(
     a: &Tensor,
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
-) -> Result<Tensor, TensorError> {
+) -> Result<(Tensor, Tensor, Tensor), TensorError> {
     let (m, n) = a.shape().as_rows_cols();
     if gamma.len() != n || beta.len() != n {
         return Err(TensorError::ShapeMismatch {
@@ -615,6 +619,7 @@ pub fn layer_norm_rows(
             context: "ops::layer_norm_rows",
         });
     }
+    check_eps(eps, "ops::layer_norm_rows")?;
     let (mean, var) = row_stats(a);
     let (ad, md, vd, gd, bd) = (a.data(), mean.data(), var.data(), gamma.data(), beta.data());
     let mut out = storage::zeroed(m * n);
@@ -625,7 +630,7 @@ pub fn layer_norm_rows(
             out[i * n + j] = gd[j] * xhat + bd[j];
         }
     }
-    Ok(Tensor::from_parts(out, a.shape().clone()))
+    Ok((Tensor::from_parts(out, a.shape().clone()), mean, var))
 }
 
 /// A deterministic inverted-dropout mask: entries are `1/(1−rate)` with
@@ -929,7 +934,9 @@ mod tests {
     #[test]
     fn layer_norm_rows_normalize_each_row() {
         let a = t(vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0], [2, 3]);
-        let y = layer_norm_rows(&a, &Tensor::ones([3]), &Tensor::zeros([3]), 1e-6).unwrap();
+        let (y, mu, sigma2) =
+            layer_norm_rows(&a, &Tensor::ones([3]), &Tensor::zeros([3]), 1e-6).unwrap();
+        assert_eq!((mu, sigma2), row_stats(&a), "the statistics of the input");
         let (mean, var) = row_stats(&y);
         assert!(mean.data().iter().all(|v| v.abs() < 1e-5));
         assert!(var.data().iter().all(|v| (v - 1.0).abs() < 1e-3));
