@@ -38,7 +38,7 @@
 //! masked vector stores. A dense layer's bias rides on that store
 //! (`Tile::Bias`): each element is its chain plus one rounded add, so
 //! [`crate::ops::linear`] needs no second pass over its output. The
-//! `cargo run --release --bin kernel_bench` harness records the resulting
+//! `vf-bench kernel_bench` harness records the resulting
 //! throughput against the seed naive kernel in `results/BENCH_kernels.json`.
 //!
 //! # One panel walk
