@@ -11,11 +11,10 @@
 //! Usage: `vf-bench chaos_bench [--smoke]` — `--smoke` shrinks the run for the
 //! tier-1 suite (a few seconds of wall clock).
 
-use crate::{chaos_job, devices};
-use vf_bench::report::{print_table, Context, Mode, Result};
+use crate::{chaos_job, devices, fault_free_params};
+use vf_bench::report::{print_table, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
-use vf_core::Trainer;
 use vf_device::{FailureModel, FaultPlan, SpotModel};
 use vf_obs::Metrics;
 
@@ -30,7 +29,8 @@ struct ScenarioResult {
 }
 
 /// One fault intensity: crash/preemption mean intervals plus comm-fault
-/// rates. `fault-free` carries no models at all.
+/// rates. `fault-free` carries no models at all, and comes first: every
+/// goodput is relative to it.
 struct Intensity {
     name: &'static str,
     crashes: Option<(f64, (f64, f64))>,
@@ -60,12 +60,10 @@ const INTENSITIES: &[Intensity] = &[
     },
 ];
 
-/// The fault plan for a named intensity, seeded off the bench seed.
-fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>)> {
-    let spec = INTENSITIES
-        .iter()
-        .find(|i| i.name == name)
-        .ok_or_else(|| format!("unknown scenario {name}"))?;
+/// Runs one intensity's fault plan, seeded off the bench seed.
+fn run_scenario(spec: &Intensity, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::Tensor>)> {
+    let name = spec.name;
+    let (arch, dataset, config) = chaos_job(SEED)?;
     let mut plan = FaultPlan::new(SEED);
     if let Some((mtbf_s, (preempt_s, notice_s))) = spec.crashes {
         plan = plan
@@ -74,17 +72,10 @@ fn plan_for(name: &str) -> Result<(FaultPlan, Option<CommFaultModel>)> {
                 SpotModel::new(preempt_s, notice_s).map_err(|e| format!("{name}: {e}"))?,
             );
     }
-    let comm = spec
+    let mut cfg = ChaosConfig::new(plan, steps);
+    cfg.comm = spec
         .comm
         .map(|(drop, dup, delay)| CommFaultModel::new(SEED, drop, dup, delay));
-    Ok((plan, comm))
-}
-
-fn run_scenario(name: &str, steps: u64) -> Result<(ChaosReport, Vec<vf_tensor::Tensor>)> {
-    let (arch, dataset, config) = chaos_job(SEED)?;
-    let (plan, comm) = plan_for(name)?;
-    let mut cfg = ChaosConfig::new(plan, steps);
-    cfg.comm = comm;
     cfg.cooldown_s = 90.0;
     cfg.bootstrap_s = 20.0;
     let sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
@@ -102,18 +93,13 @@ pub fn run(mode: Mode) -> Result {
     println!("== chaos bench: {steps} steps per scenario ==\n");
 
     // Plain-trainer reference for the bit-equality assertion.
-    let reference = {
-        let (arch, dataset, config) = chaos_job(SEED)?;
-        let mut t =
-            Trainer::new(arch, dataset, config, &devices(0..4)).context("reference trainer")?;
-        t.run_steps(steps as usize).context("reference run")?;
-        t.params().to_vec()
-    };
+    let reference = fault_free_params(SEED, steps)?;
 
-    let scenarios: &[&str] = if smoke {
-        &["fault-free", "mild", "heavy"]
+    // The smoke run leaves out the savage intensity.
+    let intensities = if smoke {
+        &INTENSITIES[..3]
     } else {
-        &["fault-free", "mild", "heavy", "savage"]
+        INTENSITIES
     };
     // Plans that never empty the 4-device fleet (backed by 8 spares): for
     // these the checkpoint last resort must stay untouched. Heavy and
@@ -128,14 +114,10 @@ pub fn run(mode: Mode) -> Result {
     let mut results: Vec<ScenarioResult> = Vec::new();
     let mut fault_free: Option<ChaosReport> = None;
     let mut diverged = false;
-    for &name in scenarios {
-        let (report, params) = run_scenario(name, steps)?;
-        if name == "fault-free" {
-            fault_free = Some(report.clone());
-        }
-        let Some(base) = fault_free.as_ref() else {
-            return Err("scenario list must start with fault-free".into());
-        };
+    for spec in intensities {
+        let name = spec.name;
+        let (report, params) = run_scenario(spec, steps)?;
+        let base = fault_free.get_or_insert_with(|| report.clone());
         let identical = params == reference;
         if !identical {
             eprintln!("FAIL: scenario '{name}' diverged from the fault-free trajectory");

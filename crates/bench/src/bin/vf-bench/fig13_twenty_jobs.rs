@@ -10,7 +10,17 @@ use vf_sched::trace::poisson_trace;
 use vf_sched::{run_trace, ElasticWfs, SimConfig, SimResult, StaticPriority};
 
 /// The trace seed used throughout the Figure 13/14 experiments.
-pub const TRACE_SEED: u64 = 17;
+const TRACE_SEED: u64 = 17;
+
+/// The Figure 13/14 trace on 16 V100s, run under Elastic WFS and under
+/// static priority.
+pub fn elastic_and_static() -> (SimResult, SimResult) {
+    let config = SimConfig::v100_cluster(16);
+    let trace = poisson_trace(20, 12.0, 16, TRACE_SEED, &config.link);
+    let elastic = run_trace(&trace, &mut ElasticWfs::new(), &config);
+    let static_ = run_trace(&trace, &mut StaticPriority::new(), &config);
+    (elastic, static_)
+}
 
 fn strip_chart(result: &SimResult, gpus: u32) {
     // One character per timeline sample: total GPUs in use, hex-ish.
@@ -30,10 +40,7 @@ fn strip_chart(result: &SimResult, gpus: u32) {
 
 pub fn run(_: Mode) -> Result {
     println!("== Figure 13: 20-job Poisson trace on 16 V100s ==\n");
-    let config = SimConfig::v100_cluster(16);
-    let trace = poisson_trace(20, 12.0, 16, TRACE_SEED, &config.link);
-    let elastic = run_trace(&trace, &mut ElasticWfs::new(), &config);
-    let static_ = run_trace(&trace, &mut StaticPriority::new(), &config);
+    let (elastic, static_) = elastic_and_static();
 
     strip_chart(&elastic, 16);
     strip_chart(&static_, 16);

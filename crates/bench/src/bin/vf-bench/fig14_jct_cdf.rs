@@ -4,11 +4,9 @@
 //! arrive instead of waiting behind long jobs (paper: median JCT −47.6%,
 //! median queuing delay −99.3%).
 
+use crate::fig13_twenty_jobs::elastic_and_static;
 use vf_bench::report::{emit, improvement_pct, print_table, Mode, Result};
-use vf_sched::trace::poisson_trace;
-use vf_sched::{run_trace, ElasticWfs, SimConfig, SimResult, StaticPriority};
-
-const TRACE_SEED: u64 = 17;
+use vf_sched::SimResult;
 
 fn sorted(mut v: Vec<f64>) -> Vec<f64> {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -40,10 +38,7 @@ fn collect(result: &SimResult) -> (Vec<f64>, Vec<f64>) {
 
 pub fn run(_: Mode) -> Result {
     println!("== Figure 14: JCT and queuing delay CDFs (20-job trace) ==\n");
-    let config = SimConfig::v100_cluster(16);
-    let trace = poisson_trace(20, 12.0, 16, TRACE_SEED, &config.link);
-    let elastic = run_trace(&trace, &mut ElasticWfs::new(), &config);
-    let static_ = run_trace(&trace, &mut StaticPriority::new(), &config);
+    let (elastic, static_) = elastic_and_static();
     let (e_jct, e_delay) = collect(&elastic);
     let (s_jct, s_delay) = collect(&static_);
 

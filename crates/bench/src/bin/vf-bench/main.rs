@@ -49,98 +49,79 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 use vf_bench::report::{Context, Error, Mode, Result};
-use vf_core::TrainerConfig;
+use vf_core::{Trainer, TrainerConfig};
 use vf_data::synthetic::ClusterTask;
 use vf_data::Dataset;
 use vf_device::DeviceId;
 use vf_models::trainable::Architecture;
 use vf_models::Mlp;
+use vf_tensor::Tensor;
 
-/// What the table says of an experiment besides its name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    /// Its full run regenerates the committed `results/` bytes, and
-    /// tier 1 holds it to them.
-    Identical,
-    /// It takes `--smoke`: a shrunk run that writes only its
-    /// `<id>_smoke.json`.
-    Smoke,
-    /// It checks the tree and the history rather than reproducing a
-    /// claim, so it runs after every other experiment.
-    Gate,
-}
-
-impl Tag {
-    fn name(self) -> &'static str {
-        match self {
-            Tag::Identical => "identical",
-            Tag::Smoke => "smoke",
-            Tag::Gate => "gate",
-        }
-    }
-}
+/// Tag: the full run regenerates the committed `results/` bytes, and tier 1
+/// holds it to them.
+const IDENTICAL: &str = "identical";
+/// Tag: it takes `--smoke`, a shrunk run that writes only its
+/// `<id>_smoke.json`.
+const SMOKE: &str = "smoke";
+/// Tag: it checks the tree and the history rather than reproducing a
+/// claim, so it runs after every other experiment.
+const GATE: &str = "gate";
 
 /// One row of [`EXPERIMENTS`].
 struct Experiment {
     name: &'static str,
     run: fn(Mode) -> Result,
-    tags: &'static [Tag],
+    tags: &'static [&'static str],
 }
 
-impl Experiment {
-    fn has(&self, tag: Tag) -> bool {
-        self.tags.contains(&tag)
-    }
-}
-
-/// `row!(module, tags…)`: the experiment a module's `run` implements,
+/// `row!(module, TAGS…)`: the experiment a module's `run` implements,
 /// named after the module.
 macro_rules! row {
     ($module:ident $(, $tag:ident)*) => {
         Experiment {
             name: stringify!($module),
             run: $module::run,
-            tags: &[$(Tag::$tag),*],
+            tags: &[$($tag),*],
         }
     };
 }
 
 /// Every experiment, in paper order.
 const EXPERIMENTS: &[Experiment] = &[
-    row!(fig02_rte_finetune, Identical),
-    row!(fig04_design_space, Identical),
-    row!(fig06_memory_timeline, Identical),
-    row!(tab01_resnet_repro, Identical),
-    row!(tab02_bert_repro, Identical),
-    row!(fig07_bert_curves, Identical),
-    row!(fig08_resnet_curves, Identical),
-    row!(fig09_update_throughput, Identical),
-    row!(fig10_bs_exploration, Identical),
-    row!(fig11_bs_throughput, Identical),
-    row!(fig12_three_jobs, Identical),
-    row!(fig13_twenty_jobs, Identical),
-    row!(fig14_jct_cdf, Identical),
-    row!(fig15_memory_overhead, Identical),
-    row!(fig16_throughput_vn, Identical),
-    row!(ablate_bootstrap, Identical),
-    row!(ablate_hierarchical, Identical),
-    row!(ablate_capacity_dip, Identical),
-    row!(ablate_noise_scale, Identical),
-    row!(ablate_schedulers, Identical),
-    row!(ablate_conv_repro, Identical),
+    row!(fig02_rte_finetune, IDENTICAL),
+    row!(fig04_design_space, IDENTICAL),
+    row!(fig06_memory_timeline, IDENTICAL),
+    row!(tab01_resnet_repro, IDENTICAL),
+    row!(tab02_bert_repro, IDENTICAL),
+    row!(fig07_bert_curves, IDENTICAL),
+    row!(fig08_resnet_curves, IDENTICAL),
+    row!(fig09_update_throughput, IDENTICAL),
+    row!(fig10_bs_exploration, IDENTICAL),
+    row!(fig11_bs_throughput, IDENTICAL),
+    row!(fig12_three_jobs, IDENTICAL),
+    row!(fig13_twenty_jobs, IDENTICAL),
+    row!(fig14_jct_cdf, IDENTICAL),
+    row!(fig15_memory_overhead, IDENTICAL),
+    row!(fig16_throughput_vn, IDENTICAL),
+    row!(ablate_bootstrap, IDENTICAL),
+    row!(ablate_hierarchical, IDENTICAL),
+    row!(ablate_capacity_dip, IDENTICAL),
+    row!(ablate_noise_scale, IDENTICAL),
+    row!(ablate_schedulers, IDENTICAL),
+    row!(ablate_conv_repro, IDENTICAL),
     row!(kernel_bench),
-    row!(chaos_bench, Smoke),
-    row!(overlap_bench, Smoke),
-    row!(trace_report, Smoke),
-    row!(trace_profile, Smoke),
-    row!(store_bench, Smoke),
-    row!(recovery_drill, Smoke),
-    row!(monitor_bench, Smoke),
-    row!(obs_scale_bench, Smoke),
+    row!(chaos_bench, SMOKE),
+    row!(overlap_bench, SMOKE),
+    row!(trace_report, SMOKE),
+    row!(trace_profile, SMOKE),
+    row!(store_bench, SMOKE),
+    row!(recovery_drill, SMOKE),
+    row!(monitor_bench, SMOKE),
+    row!(obs_scale_bench, SMOKE),
     // Last: audit the tree just run, then diff the fresh history records
     // (the audit's among them) against the committed baseline.
-    row!(lint_gate, Gate),
-    row!(bench_gate, Gate),
+    row!(lint_gate, GATE),
+    row!(bench_gate, GATE),
 ];
 
 const USAGE: &str = "\
@@ -180,7 +161,7 @@ fn parse(args: &[String]) -> Result<Request> {
                 .iter()
                 .find(|e| e.name == name)
                 .ok_or_else(|| usage_error(format!("unknown experiment {name:?}")))?;
-            match (smoke, experiment.has(Tag::Smoke)) {
+            match (smoke, experiment.tags.contains(&SMOKE)) {
                 (false, _) => Ok(Request::Run(experiment, Mode::Full)),
                 (true, true) => Ok(Request::Run(experiment, Mode::Smoke)),
                 (true, false) => Err(usage_error(format!("{name} has no smoke mode"))),
@@ -234,11 +215,10 @@ fn main() -> Result {
         Request::All => run_all(),
         Request::List => {
             for experiment in EXPERIMENTS {
-                print!("{}", experiment.name);
-                for tag in experiment.tags {
-                    print!(" {}", tag.name());
-                }
-                println!();
+                println!(
+                    "{}",
+                    [&[experiment.name], experiment.tags].concat().join(" ")
+                );
             }
             Ok(())
         }
@@ -255,6 +235,17 @@ fn chaos_job(seed: u64) -> Result<(Arc<dyn Architecture>, Arc<Dataset>, TrainerC
     Ok((arch, dataset, config))
 }
 
+/// The parameters [`chaos_job`] at `seed` reaches after `steps` steps on
+/// devices 0..4 with no fault: the trajectory every fault scenario must
+/// reproduce bit for bit.
+fn fault_free_params(seed: u64, steps: u64) -> Result<Vec<Tensor>> {
+    let (arch, dataset, config) = chaos_job(seed)?;
+    let mut trainer =
+        Trainer::new(arch, dataset, config, &devices(0..4)).context("reference trainer")?;
+    trainer.run_steps(steps as usize).context("reference run")?;
+    Ok(trainer.params().to_vec())
+}
+
 /// Devices `range.start..range.end`.
 fn devices(range: Range<u32>) -> Vec<DeviceId> {
     range.map(DeviceId).collect()
@@ -268,10 +259,10 @@ mod tests {
         parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
-    fn tagged(tag: Tag) -> Vec<&'static str> {
+    fn tagged(tag: &str) -> Vec<&'static str> {
         let mut names: Vec<_> = EXPERIMENTS
             .iter()
-            .filter(|e| e.has(tag))
+            .filter(|e| e.tags.contains(&tag))
             .map(|e| e.name)
             .collect();
         names.sort_unstable();
@@ -282,7 +273,7 @@ mod tests {
     fn names_are_unique_and_the_gates_run_last() {
         let mut names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
         assert_eq!(names[names.len() - 2..], ["lint_gate", "bench_gate"]);
-        assert_eq!(tagged(Tag::Gate), ["bench_gate", "lint_gate"]);
+        assert_eq!(tagged(GATE), ["bench_gate", "lint_gate"]);
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EXPERIMENTS.len());
@@ -349,7 +340,7 @@ mod tests {
             "ablate_bootstrap",
         ];
         identical.sort_unstable();
-        assert_eq!(tagged(Tag::Identical), identical);
+        assert_eq!(tagged(IDENTICAL), identical);
         let mut smoke = vec![
             "chaos_bench",
             "overlap_bench",
@@ -361,6 +352,6 @@ mod tests {
             "obs_scale_bench",
         ];
         smoke.sort_unstable();
-        assert_eq!(tagged(Tag::Smoke), smoke);
+        assert_eq!(tagged(SMOKE), smoke);
     }
 }

@@ -20,11 +20,10 @@
 //! Usage: `vf-bench recovery_drill [--smoke]` — `--smoke` shrinks step counts for
 //! tier-1 and skips the history append.
 
-use crate::{chaos_job, devices};
+use crate::{chaos_job, devices, fault_free_params};
 use vf_bench::report::{print_table, Context, Mode, Result};
 use vf_comm::chaos::CommFaultModel;
 use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
-use vf_core::Trainer;
 use vf_device::{FailureModel, FaultPlan, RackModel, SpotModel};
 use vf_obs::Metrics;
 use vf_store::{StorageFaultPlan, StoreConfig};
@@ -123,12 +122,7 @@ pub fn run(mode: Mode) -> Result {
     let steps: u64 = if mode == Mode::Smoke { 60 } else { 120 };
     println!("== recovery drill: {steps} steps per scenario ==\n");
 
-    let reference = {
-        let (arch, dataset, config) = chaos_job(SEED)?;
-        let mut t = Trainer::new(arch, dataset, config, &devices(0..4)).context("trainer")?;
-        t.run_steps(steps as usize).context("runs")?;
-        t.params().to_vec()
-    };
+    let reference = fault_free_params(SEED, steps)?;
 
     let metrics = Metrics::new();
     let mut results = Vec::new();

@@ -25,6 +25,7 @@
 //! Usage: `vf-bench trace_profile [--smoke]` — `--smoke` shrinks the run for tier-1
 //! and writes nothing: it checks and prints only.
 
+use crate::trace_report::run_chaos;
 use crate::{chaos_job, devices};
 use std::sync::Arc;
 use vf_bench::report::{Context, Mode, Result};
@@ -33,7 +34,7 @@ use vf_core::chaos::{ChaosConfig, ChaosReport, ChaosSupervisor};
 use vf_core::memory_model::simulate_step_timeline;
 use vf_device::memory::{MemoryCategory, MemoryTracker};
 use vf_device::obs::emit_memory_timeline;
-use vf_device::{DeviceProfile, DeviceType, FailureModel, FaultPlan, SpotModel};
+use vf_device::{DeviceProfile, DeviceType, FaultPlan};
 use vf_models::profile::resnet50;
 use vf_obs::profile::{counter_series, render_counter_series};
 use vf_obs::{Event, Metrics, Phase, Profile, Recorder, RingSink};
@@ -81,21 +82,9 @@ fn run_scenario(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     let obs = Recorder::with_sink(sink.clone());
 
     // 1. Chaos-supervised training: train/comm/chaos spans + dev busy.
-    let (arch, dataset, config) = chaos_job(SEED)?;
-    let plan = FaultPlan::new(SEED)
-        .with_crashes(FailureModel::new(250.0, SEED).context("valid")?)
-        .with_preemptions(SpotModel::new(400.0, 50.0).context("valid")?);
-    let mut cfg = ChaosConfig::new(plan, steps);
-    cfg.comm = Some(CommFaultModel::new(SEED, 0.03, 0.005, 0.02));
     // Overlapped execution: per-parameter buckets, collectives pipelined
-    // under the backward window (asserted on the trace in `main`).
-    cfg.bucket_bytes = 64;
-    cfg.cooldown_s = 90.0;
-    cfg.bootstrap_s = 20.0;
-    let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
-        .context("supervisor")?;
-    sup.set_recorder(obs.clone());
-    let out = sup.run().context("scenario survives its fault plan")?;
+    // under the backward window (asserted on the trace in `run`).
+    let report = run_chaos(steps, 64, obs.clone())?;
 
     // 2. Scheduler simulation, stamped after the training run (the sim
     // offsets its clock by the recorder's current time): the critical
@@ -108,7 +97,7 @@ fn run_scenario(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     emit_device_memory(&obs, 0, &DeviceProfile::of(DeviceType::V100), 1)?;
     emit_device_memory(&obs, 1, &DeviceProfile::of(DeviceType::Rtx2080Ti), 2)?;
 
-    Ok((sink.events(), out.report))
+    Ok((sink.events(), report))
 }
 
 /// Backward windows (`step/backward` spans) and bucket-collective start

@@ -25,23 +25,34 @@ use vf_tensor::pool;
 
 const SEED: u64 = 2022;
 
-/// Runs the traced chaos scenario and returns every recorded event plus
-/// the run report.
-fn run_traced(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
+/// Runs the chaos scenario with gradient buckets of `bucket_bytes`,
+/// recording into `obs`, and returns the run report. `trace_profile`
+/// profiles the same run.
+pub fn run_chaos(steps: u64, bucket_bytes: u64, obs: Recorder) -> Result<ChaosReport> {
     let (arch, dataset, config) = chaos_job(SEED)?;
     let plan = FaultPlan::new(SEED)
         .with_crashes(FailureModel::new(250.0, SEED).context("valid")?)
         .with_preemptions(SpotModel::new(400.0, 50.0).context("valid")?);
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = Some(CommFaultModel::new(SEED, 0.03, 0.005, 0.02));
+    cfg.bucket_bytes = bucket_bytes;
     cfg.cooldown_s = 90.0;
     cfg.bootstrap_s = 20.0;
     let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &devices(8..16), cfg)
         .context("supervisor")?;
+    sup.set_recorder(obs);
+    Ok(sup
+        .run()
+        .context("scenario survives its fault plan")?
+        .report)
+}
+
+/// Runs the chaos scenario with one bucket (the single sync) and returns
+/// every recorded event plus the run report.
+fn run_traced(steps: u64) -> Result<(Vec<Event>, ChaosReport)> {
     let sink = Arc::new(RingSink::unbounded());
-    sup.set_recorder(Recorder::with_sink(sink.clone()));
-    let out = sup.run().context("scenario survives its fault plan")?;
-    Ok((sink.events(), out.report))
+    let report = run_chaos(steps, u64::MAX, Recorder::with_sink(sink.clone()))?;
+    Ok((sink.events(), report))
 }
 
 fn fmt_arg(v: &ArgValue) -> String {
