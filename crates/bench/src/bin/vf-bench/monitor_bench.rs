@@ -63,7 +63,8 @@ fn finish(name: &str, mon: &Monitor) -> ScenarioRun {
 
 /// Chaos-supervised run: `plan`/`comm` drive the fault injection, the
 /// supervisor publishes its signals into a fresh default-pack monitor
-/// every step.
+/// every step. A run with a `store` is a rack scenario: it checkpoints
+/// every 10 steps, and its spares sit on another rack.
 fn chaos_scenario(
     name: &str,
     seed: u64,
@@ -75,20 +76,15 @@ fn chaos_scenario(
     let (arch, dataset, config) = chaos_job(seed)?;
     let mut cfg = ChaosConfig::new(plan, steps);
     cfg.comm = comm;
-    if store.is_some() {
-        cfg.store = store;
-    }
-    if name.starts_with("rack") || name.starts_with("corrupt") {
+    let spares = if store.is_some() {
         cfg.checkpoint_every = 10;
+        devices(100..104) // different rack: never part of rack 0's fault
     } else {
         cfg.cooldown_s = 90.0;
         cfg.bootstrap_s = 20.0;
-    }
-    let spares = if name.starts_with("rack") || name.starts_with("corrupt") {
-        devices(100..104) // different rack: never part of rack 0's fault
-    } else {
         devices(8..16)
     };
+    cfg.store = store;
     let mut sup = ChaosSupervisor::new(arch, dataset, config, &devices(0..4), &spares, cfg)
         .map_err(|e| format!("{name}: supervisor: {e}"))?;
     let mon = Arc::new(Monitor::with_default_pack());
@@ -184,6 +180,8 @@ fn calm_trace() -> Vec<JobSpec> {
 /// One named scenario plus the alerts its fault class must fire.
 struct Scenario {
     name: &'static str,
+    /// Runs the scenario under its name.
+    run: fn(&'static str) -> Result<ScenarioRun>,
     /// Rules that MUST be in the fired set (recall gate). Extra fired
     /// rules are fine for faulty scenarios.
     expect: &'static [&'static str],
@@ -191,95 +189,76 @@ struct Scenario {
     fault_free: bool,
 }
 
+/// A rack wipe early in the run, which forces a durable restore.
+fn rack_wipe(name: &str) -> Result<FaultPlan> {
+    let rack = RackModel::new(4, 90.0).map_err(|e| format!("{name}: rack model: {e}"))?;
+    Ok(FaultPlan::new(RACK_SEED).with_racks(rack))
+}
+
 const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "chaos-calm",
+        run: |name| chaos_scenario(name, SEED, 120, FaultPlan::new(SEED), None, None),
         expect: &[],
         fault_free: true,
     },
     Scenario {
         name: "sched-calm",
+        run: |name| sched_scenario(name, &calm_trace(), &SimConfig::v100_cluster(4)),
         expect: &[],
         fault_free: true,
     },
     Scenario {
         name: "comm-storm",
+        run: |name| {
+            let comm = CommFaultModel::new(SEED, 0.10, 0.02, 0.05);
+            chaos_scenario(name, SEED, 240, FaultPlan::new(SEED), Some(comm), None)
+        },
         expect: &["comm/retry-storm", "comm/slo-burn"],
         fault_free: false,
     },
     Scenario {
         name: "rack-wipe",
+        run: |name| {
+            let store = StoreConfig::quiet(RACK_SEED);
+            chaos_scenario(name, RACK_SEED, 60, rack_wipe(name)?, None, Some(store))
+        },
         expect: &["store/checkpoint-fallback"],
         fault_free: false,
     },
     Scenario {
         name: "corrupt-store",
+        run: |name| {
+            let mut store = StoreConfig::quiet(RACK_SEED);
+            store.retention.keep_last = 64; // keep the step-0 seed restorable
+            store.sabotage_saves = (1..64).collect();
+            chaos_scenario(name, RACK_SEED, 60, rack_wipe(name)?, None, Some(store))
+        },
         expect: &["store/checkpoint-fallback", "store/corruption"],
         fault_free: false,
     },
     Scenario {
         name: "sched-overload",
+        run: |name| sched_scenario(name, &overload_trace(), &SimConfig::v100_cluster(4)),
         expect: &["sched/queue-runaway"],
         fault_free: false,
     },
     Scenario {
         name: "sched-outage",
+        run: |name| {
+            let (trace, config) = outage_trace();
+            sched_scenario(name, &trace, &config)
+        },
         expect: &["sched/util-collapse"],
         fault_free: false,
     },
     Scenario {
         name: "nonfinite-loss",
+        run: nonfinite_scenario,
         expect: &["train/nonfinite-loss"],
         fault_free: false,
     },
 ];
-
-fn run_scenario(name: &str) -> Result<ScenarioRun> {
-    match name {
-        "chaos-calm" => chaos_scenario(name, SEED, 120, FaultPlan::new(SEED), None, None),
-        "comm-storm" => chaos_scenario(
-            name,
-            SEED,
-            240,
-            FaultPlan::new(SEED),
-            Some(CommFaultModel::new(SEED, 0.10, 0.02, 0.05)),
-            None,
-        ),
-        "rack-wipe" => chaos_scenario(
-            name,
-            RACK_SEED,
-            60,
-            FaultPlan::new(RACK_SEED).with_racks(
-                RackModel::new(4, 90.0).map_err(|e| format!("{name}: rack model: {e}"))?,
-            ),
-            None,
-            Some(StoreConfig::quiet(RACK_SEED)),
-        ),
-        "corrupt-store" => {
-            let mut sc = StoreConfig::quiet(RACK_SEED);
-            sc.retention.keep_last = 64; // keep the step-0 seed restorable
-            sc.sabotage_saves = (1..64).collect();
-            chaos_scenario(
-                name,
-                RACK_SEED,
-                60,
-                FaultPlan::new(RACK_SEED).with_racks(
-                    RackModel::new(4, 90.0).map_err(|e| format!("{name}: rack model: {e}"))?,
-                ),
-                None,
-                Some(sc),
-            )
-        }
-        "sched-overload" => sched_scenario(name, &overload_trace(), &SimConfig::v100_cluster(4)),
-        "sched-outage" => {
-            let (trace, config) = outage_trace();
-            sched_scenario(name, &trace, &config)
-        }
-        "sched-calm" => sched_scenario(name, &calm_trace(), &SimConfig::v100_cluster(4)),
-        "nonfinite-loss" => nonfinite_scenario(name),
-        other => Err(format!("unknown scenario {other}").into()),
-    }
-}
 
 pub fn run(mode: Mode) -> Result {
     println!("== monitor bench: {} scenarios ==\n", SCENARIOS.len());
@@ -294,9 +273,9 @@ pub fn run(mode: Mode) -> Result {
         // Replay under two worker-thread counts: the monitor pipeline is
         // pure in sim time, so every render must be byte-stable.
         vf_tensor::pool::set_num_threads(1);
-        let one = run_scenario(sc.name)?;
+        let one = (sc.run)(sc.name)?;
         vf_tensor::pool::set_num_threads(4);
-        let four = run_scenario(sc.name)?;
+        let four = (sc.run)(sc.name)?;
         vf_tensor::pool::set_num_threads(orig_threads);
 
         let deterministic =
