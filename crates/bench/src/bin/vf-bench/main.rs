@@ -312,8 +312,8 @@ mod tests {
         assert!(matches!(parse_str(&["list"]), Ok(Request::List)));
     }
 
-    /// The figures tier 1 held byte-identical, and its smoke stages, as
-    /// they were spelled out before the table existed.
+    /// Tier 1's byte-identity and smoke stages are these sets: a tag that
+    /// moves changes what tier 1 checks, so it moves here too.
     #[test]
     fn the_tags_match_the_stages_tier1_ran() {
         let mut identical = vec![

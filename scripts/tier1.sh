@@ -57,14 +57,9 @@ done
 restore_history
 trap - EXIT
 
-# chaos: bit-exact under faults; overlap: bucketed sync strictly faster in
-# simulated time; trace: export byte-identical across pool sizes; profile:
-# critical path + self-time invariants; store: 100% corruption detection;
-# recovery drill: durable restores bit-exact; monitor: alert recall and
-# precision; obs scale: bounded cardinality, zero silent drops. A smoke run
-# writes only its <id>_smoke.json, which must regenerate the committed
-# bytes (history is append-only; the obs-scale smoke carries wall-clock
-# timings).
+# A smoke run checks its experiment's claims on a shrunk run and writes
+# only its <id>_smoke.json, which must regenerate the committed bytes
+# (history is append-only; the obs-scale smoke carries wall-clock timings).
 for name in $smoke; do
     echo "== tier 1: $name smoke =="
     vf_bench "$name" --smoke
