@@ -447,12 +447,8 @@ impl<'a> Tape<'a> {
         beta: Var,
         eps: f32,
     ) -> Result<Var, TensorError> {
-        let (out, mean, var_) = ops::layer_norm_rows(
-            self.value(input),
-            self.value(gamma),
-            self.value(beta),
-            eps,
-        )?;
+        let (out, mean, var_) =
+            ops::layer_norm_rows(self.value(input), self.value(gamma), self.value(beta), eps)?;
         Ok(self.push(
             out,
             Op::LayerNorm {
@@ -512,7 +508,11 @@ impl<'a> Tape<'a> {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if element counts differ.
-    pub fn reshape(&mut self, input: Var, shape: impl Into<crate::Shape>) -> Result<Var, TensorError> {
+    pub fn reshape(
+        &mut self,
+        input: Var,
+        shape: impl Into<crate::Shape>,
+    ) -> Result<Var, TensorError> {
         let v = self.value(input).reshape(shape)?;
         Ok(self.push(v, Op::Reshape { input }, false))
     }
@@ -646,7 +646,11 @@ impl<'a> Tape<'a> {
                         accumulate(&mut grads, a, da)?;
                     }
                 }
-                Op::SoftmaxCrossEntropy { logits, labels, probs } => {
+                Op::SoftmaxCrossEntropy {
+                    logits,
+                    labels,
+                    probs,
+                } => {
                     if needs(logits) {
                         let g = gout.item()?;
                         let mut dl = ops::softmax_cross_entropy_grad(probs, labels)?;
@@ -865,11 +869,7 @@ mod tests {
 
     /// Central finite-difference gradient check of a scalar-valued function
     /// of one parameter tensor.
-    fn grad_check(
-        param: &Tensor,
-        f: &dyn Fn(&mut Tape, Var) -> Var,
-        tol: f32,
-    ) {
+    fn grad_check(param: &Tensor, f: &dyn Fn(&mut Tape, Var) -> Var, tol: f32) {
         let mut tape = Tape::new();
         let w = tape.leaf(param.clone());
         let loss = f(&mut tape, w);
@@ -1324,18 +1324,14 @@ mod tests {
     // `add_bias` node produced in the graph `linear` replaces).
 
     const DIAMOND: [u32; 12] = [
-        0xbf22401a, 0x400eb644, 0x3ea77b25, 0xbff6ce9f,
-        0x3eeb7562, 0xbd1d8a55, 0xbf2e8bbd, 0xbf91c229,
-        0x3ecb0def, 0xbe889126, 0xbf1f3535, 0xbea544ae,
+        0xbf22401a, 0x400eb644, 0x3ea77b25, 0xbff6ce9f, 0x3eeb7562, 0xbd1d8a55, 0xbf2e8bbd,
+        0xbf91c229, 0x3ecb0def, 0xbe889126, 0xbf1f3535, 0xbea544ae,
     ];
-    const SHARED: [u32; 4] = [
-        0xbee51048, 0x41033372, 0x40544841, 0xc01c3019,
-    ];
+    const SHARED: [u32; 4] = [0xbee51048, 0x41033372, 0x40544841, 0xc01c3019];
     const FILLED: [u32; 21] = [
-        0x3f03caf3, 0x3fc652af, 0x40264594, 0x3eadf9f8, 0x3f9a22c0, 0x40261441,
-        0x3fb16d1b, 0x403c43b9, 0x3e55156c, 0xc003e779, 0x3f13ed06, 0x40830e5a,
-        0xc040c684, 0x407f4d04, 0x405399c4, 0xbf8b3534, 0xbe40e46e, 0x40200076,
-        0xbea3229c, 0x3f1b98e8, 0xbc900e7c,
+        0x3f03caf3, 0x3fc652af, 0x40264594, 0x3eadf9f8, 0x3f9a22c0, 0x40261441, 0x3fb16d1b,
+        0x403c43b9, 0x3e55156c, 0xc003e779, 0x3f13ed06, 0x40830e5a, 0xc040c684, 0x407f4d04,
+        0x405399c4, 0xbf8b3534, 0xbe40e46e, 0x40200076, 0xbea3229c, 0x3f1b98e8, 0xbc900e7c,
     ];
 
     #[test]
@@ -1349,7 +1345,11 @@ mod tests {
         let k = init::normal(&mut init::rng(54), [3, 2], 0.0, 1.0);
         let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
-        let (w1v, w2v, w3v) = (tape.leaf(w1.clone()), tape.leaf(w2.clone()), tape.leaf(w3.clone()));
+        let (w1v, w2v, w3v) = (
+            tape.leaf(w1.clone()),
+            tape.leaf(w2.clone()),
+            tape.leaf(w3.clone()),
+        );
         let kv = tape.constant(k.clone());
         let h = tape.matmul(xv, w1v).unwrap();
         let h = tape.tanh(h);

@@ -151,14 +151,7 @@ impl Unfold {
     /// tap reads one contiguous image range: zeros before the span, one copy
     /// of the span (which carries image values into the pad columns between
     /// consecutive rows), zeros after it, then zeros over those pad columns.
-    fn unfold(
-        &self,
-        tap: &Tap,
-        img: &[f32],
-        (y, x): (usize, usize),
-        len: usize,
-        dst: &mut [f32],
-    ) {
+    fn unfold(&self, tap: &Tap, img: &[f32], (y, x): (usize, usize), len: usize, dst: &mut [f32]) {
         let j0 = y * self.w + x;
         let a = tap.span.start.clamp(j0, j0 + len);
         let b = tap.span.end.clamp(a, j0 + len);
@@ -449,7 +442,10 @@ pub fn conv2d_grad_kernel(
                 // stride-1 row, and the cols × hw rows transpose into the
                 // position-major panel, one tap per lane.
                 let cols = nr.min(taps - tc);
-                for (tap, row) in unfold.taps[tc..tc + cols].iter().zip(rows.chunks_exact_mut(hw)) {
+                for (tap, row) in unfold.taps[tc..tc + cols]
+                    .iter()
+                    .zip(rows.chunks_exact_mut(hw))
+                {
                     unfold.unfold(tap, img, (0, 0), hw, row);
                 }
                 gemm::pack_b_into(Op::Nt, &rows[..cols * hw], hw, cols, nr, panel);
@@ -650,8 +646,7 @@ pub mod reference {
                                 let mut t = 0.0f32;
                                 for o in 0..oc {
                                     let kv = kd[((o * ic + c) * kh + dy) * kw + dx];
-                                    let gv =
-                                        gd[((b * oc + o) * h + oy as usize) * w + ox as usize];
+                                    let gv = gd[((b * oc + o) * h + oy as usize) * w + ox as usize];
                                     t = kv.mul_add(gv, t);
                                 }
                                 acc += t;

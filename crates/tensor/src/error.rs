@@ -89,7 +89,11 @@ impl fmt::Display for TensorError {
                 f,
                 "rank mismatch in {context}: expected rank {expected}, got {actual}"
             ),
-            TensorError::OutOfBounds { index, len, context } => {
+            TensorError::OutOfBounds {
+                index,
+                len,
+                context,
+            } => {
                 write!(f, "index {index} out of bounds (len {len}) in {context}")
             }
             TensorError::NotScalar { len } => {

@@ -368,10 +368,7 @@ pub fn batch_stats(a: &Tensor) -> (Tensor, Tensor) {
     for v in &mut var {
         *v *= inv_m;
     }
-    (
-        Tensor::from_parts(mean, [n]),
-        Tensor::from_parts(var, [n]),
-    )
+    (Tensor::from_parts(mean, [n]), Tensor::from_parts(var, [n]))
 }
 
 // Batch normalization, training and inference alike, is three row-slice
@@ -589,10 +586,7 @@ fn row_stats(a: &Tensor) -> (Tensor, Tensor) {
         mean[i] = mu;
         var[i] = row.iter().map(|&x| (x - mu) * (x - mu)).sum::<f32>() * inv_n;
     }
-    (
-        Tensor::from_parts(mean, [m]),
-        Tensor::from_parts(var, [m]),
-    )
+    (Tensor::from_parts(mean, [m]), Tensor::from_parts(var, [m]))
 }
 
 /// Layer normalization over each row, with per-column affine parameters:
@@ -643,7 +637,10 @@ pub fn layer_norm_rows(
 ///
 /// Panics if `rate` is outside `[0, 1)`.
 pub fn dropout_mask(shape: impl Into<Shape>, rate: f32, seed: u64) -> Tensor {
-    assert!((0.0..1.0).contains(&rate), "dropout rate {rate} outside [0, 1)");
+    assert!(
+        (0.0..1.0).contains(&rate),
+        "dropout rate {rate} outside [0, 1)"
+    );
     let shape = shape.into();
     if rate == 0.0 {
         return Tensor::ones(shape);
@@ -662,9 +659,10 @@ pub fn dropout_mask(shape: impl Into<Shape>, rate: f32, seed: u64) -> Tensor {
 /// Clips the global L2 norm of a set of gradients to `max_norm`, scaling all
 /// tensors by the same factor (in place). Returns the pre-clip global norm.
 pub fn clip_global_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
-    let total_sq: f32 = grads.iter().map(|g| {
-        g.data().iter().map(|v| v * v).sum::<f32>()
-    }).sum();
+    let total_sq: f32 = grads
+        .iter()
+        .map(|g| g.data().iter().map(|v| v * v).sum::<f32>())
+        .sum();
     let norm = total_sq.sqrt();
     if norm > max_norm && norm > 0.0 {
         let s = max_norm / norm;
@@ -941,7 +939,10 @@ mod tests {
         assert!(mean.data().iter().all(|v| v.abs() < 1e-5));
         assert!(var.data().iter().all(|v| (v - 1.0).abs() < 1e-3));
         // Both rows normalize to the same pattern despite 10x scale.
-        assert!(y.slice_rows(0, 1).unwrap().approx_eq(&y.slice_rows(1, 1).unwrap(), 1e-4));
+        assert!(y
+            .slice_rows(0, 1)
+            .unwrap()
+            .approx_eq(&y.slice_rows(1, 1).unwrap(), 1e-4));
     }
 
     #[test]

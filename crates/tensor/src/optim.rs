@@ -139,7 +139,10 @@ impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [Tensor], grads: &[Tensor]) -> Result<(), TensorError> {
         check_lengths(params, grads)?;
         if self.momentum != 0.0 && self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| Tensor::zeros(p.shape().clone())).collect();
+            self.velocity = params
+                .iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
         }
         let (lr, mom, wd) = (self.lr, self.momentum, self.weight_decay);
         for (i, (p, g)) in params.iter_mut().zip(grads.iter()).enumerate() {
@@ -166,7 +169,8 @@ impl Optimizer for Sgd {
                     pool::claim_region(vp.get(), r.clone());
                 }
                 // SAFETY: chunks cover disjoint index ranges of p and v.
-                let pd = unsafe { std::slice::from_raw_parts_mut(p_ptr.get().add(r.start), r.len()) };
+                let pd =
+                    unsafe { std::slice::from_raw_parts_mut(p_ptr.get().add(r.start), r.len()) };
                 let gd = &gd[r.clone()];
                 for (j, pj) in pd.iter_mut().enumerate() {
                     let mut e = gd[j];
@@ -259,8 +263,14 @@ impl Optimizer for Adam {
     fn step(&mut self, params: &mut [Tensor], grads: &[Tensor]) -> Result<(), TensorError> {
         check_lengths(params, grads)?;
         if self.m.is_empty() {
-            self.m = params.iter().map(|p| Tensor::zeros(p.shape().clone())).collect();
-            self.v = params.iter().map(|p| Tensor::zeros(p.shape().clone())).collect();
+            self.m = params
+                .iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
+            self.v = params
+                .iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
         }
         self.steps += 1;
         let t = self.steps as f32;
@@ -277,7 +287,8 @@ impl Optimizer for Adam {
             // Fused moment + parameter update; per-element arithmetic order
             // matches the original two-pass loops exactly (each element's
             // moments are finalized before its parameter update reads them).
-            let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+            let (lr, b1, b2, eps, wd) =
+                (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
             let len = p.len();
             let gd = g.data();
             let p_ptr = SendPtr(p.data_mut().as_mut_ptr());
@@ -288,11 +299,14 @@ impl Optimizer for Adam {
                 pool::claim_region(m_ptr.get(), r.clone());
                 pool::claim_region(v_ptr.get(), r.clone());
                 // SAFETY: chunks cover disjoint index ranges of p, m, and v.
-                let pd = unsafe { std::slice::from_raw_parts_mut(p_ptr.get().add(r.start), r.len()) };
+                let pd =
+                    unsafe { std::slice::from_raw_parts_mut(p_ptr.get().add(r.start), r.len()) };
                 // SAFETY: as for `pd`: this chunk's range of m is its alone.
-                let md = unsafe { std::slice::from_raw_parts_mut(m_ptr.get().add(r.start), r.len()) };
+                let md =
+                    unsafe { std::slice::from_raw_parts_mut(m_ptr.get().add(r.start), r.len()) };
                 // SAFETY: as for `pd`: this chunk's range of v is its alone.
-                let vd = unsafe { std::slice::from_raw_parts_mut(v_ptr.get().add(r.start), r.len()) };
+                let vd =
+                    unsafe { std::slice::from_raw_parts_mut(v_ptr.get().add(r.start), r.len()) };
                 let gd = &gd[r.clone()];
                 for j in 0..gd.len() {
                     md[j] = b1 * md[j] + (1.0 - b1) * gd[j];
@@ -393,7 +407,10 @@ impl Optimizer for Lars {
     fn step(&mut self, params: &mut [Tensor], grads: &[Tensor]) -> Result<(), TensorError> {
         check_lengths(params, grads)?;
         if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| Tensor::zeros(p.shape().clone())).collect();
+            self.velocity = params
+                .iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
         }
         for (i, (p, g)) in params.iter_mut().zip(grads.iter()).enumerate() {
             if p.shape() != g.shape() {
@@ -651,7 +668,10 @@ mod tests {
             plain.step(&mut p1, &g).unwrap();
             mom.step(&mut p2, &g).unwrap();
         }
-        assert!(p2[0].data()[0] < p1[0].data()[0], "momentum should move further");
+        assert!(
+            p2[0].data()[0] < p1[0].data()[0],
+            "momentum should move further"
+        );
     }
 
     #[test]
@@ -679,7 +699,11 @@ mod tests {
         let mut p = vec![Tensor::zeros([1])];
         let g = vec![Tensor::from_vec(vec![3.7], [1]).unwrap()];
         opt.step(&mut p, &g).unwrap();
-        assert!((p[0].data()[0] + 0.01).abs() < 1e-4, "got {}", p[0].data()[0]);
+        assert!(
+            (p[0].data()[0] + 0.01).abs() < 1e-4,
+            "got {}",
+            p[0].data()[0]
+        );
     }
 
     #[test]
@@ -723,7 +747,10 @@ mod tests {
         };
         let sgd_err = run(Box::new(Sgd::new(5.0)));
         let lars_err = run(Box::new(Lars::new(5.0)));
-        assert!(sgd_err.is_infinite() || sgd_err > 1.0, "SGD at lr=5 must blow up");
+        assert!(
+            sgd_err.is_infinite() || sgd_err > 1.0,
+            "SGD at lr=5 must blow up"
+        );
         assert!(lars_err < 0.5, "LARS must stay stable: err {lars_err}");
     }
 

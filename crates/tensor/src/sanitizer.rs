@@ -63,7 +63,9 @@ impl ClaimSet {
                 .expect("vf-tensor pool-race sanitizer: claim lock poisoned");
             let hit = regions
                 .iter()
-                .find(|c| c.chunk != chunk && c.bytes.start < bytes.end && bytes.start < c.bytes.end)
+                .find(|c| {
+                    c.chunk != chunk && c.bytes.start < bytes.end && bytes.start < c.bytes.end
+                })
                 .cloned();
             if hit.is_none() {
                 regions.push(Claim {

@@ -142,7 +142,10 @@ impl Shape {
             [] => (1, 1),
             [n] => (1, *n),
             [r, c] => (*r, *c),
-            #[expect(clippy::panic, reason = "documented contract: callers must pass rank <= 2")]
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: callers must pass rank <= 2"
+            )]
             other => panic!("shape {:?} has rank {} > 2", other, other.len()),
         }
     }

@@ -153,7 +153,9 @@ impl Tensor {
         if self.data.len() == 1 {
             Ok(self.data[0])
         } else {
-            Err(TensorError::NotScalar { len: self.data.len() })
+            Err(TensorError::NotScalar {
+                len: self.data.len(),
+            })
         }
     }
 

@@ -12,9 +12,8 @@ use vf_tensor::reduce::{fold_partial, reduce_mean, reduce_sum, ReductionOrder};
 use vf_tensor::{init, ops, Shape, Tensor};
 
 fn small_tensor(max_len: usize) -> impl Strategy<Value = Tensor> {
-    (1..=max_len, any::<u64>()).prop_map(|(n, seed)| {
-        init::normal(&mut init::rng(seed), [n], 0.0, 1.0)
-    })
+    (1..=max_len, any::<u64>())
+        .prop_map(|(n, seed)| init::normal(&mut init::rng(seed), [n], 0.0, 1.0))
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -59,12 +58,12 @@ fn tree_partials_bound(start: usize, k: usize) -> usize {
     }
 }
 
-fn matrix(rows: std::ops::RangeInclusive<usize>, cols: std::ops::RangeInclusive<usize>)
-    -> impl Strategy<Value = Tensor>
-{
-    (rows, cols, any::<u64>()).prop_map(|(r, c, seed)| {
-        init::normal(&mut init::rng(seed), [r, c], 0.0, 1.0)
-    })
+fn matrix(
+    rows: std::ops::RangeInclusive<usize>,
+    cols: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = Tensor> {
+    (rows, cols, any::<u64>())
+        .prop_map(|(r, c, seed)| init::normal(&mut init::rng(seed), [r, c], 0.0, 1.0))
 }
 
 proptest! {
