@@ -9,48 +9,47 @@
 //! order. That matrix is never built. Each kernel below packs its operands
 //! itself and hands them to the one panel walk in `gemm`:
 //!
-//! * **What is packed when.** The 4-D kernel tensor is the broadcast operand
-//!   of forward and grad-input: it is packed once per call (`gemm::pack_a`)
-//!   and shared read-only by every chunk. The unfolded image is the vector
-//!   operand: `Unfold::unfold` writes it from NCHW *directly in panel
-//!   layout* — `taps × NR` per block of `NR` output positions for forward,
-//!   `h·w × NR` per block of `NR` taps for grad-kernel (the transposed
-//!   layout, so no transpose pass exists) — one panel at a time, and the
-//!   walk consumes the panel while it is still in L1. Grad-input packs
-//!   `dOut_b` into panels, multiplies one `MR`-tap block at a time into an
-//!   `MR × h·w` strip, and `Unfold::fold` adds the strip onto the image.
-//! * **Clip, don't branch.** Per tap, the output rows and columns whose
-//!   input lies inside the image are two ranges computed once per call
-//!   (`Tap::ys`, `Tap::xs`). Input and output rows share a pitch, so over a
-//!   run of positions a tap reads one contiguous image range: `fill` zeros
-//!   before it, one `copy_from_slice`, zeros after it, then zeros over the
-//!   pad columns between rows. The fold back is a zipped `+=` per clipped
-//!   row. No per-element bounds test anywhere.
-//! * **Who owns scratch.** The chunk. One panel (plus, for the gradients,
-//!   one packed `dOut_b` or one strip) is taken at the top of a chunk from
-//!   its thread's recycled storage (`crate::storage`), zero-filled as the
-//!   `vec!` it replaced was, reused for every image it visits and given
-//!   back at the end, as is the packed kernel; nothing column-shaped is
-//!   cached between forward and backward.
+//! * **One bordered image.** Every pass reads from or folds into one layout
+//!   (`Bordered`): each channel an `(h + kh − 1) × (w + kw − 1)` plane, the
+//!   image in its interior, `kh/2` zero rows on top and `kw/2` zero columns
+//!   on the left, so tap `(c, dy, dx)` at output `(y, x)` is
+//!   `plane_c[y + dy][x + dx]`, border or not. No range is clipped and no
+//!   element is tested.
+//! * **What is packed when.** The 4-D kernel tensor, the broadcast operand
+//!   of forward and grad-input, is packed once per call (`gemm::pack_a`)
+//!   and shared by every chunk. The unfolded image is the vector operand,
+//!   written one panel at a time and walked while it is in L1: forward's
+//!   `taps × NR` panel is one run copy per tap and output row; grad-kernel's
+//!   panel is position-major, `NR` taps over a few image rows, transposed
+//!   from whole runs eight taps at a time. Grad-input packs `dOut_b` into
+//!   panels, multiplies one `MR`-tap block at a time into an `MR × h·w`
+//!   strip and folds each strip row into a bordered gradient image as one
+//!   `+=` per output row; padding positions land on the border, which is
+//!   never read back.
+//! * **Who owns scratch.** The chunk. Its buffers are taken at the top of a
+//!   chunk from its thread's recycled storage (`crate::storage`),
+//!   zero-filled — which writes the borders once — reused for every image
+//!   it visits and given back at the end, as is the packed kernel; nothing
+//!   column-shaped is cached between forward and backward.
 //! * **One pool job per call.** Forward and grad-input chunk over images.
 //!   Grad-kernel chunks over *tap panels*: a chunk unfolds only its own taps
-//!   of every image, in batch order, so no unfolding is repeated and no
-//!   per-image job exists.
+//!   of every image, in batch order.
 //!
 //! # Determinism
 //!
 //! The [`reference`] module keeps naive per-element kernels whose FLOP order
 //! — one `mul_add` chain per output element, padding taps included as
 //! explicit zeros, taps visited `(c, dy, dx)` ascending — is exactly the
-//! order the lowering produces: a panel row *is* a tap, pads are stored
-//! zeros that go through the FMA like any other value, and the microkernel
-//! walks a panel's rows in order. Grad-input folds taps in `(c, dy, dx)`
-//! order, the order [`reference::conv2d_grad_input`] sums them; grad-kernel
-//! continues each weight's chain across images by initializing the
-//! accumulators from the running sum, bitwise one chain over `(b, y, x)`.
-//! The fast paths are bit-identical to the references for every shape and
-//! thread count (asserted by `tests/kernel_equivalence.rs`), so virtual-node
-//! execution stays reproducible across hardware configurations.
+//! order the lowering produces: a panel row *is* a tap, a border value is a
+//! stored `+0.0` that goes through the FMA like any other value, and the
+//! microkernel walks a panel's rows in order. Grad-input folds taps in
+//! `(c, dy, dx)` order, the order [`reference::conv2d_grad_input`] sums them;
+//! grad-kernel continues each weight's chain across row blocks and images by
+//! initializing the accumulators from the running sum, bitwise one chain
+//! over `(b, y, x)`. The fast paths are bit-identical to the references for
+//! every shape and thread count (asserted by `tests/kernel_equivalence.rs`),
+//! so virtual-node execution stays reproducible across hardware
+//! configurations.
 
 use crate::gemm::{self, Op, Tile};
 use crate::pool::{self, SendPtr};
@@ -80,122 +79,114 @@ pub fn as_nchw(t: &Tensor) -> Result<(usize, usize, usize, usize), TensorError> 
 /// the call runs inline. Shape-only, so the decision is deterministic.
 const PARALLEL_MIN_FLOPS: usize = 1 << 18;
 
-/// Output coordinates `o` along an axis of length `len` whose input
-/// coordinate `o + d − k/2` (kernel offset `d` of a `k`-wide kernel) lies
-/// inside `[0, len)`. Empty when the kernel overhangs the whole axis.
-fn clip(len: usize, k: usize, d: usize) -> Range<usize> {
-    let lo = (k / 2).saturating_sub(d).min(len);
-    let hi = (len + k / 2).saturating_sub(d).clamp(lo, len);
-    lo..hi
-}
+/// Output positions per grad-kernel panel, in whole image rows: the panel
+/// and the packed `dOut_b` rows that walk it stay in L1.
+const PANEL_POSITIONS: usize = 32;
 
-/// One kernel tap `(c, dy, dx)`: a row of the unfolded matrix.
-struct Tap {
-    /// `c·h·w + dy·w + dx`. Output position `j = y·w + x` reads (forward) or
-    /// feeds (grad-input) image element `base + j − Unfold::pad`.
-    base: usize,
-    /// Output rows whose input row lies inside the image.
-    ys: Range<usize>,
-    /// Output columns whose input column lies inside the image.
-    xs: Range<usize>,
-    /// From the first to one past the last output position whose input lies
-    /// inside the image; empty when none does. Within it only the columns
-    /// outside `xs` are padding.
-    span: Range<usize>,
-}
-
-/// The unfolding of `ic × h × w` images under a `kh × kw` "same" kernel:
-/// taps in `(c, dy, dx)` order with their clipped ranges, computed once per
-/// call.
-struct Unfold {
+/// The zero-bordered layout of `h × w` images under a `kh × kw` kernel (see
+/// the module docs). `kh, kw ≥ 1`.
+struct Bordered {
+    h: usize,
     w: usize,
-    /// `(kh/2)·w + kw/2`: the offset of the padding origin.
-    pad: usize,
-    taps: Vec<Tap>,
+    kh: usize,
+    kw: usize,
+    /// Row pitch of a plane: `w + kw − 1`.
+    pitch: usize,
+    /// Elements of a plane: `(h + kh − 1) · pitch`.
+    plane: usize,
 }
 
-impl Unfold {
-    fn new(ic: usize, h: usize, w: usize, kh: usize, kw: usize) -> Self {
-        let mut taps = Vec::with_capacity(ic * kh * kw);
-        for c in 0..ic {
-            for dy in 0..kh {
-                for dx in 0..kw {
-                    let (ys, xs) = (clip(h, kh, dy), clip(w, kw, dx));
-                    let span = if ys.is_empty() || xs.is_empty() {
-                        0..0
-                    } else {
-                        ys.start * w + xs.start..(ys.end - 1) * w + xs.end
-                    };
-                    taps.push(Tap {
-                        base: c * h * w + dy * w + dx,
-                        ys,
-                        xs,
-                        span,
-                    });
+impl Bordered {
+    fn new(h: usize, w: usize, kh: usize, kw: usize) -> Self {
+        let pitch = w + kw - 1;
+        Bordered {
+            h,
+            w,
+            kh,
+            kw,
+            pitch,
+            plane: (h + kh - 1) * pitch,
+        }
+    }
+
+    /// Offsets of the taps `(c, dy, dx)` of `channels` planes, in that
+    /// order: tap `(c, dy, dx)` at output `(y, x)` is element
+    /// `offset + y·pitch + x`.
+    fn taps(&self, channels: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..channels).flat_map(move |c| {
+            (0..self.kh).flat_map(move |dy| {
+                (0..self.kw).map(move |dx| c * self.plane + dy * self.pitch + dx)
+            })
+        })
+    }
+
+    /// The image rows in the interiors of `padded`'s planes, in NCHW order;
+    /// zipped with an image's rows, they copy it in or out.
+    fn interior<'a>(&self, padded: &'a mut [f32]) -> impl Iterator<Item = &'a mut [f32]> {
+        let (h, w, pitch) = (self.h, self.w, self.pitch);
+        let top = (self.kh / 2) * pitch + self.kw / 2;
+        padded.chunks_exact_mut(self.plane).flat_map(move |plane| {
+            plane[top..]
+                .chunks_mut(pitch)
+                .take(h)
+                .map(move |row| &mut row[..w])
+        })
+    }
+
+    /// Copies the NCHW channels of `img` into `padded`'s interiors; the
+    /// borders keep what they hold.
+    fn pad(&self, img: &[f32], padded: &mut [f32]) {
+        for (row, src) in self.interior(padded).zip(img.chunks_exact(self.w)) {
+            row.copy_from_slice(src);
+        }
+    }
+
+    /// Writes the forward panel of the `cols` output positions from `j0`
+    /// on: row `t` of `panel` (pitch `nr`) is tap `t` of `src`'s planes,
+    /// one run copy per output row the positions touch.
+    fn panel(&self, src: &[f32], j0: usize, cols: usize, panel: &mut [f32], nr: usize) {
+        let (mut j, mut y, mut x) = (0, j0 / self.w, j0 % self.w);
+        while j < cols {
+            let run = (self.w - x).min(cols - j);
+            let mut rows = panel.chunks_exact_mut(nr);
+            for plane in src.chunks_exact(self.plane) {
+                for dy in 0..self.kh {
+                    let line = &plane[(y + dy) * self.pitch + x..];
+                    for (dx, row) in (0..self.kw).zip(&mut rows) {
+                        row[j..j + run].copy_from_slice(&line[dx..dx + run]);
+                    }
+                }
+            }
+            (j, y, x) = (j + run, y + 1, 0);
+        }
+    }
+
+    /// Writes the grad-kernel panel of the taps at `lanes` over output rows
+    /// `ys`, position-major: `panel[p·nr + l]` is tap `l` at the `p`-th
+    /// position from `(ys.start, 0)`. Eight taps at a time go through
+    /// [`gemm::transpose_rows`], a ragged last few one element at a time.
+    fn lanes(&self, src: &[f32], lanes: &[usize], ys: Range<usize>, panel: &mut [f32], nr: usize) {
+        let tiled = lanes.len() - lanes.len() % 8;
+        for (y, out) in ys.zip(panel.chunks_exact_mut(self.w * nr)) {
+            let row = y * self.pitch;
+            for l0 in (0..tiled).step_by(8) {
+                let runs = std::array::from_fn(|i| &src[lanes[l0 + i] + row..][..self.w]);
+                gemm::transpose_rows(runs, &mut out[l0..], nr);
+            }
+            for (l, &tap) in lanes.iter().enumerate().skip(tiled) {
+                for (x, &v) in src[tap + row..][..self.w].iter().enumerate() {
+                    out[x * nr + l] = v;
                 }
             }
         }
-        Unfold {
-            w,
-            pad: (kh / 2) * w + kw / 2,
-            taps,
-        }
     }
 
-    /// Writes `tap`'s unfolded values at the `len` consecutive output
-    /// positions starting at `(y, x) = start` to `dst[..len]`: the image
-    /// element inside the image, an explicit zero outside, so a padding tap
-    /// enters the FMA chain exactly like the reference kernels' zero taps.
-    ///
-    /// Input and output rows have the same pitch, so inside `tap.span` the
-    /// tap reads one contiguous image range: zeros before the span, one copy
-    /// of the span (which carries image values into the pad columns between
-    /// consecutive rows), zeros after it, then zeros over those pad columns.
-    fn unfold(&self, tap: &Tap, img: &[f32], (y, x): (usize, usize), len: usize, dst: &mut [f32]) {
-        let j0 = y * self.w + x;
-        let a = tap.span.start.clamp(j0, j0 + len);
-        let b = tap.span.end.clamp(a, j0 + len);
-        dst[..a - j0].fill(0.0);
-        if a < b {
-            let src = &img[tap.base + a - self.pad..tap.base + b - self.pad];
-            dst[a - j0..b - j0].copy_from_slice(src);
-        }
-        dst[b - j0..len].fill(0.0);
-        // The pad columns before valid row r — the right pad of row r − 1
-        // and the left pad of row r — are one range ending at r·w + xs.start.
-        let gap = self.w - tap.xs.len();
-        if gap == 0 {
-            return;
-        }
-        for r in y.max(tap.ys.start + 1)..tap.ys.end {
-            let end = r * self.w + tap.xs.start;
-            if end - gap >= b {
-                break;
-            }
-            for j in (end - gap).max(a)..end.min(b) {
-                dst[j - j0] = 0.0;
-            }
-        }
-    }
-
-    /// Adds `row` — `tap`'s gradient at every output position — onto the
-    /// image gradient `img`, skipping positions whose input is padding.
-    /// Called in tap order, each input element accumulates its taps in the
-    /// order [`reference::conv2d_grad_input`] sums them.
-    fn fold(&self, tap: &Tap, row: &[f32], img: &mut [f32]) {
-        if tap.span.is_empty() {
-            return;
-        }
-        // A tap that pads no column folds all its rows as one run.
-        let (rows, run) = if tap.xs.len() == self.w {
-            (tap.ys.start..tap.ys.start + 1, tap.ys.len() * self.w)
-        } else {
-            (tap.ys.clone(), tap.xs.len())
-        };
-        for y in rows {
-            let j = y * self.w + tap.xs.start;
-            let s = tap.base + j - self.pad;
-            for (d, &v) in img[s..s + run].iter_mut().zip(&row[j..]) {
+    /// Adds `row`, the tap at `tap`'s gradient at every output position,
+    /// onto `dst`: one contiguous `+=` per output row.
+    fn fold(&self, row: &[f32], tap: usize, dst: &mut [f32]) {
+        for (y, run) in row.chunks_exact(self.w).enumerate() {
+            let at = tap + y * self.pitch;
+            for (d, &v) in dst[at..at + self.w].iter_mut().zip(run) {
                 *d += v;
             }
         }
@@ -240,7 +231,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = storage::take(len);
     let isa = gemm::isa();
     let (mr, nr) = (isa.mr(), isa.nr());
-    let unfold = Unfold::new(ic, h, w, kh, kw);
+    let border = Bordered::new(h, w, kh, kw);
     // K_flat (oc × taps) is the broadcast operand of every image's GEMM.
     let mut kpack = storage::zeroed(oc.div_ceil(mr) * taps * mr);
     gemm::pack_a(Op::Nn, kernel.data(), oc, taps, mr, &mut kpack);
@@ -250,15 +241,13 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
         // Race sanitizer (debug): this chunk owns the output rows of its
         // image range.
         pool::claim_region(out_ptr.get(), images.start * oc * hw..images.end * oc * hw);
+        let mut padded = storage::zeroed(ic * border.plane);
         let mut panel = storage::zeroed(taps * nr);
         for b in images {
-            let img = &id[b * ic * hw..(b + 1) * ic * hw];
+            border.pad(&id[b * ic * hw..(b + 1) * ic * hw], &mut padded);
             for jc in (0..hw).step_by(nr) {
                 let cols = nr.min(hw - jc);
-                let start = (jc / w, jc % w);
-                for (tap, row) in unfold.taps.iter().zip(panel.chunks_exact_mut(nr)) {
-                    unfold.unfold(tap, img, start, cols, row);
-                }
+                border.panel(&padded, jc, cols, &mut panel, nr);
                 for (blk, kblock) in kpack.chunks_exact(taps * mr).enumerate() {
                     let ir = blk * mr;
                     // SAFETY: image b owns output rows [b·oc·hw, (b+1)·oc·hw);
@@ -283,6 +272,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor) -> Result<Tensor, TensorError> {
                 }
             }
         }
+        storage::give(padded);
         storage::give(panel);
     };
     dispatch(n, oc * taps * hw, work);
@@ -320,7 +310,7 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
     }
     let isa = gemm::isa();
     let (mr, nr) = (isa.mr(), isa.nr());
-    let unfold = Unfold::new(ic, h, w, kh, kw);
+    let border = Bordered::new(h, w, kh, kw);
     // K_flatᵀ (taps × oc) is the broadcast operand; the kernel tensor is it
     // stored inner-dimension-major (oc × taps).
     let mut kpack = storage::zeroed(taps.div_ceil(mr) * oc * mr);
@@ -333,20 +323,14 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
         pool::claim_region(out_ptr.get(), images.start * ic * hw..images.end * ic * hw);
         let mut gpack = storage::zeroed(hw.div_ceil(nr) * oc * nr);
         let mut strip = storage::zeroed(mr * hw);
+        let mut padded = storage::zeroed(ic * border.plane);
         for b in images {
-            gemm::pack_b_into(
-                Op::Nn,
-                &gd[b * oc * hw..(b + 1) * oc * hw],
-                oc,
-                hw,
-                nr,
-                &mut gpack,
-            );
-            let first = out_ptr.get().wrapping_add(b * ic * hw);
-            // SAFETY: image b owns input-gradient rows [b·ic·hw, (b+1)·ic·hw).
-            let gimg = unsafe { std::slice::from_raw_parts_mut(first, ic * hw) };
+            let grad_b = &gd[b * oc * hw..(b + 1) * oc * hw];
+            gemm::pack_b_into(Op::Nn, grad_b, oc, hw, nr, &mut gpack);
+            padded.fill(0.0);
+            let mut tap_at = border.taps(ic);
             for (blk, kblock) in kpack.chunks_exact(oc * mr).enumerate() {
-                let block_taps = &unfold.taps[blk * mr..taps.min((blk + 1) * mr)];
+                let block_taps = mr.min(taps - blk * mr);
                 // Rows of dCols for this block's taps: each element a fresh
                 // FMA chain over output channels.
                 // SAFETY: `strip` is this chunk's own MR × hw buffer; the
@@ -360,17 +344,24 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
                         hw,
                         strip.as_mut_ptr(),
                         hw,
-                        block_taps.len(),
+                        block_taps,
                         Tile::Store,
                     );
                 }
-                for (tap, row) in block_taps.iter().zip(strip.chunks_exact(hw)) {
-                    unfold.fold(tap, row, gimg);
+                for (row, tap) in strip.chunks_exact(hw).take(block_taps).zip(&mut tap_at) {
+                    border.fold(row, tap, &mut padded);
                 }
+            }
+            let first = out_ptr.get().wrapping_add(b * ic * hw);
+            // SAFETY: image b owns input-gradient rows [b·ic·hw, (b+1)·ic·hw).
+            let gimg = unsafe { std::slice::from_raw_parts_mut(first, ic * hw) };
+            for (src, row) in border.interior(&mut padded).zip(gimg.chunks_exact_mut(w)) {
+                row.copy_from_slice(src);
             }
         }
         storage::give(gpack);
         storage::give(strip);
+        storage::give(padded);
     };
     dispatch(n, oc * taps * hw, work);
     storage::give(kpack);
@@ -406,75 +397,70 @@ pub fn conv2d_grad_kernel(
     }
     let isa = gemm::isa();
     let (mr, nr) = (isa.mr(), isa.nr());
-    let unfold = Unfold::new(ic, h, w, kh, kw);
+    let border = Bordered::new(h, w, kh, kw);
     let id = input.data();
     let gd = grad_out.data();
     let out_ptr = SendPtr(out.as_mut_ptr());
     // A chunk owns the output columns of a range of NR-tap panels and walks
     // the whole batch for them. The image loop inside is sequential on
-    // purpose: each image *continues* every weight's FMA chain (accumulate
-    // initializes registers from the running sum), which is bitwise one
-    // long chain over (b, y, x).
+    // purpose: each image, and each block of rows within it, *continues*
+    // every weight's FMA chain (accumulate initializes registers from the
+    // running sum), which is bitwise one long chain over (b, y, x).
     let work = |panels: Range<usize>| {
         let owned = panels.start * nr..taps.min(panels.end * nr);
         // Race sanitizer (debug): columns `owned` of every output row.
         for o in 0..oc {
             pool::claim_region(out_ptr.get(), o * taps + owned.start..o * taps + owned.end);
         }
+        let mut padded = storage::zeroed(ic * border.plane);
         let mut gpack = storage::zeroed(oc.div_ceil(mr) * hw * mr);
-        // One allocation: the hw × NR panel, then up to NR unfolded taps as
-        // contiguous hw-long rows.
-        let mut scratch = storage::zeroed(2 * hw * nr);
-        let (panel, rows) = scratch.split_at_mut(hw * nr);
+        let block_rows = (PANEL_POSITIONS / w).clamp(1, h);
+        let mut panel = storage::zeroed(block_rows * w * nr);
         for b in 0..n {
             // dOut_b (oc × hw) is the broadcast operand.
-            gemm::pack_a(
-                Op::Nn,
-                &gd[b * oc * hw..(b + 1) * oc * hw],
-                oc,
-                hw,
-                mr,
-                &mut gpack,
-            );
-            let img = &id[b * ic * hw..(b + 1) * ic * hw];
+            let grad_b = &gd[b * oc * hw..(b + 1) * oc * hw];
+            gemm::pack_a(Op::Nn, grad_b, oc, hw, mr, &mut gpack);
+            border.pad(&id[b * ic * hw..(b + 1) * ic * hw], &mut padded);
             for tc in owned.clone().step_by(nr) {
-                // cols_bᵀ for taps [tc, tc + cols): each tap unfolds into a
-                // stride-1 row, and the cols × hw rows transpose into the
-                // position-major panel, one tap per lane.
+                // cols_bᵀ for taps [tc, tc + cols), position-major, one tap
+                // per lane, `block_rows` image rows at a time.
                 let cols = nr.min(taps - tc);
-                for (tap, row) in unfold.taps[tc..tc + cols]
-                    .iter()
-                    .zip(rows.chunks_exact_mut(hw))
-                {
-                    unfold.unfold(tap, img, (0, 0), hw, row);
-                }
-                gemm::pack_b_into(Op::Nt, &rows[..cols * hw], hw, cols, nr, panel);
-                for (blk, gblock) in gpack.chunks_exact(hw * mr).enumerate() {
-                    let ir = blk * mr;
-                    // SAFETY: this chunk owns columns `owned` of `out`
-                    // (oc × taps); the tile is rows [ir, ir + rows) ×
-                    // columns [tc, tc + cols). The packs are hw × MR and
-                    // hw × NR.
-                    unsafe {
-                        let dst = out_ptr.get().add(ir * taps + tc);
-                        let rows = mr.min(oc - ir);
-                        gemm::walk_panels(
-                            isa,
-                            gblock.as_ptr(),
-                            panel.as_ptr(),
-                            hw,
-                            cols,
-                            dst,
-                            taps,
-                            rows,
-                            Tile::Accumulate,
-                        );
+                let mut tap_at = border.taps(ic).skip(tc);
+                // No ISA's NR exceeds 32.
+                let lanes: [usize; 32] = std::array::from_fn(|_| tap_at.next().unwrap_or(0));
+                for y0 in (0..h).step_by(block_rows) {
+                    let ys = y0..h.min(y0 + block_rows);
+                    let k = ys.len() * w;
+                    border.lanes(&padded, &lanes[..cols], ys, &mut panel, nr);
+                    for (blk, gblock) in gpack.chunks_exact(hw * mr).enumerate() {
+                        let ir = blk * mr;
+                        // SAFETY: this chunk owns columns `owned` of `out`
+                        // (oc × taps); the tile is rows [ir, ir + rows) ×
+                        // columns [tc, tc + cols). The A pack is hw × MR, of
+                        // which positions [y0·w, y0·w + k) are read, and the
+                        // panel k × NR.
+                        unsafe {
+                            let dst = out_ptr.get().add(ir * taps + tc);
+                            let rows = mr.min(oc - ir);
+                            gemm::walk_panels(
+                                isa,
+                                gblock[y0 * w * mr..].as_ptr(),
+                                panel.as_ptr(),
+                                k,
+                                cols,
+                                dst,
+                                taps,
+                                rows,
+                                Tile::Accumulate,
+                            );
+                        }
                     }
                 }
             }
         }
+        storage::give(padded);
         storage::give(gpack);
-        storage::give(scratch);
+        storage::give(panel);
     };
     dispatch(taps.div_ceil(nr), oc * taps * hw, work);
     Tensor::from_vec(out, [oc, ic, kh, kw])

@@ -469,21 +469,19 @@ fn transpose_strip(
         (live - live % 8, k - k % 8)
     };
     #[cfg(target_arch = "x86_64")]
-    for p0 in (0..tile_k).step_by(8) {
-        for l0 in (0..tile_lanes).step_by(8) {
-            // SAFETY: a non-scalar `isa()` means AVX was detected. The source
-            // tile is rows [l0, l0 + 8) × columns [p0, p0 + 8) of the
-            // `live × k` slice above and the destination tile rows
-            // [p0, p0 + 8) × lanes [l0, l0 + 8) of the `k × width` `dst`
-            // (asserted), with l0 + 8 ≤ live ≤ width and p0 + 8 ≤ k.
-            unsafe {
-                transpose_8x8(
-                    src.as_ptr().add(l0 * k + p0),
-                    k,
-                    dst.as_mut_ptr().add(p0 * width + l0).cast(),
-                    width,
-                );
-            }
+    for l0 in (0..tile_lanes).step_by(8) {
+        // SAFETY: a non-scalar `isa()` means AVX was detected. The source
+        // rows [l0, l0 + 8) of the `live × k` slice above are readable for
+        // `tile_k ≤ k` elements, and the destination, lanes [l0, l0 + 8) of
+        // rows [0, tile_k) of the `k × width` `dst` (asserted), ends within
+        // k · width, as l0 + 8 ≤ live ≤ width.
+        unsafe {
+            transpose_runs(
+                std::array::from_fn(|i| src.as_ptr().add((l0 + i) * k)),
+                tile_k,
+                dst.as_mut_ptr().add(l0).cast(),
+                width,
+            );
         }
     }
     // Rows the tiles filled from edge to edge need nothing more.
@@ -497,50 +495,84 @@ fn transpose_strip(
     }
 }
 
-/// Transposes the 8×8 tile at `src` (row pitch `src_pitch`) into the tile at
-/// `dst` (row pitch `dst_pitch`) in registers. Shuffles move bit patterns:
-/// NaN payloads and signed zeros arrive as they left.
+/// `dst[i · pitch + l] = rows[l][i]`: eight equally long runs become lanes
+/// `0..8` of as many rows `pitch` apart — whole 8×8 tiles in registers
+/// where AVX was detected, the tail one element at a time. [`crate::conv`]
+/// writes its grad-kernel panels with it straight from the zero-bordered
+/// image.
+pub(crate) fn transpose_rows(rows: [&[f32]; 8], dst: &mut [f32], pitch: usize) {
+    let len = rows[0].len();
+    if len == 0 {
+        return;
+    }
+    assert!(
+        rows.iter().all(|row| row.len() == len) && dst.len() >= (len - 1) * pitch + 8,
+        "transpose_rows: strip"
+    );
+    let tiled = if isa() == Isa::Scalar {
+        0
+    } else {
+        len - len % 8
+    };
+    #[cfg(target_arch = "x86_64")]
+    if tiled > 0 {
+        // SAFETY: a non-scalar `isa()` means AVX was detected. Every row is
+        // readable for `tiled ≤ len` elements, and the destination, lanes
+        // [0, 8) of rows [0, tiled), ends within (len − 1) · pitch + 8 ≤
+        // dst.len() (asserted).
+        unsafe { transpose_runs(rows.map(<[f32]>::as_ptr), tiled, dst.as_mut_ptr(), pitch) };
+    }
+    for i in tiled..len {
+        for (l, row) in rows.iter().enumerate() {
+            dst[i * pitch + l] = row[i];
+        }
+    }
+}
+
+/// `dst[i · pitch + l] = rows[l][i]` for `i < len` (a multiple of 8): eight
+/// runs become lanes `0..8`, one 8×8 tile at a time in registers. Shuffles
+/// move bit patterns: NaN payloads and signed zeros arrive as they left.
 ///
 /// # Safety
 ///
-/// Callers guarantee AVX was detected at runtime, `src` is readable
-/// for 8 rows of 8 elements at pitch `src_pitch`, and `dst` is writable for
-/// 8 rows of 8 elements at pitch `dst_pitch`.
+/// Callers guarantee AVX was detected at runtime, each of `rows` is
+/// readable for `len` elements, and `dst` is writable for lanes `0..8` of
+/// `len` rows at pitch `pitch`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn transpose_8x8(src: *const f32, src_pitch: usize, dst: *mut f32, dst_pitch: usize) {
+unsafe fn transpose_runs(rows: [*const f32; 8], len: usize, dst: *mut f32, pitch: usize) {
     use std::arch::x86_64::*;
-    let mut r = [_mm256_setzero_ps(); 8];
-    for (i, v) in r.iter_mut().enumerate() {
-        *v = _mm256_loadu_ps(src.add(i * src_pitch));
-    }
-    // Interleave row pairs by element, then pairs of pairs by 64 bits, then
-    // swap the 128-bit halves: out[j] = (r[0][j], r[1][j], …, r[7][j]).
-    let t = [
-        _mm256_unpacklo_ps(r[0], r[1]),
-        _mm256_unpackhi_ps(r[0], r[1]),
-        _mm256_unpacklo_ps(r[2], r[3]),
-        _mm256_unpackhi_ps(r[2], r[3]),
-        _mm256_unpacklo_ps(r[4], r[5]),
-        _mm256_unpackhi_ps(r[4], r[5]),
-        _mm256_unpacklo_ps(r[6], r[7]),
-        _mm256_unpackhi_ps(r[6], r[7]),
-    ];
-    let u = [
-        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
-        _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
-        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
-        _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
-        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
-        _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
-        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
-        _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
-    ];
-    for j in 0..4 {
-        let lo = _mm256_permute2f128_ps::<0x20>(u[j], u[j + 4]);
-        let hi = _mm256_permute2f128_ps::<0x31>(u[j], u[j + 4]);
-        _mm256_storeu_ps(dst.add(j * dst_pitch), lo);
-        _mm256_storeu_ps(dst.add((j + 4) * dst_pitch), hi);
+    for i0 in (0..len).step_by(8) {
+        let r = rows.map(|row| _mm256_loadu_ps(row.add(i0)));
+        // Interleave row pairs by element, then pairs of pairs by 64 bits,
+        // then swap the 128-bit halves: out[j] = (r[0][j], r[1][j], …, r[7][j]).
+        let t = [
+            _mm256_unpacklo_ps(r[0], r[1]),
+            _mm256_unpackhi_ps(r[0], r[1]),
+            _mm256_unpacklo_ps(r[2], r[3]),
+            _mm256_unpackhi_ps(r[2], r[3]),
+            _mm256_unpacklo_ps(r[4], r[5]),
+            _mm256_unpackhi_ps(r[4], r[5]),
+            _mm256_unpacklo_ps(r[6], r[7]),
+            _mm256_unpackhi_ps(r[6], r[7]),
+        ];
+        let u = [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+            _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+            _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+            _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+            _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+        ];
+        let dst = dst.add(i0 * pitch);
+        for j in 0..4 {
+            let lo = _mm256_permute2f128_ps::<0x20>(u[j], u[j + 4]);
+            let hi = _mm256_permute2f128_ps::<0x31>(u[j], u[j + 4]);
+            _mm256_storeu_ps(dst.add(j * pitch), lo);
+            _mm256_storeu_ps(dst.add((j + 4) * pitch), hi);
+        }
     }
 }
 
