@@ -140,6 +140,13 @@ fn conv2d_at_the_benchmark_shape_is_bitwise_equal_to_reference() {
     check_conv([16, 16, 16, 16, 16], (3, 3), 2022, false).unwrap();
 }
 
+/// The same model's stem: 3 → 16 channels, so a grad-kernel panel holds
+/// 27 taps and its last lanes are ragged.
+#[test]
+fn conv2d_at_the_benchmark_stem_shape_is_bitwise_equal_to_reference() {
+    check_conv([16, 3, 16, 16, 16], (3, 3), 2022, false).unwrap();
+}
+
 /// The layouts — of `nn`, `nt`, `tn` — in which the fast kernel and its
 /// reference differ on one seeded `m×k×n` problem. Empty is the contract.
 fn gemm_mismatches(m: usize, k: usize, n: usize, seed: u64) -> Vec<String> {
@@ -501,7 +508,7 @@ proptest! {
         oc in 1usize..=20,
         h in 1usize..=20,
         w in 1usize..=40,
-        ks in 0usize..=3,
+        ks in 0usize..=7,
         small in any::<bool>(),
         special in any::<bool>(),
         seed in any::<u64>(),
@@ -512,7 +519,9 @@ proptest! {
         // divisor of NR, `w > NR`) and reach the parallel threshold.
         let fold = |v: usize, max: usize| if small { (v - 1) % max + 1 } else { v };
         let dims = [fold(n, 3), fold(ic, 4), fold(oc, 4), fold(h, 9), fold(w, 9)];
-        let kernel = [(1, 1), (3, 3), (5, 3), (3, 5)][ks];
+        // Even kernels border one side only, and unequally when kh ≠ kw; a
+        // 7×7 kernel overhangs every image of the small half.
+        let kernel = [(1, 1), (3, 3), (5, 3), (3, 5), (2, 2), (4, 2), (2, 4), (7, 7)][ks];
         let outcome = check_conv(dims, kernel, seed, special);
         prop_assert!(outcome.is_ok(), "{} differs from the reference", outcome.unwrap_err());
     }
