@@ -232,6 +232,25 @@ mod tests {
     }
 
     #[test]
+    fn dropout_rate_one_is_a_typed_error() {
+        // Rate 1 drops every unit and scales the kept ones by 1/0.
+        let m = ResidualMlp::new(4, 8, 1, 2).with_dropout(1.0);
+        let params = m.init_params(0);
+        let mut st = m.init_stateful();
+        let err = m
+            .grad(&params, &mut st, &Tensor::ones([2, 4]), &[0, 1])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ModelError::Tensor(vf_tensor::TensorError::InvalidRate { bits, .. })
+                    if bits == 1.0f32.to_bits()
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn dropout_seed_depends_on_data_not_device() {
         let m = ResidualMlp::new(8, 16, 1, 3).with_dropout(0.2);
         let params = m.init_params(0);

@@ -469,13 +469,10 @@ impl<'a> Tape<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1)`.
+    /// Returns [`TensorError::InvalidRate`] if `rate` is outside `[0, 1)`,
+    /// and propagates shape errors from the underlying multiplication.
     pub fn dropout(&mut self, input: Var, rate: f32, seed: u64) -> Result<Var, TensorError> {
-        let mask = ops::dropout_mask(self.value(input).shape().clone(), rate, seed);
+        let mask = ops::dropout_mask(self.value(input).shape().clone(), rate, seed)?;
         let mask_var = self.constant(mask);
         self.mul(input, mask_var)
     }

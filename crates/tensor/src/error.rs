@@ -59,6 +59,14 @@ pub enum TensorError {
         /// The operation that failed.
         context: &'static str,
     },
+    /// A dropout rate outside `[0, 1)`: at 1 every unit is dropped and the
+    /// kept ones would be scaled by `1/0`.
+    InvalidRate {
+        /// The rejected rate as `f32::to_bits` (bits keep the error `Eq`).
+        bits: u32,
+        /// The operation that failed.
+        context: &'static str,
+    },
     /// An arrival order that is not a permutation of `0..len`, or a fold
     /// partial over virtual nodes the fold already holds: an index out of
     /// range, repeated or missing would sum some parts twice or not at all.
@@ -108,6 +116,11 @@ impl fmt::Display for TensorError {
             TensorError::InvalidEpsilon { bits, context } => write!(
                 f,
                 "normalization epsilon {} in {context} must be finite and positive",
+                f32::from_bits(*bits)
+            ),
+            TensorError::InvalidRate { bits, context } => write!(
+                f,
+                "dropout rate {} in {context} must lie in [0, 1)",
                 f32::from_bits(*bits)
             ),
             TensorError::NotAPermutation { len, context } => {

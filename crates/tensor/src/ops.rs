@@ -633,17 +633,20 @@ pub fn layer_norm_rows(
 /// Multiplying activations by the mask implements dropout whose expected
 /// output equals the input.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `rate` is outside `[0, 1)`.
-pub fn dropout_mask(shape: impl Into<Shape>, rate: f32, seed: u64) -> Tensor {
-    assert!(
-        (0.0..1.0).contains(&rate),
-        "dropout rate {rate} outside [0, 1)"
-    );
+/// Returns [`TensorError::InvalidRate`] if `rate` is outside `[0, 1)`: at 1
+/// every unit is dropped and the kept ones would be scaled by `1/0`.
+pub fn dropout_mask(shape: impl Into<Shape>, rate: f32, seed: u64) -> Result<Tensor, TensorError> {
+    if !(0.0..1.0).contains(&rate) {
+        return Err(TensorError::InvalidRate {
+            bits: rate.to_bits(),
+            context: "ops::dropout_mask",
+        });
+    }
     let shape = shape.into();
     if rate == 0.0 {
-        return Tensor::ones(shape);
+        return Ok(Tensor::ones(shape));
     }
     use rand::Rng;
     let mut rng = crate::init::rng(seed ^ 0xD509_7AB6_1EDB_90E5);
@@ -653,7 +656,7 @@ pub fn dropout_mask(shape: impl Into<Shape>, rate: f32, seed: u64) -> Tensor {
     data.extend(
         (0..shape.num_elements()).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }),
     );
-    Tensor::from_parts(data, shape)
+    Ok(Tensor::from_parts(data, shape))
 }
 
 /// Clips the global L2 norm of a set of gradients to `max_norm`, scaling all
@@ -953,7 +956,7 @@ mod tests {
 
     #[test]
     fn dropout_mask_preserves_expectation() {
-        let mask = dropout_mask([10_000], 0.3, 7);
+        let mask = dropout_mask([10_000], 0.3, 7).unwrap();
         let mean = mask.mean();
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
         let zeros = mask.data().iter().filter(|&&v| v == 0.0).count() as f32 / 10_000.0;
@@ -962,15 +965,23 @@ mod tests {
 
     #[test]
     fn dropout_mask_is_deterministic_and_rate_zero_is_identity() {
-        assert_eq!(dropout_mask([64], 0.5, 1), dropout_mask([64], 0.5, 1));
-        assert_ne!(dropout_mask([64], 0.5, 1), dropout_mask([64], 0.5, 2));
-        assert_eq!(dropout_mask([8], 0.0, 3), Tensor::ones([8]));
+        let mask = |len: usize, rate, seed| dropout_mask([len], rate, seed).unwrap();
+        assert_eq!(mask(64, 0.5, 1), mask(64, 0.5, 1));
+        assert_ne!(mask(64, 0.5, 1), mask(64, 0.5, 2));
+        assert_eq!(mask(8, 0.0, 3), Tensor::ones([8]));
     }
 
     #[test]
-    #[should_panic]
-    fn dropout_rate_one_panics() {
-        dropout_mask([4], 1.0, 0);
+    fn dropout_rate_outside_the_unit_interval_is_a_typed_error() {
+        for rate in [1.0f32, 1.5, -0.1, f32::NAN, f32::INFINITY] {
+            assert!(
+                matches!(
+                    dropout_mask([4], rate, 0),
+                    Err(TensorError::InvalidRate { bits, .. }) if bits == rate.to_bits()
+                ),
+                "rate {rate}"
+            );
+        }
     }
 
     #[test]
