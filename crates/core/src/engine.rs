@@ -542,20 +542,14 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Stops at the first failing step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// Returns [`CoreError::NoSteps`] when `n == 0` (there is no last
+    /// report), and stops at the first failing step.
     pub fn run_steps(&mut self, n: usize) -> Result<StepReport, CoreError> {
-        assert!(n > 0, "run_steps requires n > 0");
-        let mut last = None;
+        let mut last = Err(CoreError::NoSteps);
         for _ in 0..n {
-            last = Some(self.step()?);
+            last = Ok(self.step()?);
         }
-        last.ok_or(CoreError::Internal {
-            invariant: "run_steps with n > 0 executes at least one step",
-        })
+        last
     }
 
     /// Runs exactly one epoch, returning the mean training loss.
@@ -748,6 +742,13 @@ mod tests {
         let config = TrainerConfig::simple(7, 64, 0.2, 0);
         let err = Trainer::new(arch, dataset, config, &devices(2)).unwrap_err();
         assert!(matches!(err, CoreError::BatchNotDivisible { .. }));
+    }
+
+    #[test]
+    fn run_steps_of_zero_is_a_typed_error() {
+        let mut t = make_trainer(8, 2, 0);
+        assert!(matches!(t.run_steps(0), Err(CoreError::NoSteps)));
+        assert_eq!(t.run_steps(2).unwrap().step, 1, "the refusal took no step");
     }
 
     #[test]

@@ -76,6 +76,9 @@ pub enum CoreError {
         /// What the field must be.
         requirement: &'static str,
     },
+    /// `run_steps` was asked for zero steps: there is no last report to
+    /// return.
+    NoSteps,
     /// An internal invariant was violated — a bug in the engine itself,
     /// not in the caller's configuration.
     Internal {
@@ -165,6 +168,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidChaosConfig { field, value, requirement } => {
                 write!(f, "invalid chaos config: `{field}` = {value}, must be {requirement}")
             }
+            CoreError::NoSteps => write!(f, "run_steps needs at least one step"),
             CoreError::Internal { invariant } => {
                 write!(f, "internal invariant violated: {invariant}")
             }
