@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: build (release) =="
 cargo build --release
 
-echo "== tier 1: rustfmt (crates held formatted: vf-models, vf-bench) =="
-cargo fmt -p vf-models -p vf-bench --check
+echo "== tier 1: rustfmt (crates held formatted: vf-tensor, vf-models, vf-bench) =="
+cargo fmt -p vf-tensor -p vf-models -p vf-bench --check
 
 echo "== tier 1: tests (every crate and shim; debug profile, so the pool-race sanitizer is armed) =="
 cargo test --workspace -q
