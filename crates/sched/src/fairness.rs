@@ -16,10 +16,7 @@ use std::collections::BTreeMap;
 /// The timeline is interpreted as a step function: the allocations of each
 /// sample hold until the next sample's time; `end_s` closes the last
 /// interval.
-pub fn service_integrals(
-    timeline: &[AllocationSample],
-    end_s: f64,
-) -> BTreeMap<JobId, f64> {
+pub fn service_integrals(timeline: &[AllocationSample], end_s: f64) -> BTreeMap<JobId, f64> {
     let mut service: BTreeMap<JobId, f64> = BTreeMap::new();
     for (i, sample) in timeline.iter().enumerate() {
         let until = timeline.get(i + 1).map_or(end_s, |s| s.time_s);
@@ -93,10 +90,7 @@ mod tests {
 
     #[test]
     fn service_integrates_step_function() {
-        let tl = vec![
-            sample(0.0, &[(0, 2), (1, 2)]),
-            sample(10.0, &[(0, 4)]),
-        ];
+        let tl = vec![sample(0.0, &[(0, 2), (1, 2)]), sample(10.0, &[(0, 4)])];
         let s = service_integrals(&tl, 20.0);
         assert_eq!(s[&JobId(0)], 2.0 * 10.0 + 4.0 * 10.0);
         assert_eq!(s[&JobId(1)], 2.0 * 10.0);

@@ -44,6 +44,5 @@ pub use job::{JobId, JobSpec, JobState};
 pub use metrics::{AllocationSample, TraceMetrics};
 pub use scheduler::{ElasticWfs, Scheduler, StaticPriority, ThroughputOptimizer, WeightPolicy};
 pub use sim::{
-    capacity_events_from_faults, run_trace, run_trace_recorded, CapacityEvent, SimConfig,
-    SimResult,
+    capacity_events_from_faults, run_trace, run_trace_recorded, CapacityEvent, SimConfig, SimResult,
 };

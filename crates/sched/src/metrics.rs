@@ -65,7 +65,11 @@ impl TraceMetrics {
         // times must still get finite metrics out (these numbers land in
         // JSON reports, where NaN is unrepresentable).
         let makespan = end_s - first_arrival_s;
-        let makespan = if makespan.is_finite() { makespan.max(0.0) } else { 0.0 };
+        let makespan = if makespan.is_finite() {
+            makespan.max(0.0)
+        } else {
+            0.0
+        };
         let denom = makespan * num_gpus as f64;
         let utilization = if denom > 0.0 && busy_integral.is_finite() {
             (busy_integral / denom).max(0.0)

@@ -135,8 +135,11 @@ impl Scheduler for ElasticWfs {
         // Pass 2: water-fill the remainder proportionally to weights,
         // capping at each job's demand.
         let mut share = vec![0.0f64; jobs.len()];
-        let mut active: Vec<usize> =
-            order.iter().copied().filter(|&i| jobs[i].spec.demand > 1).collect();
+        let mut active: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&i| jobs[i].spec.demand > 1)
+            .collect();
         let mut pool = free as f64;
         while pool > 1e-9 && !active.is_empty() {
             let total_w: f64 = active.iter().map(|&i| weight[i]).sum();
@@ -392,8 +395,7 @@ mod tests {
         long.remaining_steps = 10_000.0;
         let mut short = job(1, 5, 8, 0.0);
         short.remaining_steps = 10.0;
-        let alloc =
-            ElasticWfs::with_policy(WeightPolicy::Srtf).allocate(0.0, &[long, short], 8);
+        let alloc = ElasticWfs::with_policy(WeightPolicy::Srtf).allocate(0.0, &[long, short], 8);
         assert!(alloc[&JobId(1)] > alloc[&JobId(0)]);
     }
 
@@ -429,10 +431,8 @@ mod tests {
         // One job with 2 virtual nodes cannot use more than 2 GPUs.
         let mut j = job(0, 5, 8, 0.0);
         j.spec.total_vns = 2;
-        let mut sched = ThroughputOptimizer::new(
-            DeviceProfile::of(DeviceType::V100),
-            LinkProfile::nvlink(),
-        );
+        let mut sched =
+            ThroughputOptimizer::new(DeviceProfile::of(DeviceType::V100), LinkProfile::nvlink());
         let alloc = sched.allocate(0.0, &[j], 8);
         assert!(alloc[&JobId(0)] <= 2, "{alloc:?}");
     }

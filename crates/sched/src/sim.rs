@@ -78,7 +78,9 @@ pub fn capacity_events_from_faults(
     let devices: Vec<DeviceId> = (0..num_gpus).map(DeviceId).collect();
     let mut faults = plan.events(&devices, horizon_s);
     faults.sort_by(|a, b| {
-        a.at_s.partial_cmp(&b.at_s).unwrap_or(std::cmp::Ordering::Equal)
+        a.at_s
+            .partial_cmp(&b.at_s)
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
     // Per-device merged outage windows → a stream of ±1 capacity deltas.
     let mut deltas: Vec<(f64, i64)> = Vec::new();
@@ -102,7 +104,10 @@ pub fn capacity_events_from_faults(
         match events.last_mut() {
             // Coalesce simultaneous deltas into one event.
             Some(last) if last.at_s == at_s => last.num_gpus = capacity,
-            _ => events.push(CapacityEvent { at_s, num_gpus: capacity }),
+            _ => events.push(CapacityEvent {
+                at_s,
+                num_gpus: capacity,
+            }),
         }
     }
     events
@@ -209,7 +214,9 @@ pub fn run_trace_recorded(
         );
     }
     assert!(
-        config.resched_interval_s.is_none_or(|dt| dt.is_finite() && dt > 0.0),
+        config
+            .resched_interval_s
+            .is_none_or(|dt| dt.is_finite() && dt > 0.0),
         "resched_interval_s must be positive and finite, got {:?}",
         config.resched_interval_s
     );
@@ -238,7 +245,9 @@ pub fn run_trace_recorded(
     let mut capacity = config.num_gpus;
     let mut capacity_events: Vec<CapacityEvent> = config.capacity_events.clone();
     capacity_events.sort_by(|a, b| {
-        a.at_s.partial_cmp(&b.at_s).unwrap_or(std::cmp::Ordering::Equal)
+        a.at_s
+            .partial_cmp(&b.at_s)
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
     let mut capacity_iter = capacity_events.into_iter().peekable();
 
@@ -412,7 +421,12 @@ pub fn run_trace_recorded(
             obs.emit(Event::counter("sched/running", "sched", now_us, running));
             obs.emit(Event::counter("sched/capacity", "sched", now_us, capacity));
             obs.emit(Event::counter("sched/gpus_busy", "sched", now_us, total));
-            obs.emit(Event::counter("sched/busy_gpu_s", "sched", now_us, busy_integral));
+            obs.emit(Event::counter(
+                "sched/busy_gpu_s",
+                "sched",
+                now_us,
+                busy_integral,
+            ));
         }
         if let Some(mon) = obs.monitor() {
             let m = mon.metrics();
@@ -478,7 +492,9 @@ mod tests {
         let j = &r.jobs[0];
         assert!(j.is_finished());
         assert_eq!(j.started_at_s, Some(0.0));
-        let expected = j.spec.runtime_on(2, DeviceProfile::of(DeviceType::V100), &config().link);
+        let expected = j
+            .spec
+            .runtime_on(2, DeviceProfile::of(DeviceType::V100), &config().link);
         assert!((j.jct_s().unwrap() - expected).abs() / expected < 0.01);
     }
 
@@ -499,7 +515,10 @@ mod tests {
         let trace: Vec<JobSpec> = (0..5)
             .map(|i| spec(i, 1 + i, 2, 50 + 20 * i as u64, 5.0 * i as f64))
             .collect();
-        for sched in [&mut ElasticWfs::new() as &mut dyn Scheduler, &mut StaticPriority::new()] {
+        for sched in [
+            &mut ElasticWfs::new() as &mut dyn Scheduler,
+            &mut StaticPriority::new(),
+        ] {
             let r = run_trace(&trace, sched, &config());
             assert_eq!(r.jobs.len(), 5, "{}", r.scheduler);
             assert!(r.jobs.iter().all(|j| j.is_finished()));
@@ -554,8 +573,14 @@ mod tests {
         let mk_config = || {
             let mut c = config();
             c.capacity_events = vec![
-                CapacityEvent { at_s: 10.0, num_gpus: 2 },
-                CapacityEvent { at_s: 4000.0, num_gpus: 4 },
+                CapacityEvent {
+                    at_s: 10.0,
+                    num_gpus: 2,
+                },
+                CapacityEvent {
+                    at_s: 4000.0,
+                    num_gpus: 4,
+                },
             ];
             c
         };
@@ -594,7 +619,10 @@ mod tests {
     #[test]
     fn capacity_above_initial_is_clamped() {
         let mut c = config();
-        c.capacity_events = vec![CapacityEvent { at_s: 1.0, num_gpus: 99 }];
+        c.capacity_events = vec![CapacityEvent {
+            at_s: 1.0,
+            num_gpus: 99,
+        }];
         let trace = vec![spec(0, 5, 4, 200, 0.0)];
         let r = run_trace(&trace, &mut ElasticWfs::new(), &c);
         for s in &r.timeline {
@@ -617,7 +645,10 @@ mod tests {
         let trace: Vec<JobSpec> = (0..4)
             .map(|i| spec(i, 1 + i, 2, 400, 10.0 * i as f64))
             .collect();
-        for sched in [&mut ElasticWfs::new() as &mut dyn Scheduler, &mut StaticPriority::new()] {
+        for sched in [
+            &mut ElasticWfs::new() as &mut dyn Scheduler,
+            &mut StaticPriority::new(),
+        ] {
             let r = run_trace(&trace, sched, &c);
             assert_eq!(r.jobs.len(), 4, "{}: no job may be lost", r.scheduler);
             assert!(
@@ -648,8 +679,14 @@ mod tests {
     fn total_outage_pauses_the_cluster_rather_than_killing_the_job() {
         let mut c = config();
         c.capacity_events = vec![
-            CapacityEvent { at_s: 5.0, num_gpus: 0 },
-            CapacityEvent { at_s: 5_000.0, num_gpus: 4 },
+            CapacityEvent {
+                at_s: 5.0,
+                num_gpus: 0,
+            },
+            CapacityEvent {
+                at_s: 5_000.0,
+                num_gpus: 4,
+            },
         ];
         let trace = vec![spec(0, 5, 2, 2000, 0.0)];
         let r = run_trace(&trace, &mut ElasticWfs::new(), &c);
@@ -664,7 +701,10 @@ mod tests {
     #[test]
     fn permanent_outage_reports_the_job_unfinished_instead_of_dropping_it() {
         let mut c = config();
-        c.capacity_events = vec![CapacityEvent { at_s: 5.0, num_gpus: 0 }];
+        c.capacity_events = vec![CapacityEvent {
+            at_s: 5.0,
+            num_gpus: 0,
+        }];
         let trace = vec![spec(0, 5, 2, 100_000, 0.0)];
         let r = run_trace(&trace, &mut ElasticWfs::new(), &c);
         assert_eq!(r.jobs.len(), 1, "the stuck job still appears in results");

@@ -120,12 +120,18 @@ pub fn three_job_trace(link: &LinkProfile) -> Vec<JobSpec> {
         clippy::expect_used,
         reason = "paper_workload_mix is a static table that always contains SST-2"
     )]
-    let bert = mix.iter().find(|w| w.name.contains("SST-2")).expect("mix has SST-2");
+    let bert = mix
+        .iter()
+        .find(|w| w.name.contains("SST-2"))
+        .expect("mix has SST-2");
     #[expect(
         clippy::expect_used,
         reason = "paper_workload_mix is a static table that always contains cifar10"
     )]
-    let resnet = mix.iter().find(|w| w.name.contains("cifar10")).expect("mix has cifar10");
+    let resnet = mix
+        .iter()
+        .find(|w| w.name.contains("cifar10"))
+        .expect("mix has cifar10");
     let mut qnli = bert.clone();
     qnli.name = "BERT-BASE/QNLI".to_string();
     vec![
@@ -261,8 +267,10 @@ mod tests {
     #[test]
     fn poisson_trace_uses_varied_workloads_and_priorities() {
         let t = poisson_trace(20, 12.0, 16, 3, &link());
-        let names: std::collections::BTreeSet<&str> =
-            t.iter().map(|j| j.name.split('@').next().unwrap()).collect();
+        let names: std::collections::BTreeSet<&str> = t
+            .iter()
+            .map(|j| j.name.split('@').next().unwrap())
+            .collect();
         assert!(names.len() >= 3, "workload variety {names:?}");
         let prios: std::collections::BTreeSet<u32> = t.iter().map(|j| j.priority).collect();
         assert!(prios.len() >= 2);
