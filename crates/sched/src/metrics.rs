@@ -1,6 +1,7 @@
 //! Cluster-level metrics: makespan, JCT, queuing delay, utilization.
 
 use crate::job::{JobId, JobState};
+use crate::scheduler::cmp_f64;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -57,9 +58,9 @@ impl TraceMetrics {
         busy_integral: f64,
     ) -> Self {
         let mut jcts: Vec<f64> = jobs.iter().filter_map(JobState::jct_s).collect();
-        jcts.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        jcts.sort_by(|a, b| cmp_f64(*a, *b));
         let mut delays: Vec<f64> = jobs.iter().filter_map(JobState::queuing_delay_s).collect();
-        delays.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        delays.sort_by(|a, b| cmp_f64(*a, *b));
         // Guard against degenerate traces: an empty trace gives
         // `end_s == first_arrival_s == 0`, and a caller feeding NaN/∞
         // times must still get finite metrics out (these numbers land in

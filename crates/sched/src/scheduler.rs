@@ -26,11 +26,16 @@ pub trait Scheduler: Send {
     /// Under [`run_trace`](crate::sim::run_trace) the slice is the
     /// simulator's live job table, not a snapshot: it happens to be sorted
     /// by id, but implementations must not depend on its order.
+    ///
+    /// Floats are ordered as numbers, −0.0 level with +0.0. [`ElasticWfs`]
+    /// sorts a NaN weight or arrival by its sign bit: after every number
+    /// when the bit is clear (as in `f64::NAN`), before every number when
+    /// it is set. `run_trace` refuses a non-finite arrival.
     fn allocate(&mut self, now_s: f64, jobs: &[JobState], capacity: u32) -> BTreeMap<JobId, u32>;
 }
 
 /// Orders floats, treating incomparable (NaN) pairs as equal.
-fn cmp_f64(a: f64, b: f64) -> Ordering {
+pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or(Ordering::Equal)
 }
 
@@ -56,37 +61,72 @@ pub enum WeightPolicy {
     Las,
 }
 
-/// Elastic weighted fair sharing (paper §4.2, Algorithm 1).
-///
-/// Every job gets at least one GPU whenever capacity permits (in weight
-/// order); the rest of the capacity is water-filled proportionally to the
-/// weights, capped by each job's demand.
-#[derive(Debug, Clone, Default)]
-pub struct ElasticWfs {
-    policy: WeightPolicy,
-}
-
-impl ElasticWfs {
-    /// WFS with static priorities.
-    pub fn new() -> Self {
-        ElasticWfs {
-            policy: WeightPolicy::Priority,
-        }
-    }
-
-    /// WFS with the given weight policy.
-    pub fn with_policy(policy: WeightPolicy) -> Self {
-        ElasticWfs { policy }
-    }
-
-    fn weight(&self, job: &JobState) -> f64 {
-        match self.policy {
+impl WeightPolicy {
+    /// The weight of `job` under this policy.
+    fn weight(self, job: &JobState) -> f64 {
+        match self {
             WeightPolicy::Priority => job.spec.priority as f64,
             WeightPolicy::Srtf => 1.0 / job.remaining_steps.max(1.0),
             WeightPolicy::Las => {
                 let attained = (job.spec.total_steps as f64 - job.remaining_steps).max(0.0);
                 1.0 / (attained + 1.0)
             }
+        }
+    }
+}
+
+/// An integer key that orders as [`cmp_f64`] does on every non-NaN value,
+/// −0.0 level with +0.0, and is total: a NaN sorts by its sign bit, after
+/// +∞ when the bit is clear and before −∞ when it is set.
+fn order_key(x: f64) -> u64 {
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    // A negative value flips every bit, any other value its sign bit.
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// One job as [`ElasticWfs::allocate`]'s passes see it, copied once out of
+/// the job table so that the sort moves compact rows.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    weight: f64,
+    arrival_key: u64,
+    /// Water-filled GPUs beyond the first, then their fractional remainder.
+    share: f64,
+    id: JobId,
+    pos: u32, // in the job table
+    demand: u32,
+    priority: u32,
+    grant: u32,
+}
+
+/// Elastic weighted fair sharing (paper §4.2, Algorithm 1).
+///
+/// Every job gets at least one GPU whenever capacity permits (in weight
+/// order); the rest of the capacity is water-filled proportionally to the
+/// weights, capped by each job's demand.
+///
+/// The row, rank and result buffers are kept between calls so that a warm
+/// scheduler asks the allocator only for the map it returns. They carry no
+/// state: a warm scheduler returns exactly what a fresh one does.
+#[derive(Debug, Clone, Default)]
+pub struct ElasticWfs {
+    policy: WeightPolicy,
+    rows: Vec<Row>,
+    ranks: Vec<usize>,
+    held: Vec<(JobId, u32)>,
+}
+
+impl ElasticWfs {
+    /// WFS with static priorities.
+    pub fn new() -> Self {
+        ElasticWfs::default()
+    }
+
+    /// WFS with the given weight policy.
+    pub fn with_policy(policy: WeightPolicy) -> Self {
+        ElasticWfs {
+            policy,
+            ..ElasticWfs::default()
         }
     }
 }
@@ -104,87 +144,88 @@ impl Scheduler for ElasticWfs {
         if jobs.is_empty() || capacity == 0 {
             return BTreeMap::new();
         }
-        // Weights, shares and grants live in vectors indexed by position in
-        // `jobs`; the passes below walk positions, not ids.
-        let weight: Vec<f64> = jobs.iter().map(|j| self.weight(j)).collect();
+        let (policy, rows, ranks) = (self.policy, &mut self.rows, &mut self.ranks);
         // Everyone is considered, highest weight first (ties by arrival
-        // then id for determinism).
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ja, jb) = (&jobs[a].spec, &jobs[b].spec);
-            cmp_f64(weight[b], weight[a])
-                .then(cmp_f64(ja.arrival_s, jb.arrival_s))
-                .then(ja.id.cmp(&jb.id))
-        });
+        // then id; ids are unique, so the unstable sort is deterministic).
+        rows.clear();
+        rows.extend(jobs.iter().enumerate().map(|(pos, j)| Row {
+            weight: policy.weight(j),
+            arrival_key: order_key(j.spec.arrival_s),
+            share: 0.0,
+            id: j.spec.id,
+            pos: pos as u32,
+            demand: j.spec.demand,
+            priority: j.spec.priority,
+            grant: 0,
+        }));
+        rows.sort_unstable_by_key(|r| (Reverse(order_key(r.weight)), r.arrival_key, r.id));
 
         // Pass 1: one GPU each while capacity lasts — elasticity means a
         // newly arrived job can immediately carve out a slice.
-        let mut grant = vec![0u32; jobs.len()];
         let mut free = capacity;
-        for &i in &order {
-            if free == 0 {
-                break;
-            }
-            if jobs[i].spec.demand > 0 {
-                grant[i] = 1;
-                free -= 1;
-            }
+        let first = rows.iter_mut().filter(|r| r.demand > 0);
+        for r in first.take(capacity as usize) {
+            r.grant = 1;
+            free -= 1;
         }
-        order.retain(|&i| grant[i] > 0);
 
         // Pass 2: water-fill the remainder proportionally to weights,
-        // capping at each job's demand.
-        let mut share = vec![0.0f64; jobs.len()];
-        let mut active: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| jobs[i].spec.demand > 1)
-            .collect();
+        // capping at each job's demand. The walk is in weight order, which
+        // is `total_w`'s summation order and so fixes its bits.
+        ranks.clear();
+        ranks.extend((0..rows.len()).filter(|&k| rows[k].grant > 0 && rows[k].demand > 1));
         let mut pool = free as f64;
-        while pool > 1e-9 && !active.is_empty() {
-            let total_w: f64 = active.iter().map(|&i| weight[i]).sum();
-            let mut next_active = Vec::with_capacity(active.len());
-            let mut distributed = 0.0;
-            for &i in &active {
-                let headroom = (jobs[i].spec.demand - 1) as f64 - share[i];
-                let extra = (pool * weight[i] / total_w).min(headroom);
-                share[i] += extra;
+        while pool > 1e-9 && !ranks.is_empty() {
+            let total_w: f64 = ranks.iter().map(|&k| rows[k].weight).sum();
+            let (before, mut distributed) = (ranks.len(), 0.0);
+            ranks.retain(|&k| {
+                let r = &mut rows[k];
+                let headroom = (r.demand - 1) as f64 - r.share;
+                let extra = (pool * r.weight / total_w).min(headroom);
+                r.share += extra;
                 distributed += extra;
-                if extra < headroom - 1e-12 {
-                    next_active.push(i);
-                }
-            }
+                extra < headroom - 1e-12
+            });
             pool -= distributed;
-            if next_active.len() == active.len() {
+            if ranks.len() == before {
                 break; // nobody capped; shares are final
             }
-            active = next_active;
         }
 
         // Integerize by largest remainder, respecting demand caps.
         let mut leftover = free;
-        for &i in &order {
-            let whole = share[i].floor();
-            grant[i] += whole as u32;
+        for r in rows.iter_mut() {
+            let whole = r.share.floor();
+            r.grant += whole as u32;
             leftover -= whole as u32;
-            share[i] -= whole; // keep the remainder
+            r.share -= whole; // keep the remainder
         }
-        order.sort_by(|&a, &b| {
-            let (ja, jb) = (&jobs[a].spec, &jobs[b].spec);
-            cmp_f64(share[b], share[a])
-                .then(jb.priority.cmp(&ja.priority))
-                .then(ja.id.cmp(&jb.id))
-        });
-        for &i in &order {
-            if leftover == 0 {
-                break;
-            }
-            if grant[i] < jobs[i].spec.demand {
-                grant[i] += 1;
-                leftover -= 1;
+        // Which granted rows are below their demand is fixed before any
+        // gets its +1, so the first `leftover` of them in (remainder desc,
+        // priority desc, id asc) order are a set, found by selection.
+        ranks.clear();
+        ranks.extend((0..rows.len()).filter(|&k| (1..rows[k].demand).contains(&rows[k].grant)));
+        let take = ranks.len().min(leftover as usize);
+        if take > 0 {
+            let (first, nth, _) = ranks.select_nth_unstable_by_key(take - 1, |&k| {
+                let r = &rows[k];
+                (Reverse(order_key(r.share)), Reverse(r.priority), r.id)
+            });
+            for &k in first.iter().chain([&*nth]) {
+                rows[k].grant += 1;
             }
         }
-        grants_by_id(jobs, grant)
+
+        // Back in table order (every position is written, whatever the
+        // buffer held): under `run_trace` that is id order, which
+        // `collect`'s sort then finds already sorted.
+        let held = &mut self.held;
+        held.resize(jobs.len(), (JobId(0), 0));
+        for r in rows.iter() {
+            held[r.pos as usize] = (r.id, r.grant);
+        }
+        held.retain(|&(_, g)| g > 0);
+        held.iter().copied().collect()
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::job::{JobId, JobSpec, JobState};
 use crate::metrics::{AllocationSample, TraceMetrics};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{cmp_f64, Scheduler};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vf_comm::LinkProfile;
@@ -77,11 +77,7 @@ pub fn capacity_events_from_faults(
 ) -> Vec<CapacityEvent> {
     let devices: Vec<DeviceId> = (0..num_gpus).map(DeviceId).collect();
     let mut faults = plan.events(&devices, horizon_s);
-    faults.sort_by(|a, b| {
-        a.at_s
-            .partial_cmp(&b.at_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    faults.sort_by(|a, b| cmp_f64(a.at_s, b.at_s));
     // Per-device merged outage windows → a stream of ±1 capacity deltas.
     let mut deltas: Vec<(f64, i64)> = Vec::new();
     let mut down_until: BTreeMap<DeviceId, f64> = BTreeMap::new();
@@ -95,7 +91,7 @@ pub fn capacity_events_from_faults(
             }
         }
     }
-    deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    deltas.sort_by(|a, b| cmp_f64(a.0, b.0));
     let mut events: Vec<CapacityEvent> = Vec::new();
     let mut healthy = num_gpus as i64;
     for (at_s, delta) in deltas {
@@ -146,10 +142,12 @@ pub struct SimResult {
 ///
 /// # Panics
 ///
-/// Panics if the trace contains a job whose demand exceeds the cluster, or
-/// duplicate job ids — malformed traces are a programming error — or if
-/// `config.resched_interval_s` is not positive and finite (a zero interval
-/// would never advance the clock).
+/// Panics if the trace contains a job whose demand exceeds the cluster, a
+/// non-finite arrival time (a NaN one would never arrive, an infinite one
+/// would finish at once), or duplicate job ids — malformed traces are a
+/// programming error — or if `config.resched_interval_s` is not positive
+/// and finite (a zero interval would never advance the clock). Every check
+/// runs before the first event.
 pub fn run_trace(
     trace: &[JobSpec],
     scheduler: &mut dyn Scheduler,
@@ -212,6 +210,8 @@ pub fn run_trace_recorded(
             j.demand,
             config.num_gpus
         );
+        let (id, at) = (j.id, j.arrival_s);
+        assert!(at.is_finite(), "{id} arrives at {at}");
     }
     assert!(
         config
@@ -226,12 +226,7 @@ pub fn run_trace_recorded(
         ids.dedup();
         assert_eq!(ids.len(), arrivals.len(), "duplicate job ids in trace");
     }
-    arrivals.sort_by(|a, b| {
-        a.arrival_s
-            .partial_cmp(&b.arrival_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
+    arrivals.sort_by(|a, b| cmp_f64(a.arrival_s, b.arrival_s).then(a.id.cmp(&b.id)));
     let mut pending = arrivals.into_iter().peekable();
     // The job table, sorted by id, and each job's step time at its current
     // allocation (unused while that is 0).
@@ -244,11 +239,7 @@ pub fn run_trace_recorded(
     let first_arrival = pending.peek().map_or(0.0, |j| j.arrival_s);
     let mut capacity = config.num_gpus;
     let mut capacity_events: Vec<CapacityEvent> = config.capacity_events.clone();
-    capacity_events.sort_by(|a, b| {
-        a.at_s
-            .partial_cmp(&b.at_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    capacity_events.sort_by(|a, b| cmp_f64(a.at_s, b.at_s));
     let mut capacity_iter = capacity_events.into_iter().peekable();
 
     loop {
@@ -393,8 +384,12 @@ pub fn run_trace_recorded(
             "{} over-allocated {total}/{capacity} GPUs",
             scheduler.name(),
         );
+        // The map and the job table are both sorted by id: one merge-walk
+        // reads every grant.
+        let mut grants = alloc.iter().peekable();
         for (job, st) in active.iter_mut().zip(&mut step_s) {
-            let new_alloc = alloc.get(&job.spec.id).copied().unwrap_or(0);
+            while grants.next_if(|g| *g.0 < job.spec.id).is_some() {}
+            let new_alloc = grants.next_if(|g| *g.0 == job.spec.id).map_or(0, |g| *g.1);
             if new_alloc != job.allocation && new_alloc > 0 {
                 // The one event that makes a cached step time stale.
                 *st = job.spec.step_time_on(new_alloc, device, &config.link);
@@ -741,6 +736,22 @@ mod tests {
     #[should_panic(expected = "resched_interval_s")]
     fn nan_resched_interval_is_rejected() {
         run_with_interval(f64::NAN);
+    }
+
+    // The checks run before the event loop, so a regression fails these
+    // tests instead of hanging them.
+    #[test]
+    #[should_panic(expected = "job1 arrives at NaN")]
+    fn nan_arrival_is_rejected() {
+        let trace = vec![spec(0, 5, 1, 10, 0.0), spec(1, 5, 1, 10, f64::NAN)];
+        run_trace(&trace, &mut ElasticWfs::new(), &config());
+    }
+
+    #[test]
+    #[should_panic(expected = "job0 arrives at inf")]
+    fn infinite_arrival_is_rejected() {
+        let trace = vec![spec(0, 5, 1, 10, f64::INFINITY), spec(1, 5, 1, 10, 0.0)];
+        run_trace(&trace, &mut ElasticWfs::new(), &config());
     }
 
     #[test]

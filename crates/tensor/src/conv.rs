@@ -304,10 +304,13 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
     }
     let hw = h * w;
     let taps = ic * kh * kw;
-    let mut out = storage::zeroed(n * ic * hw);
-    if out.is_empty() || oc == 0 || taps == 0 {
-        return Tensor::from_vec(out, [n, ic, h, w]);
+    let len = n * ic * hw;
+    if len == 0 || oc == 0 || taps == 0 {
+        return Tensor::from_vec(storage::zeroed(len), [n, ic, h, w]);
     }
+    // Taken, not zeroed: every image's interior copy below writes all of
+    // its rows.
+    let mut out = storage::take(len);
     let isa = gemm::isa();
     let (mr, nr) = (isa.mr(), isa.nr());
     let border = Bordered::new(h, w, kh, kw);
@@ -353,10 +356,12 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
                 }
             }
             let first = out_ptr.get().wrapping_add(b * ic * hw);
-            // SAFETY: image b owns input-gradient rows [b·ic·hw, (b+1)·ic·hw).
-            let gimg = unsafe { std::slice::from_raw_parts_mut(first, ic * hw) };
-            for (src, row) in border.interior(&mut padded).zip(gimg.chunks_exact_mut(w)) {
-                row.copy_from_slice(src);
+            for (src, at) in border.interior(&mut padded).zip((0..ic * hw).step_by(w)) {
+                // SAFETY: image b owns input-gradient rows [b·ic·hw,
+                // (b+1)·ic·hw), inside the taken capacity; `src` is one
+                // interior row of w, in this chunk's own `padded`. Written
+                // through the pointer: the output is not initialised yet.
+                unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), first.add(at), w) };
             }
         }
         storage::give(gpack);
@@ -365,7 +370,11 @@ pub fn conv2d_grad_input(grad_out: &Tensor, kernel: &Tensor) -> Result<Tensor, T
     };
     dispatch(n, oc * taps * hw, work);
     storage::give(kpack);
-    Tensor::from_vec(out, [n, ic, h, w])
+    // SAFETY: the job (or the serial fallback) has returned; its chunks
+    // tile images 0..n, and each image's interior copy writes its ic · h
+    // rows of w, so all n · ic · h · w elements are initialised.
+    unsafe { out.set_len(len) };
+    Ok(Tensor::from_parts(out, [n, ic, h, w]))
 }
 
 /// Gradient of [`conv2d`] with respect to the kernel: `dOut_b · cols_bᵀ`

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: build (release) =="
 cargo build --release
 
-echo "== tier 1: rustfmt (crates held formatted: vf-tensor, vf-models, vf-bench) =="
-cargo fmt -p vf-tensor -p vf-models -p vf-bench --check
+echo "== tier 1: rustfmt (crates held formatted: vf-tensor, vf-models, vf-bench, vf-sched) =="
+cargo fmt -p vf-tensor -p vf-models -p vf-bench -p vf-sched --check
 
 echo "== tier 1: tests (every crate and shim; debug profile, so the pool-race sanitizer is armed) =="
 cargo test --workspace -q
@@ -16,9 +16,10 @@ cargo test --workspace -q
 echo "== tier 1: tensor tests (release profile: the codegen the benchmarks run) =="
 cargo test --release -q -p vf-tensor
 
-echo "== tier 1: step and generation allocation pins (release profile: the call ceilings and live-byte peaks the benchmarks' codegen must meet) =="
+echo "== tier 1: step, generation and share-recompute allocation pins (release profile: the call ceilings and live-byte peaks the benchmarks' codegen must meet) =="
 cargo test --release -q -p vf-core --test step_allocations
 cargo test --release -q -p vf-data --test generate_allocations
+cargo test --release -q -p vf-sched --test allocate_allocations
 
 echo "== tier 1: vf-lint (registry-dep, metric-cardinality, lock-order, claim-coverage; surface, line and waiver counts + JSON report) =="
 cargo run -q -p vf-lint -- --deny --json
